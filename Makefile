@@ -1,10 +1,15 @@
 GO ?= go
 
 # Seeds for the full torture tier; the smoke tier is what CI runs per push.
+# Each seed set runs once per op count in TORTURE_OPS: a short episode ends
+# before most fault schedules fire and leaves its whole version history
+# unpruned, a long one crashes mid-flight — the erase-then-refold snapshot bug
+# only ever showed at 150.
 TORTURE_SEEDS ?= 100
 TORTURE_SMOKE_SEEDS ?= 25
+TORTURE_OPS ?= 150 400
 
-.PHONY: all verify race vet fmt staticcheck lint torture torture-smoke bench-smoke baseline metrics-smoke flightrec-smoke hotspots-smoke mvcc-smoke deferred-smoke viewdag-smoke freshness-smoke scrub-smoke scrub-long
+.PHONY: all verify race vet fmt staticcheck structure lint torture torture-smoke bench-smoke baseline metrics-smoke flightrec-smoke hotspots-smoke mvcc-smoke deferred-smoke viewdag-smoke freshness-smoke scrub-smoke scrub-long
 
 all: verify
 
@@ -95,15 +100,28 @@ staticcheck:
 	else \
 		echo "staticcheck not installed; skipping (CI runs it)"; fi
 
-lint: vet fmt staticcheck
+# One home for a row's versions: only the B-tree (which owns the chain slot)
+# and the kernel may know internal/mvcc, and the sidecar store's API stays
+# gone.
+structure:
+	@out="$$(grep -rl --include='*.go' '"repro/internal/mvcc"' . | grep -v -e '^./internal/mvcc/' -e '^./internal/btree/' -e '^./internal/core/')"; \
+	if [ -n "$$out" ]; then echo "internal/mvcc imported outside internal/btree and internal/core:"; echo "$$out"; exit 1; fi
+	@out="$$(grep -rnE --include='*.go' 'TrackedKeys|\.Evict\(' .)"; \
+	if [ -n "$$out" ]; then echo "sidecar version-store API is back:"; echo "$$out"; exit 1; fi
+
+lint: vet fmt staticcheck structure
 
 # Crash-torture tier: seeded fault-injection episodes through crash,
 # recovery, and the recompute-from-base consistency check.
 torture:
-	$(GO) run ./cmd/vtxntorture -seeds $(TORTURE_SEEDS)
+	@for ops in $(TORTURE_OPS); do \
+		echo "$(GO) run ./cmd/vtxntorture -seeds $(TORTURE_SEEDS) -ops $$ops"; \
+		$(GO) run ./cmd/vtxntorture -seeds $(TORTURE_SEEDS) -ops $$ops || exit 1; done
 
 torture-smoke:
-	$(GO) run ./cmd/vtxntorture -seeds $(TORTURE_SMOKE_SEEDS)
+	@for ops in $(TORTURE_OPS); do \
+		echo "$(GO) run ./cmd/vtxntorture -seeds $(TORTURE_SMOKE_SEEDS) -ops $$ops"; \
+		$(GO) run ./cmd/vtxntorture -seeds $(TORTURE_SMOKE_SEEDS) -ops $$ops || exit 1; done
 
 # Bench-smoke tier: run the headline experiments (F2 writes, T5R snapshot
 # reads, F9D deferred applier, DAG rollup chain) at smoke scale and gate their

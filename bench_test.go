@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"repro/internal/bench"
-	"repro/internal/stats"
 )
 
 // benchScale keeps testing.B iterations affordable.
@@ -17,13 +16,13 @@ var benchScale = bench.Scale{Factor: 16}
 
 // runExperiment runs one experiment per b.N iteration and reports the last
 // table via b.Log so `go test -bench -v` shows the rows.
-func runExperiment(b *testing.B, id string) *stats.Table {
+func runExperiment(b *testing.B, id string) *bench.Table {
 	b.Helper()
 	r, err := bench.Find(id)
 	if err != nil {
 		b.Fatal(err)
 	}
-	var tb *stats.Table
+	var tb *bench.Table
 	for i := 0; i < b.N; i++ {
 		tb, err = r.Run(benchScale)
 		if err != nil {
@@ -35,7 +34,7 @@ func runExperiment(b *testing.B, id string) *stats.Table {
 }
 
 // cell parses a numeric table cell (for ReportMetric), tolerating suffixes.
-func cell(tb *stats.Table, row, col int) float64 {
+func cell(tb *bench.Table, row, col int) float64 {
 	s := tb.Rows[row][col]
 	for len(s) > 0 {
 		if v, err := strconv.ParseFloat(s, 64); err == nil {

@@ -210,6 +210,12 @@ func (e *episode) torture() error {
 			db.Crash(false)
 			return fmt.Errorf("online scrubber confirmed %d view-row divergences during the episode", d)
 		}
+		// The workload is single-threaded, so this is a quiesce point with the
+		// episode's whole version history still on the chains.
+		if err := db.CheckReadPaths(context.Background()); err != nil && !e.inj.Crashed() {
+			db.Crash(false)
+			return err
+		}
 	}
 	db.Crash(e.flush)
 	return nil
@@ -477,7 +483,7 @@ func (e *episode) verify() error {
 	sum := db.RecoverySummary()
 	e.logf("seed %d: recovered gen=%d replayed=%d losers=%d undone=%d torn=%v fresh=%v",
 		e.seed, sum.Gen, sum.Replayed, sum.Losers, sum.UndoneOps, sum.Torn, sum.Fresh)
-	if err := db.CheckConsistency(); err != nil {
+	if err := checkQuiesced(db); err != nil {
 		db.Close()
 		return fmt.Errorf("post-recovery: %w", err)
 	}
@@ -485,7 +491,7 @@ func (e *episode) verify() error {
 		db.Close()
 		return err
 	}
-	if err := db.CheckConsistency(); err != nil {
+	if err := checkQuiesced(db); err != nil {
 		db.Close()
 		return fmt.Errorf("post-recovery workload: %w", err)
 	}
@@ -504,7 +510,7 @@ func (e *episode) verify() error {
 		return fmt.Errorf("second recovery open: %w", err)
 	}
 	trackDB(db2)
-	if err := db2.CheckConsistency(); err != nil {
+	if err := checkQuiesced(db2); err != nil {
 		db2.Close()
 		return fmt.Errorf("second recovery: %w", err)
 	}
@@ -512,6 +518,16 @@ func (e *episode) verify() error {
 		return fmt.Errorf("close: %w", err)
 	}
 	return e.checkWAL(true)
+}
+
+// checkQuiesced is the quiesce-point check: the offline recompute-from-base
+// checker, then the differential read-path oracle — every entry of every tree
+// must read the same through the snapshot path as through the lock-based one.
+func checkQuiesced(db *core.DB) error {
+	if err := db.CheckConsistency(); err != nil {
+		return err
+	}
+	return db.CheckReadPaths(context.Background())
 }
 
 // keepWorking runs a short deterministic workload burst against the recovered

@@ -1,6 +1,6 @@
 // Package bench implements the experiment harness: one runner per table and
 // figure of the reconstructed evaluation (DESIGN.md §4). Each runner builds
-// fresh databases, drives a workload, and returns a formatted stats.Table
+// fresh databases, drives a workload, and returns a formatted Table
 // with the same rows/series the paper-style experiment reports.
 package bench
 
@@ -14,7 +14,6 @@ import (
 	"repro/internal/catalog"
 	"repro/internal/core"
 	"repro/internal/metrics"
-	"repro/internal/stats"
 )
 
 // Tracer, when set (viewbench -trace-slow), is installed as Options.Tracer on
@@ -136,8 +135,8 @@ func freshCell(v metrics.ViewFreshnessSnapshot) string {
 		return "-"
 	}
 	return fmt.Sprintf("%s/%s",
-		stats.D(time.Duration(v.CommitToVisible.P50Ns)),
-		stats.D(time.Duration(v.CommitToVisible.P99Ns)))
+		D(time.Duration(v.CommitToVisible.P50Ns)),
+		D(time.Duration(v.CommitToVisible.P99Ns)))
 }
 
 // Runner is one experiment: an ID (table/figure number) and its run
@@ -145,7 +144,7 @@ func freshCell(v metrics.ViewFreshnessSnapshot) string {
 type Runner struct {
 	ID   string
 	Name string
-	Run  func(Scale) (*stats.Table, error)
+	Run  func(Scale) (*Table, error)
 }
 
 // All returns every experiment in the evaluation, in paper order.

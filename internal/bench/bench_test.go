@@ -3,6 +3,7 @@ package bench
 import (
 	"strings"
 	"testing"
+	"time"
 )
 
 // tiny is an even smaller scale than Quick for unit tests.
@@ -66,5 +67,38 @@ func TestScaleDiv(t *testing.T) {
 	}
 	if (Scale{Factor: 1000}).div(100) != 1 {
 		t.Fatal("div must not reach zero")
+	}
+}
+
+func TestTableRendering(t *testing.T) {
+	tb := &Table{
+		ID:     "F2",
+		Title:  "Escrow scaling",
+		Header: []string{"writers", "escrow tx/s", "xlock tx/s"},
+	}
+	tb.AddRow("1", "1000", "990")
+	tb.AddRow("32", "9000", "1001")
+	tb.Notes = append(tb.Notes, "SyncNone")
+	out := tb.String()
+	for _, want := range []string{"F2", "Escrow scaling", "writers", "9000", "note: SyncNone"} {
+		if !strings.Contains(out, want) {
+			t.Fatalf("missing %q in:\n%s", want, out)
+		}
+	}
+	lines := strings.Split(strings.TrimSpace(out), "\n")
+	if len(lines) != 6 {
+		t.Fatalf("%d lines:\n%s", len(lines), out)
+	}
+}
+
+func TestFormatters(t *testing.T) {
+	if F(0) != "0" || F(1234.5) != "1234" || F(42.25) != "42.2" || F(1.5) != "1.500" {
+		t.Fatalf("F: %s %s %s %s", F(0), F(1234.5), F(42.25), F(1.5))
+	}
+	if D(0) != "0" || D(500*time.Nanosecond) != "500ns" || D(10500*time.Nanosecond) != "10.5µs" {
+		t.Fatalf("D small: %s %s %s", D(0), D(500*time.Nanosecond), D(10500*time.Nanosecond))
+	}
+	if D(25*time.Millisecond) != "25.00ms" || D(1500*time.Millisecond) != "1.50s" {
+		t.Fatalf("D big: %s %s", D(25*time.Millisecond), D(1500*time.Millisecond))
 	}
 }

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/catalog"
 	"repro/internal/core"
-	"repro/internal/stats"
 	"repro/internal/workload"
 )
 
@@ -18,10 +17,10 @@ import (
 // maintenance alongside how much the per-transaction coalescing queue saved
 // (stacked folds avoided because several contributions landed in the same
 // (view, group)) and whether the whole chain equals a recompute at quiesce.
-func RunDAGRollupChain(s Scale) (*stats.Table, error) {
+func RunDAGRollupChain(s Scale) (*Table, error) {
 	const clients = 8
 	perClient := s.div(800)
-	tb := &stats.Table{
+	tb := &Table{
 		ID:    "DAG",
 		Title: "3-level rollup chain: escrow vs deferred cascade maintenance",
 		Header: []string{"strategy", "insert tx/s", "c2v p50/p99", "stacked folds",
@@ -65,8 +64,8 @@ func RunDAGRollupChain(s Scale) (*stats.Table, error) {
 			tb.HeadlineFreshP50Ns = fresh.CommitToVisible.P50Ns
 			tb.HeadlineFreshP99Ns = fresh.CommitToVisible.P99Ns
 		}
-		tb.AddRow(strategyName(strat), stats.F(runs.Throughput()), freshCell(fresh),
-			stats.F(float64(m.Cascade.Folds)), stats.F(float64(m.Cascade.Coalesced)),
+		tb.AddRow(strategyName(strat), F(runs.Throughput()), freshCell(fresh),
+			F(float64(m.Cascade.Folds)), F(float64(m.Cascade.Coalesced)),
 			fmt.Sprintf("%v", m.Cascade.LevelFolds), consistent)
 	}
 	tb.Notes = append(tb.Notes,

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/catalog"
 	"repro/internal/core"
-	"repro/internal/stats"
 	"repro/internal/workload"
 )
 
@@ -18,10 +17,10 @@ import (
 // that deferral: how long the applier needs to drain to zero lag once the
 // load quiesces, how much the coalescer saved, and whether the drained view
 // equals a recompute from the base tables.
-func RunF9DDeferredApplier(s Scale) (*stats.Table, error) {
+func RunF9DDeferredApplier(s Scale) (*Table, error) {
 	const clients = 8
 	perClient := s.div(1000)
-	tb := &stats.Table{
+	tb := &Table{
 		ID:    "F9D",
 		Title: "immediate (escrow) vs deferred-applier maintenance",
 		Header: []string{"strategy", "update tx/s", "drain at quiesce",
@@ -64,9 +63,9 @@ func RunF9DDeferredApplier(s Scale) (*stats.Table, error) {
 			tb.HeadlineFreshP50Ns = fresh.CommitToVisible.P50Ns
 			tb.HeadlineFreshP99Ns = fresh.CommitToVisible.P99Ns
 		}
-		tb.AddRow(strategyName(strat), stats.F(runs.Throughput()), stats.D(drain),
-			freshCell(fresh), stats.F(float64(m.Deferred.GroupsApplied)),
-			stats.F(float64(m.Deferred.DeltasCoalesced)), consistent)
+		tb.AddRow(strategyName(strat), F(runs.Throughput()), D(drain),
+			freshCell(fresh), F(float64(m.Deferred.GroupsApplied)),
+			F(float64(m.Deferred.DeltasCoalesced)), consistent)
 	}
 	tb.Notes = append(tb.Notes,
 		"drain = wall time from quiesce until the view watermark reaches the commit frontier",

@@ -7,8 +7,8 @@ import (
 
 	"repro/internal/catalog"
 	"repro/internal/core"
+	"repro/internal/metrics"
 	"repro/internal/record"
-	"repro/internal/stats"
 	"repro/internal/txn"
 	"repro/internal/workload"
 )
@@ -18,11 +18,11 @@ import (
 // ReadCommitted locks nothing durable, RepeatableRead holds row locks, and
 // Serializable additionally key-range locks the scanned gaps — blocking
 // inserters that land inside them (and being blocked by uncommitted rows).
-func RunT11Isolation(s Scale) (*stats.Table, error) {
+func RunT11Isolation(s Scale) (*Table, error) {
 	perClient := s.div(600)
 	const scanners = 4
 	const inserters = 4
-	tb := &stats.Table{
+	tb := &Table{
 		ID:    "T11",
 		Title: "range scans vs concurrent inserters, by isolation level",
 		Header: []string{"scanner isolation", "scan p50", "scan p99",
@@ -48,11 +48,11 @@ func RunT11Isolation(s Scale) (*stats.Table, error) {
 				float64(scanRuns.Latencies.Percentile(0.99).Microseconds())/1000
 		}
 		tb.AddRow(level.String(),
-			stats.D(scanRuns.Latencies.Percentile(0.5)),
-			stats.D(scanRuns.Latencies.Percentile(0.99)),
-			stats.D(insertRuns.Latencies.Percentile(0.5)),
-			stats.D(insertRuns.Latencies.Percentile(0.99)),
-			stats.F(abortsPerK))
+			D(scanRuns.Latencies.Percentile(0.5)),
+			D(scanRuns.Latencies.Percentile(0.99)),
+			D(insertRuns.Latencies.Percentile(0.5)),
+			D(insertRuns.Latencies.Percentile(0.99)),
+			F(abortsPerK))
 	}
 	tb.Notes = append(tb.Notes,
 		"even ids are resident; inserters insert+delete odd ids, landing inside scanned gaps",
@@ -98,10 +98,10 @@ func setupSparseAccounts(db *core.DB) error {
 // runScannersInserters runs short range scans and single-row inserters
 // concurrently, reporting separate statistics.
 func runScannersInserters(db *core.DB, level txn.Level,
-	scanners, inserters, perClient int) (scanRuns, insertRuns stats.Runs) {
+	scanners, inserters, perClient int) (scanRuns, insertRuns workload.Runs) {
 	var wg sync.WaitGroup
-	scanRuns.Latencies = &stats.Histogram{}
-	insertRuns.Latencies = &stats.Histogram{}
+	scanRuns.Latencies = &metrics.Histogram{}
+	insertRuns.Latencies = &metrics.Histogram{}
 	var scanOps, insertOps, insertAborts int64
 	var mu sync.Mutex
 	start := time.Now()

@@ -8,8 +8,8 @@ import (
 
 	"repro/internal/catalog"
 	"repro/internal/core"
+	"repro/internal/metrics"
 	"repro/internal/record"
-	"repro/internal/stats"
 	"repro/internal/txn"
 	"repro/internal/workload"
 )
@@ -18,16 +18,16 @@ import (
 // writers. Transfer transactions touch two accounts — and, with view
 // maintenance under X locks, two view rows — in random order, so the X-lock
 // strategy manufactures deadlocks that escrow locks avoid entirely.
-func RunF4Aborts(s Scale) (*stats.Table, error) {
+func RunF4Aborts(s Scale) (*Table, error) {
 	writersSweep := []int{2, 4, 8, 16}
 	perWriter := s.div(800)
-	tb := &stats.Table{
+	tb := &Table{
 		ID:     "F4",
 		Title:  "aborts per 1000 transfer transactions (4 hot branches)",
 		Header: []string{"writers", "escrow aborts/1k", "xlock aborts/1k", "escrow deadlocks", "xlock deadlocks"},
 	}
 	for _, writers := range writersSweep {
-		row := []string{stats.F(float64(writers))}
+		row := []string{F(float64(writers))}
 		var abortRate [2]float64
 		var deadlocks [2]int64
 		for i, strat := range []catalog.Strategy{catalog.StrategyEscrow, catalog.StrategyXLock} {
@@ -55,8 +55,8 @@ func RunF4Aborts(s Scale) (*stats.Table, error) {
 					writers, st.Lock.Sweeps, st.Lock.LastSweep, st.Lock.MaxSweep))
 			}
 		}
-		row = append(row, stats.F(abortRate[0]), stats.F(abortRate[1]),
-			stats.F(float64(deadlocks[0])), stats.F(float64(deadlocks[1])))
+		row = append(row, F(abortRate[0]), F(abortRate[1]),
+			F(float64(deadlocks[0])), F(float64(deadlocks[1])))
 		tb.Rows = append(tb.Rows, row)
 	}
 	tb.Notes = append(tb.Notes,
@@ -70,11 +70,11 @@ func RunF4Aborts(s Scale) (*stats.Table, error) {
 // conflict with E and wait. The X-lock strategy blocks even RC readers.
 // Snapshot readers ride the MVCC fast path: no lock-manager traffic at all,
 // resolving against version chains at their pinned read timestamp.
-func RunT5Readers(s Scale) (*stats.Table, error) {
+func RunT5Readers(s Scale) (*Table, error) {
 	perClient := s.div(1200)
 	const writers = 8
 	const readers = 4
-	tb := &stats.Table{
+	tb := &Table{
 		ID:    "T5",
 		Title: "view readers vs 8 escrow/xlock writers (4 hot branches)",
 		Header: []string{"strategy", "reader isolation", "read p50", "read p99",
@@ -98,9 +98,9 @@ func RunT5Readers(s Scale) (*stats.Table, error) {
 				tb.HeadlineName, tb.Headline = "escrow_rc_reads_per_sec", readRuns.Throughput()
 			}
 			tb.AddRow(strategyName(strat), level.String(),
-				stats.D(readRuns.Latencies.Percentile(0.5)),
-				stats.D(readRuns.Latencies.Percentile(0.99)),
-				stats.F(readRuns.Throughput()), stats.F(writeRuns.Throughput()))
+				D(readRuns.Latencies.Percentile(0.5)),
+				D(readRuns.Latencies.Percentile(0.99)),
+				F(readRuns.Throughput()), F(writeRuns.Throughput()))
 		}
 	}
 	tb.Notes = append(tb.Notes,
@@ -111,10 +111,10 @@ func RunT5Readers(s Scale) (*stats.Table, error) {
 // runReadersWriters runs writer and reader pools concurrently and returns
 // their separate statistics.
 func runReadersWriters(db *core.DB, w workload.Banking, level txn.Level,
-	writers, readers, perClient int) (readRuns, writeRuns stats.Runs) {
+	writers, readers, perClient int) (readRuns, writeRuns workload.Runs) {
 	var wg sync.WaitGroup
-	readRuns.Latencies = &stats.Histogram{}
-	writeRuns.Latencies = &stats.Histogram{}
+	readRuns.Latencies = &metrics.Histogram{}
+	writeRuns.Latencies = &metrics.Histogram{}
 	var readOps, writeOps, readAborts, writeAborts int64
 	var mu sync.Mutex
 	start := time.Now()
@@ -172,13 +172,13 @@ func runReadersWriters(db *core.DB, w workload.Banking, level txn.Level,
 // RunF6QuerySpeedup (Figure 6): latency of answering the aggregate query
 // from the indexed view (one B-tree lookup) vs. scanning the base table, as
 // the base grows. The gap widens linearly with base size.
-func RunF6QuerySpeedup(s Scale) (*stats.Table, error) {
+func RunF6QuerySpeedup(s Scale) (*Table, error) {
 	sizes := []int{1_000, 10_000, 100_000}
 	if s.Factor > 1 {
 		sizes = []int{500, 2_000, 10_000}
 	}
 	const queries = 50
-	tb := &stats.Table{
+	tb := &Table{
 		ID:     "F6",
 		Title:  "aggregate query latency: indexed view lookup vs base-table scan",
 		Header: []string{"base rows", "view lookup", "base scan", "speedup"},
@@ -215,11 +215,11 @@ func RunF6QuerySpeedup(s Scale) (*stats.Table, error) {
 		}
 		speedup := "-"
 		if viewLat > 0 {
-			speedup = stats.F(float64(scanLat)/float64(viewLat)) + "x"
+			speedup = F(float64(scanLat)/float64(viewLat)) + "x"
 			// Largest base size wins: the experiment's point is how the gap grows.
 			tb.HeadlineName, tb.Headline = "view_lookup_speedup_largest_base", float64(scanLat)/float64(viewLat)
 		}
-		tb.AddRow(stats.F(float64(n)), stats.D(viewLat), stats.D(scanLat), speedup)
+		tb.AddRow(F(float64(n)), D(viewLat), D(scanLat), speedup)
 	}
 	tb.Notes = append(tb.Notes, "view lookup is O(log n); the scan grows linearly with the base")
 	return tb, nil

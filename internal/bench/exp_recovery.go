@@ -10,7 +10,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/expr"
 	"repro/internal/record"
-	"repro/internal/stats"
 	"repro/internal/txn"
 	"repro/internal/wal"
 	"repro/internal/workload"
@@ -28,11 +27,11 @@ func salesAggs() []expr.AggSpec {
 // aggregate groups. The escrow strategy delegates row creation and erase to
 // system transactions (ghosts); the X-lock baseline performs structural
 // inserts/deletes inside user transactions, serializing group creators.
-func RunT7Ghosts(s Scale) (*stats.Table, error) {
+func RunT7Ghosts(s Scale) (*Table, error) {
 	const clients = 8
 	const think = 200 * time.Microsecond
 	perClient := s.div(600)
-	tb := &stats.Table{
+	tb := &Table{
 		ID:     "T7",
 		Title:  "group-churn throughput: ghost protocol vs direct structural maintenance",
 		Header: []string{"strategy", "tx/s", "aborts/1k", "ghosts created", "ghosts erased"},
@@ -95,8 +94,8 @@ func RunT7Ghosts(s Scale) (*stats.Table, error) {
 			tb.HeadlineName, tb.Headline = "ghost_churn_tx_per_sec", 2*runs.Throughput()
 		}
 		// Each op is two transactions.
-		tb.AddRow(strategyName(strat), stats.F(2*runs.Throughput()), stats.F(abortsPerK),
-			stats.F(float64(st.GhostsCreated)), stats.F(float64(st.GhostsErased)))
+		tb.AddRow(strategyName(strat), F(2*runs.Throughput()), F(abortsPerK),
+			F(float64(st.GhostsCreated)), F(float64(st.GhostsErased)))
 	}
 	tb.Notes = append(tb.Notes,
 		"xlock performs no ghost operations: groups are inserted/deleted inside user transactions")
@@ -106,12 +105,12 @@ func RunT7Ghosts(s Scale) (*stats.Table, error) {
 // RunT8Recovery (Table 8): crash the database mid-workload and measure
 // restart: records replayed, losers undone, recovery time, and — crucially —
 // that every view equals recompute-from-base afterwards.
-func RunT8Recovery(s Scale) (*stats.Table, error) {
+func RunT8Recovery(s Scale) (*Table, error) {
 	txnCounts := []int{500, 2_000, 8_000}
 	if s.Factor > 1 {
 		txnCounts = []int{200, 800, 2_000}
 	}
-	tb := &stats.Table{
+	tb := &Table{
 		ID:     "T8",
 		Title:  "crash recovery vs log length",
 		Header: []string{"committed txns", "replayed records", "losers", "recovery", "views consistent"},
@@ -165,8 +164,8 @@ func RunT8Recovery(s Scale) (*stats.Table, error) {
 			// Largest log size is the last row; replay rate is the trackable metric.
 			tb.HeadlineName, tb.Headline = "recovery_replayed_records_per_sec", float64(sum.Replayed)/recTime.Seconds()
 		}
-		tb.AddRow(stats.F(float64(n)), stats.F(float64(sum.Replayed)),
-			stats.F(float64(sum.Losers)), stats.D(recTime), consistent)
+		tb.AddRow(F(float64(n)), F(float64(sum.Replayed)),
+			F(float64(sum.Losers)), D(recTime), consistent)
 	}
 	tb.Notes = append(tb.Notes, "recovery = snapshot load + redo + logical undo of losers")
 	return tb, nil
@@ -179,10 +178,10 @@ func RunT8Recovery(s Scale) (*stats.Table, error) {
 // before refresh" column reports only whatever the applier has not caught up
 // with at the moment of the refresh (usually ~0); F9D measures the applier
 // tier itself.
-func RunF9Deferred(s Scale) (*stats.Table, error) {
+func RunF9Deferred(s Scale) (*Table, error) {
 	const clients = 8
 	perClient := s.div(1000)
-	tb := &stats.Table{
+	tb := &Table{
 		ID:    "F9",
 		Title: "immediate (escrow) vs deferred maintenance",
 		Header: []string{"strategy", "update tx/s", "stale view rows before refresh",
@@ -225,8 +224,8 @@ func RunF9Deferred(s Scale) (*stats.Table, error) {
 		if strat == catalog.StrategyEscrow {
 			tb.HeadlineName, tb.Headline = "immediate_update_tx_per_sec", runs.Throughput()
 		}
-		tb.AddRow(strategyName(strat), stats.F(runs.Throughput()),
-			stats.F(float64(stale)), stats.D(refreshCost), stats.D(queryLat))
+		tb.AddRow(strategyName(strat), F(runs.Throughput()),
+			F(float64(stale)), D(refreshCost), D(queryLat))
 	}
 	tb.Notes = append(tb.Notes,
 		"the paper argues for immediate maintenance: staleness is 0 by construction",
@@ -236,10 +235,10 @@ func RunF9Deferred(s Scale) (*stats.Table, error) {
 
 // RunT10Ablations (Table 10): design-choice ablations — the MIN/MAX
 // fallback, lock escalation, and the fsync mode.
-func RunT10Ablations(s Scale) (*stats.Table, error) {
+func RunT10Ablations(s Scale) (*Table, error) {
 	const clients = 8
 	perClient := s.div(800)
-	tb := &stats.Table{
+	tb := &Table{
 		ID:     "T10",
 		Title:  "ablations (8 writers, 4 hot branches)",
 		Header: []string{"variant", "tx/s", "notes"},
@@ -289,7 +288,7 @@ func RunT10Ablations(s Scale) (*stats.Table, error) {
 		} else {
 			tb.HeadlineName, tb.Headline = "escrow_sum_only_tx_per_sec", runs.Throughput()
 		}
-		tb.AddRow(name, stats.F(runs.Throughput()), note)
+		tb.AddRow(name, F(runs.Throughput()), note)
 	}
 
 	// (b) Lock escalation on/off for scan-heavy transactions.
@@ -331,7 +330,7 @@ func RunT10Ablations(s Scale) (*stats.Table, error) {
 		if threshold > 0 {
 			name = fmt.Sprintf("escalation at %d key locks", threshold)
 		}
-		tb.AddRow(name, stats.F(runs.Throughput()),
+		tb.AddRow(name, F(runs.Throughput()),
 			fmt.Sprintf("%d escalations, %d lock requests", st.Escalations, st.Lock.Requests))
 	}
 
@@ -352,7 +351,7 @@ func RunT10Ablations(s Scale) (*stats.Table, error) {
 		runs := workload.RunConcurrent(db, 16, s.div(600), 37, w.DepositOp)
 		cleanup()
 		name := fmt.Sprintf("fold latch: %d stripe(s)", stripes)
-		tb.AddRow(name, stats.F(runs.Throughput()), "16 writers, 64 groups")
+		tb.AddRow(name, F(runs.Throughput()), "16 writers, 64 groups")
 	}
 
 	// (d) Commit durability: buffered (SyncNone) vs fsync-per-group-commit.
@@ -374,7 +373,7 @@ func RunT10Ablations(s Scale) (*stats.Table, error) {
 		}
 		runs := workload.RunConcurrent(db, clients, s.div(400), 31, w.DepositOp)
 		cleanup()
-		tb.AddRow(mode.name, stats.F(runs.Throughput()), "8 concurrent committers coalesce syncs")
+		tb.AddRow(mode.name, F(runs.Throughput()), "8 concurrent committers coalesce syncs")
 	}
 	return tb, nil
 }

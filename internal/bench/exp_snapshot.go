@@ -9,7 +9,7 @@ import (
 
 	"repro/internal/catalog"
 	"repro/internal/core"
-	"repro/internal/stats"
+	"repro/internal/metrics"
 	"repro/internal/txn"
 	"repro/internal/workload"
 )
@@ -21,7 +21,7 @@ import (
 // The paper's promise is on the snapshot side: readers never enter the lock
 // manager and never block a writer, so read throughput scales with reader
 // count instead of flattening against the writers' E-lock traffic.
-func RunT5RSnapshotScaling(s Scale) (*stats.Table, error) {
+func RunT5RSnapshotScaling(s Scale) (*Table, error) {
 	readerSweep := []int{1, 2, 4, 8, 16}
 	// Floor the per-reader iteration count: reads are microseconds each, so a
 	// naively scaled smoke run finishes inside the scheduler's warm-up
@@ -32,7 +32,7 @@ func RunT5RSnapshotScaling(s Scale) (*stats.Table, error) {
 		perReader = 1000
 	}
 	const writers = 8
-	tb := &stats.Table{
+	tb := &Table{
 		ID:    "T5R",
 		Title: "snapshot vs read-committed view reads, 8 escrow writers, reader sweep",
 		Header: []string{"readers", "rc reads/s", "snapshot reads/s",
@@ -83,8 +83,8 @@ func RunT5RSnapshotScaling(s Scale) (*stats.Table, error) {
 				rcTP = readRuns.Throughput()
 			}
 		}
-		tb.AddRow(stats.F(float64(readers)), stats.F(rcTP), stats.F(snapTP),
-			stats.D(snapP50), stats.D(snapP99), stats.F(writerTP), stats.F(float64(hiwater)))
+		tb.AddRow(F(float64(readers)), F(rcTP), F(snapTP),
+			D(snapP50), D(snapP99), F(writerTP), F(float64(hiwater)))
 	}
 	tb.Notes = append(tb.Notes,
 		"writers run for the whole reader sweep; snapshot readers take zero lock-manager traffic")
@@ -96,7 +96,7 @@ func RunT5RSnapshotScaling(s Scale) (*stats.Table, error) {
 // every read races live escrow commits). Returns the reader statistics and
 // the writers' committed-transaction throughput over the same span.
 func runReadersAgainstChurn(db *core.DB, w workload.Banking, writers, readers, perReader int,
-	readOp func(*rand.Rand) error) (readRuns stats.Runs, writerTP float64) {
+	readOp func(*rand.Rand) error) (readRuns workload.Runs, writerTP float64) {
 	var stop atomic.Bool
 	var writerOps int64
 	var wwg, rwg sync.WaitGroup
@@ -113,7 +113,7 @@ func runReadersAgainstChurn(db *core.DB, w workload.Banking, writers, readers, p
 			}
 		}(c)
 	}
-	readRuns.Latencies = &stats.Histogram{}
+	readRuns.Latencies = &metrics.Histogram{}
 	var mu sync.Mutex
 	for c := 0; c < readers; c++ {
 		rwg.Add(1)

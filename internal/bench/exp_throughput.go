@@ -8,17 +8,16 @@ import (
 	"repro/internal/catalog"
 	"repro/internal/core"
 	"repro/internal/record"
-	"repro/internal/stats"
 	"repro/internal/workload"
 )
 
 // RunT1Overhead (Table 1): the cost of immediate view maintenance for a
 // single client: update-transaction latency with no view, a projection
 // view, an aggregate view, and an aggregate-over-join setup.
-func RunT1Overhead(s Scale) (*stats.Table, error) {
+func RunT1Overhead(s Scale) (*Table, error) {
 	const baseOps = 4000
 	ops := s.div(baseOps)
-	tb := &stats.Table{
+	tb := &Table{
 		ID:     "T1",
 		Title:  "single-client order-entry latency vs. maintained views",
 		Header: []string{"configuration", "ops", "mean", "p99", "ops/s", "overhead"},
@@ -67,10 +66,10 @@ func RunT1Overhead(s Scale) (*stats.Table, error) {
 		}
 		overhead := "1.00x"
 		if tp > 0 && baseline > 0 {
-			overhead = stats.F(baseline/tp) + "x"
+			overhead = F(baseline/tp) + "x"
 		}
-		tb.AddRow(cfg.name, stats.F(float64(runs.Ops)), stats.D(runs.Latencies.Mean()),
-			stats.D(runs.Latencies.Percentile(0.99)), stats.F(tp), overhead)
+		tb.AddRow(cfg.name, F(float64(runs.Ops)), D(runs.Latencies.Mean()),
+			D(runs.Latencies.Percentile(0.99)), F(tp), overhead)
 	}
 	tb.Notes = append(tb.Notes, "overhead is relative to the no-view baseline")
 	return tb, nil
@@ -96,17 +95,17 @@ func setupOrdersNoView(db *core.DB, w workload.Orders) error {
 
 // RunF2EscrowScaling (Figure 2, the headline): update throughput vs. number
 // of concurrent writers on a hot aggregate view, escrow vs. X-lock.
-func RunF2EscrowScaling(s Scale) (*stats.Table, error) {
+func RunF2EscrowScaling(s Scale) (*Table, error) {
 	writersSweep := []int{1, 2, 4, 8, 16, 32}
 	perWriter := s.div(1200)
 	const think = 500 * time.Microsecond
-	tb := &stats.Table{
+	tb := &Table{
 		ID:     "F2",
 		Title:  "deposit throughput vs writers, 4 hot branches",
 		Header: []string{"writers", "escrow tx/s", "xlock tx/s", "escrow/xlock"},
 	}
 	for _, writers := range writersSweep {
-		row := []string{stats.F(float64(writers))}
+		row := []string{F(float64(writers))}
 		var tps [2]float64
 		for i, strat := range []catalog.Strategy{catalog.StrategyEscrow, catalog.StrategyXLock} {
 			db, cleanup, err := tempDB(core.Options{})
@@ -145,11 +144,11 @@ func RunF2EscrowScaling(s Scale) (*stats.Table, error) {
 			}
 			cleanup()
 			tps[i] = runs.Throughput()
-			row = append(row, stats.F(tps[i]))
+			row = append(row, F(tps[i]))
 		}
 		ratio := "-"
 		if tps[1] > 0 {
-			ratio = stats.F(tps[0]/tps[1]) + "x"
+			ratio = F(tps[0]/tps[1]) + "x"
 		}
 		row = append(row, ratio)
 		tb.Rows = append(tb.Rows, row)
@@ -162,17 +161,17 @@ func RunF2EscrowScaling(s Scale) (*stats.Table, error) {
 
 // RunF3Contention (Figure 3): throughput of 16 writers vs. the number of
 // aggregate groups — the curves converge as contention vanishes.
-func RunF3Contention(s Scale) (*stats.Table, error) {
+func RunF3Contention(s Scale) (*Table, error) {
 	groupsSweep := []int{1, 4, 16, 64, 256, 1024}
 	const writers = 16
 	perWriter := s.div(600)
-	tb := &stats.Table{
+	tb := &Table{
 		ID:     "F3",
 		Title:  "order-entry throughput vs number of product groups (16 writers, uniform)",
 		Header: []string{"groups", "escrow tx/s", "xlock tx/s", "escrow/xlock"},
 	}
 	for _, groups := range groupsSweep {
-		row := []string{stats.F(float64(groups))}
+		row := []string{F(float64(groups))}
 		var tps [2]float64
 		for i, strat := range []catalog.Strategy{catalog.StrategyEscrow, catalog.StrategyXLock} {
 			db, cleanup, err := tempDB(core.Options{})
@@ -195,11 +194,11 @@ func RunF3Contention(s Scale) (*stats.Table, error) {
 			}
 			cleanup()
 			tps[i] = runs.Throughput()
-			row = append(row, stats.F(tps[i]))
+			row = append(row, F(tps[i]))
 		}
 		ratio := "-"
 		if tps[1] > 0 {
-			ratio = stats.F(tps[0]/tps[1]) + "x"
+			ratio = F(tps[0]/tps[1]) + "x"
 		}
 		row = append(row, ratio)
 		tb.Rows = append(tb.Rows, row)
@@ -210,7 +209,7 @@ func RunF3Contention(s Scale) (*stats.Table, error) {
 }
 
 // runOrderClients drives clients each with a private order-ID range.
-func runOrderClients(db *core.DB, w workload.Orders, clients, perClient int) stats.Runs {
+func runOrderClients(db *core.DB, w workload.Orders, clients, perClient int) workload.Runs {
 	ops := make([]workload.Op, clients)
 	for c := range ops {
 		ops[c] = w.OrderEntry(int64((c + 1) * 10_000_000))

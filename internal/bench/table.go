@@ -1,39 +1,11 @@
-// Package stats provides the measurement utilities for the benchmark
-// harness: latency histograms with percentile queries, throughput accounting,
-// and formatted result tables. The histogram implementation lives in
-// internal/metrics (the engine observability layer); stats re-exports it so
-// the bench harness and the engine share one concurrent histogram.
-package stats
+package bench
 
 import (
 	"fmt"
 	"math"
 	"strings"
 	"time"
-
-	"repro/internal/metrics"
 )
-
-// Histogram is a concurrent log-bucketed latency histogram covering 100ns to
-// ~100s with ~4% resolution, shared with the engine's metrics registry.
-type Histogram = metrics.Histogram
-
-// Runs summarizes one benchmark run.
-type Runs struct {
-	Ops       int64
-	Errors    int64
-	Aborts    int64
-	Elapsed   time.Duration
-	Latencies *Histogram
-}
-
-// Throughput returns operations per second.
-func (r Runs) Throughput() float64 {
-	if r.Elapsed <= 0 {
-		return 0
-	}
-	return float64(r.Ops) / r.Elapsed.Seconds()
-}
 
 // Table is a formatted experiment result: the rows/series a paper table or
 // figure reports.

@@ -7,6 +7,13 @@
 // marker the paper's system transactions toggle — so structural presence and
 // logical visibility are decoupled exactly as in the paper.
 //
+// A leaf entry also carries the row's MVCC version chain, when it has one
+// (DESIGN.md §8): Pin hangs a chain off the entry before a versioned
+// mutation, and the pruner has ReleaseChain drop it once it is quiescent. A
+// row deleted while its chain still holds versions stays in the leaf as a
+// tombstone — the paper's ghost discipline applied to versions — that only
+// Entry and ScanAll can see; every other method treats it as absent.
+//
 // Concurrency: every exported method takes the tree latch (an RWMutex), the
 // memory-resident analogue of page latching. Transactional isolation is the
 // lock manager's job, layered above.
@@ -15,6 +22,10 @@ package btree
 import (
 	"bytes"
 	"sync"
+
+	"repro/internal/id"
+	"repro/internal/mvcc"
+	"repro/internal/wal"
 )
 
 // order is the maximum number of keys in a node. 2*order children max.
@@ -36,11 +47,21 @@ type Tree struct {
 type node struct {
 	leaf     bool
 	keys     [][]byte
-	vals     [][]byte // leaf only, parallel to keys
-	ghost    []bool   // leaf only, parallel to keys
-	children []*node  // internal only, len(children) == len(keys)+1
-	next     *node    // leaf chain
+	ents     []entry // leaf only, parallel to keys
+	children []*node // internal only, len(children) == len(keys)+1
+	next     *node   // leaf chain
 	prev     *node
+}
+
+// entry is a leaf entry's payload: the inline (newest, possibly uncommitted)
+// image and the version chain covering it. dead marks a tombstone: the row is
+// deleted but chain still holds versions some snapshot may need; a dead entry
+// always has a chain.
+type entry struct {
+	val   []byte
+	chain *mvcc.Chain
+	ghost bool
+	dead  bool
 }
 
 // New returns an empty tree.
@@ -96,19 +117,25 @@ func (t *Tree) findLeaf(k []byte) *node {
 	return n
 }
 
+// lookup returns key's live (non-tombstone) entry, or nil.
+func (t *Tree) lookup(key []byte) *entry {
+	n := t.findLeaf(key)
+	if i, exact := search(n.keys, key); exact && !n.ents[i].dead {
+		return &n.ents[i]
+	}
+	return nil
+}
+
 // Get returns a copy of the value stored under key. ghost reports the entry's
 // ghost bit; ok is false when no entry (live or ghost) exists.
 func (t *Tree) Get(key []byte) (val []byte, ghost, ok bool) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	n := t.findLeaf(key)
-	i, exact := search(n.keys, key)
-	if !exact {
+	e := t.lookup(key)
+	if e == nil {
 		return nil, false, false
 	}
-	out := make([]byte, len(n.vals[i]))
-	copy(out, n.vals[i])
-	return out, n.ghost[i], true
+	return append(make([]byte, 0, len(e.val)), e.val...), e.ghost, true
 }
 
 // Has reports whether an entry (live or ghost) exists under key, without
@@ -116,75 +143,163 @@ func (t *Tree) Get(key []byte) (val []byte, ghost, ok bool) {
 func (t *Tree) Has(key []byte) (ghost, ok bool) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
+	e := t.lookup(key)
+	if e == nil {
+		return false, false
+	}
+	return e.ghost, true
+}
+
+// Entry returns key's physical entry for a reader resolving it at a read
+// timestamp — tombstones included — or ok=false when the leaf holds nothing
+// under key. The inline image and the chain pointer are read atomically under
+// the latch. Val is a copy when the entry has no chain and nil when it has
+// one (the chain then supersedes the inline image); Key is the caller's.
+func (t *Tree) Entry(key []byte) (it Item, ok bool) {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
 	n := t.findLeaf(key)
 	i, exact := search(n.keys, key)
 	if !exact {
-		return false, false
+		return Item{}, false
 	}
-	return n.ghost[i], true
+	it = n.item(i)
+	it.Key = key
+	if it.Chain == nil {
+		it.Val = append([]byte(nil), it.Val...)
+	} else {
+		it.Val = nil
+	}
+	return it, true
 }
 
 // Put inserts or replaces the entry for key, setting its value and ghost bit.
 // It returns true when an entry (live or ghost) already existed. Key and
-// value bytes are copied.
+// value bytes are copied. The entry's version chain, if any, stays: writing
+// over a tombstone revives it.
 func (t *Tree) Put(key, val []byte, ghost bool) (replaced bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	replaced = t.insert(t.root, key, val, ghost)
+	return t.put(key, entry{val: val, ghost: ghost})
+}
+
+func (t *Tree) put(key []byte, e entry) (replaced bool) {
+	replaced = t.insert(t.root, key, e)
 	if len(t.root.keys) > order {
 		t.splitRoot()
 	}
 	return replaced
 }
 
+// Pin records the in-flight operation rec of txn on key's version chain,
+// first creating the chain — seeded with the entry's current image — when
+// the entry has none, and a tombstone to hang it off when there is no entry.
+// It must run before the operation mutates the entry, while the caller's
+// write lock (or the structure latch, for escrow folds) still serializes the
+// row. created tells the caller to queue the chain for the pruner.
+func (t *Tree) Pin(key []byte, rec *wal.Record, txn id.Txn) (ch *mvcc.Chain, created bool) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	n := t.findLeaf(key)
+	if i, exact := search(n.keys, key); exact {
+		e := &n.ents[i]
+		if created = e.chain == nil; created {
+			e.chain = mvcc.NewChain(e.val, e.ghost, true)
+		}
+		ch = e.chain
+	} else {
+		ch, created = mvcc.NewChain(nil, false, false), true
+		t.put(key, entry{chain: ch, dead: true})
+	}
+	ch.Pin(rec, txn)
+	return ch, created
+}
+
+// ReleaseChain detaches ch from key's entry if it is quiescent — the inline
+// image then says everything the chain did — and physically removes the
+// entry if it is a tombstone. It reports whether ch is off the tree (also
+// true when the entry no longer carries ch at all).
+func (t *Tree) ReleaseChain(key []byte, ch *mvcc.Chain) bool {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	n := t.findLeaf(key)
+	i, exact := search(n.keys, key)
+	if !exact || n.ents[i].chain != ch {
+		return true
+	}
+	if !ch.Quiescent() {
+		return false
+	}
+	n.ents[i].chain = nil
+	if n.ents[i].dead {
+		t.delete(key)
+	}
+	return true
+}
+
+// Reset overwrites a live entry's value in place and drops its version chain,
+// making the stored bytes the row's only image at every timestamp. It refuses
+// (returning false) when the entry is missing or has operations in flight.
+// Fault injection only: committed history normally leaves through the pruner.
+func (t *Tree) Reset(key, val []byte) bool {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	e := t.lookup(key)
+	if e == nil || (e.chain != nil && e.chain.Pinned()) {
+		return false
+	}
+	e.val = append(e.val[:0], val...)
+	e.chain = nil
+	return true
+}
+
+// count adjusts the live/ghost counters by delta for an entry in state e.
+func (t *Tree) count(e *entry, delta int) {
+	switch {
+	case e.dead:
+	case e.ghost:
+		t.ghosts += delta
+	default:
+		t.size += delta
+	}
+}
+
 // insert descends to the leaf and inserts/replaces; it splits full children
-// on the way back up. Returns whether an existing entry was replaced. k and v
-// remain caller-owned: they are copied only when a fresh entry is created,
-// and a replace recycles the stored key and (capacity permitting) the stored
-// value slice. Readers never retain aliases into the tree (Get copies out;
-// Scan's Item contract requires Clone), so overwriting the backing array is
-// safe.
-func (t *Tree) insert(n *node, k, v []byte, ghost bool) bool {
+// on the way back up. Returns whether an existing (non-tombstone) entry was
+// replaced. k and e.val remain caller-owned: they are copied only when a
+// fresh entry is created, and a replace recycles the stored key and (capacity
+// permitting) the stored value slice, keeping the stored chain. Readers never
+// retain aliases into the tree (Get copies out; Scan's Item contract requires
+// Clone), so overwriting the backing array is safe.
+func (t *Tree) insert(n *node, k []byte, e entry) bool {
 	if n.leaf {
 		i, exact := search(n.keys, k)
 		if exact {
-			t.adjustCounts(n.ghost[i], ghost)
-			n.vals[i] = append(n.vals[i][:0], v...)
-			n.ghost[i] = ghost
-			return true
+			old := &n.ents[i]
+			replaced := !old.dead
+			t.count(old, -1)
+			old.val = append(old.val[:0], e.val...)
+			old.ghost, old.dead = e.ghost, false
+			t.count(old, +1)
+			return replaced
 		}
+		e.val = append([]byte(nil), e.val...)
 		n.keys = insertAt(n.keys, i, append([]byte(nil), k...))
-		n.vals = insertAt(n.vals, i, append([]byte(nil), v...))
-		n.ghost = insertBoolAt(n.ghost, i, ghost)
-		if ghost {
-			t.ghosts++
-		} else {
-			t.size++
-		}
+		n.ents = insertAt(n.ents, i, e)
+		t.count(&e, +1)
 		return false
 	}
 	i, exact := search(n.keys, k)
 	if exact {
 		i++
 	}
-	replaced := t.insert(n.children[i], k, v, ghost)
+	replaced := t.insert(n.children[i], k, e)
 	if child := n.children[i]; len(child.keys) > order {
 		sep, right := splitNode(child)
 		n.keys = insertAt(n.keys, i, sep)
-		n.children = insertNodeAt(n.children, i+1, right)
+		n.children = insertAt(n.children, i+1, right)
 	}
 	return replaced
-}
-
-func (t *Tree) adjustCounts(oldGhost, newGhost bool) {
-	switch {
-	case oldGhost && !newGhost:
-		t.ghosts--
-		t.size++
-	case !oldGhost && newGhost:
-		t.size--
-		t.ghosts++
-	}
 }
 
 func (t *Tree) splitRoot() {
@@ -203,11 +318,10 @@ func splitNode(n *node) (sep []byte, right *node) {
 	right = &node{leaf: n.leaf}
 	if n.leaf {
 		right.keys = append(right.keys, n.keys[mid:]...)
-		right.vals = append(right.vals, n.vals[mid:]...)
-		right.ghost = append(right.ghost, n.ghost[mid:]...)
+		right.ents = append(right.ents, n.ents[mid:]...)
+		clear(n.ents[mid:])
 		n.keys = n.keys[:mid:mid]
-		n.vals = n.vals[:mid:mid]
-		n.ghost = n.ghost[:mid:mid]
+		n.ents = n.ents[:mid:mid]
 		right.next = n.next
 		if right.next != nil {
 			right.next.prev = right
@@ -230,27 +344,42 @@ func splitNode(n *node) (sep []byte, right *node) {
 func (t *Tree) SetGhost(key []byte, ghost bool) bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	n := t.findLeaf(key)
-	i, exact := search(n.keys, key)
-	if !exact {
+	e := t.lookup(key)
+	if e == nil {
 		return false
 	}
-	t.adjustCounts(n.ghost[i], ghost)
-	n.ghost[i] = ghost
+	t.count(e, -1)
+	e.ghost = ghost
+	t.count(e, +1)
 	return true
 }
 
 // Delete removes the entry (live or ghost) for key, returning whether it
-// existed.
+// existed. An entry whose version chain is still attached stays behind as a
+// tombstone until ReleaseChain drops the chain.
 func (t *Tree) Delete(key []byte) bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	deleted := t.remove(t.root, key)
+	e := t.lookup(key)
+	if e == nil {
+		return false
+	}
+	if e.chain != nil {
+		t.count(e, -1)
+		e.val, e.ghost, e.dead = nil, false, true
+		return true
+	}
+	t.delete(key)
+	return true
+}
+
+// delete physically removes key's entry.
+func (t *Tree) delete(key []byte) {
+	t.remove(t.root, key)
 	if !t.root.leaf && len(t.root.keys) == 0 {
 		t.root = t.root.children[0]
 		t.height--
 	}
-	return deleted
 }
 
 func (t *Tree) remove(n *node, k []byte) bool {
@@ -259,14 +388,9 @@ func (t *Tree) remove(n *node, k []byte) bool {
 		if !exact {
 			return false
 		}
-		if n.ghost[i] {
-			t.ghosts--
-		} else {
-			t.size--
-		}
+		t.count(&n.ents[i], -1)
 		n.keys = removeAt(n.keys, i)
-		n.vals = removeAt(n.vals, i)
-		n.ghost = removeBoolAt(n.ghost, i)
+		n.ents = removeAt(n.ents, i)
 		return true
 	}
 	i, exact := search(n.keys, k)
@@ -309,21 +433,18 @@ func (t *Tree) rebalance(parent *node, i int) {
 }
 
 func borrowFromLeft(parent *node, i int, left, child *node) {
+	last := len(left.keys) - 1
 	if child.leaf {
-		last := len(left.keys) - 1
 		child.keys = insertAt(child.keys, 0, left.keys[last])
-		child.vals = insertAt(child.vals, 0, left.vals[last])
-		child.ghost = insertBoolAt(child.ghost, 0, left.ghost[last])
-		left.keys = left.keys[:last]
-		left.vals = left.vals[:last]
-		left.ghost = left.ghost[:last]
+		child.ents = insertAt(child.ents, 0, left.ents[last])
+		left.keys = removeAt(left.keys, last)
+		left.ents = removeAt(left.ents, last)
 		parent.keys[i-1] = child.keys[0]
 		return
 	}
-	last := len(left.keys) - 1
 	child.keys = insertAt(child.keys, 0, parent.keys[i-1])
 	parent.keys[i-1] = left.keys[last]
-	child.children = insertNodeAt(child.children, 0, left.children[last+1])
+	child.children = insertAt(child.children, 0, left.children[last+1])
 	left.keys = left.keys[:last]
 	left.children = left.children[:last+1]
 }
@@ -331,11 +452,9 @@ func borrowFromLeft(parent *node, i int, left, child *node) {
 func borrowFromRight(parent *node, i int, child, right *node) {
 	if child.leaf {
 		child.keys = append(child.keys, right.keys[0])
-		child.vals = append(child.vals, right.vals[0])
-		child.ghost = append(child.ghost, right.ghost[0])
+		child.ents = append(child.ents, right.ents[0])
 		right.keys = removeAt(right.keys, 0)
-		right.vals = removeAt(right.vals, 0)
-		right.ghost = removeBoolAt(right.ghost, 0)
+		right.ents = removeAt(right.ents, 0)
 		parent.keys[i] = right.keys[0]
 		return
 	}
@@ -343,7 +462,7 @@ func borrowFromRight(parent *node, i int, child, right *node) {
 	parent.keys[i] = right.keys[0]
 	child.children = append(child.children, right.children[0])
 	right.keys = removeAt(right.keys, 0)
-	right.children = removeNodeAt(right.children, 0)
+	right.children = removeAt(right.children, 0)
 }
 
 // mergeChildren merges parent.children[i+1] into parent.children[i].
@@ -351,8 +470,7 @@ func mergeChildren(parent *node, i int) {
 	left, right := parent.children[i], parent.children[i+1]
 	if left.leaf {
 		left.keys = append(left.keys, right.keys...)
-		left.vals = append(left.vals, right.vals...)
-		left.ghost = append(left.ghost, right.ghost...)
+		left.ents = append(left.ents, right.ents...)
 		left.next = right.next
 		if left.next != nil {
 			left.next.prev = left
@@ -363,43 +481,21 @@ func mergeChildren(parent *node, i int) {
 		left.children = append(left.children, right.children...)
 	}
 	parent.keys = removeAt(parent.keys, i)
-	parent.children = removeNodeAt(parent.children, i+1)
+	parent.children = removeAt(parent.children, i+1)
 }
 
-func insertAt(s [][]byte, i int, v []byte) [][]byte {
-	s = append(s, nil)
+func insertAt[T any](s []T, i int, v T) []T {
+	var zero T
+	s = append(s, zero)
 	copy(s[i+1:], s[i:])
 	s[i] = v
 	return s
 }
 
-func insertBoolAt(s []bool, i int, v bool) []bool {
-	s = append(s, false)
-	copy(s[i+1:], s[i:])
-	s[i] = v
-	return s
-}
-
-func insertNodeAt(s []*node, i int, v *node) []*node {
-	s = append(s, nil)
-	copy(s[i+1:], s[i:])
-	s[i] = v
-	return s
-}
-
-func removeAt(s [][]byte, i int) [][]byte {
+// removeAt deletes s[i], zeroing the vacated tail slot so it pins no memory.
+func removeAt[T any](s []T, i int) []T {
+	var zero T
 	copy(s[i:], s[i+1:])
-	s[len(s)-1] = nil
-	return s[:len(s)-1]
-}
-
-func removeBoolAt(s []bool, i int) []bool {
-	copy(s[i:], s[i+1:])
-	return s[:len(s)-1]
-}
-
-func removeNodeAt(s []*node, i int) []*node {
-	copy(s[i:], s[i+1:])
-	s[len(s)-1] = nil
+	s[len(s)-1] = zero
 	return s[:len(s)-1]
 }

@@ -67,7 +67,7 @@ func (t *Tree) check(n *node, depth int, lo, hi []byte, live, ghosts, leaves *in
 		if depth != 1 {
 			return fmt.Errorf("btree: leaf at depth %d, want 1", depth)
 		}
-		if len(n.vals) != len(n.keys) || len(n.ghost) != len(n.keys) {
+		if len(n.ents) != len(n.keys) {
 			return fmt.Errorf("btree: leaf parallel slices misaligned")
 		}
 		*leaves++
@@ -79,9 +79,13 @@ func (t *Tree) check(n *node, depth int, lo, hi []byte, live, ghosts, leaves *in
 				return fmt.Errorf("btree: global key order violated across leaves")
 			}
 			*prevKey = n.keys[i]
-			if n.ghost[i] {
+			switch e := &n.ents[i]; {
+			case e.dead && e.chain == nil:
+				return fmt.Errorf("btree: tombstone without a version chain")
+			case e.dead:
+			case e.ghost:
 				*ghosts++
-			} else {
+			default:
 				*live++
 			}
 		}

@@ -1,22 +1,33 @@
 package btree
 
-import "bytes"
+import (
+	"bytes"
+
+	"repro/internal/mvcc"
+)
 
 // Item is one entry yielded by a scan. Key and Val alias internal storage and
-// must not be modified; Clone before retaining.
+// must not be modified; Clone before retaining. Chain is the entry's version
+// chain (nil for most entries); Dead marks a tombstone, which only Entry and
+// ScanAll yield.
 type Item struct {
 	Key   []byte
 	Val   []byte
 	Ghost bool
+	Dead  bool
+	Chain *mvcc.Chain
 }
 
 // Clone returns an Item with copied Key and Val.
 func (it Item) Clone() Item {
-	return Item{
-		Key:   append([]byte(nil), it.Key...),
-		Val:   append([]byte(nil), it.Val...),
-		Ghost: it.Ghost,
-	}
+	it.Key = append([]byte(nil), it.Key...)
+	it.Val = append([]byte(nil), it.Val...)
+	return it
+}
+
+func (n *node) item(i int) Item {
+	e := &n.ents[i]
+	return Item{Key: n.keys[i], Val: e.val, Ghost: e.ghost, Dead: e.dead, Chain: e.chain}
 }
 
 // Scan visits entries with lo <= key < hi in ascending order. A nil lo means
@@ -24,6 +35,18 @@ func (it Item) Clone() Item {
 // unless includeGhosts is set. fn returns false to stop early. fn must not
 // call back into the same tree (the tree latch is held across the scan).
 func (t *Tree) Scan(lo, hi []byte, includeGhosts bool, fn func(Item) bool) {
+	t.scan(lo, hi, includeGhosts, false, fn)
+}
+
+// ScanAll is Scan over the physical entries: ghosts and tombstones included,
+// each with its version chain, so a caller resolving rows at a read timestamp
+// sees every row that may be visible at it. The inline image and chain of
+// each entry are read under one latch hold.
+func (t *Tree) ScanAll(lo, hi []byte, fn func(Item) bool) {
+	t.scan(lo, hi, true, true, fn)
+}
+
+func (t *Tree) scan(lo, hi []byte, ghosts, dead bool, fn func(Item) bool) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	var n *node
@@ -40,10 +63,10 @@ func (t *Tree) Scan(lo, hi []byte, includeGhosts bool, fn func(Item) bool) {
 			if hi != nil && bytes.Compare(n.keys[i], hi) >= 0 {
 				return
 			}
-			if n.ghost[i] && !includeGhosts {
+			if e := &n.ents[i]; (e.dead && !dead) || (e.ghost && !ghosts) {
 				continue
 			}
-			if !fn(Item{Key: n.keys[i], Val: n.vals[i], Ghost: n.ghost[i]}) {
+			if !fn(n.item(i)) {
 				return
 			}
 		}
@@ -79,10 +102,10 @@ func (t *Tree) ScanReverse(lo, hi []byte, includeGhosts bool, fn func(Item) bool
 			if lo != nil && bytes.Compare(n.keys[i], lo) < 0 {
 				return
 			}
-			if n.ghost[i] && !includeGhosts {
+			if e := &n.ents[i]; e.dead || (e.ghost && !includeGhosts) {
 				continue
 			}
-			if !fn(Item{Key: n.keys[i], Val: n.vals[i], Ghost: n.ghost[i]}) {
+			if !fn(n.item(i)) {
 				return
 			}
 		}
@@ -111,14 +134,23 @@ func (t *Tree) SuccessorAppend(dst, key []byte) (succ []byte, ok bool) {
 	if exact {
 		i++
 	}
-	for n != nil {
-		if i < len(n.keys) {
-			return append(dst, n.keys[i]...), true
-		}
-		n = n.next
-		i = 0
+	if k := firstLive(n, i); k != nil {
+		return append(dst, k...), true
 	}
 	return dst, false
+}
+
+// firstLive returns the first non-tombstone key at or after position i of
+// leaf n, following the leaf chain; nil when there is none.
+func firstLive(n *node, i int) []byte {
+	for ; n != nil; n, i = n.next, 0 {
+		for ; i < len(n.keys); i++ {
+			if !n.ents[i].dead {
+				return n.keys[i]
+			}
+		}
+	}
+	return nil
 }
 
 // Ceiling returns a copy of the smallest key greater than or equal to key,
@@ -128,12 +160,8 @@ func (t *Tree) Ceiling(key []byte) (ceil []byte, ok bool) {
 	defer t.mu.RUnlock()
 	n := t.findLeaf(key)
 	i, _ := search(n.keys, key)
-	for n != nil {
-		if i < len(n.keys) {
-			return append([]byte(nil), n.keys[i]...), true
-		}
-		n = n.next
-		i = 0
+	if k := firstLive(n, i); k != nil {
+		return append([]byte(nil), k...), true
 	}
 	return nil, false
 }

@@ -86,19 +86,9 @@ func (db *DB) CheckConsistencyCtx(ctx context.Context, progress func(CheckProgre
 		// For a view-over-view the recompute reads the parent view's live rows
 		// (in output form), so a stacked chain is checked against the same
 		// rows its maintenance folded from.
-		leftRows, err := db.relationRows(cat, v.Left)
+		leftRows, rightRows, err := db.viewSourceRows(cat, v, latest)
 		if err != nil {
 			return err
-		}
-		var rightRows []record.Row
-		if v.Join() {
-			right, err := cat.Table(v.Right)
-			if err != nil {
-				return err
-			}
-			if rightRows, err = db.tableRows(right); err != nil {
-				return err
-			}
 		}
 		want, err := m.Recompute(leftRows, rightRows)
 		if err != nil {

@@ -153,10 +153,11 @@ type DB struct {
 	ledger *escrow.Ledger
 	tm     *txn.Manager
 
-	// oracle allocates commit timestamps and tracks active snapshots; mvcc is
-	// the sidecar version store snapshot readers resolve against (DESIGN.md §8).
+	// oracle allocates commit timestamps and tracks active snapshots; dirty is
+	// the pruner's work list of live version chains — the chains themselves
+	// hang off the B-tree entries (DESIGN.md §8).
 	oracle *txn.Oracle
-	mvcc   *mvcc.Store
+	dirty  mvcc.WorkList
 
 	// gate admits user-level actors (transactions, DDL, the cleaner) as
 	// readers; Checkpoint takes it exclusively to quiesce the database.
@@ -315,7 +316,6 @@ func Open(path string, opts Options) (*DB, error) {
 		ledger:    escrow.NewLedgerShards(opts.EscrowShards),
 		tm:        txn.NewManager(st.NextTxn),
 		oracle:    txn.NewOracle(),
-		mvcc:      mvcc.NewStore(&met.MVCC),
 		structMu:  make([]sync.Mutex, opts.FoldLatchStripes),
 		recovered: st.Summary,
 		met:       met,
@@ -678,6 +678,17 @@ func (db *DB) tree(tid id.Tree) *btree.Tree {
 	return t
 }
 
+// allTrees returns a copy of the tree table.
+func (db *DB) allTrees() map[id.Tree]*btree.Tree {
+	db.treesMu.RLock()
+	defer db.treesMu.RUnlock()
+	trees := make(map[id.Tree]*btree.Tree, len(db.trees))
+	for tid, t := range db.trees {
+		trees[tid] = t
+	}
+	return trees
+}
+
 // hit notifies the fault hooks (when armed) that the engine reached a named
 // crash point; a non-nil error must abort the surrounding operation.
 func (db *DB) hit(p fault.Point) error {
@@ -701,56 +712,80 @@ func (db *DB) logOp(t *txn.Txn, rec *wal.Record) error {
 		return err
 	}
 	db.met.Hot.Views.Get(rec.Tree).WALBytes.Add(int64(walBytes))
-	if isRowOp(rec.Type) {
+	if versioned(rec) {
 		// Pin the operation's provisional version before the tree changes, so
-		// the chain seed (when this is the row's first tracked mutation) is the
-		// committed pre-image. The caller's write lock — or the structure latch,
-		// for view rows — still serializes the row here.
-		tree := db.tree(rec.Tree)
-		db.mvcc.Pin(rec.Tree, rec.Key, rec, t.ID, func() ([]byte, bool, bool) {
-			return tree.Get(rec.Key)
-		})
+		// a chain created here is seeded with the committed pre-image. The
+		// caller's write lock — or the structure latch, for view rows — still
+		// serializes the row here.
+		db.pin(db.tree(rec.Tree), t, rec)
 	}
 	if err := apply.Apply(db.reg, db.tree, rec); err != nil {
-		db.mvcc.Unpin(rec.Tree, rec.Key, rec)
+		unpin(rec)
 		return err
 	}
 	if err := t.RecordOp(rec); err != nil {
-		db.mvcc.Unpin(rec.Tree, rec.Key, rec)
+		unpin(rec)
 		return err
 	}
 	db.met.Txn.Apply.Observe(time.Since(start))
 	return nil
 }
 
-// isRowOp reports whether a record type mutates one keyed row (and therefore
-// carries a version chain entry).
-func isRowOp(t wal.Type) bool {
-	switch t {
-	case wal.TInsert, wal.TDelete, wal.TUpdate, wal.TSetGhost, wal.TEscrowFold:
+// versioned reports whether rec changes what some reader may see, and so
+// pins a version. Creating an empty ghost and erasing one do not: ghost and
+// absent read alike at every timestamp. They are also the one structural
+// change no lock held through commit orders against concurrent folds of the
+// same row (stacked and deferred folds take no row lock), so a version for
+// them could carry a commit timestamp out of step with the tree's order.
+func versioned(rec *wal.Record) bool {
+	switch rec.Type {
+	case wal.TInsert:
+		return !rec.NewGhost
+	case wal.TDelete:
+		return !rec.OldGhost
+	case wal.TUpdate, wal.TEscrowFold:
 		return true
 	default:
 		return false
 	}
 }
 
+// pin records rec as in flight on its row's version chain and remembers the
+// chain in rec.Pin, queueing a newly created chain for the pruner.
+func (db *DB) pin(tree *btree.Tree, t *txn.Txn, rec *wal.Record) {
+	ch, created := tree.Pin(rec.Key, rec, t.ID)
+	rec.Pin = ch
+	if created {
+		db.dirty.Add(mvcc.Dirty{Tree: rec.Tree, Key: rec.Key, Chain: ch})
+		db.met.MVCC.Chains.Add(1)
+	}
+}
+
+// unpin discards rec's pending version, if it pinned one.
+func unpin(rec *wal.Record) {
+	if ch, ok := rec.Pin.(*mvcc.Chain); ok {
+		ch.Unpin(rec)
+	}
+}
+
 // stampOps promotes every pinned operation of t to a committed version at ts.
 // It must run before the transaction manager wipes t's undo chain.
 func (db *DB) stampOps(t *txn.Txn, ts uint64) {
+	stamped := 0
 	for _, op := range t.Ops() {
-		if isRowOp(op.Type) {
-			db.mvcc.Stamp(op.Tree, op.Key, op, ts)
+		if ch, ok := op.Pin.(*mvcc.Chain); ok {
+			db.met.MVCC.ObserveChainLen(ch.Stamp(op, ts))
+			stamped++
 		}
 	}
+	db.met.MVCC.VersionsStamped.Add(int64(stamped))
 }
 
 // unpinOps discards every pinned operation of t (abort without rollback —
 // e.g. a failed commit-record append, where rollbackOps is not run).
 func (db *DB) unpinOps(t *txn.Txn) {
 	for _, op := range t.Ops() {
-		if isRowOp(op.Type) {
-			db.mvcc.Unpin(op.Tree, op.Key, op)
-		}
+		unpin(op)
 	}
 }
 
@@ -759,29 +794,31 @@ func (db *DB) unpinOps(t *txn.Txn) {
 // that an idle engine burns nothing measurable.
 const defaultMVCCPruneInterval = 25 * time.Millisecond
 
+// pruneSlices is how many ticks the background pruner spreads one pass over
+// the work list across.
+const pruneSlices = 32
+
 // prunerLoop incrementally folds version chains up to the snapshot horizon:
-// one store shard per tick, a full rotation per interval. Spreading the pass
-// keeps the per-tick pause and allocation burst at 1/shards of a full prune —
-// a monolithic pass folds every hot chain and then the write set rebuilds
-// them all at once, a visible throughput sawtooth on small machines.
+// 1/pruneSlices of the work list per tick, a full rotation per interval.
+// Spreading the pass keeps the per-tick pause and allocation burst small — a
+// monolithic pass folds every hot chain and then the write set rebuilds them
+// all at once, a visible throughput sawtooth on small machines.
 func (db *DB) prunerLoop(interval time.Duration) {
 	defer close(db.prunerDone)
-	shards := db.mvcc.NumShards()
-	step := interval / time.Duration(shards)
+	step := interval / pruneSlices
 	if step <= 0 {
 		step = interval
 	}
 	tick := time.NewTicker(step)
 	defer tick.Stop()
-	for cursor := 0; ; cursor++ {
+	for n := 1; ; n++ {
 		select {
 		case <-db.prunerStop:
 			return
 		case <-tick.C:
-			start := time.Now()
-			pruned := db.mvcc.PruneShard(cursor, db.oracle.PruneHorizon(), db.foldVersionDeltas)
-			if pruned > 0 && db.tracer != nil {
-				db.tracer.TraceEvent(metrics.Event{Type: metrics.EventMVCCPrune, Rows: pruned, Dur: time.Since(start)})
+			db.pruneChains((db.dirty.Len() + pruneSlices - 1) / pruneSlices)
+			if n%pruneSlices == 0 {
+				db.met.MVCC.PrunePasses.Add(1)
 			}
 		}
 	}
@@ -790,27 +827,59 @@ func (db *DB) prunerLoop(interval time.Duration) {
 // PruneVersions folds every version at or below the snapshot horizon (the
 // oldest active read timestamp, or the watermark when no snapshot is active)
 // into its chain's base and drops quiescent chains. The background pruner
-// calls it periodically; tests and operators may call it directly. It returns
-// the number of versions pruned.
+// does the same incrementally; tests and operators may call it directly. It
+// returns the number of versions pruned.
 func (db *DB) PruneVersions() int {
+	db.met.MVCC.PrunePasses.Add(1)
+	return db.pruneChains(0)
+}
+
+// pruneChains takes up to n chains (n <= 0: all) off the work list, folds
+// each up to the horizon, and requeues the ones still holding versions. A
+// quiescent chain leaves the tree — and takes its entry along if that is a
+// tombstone.
+func (db *DB) pruneChains(n int) int {
 	start := time.Now()
-	pruned := db.mvcc.Prune(db.oracle.PruneHorizon(), db.foldVersionDeltas)
-	if pruned > 0 && db.tracer != nil {
-		db.tracer.TraceEvent(metrics.Event{Type: metrics.EventMVCCPrune, Rows: pruned, Dur: time.Since(start)})
+	horizon := db.oracle.PruneHorizon()
+	batch := db.dirty.Take(n)
+	keep := batch[:0]
+	pruned := 0
+	for _, d := range batch {
+		pruned += d.Prune(horizon, db.foldVersionDeltas)
+		if d.Chain.Quiescent() && db.tree(d.Tree).ReleaseChain(d.Key, d.Chain) {
+			db.met.MVCC.Chains.Add(-1)
+		} else {
+			keep = append(keep, d)
+		}
+	}
+	db.dirty.Add(keep...)
+	if pruned > 0 {
+		db.met.MVCC.VersionsPruned.Add(int64(pruned))
+		if db.tracer != nil {
+			db.tracer.TraceEvent(metrics.Event{Type: metrics.EventMVCCPrune, Rows: pruned, Dur: time.Since(start)})
+		}
 	}
 	return pruned
 }
 
-// foldVersionDeltas is the pruner's delta folder: it applies committed escrow
-// deltas to an encoded view row using the view's compiled maintainer.
+// foldVersionDeltas is the version-chain delta folder (mvcc.FoldFunc): it
+// applies committed escrow deltas to an encoded view row using the view's
+// compiled maintainer. A nil val is an absent row — the deltas fold over an
+// empty group, the one rule that makes a group re-created after its erase
+// visible.
 func (db *DB) foldVersionDeltas(tree id.Tree, val []byte, deltas []wal.ColDelta) ([]byte, bool, error) {
 	m := db.reg.Maintainer(tree)
 	if m == nil {
 		return nil, false, fmt.Errorf("core: version fold against unknown view %s", tree)
 	}
-	stored, err := record.DecodeRow(val)
-	if err != nil {
-		return nil, false, err
+	var stored record.Row
+	if val == nil {
+		stored = m.NewGroupRow()
+	} else {
+		var err error
+		if stored, err = record.DecodeRow(val); err != nil {
+			return nil, false, err
+		}
 	}
 	next, err := m.ApplyFold(stored, deltas)
 	if err != nil {
@@ -834,13 +903,7 @@ func (db *DB) Checkpoint() error {
 	if err := db.hit(fault.PointCheckpoint); err != nil {
 		return err
 	}
-	db.treesMu.RLock()
-	trees := make(map[id.Tree]*btree.Tree, len(db.trees))
-	for k, v := range db.trees {
-		trees[k] = v
-	}
-	db.treesMu.RUnlock()
-	writer, gen, err := recovery.CheckpointFS(db.opts.FS, db.path, db.gen, db.log, db.Catalog(), trees, db.tm.NextID(), db.opts.SyncMode)
+	writer, gen, err := recovery.CheckpointFS(db.opts.FS, db.path, db.gen, db.log, db.Catalog(), db.allTrees(), db.tm.NextID(), db.opts.SyncMode)
 	if err != nil {
 		return err
 	}
@@ -915,8 +978,6 @@ func (db *DB) rollbackOps(t *txn.Txn) {
 			panic(fmt.Sprintf("core: rollback of %s failed: %v", op, err))
 		}
 		db.log.Append(clr)
-		if isRowOp(op.Type) {
-			db.mvcc.Unpin(op.Tree, op.Key, op)
-		}
+		unpin(op)
 	}
 }

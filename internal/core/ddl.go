@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"repro/internal/apply"
-	"repro/internal/btree"
 	"repro/internal/catalog"
 	"repro/internal/id"
 	"repro/internal/lock"
@@ -85,19 +84,9 @@ func (db *DB) CreateIndex(name, table string, cols []int, unique bool) error {
 			return err
 		}
 		seen := map[string]bool{}
-		var rows []record.Row
-		var decodeErr error
-		db.tree(tbl.ID).Scan(nil, nil, false, func(it btree.Item) bool {
-			row, err := record.DecodeRow(it.Val)
-			if err != nil {
-				decodeErr = err
-				return false
-			}
-			rows = append(rows, row)
-			return true
-		})
-		if decodeErr != nil {
-			return decodeErr
+		rows, err := db.tableRows(tbl, latest)
+		if err != nil {
+			return err
 		}
 		for _, row := range rows {
 			ixKey := indexKey(ix, tbl, row)
@@ -145,35 +134,12 @@ func (db *DB) CreateIndexedView(def catalog.View) error {
 		if m == nil {
 			return fmt.Errorf("core: view %q has no compiled maintainer", def.Name)
 		}
-		// Block writers of the source relation during the backfill scan. For a
-		// view-over-view the pseudo-table's ID is the parent view's tree, so
-		// the S lock serializes against in-flight escrow writers' IX locks:
-		// their commit-time cascade folds land either wholly before the scan
-		// (the recompute sees them) or wholly after (the cascade, which sees
-		// this view in the catalog by then, maintains it incrementally).
-		left, err := cat.SourceTable(v.Left)
+		if err := db.lockSources(st, cat, v); err != nil {
+			return err
+		}
+		leftRows, rightRows, err := db.viewSourceRows(cat, v, latest)
 		if err != nil {
 			return err
-		}
-		if err := db.lockTree(st, left.ID, lock.ModeS); err != nil {
-			return err
-		}
-		leftRows, err := db.relationRows(cat, v.Left)
-		if err != nil {
-			return err
-		}
-		var rightRows []record.Row
-		if v.Join() {
-			right, err := cat.Table(v.Right)
-			if err != nil {
-				return err
-			}
-			if err := db.lockTree(st, right.ID, lock.ModeS); err != nil {
-				return err
-			}
-			if rightRows, err = db.tableRows(right); err != nil {
-				return err
-			}
 		}
 		entries, err := m.Recompute(leftRows, rightRows)
 		if err != nil {
@@ -245,57 +211,87 @@ func wrapViewErr(op, name string, err error) error {
 	return fmt.Errorf("%w: %s %q: %w", root, op, name, err)
 }
 
-// relationRows snapshots every live row of a view's source relation in the form
-// maintenance sees it: stored rows for a base table, output rows (group-by
-// columns followed by aggregate results) for a source view. Callers must hold
-// a lock on the source tree; for a view source that tree is the view's own
-// (catalog.SourceTable reports it as the pseudo-table's ID).
-func (db *DB) relationRows(cat *catalog.Catalog, name string) ([]record.Row, error) {
+// lockSources S-locks a view's source trees for st, blocking writers of the
+// source relation until st ends so a recompute reads it stable. For a
+// view-over-view the pseudo-table's ID is the parent view's tree, so the S
+// lock serializes against in-flight escrow writers' IX locks: their
+// commit-time cascade folds land either wholly before the scan (the recompute
+// sees them) or wholly after (the cascade, which sees this view in the
+// catalog by then, maintains it incrementally).
+func (db *DB) lockSources(st *txn.Txn, cat *catalog.Catalog, v *catalog.View) error {
+	left, err := cat.SourceTable(v.Left)
+	if err != nil {
+		return err
+	}
+	if err := db.lockTree(st, left.ID, lock.ModeS); err != nil || !v.Join() {
+		return err
+	}
+	right, err := cat.Table(v.Right)
+	if err != nil {
+		return err
+	}
+	return db.lockTree(st, right.ID, lock.ModeS)
+}
+
+// viewSourceRows reads a view's recompute inputs as of ts: every row of its
+// source relation and, for a join view, of the joined table. At latest the
+// caller holds locks on the sources (lockSources, or the exclusive gate).
+func (db *DB) viewSourceRows(cat *catalog.Catalog, v *catalog.View, ts uint64) (left, right []record.Row, err error) {
+	if left, err = db.relationRows(cat, v.Left, ts); err != nil || !v.Join() {
+		return left, nil, err
+	}
+	tbl, err := cat.Table(v.Right)
+	if err != nil {
+		return nil, nil, err
+	}
+	right, err = db.tableRows(tbl, ts)
+	return left, right, err
+}
+
+// relationRows reads every live row of a view's source relation as of ts, in
+// the form maintenance sees it: stored rows for a base table, output rows
+// (group-by columns followed by aggregate results) for a source view.
+func (db *DB) relationRows(cat *catalog.Catalog, name string, ts uint64) ([]record.Row, error) {
 	v, err := cat.View(name)
 	if err != nil {
 		tbl, terr := cat.Table(name)
 		if terr != nil {
 			return nil, terr
 		}
-		return db.tableRows(tbl)
+		return db.tableRows(tbl, ts)
 	}
 	m := db.reg.Maintainer(v.ID)
 	if m == nil {
 		return nil, fmt.Errorf("core: view %q has no compiled maintainer", name)
 	}
 	var rows []record.Row
-	var scanErr error
-	db.tree(v.ID).Scan(nil, nil, false, func(it btree.Item) bool {
-		stored, err := record.DecodeRow(it.Val)
+	err = db.scanRows(v.ID, nil, nil, ts, id.None, func(key, val []byte) (bool, error) {
+		stored, err := record.DecodeRow(val)
 		if err != nil {
-			scanErr = err
-			return false
+			return false, err
 		}
-		out, err := m.OutputRow(it.Key, stored)
+		out, err := m.OutputRow(key, stored)
 		if err != nil {
-			scanErr = err
-			return false
+			return false, err
 		}
 		rows = append(rows, out)
-		return true
+		return true, nil
 	})
-	return rows, scanErr
+	return rows, err
 }
 
-// tableRows snapshots every live row of a table.
-func (db *DB) tableRows(tbl *catalog.Table) ([]record.Row, error) {
+// tableRows reads every live row of a table as of ts.
+func (db *DB) tableRows(tbl *catalog.Table, ts uint64) ([]record.Row, error) {
 	var rows []record.Row
-	var decodeErr error
-	db.tree(tbl.ID).Scan(nil, nil, false, func(it btree.Item) bool {
-		row, err := record.DecodeRow(it.Val)
+	err := db.scanRows(tbl.ID, nil, nil, ts, id.None, func(_, val []byte) (bool, error) {
+		row, err := record.DecodeRow(val)
 		if err != nil {
-			decodeErr = err
-			return false
+			return false, err
 		}
 		rows = append(rows, row)
-		return true
+		return true, nil
 	})
-	return rows, decodeErr
+	return rows, err
 }
 
 // indexKey builds a secondary index entry key: indexed columns then the

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -31,14 +32,21 @@ import (
 // AFTER AllocateCommitTS + stampOps but BEFORE FinishCommit. The oracle's
 // read timestamp therefore cannot advance past a commit whose batch is not
 // yet in the queue — so a round that first reads wm := oracle.ReadTS() and
-// then drains the queue has, after folding, applied every deferred delta of
-// every commit with timestamp <= wm, and may publish wm as each deferred
-// view's watermark.
+// then drains the queue holds every deferred delta of every commit with
+// timestamp <= wm. It folds exactly those — a drained batch stamped above wm
+// (published, not yet finished, when wm was read) goes back to the queue's
+// front for the next round — and may then publish wm as each deferred view's
+// watermark: the view equals its source as of wm, not merely "at least wm",
+// which is what lets the scrubber check it against a recompute at wm.
 
 // defaultDeferredApplyInterval is the applier's idle tick: how often
 // watermarks advance with no publish traffic, and the retry delay after a
 // failed fold round.
 const defaultDeferredApplyInterval = 5 * time.Millisecond
+
+// applierRest is how long the applier, under load, waits for one more publish
+// before starting the next round (see applierLoop).
+const applierRest = 25 * time.Microsecond
 
 // deferredQueue is the unbounded multi-producer single-consumer applier
 // queue. Publishers must never block — a committer publishes while still
@@ -69,6 +77,15 @@ func (q *deferredQueue) push(m applier.Msg) int {
 	return n
 }
 
+// requeue puts messages a round held back at the front of the queue, ahead
+// of everything published since it drained. It does not wake the applier:
+// the next publish or idle tick finds them.
+func (q *deferredQueue) requeue(msgs []applier.Msg) {
+	q.mu.Lock()
+	q.msgs = append(msgs, q.msgs...)
+	q.mu.Unlock()
+}
+
 // take removes and returns every queued message in publish order.
 func (q *deferredQueue) take() []applier.Msg {
 	q.mu.Lock()
@@ -77,6 +94,22 @@ func (q *deferredQueue) take() []applier.Msg {
 	q.mu.Unlock()
 	return msgs
 }
+
+// hasBarrier reports whether a refresh/drop barrier for tree is queued.
+func (q *deferredQueue) hasBarrier(tree id.Tree) bool {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	for _, m := range q.msgs {
+		if m.Barrier != nil && m.Barrier.Tree == tree {
+			return true
+		}
+	}
+	return false
+}
+
+// errRefreshedUnderneath fails a component fold whose groups a concurrent
+// refresh already incorporated.
+var errRefreshedUnderneath = errSentinel("view refreshed while its deltas were being folded")
 
 // oldestPerTree scans the queued (not yet drained) batches and returns the
 // earliest publish wall clock per view tree. It is the staleness clock's view
@@ -150,6 +183,21 @@ func (db *DB) applierLoop(interval time.Duration) {
 			return
 		case <-db.applierQ.wake:
 			db.applierRound(co)
+			// When publishes outpace the rounds — one arrived while this
+			// round ran — give the next one applierRest to join it before
+			// folding: a round under load then folds a few commits in one
+			// system transaction instead of chasing each publish with its own,
+			// and the per-round costs (begin and commit records, tree locks,
+			// the top levels' folds) amortize. A commit that finds the applier
+			// idle still folds at once.
+			for len(db.applierQ.wake) > 0 && !db.closed.Load() {
+				<-db.applierQ.wake
+				select {
+				case <-db.applierQ.wake:
+				case <-time.After(applierRest):
+				}
+				db.applierRound(co)
+			}
 		case <-tick.C:
 			db.applierRound(co)
 		}
@@ -164,8 +212,11 @@ func (db *DB) applierRound(co *applier.Coalescer) {
 	wm := db.oracle.ReadTS()
 	msgs := db.applierQ.take()
 	var minWall int64
+	var ahead []applier.Msg
 	for _, m := range msgs {
 		switch {
+		case m.Batch != nil && m.Batch.TS > wm:
+			ahead = append(ahead, m)
 		case m.Batch != nil:
 			in, coalesced := co.Add(m.Batch)
 			db.met.Deferred.DeltasIn.Add(int64(in))
@@ -176,14 +227,23 @@ func (db *DB) applierRound(co *applier.Coalescer) {
 		case m.Barrier != nil:
 			// Everything pending for the tree precedes the barrier in queue
 			// order, so it is already incorporated in the recompute (or gone
-			// with the dropped view).
+			// with the dropped view) — held-back batches included.
 			co.DropTree(m.Barrier.Tree)
+			for _, a := range ahead {
+				a.Batch.Groups = slices.DeleteFunc(a.Batch.Groups, func(g applier.GroupDelta) bool {
+					return g.Tree == m.Barrier.Tree
+				})
+			}
 			if m.Barrier.Drop {
 				db.oracle.DropViewWatermark(m.Barrier.Tree)
 			} else {
 				db.oracle.AdvanceViewWatermark(m.Barrier.Tree, m.Barrier.TS)
 			}
 		}
+	}
+
+	if len(ahead) > 0 {
+		db.applierQ.requeue(ahead)
 	}
 
 	groups := co.Take()
@@ -442,6 +502,14 @@ func (db *DB) applyDeferredComponent(members []*catalog.View, groups []applier.G
 		for _, v := range members {
 			if err := db.lockTree(st, v.ID, lock.ModeX); err != nil {
 				return err
+			}
+			// A refresh that held this lock while the round's groups sat
+			// drained has already recomputed them into the view; its barrier
+			// (published before it released the lock) is in the queue. Folding
+			// now would apply them twice: fail the round instead, so the groups
+			// return to the coalescer and the barrier drops them next round.
+			if db.applierQ.hasBarrier(v.ID) {
+				return errRefreshedUnderneath
 			}
 		}
 		q := newFoldQueue()

@@ -3,11 +3,8 @@ package core
 import (
 	"fmt"
 
-	"repro/internal/btree"
-	"repro/internal/catalog"
 	"repro/internal/lock"
 	"repro/internal/record"
-	"repro/internal/txn"
 )
 
 // LookupByIndex returns the live rows whose indexed columns equal vals,
@@ -42,44 +39,49 @@ func (tx *Tx) LookupByIndex(indexName string, vals record.Row) ([]record.Row, er
 		}
 	}
 	prefix := record.EncodeKey(vals)
-	if tx.t.Isolation == txn.Snapshot {
-		return tx.snapshotLookupByIndex(ix, tbl, vals, prefix)
+	ts, self := tx.readAt()
+	if ts == latest {
+		if err := db.lockTree(tx.t, ix.ID, lock.ModeIS); err != nil {
+			return nil, err
+		}
+		if err := db.lockTree(tx.t, tbl.ID, lock.ModeIS); err != nil {
+			return nil, err
+		}
 	}
-	if err := db.lockTree(tx.t, ix.ID, lock.ModeIS); err != nil {
-		return nil, err
-	}
-	if err := db.lockTree(tx.t, tbl.ID, lock.ModeIS); err != nil {
-		return nil, err
-	}
-	// Collect the primary keys from the index entries (key = indexed
-	// columns then PK), latch-only, then lock and re-read each base row.
+	// Collect the primary keys from the index entries (key = indexed columns
+	// then PK), then read each base row. At a snapshot timestamp index
+	// entries and base rows both resolve at it, so the two are mutually
+	// consistent (a transaction's index and row changes stamp with one commit
+	// timestamp) and no locks are taken; the lock-based levels read the index
+	// latch-only, then lock and re-validate each row.
 	var pks [][]byte
-	db.tree(ix.ID).Scan(prefix, record.KeySuccessor(prefix), false, func(it btree.Item) bool {
-		rest := it.Key[len(prefix):]
+	err = db.scanRows(ix.ID, prefix, record.KeySuccessor(prefix), ts, self, func(key, _ []byte) (bool, error) {
+		rest := key[len(prefix):]
 		// Skip over any remaining indexed columns to reach the PK suffix.
 		for skip := len(ix.Cols) - len(vals); skip > 0; skip-- {
 			_, r, err := record.DecodeKeyValue(rest)
 			if err != nil {
-				return true
+				return true, nil
 			}
 			rest = r
 		}
 		pks = append(pks, append([]byte(nil), rest...))
-		return true
+		return true, nil
 	})
+	if err != nil {
+		return nil, err
+	}
 	var out []record.Row
 	for _, pk := range pks {
-		switch tx.t.Isolation {
-		case txn.ReadCommitted:
-			if err := db.momentaryS(tx.t, tbl.ID, pk); err != nil {
-				return nil, err
-			}
-		default:
-			if err := db.lockKey(tx.t, tbl.ID, pk, lock.ModeS); err != nil {
+		if ts == latest {
+			if err := db.readLock(tx, tbl.ID, pk); err != nil {
 				return nil, err
 			}
 		}
-		val, ghost, ok := db.tree(tbl.ID).Get(pk)
+		val, ghost, ok, err := db.readRow(tbl.ID, pk, ts, self)
+		if err != nil {
+			return nil, err
+		}
 		if !ok || ghost {
 			continue // row vanished between the index read and the lock
 		}
@@ -99,46 +101,6 @@ func (tx *Tx) LookupByIndex(indexName string, vals record.Row) ([]record.Row, er
 		if match {
 			out = append(out, row)
 		}
-	}
-	return out, nil
-}
-
-// snapshotLookupByIndex resolves an index lookup at the transaction's read
-// timestamp: index entries and base rows both come from the version-chain
-// resolution, so the two are mutually consistent (a transaction's index and
-// row changes stamp with one commit timestamp) and no locks are taken.
-func (tx *Tx) snapshotLookupByIndex(ix *catalog.Index, tbl *catalog.Table, vals record.Row, prefix []byte) ([]record.Row, error) {
-	db := tx.db
-	var pks [][]byte
-	err := db.snapshotScan(tx, ix.ID, prefix, record.KeySuccessor(prefix), func(key, _ []byte) (bool, error) {
-		rest := key[len(prefix):]
-		for skip := len(ix.Cols) - len(vals); skip > 0; skip-- {
-			_, r, err := record.DecodeKeyValue(rest)
-			if err != nil {
-				return true, nil
-			}
-			rest = r
-		}
-		pks = append(pks, append([]byte(nil), rest...))
-		return true, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	var out []record.Row
-	for _, pk := range pks {
-		val, ghost, ok, err := db.snapshotRow(tbl.ID, pk, tx.readTS, tx.t.ID)
-		if err != nil {
-			return nil, err
-		}
-		if !ok || ghost {
-			continue
-		}
-		row, err := record.DecodeRow(val)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, row)
 	}
 	return out, nil
 }

@@ -421,15 +421,9 @@ func (db *DB) recomputeExtremum(tx *Tx, v *catalog.View, m *view.Maintainer, src
 	if err != nil {
 		return record.Value{}, err
 	}
-	leftRows, err := db.tableRows(m.Left)
+	leftRows, rightRows, err := db.viewSourceRows(db.Catalog(), v, latest)
 	if err != nil {
 		return record.Value{}, err
-	}
-	var rightRows []record.Row
-	if m.Right != nil {
-		if rightRows, err = db.tableRows(m.Right); err != nil {
-			return record.Value{}, err
-		}
 	}
 	// The base change was applied before maintenance ran, so the scan above
 	// already reflects the removal: recomputing the group yields the new

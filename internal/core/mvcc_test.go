@@ -201,12 +201,12 @@ func TestPrunerShrinksChainsWhenSnapshotRetires(t *testing.T) {
 		}
 		mustCommit(t, w)
 	}
-	if db.mvcc.Chains() == 0 {
+	if db.dirty.Len() == 0 {
 		t.Fatal("no version chains after churn")
 	}
 	// Pruning with the snapshot pinned must keep what it still needs...
 	db.PruneVersions()
-	if db.mvcc.Chains() == 0 {
+	if db.dirty.Len() == 0 {
 		t.Fatal("pruner dropped chains a live snapshot depends on")
 	}
 	// ...and the pinned reader still resolves its old world.
@@ -222,12 +222,12 @@ func TestPrunerShrinksChainsWhenSnapshotRetires(t *testing.T) {
 	// With the oldest snapshot retired the horizon advances and every chain
 	// folds down to its base and drops.
 	db.waitQuiesced()
-	for i := 0; db.mvcc.Chains() > 0; i++ {
-		if db.PruneVersions() == 0 && db.mvcc.Chains() > 0 {
-			t.Fatalf("chains stuck at %d with nothing left to prune", db.mvcc.Chains())
+	for i := 0; db.dirty.Len() > 0; i++ {
+		if db.PruneVersions() == 0 && db.dirty.Len() > 0 {
+			t.Fatalf("chains stuck at %d with nothing left to prune", db.dirty.Len())
 		}
 		if i > 10 {
-			t.Fatalf("chains did not drain: %d left", db.mvcc.Chains())
+			t.Fatalf("chains did not drain: %d left", db.dirty.Len())
 		}
 	}
 	s := db.Metrics()

@@ -31,23 +31,18 @@ func (tx *Tx) Get(table string, pk record.Row) (record.Row, bool, error) {
 	if err != nil {
 		return nil, false, err
 	}
-	var val []byte
-	var ghost, ok bool
-	if tx.t.Isolation == txn.Snapshot {
-		if val, ghost, ok, err = db.snapshotRow(tbl.ID, key, tx.readTS, tx.t.ID); err != nil {
-			return nil, false, err
-		}
-	} else {
+	ts, self := tx.readAt()
+	if ts == latest {
 		if err := db.lockTree(tx.t, tbl.ID, lock.ModeIS); err != nil {
 			return nil, false, err
 		}
 		if err := db.readLock(tx, tbl.ID, key); err != nil {
 			return nil, false, err
 		}
-		val, ghost, ok = db.tree(tbl.ID).Get(key)
 	}
-	if !ok || ghost {
-		return nil, false, nil
+	val, ghost, ok, err := db.readRow(tbl.ID, key, ts, self)
+	if err != nil || !ok || ghost {
+		return nil, false, err
 	}
 	row, err := record.DecodeRow(val)
 	if err != nil {
@@ -61,9 +56,6 @@ func (db *DB) readLock(tx *Tx, tree id.Tree, key []byte) error {
 	switch tx.t.Isolation {
 	case txn.ReadCommitted:
 		return db.momentaryS(tx.t, tree, key)
-	case txn.Snapshot:
-		// Snapshot readers resolve against version chains; no lock.
-		return nil
 	default:
 		return db.lockKey(tx.t, tree, key, lock.ModeS)
 	}
@@ -121,64 +113,55 @@ func (tx *Tx) GetViewRow(viewName string, keyRow record.Row) (record.Row, bool, 
 	if err != nil {
 		return nil, false, err
 	}
-	m := db.reg.Maintainer(v.ID)
 	key := record.EncodeKey(keyRow)
-	if tx.t.Isolation == txn.Snapshot {
-		// Resolve the group at the pinned read timestamp: committed escrow
-		// deltas up to the timestamp fold into the stored value, pending ones
-		// stay invisible — no lock-manager traffic, no blocking of writers.
-		val, ghost, ok, err := db.snapshotRow(v.ID, key, tx.readTS, tx.t.ID)
-		if err != nil || !ok || ghost {
+	// A snapshot reader resolves the group at its pinned read timestamp:
+	// committed escrow deltas up to the timestamp fold into the stored value,
+	// pending ones stay invisible — no lock-manager traffic, no blocking of
+	// writers. Everyone else locks first, then reads the inline value.
+	ts, self := tx.readAt()
+	if ts == latest {
+		if err := db.lockTree(tx.t, v.ID, lock.ModeIS); err != nil {
 			return nil, false, err
 		}
-		stored, err := record.DecodeRow(val)
-		if err != nil {
-			return nil, false, err
+		switch {
+		case tx.t.Isolation != txn.ReadCommitted:
+			if err := db.lockKey(tx.t, v.ID, key, lock.ModeS); err != nil {
+				return nil, false, err
+			}
+		case committedByConstruction(v):
+		default:
+			if err := db.momentaryS(tx.t, v.ID, key); err != nil {
+				return nil, false, err
+			}
 		}
-		if v.Kind == catalog.ViewProjection {
-			return stored, true, nil
-		}
-		res, err := m.Result(stored)
-		if err != nil {
-			return nil, false, err
-		}
-		return res, true, nil
 	}
-	if err := db.lockTree(tx.t, v.ID, lock.ModeIS); err != nil {
+	val, ghost, ok, err := db.readRow(v.ID, key, ts, self)
+	if err != nil || !ok || ghost {
 		return nil, false, err
 	}
-	switch {
-	case tx.t.Isolation != txn.ReadCommitted:
-		if err := db.lockKey(tx.t, v.ID, key, lock.ModeS); err != nil {
-			return nil, false, err
-		}
-	case v.Strategy == catalog.StrategyEscrow && v.Kind == catalog.ViewAggregate:
-		// Committed values by construction: no lock.
-	case v.Strategy == catalog.StrategyDeferred:
-		// Deferred rows are written only by the applier's committed system
-		// transactions, so the stored value is committed (if bounded-stale):
-		// no lock. Snapshot isolation reads exactly at the watermark.
-	default:
-		if err := db.momentaryS(tx.t, v.ID, key); err != nil {
-			return nil, false, err
-		}
-	}
-	val, ghost, ok := db.tree(v.ID).Get(key)
-	if !ok || ghost {
-		return nil, false, nil
-	}
+	res, err := db.viewResult(v, val)
+	return res, err == nil, err
+}
+
+// committedByConstruction reports whether a view's stored rows hold only
+// committed data, so ReadCommitted may read them latch-only: escrow aggregate
+// rows change only by commit-time folds, deferred rows only by the applier's
+// committed system transactions (bounded-stale; Snapshot isolation reads
+// exactly at the watermark). X-lock-maintained views contain uncommitted
+// data and need the momentary S lock.
+func committedByConstruction(v *catalog.View) bool {
+	return v.Strategy == catalog.StrategyDeferred ||
+		(v.Strategy == catalog.StrategyEscrow && v.Kind == catalog.ViewAggregate)
+}
+
+// viewResult decodes a stored view row into its user-visible result: the
+// stored row itself for a projection view, the aggregate results otherwise.
+func (db *DB) viewResult(v *catalog.View, val []byte) (record.Row, error) {
 	stored, err := record.DecodeRow(val)
-	if err != nil {
-		return nil, false, err
+	if err != nil || v.Kind == catalog.ViewProjection {
+		return stored, err
 	}
-	if v.Kind == catalog.ViewProjection {
-		return stored, true, nil
-	}
-	res, err := m.Result(stored)
-	if err != nil {
-		return nil, false, err
-	}
-	return res, true, nil
+	return db.reg.Maintainer(v.ID).Result(stored)
 }
 
 // ViewRow pairs a view key with its user-visible result row.
@@ -206,7 +189,6 @@ func (tx *Tx) ScanViewRange(viewName string, loKey, hiKey record.Row) ([]ViewRow
 	if err != nil {
 		return nil, err
 	}
-	m := db.reg.Maintainer(v.ID)
 	var lo, hi []byte
 	if loKey != nil {
 		lo = record.EncodeKey(loKey)
@@ -214,70 +196,43 @@ func (tx *Tx) ScanViewRange(viewName string, loKey, hiKey record.Row) ([]ViewRow
 	if hiKey != nil {
 		hi = record.EncodeKey(hiKey)
 	}
-	if tx.t.Isolation == txn.Snapshot {
-		var out []ViewRow
-		err := db.snapshotScan(tx, v.ID, lo, hi, func(key, val []byte) (bool, error) {
-			keyRow, err := record.DecodeKey(key)
-			if err != nil {
-				return false, err
-			}
-			stored, err := record.DecodeRow(val)
-			if err != nil {
-				return false, err
-			}
-			res := stored
-			if v.Kind == catalog.ViewAggregate {
-				if res, err = m.Result(stored); err != nil {
-					return false, err
-				}
-			}
-			out = append(out, ViewRow{Key: keyRow, Result: res})
-			return true, nil
-		})
-		if err != nil {
+	ts, self := tx.readAt()
+	rowLock := false
+	if ts == latest {
+		treeMode := lock.ModeS
+		if tx.t.Isolation == txn.ReadCommitted {
+			treeMode = lock.ModeIS
+			rowLock = !committedByConstruction(v)
+		}
+		if err := db.lockTree(tx.t, v.ID, treeMode); err != nil {
 			return nil, err
 		}
-		return out, nil
 	}
-	if tx.t.Isolation != txn.ReadCommitted {
-		if err := db.lockTree(tx.t, v.ID, lock.ModeS); err != nil {
-			return nil, err
-		}
-	} else if err := db.lockTree(tx.t, v.ID, lock.ModeIS); err != nil {
-		return nil, err
-	}
-	items := db.tree(v.ID).Items(lo, hi, false)
-	out := make([]ViewRow, 0, len(items))
-	lockFree := tx.t.Isolation != txn.ReadCommitted || // tree S already held
-		(v.Strategy == catalog.StrategyEscrow && v.Kind == catalog.ViewAggregate) ||
-		v.Strategy == catalog.StrategyDeferred
-	for _, it := range items {
-		val := it.Val
-		if !lockFree {
-			if err := db.momentaryS(tx.t, v.ID, it.Key); err != nil {
-				return nil, err
+	var out []ViewRow
+	err = db.scanRows(v.ID, lo, hi, ts, self, func(key, val []byte) (bool, error) {
+		if rowLock {
+			if err := db.momentaryS(tx.t, v.ID, key); err != nil {
+				return false, err
 			}
-			fresh, ghost, ok := db.tree(v.ID).Get(it.Key)
-			if !ok || ghost {
-				continue
+			fresh, ghost, ok, err := db.readRow(v.ID, key, latest, id.None)
+			if err != nil || !ok || ghost {
+				return true, err
 			}
 			val = fresh
 		}
-		keyRow, err := record.DecodeKey(it.Key)
+		keyRow, err := record.DecodeKey(key)
 		if err != nil {
-			return nil, err
+			return false, err
 		}
-		stored, err := record.DecodeRow(val)
+		res, err := db.viewResult(v, val)
 		if err != nil {
-			return nil, err
-		}
-		res := stored
-		if v.Kind == catalog.ViewAggregate {
-			if res, err = m.Result(stored); err != nil {
-				return nil, err
-			}
+			return false, err
 		}
 		out = append(out, ViewRow{Key: keyRow, Result: res})
+		return true, nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }
@@ -421,29 +376,12 @@ func (db *DB) refreshOne(st *txn.Txn, cat *catalog.Catalog, v *catalog.View) (in
 		return 0, fmt.Errorf("core: view %q has no compiled maintainer", v.Name)
 	}
 	// Stabilize the source and take the view exclusively.
-	left, err := cat.SourceTable(v.Left)
+	if err := db.lockSources(st, cat, v); err != nil {
+		return 0, err
+	}
+	leftRows, rightRows, err := db.viewSourceRows(cat, v, latest)
 	if err != nil {
 		return 0, err
-	}
-	if err := db.lockTree(st, left.ID, lock.ModeS); err != nil {
-		return 0, err
-	}
-	leftRows, err := db.relationRows(cat, v.Left)
-	if err != nil {
-		return 0, err
-	}
-	var rightRows []record.Row
-	if v.Join() {
-		right, err := cat.Table(v.Right)
-		if err != nil {
-			return 0, err
-		}
-		if err := db.lockTree(st, right.ID, lock.ModeS); err != nil {
-			return 0, err
-		}
-		if rightRows, err = db.tableRows(right); err != nil {
-			return 0, err
-		}
 	}
 	if err := db.lockTree(st, v.ID, lock.ModeX); err != nil {
 		return 0, err

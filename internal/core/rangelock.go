@@ -1,7 +1,6 @@
 package core
 
 import (
-	"repro/internal/btree"
 	"repro/internal/id"
 	"repro/internal/lock"
 	"repro/internal/txn"
@@ -69,46 +68,38 @@ func (db *DB) ceilingGap(tree id.Tree, hi []byte) lock.Resource {
 //     gap and on the range's end-anchor gap (phantom protection), acquired
 //     to a fixpoint so inserts racing the lock acquisition are caught.
 func (db *DB) scanForLevel(tx *Tx, tree id.Tree, lo, hi []byte, fn func(key, val []byte) (bool, error)) error {
-	if tx.t.Isolation == txn.Snapshot {
-		return db.snapshotScan(tx, tree, lo, hi, fn)
+	ts, self := tx.readAt()
+	if ts != latest {
+		return db.scanRows(tree, lo, hi, ts, self, fn)
 	}
 	if tx.t.Isolation == txn.Serializable {
-		return db.serializableScan(tx, tree, lo, hi, fn)
-	}
-	// Snapshot the candidate keys latch-only, then lock and re-read each
-	// (locking while holding the tree latch could deadlock with commits).
-	for _, key := range db.snapshotKeys(tree, lo, hi) {
-		if tx.t.Isolation == txn.ReadCommitted {
-			if err := db.momentaryS(tx.t, tree, key); err != nil {
-				return err
-			}
-		} else {
-			if err := db.lockKey(tx.t, tree, key, lock.ModeS); err != nil {
-				return err
-			}
-		}
-		val, ghost, ok := db.tree(tree).Get(key)
-		if !ok || ghost {
-			continue // vanished between snapshot and lock
-		}
-		more, err := fn(key, val)
-		if err != nil {
+		// Once the range is locked to a fixpoint the result set is stable:
+		// emit it without further locking.
+		if err := db.lockRange(tx, tree, lo, hi); err != nil {
 			return err
 		}
-		if !more {
-			return nil
-		}
+		return db.scanRows(tree, lo, hi, latest, id.None, fn)
 	}
-	return nil
+	// Stream the candidate keys latch-only, locking and re-reading each
+	// outside the tree latch (locking under it could deadlock with commits).
+	return db.scanRows(tree, lo, hi, latest, id.None, func(key, _ []byte) (bool, error) {
+		if err := db.readLock(tx, tree, key); err != nil {
+			return false, err
+		}
+		val, ghost, ok, err := db.readRow(tree, key, latest, id.None)
+		if err != nil || !ok || ghost {
+			return true, err // vanished between the scan and the lock
+		}
+		return fn(key, val)
+	})
 }
 
-// serializableScan locks the range to a fixpoint before emitting rows: each
-// pass locks the rows and gaps it sees plus the end anchor; a committed
-// insert that raced an earlier pass shows up in the next pass and gets
-// locked too. Once a pass finds nothing new, every gap in [lo, hi) is
-// covered, deleters are blocked by the row S locks, and the result set is
-// stable.
-func (db *DB) serializableScan(tx *Tx, tree id.Tree, lo, hi []byte, fn func(key, val []byte) (bool, error)) error {
+// lockRange locks [lo, hi) to a fixpoint: each pass locks the rows and gaps
+// it sees plus the end anchor; a committed insert that raced an earlier pass
+// shows up in the next pass and gets locked too. Once a pass finds nothing
+// new, every gap in the range is covered and deleters are blocked by the row
+// S locks.
+func (db *DB) lockRange(tx *Tx, tree id.Tree, lo, hi []byte) error {
 	const maxPasses = 64
 	locked := map[string]bool{}
 	for pass := 0; ; pass++ {
@@ -116,18 +107,22 @@ func (db *DB) serializableScan(tx *Tx, tree id.Tree, lo, hi []byte, fn func(key,
 			return lock.ErrTimeout // the range would not stabilize
 		}
 		fresh := 0
-		for _, key := range db.snapshotKeys(tree, lo, hi) {
+		err := db.scanRows(tree, lo, hi, latest, id.None, func(key, _ []byte) (bool, error) {
 			if locked[string(key)] {
-				continue
+				return true, nil
 			}
 			fresh++
 			if err := db.lockKey(tx.t, tree, key, lock.ModeS); err != nil {
-				return err
+				return false, err
 			}
 			if err := db.lockRes(tx.t, gapResource(tree, key), lock.ModeS); err != nil {
-				return err
+				return false, err
 			}
 			locked[string(key)] = true
+			return true, nil
+		})
+		if err != nil {
+			return err
 		}
 		// (Re-)acquire the end anchor; it may have moved closer after an
 		// insert landed ahead of it, and holding the superseded anchor's
@@ -136,31 +131,7 @@ func (db *DB) serializableScan(tx *Tx, tree id.Tree, lo, hi []byte, fn func(key,
 			return err
 		}
 		if pass > 0 && fresh == 0 {
-			break
-		}
-	}
-	for _, key := range db.snapshotKeys(tree, lo, hi) {
-		val, ghost, ok := db.tree(tree).Get(key)
-		if !ok || ghost {
-			continue
-		}
-		more, err := fn(key, val)
-		if err != nil {
-			return err
-		}
-		if !more {
 			return nil
 		}
 	}
-	return nil
-}
-
-// snapshotKeys collects the live keys of [lo, hi) under the tree latch only.
-func (db *DB) snapshotKeys(tree id.Tree, lo, hi []byte) [][]byte {
-	var keys [][]byte
-	db.tree(tree).Scan(lo, hi, false, func(it btree.Item) bool {
-		keys = append(keys, append([]byte(nil), it.Key...))
-		return true
-	})
-	return keys
 }

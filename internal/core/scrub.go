@@ -81,8 +81,8 @@ func (e scrubEngine) Applied(tree id.Tree) (uint64, uint64) {
 }
 
 // Have implements scrub.Engine: scan the view's stored rows from lo at ts
-// via the snapshot merge (ghosts skipped, exactly like the recompute omits
-// empty groups), returning at most max entries and the resume key.
+// (ghosts skipped, exactly like the recompute omits empty groups), returning
+// at most max entries and the resume key.
 func (e scrubEngine) Have(tree id.Tree, lo []byte, ts uint64, max int) ([]verify.Entry, []byte, error) {
 	db := e.db
 	if db.closed.Load() {
@@ -92,7 +92,7 @@ func (e scrubEngine) Have(tree id.Tree, lo []byte, ts uint64, max int) ([]verify
 	defer db.gate.RUnlock()
 	var entries []verify.Entry
 	var next []byte
-	err := db.snapshotScanAt(tree, lo, nil, ts, id.Txn(0), func(key, val []byte) (bool, error) {
+	err := db.scanRows(tree, lo, nil, ts, id.None, func(key, val []byte) (bool, error) {
 		if max > 0 && len(entries) == max {
 			next = append([]byte(nil), key...)
 			return false, nil
@@ -125,19 +125,9 @@ func (e scrubEngine) Want(tree id.Tree, ts uint64) ([]verify.Entry, int, error) 
 	if v == nil || m == nil {
 		return nil, 0, fmt.Errorf("core: scrub of unknown view %s", tree)
 	}
-	leftRows, err := db.relationRowsAt(cat, v.Left, ts)
+	leftRows, rightRows, err := db.viewSourceRows(cat, v, ts)
 	if err != nil {
 		return nil, 0, err
-	}
-	var rightRows []record.Row
-	if v.Join() {
-		right, err := cat.Table(v.Right)
-		if err != nil {
-			return nil, 0, err
-		}
-		if rightRows, err = db.tableRowsAt(right, ts); err != nil {
-			return nil, 0, err
-		}
 	}
 	want, err := m.Recompute(leftRows, rightRows)
 	if err != nil {
@@ -148,8 +138,10 @@ func (e scrubEngine) Want(tree id.Tree, ts uint64) ([]verify.Entry, int, error) 
 
 // Report implements scrub.Engine: a confirmed divergence becomes
 // EventScrubDivergence trace events naming (view, group, expected, actual)
-// and an immediate flight-record dump. The watchdog's scrub-divergence
-// signature fires off the counter delta on its next poll.
+// — plus what the lock-based path reads for the group right now, so a
+// divergence confined to the snapshot path says so — and an immediate
+// flight-record dump. The watchdog's scrub-divergence signature fires off
+// the counter delta on its next poll.
 func (e scrubEngine) Report(d scrub.Divergence) {
 	db := e.db
 	for i, diff := range d.Diffs {
@@ -157,11 +149,12 @@ func (e scrubEngine) Report(d scrub.Divergence) {
 			break // a wholly corrupt view logs a bounded sample
 		}
 		if db.tracer != nil {
+			val, ghost, ok, _ := db.readRow(d.View.Tree, diff.Key, latest, id.None)
 			db.tracer.TraceEvent(metrics.Event{
 				Type:     metrics.EventScrubDivergence,
 				Resource: d.View.Name,
 				Phase:    decodeHotKey(string(diff.Key)),
-				Outcome:  diff.Detail(),
+				Outcome:  diff.Detail() + ", lock path " + describeImage(val, ok && !ghost),
 				Rows:     len(d.Diffs),
 			})
 		}
@@ -183,77 +176,43 @@ func viewByTree(cat *catalog.Catalog, tree id.Tree) *catalog.View {
 	return nil
 }
 
-// relationRowsAt is relationRows at a snapshot timestamp: every row of a
-// view's source relation as of ts, in the form maintenance sees it (stored
-// rows for a base table, output rows for a source view), read lock-free
-// through the version store.
-func (db *DB) relationRowsAt(cat *catalog.Catalog, name string, ts uint64) ([]record.Row, error) {
-	if v, err := cat.View(name); err == nil {
-		m := db.reg.Maintainer(v.ID)
-		if m == nil {
-			return nil, fmt.Errorf("core: view %q has no compiled maintainer", name)
-		}
-		var rows []record.Row
-		err := db.snapshotScanAt(v.ID, nil, nil, ts, id.Txn(0), func(key, val []byte) (bool, error) {
-			stored, err := record.DecodeRow(val)
-			if err != nil {
-				return false, err
-			}
-			out, err := m.OutputRow(key, stored)
-			if err != nil {
-				return false, err
-			}
-			rows = append(rows, out)
-			return true, nil
-		})
-		return rows, err
-	}
-	tbl, err := cat.Table(name)
-	if err != nil {
-		return nil, err
-	}
-	return db.tableRowsAt(tbl, ts)
-}
-
-// tableRowsAt snapshots every live row of a table as of ts.
-func (db *DB) tableRowsAt(tbl *catalog.Table, ts uint64) ([]record.Row, error) {
-	var rows []record.Row
-	err := db.snapshotScanAt(tbl.ID, nil, nil, ts, id.Txn(0), func(_, val []byte) (bool, error) {
-		row, err := record.DecodeRow(val)
-		if err != nil {
-			return false, err
-		}
-		rows = append(rows, row)
-		return true, nil
-	})
-	return rows, err
-}
-
 // ScrubNow runs one full verification pass over every view on the caller's
-// goroutine, unpaced: the on-demand sweep behind vtxnshell scrub full and
-// the smoke harnesses. It works whether or not the background scrubber is
-// enabled, and concurrently with it. Returns the number of divergences
-// found (each already traced, counted, and flight-dumped).
+// goroutine, unpaced, followed by the read-path oracle (CheckReadPaths): the
+// on-demand sweep behind vtxnshell scrub full and the smoke harnesses. It
+// works whether or not the background scrubber is enabled, and concurrently
+// with it. Returns the number of view divergences found (each already
+// traced, counted, and flight-dumped); a read-path disagreement is an error.
 func (db *DB) ScrubNow(ctx context.Context) (int64, error) {
 	if db.closed.Load() {
 		return 0, ErrClosed
 	}
-	return db.scrub.FullPass(ctx)
+	diverged, err := db.scrub.FullPass(ctx)
+	if err == nil {
+		err = db.CheckReadPaths(ctx)
+	}
+	return diverged, err
+}
+
+// describeImage renders what one read path returned for a row.
+func describeImage(val []byte, visible bool) string {
+	if !visible {
+		return "missing"
+	}
+	if row, err := record.DecodeRow(val); err == nil {
+		return fmt.Sprint(row)
+	}
+	return fmt.Sprintf("%x", val)
 }
 
 // CorruptViewRow deliberately perturbs one stored view row in place,
-// bypassing the WAL, locks, and version store — the fault-injection hook
-// behind cmd/scrubsmoke's detection direction and nothing else. keyRow is the
-// group key (projection views: the source PK columns), exactly as
-// Tx.GetViewRow takes it. The write is invisible to recovery (it is exactly
-// the silent corruption the scrubber exists to catch). The row's version
-// chain, if any, is evicted alongside — snapshot readers resolve tracked
-// rows through the version store, and a retained clean copy there would mask
-// the damaged stored bytes until the chain pruned (which a deferred view's
-// just-folded group never does while quiescent: the prune horizon waits on
-// the view watermarks trailing the fold). Callers should quiesce writers
-// first; with a write in flight on the row the eviction is refused and the
-// call errors. Testing only.
+// bypassing the WAL, locks, and versioning — the fault-injection hook behind
+// cmd/scrubsmoke's detection direction and nothing else. keyRow is the group
+// key (projection views: the source PK columns), exactly as Tx.GetViewRow
+// takes it. The write is invisible to recovery (it is exactly the silent
+// corruption the scrubber exists to catch). The entry's version chain goes
+// in the same tree operation: a retained clean history would mask the damaged
+// bytes from snapshot readers until it pruned. Callers should quiesce writers
+// first; with a write in flight on the row the call errors. Testing only.
 func (db *DB) CorruptViewRow(viewName string, keyRow record.Row) error {
 	if db.closed.Load() {
 		return ErrClosed
@@ -284,9 +243,8 @@ func (db *DB) CorruptViewRow(viewName string, keyRow record.Row) error {
 		col = m.AggOffset(0)
 	}
 	row[col] = perturb(row[col])
-	tree.Put(key, record.EncodeRow(row), false)
-	if !db.mvcc.Evict(v.ID, key) {
-		return fmt.Errorf("core: corrupt %q key %x: version chain has writes in flight", viewName, key)
+	if !tree.Reset(key, record.EncodeRow(row)) {
+		return fmt.Errorf("core: corrupt %q key %x: row has writes in flight", viewName, key)
 	}
 	return nil
 }

@@ -261,9 +261,7 @@ func (tx *Tx) RollbackTo(sp Savepoint) error {
 		if _, err := db.log.Append(clr); err != nil {
 			return err
 		}
-		if isRowOp(op.Type) {
-			db.mvcc.Unpin(op.Tree, op.Key, op)
-		}
+		unpin(op)
 	}
 	db.ledger.RollbackTo(tx.t.ID, sp.ledger)
 	return nil
@@ -462,22 +460,11 @@ func (db *DB) foldRow(t *txn.Txn, row escrow.RowID, deltas []wal.ColDelta, creat
 	if err != nil {
 		return foldResult{}, err
 	}
-	// Pin the fold's delta version before the tree changes; the pre-image is
-	// already in hand, so chain seeding costs no extra read. A row this fold
-	// creates (a stacked view's group) seeds its chain with an empty ghost
-	// group rather than an absent base: a delta version cannot resurrect an
-	// absent row, but it can fold an empty ghost into a visible group —
-	// readers below the fold's timestamp still see nothing (ghost), readers
-	// at or above it see the folded row.
-	db.mvcc.Pin(row.Tree, key, rec, t.ID, func() ([]byte, bool, bool) {
-		if !ok {
-			return record.EncodeRow(old), true, true
-		}
-		return cur, oldGhost, ok
-	})
+	// Pin the fold's delta version before the tree changes.
+	db.pin(tree, t, rec)
 	tree.Put(key, record.EncodeRow(next), empty)
 	if err := t.RecordOp(rec); err != nil {
-		db.mvcc.Unpin(row.Tree, key, rec)
+		unpin(rec)
 		return foldResult{}, err
 	}
 	db.folds.Add(1)

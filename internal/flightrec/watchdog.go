@@ -208,7 +208,15 @@ func (w *Watchdog) evaluate(prev, cur metrics.Snapshot) []detection {
 			// Name the culprit: the hot-group sketch says which (view, group
 			// key) gained the most wait this interval, turning "a stripe is
 			// hot" into an actionable key.
-			if g, ok := hottestWaitGroup(prev.Hotspots.TopWait, cur.Hotspots.TopWait); ok {
+			g, ok := hottestWaitGroup(prev.Hotspots.TopWait, cur.Hotspots.TopWait)
+			if !ok && len(cur.Hotspots.TopWait) > 0 {
+				// A snapshot reads the shard counters and the sketch a moment
+				// apart: a wait resolving in between shows in this interval's
+				// shard delta but in the previous interval's sketch. Name the
+				// group that tops the listing instead of nobody.
+				g, ok = cur.Hotspots.TopWait[0], true
+			}
+			if ok {
 				detail += fmt.Sprintf("; hottest group %s[%s] +%s wait",
 					g.View, g.Key, time.Duration(g.Value).Round(time.Millisecond))
 			}

@@ -16,8 +16,7 @@ import (
 )
 
 // Histogram is a concurrent log-bucketed latency histogram covering 100ns to
-// ~100s with ~4% resolution. It was promoted out of the bench-only
-// internal/stats package so engine subsystems can record latencies directly.
+// ~100s with ~4% resolution, shared by the engine and the bench harness.
 type Histogram struct {
 	buckets [bucketCount]atomic.Int64
 	count   atomic.Int64

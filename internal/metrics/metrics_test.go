@@ -10,6 +10,9 @@ import (
 // TestHistogramBasics checks counts, percentile monotonicity, and snapshots.
 func TestHistogramBasics(t *testing.T) {
 	var h Histogram
+	if h.Count() != 0 || h.Mean() != 0 || h.Percentile(0.5) != 0 {
+		t.Fatal("empty histogram not zero")
+	}
 	for i := 1; i <= 1000; i++ {
 		h.Observe(time.Duration(i) * time.Microsecond)
 	}
@@ -26,6 +29,32 @@ func TestHistogramBasics(t *testing.T) {
 	s := h.Snap()
 	if s.Count != 1000 || s.MaxNs != h.Max().Nanoseconds() || s.MeanNs <= 0 {
 		t.Fatalf("snapshot mismatch: %+v", s)
+	}
+	if mean := h.Mean(); mean < 450*time.Microsecond || mean > 560*time.Microsecond {
+		t.Fatalf("mean = %v", mean)
+	}
+	prev := time.Duration(0)
+	for _, q := range []float64{0, 0.25, 0.5, 0.75, 0.9, 0.99, 1.0} {
+		v := h.Percentile(q)
+		if v < prev {
+			t.Fatalf("percentiles not monotonic at %v", q)
+		}
+		prev = v
+	}
+}
+
+// TestHistogramResolution: log buckets keep ~5% resolution, and extremes
+// clamp without panicking.
+func TestHistogramResolution(t *testing.T) {
+	var h Histogram
+	h.Observe(10 * time.Microsecond)
+	if got := h.Percentile(0.5); got < 9*time.Microsecond || got > 11*time.Microsecond {
+		t.Fatalf("10µs recorded as %v", got)
+	}
+	h.Observe(1)
+	h.Observe(10 * time.Minute)
+	if h.Count() != 3 {
+		t.Fatal("count")
 	}
 }
 

@@ -63,7 +63,8 @@ const (
 	// EventScrubDivergence fires when the online consistency scrubber finds a
 	// view row disagreeing with its recompute; Resource is the view name,
 	// Phase the diverging group key (human-readable), Outcome the
-	// expected-vs-actual detail, and Rows the divergences in the slice.
+	// expected-vs-actual detail followed by what the lock-based read path
+	// returns for the group, and Rows the divergences in the slice.
 	EventScrubDivergence
 )
 

@@ -1,33 +1,28 @@
-// Package mvcc implements the sidecar version store behind snapshot reads
-// (DESIGN.md §8): short per-row version chains keyed by (tree, key), holding
-// the committed pre-image the chain was seeded with, stamped committed
-// versions ordered by commit timestamp, and the pending (uncommitted)
-// post-images of in-flight writers. Snapshot readers resolve a row at a read
-// timestamp by pure timestamp comparison — no lock-manager traffic — while
-// writers pin a pending entry per logged operation and stamp it at commit.
+// Package mvcc implements the version chain behind snapshot reads (DESIGN.md
+// §8). A chain hangs off the B-tree leaf entry of a row mutated since the
+// last prune (internal/btree owns the slot): the committed image the chain
+// was seeded with, stamped committed versions ordered by commit timestamp,
+// and the pending (uncommitted) post-images of in-flight writers. Snapshot
+// readers resolve a row at a read timestamp by pure timestamp comparison —
+// no lock-manager traffic — while writers pin a pending entry per logged
+// operation and stamp it at commit.
 //
-// Chains exist only for rows mutated since the last prune: a row with no
-// chain is fully committed at or below every live reader's timestamp, so the
-// btree value stands. The pruner folds versions at or below the snapshot
-// horizon into the chain base and drops chains that become quiescent, keeping
-// the store's footprint proportional to the active write set.
+// An entry with no chain is fully committed at or below every live reader's
+// timestamp, so its inline value stands. The pruner walks the work list of
+// live chains, folds versions at or below the snapshot horizon into each
+// chain's base, and has the tree drop chains that become quiescent.
 package mvcc
 
 import (
-	"bytes"
 	"errors"
 	"sort"
 	"sync"
 
 	"repro/internal/id"
-	"repro/internal/metrics"
 	"repro/internal/wal"
 )
 
 var errNoFolder = errors.New("mvcc: no delta folder supplied")
-
-// storeShards stripes the chain map; must be a power of two.
-const storeShards = 32
 
 // Version is one committed state of a row. Either a full post-image
 // (Val/Ghost, or Absent for a delete) or an escrow delta set: concurrent
@@ -52,340 +47,196 @@ type pending struct {
 	ver Version // TS zero until stamped
 }
 
-type chain struct {
+// Chain is one row's version history since the chain was created.
+type Chain struct {
 	mu       sync.Mutex
-	base     Version // committed state when the chain was seeded (TS 0)
+	base     Version // committed image when the chain was created (TS 0)
 	versions []Version
 	pend     []pending
 }
 
-type chainKey struct {
-	tree id.Tree
-	key  string
-}
-
-type shard struct {
-	mu     sync.RWMutex
-	chains map[chainKey]*chain
-}
-
-// Store is the engine-wide version store.
-type Store struct {
-	shards [storeShards]shard
-	m      *metrics.MVCCMetrics // nil-safe
-}
-
-// NewStore returns an empty store reporting into m (which may be nil).
-func NewStore(m *metrics.MVCCMetrics) *Store {
-	s := &Store{m: m}
-	for i := range s.shards {
-		s.shards[i].chains = make(map[chainKey]*chain)
+// NewChain returns a chain whose base is the given committed image (ok=false:
+// the row does not exist). val is copied.
+func NewChain(val []byte, ghost, ok bool) *Chain {
+	if !ok {
+		return &Chain{base: Version{Full: true, Absent: true}}
 	}
-	return s
+	return &Chain{base: Version{Full: true, Val: append([]byte(nil), val...), Ghost: ghost}}
 }
 
-func (s *Store) shard(k chainKey) *shard {
-	h := uint32(k.tree) * 2654435761
-	for i := 0; i < len(k.key); i++ {
-		h = h*31 + uint32(k.key[i])
-	}
-	return &s.shards[h&(storeShards-1)]
-}
-
-// Pin records one in-flight operation against (tree, key). rec identifies the
-// operation for Stamp/Unpin; pre supplies the row's committed pre-image
-// (value, ghost bit, existence) and is called only when the pin seeds a new
-// chain. Pin must be called before the operation mutates the btree, while the
-// caller's write lock (or the structure latch, for escrow folds) still
-// serializes the row.
-func (s *Store) Pin(tree id.Tree, key []byte, rec *wal.Record, txn id.Txn, pre func() (val []byte, ghost, ok bool)) {
-	ck := chainKey{tree: tree, key: string(key)}
-	sh := s.shard(ck)
-	sh.mu.Lock()
-	ch := sh.chains[ck]
-	if ch == nil {
-		ch = &chain{}
-		val, ghost, ok := pre()
-		if ok {
-			ch.base = Version{Full: true, Val: append([]byte(nil), val...), Ghost: ghost}
-		} else {
-			ch.base = Version{Full: true, Absent: true}
-		}
-		sh.chains[ck] = ch
-		if s.m != nil {
-			s.m.Chains.Add(1)
-		}
-	}
-	ch.mu.Lock()
-	sh.mu.Unlock()
-	ch.pend = append(ch.pend, pending{rec: rec, txn: txn, ver: pendingVersion(rec)})
-	if s.m != nil {
-		s.m.ObserveChainLen(1 + len(ch.versions) + len(ch.pend))
-	}
-	ch.mu.Unlock()
+// Pin records one in-flight operation; rec identifies it for Stamp/Unpin.
+// The tree calls it under its latch, before the operation mutates the entry.
+func (c *Chain) Pin(rec *wal.Record, txn id.Txn) {
+	c.mu.Lock()
+	c.pend = append(c.pend, pending{rec: rec, txn: txn, ver: pendingVersion(rec)})
+	c.mu.Unlock()
 }
 
 // pendingVersion computes the provisional version an operation will commit:
-// the post-image for row operations, the delta set for escrow folds. For
-// TSetGhost the record carries no value — the row value is unchanged by the
-// operation, so the caller-supplied record's OldVal (filled by the engine
-// before pinning) provides it.
+// the post-image for row operations, the delta set for escrow folds.
 func pendingVersion(rec *wal.Record) Version {
 	switch rec.Type {
-	case wal.TInsert:
-		return Version{Full: true, Val: rec.NewVal, Ghost: rec.NewGhost}
-	case wal.TUpdate:
-		return Version{Full: true, Val: rec.NewVal}
 	case wal.TDelete:
 		return Version{Full: true, Absent: true}
-	case wal.TSetGhost:
-		return Version{Full: true, Val: rec.OldVal, Ghost: rec.NewGhost}
 	case wal.TEscrowFold:
 		return Version{Deltas: rec.Deltas}
 	default:
-		// Unknown row mutation: treat as a full rewrite to the record's new
-		// value so readers never see a half-tracked row.
 		return Version{Full: true, Val: rec.NewVal, Ghost: rec.NewGhost}
 	}
 }
 
-// Stamp promotes rec's pending entry to a committed version at ts. Commit
-// calls it once per logged operation, after the commit record is durable and
-// before the commit timestamp is finished at the oracle.
-func (s *Store) Stamp(tree id.Tree, key []byte, rec *wal.Record, ts uint64) {
-	ck := chainKey{tree: tree, key: string(key)}
-	sh := s.shard(ck)
-	sh.mu.RLock()
-	ch := sh.chains[ck]
-	sh.mu.RUnlock()
-	if ch == nil {
-		return
-	}
-	ch.mu.Lock()
-	for i := range ch.pend {
-		if ch.pend[i].rec == rec {
-			v := ch.pend[i].ver
-			v.TS = ts
-			ch.pend = append(ch.pend[:i], ch.pend[i+1:]...)
-			ch.versions = append(ch.versions, v)
-			if s.m != nil {
-				s.m.VersionsStamped.Add(1)
-				s.m.ObserveChainLen(1 + len(ch.versions) + len(ch.pend))
-			}
-			break
+// take removes and returns rec's pending entry.
+func (c *Chain) take(rec *wal.Record) (Version, bool) {
+	for i := range c.pend {
+		if c.pend[i].rec == rec {
+			v := c.pend[i].ver
+			c.pend = append(c.pend[:i], c.pend[i+1:]...)
+			return v, true
 		}
 	}
-	ch.mu.Unlock()
+	return Version{}, false
+}
+
+// Stamp promotes rec's pending entry to a committed version at ts and returns
+// the chain's length (base + versions + pending) afterwards. Commit calls it
+// once per pinned operation, after the commit record is durable and before
+// the commit timestamp is finished at the oracle.
+func (c *Chain) Stamp(rec *wal.Record, ts uint64) int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if v, ok := c.take(rec); ok {
+		v.TS = ts
+		c.versions = append(c.versions, v)
+	}
+	return 1 + len(c.versions) + len(c.pend)
 }
 
 // Unpin discards rec's pending entry (rollback of an unstamped operation).
-func (s *Store) Unpin(tree id.Tree, key []byte, rec *wal.Record) {
-	ck := chainKey{tree: tree, key: string(key)}
-	sh := s.shard(ck)
-	sh.mu.RLock()
-	ch := sh.chains[ck]
-	sh.mu.RUnlock()
-	if ch == nil {
-		return
-	}
-	ch.mu.Lock()
-	for i := range ch.pend {
-		if ch.pend[i].rec == rec {
-			ch.pend = append(ch.pend[:i], ch.pend[i+1:]...)
-			break
-		}
-	}
-	ch.mu.Unlock()
+func (c *Chain) Unpin(rec *wal.Record) {
+	c.mu.Lock()
+	c.take(rec)
+	c.mu.Unlock()
 }
 
 // Resolved is the outcome of resolving a row at a read timestamp.
 type Resolved struct {
-	// Present is false when the row does not exist at the timestamp.
+	// Present is false when the newest full image at the timestamp is a
+	// delete (or the row never existed). Deltas may still follow it: they
+	// fold over an empty group row.
 	Present bool
-	// Ghost is the row's ghost bit at the timestamp.
+	// Ghost is the image's ghost bit.
 	Ghost bool
-	// Val is the newest full image at or below the timestamp. The slice
-	// aliases chain-owned memory only for stamped versions, which are
-	// immutable once appended; callers must not modify it.
+	// Val is the newest full image at or below the timestamp, nil when not
+	// Present. The slice aliases chain-owned memory only for stamped
+	// versions, which are immutable once appended; callers must not modify
+	// it.
 	Val []byte
 	// Deltas are the escrow deltas committed after the full image and at or
 	// below the timestamp; the caller folds them into Val's decoded form.
 	Deltas []wal.ColDelta
 }
 
-// Read resolves (tree, key) at ts. tracked=false means no chain covers the
-// row and the btree value stands (it is committed at or below every live
-// read timestamp). self, when nonzero, overlays that transaction's own
-// pending row operations so a snapshot transaction reads its own writes.
-func (s *Store) Read(tree id.Tree, key []byte, ts uint64, self id.Txn) (Resolved, bool) {
-	ck := chainKey{tree: tree, key: string(key)}
-	sh := s.shard(ck)
-	sh.mu.RLock()
-	ch := sh.chains[ck]
-	sh.mu.RUnlock()
-	if ch == nil {
-		return Resolved{}, false
-	}
-	ch.mu.Lock()
-	defer ch.mu.Unlock()
+func resolved(v *Version) Resolved {
+	return Resolved{Present: !v.Absent, Ghost: v.Ghost, Val: v.Val}
+}
 
-	res := Resolved{Present: !ch.base.Absent, Ghost: ch.base.Ghost, Val: ch.base.Val}
+// Resolve returns the row's state at ts. self, when nonzero, overlays that
+// transaction's own pending operations so a snapshot transaction reads its
+// own writes.
+func (c *Chain) Resolve(ts uint64, self id.Txn) Resolved {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	res := resolved(&c.base)
 	var fullTS uint64
-	for i := range ch.versions {
-		v := &ch.versions[i]
+	for i := range c.versions {
+		v := &c.versions[i]
 		if v.Full && v.TS <= ts && v.TS >= fullTS {
-			res = Resolved{Present: !v.Absent, Ghost: v.Ghost, Val: v.Val}
+			res = resolved(v)
 			fullTS = v.TS
 		}
 	}
-	for i := range ch.versions {
-		v := &ch.versions[i]
-		if !v.Full && v.TS <= ts && v.TS > fullTS {
-			res.Deltas = append(res.Deltas, v.Deltas...)
+	// A hot group's chain carries tens of delta versions per prune interval:
+	// size the overlay once instead of growing it version by version.
+	n := 0
+	for i := range c.versions {
+		if v := &c.versions[i]; !v.Full && v.TS <= ts && v.TS > fullTS {
+			n += len(v.Deltas)
+		}
+	}
+	if n > 0 {
+		res.Deltas = make([]wal.ColDelta, 0, n)
+		for i := range c.versions {
+			if v := &c.versions[i]; !v.Full && v.TS <= ts && v.TS > fullTS {
+				res.Deltas = append(res.Deltas, v.Deltas...)
+			}
 		}
 	}
 	if self != id.None {
-		for i := range ch.pend {
-			p := &ch.pend[i]
+		for i := range c.pend {
+			p := &c.pend[i]
 			if p.txn != self {
 				continue
 			}
 			if p.ver.Full {
-				res = Resolved{Present: !p.ver.Absent, Ghost: p.ver.Ghost, Val: p.ver.Val}
+				res = resolved(&p.ver)
 			} else {
 				res.Deltas = append(res.Deltas, p.ver.Deltas...)
 			}
 		}
 	}
-	return res, true
+	return res
 }
 
-// TrackedKeys returns the keys in [lo, hi) (hi nil = unbounded) that have a
-// chain on tree, sorted. Snapshot scans merge them with the btree's keys so
-// rows deleted from the tree but alive at the read timestamp still appear.
-func (s *Store) TrackedKeys(tree id.Tree, lo, hi []byte) [][]byte {
-	var out [][]byte
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.RLock()
-		for ck := range sh.chains {
-			if ck.tree != tree {
-				continue
-			}
-			k := []byte(ck.key)
-			if lo != nil && bytes.Compare(k, lo) < 0 {
-				continue
-			}
-			if hi != nil && bytes.Compare(k, hi) >= 0 {
-				continue
-			}
-			out = append(out, k)
+// Pinned reports whether any operation is in flight on the row.
+func (c *Chain) Pinned() bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.pend) > 0
+}
+
+// Quiescent reports whether the chain holds nothing but its base, which then
+// equals the entry's inline image: the tree may drop the chain.
+func (c *Chain) Quiescent() bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.versions) == 0 && len(c.pend) == 0
+}
+
+// Settled reports whether the chain's state at ts is final and current:
+// nothing in flight and nothing committed after ts. The entry's inline image
+// must then equal Resolve(ts) — the read-path oracle's premise.
+func (c *Chain) Settled(ts uint64) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for i := range c.versions {
+		if c.versions[i].TS > ts {
+			return false
 		}
-		sh.mu.RUnlock()
 	}
-	sort.Slice(out, func(i, j int) bool { return bytes.Compare(out[i], out[j]) < 0 })
-	return out
+	return len(c.pend) == 0
 }
 
-// Evict drops (tree, key)'s version chain outright, making the btree's
-// stored bytes the only source of truth at every timestamp. It refuses when
-// the chain has pending (in-flight) entries and reports whether the key is
-// now untracked. Fault injection only: committed history normally leaves the
-// store through Prune, never through Evict.
-func (s *Store) Evict(tree id.Tree, key []byte) bool {
-	ck := chainKey{tree: tree, key: string(key)}
-	sh := s.shard(ck)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	ch := sh.chains[ck]
-	if ch == nil {
-		return true
-	}
-	ch.mu.Lock()
-	busy := len(ch.pend) > 0
-	ch.mu.Unlock()
-	if busy {
-		return false
-	}
-	delete(sh.chains, ck)
-	if s.m != nil {
-		s.m.Chains.Add(-1)
-	}
-	return true
-}
-
-// FoldFunc folds escrow deltas into an encoded view row, returning the new
-// encoding and its group-empty (ghost) bit. The engine supplies it so the
-// store stays ignorant of row encodings and view metadata.
+// FoldFunc folds escrow deltas into an encoded view row of tree, returning
+// the new encoding and its group-empty (ghost) bit. A nil val stands for an
+// absent row: the deltas fold over an empty group. The engine supplies it so
+// chains stay ignorant of row encodings and view metadata.
 type FoldFunc func(tree id.Tree, val []byte, deltas []wal.ColDelta) (newVal []byte, ghost bool, err error)
 
-// Prune folds every version at or below horizon into its chain's base and
-// drops chains left with no versions and no pending entries. It returns the
-// number of versions pruned. Safe concurrently with Pin/Stamp/Read: a chain
-// is dropped only while its shard's map lock is held, and only when
-// quiescent, in which case the btree value equals the base.
-func (s *Store) Prune(horizon uint64, fold FoldFunc) int {
-	pruned := 0
-	for i := range s.shards {
-		pruned += s.pruneShard(i, horizon, fold)
-	}
-	if s.m != nil {
-		s.m.PrunePasses.Add(1)
-		s.m.VersionsPruned.Add(int64(pruned))
-	}
-	return pruned
+// Dirty is one live chain and the entry it hangs off: the pruner's unit of
+// work.
+type Dirty struct {
+	Tree  id.Tree
+	Key   []byte
+	Chain *Chain
 }
 
-// NumShards returns the store's shard count, for callers spreading
-// incremental prune steps across ticks.
-func (s *Store) NumShards() int { return storeShards }
-
-// PruneShard prunes a single shard (i taken modulo the shard count) up to
-// horizon. The background pruner calls it once per tick so prune work spreads
-// evenly over time instead of landing as one stop-the-world-sized spike: a
-// full pass over every chain folds hundreds of versions and forces the hot
-// write set to rebuild its chains all at once, which shows up as a throughput
-// and allocs/op sawtooth on small machines. A full rotation through all
-// shards counts as one prune pass in the metrics.
-func (s *Store) PruneShard(i int, horizon uint64, fold FoldFunc) int {
-	idx := i % storeShards
-	pruned := s.pruneShard(idx, horizon, fold)
-	if s.m != nil {
-		if pruned > 0 {
-			s.m.VersionsPruned.Add(int64(pruned))
-		}
-		if idx == storeShards-1 {
-			s.m.PrunePasses.Add(1)
-		}
-	}
-	return pruned
-}
-
-// pruneShard folds and drops chains in one shard; metrics for pruned counts
-// are the caller's job (Chains is adjusted here, where the drop happens).
-func (s *Store) pruneShard(idx int, horizon uint64, fold FoldFunc) int {
-	pruned := 0
-	sh := &s.shards[idx]
-	sh.mu.Lock()
-	for ck, ch := range sh.chains {
-		ch.mu.Lock()
-		pruned += pruneChain(ck.tree, ch, horizon, fold)
-		drop := len(ch.versions) == 0 && len(ch.pend) == 0
-		ch.mu.Unlock()
-		if drop {
-			delete(sh.chains, ck)
-			if s.m != nil {
-				s.m.Chains.Add(-1)
-			}
-		}
-	}
-	sh.mu.Unlock()
-	return pruned
-}
-
-// pruneChain folds versions with TS <= horizon into base, oldest first,
-// returning how many versions it folded away.
-func pruneChain(tree id.Tree, ch *chain, horizon uint64, fold FoldFunc) int {
+// Prune folds every version at or below horizon into the chain's base,
+// oldest first, returning how many versions it folded away. Safe concurrently
+// with Pin/Stamp/Resolve.
+func (d Dirty) Prune(horizon uint64, fold FoldFunc) int {
+	ch := d.Chain
+	ch.mu.Lock()
+	defer ch.mu.Unlock()
 	candidates := 0
 	for _, v := range ch.versions {
 		if v.TS <= horizon {
@@ -429,12 +280,10 @@ func pruneChain(tree id.Tree, ch *chain, horizon uint64, fold FoldFunc) int {
 		var (
 			nv    []byte
 			ghost bool
-			err   error
+			err   = errNoFolder
 		)
-		if fold == nil {
-			err = errNoFolder
-		} else {
-			nv, ghost, err = fold(tree, base.Val, deltas)
+		if fold != nil {
+			nv, ghost, err = fold(d.Tree, base.Val, deltas)
 		}
 		if err != nil {
 			// Folding failed; keep the delta run unpruned, so the base never
@@ -450,14 +299,42 @@ func pruneChain(tree id.Tree, ch *chain, horizon uint64, fold FoldFunc) int {
 	return folded
 }
 
-// Chains returns the number of live chains.
-func (s *Store) Chains() int {
-	n := 0
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.RLock()
-		n += len(sh.chains)
-		sh.mu.RUnlock()
+// WorkList is the pruner's queue of live chains: every chain enters it when
+// the tree creates it and leaves when the tree drops it, so its length is the
+// number of live chains. FIFO, so successive partial passes rotate through
+// every chain.
+type WorkList struct {
+	mu sync.Mutex
+	q  []Dirty
+}
+
+// Add appends chains to the back of the queue.
+func (w *WorkList) Add(ds ...Dirty) {
+	w.mu.Lock()
+	w.q = append(w.q, ds...)
+	w.mu.Unlock()
+}
+
+// Take removes and returns up to n chains from the front (n <= 0: all). The
+// caller owns the returned slice and re-Adds the chains still alive.
+func (w *WorkList) Take(n int) []Dirty {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if n <= 0 || n >= len(w.q) {
+		out := w.q
+		w.q = nil
+		return out
 	}
-	return n
+	// Hand out the front of the array itself, capped so the caller cannot
+	// grow into the queue; the next reallocation of q lets go of it.
+	out := w.q[:n:n]
+	w.q = w.q[n:]
+	return out
+}
+
+// Len returns the number of queued chains.
+func (w *WorkList) Len() int {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return len(w.q)
 }

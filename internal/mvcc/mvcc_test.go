@@ -1,203 +1,202 @@
 package mvcc
 
 import (
-	"bytes"
 	"testing"
 
 	"repro/internal/id"
-	"repro/internal/metrics"
 	"repro/internal/wal"
 )
 
 func tkey(s string) []byte { return []byte(s) }
 
-func preVal(val string) func() ([]byte, bool, bool) {
-	return func() ([]byte, bool, bool) { return []byte(val), false, true }
-}
-
-func preAbsent() func() ([]byte, bool, bool) {
-	return func() ([]byte, bool, bool) { return nil, false, false }
-}
-
-func TestUntrackedRow(t *testing.T) {
-	s := NewStore(nil)
-	if _, tracked := s.Read(1, tkey("a"), 10, id.None); tracked {
-		t.Fatal("read of untracked row reported tracked")
-	}
-}
-
 func TestPendingInvisibleUntilStamped(t *testing.T) {
-	s := NewStore(nil)
+	c := NewChain([]byte("v1"), false, true)
 	rec := &wal.Record{Type: wal.TUpdate, Tree: 1, Key: tkey("a"), NewVal: []byte("v2")}
-	s.Pin(1, tkey("a"), rec, 7, preVal("v1"))
+	c.Pin(rec, 7)
 
-	res, tracked := s.Read(1, tkey("a"), 100, id.None)
-	if !tracked || !res.Present || string(res.Val) != "v1" {
-		t.Fatalf("before stamp: got %+v tracked=%v, want committed v1", res, tracked)
+	res := c.Resolve(100, id.None)
+	if !res.Present || string(res.Val) != "v1" {
+		t.Fatalf("before stamp: got %+v, want committed v1", res)
 	}
 	// The writing transaction itself sees its pending write.
-	res, _ = s.Read(1, tkey("a"), 100, 7)
-	if string(res.Val) != "v2" {
+	if res = c.Resolve(100, 7); string(res.Val) != "v2" {
 		t.Fatalf("self read got %q, want v2", res.Val)
 	}
+	if !c.Pinned() || c.Settled(100) {
+		t.Fatal("chain with a pending entry must be pinned and unsettled")
+	}
 
-	s.Stamp(1, tkey("a"), rec, 5)
-	res, _ = s.Read(1, tkey("a"), 4, id.None)
-	if string(res.Val) != "v1" {
+	if n := c.Stamp(rec, 5); n != 2 {
+		t.Fatalf("chain length after stamp = %d, want 2", n)
+	}
+	if res = c.Resolve(4, id.None); string(res.Val) != "v1" {
 		t.Fatalf("read below commit ts got %q, want v1", res.Val)
 	}
-	res, _ = s.Read(1, tkey("a"), 5, id.None)
-	if string(res.Val) != "v2" {
+	if res = c.Resolve(5, id.None); string(res.Val) != "v2" {
 		t.Fatalf("read at commit ts got %q, want v2", res.Val)
+	}
+	if c.Pinned() || c.Settled(4) || !c.Settled(5) {
+		t.Fatal("stamped chain must settle exactly from its commit timestamp on")
 	}
 }
 
 func TestUnpinDiscardsPending(t *testing.T) {
-	s := NewStore(nil)
+	c := NewChain([]byte("v1"), false, true)
 	rec := &wal.Record{Type: wal.TDelete, Tree: 1, Key: tkey("a")}
-	s.Pin(1, tkey("a"), rec, 7, preVal("v1"))
-	s.Unpin(1, tkey("a"), rec)
-	res, tracked := s.Read(1, tkey("a"), 100, 7)
-	if !tracked || !res.Present || string(res.Val) != "v1" {
-		t.Fatalf("after unpin: got %+v tracked=%v, want committed v1", res, tracked)
+	c.Pin(rec, 7)
+	c.Unpin(rec)
+	res := c.Resolve(100, 7)
+	if !res.Present || string(res.Val) != "v1" {
+		t.Fatalf("after unpin: got %+v, want committed v1", res)
+	}
+	if !c.Quiescent() {
+		t.Fatal("chain with nothing but its base must be quiescent")
 	}
 }
 
 func TestInsertDeleteVisibility(t *testing.T) {
-	s := NewStore(nil)
+	c := NewChain(nil, false, false)
 	ins := &wal.Record{Type: wal.TInsert, Tree: 1, Key: tkey("a"), NewVal: []byte("v1")}
-	s.Pin(1, tkey("a"), ins, 7, preAbsent())
-	s.Stamp(1, tkey("a"), ins, 3)
+	c.Pin(ins, 7)
+	c.Stamp(ins, 3)
 	del := &wal.Record{Type: wal.TDelete, Tree: 1, Key: tkey("a")}
-	s.Pin(1, tkey("a"), del, 8, preVal("v1"))
-	s.Stamp(1, tkey("a"), del, 6)
+	c.Pin(del, 8)
+	c.Stamp(del, 6)
 
 	for _, tc := range []struct {
 		ts      uint64
 		present bool
 	}{{2, false}, {3, true}, {5, true}, {6, false}, {9, false}} {
-		res, tracked := s.Read(1, tkey("a"), tc.ts, id.None)
-		if !tracked {
-			t.Fatalf("ts %d: untracked", tc.ts)
-		}
-		if res.Present != tc.present {
+		if res := c.Resolve(tc.ts, id.None); res.Present != tc.present {
 			t.Fatalf("ts %d: present=%v, want %v", tc.ts, res.Present, tc.present)
 		}
 	}
 }
 
 func TestEscrowDeltasLayerOverFullImage(t *testing.T) {
-	s := NewStore(nil)
+	c := NewChain([]byte("base"), false, true)
 	d1 := &wal.Record{Type: wal.TEscrowFold, Tree: 2, Key: tkey("g"),
 		Deltas: []wal.ColDelta{{Col: 1, Int: 10}}}
 	d2 := &wal.Record{Type: wal.TEscrowFold, Tree: 2, Key: tkey("g"),
 		Deltas: []wal.ColDelta{{Col: 1, Int: 5}}}
-	s.Pin(2, tkey("g"), d1, 7, preVal("base"))
-	s.Pin(2, tkey("g"), d2, 8, preVal("never-called"))
+	c.Pin(d1, 7)
+	c.Pin(d2, 8)
 	// Folds commit out of timestamp order: d2 stamps ts 4, d1 stamps ts 3.
-	s.Stamp(2, tkey("g"), d2, 4)
-	s.Stamp(2, tkey("g"), d1, 3)
+	c.Stamp(d2, 4)
+	c.Stamp(d1, 3)
 
-	res, _ := s.Read(2, tkey("g"), 3, id.None)
+	res := c.Resolve(3, id.None)
 	if string(res.Val) != "base" || len(res.Deltas) != 1 || res.Deltas[0].Int != 10 {
 		t.Fatalf("ts 3: got val=%q deltas=%v, want base + [10]", res.Val, res.Deltas)
 	}
-	res, _ = s.Read(2, tkey("g"), 4, id.None)
-	if len(res.Deltas) != 2 {
+	if res = c.Resolve(4, id.None); len(res.Deltas) != 2 {
 		t.Fatalf("ts 4: got deltas=%v, want both", res.Deltas)
 	}
 }
 
-func TestTrackedKeysRange(t *testing.T) {
-	s := NewStore(nil)
-	for _, k := range []string{"d", "b", "f"} {
-		rec := &wal.Record{Type: wal.TUpdate, Tree: 3, Key: tkey(k), NewVal: []byte("x")}
-		s.Pin(3, tkey(k), rec, 7, preVal("y"))
-	}
-	other := &wal.Record{Type: wal.TUpdate, Tree: 4, Key: tkey("c"), NewVal: []byte("x")}
-	s.Pin(4, tkey("c"), other, 7, preVal("y"))
+// TestDeltaOverAbsentImage: a delta newer than a delete (the erase-then-refold
+// sequence) resolves as "absent plus deltas" — the caller folds them over an
+// empty group — and prunes the same way.
+func TestDeltaOverAbsentImage(t *testing.T) {
+	c := NewChain([]byte("old"), false, true)
+	del := &wal.Record{Type: wal.TDelete, Tree: 2, Key: tkey("g")}
+	refold := &wal.Record{Type: wal.TEscrowFold, Tree: 2, Key: tkey("g"),
+		Deltas: []wal.ColDelta{{Col: 0, Int: 1}}}
+	c.Pin(del, 7)
+	c.Stamp(del, 3)
+	c.Pin(refold, 8)
+	c.Stamp(refold, 5)
 
-	keys := s.TrackedKeys(3, tkey("b"), tkey("f"))
-	if len(keys) != 2 || !bytes.Equal(keys[0], tkey("b")) || !bytes.Equal(keys[1], tkey("d")) {
-		t.Fatalf("TrackedKeys = %q, want [b d]", keys)
+	if res := c.Resolve(4, id.None); res.Present || len(res.Deltas) != 0 {
+		t.Fatalf("between erase and refold: got %+v, want absent", res)
 	}
-	if all := s.TrackedKeys(3, nil, nil); len(all) != 3 {
-		t.Fatalf("unbounded TrackedKeys = %q, want 3 keys", all)
+	res := c.Resolve(5, id.None)
+	if res.Present || len(res.Deltas) != 1 {
+		t.Fatalf("after refold: got %+v, want absent image + the refold's delta", res)
+	}
+	var foldedOver []byte = []byte("unset")
+	d := Dirty{Tree: 2, Key: tkey("g"), Chain: c}
+	d.Prune(10, func(_ id.Tree, val []byte, _ []wal.ColDelta) ([]byte, bool, error) {
+		foldedOver = val
+		return []byte("fresh"), false, nil
+	})
+	if foldedOver != nil {
+		t.Fatalf("prune folded the refold over %q, want a nil (absent) image", foldedOver)
+	}
+	if res = c.Resolve(10, id.None); !res.Present || string(res.Val) != "fresh" {
+		t.Fatalf("after prune: got %+v, want the folded group", res)
 	}
 }
 
-func TestPruneFoldsAndDrops(t *testing.T) {
-	reg := metrics.NewRegistry()
-	s := NewStore(&reg.MVCC)
+func TestPruneFoldsToQuiescence(t *testing.T) {
+	c := NewChain([]byte("v1"), false, true)
+	d := Dirty{Tree: 1, Key: tkey("a"), Chain: c}
 	up := &wal.Record{Type: wal.TUpdate, Tree: 1, Key: tkey("a"), NewVal: []byte("v2")}
-	s.Pin(1, tkey("a"), up, 7, preVal("v1"))
-	s.Stamp(1, tkey("a"), up, 3)
-	d := &wal.Record{Type: wal.TEscrowFold, Tree: 1, Key: tkey("a"),
+	c.Pin(up, 7)
+	c.Stamp(up, 3)
+	fd := &wal.Record{Type: wal.TEscrowFold, Tree: 1, Key: tkey("a"),
 		Deltas: []wal.ColDelta{{Col: 0, Int: 1}}}
-	s.Pin(1, tkey("a"), d, 8, preVal("unused"))
-	s.Stamp(1, tkey("a"), d, 5)
+	c.Pin(fd, 8)
+	c.Stamp(fd, 5)
 
 	fold := func(tree id.Tree, val []byte, deltas []wal.ColDelta) ([]byte, bool, error) {
 		return append(append([]byte(nil), val...), '+'), false, nil
 	}
 	// Horizon below both versions: nothing prunable.
-	if n := s.Prune(2, fold); n != 0 {
+	if n := d.Prune(2, fold); n != 0 {
 		t.Fatalf("prune below versions folded %d, want 0", n)
 	}
 	// Horizon covers the full image only.
-	if n := s.Prune(3, fold); n != 1 {
+	if n := d.Prune(3, fold); n != 1 {
 		t.Fatalf("prune at 3 folded %d, want 1", n)
 	}
-	res, tracked := s.Read(1, tkey("a"), 3, id.None)
-	if !tracked || string(res.Val) != "v2" || len(res.Deltas) != 0 {
+	if res := c.Resolve(3, id.None); string(res.Val) != "v2" || len(res.Deltas) != 0 {
 		t.Fatalf("after partial prune: got %+v, want base v2", res)
 	}
-	// Horizon covers everything: delta folds into base, chain drops.
-	if n := s.Prune(10, fold); n != 1 {
+	if c.Quiescent() {
+		t.Fatal("chain still holding a version reported quiescent")
+	}
+	// Horizon covers everything: the delta folds into the base.
+	if n := d.Prune(10, fold); n != 1 {
 		t.Fatalf("prune at 10 folded %d, want 1", n)
 	}
-	if got := s.Chains(); got != 0 {
-		t.Fatalf("chains after full prune = %d, want 0", got)
+	if !c.Quiescent() {
+		t.Fatal("fully pruned chain not quiescent")
 	}
-	if got := reg.MVCC.VersionsPruned.Load(); got != 2 {
-		t.Fatalf("versions_pruned = %d, want 2", got)
-	}
-	if got := reg.MVCC.VersionsStamped.Load(); got != 2 {
-		t.Fatalf("versions_stamped = %d, want 2", got)
+	if res := c.Resolve(10, id.None); string(res.Val) != "v2+" {
+		t.Fatalf("after full prune: got %q, want the folded base", res.Val)
 	}
 }
 
-func TestPruneKeepsChainWithPending(t *testing.T) {
-	s := NewStore(nil)
+func TestPruneKeepsPending(t *testing.T) {
+	c := NewChain([]byte("v1"), false, true)
 	rec := &wal.Record{Type: wal.TUpdate, Tree: 1, Key: tkey("a"), NewVal: []byte("v2")}
-	s.Pin(1, tkey("a"), rec, 7, preVal("v1"))
-	s.Prune(100, nil)
-	if got := s.Chains(); got != 1 {
-		t.Fatalf("chain with pending entry dropped by prune (chains=%d)", got)
+	c.Pin(rec, 7)
+	Dirty{Tree: 1, Key: tkey("a"), Chain: c}.Prune(100, nil)
+	if c.Quiescent() {
+		t.Fatal("chain with a pending entry reported quiescent after prune")
 	}
-	res, tracked := s.Read(1, tkey("a"), 100, 7)
-	if !tracked || string(res.Val) != "v2" {
-		t.Fatalf("self read after prune: got %+v tracked=%v", res, tracked)
+	if res := c.Resolve(100, 7); string(res.Val) != "v2" {
+		t.Fatalf("self read after prune: got %+v", res)
 	}
 }
 
 func TestSameTimestampLaterOpWins(t *testing.T) {
-	s := NewStore(nil)
+	c := NewChain(nil, false, false)
 	ins := &wal.Record{Type: wal.TInsert, Tree: 1, Key: tkey("a"), NewVal: []byte("v1")}
 	up := &wal.Record{Type: wal.TUpdate, Tree: 1, Key: tkey("a"), NewVal: []byte("v2")}
-	s.Pin(1, tkey("a"), ins, 7, preAbsent())
-	s.Pin(1, tkey("a"), up, 7, preVal("never"))
+	c.Pin(ins, 7)
+	c.Pin(up, 7)
 	// One transaction commits both ops at one timestamp, in log order.
-	s.Stamp(1, tkey("a"), ins, 4)
-	s.Stamp(1, tkey("a"), up, 4)
-	res, _ := s.Read(1, tkey("a"), 4, id.None)
-	if string(res.Val) != "v2" {
+	c.Stamp(ins, 4)
+	c.Stamp(up, 4)
+	if res := c.Resolve(4, id.None); string(res.Val) != "v2" {
 		t.Fatalf("same-ts read got %q, want the later op's v2", res.Val)
 	}
 }
 
 func TestPruneBatchesDeltasAndDropsDeadOnes(t *testing.T) {
-	s := NewStore(nil)
+	c := NewChain([]byte("seed"), false, true)
 	// Delta at ts 2, full image at ts 3, deltas at ts 4 and 5: the ts-2 delta
 	// is dead (resolution never overlays deltas older than the newest full
 	// image) and the survivors must fold in a single call.
@@ -208,8 +207,8 @@ func TestPruneBatchesDeltasAndDropsDeadOnes(t *testing.T) {
 		{Type: wal.TEscrowFold, Tree: 1, Key: tkey("a"), Deltas: []wal.ColDelta{{Col: 0, Int: 3}}},
 	}
 	for i, rec := range recs {
-		s.Pin(1, tkey("a"), rec, id.Txn(7+i), preVal("seed"))
-		s.Stamp(1, tkey("a"), rec, uint64(2+i))
+		c.Pin(rec, id.Txn(7+i))
+		c.Stamp(rec, uint64(2+i))
 	}
 	foldCalls := 0
 	var foldedDeltas []wal.ColDelta
@@ -220,7 +219,7 @@ func TestPruneBatchesDeltasAndDropsDeadOnes(t *testing.T) {
 		foldedDeltas = append([]wal.ColDelta(nil), deltas...)
 		return []byte("folded"), false, nil
 	}
-	if n := s.Prune(100, fold); n != 4 {
+	if n := (Dirty{Tree: 1, Key: tkey("a"), Chain: c}).Prune(100, fold); n != 4 {
 		t.Fatalf("pruned %d versions, want 4", n)
 	}
 	if foldCalls != 1 {
@@ -232,38 +231,31 @@ func TestPruneBatchesDeltasAndDropsDeadOnes(t *testing.T) {
 	if len(foldedDeltas) != 2 || foldedDeltas[0].Int != 2 || foldedDeltas[1].Int != 3 {
 		t.Fatalf("fold deltas %v, want the two survivors [2 3] in ts order", foldedDeltas)
 	}
-	if got := s.Chains(); got != 0 {
-		t.Fatalf("chains after prune = %d, want 0", got)
+	if !c.Quiescent() {
+		t.Fatal("chain not quiescent after a covering prune")
 	}
 }
 
-func TestPruneShardRotationDrains(t *testing.T) {
-	reg := metrics.NewRegistry()
-	s := NewStore(&reg.MVCC)
-	// Enough distinct keys that multiple shards hold chains.
-	for i := 0; i < 64; i++ {
-		k := tkey(string(rune('a'+i%26)) + string(rune('0'+i/26)))
-		rec := &wal.Record{Type: wal.TUpdate, Tree: 1, Key: k, NewVal: []byte("v2")}
-		s.Pin(1, k, rec, id.Txn(7), preVal("v1"))
-		s.Stamp(1, k, rec, 3)
+// TestWorkListRotates: partial takes walk the queue front to back, and chains
+// re-added behind them come around again — the pruner's rotation.
+func TestWorkListRotates(t *testing.T) {
+	var w WorkList
+	for _, k := range []string{"a", "b", "c"} {
+		w.Add(Dirty{Tree: 1, Key: tkey(k), Chain: NewChain(nil, false, false)})
 	}
-	if s.Chains() != 64 {
-		t.Fatalf("chains = %d, want 64", s.Chains())
+	first := w.Take(2)
+	if len(first) != 2 || string(first[0].Key) != "a" || string(first[1].Key) != "b" {
+		t.Fatalf("Take(2) = %v, want [a b]", first)
 	}
-	pruned := 0
-	for i := 0; i < s.NumShards(); i++ {
-		pruned += s.PruneShard(i, 100, nil)
+	w.Add(first[1]) // b still alive
+	if w.Len() != 2 {
+		t.Fatalf("Len = %d, want 2", w.Len())
 	}
-	if pruned != 64 {
-		t.Fatalf("shard rotation pruned %d versions, want 64", pruned)
+	rest := w.Take(0)
+	if len(rest) != 2 || string(rest[0].Key) != "c" || string(rest[1].Key) != "b" {
+		t.Fatalf("Take(all) = %v, want [c b]", rest)
 	}
-	if got := s.Chains(); got != 0 {
-		t.Fatalf("chains after full rotation = %d, want 0", got)
-	}
-	if got := reg.MVCC.PrunePasses.Load(); got != 1 {
-		t.Fatalf("prune_passes after one rotation = %d, want 1", got)
-	}
-	if got := reg.MVCC.VersionsPruned.Load(); got != 64 {
-		t.Fatalf("versions_pruned = %d, want 64", got)
+	if w.Len() != 0 || len(w.Take(5)) != 0 {
+		t.Fatal("drained work list not empty")
 	}
 }

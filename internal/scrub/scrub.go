@@ -268,9 +268,11 @@ func (s *Scrubber) finishCycle(now time.Time) {
 
 // FullPass verifies every view end to end, unpaced, on the caller's
 // goroutine — the on-demand sweep behind DB.ScrubNow, vtxnshell scrub full,
-// and the smoke/torture harnesses. It uses only local cursors, so it is safe
-// concurrently with the background loop. Returns the total diffs found
-// (each already Reported).
+// and the smoke/torture harnesses. Each view is one unbounded slice: a slice
+// recomputes the whole expected view whatever its width, so with no budget to
+// pace there is nothing to gain from paying that once per MaxGroups rows. It
+// uses only local cursors, so it is safe concurrently with the background
+// loop. Returns the total diffs found (each already Reported).
 func (s *Scrubber) FullPass(ctx context.Context) (diverged int64, err error) {
 	start := time.Now()
 	plan := s.e.Plan()
@@ -281,7 +283,7 @@ func (s *Scrubber) FullPass(ctx context.Context) (diverged int64, err error) {
 			if err := ctx.Err(); err != nil {
 				return diverged, err
 			}
-			res := s.slice(v, st, s.cfg.MaxGroups)
+			res := s.slice(v, st, 0)
 			diverged += int64(res.diverged)
 			if res.err != nil {
 				return diverged, fmt.Errorf("scrub: view %q: %w", v.Name, res.err)

@@ -107,6 +107,11 @@ type Record struct {
 	NewGhost  bool
 	Deltas    []ColDelta
 	UndoneLSN uint64
+
+	// Pin is volatile, engine-owned state that never reaches the log: the
+	// version chain the live operation is pinned on, so commit and rollback
+	// reach it without a lookup.
+	Pin any
 }
 
 // ErrCorruptRecord reports an undecodable record payload.

@@ -14,8 +14,8 @@ import (
 	"repro/internal/catalog"
 	"repro/internal/core"
 	"repro/internal/expr"
+	"repro/internal/metrics"
 	"repro/internal/record"
-	"repro/internal/stats"
 	"repro/internal/txn"
 )
 
@@ -209,9 +209,26 @@ type Op func(db *core.DB, rng *rand.Rand) error
 // RunConcurrent drives clients goroutines, each executing opsPerClient
 // operations, and aggregates throughput/latency/abort statistics. Operation
 // errors count as aborts (the op rolled back), not failures.
-func RunConcurrent(db *core.DB, clients, opsPerClient int, seed int64, op Op) stats.Runs {
+// Runs summarizes one benchmark run.
+type Runs struct {
+	Ops       int64
+	Errors    int64
+	Aborts    int64
+	Elapsed   time.Duration
+	Latencies *metrics.Histogram
+}
+
+// Throughput returns operations per second.
+func (r Runs) Throughput() float64 {
+	if r.Elapsed <= 0 {
+		return 0
+	}
+	return float64(r.Ops) / r.Elapsed.Seconds()
+}
+
+func RunConcurrent(db *core.DB, clients, opsPerClient int, seed int64, op Op) Runs {
 	var wg sync.WaitGroup
-	runs := stats.Runs{Latencies: &stats.Histogram{}}
+	runs := Runs{Latencies: &metrics.Histogram{}}
 	var aborts, errors, ops int64
 	var mu sync.Mutex
 	start := time.Now()
@@ -247,9 +264,9 @@ func RunConcurrent(db *core.DB, clients, opsPerClient int, seed int64, op Op) st
 // RunConcurrentOps is RunConcurrent with a distinct Op per client (used when
 // each client needs private state, e.g. an order-ID range). The number of
 // clients is len(ops).
-func RunConcurrentOps(db *core.DB, opsPerClient int, seed int64, ops []Op) stats.Runs {
+func RunConcurrentOps(db *core.DB, opsPerClient int, seed int64, ops []Op) Runs {
 	var wg sync.WaitGroup
-	runs := stats.Runs{Latencies: &stats.Histogram{}}
+	runs := Runs{Latencies: &metrics.Histogram{}}
 	var aborts, count int64
 	var mu sync.Mutex
 	start := time.Now()

@@ -3,6 +3,7 @@ package workload
 import (
 	"math/rand"
 	"testing"
+	"time"
 
 	"repro/internal/catalog"
 	"repro/internal/core"
@@ -182,5 +183,15 @@ func TestZipfSkew(t *testing.T) {
 	}
 	if counts[0] > counts[50]*3 {
 		t.Fatalf("uniform fallback skewed: %d vs %d", counts[0], counts[50])
+	}
+}
+
+func TestRunsThroughput(t *testing.T) {
+	r := Runs{Ops: 500, Elapsed: 2 * time.Second}
+	if got := r.Throughput(); got != 250 {
+		t.Fatalf("throughput = %v", got)
+	}
+	if (Runs{}).Throughput() != 0 {
+		t.Fatal("zero elapsed should be 0")
 	}
 }

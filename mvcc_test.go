@@ -2,12 +2,14 @@ package vtxn_test
 
 import (
 	"context"
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	vtxn "repro"
+	"repro/internal/workload"
 )
 
 // mvccBanking creates the banking schema with an escrow branch_totals view
@@ -213,5 +215,157 @@ func TestSnapshotPrunerRetires(t *testing.T) {
 	}
 	if db.Metrics().MVCC.VersionsPruned == 0 {
 		t.Fatal("nothing pruned")
+	}
+}
+
+// TestSnapshotSeesGroupRecreatedAfterGhostErase is the deterministic
+// regression for the erase-then-refold bug (ROADMAP 0a): a group is created,
+// emptied, physically erased by the ghost cleaner, and re-created — all
+// before any version prunes. Snapshot readers must then see exactly what
+// ReadCommitted readers see, at every level of the view DAG. Single
+// goroutine; background pruner and scrubber off so the version history stays
+// on the chains.
+func TestSnapshotSeesGroupRecreatedAfterGhostErase(t *testing.T) {
+	ctx := context.Background()
+	rollup := func(s vtxn.Strategy) func(*vtxn.DB) error {
+		return workload.Rollup{Customers: 10, Regions: 2, Strategy: s}.Setup
+	}
+	rollupItem := func(item int64) vtxn.Row {
+		return workload.Rollup{Regions: 2}.ItemRow(item, 7, 14)
+	}
+	rollupViews := []string{workload.RollupL0, workload.RollupL1, workload.RollupL2}
+	cases := []struct {
+		name   string
+		setup  func(*vtxn.DB) error
+		table  string
+		row    func(id int64) vtxn.Row
+		views  []string
+		ghosts int // rows the cleaner must erase once the only source row is gone
+		key    vtxn.Row
+		want   []int64 // ReadCommitted GetViewRow(views[len-1], key) at the end
+	}{
+		{
+			name: "flat deferred",
+			setup: func(db *vtxn.DB) error {
+				if err := db.CreateTable("orders", []vtxn.Column{
+					{Name: "id", Kind: vtxn.KindInt64},
+					{Name: "customer", Kind: vtxn.KindInt64},
+					{Name: "amount", Kind: vtxn.KindInt64},
+				}, []int{0}); err != nil {
+					return err
+				}
+				return db.CreateIndexedView(vtxn.ViewDef{
+					Name: "customer_totals", Kind: vtxn.ViewAggregate, Source: "orders",
+					GroupBy:  []string{"customer"},
+					Aggs:     []vtxn.AggSpec{vtxn.CountRows(), vtxn.Sum("amount")},
+					Strategy: vtxn.StrategyDeferred,
+				})
+			},
+			table:  "orders",
+			row:    func(id int64) vtxn.Row { return vtxn.Row{vtxn.Int(id), vtxn.Int(7), vtxn.Int(14)} },
+			views:  []string{"customer_totals"},
+			ghosts: 1,
+			key:    vtxn.Row{vtxn.Int(7)},
+			want:   []int64{1, 14},
+		},
+		{
+			name: "3-level all-deferred rollup", setup: rollup(vtxn.StrategyDeferred),
+			table: "order_items", row: rollupItem, views: rollupViews, ghosts: 3,
+			key: vtxn.Row{vtxn.Str("region-01")}, want: []int64{1, 14},
+		},
+		{
+			name: "stacked escrow chain", setup: rollup(vtxn.StrategyEscrow),
+			table: "order_items", row: rollupItem, views: rollupViews, ghosts: 3,
+			key: vtxn.Row{vtxn.Str("region-01")}, want: []int64{1, 14},
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			db, err := vtxn.Open(t.TempDir(), vtxn.Options{MVCCPruneInterval: -1, ScrubInterval: -1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer db.Close()
+			if err := tc.setup(db); err != nil {
+				t.Fatal(err)
+			}
+			// write runs one single-statement transaction and waits until every
+			// level of the chain has folded it.
+			write := func(stmt func(tx *vtxn.Tx) error) {
+				t.Helper()
+				tx, err := db.Begin(vtxn.ReadCommitted)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := stmt(tx); err != nil {
+					t.Fatal(err)
+				}
+				if err := tx.Commit(); err != nil {
+					t.Fatal(err)
+				}
+				for _, v := range tc.views {
+					if err := db.WaitForViewWatermark(ctx, v, tx.CommitTS()); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			write(func(tx *vtxn.Tx) error { return tx.Insert(tc.table, tc.row(1)) })
+			write(func(tx *vtxn.Tx) error { return tx.Delete(tc.table, vtxn.Row{vtxn.Int(1)}) })
+			if n := db.CleanGhosts(); n != tc.ghosts {
+				t.Fatalf("CleanGhosts erased %d rows, want %d", n, tc.ghosts)
+			}
+			write(func(tx *vtxn.Tx) error { return tx.Insert(tc.table, tc.row(2)) })
+
+			rc, err := db.Begin(vtxn.ReadCommitted)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer rc.Rollback()
+			snap, err := db.Begin(vtxn.Snapshot)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer snap.Rollback()
+			for _, v := range tc.views {
+				want, err := rc.ScanView(v)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := snap.ScanView(v)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(want) != 1 {
+					t.Fatalf("%s: ReadCommitted scan = %v, want the one re-created group", v, want)
+				}
+				if fmt.Sprint(got) != fmt.Sprint(want) {
+					t.Errorf("%s: Snapshot scan = %v, ReadCommitted scan = %v", v, got, want)
+				}
+				wantRow, wantOK, err := rc.GetViewRow(v, want[0].Key)
+				if err != nil {
+					t.Fatal(err)
+				}
+				gotRow, gotOK, err := snap.GetViewRow(v, want[0].Key)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !wantOK || gotOK != wantOK || fmt.Sprint(gotRow) != fmt.Sprint(wantRow) {
+					t.Errorf("%s: Snapshot GetViewRow = %v/%v, ReadCommitted = %v/%v", v, gotRow, gotOK, wantRow, wantOK)
+				}
+			}
+			top := tc.views[len(tc.views)-1]
+			row, ok, err := rc.GetViewRow(top, tc.key)
+			if err != nil || !ok || len(row) != len(tc.want) {
+				t.Fatalf("%s: ReadCommitted GetViewRow(%v) = %v %v %v", top, tc.key, row, ok, err)
+			}
+			for i, w := range tc.want {
+				if row[i].AsInt() != w {
+					t.Fatalf("%s: ReadCommitted GetViewRow(%v) = %v, want %v", top, tc.key, row, tc.want)
+				}
+			}
+			if n, err := db.ScrubNow(ctx); err != nil || n != 0 {
+				t.Fatalf("ScrubNow = %d divergences, err %v; want a clean pass", n, err)
+			}
+		})
 	}
 }

@@ -152,8 +152,9 @@ func TestScrubDetectsCorruption(t *testing.T) {
 	if ev.Resource != "branch_totals" || !strings.Contains(ev.Phase, "1") {
 		t.Fatalf("divergence event misattributed: %+v", ev)
 	}
-	if !strings.Contains(ev.Outcome, "expected") || !strings.Contains(ev.Outcome, "actual") {
-		t.Fatalf("divergence event missing expected/actual detail: %+v", ev)
+	if !strings.Contains(ev.Outcome, "expected") || !strings.Contains(ev.Outcome, "actual") ||
+		!strings.Contains(ev.Outcome, "lock path") {
+		t.Fatalf("divergence event missing expected/actual/lock-path detail: %+v", ev)
 	}
 	if !strings.Contains(sink.String(), "scrub divergence") || !strings.Contains(sink.String(), "branch_totals") {
 		t.Fatalf("flight record not dumped on divergence:\n%.400s", sink.String())
