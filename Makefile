@@ -102,12 +102,17 @@ staticcheck:
 
 # One home for a row's versions: only the B-tree (which owns the chain slot)
 # and the kernel may know internal/mvcc, and the sidecar store's API stays
-# gone.
+# gone. One owner for a transaction's escrow deltas: the shared ledger, its
+# option and the fold queue stay gone, and the pending set stays lock-free.
 structure:
 	@out="$$(grep -rl --include='*.go' '"repro/internal/mvcc"' . | grep -v -e '^./internal/mvcc/' -e '^./internal/btree/' -e '^./internal/core/')"; \
 	if [ -n "$$out" ]; then echo "internal/mvcc imported outside internal/btree and internal/core:"; echo "$$out"; exit 1; fi
 	@out="$$(grep -rnE --include='*.go' 'TrackedKeys|\.Evict\(' .)"; \
 	if [ -n "$$out" ]; then echo "sidecar version-store API is back:"; echo "$$out"; exit 1; fi
+	@out="$$(grep -rnE --include='*.go' 'PendingTxns|NewLedgerShards|EscrowShards|popMinTree|sortedRowKeys' .)"; \
+	if [ -n "$$out" ]; then echo "the shared escrow ledger or the fold queue is back:"; echo "$$out"; exit 1; fi
+	@out="$$(grep -n 'sync\.' internal/escrow/pending.go)"; \
+	if [ -n "$$out" ]; then echo "internal/escrow/pending.go: the pending set has one owner and takes no locks:"; echo "$$out"; exit 1; fi
 
 lint: vet fmt staticcheck structure
 

@@ -242,8 +242,13 @@ func TestFreshnessSLOWatchdog(t *testing.T) {
 	if m := db.Metrics(); m.Watchdog.FreshnessBreaches == 0 {
 		t.Fatalf("freshness breach not counted: %+v", m.Watchdog)
 	}
-	if !strings.Contains(sink.String(), "watchdog stall: freshness-slo") {
-		t.Fatalf("no flight-record dump for the SLO breach; sink: %q", sink.String())
+	// The watchdog emits the stall event first and writes the dump after it,
+	// on its own goroutine: seeing the event does not mean the dump is out.
+	for deadline := time.Now().Add(5 * time.Second); !strings.Contains(sink.String(), "watchdog stall: freshness-slo"); {
+		if time.Now().After(deadline) {
+			t.Fatalf("no flight-record dump for the SLO breach; sink: %q", sink.String())
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 

@@ -3,7 +3,7 @@
 // the coalescer the background applier folds them through.
 //
 // A transaction touching a deferred view accumulates its escrow-style cell
-// deltas in the ordinary ledger; at commit, instead of folding them into the
+// deltas in its pending set; at commit, instead of folding them into the
 // view rows inline, the engine packages them as a Batch stamped with the
 // commit timestamp and hands it to the applier queue. The applier owns a
 // Coalescer exclusively (single goroutine, no locks): batches merge per

@@ -2,14 +2,14 @@ package core
 
 import (
 	"fmt"
-	"sort"
+	"time"
 
+	"repro/internal/applier"
 	"repro/internal/catalog"
 	"repro/internal/escrow"
-	"repro/internal/id"
 	"repro/internal/record"
+	"repro/internal/txn"
 	"repro/internal/view"
-	"repro/internal/wal"
 )
 
 // This file implements topological fold cascades over the view DAG
@@ -18,96 +18,90 @@ import (
 // tree-ID order is a valid topological order of the DAG: folding trees in
 // that order means every parent row change is final before its dependents
 // fold. Both the commit-time escrow fold (tx.go) and the deferred applier
-// (deferred.go) drive their cascades through the foldQueue below.
+// (deferred.go) walk one escrow.Pending in that order, and the cascade below
+// merges each fold's contributions to the views stacked above into the same
+// set — always at a higher tree ID, so ahead of the walk.
 
-// foldQueue is a commit-local coalescing queue of pending escrow folds keyed
-// by (view tree, group key). Deltas merge per (column, int/float) cell, so no
-// matter how many base changes or cascade paths feed a group, it folds at
-// most once per transaction — the structural ≤1-fold-per-(view,group)
-// guarantee DESIGN.md §10 documents.
-type foldQueue struct {
-	pending map[id.Tree]map[string][]wal.ColDelta
+// viewFolds is one view's share of a fold walk.
+type viewFolds struct {
+	v    *catalog.View
+	rows int
 }
 
-func newFoldQueue() *foldQueue {
-	return &foldQueue{pending: make(map[id.Tree]map[string][]wal.ColDelta)}
-}
-
-// add merges one cell delta into the queue, splitting mixed int/float
-// accumulations to stay exact. It reports whether the (view, group) entry
-// already existed — a coalesce rather than a new pending fold.
-func (q *foldQueue) add(tree id.Tree, key string, col uint32, d escrow.Delta) bool {
-	rows := q.pending[tree]
-	if rows == nil {
-		rows = make(map[string][]wal.ColDelta)
-		q.pending[tree] = rows
-	}
-	ds, existed := rows[key]
-	if d.Int != 0 {
-		ds = mergeColDelta(ds, wal.ColDelta{Col: col, Int: d.Int})
-	}
-	if d.Float != 0 {
-		ds = mergeColDelta(ds, wal.ColDelta{Col: col, IsFloat: true, Float: d.Float})
-	}
-	if ds == nil {
-		ds = []wal.ColDelta{} // keep the entry: a net-zero fold is still a fold target
-	}
-	rows[key] = ds
-	return existed
-}
-
-// popMinTree removes and returns the queue's lowest pending tree — the next
-// DAG level to fold. Cascades only ever enqueue into strictly larger tree IDs
-// (a child is created after its source), so levels pop in topological order.
-func (q *foldQueue) popMinTree() (id.Tree, map[string][]wal.ColDelta, bool) {
-	var min id.Tree
-	found := false
-	for tid := range q.pending {
-		if !found || tid < min {
-			min, found = tid, true
+// foldSet applies a pending set to the view rows, one logical EscrowFold per
+// group under the short structure latch, for t. The set is ordered by (tree,
+// key) and ascending tree ID is topological, so each fold's visible row
+// change — translated into child-view deltas merged into the same set ahead
+// of the walk — reaches the views stacked above within the same walk: they
+// fold level by level, all stamped at t's one commit timestamp, in an order
+// that depends on nothing but the deltas.
+//
+// A user transaction does not fold deferred views: their groups come back as
+// the deltas to publish, and the applier's system transaction folds them,
+// creating rows as it goes (deferred maintenance makes no ghosts up front).
+// folded lists the views folded, in tree order.
+func (db *DB) foldSet(t *txn.Txn, p *escrow.Pending) (folded []viewFolds, deferred []applier.GroupDelta, err error) {
+	// Per-tree state, refreshed when the walk crosses into the next tree.
+	var m *view.Maintainer
+	var children []*catalog.View
+	divert := false
+	for i := 0; i < p.Len(); i++ {
+		g := p.At(i)
+		tree, key, ds := g.Tree, g.Key, g.Net()
+		if len(ds) == 0 {
+			continue
+		}
+		if m == nil || m.V.ID != tree {
+			m = db.reg.Maintainer(tree)
+			divert = m != nil && m.V.Strategy == catalog.StrategyDeferred && !t.Sys
+			if m != nil && !divert {
+				children = db.Catalog().ViewsOn(m.V.Name)
+			}
+		}
+		switch {
+		case m == nil && t.Sys:
+			continue // dropped while its deltas waited (its dependents went with it)
+		case m == nil:
+			return nil, nil, fmt.Errorf("core: fold against unknown view %s", tree)
+		case divert:
+			deferred = append(deferred, applier.GroupDelta{Tree: tree, Key: string(key), Deltas: ds})
+			if m.V.OverView() {
+				db.met.Cascade.DeferredOut.Add(1)
+			}
+			continue
+		}
+		fr, err := db.foldRow(t, m, key, ds, m.V.OverView() || t.Sys)
+		if err != nil {
+			return nil, nil, err
+		}
+		if n := len(folded); n > 0 && folded[n-1].v == m.V {
+			folded[n-1].rows++
+		} else {
+			folded = append(folded, viewFolds{v: m.V, rows: 1})
+		}
+		db.met.Cascade.ObserveFold(m.V.Level())
+		if len(children) > 0 {
+			if err := db.enqueueCascade(p, m, key, fr, children); err != nil {
+				return nil, nil, err
+			}
 		}
 	}
-	if !found {
-		return 0, nil, false
-	}
-	rows := q.pending[min]
-	delete(q.pending, min)
-	return min, rows, true
+	return folded, deferred, nil
 }
 
-func mergeColDelta(ds []wal.ColDelta, d wal.ColDelta) []wal.ColDelta {
-	for i := range ds {
-		if ds[i].Col == d.Col && ds[i].IsFloat == d.IsFloat {
-			ds[i].Int += d.Int
-			ds[i].Float += d.Float
-			return ds
+// billFolds adds each view's share of a fold phase to its maintenance bill
+// and returns the rows folded. A phase is timed whole — one clock read, not
+// one per row — and split evenly over its rows.
+func (db *DB) billFolds(folded []viewFolds, dur time.Duration) (total int) {
+	for _, f := range folded {
+		total += f.rows
+	}
+	for _, f := range folded {
+		if c := db.met.Hot.Views.Get(f.v.ID); c != nil {
+			c.FoldNs.Add(dur.Nanoseconds() * int64(f.rows) / int64(total))
 		}
 	}
-	return append(ds, d)
-}
-
-// dropZeroDeltas filters columns whose merged delta cancelled to zero.
-// Folding them would be a no-op that still logs a record — and, on a stacked
-// view, could spuriously create a missing child row.
-func dropZeroDeltas(ds []wal.ColDelta) []wal.ColDelta {
-	out := ds[:0]
-	for _, d := range ds {
-		if (d.IsFloat && d.Float != 0) || (!d.IsFloat && d.Int != 0) {
-			out = append(out, d)
-		}
-	}
-	return out
-}
-
-// sortedRowKeys orders one tree's pending group keys for deterministic fold
-// (and therefore WAL) order.
-func sortedRowKeys(rows map[string][]wal.ColDelta) []string {
-	keys := make([]string, 0, len(rows))
-	for k := range rows {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
+	return total
 }
 
 // foldResult reports what one fold did to its view row, in the form the
@@ -121,9 +115,9 @@ type foldResult struct {
 
 // enqueueCascade translates one parent view row change into child-view
 // deltas: the vanished old row contributes with sign -1, the new row with +1.
-// Columns the change left untouched cancel exactly in the queue's merge, so
-// an unchanged parent row cascades nothing.
-func (db *DB) enqueueCascade(q *foldQueue, m *view.Maintainer, key []byte, fr foldResult, children []*catalog.View) error {
+// Columns the change left untouched cancel exactly in the set's merge, so an
+// unchanged parent row cascades nothing.
+func (db *DB) enqueueCascade(p *escrow.Pending, m *view.Maintainer, key []byte, fr foldResult, children []*catalog.View) error {
 	oldVisible := fr.existed && !fr.oldGhost
 	newVisible := !fr.newGhost
 	if !oldVisible && !newVisible {
@@ -147,12 +141,12 @@ func (db *DB) enqueueCascade(q *foldQueue, m *view.Maintainer, key []byte, fr fo
 			return fmt.Errorf("core: view %q has no compiled maintainer", child.Name)
 		}
 		if oldOut != nil {
-			if err := db.enqueueContribution(q, child, cm, oldOut, -1); err != nil {
+			if err := db.enqueueContribution(p, child, cm, oldOut, -1); err != nil {
 				return err
 			}
 		}
 		if newOut != nil {
-			if err := db.enqueueContribution(q, child, cm, newOut, +1); err != nil {
+			if err := db.enqueueContribution(p, child, cm, newOut, +1); err != nil {
 				return err
 			}
 		}
@@ -161,8 +155,8 @@ func (db *DB) enqueueCascade(q *foldQueue, m *view.Maintainer, key []byte, fr fo
 }
 
 // enqueueContribution merges one source (= parent output) row's signed
-// contributions to a child view into the queue.
-func (db *DB) enqueueContribution(q *foldQueue, child *catalog.View, cm *view.Maintainer, src record.Row, sign int) error {
+// contributions to a child view into the set.
+func (db *DB) enqueueContribution(p *escrow.Pending, child *catalog.View, cm *view.Maintainer, src record.Row, sign int) error {
 	ok, err := cm.Matches(src)
 	if err != nil || !ok {
 		return err
@@ -175,16 +169,27 @@ func (db *DB) enqueueContribution(q *foldQueue, child *catalog.View, cm *view.Ma
 	if err != nil {
 		return err
 	}
-	k := string(key)
-	coalesced := q.add(child.ID, k, hidden.Cell, hidden.Delta)
-	for _, c := range contribs {
-		for _, cd := range c.Cells {
-			q.add(child.ID, k, cd.Cell, cd.Delta)
-		}
-	}
+	g, created := p.Group(child.ID, key)
+	addContributions(g, hidden, contribs)
 	db.met.Cascade.Enqueued.Add(1)
-	if coalesced {
+	if !created {
 		db.met.Cascade.Coalesced.Add(1)
 	}
 	return nil
+}
+
+// addContributions merges one source-row change's cell deltas into g and
+// returns how many of them were non-zero.
+func addContributions(g *escrow.Group, hidden view.CellDelta, contribs []view.Contribution) (n int64) {
+	g.Add(hidden.Cell, hidden.Delta)
+	n = 1 // the hidden count moves by ±1, never zero
+	for _, c := range contribs {
+		for _, cd := range c.Cells {
+			g.Add(cd.Cell, cd.Delta)
+			if !cd.Delta.IsZero() {
+				n++
+			}
+		}
+	}
+	return n
 }

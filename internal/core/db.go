@@ -1,5 +1,5 @@
 // Package core implements the database kernel: it glues the B-tree storage,
-// write-ahead log, lock manager, escrow ledger, transaction manager, and the
+// write-ahead log, lock manager, escrow pending sets, transaction manager, and the
 // compiled view-maintenance plans into a transactional engine with
 // immediately maintained indexed views (DESIGN.md §3).
 package core
@@ -16,7 +16,6 @@ import (
 	"repro/internal/apply"
 	"repro/internal/btree"
 	"repro/internal/catalog"
-	"repro/internal/escrow"
 	"repro/internal/fault"
 	"repro/internal/flightrec"
 	"repro/internal/id"
@@ -63,9 +62,6 @@ type Options struct {
 	// DeadlockSweepInterval throttles the background deadlock detector (at
 	// most one sweep per interval while lock waiters exist; default 1ms).
 	DeadlockSweepInterval time.Duration
-	// EscrowShards sets the escrow-ledger stripe count (rounded up to a
-	// power of two; 0 selects the default).
-	EscrowShards int
 	// FS is the filesystem under the WAL, snapshot, and manifest I/O.
 	// nil selects the real filesystem; the crash-torture harness passes a
 	// fault.Injector to exercise torn writes, failed fsyncs, and crashes.
@@ -149,9 +145,8 @@ type DB struct {
 	log *wal.Writer
 	gen uint64
 
-	lm     *lock.Manager
-	ledger *escrow.Ledger
-	tm     *txn.Manager
+	lm *lock.Manager
+	tm *txn.Manager
 
 	// oracle allocates commit timestamps and tracks active snapshots; dirty is
 	// the pruner's work list of live version chains — the chains themselves
@@ -313,7 +308,6 @@ func Open(path string, opts Options) (*DB, error) {
 			Metrics:        &met.Lock,
 			Tracer:         tracer,
 		}),
-		ledger:    escrow.NewLedgerShards(opts.EscrowShards),
 		tm:        txn.NewManager(st.NextTxn),
 		oracle:    txn.NewOracle(),
 		structMu:  make([]sync.Mutex, opts.FoldLatchStripes),
@@ -322,8 +316,6 @@ func Open(path string, opts Options) (*DB, error) {
 		tracer:    tracer,
 		flight:    flight,
 	}
-	db.ledger.Metrics = &met.Escrow
-	db.ledger.Hot = met.Hot.EscrowDeltas
 	db.log.SetObserver(&met.WAL, tracer)
 	if tr := tracer; tr != nil && !st.Summary.Fresh {
 		tr.TraceEvent(metrics.Event{Type: metrics.EventRecovery, Phase: "analysis", Dur: st.Summary.Analysis})
@@ -612,7 +604,6 @@ func (db *DB) Metrics() metrics.Snapshot {
 			})
 		}
 	}
-	s.Escrow.Shards = db.ledger.Shards()
 	s.Ghost.Created = db.ghostsCreated.Load()
 	s.Ghost.Erased = db.ghostsErased.Load()
 	s.Recovery = metrics.RecoverySnapshot{

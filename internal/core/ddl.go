@@ -84,7 +84,7 @@ func (db *DB) CreateIndex(name, table string, cols []int, unique bool) error {
 			return err
 		}
 		seen := map[string]bool{}
-		rows, err := db.tableRows(tbl, latest)
+		rows, err := db.relationRows(cat, table, latest)
 		if err != nil {
 			return err
 		}
@@ -156,6 +156,11 @@ func (db *DB) CreateIndexedView(def catalog.View) error {
 		// mutate sets isDeferred before this hook can run, so reading it here
 		// (rather than deciding at the ddl call) is what makes this correct.
 		if isDeferred {
+			// The view equals its source as of ts from this moment, so its
+			// watermark says so from this moment: the barrier below reaches
+			// the applier later, and until a view has a watermark nothing
+			// holds the prune horizon to it.
+			db.oracle.AdvanceViewWatermark(deferredTree, ts)
 			db.publishDeferredBarrier(deferredTree, ts, false)
 		}
 	})
@@ -240,58 +245,51 @@ func (db *DB) viewSourceRows(cat *catalog.Catalog, v *catalog.View, ts uint64) (
 	if left, err = db.relationRows(cat, v.Left, ts); err != nil || !v.Join() {
 		return left, nil, err
 	}
-	tbl, err := cat.Table(v.Right)
-	if err != nil {
-		return nil, nil, err
-	}
-	right, err = db.tableRows(tbl, ts)
+	right, err = db.relationRows(cat, v.Right, ts)
 	return left, right, err
 }
 
-// relationRows reads every live row of a view's source relation as of ts, in
-// the form maintenance sees it: stored rows for a base table, output rows
-// (group-by columns followed by aggregate results) for a source view.
+// relationRows materializes eachRelationRow.
 func (db *DB) relationRows(cat *catalog.Catalog, name string, ts uint64) ([]record.Row, error) {
-	v, err := cat.View(name)
-	if err != nil {
-		tbl, terr := cat.Table(name)
-		if terr != nil {
-			return nil, terr
-		}
-		return db.tableRows(tbl, ts)
-	}
-	m := db.reg.Maintainer(v.ID)
-	if m == nil {
-		return nil, fmt.Errorf("core: view %q has no compiled maintainer", name)
-	}
 	var rows []record.Row
-	err = db.scanRows(v.ID, nil, nil, ts, id.None, func(key, val []byte) (bool, error) {
-		stored, err := record.DecodeRow(val)
-		if err != nil {
-			return false, err
-		}
-		out, err := m.OutputRow(key, stored)
-		if err != nil {
-			return false, err
-		}
-		rows = append(rows, out)
-		return true, nil
+	err := db.eachRelationRow(cat, name, ts, func(row record.Row) error {
+		rows = append(rows, row.Clone())
+		return nil
 	})
 	return rows, err
 }
 
-// tableRows reads every live row of a table as of ts.
-func (db *DB) tableRows(tbl *catalog.Table, ts uint64) ([]record.Row, error) {
-	var rows []record.Row
-	err := db.scanRows(tbl.ID, nil, nil, ts, id.None, func(_, val []byte) (bool, error) {
-		row, err := record.DecodeRow(val)
-		if err != nil {
+// eachRelationRow streams every live row of a relation as of ts to fn, in
+// the form maintenance sees it: stored rows for a base table, output rows
+// (group-by columns followed by aggregate results) for a view. The row is
+// decoded into a buffer the next row reuses: fn must not keep it.
+func (db *DB) eachRelationRow(cat *catalog.Catalog, name string, ts uint64, fn func(record.Row) error) error {
+	var tree id.Tree
+	var output *view.Maintainer // set when the relation is a view
+	if v, err := cat.View(name); err == nil {
+		tree = v.ID
+		if output = db.reg.Maintainer(tree); output == nil {
+			return fmt.Errorf("core: view %q has no compiled maintainer", name)
+		}
+	} else if tbl, err := cat.Table(name); err == nil {
+		tree = tbl.ID
+	} else {
+		return err
+	}
+	var row record.Row
+	return db.scanRows(tree, nil, nil, ts, id.None, func(key, val []byte) (bool, error) {
+		var err error
+		if row, err = record.DecodeRowInto(row, val); err != nil {
 			return false, err
 		}
-		rows = append(rows, row)
-		return true, nil
+		out := row
+		if output != nil {
+			if out, err = output.OutputRow(key, row); err != nil {
+				return false, err
+			}
+		}
+		return true, fn(out)
 	})
-	return rows, err
 }
 
 // indexKey builds a secondary index entry key: indexed columns then the

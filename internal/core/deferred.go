@@ -20,7 +20,7 @@ import (
 
 // This file is the control plane of the deferred view-maintenance tier
 // (DESIGN.md §9). Transactions against a StrategyDeferred view accumulate
-// their cell deltas in the escrow ledger exactly like escrow views, but the
+// their cell deltas in their pending set exactly like escrow views, but the
 // commit fold routes them here instead of into the B-tree: the commit
 // publishes one Batch (stamped with its commit timestamp) to the applier
 // queue and returns. A single background goroutine owns the coalescer, folds
@@ -512,55 +512,30 @@ func (db *DB) applyDeferredComponent(members []*catalog.View, groups []applier.G
 				return errRefreshedUnderneath
 			}
 		}
-		q := newFoldQueue()
+		// The round's coalescing set: the type a committing transaction folds
+		// from, fed here from the coalescer's groups.
+		foldStart := time.Now()
+		p := escrow.NewPending()
 		for _, g := range groups {
+			pg, _ := p.Group(g.Tree, []byte(g.Key))
 			for _, d := range g.Deltas {
-				if d.IsFloat {
-					q.add(g.Tree, g.Key, d.Col, escrow.Delta{Float: d.Float})
-				} else {
-					q.add(g.Tree, g.Key, d.Col, escrow.Delta{Int: d.Int})
-				}
+				pg.Add(d.Col, escrow.Delta{Int: d.Int, Float: d.Float})
 			}
 		}
-		for {
-			tid, rows, ok := q.popMinTree()
-			if !ok {
-				break
+		folded, _, err := db.foldSet(st, p)
+		if err != nil {
+			return err
+		}
+		db.billFolds(folded, time.Since(foldStart))
+		for _, f := range folded {
+			level := deferredFold{tree: f.v.ID, name: f.v.Name, rows: f.rows}
+			if level.spans = inSpans[level.tree]; len(level.spans) == 0 {
+				level.spans = compSpans
 			}
-			m := db.reg.Maintainer(tid)
-			if m == nil {
-				continue // dropped mid-flight (its dependents went with it)
+			if level.groupWalls = inWalls[level.tree]; len(level.groupWalls) == 0 && compOldest != 0 {
+				level.groupWalls = []int64{compOldest}
 			}
-			children := db.Catalog().ViewsOn(m.V.Name)
-			level := deferredFold{tree: tid, name: m.V.Name}
-			for _, k := range sortedRowKeys(rows) {
-				ds := dropZeroDeltas(rows[k])
-				if len(ds) == 0 {
-					continue
-				}
-				// Deferred maintenance creates no ghosts up front: a new
-				// group's row is created by the fold itself.
-				fr, err := db.foldRow(st, escrow.RowID{Tree: tid, Key: k}, ds, true)
-				if err != nil {
-					return err
-				}
-				level.rows++
-				db.met.Cascade.ObserveFold(m.V.Level())
-				if len(children) > 0 {
-					if err := db.enqueueCascade(q, m, []byte(k), fr, children); err != nil {
-						return err
-					}
-				}
-			}
-			if level.rows > 0 {
-				if level.spans = inSpans[tid]; len(level.spans) == 0 {
-					level.spans = compSpans
-				}
-				if level.groupWalls = inWalls[tid]; len(level.groupWalls) == 0 && compOldest != 0 {
-					level.groupWalls = []int64{compOldest}
-				}
-				folds = append(folds, level)
-			}
+			folds = append(folds, level)
 		}
 		return nil
 	}, func(ts uint64) {

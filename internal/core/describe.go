@@ -70,12 +70,12 @@ func kindName(k catalog.ViewKind) string {
 }
 
 // Describe renders an engine-level report: concurrency-control layout
-// (lock-manager stripes, escrow-ledger stripes) and contention counters.
-// It complements DescribeView, which reports per-view maintenance plans.
+// (lock-manager stripes) and contention counters. It complements
+// DescribeView, which reports per-view maintenance plans.
 func (db *DB) Describe() string {
 	st := db.Stats()
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "engine: %d lock shards, %d escrow shards", st.Lock.Shards, db.ledger.Shards())
+	fmt.Fprintf(&sb, "engine: %d lock shards", st.Lock.Shards)
 	fmt.Fprintf(&sb, "\n  txns: %d commits, %d aborts, %d system", st.Commits, st.Aborts, st.SysTxns)
 	fmt.Fprintf(&sb, "\n  locks: %d requests, %d waits, %d deadlocks, %d timeouts, %d escalations",
 		st.Lock.Requests, st.Lock.Waits, st.Lock.Deadlocks, st.Lock.Timeouts, st.Escalations)

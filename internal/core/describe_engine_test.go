@@ -10,9 +10,9 @@ import (
 )
 
 // TestDescribeEngine exercises the engine-level report: it must reflect the
-// configured stripe counts and the lock/contention counters.
+// configured stripe count and the lock/contention counters.
 func TestDescribeEngine(t *testing.T) {
-	db := openTestDB(t, Options{LockShards: 16, EscrowShards: 8})
+	db := openTestDB(t, Options{LockShards: 16})
 	setupBanking(t, db, catalog.StrategyEscrow)
 	insertAccounts(t, db, acctRow(1, 1, 100), acctRow(2, 1, 50))
 
@@ -26,7 +26,6 @@ func TestDescribeEngine(t *testing.T) {
 	out := db.Describe()
 	for _, want := range []string{
 		"16 lock shards",
-		"8 escrow shards",
 		"commits",
 		"lock",
 		"deadlock detector",

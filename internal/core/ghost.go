@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"repro/internal/catalog"
-	"repro/internal/escrow"
 	"repro/internal/fault"
 	"repro/internal/lock"
 	"repro/internal/metrics"
@@ -34,8 +33,11 @@ func (db *DB) cleanerLoop(interval time.Duration) {
 }
 
 // CleanGhosts erases every erasable ghost row across all aggregate views,
-// returning how many it removed. A ghost is erasable when no transaction has
-// pending escrow deltas against it and its X lock is immediately available.
+// returning how many it removed. A ghost is erasable when the cleaner can take
+// its X lock — under IX on the view's tree — without waiting long: a
+// transaction with pending deltas against the row holds its E lock (or, after
+// escalation, the tree's X lock) until it ends, so the lock manager alone
+// keeps the row in place for that transaction's commit fold.
 func (db *DB) CleanGhosts() int {
 	if db.closed.Load() {
 		return 0
@@ -53,8 +55,7 @@ func (db *DB) CleanGhosts() int {
 			continue
 		}
 		erased += db.cleanViewGhosts(v)
-		// Whatever survives the sweep (pending deltas, held E locks) is the
-		// cleaner's backlog.
+		// Whatever survives the sweep (held E locks) is the cleaner's backlog.
 		backlog += tree.GhostCount()
 	}
 	db.met.Ghost.ObservePass(backlog)
@@ -64,7 +65,12 @@ func (db *DB) CleanGhosts() int {
 	return erased
 }
 
-// cleanViewGhosts erases the erasable ghosts of one view.
+// ghostLockWait bounds the cleaner's lock waits: it would rather skip a ghost
+// someone is using than queue behind them.
+const ghostLockWait = 5 * time.Millisecond
+
+// cleanViewGhosts erases the erasable ghosts of one view, each in its own
+// system transaction.
 func (db *DB) cleanViewGhosts(v *catalog.View) int {
 	tree := db.tree(v.ID)
 	var keys [][]byte
@@ -75,22 +81,22 @@ func (db *DB) cleanViewGhosts(v *catalog.View) int {
 	}
 	erased := 0
 	for _, key := range keys {
-		row := escrow.RowID{Tree: v.ID, Key: string(key)}
-		if db.ledger.PendingTxns(row) > 0 {
-			continue // in-flight deltas target this ghost
-		}
 		err := db.runSysTxn(func(st *txn.Txn) error {
-			// A short X lock keeps user transactions from acquiring E while
-			// we erase; if someone holds E we skip rather than wait.
-			res := lock.KeyResource(v.ID, key)
-			if err := db.lm.Lock(st.ID, res, lock.ModeX, 5*time.Millisecond); err != nil {
+			// Hierarchical locking like any other writer: IX on the tree, so a
+			// holder whose key locks were escalated to a tree lock excludes the
+			// cleaner too, then a short X on the key, which keeps user
+			// transactions from acquiring E while we erase.
+			if err := db.lm.Lock(st.ID, lock.TreeResource(v.ID), lock.ModeIX, ghostLockWait); err != nil {
+				return errTreeBusy
+			}
+			if err := db.lm.Lock(st.ID, lock.KeyResource(v.ID, key), lock.ModeX, ghostLockWait); err != nil {
 				return err
 			}
 			latch := db.structLatch(v.ID, key)
 			latch.Lock()
 			defer latch.Unlock()
 			cur, ghost, ok := tree.Get(key)
-			if !ok || !ghost || db.ledger.PendingTxns(row) > 0 {
+			if !ok || !ghost {
 				return errSkipGhost
 			}
 			if err := db.hit(fault.PointGhostErase); err != nil {
@@ -99,6 +105,9 @@ func (db *DB) cleanViewGhosts(v *catalog.View) int {
 			rec := &wal.Record{Type: wal.TDelete, Tree: v.ID, Key: key, OldVal: cur, OldGhost: true}
 			return db.logOp(st, rec)
 		})
+		if err == errTreeBusy {
+			break // the tree lock's holder covers every remaining key as well
+		}
 		if err == nil {
 			erased++
 			db.ghostsErased.Add(1)
@@ -108,8 +117,11 @@ func (db *DB) cleanViewGhosts(v *catalog.View) int {
 }
 
 // errSkipGhost aborts a cleaning system transaction without treating the
-// skip as a failure.
-var errSkipGhost = errSentinel("ghost not erasable")
+// skip as a failure; errTreeBusy ends a view's sweep when its tree is locked.
+var (
+	errSkipGhost = errSentinel("ghost not erasable")
+	errTreeBusy  = errSentinel("view tree locked against the ghost cleaner")
+)
 
 type errSentinel string
 

@@ -7,6 +7,7 @@ import (
 	"repro/internal/escrow"
 	"repro/internal/expr"
 	"repro/internal/lock"
+	"repro/internal/metrics"
 	"repro/internal/record"
 	"repro/internal/txn"
 	"repro/internal/view"
@@ -170,11 +171,11 @@ func (db *DB) applySourceDelta(tx *Tx, v *catalog.View, m *view.Maintainer, src 
 	return db.maintainXLock(tx, v, m, src, sign)
 }
 
-// maintainDeferred accumulates the source-row change in the escrow ledger
-// exactly like maintainEscrow, but takes no view locks and creates no ghost:
-// the view row is untouched until the background applier folds the commit's
-// published deltas (deferred.go). Writers therefore never contend on the
-// view at all — the deferred tier's entire throughput win.
+// maintainDeferred accumulates the source-row change in the transaction's
+// pending set exactly like maintainEscrow, but takes no view locks and creates
+// no ghost: the view row is untouched until the background applier folds the
+// commit's published deltas (deferred.go). Writers therefore never contend on
+// the view at all — the deferred tier's entire throughput win.
 func (db *DB) maintainDeferred(tx *Tx, v *catalog.View, m *view.Maintainer, src record.Row, sign int) error {
 	key, err := m.GroupKey(src)
 	if err != nil {
@@ -184,19 +185,13 @@ func (db *DB) maintainDeferred(tx *Tx, v *catalog.View, m *view.Maintainer, src 
 	if err != nil {
 		return err
 	}
-	row := escrow.RowID{Tree: v.ID, Key: string(key)}
-	db.ledger.Add(tx.t.ID, escrow.CellID{Row: row, Col: hidden.Cell}, hidden.Delta)
-	for _, c := range contribs {
-		for _, cd := range c.Cells {
-			db.ledger.Add(tx.t.ID, escrow.CellID{Row: row, Col: cd.Cell}, cd.Delta)
-		}
-	}
+	tx.addPending(metrics.HotKey{Tree: v.ID, Key: string(key)}, key, hidden, contribs)
 	return nil
 }
 
 // maintainEscrow is the paper's protocol: E lock on the view row, ghost
 // creation via a system transaction when the group is new, and deltas
-// accumulated in the escrow ledger for the commit-time fold.
+// accumulated in the transaction's pending set for the commit-time fold.
 func (db *DB) maintainEscrow(tx *Tx, v *catalog.View, m *view.Maintainer, src record.Row, sign int) error {
 	key, err := m.GroupKey(src)
 	if err != nil {
@@ -205,7 +200,8 @@ func (db *DB) maintainEscrow(tx *Tx, v *catalog.View, m *view.Maintainer, src re
 	if err := db.lockTree(tx.t, v.ID, lock.ModeIX); err != nil {
 		return err
 	}
-	if err := db.lockKey(tx.t, v.ID, key, lock.ModeE); err != nil {
+	res := lock.KeyResource(v.ID, key)
+	if err := db.lockKeyRes(tx.t, res, lock.ModeE); err != nil {
 		return err
 	}
 	// Ensure the view row exists, creating a ghost via a system transaction
@@ -219,14 +215,28 @@ func (db *DB) maintainEscrow(tx *Tx, v *catalog.View, m *view.Maintainer, src re
 	if err != nil {
 		return err
 	}
-	row := escrow.RowID{Tree: v.ID, Key: string(key)}
-	db.ledger.Add(tx.t.ID, escrow.CellID{Row: row, Col: hidden.Cell}, hidden.Delta)
-	for _, c := range contribs {
-		for _, cd := range c.Cells {
-			db.ledger.Add(tx.t.ID, escrow.CellID{Row: row, Col: cd.Cell}, cd.Delta)
-		}
-	}
+	tx.addPending(metrics.HotKey(res), key, hidden, contribs)
 	return nil
+}
+
+// addPending merges one source-row change's contributions to a view group
+// into the transaction's pending set (allocated on the first view touch, so
+// a transaction that maintains no view pays nothing) and attributes them to
+// the group in the hot-delta sketch: one value unit per delta, one count unit
+// when this transaction first touches the group. hot names the group for the
+// sketch; key is the same group key as bytes, which the set keeps.
+func (tx *Tx) addPending(hot metrics.HotKey, key []byte, hidden view.CellDelta, contribs []view.Contribution) {
+	if tx.pending == nil {
+		tx.pending = escrow.NewPending()
+	}
+	g, created := tx.pending.Group(hot.Tree, key)
+	n := addContributions(g, hidden, contribs)
+	var first int64
+	if created {
+		first = 1
+		tx.db.met.Escrow.PendingRows.Add(1)
+	}
+	tx.db.met.Hot.EscrowDeltas.Add(hot, n, first)
 }
 
 // createGhost inserts an empty ghost group row via a system transaction.
@@ -359,11 +369,11 @@ func (db *DB) maintainXLock(tx *Tx, v *catalog.View, m *view.Maintainer, src rec
 // stacked on it. The X-lock path knows the row's old and new images at DML
 // time, so dependents take the ordinary DML maintenance route: the old output
 // row contributes with sign -1 and the new one with +1 through
-// applySourceDelta, which ledgers escrow and deferred children for the
-// commit-time fold (coalescing with every other path that feeds the same
-// group). Stacked views are never X-lock maintained themselves — the catalog
-// rejects that — so the recursion is one level deep here and the commit-time
-// cascade carries the change the rest of the way down.
+// applySourceDelta, which puts escrow and deferred children's deltas in the
+// pending set for the commit-time fold (coalescing with every other path that
+// feeds the same group). Stacked views are never X-lock maintained themselves
+// — the catalog rejects that — so the recursion is one level deep here and
+// the commit-time cascade carries the change the rest of the way down.
 func (db *DB) cascadeXLock(tx *Tx, v *catalog.View, m *view.Maintainer, key []byte, oldStored, newStored record.Row, children []*catalog.View) error {
 	if len(children) == 0 || (oldStored == nil && newStored == nil) {
 		return nil

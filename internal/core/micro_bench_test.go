@@ -136,8 +136,8 @@ func acctRowB(id, branch, balance int64) record.Row {
 // BenchmarkParallelInsertCommitEscrowView is the ISSUE 1 acceptance
 // benchmark: 8 goroutines, each inserting into its own branch (distinct view
 // rows, distinct base keys), full insert+commit transactions. Under the
-// global-mutex lock manager and ledger every lock/ledger call serializes;
-// the striped manager keeps disjoint branches independent.
+// global-mutex lock manager every lock call serializes; the striped manager
+// keeps disjoint branches independent.
 func BenchmarkParallelInsertCommitEscrowView(b *testing.B) {
 	db := benchDB(b, catalog.StrategyEscrow)
 	var nextG atomic.Int64

@@ -75,7 +75,7 @@ const scanBatch = 64
 func (db *DB) scanRows(tree id.Tree, lo, hi []byte, ts uint64, self id.Txn, fn func(key, val []byte) (bool, error)) error {
 	t := db.tree(tree)
 	var batch []btree.Item
-	var buf []byte
+	var buf, next []byte
 	for {
 		batch, buf = batch[:0], buf[:0]
 		t.ScanAll(lo, hi, func(it btree.Item) bool {
@@ -106,7 +106,10 @@ func (db *DB) scanRows(tree id.Tree, lo, hi []byte, ts uint64, self id.Txn, fn f
 		if len(batch) < scanBatch {
 			return nil
 		}
-		lo = append(batch[len(batch)-1].Key, 0) // the last key's immediate successor
+		// Resume at the last key's immediate successor (in its own buffer: buf
+		// is about to be rewritten).
+		next = append(append(next[:0], batch[len(batch)-1].Key...), 0)
+		lo = next
 	}
 }
 

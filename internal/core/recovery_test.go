@@ -111,7 +111,7 @@ func TestRecoveryCrashMidCommitFold(t *testing.T) {
 	}
 	// Manually run the fold (the first phase of Commit) and crash before
 	// the commit record — white-box simulation of a fold-then-die schedule.
-	if _, _, err := db.foldEscrow(tx.t); err != nil {
+	if _, _, err := db.foldSet(tx.t, tx.pending); err != nil {
 		t.Fatal(err)
 	}
 	db2 := reopen(t, db, dir)

@@ -125,6 +125,19 @@ func (e scrubEngine) Want(tree id.Tree, ts uint64) ([]verify.Entry, int, error) 
 	if v == nil || m == nil {
 		return nil, 0, fmt.Errorf("core: scrub of unknown view %s", tree)
 	}
+	if v.Kind == catalog.ViewAggregate && !v.Join() {
+		// One source, aggregated as it streams past: a pass costs memory in
+		// the view's groups, not in the source's rows.
+		agg, rows := m.NewAggregator(), 0
+		err := db.eachRelationRow(cat, v.Left, ts, func(row record.Row) error {
+			rows++
+			return agg.Add(row)
+		})
+		if err != nil {
+			return nil, 0, err
+		}
+		return agg.Entries(), rows, nil
+	}
 	leftRows, rightRows, err := db.viewSourceRows(cat, v, ts)
 	if err != nil {
 		return nil, 0, err

@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/applier"
 	"repro/internal/apply"
-	"repro/internal/catalog"
 	"repro/internal/escrow"
 	"repro/internal/fault"
 	"repro/internal/id"
@@ -16,6 +15,7 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/record"
 	"repro/internal/txn"
+	"repro/internal/view"
 	"repro/internal/wal"
 )
 
@@ -36,6 +36,13 @@ type Tx struct {
 	// commitTS is the commit timestamp allocated by a successful Commit (zero
 	// until then, and forever for read-only or rolled-back transactions).
 	commitTS uint64
+
+	// pending holds the escrow deltas the transaction's statements produced
+	// against escrow and deferred views, until commit folds (or publishes)
+	// them and abort drops them. Nil until the first view touch. Only the
+	// transaction's own goroutine reads it; everyone else sees the atomics it
+	// moves (escrow.pending_rows, the hot-delta sketch).
+	pending *escrow.Pending
 }
 
 // TxOptions configure one transaction started with BeginTx. The zero value
@@ -47,7 +54,7 @@ type TxOptions struct {
 	// transaction's lock waits.
 	LockTimeout time.Duration
 	// ReadOnly selects the snapshot read fast path: the transaction skips
-	// begin/commit logging, the escrow ledger, and the lock manager entirely,
+	// begin/commit logging, escrow maintenance, and the lock manager entirely,
 	// and every write returns ErrReadOnly. It requires (and, when Isolation
 	// is zero, implies) Snapshot isolation.
 	ReadOnly bool
@@ -98,9 +105,10 @@ func (db *DB) BeginTx(ctx context.Context, opts TxOptions) (*Tx, error) {
 			return nil, err
 		}
 	}
-	db.met.Txn.Begin.Observe(time.Since(start))
+	began := time.Now()
+	db.met.Txn.Begin.Observe(began.Sub(start))
 	if db.tracer != nil {
-		db.tracer.TraceEvent(metrics.Event{Type: metrics.EventTxBegin, Txn: t.ID})
+		db.tracer.TraceEvent(metrics.Event{Type: metrics.EventTxBegin, Txn: t.ID, WallNs: began.UnixNano()})
 	}
 	if level == txn.Snapshot {
 		tx.readTS, tx.snap = db.oracle.BeginSnapshot()
@@ -165,24 +173,30 @@ func (tx *Tx) commit() error {
 	if tx.ro {
 		// Nothing written, nothing logged: retiring the snapshot is the whole
 		// commit.
-		tx.finish(true)
+		tx.finish(true, time.Time{})
 		return nil
 	}
-	commitStart := time.Now()
-	deferred, foldedViews, err := db.foldEscrow(tx.t)
-	if err != nil {
-		// Fold failure (e.g. a log fault) aborts the transaction; already-
-		// applied folds are compensated by the generic rollback.
-		db.met.Escrow.FoldAborts.Add(1)
-		tx.rollback()
-		return fmt.Errorf("core: commit failed, transaction rolled back: %w", err)
+	// One clock read per phase boundary: the end of the fold is the start of
+	// the commit wait, and its end stamps the deferred publish.
+	start := time.Now()
+	var deferred []applier.GroupDelta
+	var folded []viewFolds
+	foldEnd := start
+	if p := tx.takePending(); p != nil {
+		var err error
+		if deferred, folded, foldEnd, err = db.foldPending(tx.t, p, start); err != nil {
+			// Fold failure (e.g. a log fault) aborts the transaction; already-
+			// applied folds are compensated by the generic rollback.
+			db.met.Escrow.FoldAborts.Add(1)
+			tx.rollback()
+			return fmt.Errorf("core: commit failed, transaction rolled back: %w", err)
+		}
 	}
 	lsn, err := db.log.Append(&wal.Record{Type: wal.TCommit, Txn: tx.t.ID})
 	if err != nil {
 		tx.rollback()
 		return fmt.Errorf("core: commit failed, transaction rolled back: %w", err)
 	}
-	syncStart := time.Now()
 	if err := db.log.SyncTxn(lsn, tx.t.ID); err != nil {
 		// The commit record may or may not be durable; treat as failed and
 		// roll back in memory so the surviving state matches recovery's
@@ -190,7 +204,8 @@ func (tx *Tx) commit() error {
 		tx.rollback()
 		return fmt.Errorf("core: commit sync failed, transaction rolled back: %w", err)
 	}
-	db.met.Txn.CommitWait.Observe(time.Since(syncStart))
+	durable := time.Now()
+	db.met.Txn.CommitWait.Observe(durable.Sub(foldEnd))
 	// The commit is durable: allocate its timestamp, stamp every pinned
 	// version (before finish wipes the op chain and releases locks — the next
 	// writer of any of these rows must allocate a later timestamp), and only
@@ -207,30 +222,34 @@ func (tx *Tx) commit() error {
 		// folds and watermark advances can name this commit as their cause.
 		db.publishDeferred(&applier.Batch{
 			TS:     ts,
-			WallNs: time.Now().UnixNano(),
+			WallNs: durable.UnixNano(),
 			Span:   db.flight.SpanOf(tx.t.ID),
 			Groups: deferred,
 		}, tx.t.ID)
 	}
 	db.oracle.FinishCommit(ts)
+	var end time.Time
+	if len(folded) > 0 || db.tracer != nil {
+		end = time.Now()
+	}
 	// Immediately maintained views are visible the moment the commit finishes:
 	// their commit-to-visible latency IS the commit path.
-	if len(foldedViews) > 0 {
-		dur := time.Since(commitStart)
-		for _, tid := range foldedViews {
-			if f := db.met.Freshness.Get(tid); f != nil {
-				f.CommitToVisible.Observe(dur)
-			}
+	for _, f := range folded {
+		if fr := db.met.Freshness.Get(f.v.ID); fr != nil {
+			fr.CommitToVisible.Observe(end.Sub(start))
 		}
 	}
-	tx.finish(true)
+	tx.finish(true, end)
 	return nil
 }
 
 // Savepoint marks a statement-level rollback point inside the transaction.
 type Savepoint struct {
-	ops    txn.Savepoint
-	ledger int
+	ops txn.Savepoint
+	// pending is a copy of the transaction's pending set as of the mark: the
+	// set is a handful of groups, so copying it is cheaper than journaling
+	// every delta of every transaction for the few that ever roll back.
+	pending []escrow.Group
 }
 
 // Savepoint returns a marker for partial rollback with RollbackTo.
@@ -238,16 +257,18 @@ func (tx *Tx) Savepoint() (Savepoint, error) {
 	if err := tx.check(); err != nil {
 		return Savepoint{}, err
 	}
-	return Savepoint{
-		ops:    tx.t.Savepoint(),
-		ledger: tx.db.ledger.Mark(tx.t.ID),
-	}, nil
+	sp := Savepoint{ops: tx.t.Savepoint()}
+	if tx.pending != nil {
+		sp.pending = tx.pending.Snapshot()
+	}
+	return sp, nil
 }
 
 // RollbackTo undoes everything the transaction did after the savepoint:
-// logged operations are compensated (with CLRs) in reverse order and escrow
-// deltas accumulated since are discarded. Locks acquired since remain held
-// (standard savepoint semantics). The transaction stays active.
+// logged operations are compensated (with CLRs) in reverse order and the
+// pending escrow deltas return to what they were at the mark. Locks acquired
+// since remain held (standard savepoint semantics). The transaction stays
+// active.
 func (tx *Tx) RollbackTo(sp Savepoint) error {
 	if err := tx.check(); err != nil {
 		return err
@@ -263,11 +284,15 @@ func (tx *Tx) RollbackTo(sp Savepoint) error {
 		}
 		unpin(op)
 	}
-	db.ledger.RollbackTo(tx.t.ID, sp.ledger)
+	if p := tx.pending; p != nil {
+		before := p.Len()
+		p.Restore(sp.pending)
+		db.met.Escrow.PendingRows.Add(int64(p.Len() - before))
+	}
 	return nil
 }
 
-// Rollback undoes the transaction: pending escrow deltas are discarded, and
+// Rollback undoes the transaction: pending escrow deltas are dropped, and
 // every logged operation is compensated in reverse order.
 func (tx *Tx) Rollback() error {
 	if err := tx.check(); err != nil {
@@ -280,15 +305,29 @@ func (tx *Tx) Rollback() error {
 func (tx *Tx) rollback() {
 	db := tx.db
 	if tx.ro {
-		tx.finish(false)
+		tx.finish(false, time.Time{})
 		return
 	}
 	db.rollbackOps(tx.t)
 	db.log.Append(&wal.Record{Type: wal.TAbortEnd, Txn: tx.t.ID})
-	tx.finish(false)
+	tx.finish(false, time.Time{})
 }
 
-func (tx *Tx) finish(committed bool) {
+// takePending detaches the transaction's pending set, taking its groups off
+// the pending-rows gauge: commit takes it to fold, every other ending to drop.
+func (tx *Tx) takePending() *escrow.Pending {
+	p := tx.pending
+	if p != nil {
+		tx.pending = nil
+		tx.db.met.Escrow.PendingRows.Add(-int64(p.Len()))
+	}
+	return p
+}
+
+// finish ends the transaction. end is the caller's last clock reading, when
+// it has a current one (zero: finish reads the clock itself if a tracer wants
+// the transaction's lifetime).
+func (tx *Tx) finish(committed bool, end time.Time) {
 	db := tx.db
 	if committed {
 		db.tm.Commit(tx.t)
@@ -301,7 +340,7 @@ func (tx *Tx) finish(committed bool) {
 		db.oracle.EndSnapshot(tx.snap)
 	}
 	if !tx.ro {
-		db.ledger.Discard(tx.t.ID)
+		tx.takePending()
 		db.lm.ReleaseAll(tx.t.ID)
 	}
 	tx.done = true
@@ -310,93 +349,39 @@ func (tx *Tx) finish(committed bool) {
 		if !committed {
 			outcome = "abort"
 		}
+		if end.IsZero() {
+			end = time.Now()
+		}
 		var life time.Duration
 		if !tx.t.Started.IsZero() {
-			life = time.Since(tx.t.Started)
+			life = end.Sub(tx.t.Started)
 		}
-		db.tracer.TraceEvent(metrics.Event{Type: metrics.EventTxEnd, Txn: tx.t.ID, Dur: life, Outcome: outcome})
+		db.tracer.TraceEvent(metrics.Event{Type: metrics.EventTxEnd, Txn: tx.t.ID, Dur: life, Outcome: outcome, WallNs: end.UnixNano()})
 	}
 	db.gate.RUnlock()
 }
 
-// foldEscrow applies the transaction's pending deltas to the view rows under
-// the short structure latch, logging one logical EscrowFold per row. Trees
-// fold in ascending tree-ID order — a valid topological order of the view
-// DAG (cascade.go) — and each fold's visible row change is translated into
-// child-view deltas queued behind it, so stacked views fold level by level
-// within the same commit, all stamped at one commit timestamp. Deltas against
-// deferred views are not folded: they are returned as per-group deltas for
-// the commit to publish to the background applier (deferred.go), which runs
-// the cascade below a deferred parent itself. The second result lists the
-// distinct immediately maintained view trees folded — the commit observes
-// their commit-to-visible freshness once the commit finishes.
-func (db *DB) foldEscrow(t *txn.Txn) ([]applier.GroupDelta, []id.Tree, error) {
-	cds := db.ledger.TxnDeltas(t.ID)
-	if len(cds) == 0 {
-		return nil, nil, nil
+// foldPending folds the transaction's pending set at commit (foldSet) and
+// accounts for the fold phase, which began at start. Groups of deferred views
+// are not folded: they come back as per-group deltas for the commit to
+// publish to the background applier (deferred.go), which runs the cascade
+// below a deferred parent itself. The second result lists the immediately
+// maintained views folded, the third the clock at the end of the fold (start
+// itself when nothing folded).
+func (db *DB) foldPending(t *txn.Txn, p *escrow.Pending, start time.Time) ([]applier.GroupDelta, []viewFolds, time.Time, error) {
+	folded, deferred, err := db.foldSet(t, p)
+	if err != nil || len(folded) == 0 {
+		return deferred, nil, start, err
 	}
-	start := time.Now()
-	q := newFoldQueue()
-	for _, cd := range cds {
-		q.add(cd.Cell.Row.Tree, cd.Cell.Row.Key, cd.Cell.Col, cd.Delta)
+	end := time.Now()
+	dur := end.Sub(start)
+	total := db.billFolds(folded, dur)
+	db.met.Txn.Fold.Observe(dur)
+	db.met.Escrow.ObserveFold(total)
+	if db.tracer != nil {
+		db.tracer.TraceEvent(metrics.Event{Type: metrics.EventFold, Txn: t.ID, Dur: dur, Rows: total, WallNs: end.UnixNano()})
 	}
-	var deferredGroups []applier.GroupDelta
-	var foldedViews []id.Tree
-	folded := 0
-	for {
-		tid, rows, ok := q.popMinTree()
-		if !ok {
-			break
-		}
-		m := db.reg.Maintainer(tid)
-		if m == nil {
-			return nil, nil, fmt.Errorf("core: fold against unknown view %s", tid)
-		}
-		if m.V.Strategy == catalog.StrategyDeferred {
-			for _, k := range sortedRowKeys(rows) {
-				ds := dropZeroDeltas(rows[k])
-				if len(ds) == 0 {
-					continue
-				}
-				deferredGroups = append(deferredGroups, applier.GroupDelta{Tree: tid, Key: k, Deltas: ds})
-				if m.V.OverView() {
-					db.met.Cascade.DeferredOut.Add(1)
-				}
-			}
-			continue
-		}
-		children := db.Catalog().ViewsOn(m.V.Name)
-		before := folded
-		for _, k := range sortedRowKeys(rows) {
-			ds := dropZeroDeltas(rows[k])
-			if len(ds) == 0 {
-				continue
-			}
-			fr, err := db.foldRow(t, escrow.RowID{Tree: tid, Key: k}, ds, m.V.OverView())
-			if err != nil {
-				return nil, nil, err
-			}
-			folded++
-			db.met.Cascade.ObserveFold(m.V.Level())
-			if len(children) > 0 {
-				if err := db.enqueueCascade(q, m, []byte(k), fr, children); err != nil {
-					return nil, nil, err
-				}
-			}
-		}
-		if folded > before {
-			foldedViews = append(foldedViews, tid)
-		}
-	}
-	if folded > 0 {
-		dur := time.Since(start)
-		db.met.Txn.Fold.Observe(dur)
-		db.met.Escrow.ObserveFold(folded)
-		if db.tracer != nil {
-			db.tracer.TraceEvent(metrics.Event{Type: metrics.EventFold, Txn: t.ID, Dur: dur, Rows: folded})
-		}
-	}
-	return deferredGroups, foldedViews, nil
+	return deferred, folded, end, nil
 }
 
 // foldRow folds one view row under the structure latch, returning the before
@@ -404,21 +389,17 @@ func (db *DB) foldEscrow(t *txn.Txn) ([]applier.GroupDelta, []id.Tree, error) {
 // a fresh empty group when the row is absent (stacked and deferred views:
 // their rows are created by the cascade or applier itself, with no ghost
 // pre-creation at DML time); otherwise an absent row is a protocol bug — the
-// ghost a transaction targeted cannot be erased while its deltas are pending.
-func (db *DB) foldRow(t *txn.Txn, row escrow.RowID, deltas []wal.ColDelta, createIfMissing bool) (foldResult, error) {
+// ghost a transaction targeted cannot be erased while it holds the row's E
+// lock. The caller bills the fold's time (billFolds).
+func (db *DB) foldRow(t *txn.Txn, m *view.Maintainer, key []byte, deltas []wal.ColDelta, createIfMissing bool) (foldResult, error) {
 	if err := db.hit(fault.PointFold); err != nil {
 		return foldResult{}, err
 	}
-	start := time.Now()
-	m := db.reg.Maintainer(row.Tree)
-	if m == nil {
-		return foldResult{}, fmt.Errorf("core: fold against unknown view %s", row.Tree)
-	}
-	key := []byte(row.Key)
-	latch := db.structLatch(row.Tree, key)
+	tid := m.V.ID
+	latch := db.structLatch(tid, key)
 	latch.Lock()
 	defer latch.Unlock()
-	tree := db.tree(row.Tree)
+	tree := db.tree(tid)
 	cur, oldGhost, ok := tree.Get(key)
 	var stored record.Row
 	var err error
@@ -431,7 +412,7 @@ func (db *DB) foldRow(t *txn.Txn, row escrow.RowID, deltas []wal.ColDelta, creat
 		stored = m.NewGroupRow()
 		oldGhost = true
 	default:
-		return foldResult{}, fmt.Errorf("core: fold target %s[%x] missing", row.Tree, key)
+		return foldResult{}, fmt.Errorf("core: fold target %s[%x] missing", tid, key)
 	}
 	// ApplyFold mutates in place; keep the pre-image for the cascade.
 	old := append(record.Row(nil), stored...)
@@ -445,7 +426,7 @@ func (db *DB) foldRow(t *txn.Txn, row escrow.RowID, deltas []wal.ColDelta, creat
 	}
 	rec := &wal.Record{
 		Type:     wal.TEscrowFold,
-		Tree:     row.Tree,
+		Tree:     tid,
 		Key:      key,
 		Deltas:   deltas,
 		OldGhost: oldGhost,
@@ -468,10 +449,9 @@ func (db *DB) foldRow(t *txn.Txn, row escrow.RowID, deltas []wal.ColDelta, creat
 		return foldResult{}, err
 	}
 	db.folds.Add(1)
-	// Per-view maintenance bill: rows folded, fold latency, WAL volume.
-	if c := db.met.Hot.Views.Get(row.Tree); c != nil {
+	// Per-view maintenance bill: rows folded and WAL volume.
+	if c := db.met.Hot.Views.Get(tid); c != nil {
 		c.FoldRows.Add(1)
-		c.FoldNs.Add(time.Since(start).Nanoseconds())
 		c.WALBytes.Add(int64(walBytes))
 	}
 	return foldResult{old: old, next: next, existed: ok, oldGhost: oldGhost, newGhost: empty}, nil
@@ -495,9 +475,15 @@ func (db *DB) lockRes(t *txn.Txn, res lock.Resource, mode lock.Mode) error {
 // lockKey acquires a key lock with the engine's timeout and escalation
 // policy.
 func (db *DB) lockKey(t *txn.Txn, tree id.Tree, key []byte, mode lock.Mode) error {
-	if err := db.lockRes(t, lock.KeyResource(tree, key), mode); err != nil {
+	return db.lockKeyRes(t, lock.KeyResource(tree, key), mode)
+}
+
+// lockKeyRes is lockKey for a caller that already built the key's resource.
+func (db *DB) lockKeyRes(t *txn.Txn, res lock.Resource, mode lock.Mode) error {
+	if err := db.lockRes(t, res, mode); err != nil {
 		return err
 	}
+	tree := res.Tree
 	if th := db.opts.EscalationThreshold; th > 0 && db.lm.CountKeyLocks(t.ID, tree) > th {
 		// Escalate to a tree lock covering the key locks, then drop them.
 		treeMode := lock.ModeS

@@ -1,29 +1,16 @@
-// Package escrow implements the escrow ledger: per-transaction pending
-// signed deltas against aggregate view rows.
+// Package escrow holds a transaction's pending signed deltas against
+// aggregate view rows.
 //
 // Following DESIGN.md §5, the B-tree row always stores the last *committed*
 // aggregate values. A transaction updating an aggregate under an E lock
-// records its deltas here; at commit the engine folds them into the row
-// (logging one EscrowFold record per row) and at abort they are simply
-// discarded — the logical undo of the paper realized without ever exposing
-// uncommitted values to readers.
-//
-// The ledger is striped the same way as the lock manager (ISSUE 1): a
-// transaction's private delta state lives in a txn stripe selected by its
-// ID, and the cross-transaction row reference counts live in row stripes
-// selected by hashing the RowID. Independent transactions touching
-// independent rows share no mutex. Stripe lock order is always txn stripe →
-// row stripe; PendingTxns takes only a row stripe.
+// records its deltas in its own Pending set; at commit the engine folds them
+// into the row (logging one EscrowFold record per row) and at abort the set
+// is simply dropped — the logical undo of the paper realized without ever
+// exposing uncommitted values to readers. The E lock is the only state other
+// transactions need to see, so nothing here is shared between transactions.
 package escrow
 
-import (
-	"cmp"
-	"slices"
-	"sync"
-
-	"repro/internal/id"
-	"repro/internal/metrics"
-)
+import "repro/internal/id"
 
 // RowID names one aggregate view row.
 type RowID struct {
@@ -46,304 +33,3 @@ type Delta struct {
 
 // IsZero reports whether the delta changes nothing.
 func (d Delta) IsZero() bool { return d.Int == 0 && d.Float == 0 }
-
-// Add returns the sum of two deltas.
-func (d Delta) Add(o Delta) Delta {
-	return Delta{Int: d.Int + o.Int, Float: d.Float + o.Float}
-}
-
-// Neg returns the inverse delta.
-func (d Delta) Neg() Delta { return Delta{Int: -d.Int, Float: -d.Float} }
-
-// txnState is one transaction's pending deltas.
-type txnState struct {
-	cells   map[CellID]Delta
-	rows    map[RowID]int // cells per row, for the row reference counts
-	journal []CellDelta   // append order, for savepoint rollback
-}
-
-// txnShard holds the private delta state of the transactions striped to it,
-// plus a free list recycling emptied txnStates so the add/fold/discard hot
-// cycle stays allocation-free.
-type txnShard struct {
-	mu    sync.Mutex
-	byTxn map[id.Txn]*txnState
-	free  []*txnState
-}
-
-// rowShard holds the row reference counts for the rows striped to it.
-type rowShard struct {
-	mu     sync.Mutex
-	rowRef map[RowID]int // number of transactions with pending deltas per row
-}
-
-// Ledger tracks every transaction's pending escrow deltas. The zero value is
-// not usable; call NewLedger.
-type Ledger struct {
-	txns []*txnShard
-	rows []*rowShard
-	mask uint32
-
-	// Metrics, when set, receives the per-row concurrent-holder high-water
-	// mark (the paper's hot-aggregate contention signal). Nil-safe.
-	Metrics *metrics.EscrowMetrics
-
-	// Hot, when set, receives heavy-hitter attribution per view row: one
-	// value unit per delta update, one count unit per transaction newly
-	// piling onto the row. Nil-safe.
-	Hot *metrics.Sketch
-}
-
-// NewLedger returns an empty ledger with a default stripe count.
-func NewLedger() *Ledger { return NewLedgerShards(0) }
-
-// NewLedgerShards returns an empty ledger with n stripes (rounded up to a
-// power of two; n <= 0 selects the default).
-func NewLedgerShards(n int) *Ledger {
-	if n <= 0 {
-		n = 16
-	}
-	p := 1
-	for p < n {
-		p <<= 1
-	}
-	l := &Ledger{
-		txns: make([]*txnShard, p),
-		rows: make([]*rowShard, p),
-		mask: uint32(p - 1),
-	}
-	for i := 0; i < p; i++ {
-		l.txns[i] = &txnShard{byTxn: make(map[id.Txn]*txnState)}
-		l.rows[i] = &rowShard{rowRef: make(map[RowID]int)}
-	}
-	return l
-}
-
-// Shards reports the stripe count, for Describe output.
-func (l *Ledger) Shards() int { return len(l.txns) }
-
-// txnShardOf stripes by transaction ID. IDs are assigned sequentially, so
-// the low bits alone spread concurrent transactions across stripes.
-func (l *Ledger) txnShardOf(txn id.Txn) *txnShard {
-	return l.txns[uint32(txn)&l.mask]
-}
-
-// rowShardOf stripes by RowID (FNV-1a over tree id and key bytes).
-func (l *Ledger) rowShardOf(row RowID) *rowShard {
-	h := uint32(2166136261)
-	t := uint32(row.Tree)
-	h = (h ^ (t & 0xff)) * 16777619
-	h = (h ^ ((t >> 8) & 0xff)) * 16777619
-	h = (h ^ ((t >> 16) & 0xff)) * 16777619
-	h = (h ^ (t >> 24)) * 16777619
-	for i := 0; i < len(row.Key); i++ {
-		h = (h ^ uint32(row.Key[i])) * 16777619
-	}
-	return l.rows[h&l.mask]
-}
-
-// refRow adjusts row's cross-transaction reference count by delta.
-func (l *Ledger) refRow(row RowID, delta int) {
-	rs := l.rowShardOf(row)
-	rs.mu.Lock()
-	prev := rs.rowRef[row]
-	next := prev + delta
-	if next <= 0 {
-		delete(rs.rowRef, row)
-	} else {
-		rs.rowRef[row] = next
-	}
-	rs.mu.Unlock()
-	// Maintain the pending-rows gauge (rows carrying unfolded deltas) on the
-	// 0↔positive transitions — the watchdog's escrow-backlog signal.
-	if prev <= 0 && next > 0 {
-		l.Metrics.AdjustPendingRows(1)
-	} else if prev > 0 && next <= 0 {
-		l.Metrics.AdjustPendingRows(-1)
-	}
-	if delta > 0 {
-		l.Metrics.ObservePending(next)
-	}
-}
-
-// Add accumulates a pending delta for txn against cell.
-func (l *Ledger) Add(txn id.Txn, cell CellID, d Delta) {
-	if d.IsZero() {
-		return
-	}
-	ts := l.txnShardOf(txn)
-	ts.mu.Lock()
-	st := ts.byTxn[txn]
-	if st == nil {
-		st = ts.newTxnState()
-		ts.byTxn[txn] = st
-	}
-	newRow := false
-	if _, seen := st.cells[cell]; !seen {
-		if st.rows[cell.Row] == 0 {
-			newRow = true
-		}
-		st.rows[cell.Row]++
-	}
-	st.cells[cell] = st.cells[cell].Add(d)
-	st.journal = append(st.journal, CellDelta{Cell: cell, Delta: d})
-	if newRow {
-		l.refRow(cell.Row, 1) // txn stripe → row stripe, never the reverse
-	}
-	ts.mu.Unlock()
-	// Attribute outside the stripe mutex: the sketch's own hot path is
-	// lock-free, so this never extends the critical section.
-	if l.Hot != nil {
-		cnt := int64(0)
-		if newRow {
-			cnt = 1
-		}
-		l.Hot.Add(metrics.HotKey{Tree: cell.Row.Tree, Key: cell.Row.Key}, 1, cnt)
-	}
-}
-
-// Mark returns a savepoint position in txn's delta journal.
-func (l *Ledger) Mark(txn id.Txn) int {
-	ts := l.txnShardOf(txn)
-	ts.mu.Lock()
-	defer ts.mu.Unlock()
-	st := ts.byTxn[txn]
-	if st == nil {
-		return 0
-	}
-	return len(st.journal)
-}
-
-// RollbackTo discards the deltas txn accumulated after mark (partial
-// rollback to a savepoint). Cells whose pending delta returns to zero are
-// forgotten entirely, releasing their row references.
-func (l *Ledger) RollbackTo(txn id.Txn, mark int) {
-	ts := l.txnShardOf(txn)
-	ts.mu.Lock()
-	defer ts.mu.Unlock()
-	st := ts.byTxn[txn]
-	if st == nil || mark < 0 || mark >= len(st.journal) {
-		return
-	}
-	for i := len(st.journal) - 1; i >= mark; i-- {
-		cd := st.journal[i]
-		next := st.cells[cd.Cell].Add(cd.Delta.Neg())
-		if next.IsZero() {
-			delete(st.cells, cd.Cell)
-			st.rows[cd.Cell.Row]--
-			if st.rows[cd.Cell.Row] <= 0 {
-				delete(st.rows, cd.Cell.Row)
-				l.refRow(cd.Cell.Row, -1)
-			}
-		} else {
-			st.cells[cd.Cell] = next
-		}
-	}
-	st.journal = st.journal[:mark]
-	if len(st.cells) == 0 {
-		delete(ts.byTxn, txn)
-		ts.freeTxnState(st)
-	}
-}
-
-// CellDelta is one (cell, delta) pair returned by TxnDeltas.
-type CellDelta struct {
-	Cell  CellID
-	Delta Delta
-}
-
-// TxnDeltas returns txn's pending deltas grouped by row, deterministically
-// ordered (by tree, key, column) so commit logging is reproducible.
-func (l *Ledger) TxnDeltas(txn id.Txn) []CellDelta {
-	ts := l.txnShardOf(txn)
-	ts.mu.Lock()
-	defer ts.mu.Unlock()
-	st := ts.byTxn[txn]
-	if st == nil {
-		return nil
-	}
-	out := make([]CellDelta, 0, len(st.cells))
-	for cell, d := range st.cells {
-		out = append(out, CellDelta{Cell: cell, Delta: d})
-	}
-	slices.SortFunc(out, func(a, b CellDelta) int {
-		if a.Cell.Row.Tree != b.Cell.Row.Tree {
-			return cmp.Compare(a.Cell.Row.Tree, b.Cell.Row.Tree)
-		}
-		if a.Cell.Row.Key != b.Cell.Row.Key {
-			return cmp.Compare(a.Cell.Row.Key, b.Cell.Row.Key)
-		}
-		return cmp.Compare(a.Cell.Col, b.Cell.Col)
-	})
-	return out
-}
-
-// PendingTxns reports how many transactions currently have pending deltas
-// against row. The ghost cleaner must not erase a row while this is nonzero.
-func (l *Ledger) PendingTxns(row RowID) int {
-	rs := l.rowShardOf(row)
-	rs.mu.Lock()
-	defer rs.mu.Unlock()
-	return rs.rowRef[row]
-}
-
-// Discard drops every pending delta of txn (commit after fold, or abort).
-func (l *Ledger) Discard(txn id.Txn) {
-	ts := l.txnShardOf(txn)
-	ts.mu.Lock()
-	defer ts.mu.Unlock()
-	st := ts.byTxn[txn]
-	if st == nil {
-		return
-	}
-	for row := range st.rows {
-		l.refRow(row, -1)
-	}
-	delete(ts.byTxn, txn)
-	ts.freeTxnState(st)
-}
-
-// Empty reports whether the ledger holds no pending deltas at all; the
-// consistency checker asserts this at quiescence.
-func (l *Ledger) Empty() bool {
-	for _, ts := range l.txns {
-		ts.mu.Lock()
-		n := len(ts.byTxn)
-		ts.mu.Unlock()
-		if n != 0 {
-			return false
-		}
-	}
-	for _, rs := range l.rows {
-		rs.mu.Lock()
-		n := len(rs.rowRef)
-		rs.mu.Unlock()
-		if n != 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// txnState free list. Callers hold ts.mu.
-
-const maxFreeStates = 64
-
-func (ts *txnShard) newTxnState() *txnState {
-	if n := len(ts.free); n > 0 {
-		st := ts.free[n-1]
-		ts.free = ts.free[:n-1]
-		return st
-	}
-	return &txnState{cells: make(map[CellID]Delta, 4), rows: make(map[RowID]int, 2)}
-}
-
-func (ts *txnShard) freeTxnState(st *txnState) {
-	if len(ts.free) >= maxFreeStates {
-		return
-	}
-	clear(st.cells)
-	clear(st.rows)
-	st.journal = st.journal[:0]
-	ts.free = append(ts.free, st)
-}

@@ -2,100 +2,162 @@ package escrow
 
 import (
 	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
 
 	"repro/internal/id"
+	"repro/internal/wal"
 )
 
 func cell(key string, col uint32) CellID {
 	return CellID{Row: RowID{Tree: 1, Key: key}, Col: col}
 }
 
-func TestDeltaArithmetic(t *testing.T) {
-	d := Delta{Int: 3, Float: 1.5}
-	if d.IsZero() || !(Delta{}).IsZero() {
+func TestDeltaIsZero(t *testing.T) {
+	if (Delta{Int: 3}).IsZero() || (Delta{Float: 1.5}).IsZero() || !(Delta{}).IsZero() {
 		t.Fatal("IsZero wrong")
 	}
-	s := d.Add(Delta{Int: -1, Float: 0.5})
-	if s.Int != 2 || s.Float != 2.0 {
-		t.Fatalf("Add = %+v", s)
+}
+
+// sum adds two deltas (test-side arithmetic for the equivalence property).
+func sum(a, b Delta) Delta { return Delta{Int: a.Int + b.Int, Float: a.Float + b.Float} }
+
+// flatten renders a set as (tree, key, col, isFloat) → value, in walk order.
+type flatCell struct {
+	Tree    id.Tree
+	Key     string
+	Col     uint32
+	IsFloat bool
+	Int     int64
+	Float   float64
+}
+
+func flatten(p *Pending) []flatCell {
+	var out []flatCell
+	for i := 0; i < p.Len(); i++ {
+		g := p.At(i)
+		for _, d := range g.Deltas {
+			out = append(out, flatCell{g.Tree, string(g.Key), d.Col, d.IsFloat, d.Int, d.Float})
+		}
 	}
-	n := d.Neg()
-	if n.Int != -3 || n.Float != -1.5 {
-		t.Fatalf("Neg = %+v", n)
+	return out
+}
+
+func TestPendingMergesAndOrders(t *testing.T) {
+	p := NewPending()
+	add := func(tree id.Tree, key string, col uint32, d Delta) bool {
+		g, created := p.Group(tree, []byte(key))
+		g.Add(col, d)
+		return created
 	}
-	if !d.Add(d.Neg()).IsZero() {
-		t.Fatal("d + (-d) != 0")
+	// Arrival order is scrambled on every axis; the walk order is not.
+	if !add(2, "b", 3, Delta{Int: 7}) {
+		t.Fatal("first touch not reported as created")
+	}
+	add(2, "a", 1, Delta{Float: 1.5})
+	add(1, "z", 0, Delta{Int: 1})
+	if add(2, "b", 0, Delta{Int: 5}) {
+		t.Fatal("second touch reported as created")
+	}
+	add(2, "b", 3, Delta{Int: -2, Float: 0.5}) // int and float cells of one column
+	add(2, "b", 0, Delta{})                    // zero: no cell
+	add(3, "a", 0, Delta{Int: 1})              // spills past the inline groups
+	want := []flatCell{
+		{1, "z", 0, false, 1, 0},
+		{2, "a", 1, true, 0, 1.5},
+		{2, "b", 0, false, 5, 0},
+		{2, "b", 3, false, 5, 0},
+		{2, "b", 3, true, 0, 0.5},
+		{3, "a", 0, false, 1, 0},
+	}
+	if got := flatten(p); !reflect.DeepEqual(got, want) {
+		t.Fatalf("walk order:\n got %+v\nwant %+v", got, want)
+	}
+	if p.Len() != 4 {
+		t.Fatalf("Len = %d, want 4", p.Len())
 	}
 }
 
-func TestAddAccumulatesPerCell(t *testing.T) {
-	l := NewLedger()
-	l.Add(1, cell("g1", 0), Delta{Int: 5})
-	l.Add(1, cell("g1", 0), Delta{Int: -2})
-	l.Add(1, cell("g1", 1), Delta{Float: 1.5})
-	l.Add(1, cell("g2", 0), Delta{Int: 7})
-	ds := l.TxnDeltas(1)
-	if len(ds) != 3 {
-		t.Fatalf("got %d cells", len(ds))
+func TestNetDropsCancelledCells(t *testing.T) {
+	p := NewPending()
+	g, _ := p.Group(1, []byte("g"))
+	g.Add(0, Delta{Int: 1})
+	g.Add(1, Delta{Int: 10})
+	g.Add(2, Delta{Float: 2.5})
+	g.Add(0, Delta{Int: -1})
+	g.Add(2, Delta{Float: -2.5})
+	want := []wal.ColDelta{{Col: 1, Int: 10}}
+	if got := g.Net(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("Net = %+v, want %+v", got, want)
 	}
-	// Deterministic order: g1/0, g1/1, g2/0.
-	if ds[0].Cell != cell("g1", 0) || ds[0].Delta.Int != 3 {
-		t.Fatalf("ds[0] = %+v", ds[0])
-	}
-	if ds[1].Cell != cell("g1", 1) || ds[1].Delta.Float != 1.5 {
-		t.Fatalf("ds[1] = %+v", ds[1])
-	}
-	if ds[2].Cell != cell("g2", 0) || ds[2].Delta.Int != 7 {
-		t.Fatalf("ds[2] = %+v", ds[2])
+	g.Add(1, Delta{Int: -10})
+	if got := g.Net(); len(got) != 0 {
+		t.Fatalf("fully cancelled group nets to %+v", got)
 	}
 }
 
-func TestZeroDeltaIgnored(t *testing.T) {
-	l := NewLedger()
-	l.Add(1, cell("g", 0), Delta{})
-	if ds := l.TxnDeltas(1); len(ds) != 0 {
-		t.Fatalf("zero delta stored: %+v", ds)
+// TestSnapshotRestore is the savepoint contract: Restore returns the set to
+// exactly the snapshot, whatever happened since — new groups vanish, changed
+// cells revert, a cell driven to zero comes back — and the snapshot survives
+// to be restored again.
+func TestSnapshotRestore(t *testing.T) {
+	p := NewPending()
+	g, _ := p.Group(1, []byte("g1"))
+	g.Add(0, Delta{Int: 5})
+	before := flatten(p)
+	snap := p.Snapshot()
+	for round := 0; round < 2; round++ {
+		g, _ = p.Group(1, []byte("g1"))
+		g.Add(0, Delta{Int: -5}) // zero crossing
+		g.Add(1, Delta{Int: 3})
+		g, _ = p.Group(1, []byte("g0"))
+		g.Add(0, Delta{Int: 7})
+		g, _ = p.Group(2, []byte("g2"))
+		g.Add(0, Delta{Int: 9})
+		p.Restore(snap)
+		if got := flatten(p); !reflect.DeepEqual(got, before) {
+			t.Fatalf("round %d: after restore %+v, want %+v", round, got, before)
+		}
 	}
-	if !l.Empty() {
-		t.Fatal("ledger not empty")
-	}
-}
-
-func TestRowRefCounting(t *testing.T) {
-	l := NewLedger()
-	row := RowID{Tree: 1, Key: "hot"}
-	if l.PendingTxns(row) != 0 {
-		t.Fatal("fresh row has pending txns")
-	}
-	l.Add(1, CellID{Row: row, Col: 0}, Delta{Int: 1})
-	l.Add(1, CellID{Row: row, Col: 1}, Delta{Int: 1}) // same txn, same row
-	l.Add(2, CellID{Row: row, Col: 0}, Delta{Int: 1})
-	if got := l.PendingTxns(row); got != 2 {
-		t.Fatalf("PendingTxns = %d, want 2", got)
-	}
-	l.Discard(1)
-	if got := l.PendingTxns(row); got != 1 {
-		t.Fatalf("after discard: PendingTxns = %d, want 1", got)
-	}
-	l.Discard(2)
-	if l.PendingTxns(row) != 0 || !l.Empty() {
-		t.Fatal("ledger not empty after discards")
+	// A snapshot of nothing restores to nothing.
+	p.Restore(NewPending().Snapshot())
+	if p.Len() != 0 {
+		t.Fatalf("restore of an empty snapshot left %d groups", p.Len())
 	}
 }
 
-func TestDiscardUnknownTxn(t *testing.T) {
-	l := NewLedger()
-	l.Discard(42) // must not panic
-	if ds := l.TxnDeltas(42); ds != nil {
-		t.Fatal("unknown txn has deltas")
+// TestInsertAheadOfWalk is what the commit fold's cascade relies on: a group
+// inserted for a higher tree while walking lands ahead of the walk position
+// and is reached by the same walk.
+func TestInsertAheadOfWalk(t *testing.T) {
+	p := NewPending()
+	for _, k := range []string{"a", "b", "c"} {
+		g, _ := p.Group(1, []byte(k))
+		g.Add(0, Delta{Int: 1})
+	}
+	var seen []string
+	for i := 0; i < p.Len(); i++ {
+		g := p.At(i)
+		tree, key := g.Tree, string(g.Key)
+		seen = append(seen, tree.String()+"/"+key)
+		if tree == 1 { // every level-1 group feeds one level-2 group
+			c, _ := p.Group(2, []byte("all"))
+			c.Add(0, Delta{Int: 1})
+		}
+	}
+	want := []string{id.Tree(1).String() + "/a", id.Tree(1).String() + "/b", id.Tree(1).String() + "/c", id.Tree(2).String() + "/all"}
+	if !reflect.DeepEqual(seen, want) {
+		t.Fatalf("walk saw %v, want %v", seen, want)
+	}
+	if got := p.At(3).Deltas[0].Int; got != 3 {
+		t.Fatalf("coalesced child delta = %d, want 3", got)
 	}
 }
 
-// TestFoldDiscardEquivalence is the package's core property: folding the
-// committed transactions' deltas and discarding the aborted ones yields
-// exactly the serial sum of committed deltas.
+// TestFoldDiscardEquivalence is the package's core property, through the
+// by-ID front: summing the committed transactions' sets and discarding the
+// aborted ones yields exactly the serial sum of committed deltas.
 func TestFoldDiscardEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 50; trial++ {
@@ -111,15 +173,16 @@ func TestFoldDiscardEquivalence(t *testing.T) {
 				d := Delta{Int: int64(rng.Intn(21) - 10), Float: float64(rng.Intn(9) - 4)}
 				l.Add(tx, c, d)
 				if committed[tx] {
-					expect[c] = expect[c].Add(d)
+					expect[c] = sum(expect[c], d)
 				}
 			}
 		}
 		got := map[CellID]Delta{}
 		for tx := id.Txn(1); tx <= txns; tx++ {
-			if committed[tx] {
-				for _, cd := range l.TxnDeltas(tx) {
-					got[cd.Cell] = got[cd.Cell].Add(cd.Delta)
+			if p := l.sets[tx]; p != nil && committed[tx] {
+				for _, fc := range flatten(p) {
+					c := CellID{Row: RowID{Tree: fc.Tree, Key: fc.Key}, Col: fc.Col}
+					got[c] = sum(got[c], Delta{Int: fc.Int, Float: fc.Float})
 				}
 			}
 			l.Discard(tx)
@@ -140,100 +203,65 @@ func TestFoldDiscardEquivalence(t *testing.T) {
 	}
 }
 
-func TestMarkAndRollbackTo(t *testing.T) {
+func TestLedgerZeroAndUnknown(t *testing.T) {
 	l := NewLedger()
-	c1, c2 := cell("g1", 0), cell("g2", 0)
-	l.Add(1, c1, Delta{Int: 5})
-	mark := l.Mark(1)
-	l.Add(1, c1, Delta{Int: 3})
-	l.Add(1, c2, Delta{Int: 7})
-	l.RollbackTo(1, mark)
-	ds := l.TxnDeltas(1)
-	if len(ds) != 1 || ds[0].Cell != c1 || ds[0].Delta.Int != 5 {
-		t.Fatalf("after rollback: %+v", ds)
+	l.Add(1, cell("g", 0), Delta{})
+	if !l.Empty() {
+		t.Fatal("a zero delta opened a set")
 	}
-	// The row touched only after the mark released its reference.
-	if l.PendingTxns(c2.Row) != 0 {
-		t.Fatal("row ref leaked after savepoint rollback")
-	}
-	if l.PendingTxns(c1.Row) != 1 {
-		t.Fatal("pre-mark row ref lost")
+	l.Discard(42) // unknown: no-op
+	l.Add(1, cell("g", 0), Delta{Int: 1})
+	if l.Empty() {
+		t.Fatal("open set not counted")
 	}
 	l.Discard(1)
 	if !l.Empty() {
-		t.Fatal("not empty")
+		t.Fatal("not empty after discard")
 	}
 }
 
-func TestRollbackToFullDiscard(t *testing.T) {
-	l := NewLedger()
-	mark := l.Mark(1) // before anything
-	l.Add(1, cell("g", 0), Delta{Int: 1})
-	l.Add(1, cell("g", 1), Delta{Float: 2.5})
-	l.RollbackTo(1, mark)
-	if !l.Empty() {
-		t.Fatal("rollback to the start should empty the ledger")
-	}
-	// Out-of-range marks are ignored.
-	l.Add(1, cell("g", 0), Delta{Int: 1})
-	l.RollbackTo(1, 99)
-	l.RollbackTo(1, -1)
-	if len(l.TxnDeltas(1)) != 1 {
-		t.Fatal("bad marks must be no-ops")
-	}
-	l.RollbackTo(2, 0) // unknown txn: no-op
-	l.Discard(1)
-}
-
-func TestRollbackToZeroCrossing(t *testing.T) {
-	// A cell whose post-mark deltas cancel a pre-mark delta must come back.
-	l := NewLedger()
-	c := cell("g", 0)
-	l.Add(1, c, Delta{Int: 5})
-	mark := l.Mark(1)
-	l.Add(1, c, Delta{Int: -5}) // current total now zero
-	l.RollbackTo(1, mark)
-	ds := l.TxnDeltas(1)
-	if len(ds) != 1 || ds[0].Delta.Int != 5 {
-		t.Fatalf("after rollback: %+v", ds)
-	}
-	l.Discard(1)
-}
-
-func TestConcurrentAdds(t *testing.T) {
+// TestLedgerConcurrentTxns: different transactions may use the front at once;
+// each set stays private to its transaction.
+func TestLedgerConcurrentTxns(t *testing.T) {
 	l := NewLedger()
 	const goroutines = 16
 	const adds = 500
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
 		wg.Add(1)
-		go func(g int) {
+		go func(tx id.Txn) {
 			defer wg.Done()
-			tx := id.Txn(g + 1)
 			for i := 0; i < adds; i++ {
 				l.Add(tx, cell("hot", 0), Delta{Int: 1})
 			}
-		}(g)
+		}(id.Txn(g + 1))
 	}
 	wg.Wait()
-	total := int64(0)
 	for g := 0; g < goroutines; g++ {
-		ds := l.TxnDeltas(id.Txn(g + 1))
-		if len(ds) != 1 {
-			t.Fatalf("txn %d has %d cells", g+1, len(ds))
+		got := flatten(l.sets[id.Txn(g+1)])
+		if len(got) != 1 || got[0].Int != adds {
+			t.Fatalf("txn %d holds %+v, want one cell of %d", g+1, got, adds)
 		}
-		total += ds[0].Delta.Int
-	}
-	if total != goroutines*adds {
-		t.Fatalf("total = %d, want %d", total, goroutines*adds)
 	}
 }
 
-func BenchmarkAdd(b *testing.B) {
-	l := NewLedger()
-	c := cell("hot", 0)
+// BenchmarkPendingTransfer is what a two-group transfer does to its set: four
+// source-row changes of four cells each, walked once, then dropped.
+func BenchmarkPendingTransfer(b *testing.B) {
+	keys := [][]byte{[]byte("branch-a"), []byte("branch-b")}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		l.Add(id.Txn(i%64+1), c, Delta{Int: 1})
+		p := NewPending()
+		for _, sign := range []int64{-1, 1} {
+			for _, k := range keys {
+				g, _ := p.Group(2, k)
+				for col := uint32(0); col < 4; col++ {
+					g.Add(col, Delta{Int: sign * int64(col+1)})
+				}
+			}
+		}
+		for j := 0; j < p.Len(); j++ {
+			p.At(j).Net()
+		}
 	}
 }

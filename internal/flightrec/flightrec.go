@@ -135,7 +135,9 @@ func (r *Recorder) Dumps() int64 { return r.dumps.Load() }
 func (r *Recorder) TraceEvent(e metrics.Event) {
 	seq := r.seq.Add(1)
 	e.Seq = seq
-	e.WallNs = time.Now().UnixNano()
+	if e.WallNs == 0 {
+		e.WallNs = time.Now().UnixNano()
+	}
 	e.Span = r.resolveSpan(seq, &e)
 
 	// Shard by transaction so one txn's events share a stripe; engine-level

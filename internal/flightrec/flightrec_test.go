@@ -79,21 +79,21 @@ func TestRecorderInterleavedSpans(t *testing.T) {
 	r.TraceEvent(metrics.Event{Type: metrics.EventTxEnd, Txn: 1, Outcome: "commit"})
 	r.TraceEvent(metrics.Event{Type: metrics.EventTxEnd, Txn: 2, Outcome: "abort"})
 
-	byTxn := map[id.Txn]map[uint64]bool{}
+	spansByTxn := map[id.Txn]map[uint64]bool{}
 	for _, e := range r.snapshot() {
 		if e.Txn == 0 {
 			continue
 		}
-		if byTxn[e.Txn] == nil {
-			byTxn[e.Txn] = map[uint64]bool{}
+		if spansByTxn[e.Txn] == nil {
+			spansByTxn[e.Txn] = map[uint64]bool{}
 		}
-		byTxn[e.Txn][e.Span] = true
+		spansByTxn[e.Txn][e.Span] = true
 	}
-	if len(byTxn[1]) != 1 || len(byTxn[2]) != 1 {
-		t.Fatalf("each txn must have exactly one span, got txn1=%v txn2=%v", byTxn[1], byTxn[2])
+	if len(spansByTxn[1]) != 1 || len(spansByTxn[2]) != 1 {
+		t.Fatalf("each txn must have exactly one span, got txn1=%v txn2=%v", spansByTxn[1], spansByTxn[2])
 	}
-	for s := range byTxn[1] {
-		if byTxn[2][s] {
+	for s := range spansByTxn[1] {
+		if spansByTxn[2][s] {
 			t.Fatalf("txn 1 and 2 share span %d", s)
 		}
 	}

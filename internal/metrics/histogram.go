@@ -1,6 +1,6 @@
 // Package metrics is the engine-wide observability layer: a low-overhead,
 // race-clean registry of atomic counters and log-bucketed histograms wired
-// through every subsystem (transactions, lock manager, escrow ledger, WAL,
+// through every subsystem (transactions, lock manager, escrow folds, WAL,
 // ghost cleaner, recovery), plus the Tracer event-hook interface that streams
 // structured engine events to external consumers (DESIGN.md §7).
 //

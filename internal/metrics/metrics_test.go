@@ -84,7 +84,6 @@ func TestRegistryConcurrentHammer(t *testing.T) {
 					sw.Deadlocks.Add(1)
 					sw.Timeouts.Add(1)
 				}
-				r.Escrow.ObservePending(i % 17)
 				r.Escrow.ObserveFold(i % 9)
 				r.Escrow.FoldAborts.Add(1)
 				r.WAL.Appends.Add(1)
@@ -115,9 +114,6 @@ func TestRegistryConcurrentHammer(t *testing.T) {
 	if s.Escrow.FoldBatches != total || s.Escrow.FoldRows == 0 {
 		t.Fatalf("escrow folds: %+v", s.Escrow)
 	}
-	if s.Escrow.PendingTxnsHighWater != 16 {
-		t.Fatalf("pending high water = %d, want 16", s.Escrow.PendingTxnsHighWater)
-	}
 	if s.WAL.Flushes != total || s.WAL.BatchMax != 32 {
 		t.Fatalf("wal: %+v", s.WAL)
 	}
@@ -137,8 +133,6 @@ func TestShardNilSafety(t *testing.T) {
 	if lm.Shard(0) != nil {
 		t.Fatal("nil LockMetrics should yield nil shards")
 	}
-	var em *EscrowMetrics
-	em.ObservePending(3) // must not panic
 	attached := &LockMetrics{}
 	if attached.Shard(0) != nil || attached.ShardCount() != 0 {
 		t.Fatal("uninitialized shard table should be empty")

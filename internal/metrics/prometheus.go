@@ -74,14 +74,12 @@ func writeExposition(sb *strings.Builder, s Snapshot) {
 		fmt.Fprintf(sb, "vtxn_lock_shard_waits_total{shard=\"%d\"} %d\n", i, ps.Waits)
 	}
 
-	// Escrow ledger.
+	// Escrow folds and pending deltas.
 	counter("vtxn_escrow_fold_batches_total", "Commit-time escrow folds.", s.Escrow.FoldBatches)
 	counter("vtxn_escrow_fold_rows_total", "View rows folded at commit.", s.Escrow.FoldRows)
 	counter("vtxn_escrow_fold_aborts_total", "Commits aborted by a failed fold.", s.Escrow.FoldAborts)
 	gauge("vtxn_escrow_fold_batch_max", "Largest rows-per-commit fold.", s.Escrow.FoldBatchMax)
-	gauge("vtxn_escrow_pending_txns_high_water", "Most concurrent transactions with pending deltas on one view row.", s.Escrow.PendingTxnsHighWater)
-	gauge("vtxn_escrow_pending_rows", "View rows currently carrying unfolded escrow deltas.", s.Escrow.PendingRows)
-	gauge("vtxn_escrow_shards", "Escrow-ledger stripe count.", int64(s.Escrow.Shards))
+	gauge("vtxn_escrow_pending_rows", "(Transaction, view row) pairs currently carrying unfolded escrow deltas.", s.Escrow.PendingRows)
 
 	// WAL / group commit.
 	counter("vtxn_wal_appends_total", "Records appended to the log.", s.WAL.Appends)

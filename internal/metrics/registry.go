@@ -37,7 +37,7 @@ func NewRegistry() *Registry {
 }
 
 // HotMetrics is the hot-spot attribution layer: heavy-hitter sketches over
-// (view, group-key) fed by the lock manager and the escrow ledger, plus a
+// (view, group-key) fed by the lock manager and the escrow maintenance path, plus a
 // per-view maintenance cost table fed by the commit fold and apply paths.
 // All three are bounded-cardinality by construction (sketch capacity /
 // catalog size), so snapshotting them never explodes.
@@ -64,7 +64,8 @@ type TxnMetrics struct {
 	// Fold times the commit-time escrow fold (only commits with pending
 	// deltas are observed).
 	Fold Histogram
-	// CommitWait times the group-commit sync the committer waits on.
+	// CommitWait times the committer's wait for durability: from the end of
+	// its fold through the commit record's append and group-commit sync.
 	CommitWait Histogram
 }
 
@@ -106,12 +107,9 @@ func (lm *LockMetrics) Shard(i int) *ShardWait {
 // ShardCount returns how many stripes are attributed.
 func (lm *LockMetrics) ShardCount() int { return len(lm.shards) }
 
-// EscrowMetrics track contention on the escrow ledger: how many transactions
-// pile up on one hot aggregate row, and how commit-time folds batch.
+// EscrowMetrics track the escrow deltas transactions hold pending and how
+// commit-time folds batch.
 type EscrowMetrics struct {
-	// PendingTxnsHighWater is the most transactions that simultaneously held
-	// pending deltas against a single view row (the paper's hot-row signal).
-	PendingTxnsHighWater atomic.Int64
 	// FoldBatches counts commit folds; FoldRows the view rows they folded.
 	// FoldBatchMax is the largest single fold (rows per commit).
 	FoldBatches  atomic.Int64
@@ -120,26 +118,11 @@ type EscrowMetrics struct {
 	// FoldAborts counts commits whose fold failed and rolled the transaction
 	// back — the engine's analogue of an escrow overdraft abort.
 	FoldAborts atomic.Int64
-	// PendingRows is a gauge of view rows currently carrying unfolded deltas
-	// (the watchdog's escrow-backlog signal).
+	// PendingRows is a gauge of (transaction, view row) pairs with unfolded
+	// deltas: each transaction moves it as it first touches a group and as it
+	// ends (the watchdog's escrow-backlog signal). A row two transactions
+	// hold deltas against counts twice.
 	PendingRows atomic.Int64
-}
-
-// ObservePending raises the pending-transactions high-water mark.
-func (em *EscrowMetrics) ObservePending(n int) {
-	if em == nil {
-		return
-	}
-	maxInt64(&em.PendingTxnsHighWater, int64(n))
-}
-
-// AdjustPendingRows moves the pending-rows gauge by d (+1 when a view row
-// gains its first pending delta, -1 when its last is folded or discarded).
-func (em *EscrowMetrics) AdjustPendingRows(d int64) {
-	if em == nil {
-		return
-	}
-	em.PendingRows.Add(d)
 }
 
 // ObserveFold records one commit fold of n view rows.

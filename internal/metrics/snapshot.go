@@ -76,15 +76,15 @@ type LockShardSnapshot struct {
 	Resources     int   `json:"resources"`
 }
 
-// EscrowSnapshot summarizes escrow-ledger contention and commit folds.
+// EscrowSnapshot summarizes commit folds and the deltas awaiting them.
 type EscrowSnapshot struct {
-	Shards               int   `json:"shards"`
-	FoldBatches          int64 `json:"fold_batches"`
-	FoldRows             int64 `json:"fold_rows"`
-	FoldBatchMax         int64 `json:"fold_batch_max"`
-	FoldAborts           int64 `json:"fold_aborts"`
-	PendingTxnsHighWater int64 `json:"pending_txns_high_water"`
-	PendingRows          int64 `json:"pending_rows"`
+	FoldBatches  int64 `json:"fold_batches"`
+	FoldRows     int64 `json:"fold_rows"`
+	FoldBatchMax int64 `json:"fold_batch_max"`
+	FoldAborts   int64 `json:"fold_aborts"`
+	// PendingRows counts (transaction, view row) pairs: a row two live
+	// transactions hold deltas against counts twice.
+	PendingRows int64 `json:"pending_rows"`
 }
 
 // WALSnapshot summarizes the write-ahead log and group commit.
@@ -333,12 +333,11 @@ func (r *Registry) Snap() Snapshot {
 			CommitWait: r.Txn.CommitWait.Snap(),
 		},
 		Escrow: EscrowSnapshot{
-			FoldBatches:          r.Escrow.FoldBatches.Load(),
-			FoldRows:             r.Escrow.FoldRows.Load(),
-			FoldBatchMax:         r.Escrow.FoldBatchMax.Load(),
-			FoldAborts:           r.Escrow.FoldAborts.Load(),
-			PendingTxnsHighWater: r.Escrow.PendingTxnsHighWater.Load(),
-			PendingRows:          r.Escrow.PendingRows.Load(),
+			FoldBatches:  r.Escrow.FoldBatches.Load(),
+			FoldRows:     r.Escrow.FoldRows.Load(),
+			FoldBatchMax: r.Escrow.FoldBatchMax.Load(),
+			FoldAborts:   r.Escrow.FoldAborts.Load(),
+			PendingRows:  r.Escrow.PendingRows.Load(),
 		},
 		WAL: WALSnapshot{
 			Appends:        r.WAL.Appends.Load(),

@@ -108,9 +108,10 @@ func (t EventType) String() string {
 // references into engine state, so a Tracer may retain it.
 type Event struct {
 	Type EventType
-	// Seq is a process-monotonic sequence number and WallNs the wall-clock
-	// timestamp (UnixNano) stamped by the flight recorder; both are zero for
-	// events that never pass through it.
+	// Seq is a process-monotonic sequence number stamped by the flight
+	// recorder (zero for events that never pass through it). WallNs is the
+	// wall-clock timestamp (UnixNano): an emitter that has just read the clock
+	// fills it in, the flight recorder stamps the rest.
 	Seq    uint64
 	WallNs int64
 	// Span is the causal span ID linking every event of one transaction's

@@ -8,7 +8,8 @@ import (
 )
 
 // ViewCost accumulates the maintenance bill for one indexed view: how many
-// delta rows the commit path folded into it, how long the folds took, and
+// delta rows the commit path folded into it, how long the folds took (each
+// fold phase is timed whole and split evenly over the rows it folded), and
 // how many WAL bytes its maintenance generated. All fields are atomic so
 // the fold path never takes a lock to account.
 type ViewCost struct {

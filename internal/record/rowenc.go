@@ -59,13 +59,21 @@ func EncodeRow(r Row) []byte {
 }
 
 // DecodeRow decodes an encoded row. The returned row does not alias buf.
-func DecodeRow(buf []byte) (Row, error) {
+func DecodeRow(buf []byte) (Row, error) { return DecodeRowInto(nil, buf) }
+
+// DecodeRowInto is DecodeRow reusing dst's backing array when it is large
+// enough: a scan that looks at one row at a time decodes without allocating
+// (string and bytes payloads are still copied out of buf).
+func DecodeRowInto(dst Row, buf []byte) (Row, error) {
 	n, used := binary.Uvarint(buf)
 	if used <= 0 || n > uint64(len(buf)) {
 		return nil, ErrCorruptRow
 	}
 	buf = buf[used:]
-	r := make(Row, 0, n)
+	r := dst[:0]
+	if uint64(cap(r)) < n {
+		r = make(Row, 0, n)
+	}
 	for i := uint64(0); i < n; i++ {
 		if len(buf) == 0 {
 			return nil, ErrCorruptRow

@@ -1,6 +1,7 @@
 package view
 
 import (
+	"fmt"
 	"sort"
 
 	"repro/internal/catalog"
@@ -18,117 +19,165 @@ type Entry struct {
 // oracle for deferred maintenance, the no-view query baseline, and the
 // consistency checker. rightRows is ignored for single-table views.
 func (m *Maintainer) Recompute(leftRows, rightRows []record.Row) ([]Entry, error) {
-	src, err := m.sourceRowsFull(leftRows, rightRows)
+	if m.V.Kind == catalog.ViewAggregate {
+		agg := m.NewAggregator()
+		if err := m.eachSourceRow(leftRows, rightRows, agg.Add); err != nil {
+			return nil, err
+		}
+		return agg.Entries(), nil
+	}
+	var out []Entry
+	err := m.eachSourceRow(leftRows, rightRows, func(s record.Row) error {
+		ok, err := m.Matches(s)
+		if err != nil || !ok {
+			return err
+		}
+		e, err := m.ProjectEntry(s)
+		if err != nil {
+			return err
+		}
+		out = append(out, Entry{Key: e.Key, Val: e.Val})
+		return nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	if m.V.Kind == catalog.ViewProjection {
-		out := make([]Entry, 0, len(src))
-		for _, s := range src {
-			e, err := m.ProjectEntry(s)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, Entry{Key: e.Key, Val: e.Val})
-		}
-		sortEntries(out)
-		return out, nil
-	}
-	// Aggregate view: group, then accumulate each group with the stored
-	// cell layout (hidden count, SUM pairs, extrema).
-	groups := map[string][]record.Row{}
-	var keys []string
-	for _, s := range src {
-		k, err := m.GroupKey(s)
-		if err != nil {
-			return nil, err
-		}
-		ks := string(k)
-		if _, ok := groups[ks]; !ok {
-			keys = append(keys, ks)
-		}
-		groups[ks] = append(groups[ks], s)
-	}
-	sort.Strings(keys)
-	out := make([]Entry, 0, len(keys))
-	for _, ks := range keys {
-		rows := groups[ks]
-		stored := m.NewGroupRow()
-		stored[0] = record.Int(int64(len(rows)))
-		for i, a := range m.V.Aggs {
-			off := m.aggOffsets[i]
-			switch a.Func {
-			case expr.AggCountRows:
-				stored[off] = record.Int(int64(len(rows)))
-			case expr.AggCount:
-				n := int64(0)
-				for _, r := range rows {
-					v, err := a.Arg.Eval(r)
-					if err != nil {
-						return nil, err
-					}
-					if !v.IsNull() {
-						n++
-					}
-				}
-				stored[off] = record.Int(n)
-			case expr.AggSum, expr.AggAvg:
-				n := int64(0)
-				sumI := int64(0)
-				sumF := 0.0
-				isFloat := false
-				for _, r := range rows {
-					v, err := a.Arg.Eval(r)
-					if err != nil {
-						return nil, err
-					}
-					if v.IsNull() {
-						continue
-					}
-					n++
-					switch v.Kind() {
-					case record.KindInt64:
-						sumI += v.AsInt()
-					default:
-						sumF += v.AsFloat()
-						isFloat = true
-					}
-				}
-				stored[off] = record.Int(n)
-				if isFloat {
-					stored[off+1] = record.Float(sumF + float64(sumI))
-				} else {
-					stored[off+1] = record.Int(sumI)
-				}
-			default: // MIN / MAX
-				acc := expr.NewAccumulator(a)
-				for _, r := range rows {
-					if err := acc.Add(r); err != nil {
-						return nil, err
-					}
-				}
-				stored[off] = acc.Result()
-			}
-		}
-		out = append(out, Entry{Key: []byte(ks), Val: stored})
-	}
+	sortEntries(out)
 	return out, nil
 }
 
-// sourceRowsFull joins and filters the full base contents into source rows.
-func (m *Maintainer) sourceRowsFull(leftRows, rightRows []record.Row) ([]record.Row, error) {
-	var src []record.Row
-	if m.Right == nil {
-		for _, l := range leftRows {
-			ok, err := m.Matches(l)
-			if err != nil {
-				return nil, err
-			}
-			if ok {
-				src = append(src, l)
+// Aggregator accumulates source rows into an aggregate view's stored rows,
+// one running state per group: the recompute side of every checker, whether
+// the rows come from a materialized slice (Recompute) or stream past one at
+// a time (the scrubber). It allocates per group, never per row.
+type Aggregator struct {
+	m      *Maintainer
+	groups map[string]*groupAcc
+	key    []byte // scratch for the row's encoded group key
+}
+
+// groupAcc is one group's running state: its row count and one accumulator
+// per aggregate.
+type groupAcc struct {
+	rows int64
+	aggs []aggAcc
+}
+
+// aggAcc accumulates one aggregate of one group. COUNT uses n; SUM and AVG
+// use n (non-NULL inputs) and the split int/float sum; MIN/MAX use ext.
+type aggAcc struct {
+	n       int64
+	sumI    int64
+	sumF    float64
+	isFloat bool
+	ext     *expr.Accumulator
+}
+
+// NewAggregator returns an empty aggregator for the (aggregate) view.
+func (m *Maintainer) NewAggregator() *Aggregator {
+	return &Aggregator{m: m, groups: make(map[string]*groupAcc)}
+}
+
+// Add accumulates one source row, skipping it when the view's WHERE clause
+// rejects it. src is not retained.
+func (a *Aggregator) Add(src record.Row) error {
+	m := a.m
+	ok, err := m.Matches(src)
+	if err != nil || !ok {
+		return err
+	}
+	a.key = a.key[:0]
+	for _, c := range m.V.GroupByCols {
+		if c < 0 || c >= len(src) {
+			return fmt.Errorf("%w: group column %d of %d", ErrSchema, c, len(src))
+		}
+		a.key = record.AppendKey(a.key, src[c])
+	}
+	g := a.groups[string(a.key)]
+	if g == nil {
+		g = &groupAcc{aggs: make([]aggAcc, len(m.V.Aggs))}
+		for i, spec := range m.V.Aggs {
+			if !spec.Func.Escrowable() {
+				g.aggs[i].ext = expr.NewAccumulator(spec)
 			}
 		}
-		return src, nil
+		a.groups[string(a.key)] = g
+	}
+	g.rows++
+	for i, spec := range m.V.Aggs {
+		acc := &g.aggs[i]
+		switch spec.Func {
+		case expr.AggCountRows:
+		case expr.AggCount, expr.AggSum, expr.AggAvg:
+			v, err := spec.Arg.Eval(src)
+			if err != nil {
+				return err
+			}
+			if v.IsNull() {
+				continue
+			}
+			acc.n++
+			if spec.Func == expr.AggCount {
+				continue
+			}
+			if v.Kind() == record.KindInt64 {
+				acc.sumI += v.AsInt()
+			} else {
+				acc.sumF += v.AsFloat()
+				acc.isFloat = true
+			}
+		default: // MIN / MAX
+			if err := acc.ext.Add(src); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// Entries returns the accumulated groups in the view's stored cell layout
+// (hidden count, SUM pairs, extrema), sorted by key.
+func (a *Aggregator) Entries() []Entry {
+	m := a.m
+	out := make([]Entry, 0, len(a.groups))
+	for k, g := range a.groups {
+		stored := m.NewGroupRow()
+		stored[0] = record.Int(g.rows)
+		for i, spec := range m.V.Aggs {
+			off, acc := m.aggOffsets[i], &g.aggs[i]
+			switch spec.Func {
+			case expr.AggCountRows:
+				stored[off] = record.Int(g.rows)
+			case expr.AggCount:
+				stored[off] = record.Int(acc.n)
+			case expr.AggSum, expr.AggAvg:
+				stored[off] = record.Int(acc.n)
+				if acc.isFloat {
+					stored[off+1] = record.Float(acc.sumF + float64(acc.sumI))
+				} else {
+					stored[off+1] = record.Int(acc.sumI)
+				}
+			default:
+				stored[off] = acc.ext.Result()
+			}
+		}
+		out = append(out, Entry{Key: []byte(k), Val: stored})
+	}
+	sortEntries(out)
+	return out
+}
+
+// eachSourceRow yields the view's unfiltered source rows — the left rows, or
+// for a join view every left row combined with each right row it joins — to
+// fn; consumers apply the WHERE clause.
+func (m *Maintainer) eachSourceRow(leftRows, rightRows []record.Row, fn func(record.Row) error) error {
+	if m.Right == nil {
+		for _, l := range leftRows {
+			if err := fn(l); err != nil {
+				return err
+			}
+		}
+		return nil
 	}
 	leftCol, rightCol := m.JoinCols()
 	byJoin := map[string][]record.Row{}
@@ -147,17 +196,12 @@ func (m *Maintainer) sourceRowsFull(leftRows, rightRows []record.Row) ([]record.
 		}
 		k := string(record.AppendKey(nil, v))
 		for _, r := range byJoin[k] {
-			s := m.CombineRows(l, r)
-			ok, err := m.Matches(s)
-			if err != nil {
-				return nil, err
-			}
-			if ok {
-				src = append(src, s)
+			if err := fn(m.CombineRows(l, r)); err != nil {
+				return err
 			}
 		}
 	}
-	return src, nil
+	return nil
 }
 
 func sortEntries(es []Entry) {

@@ -192,8 +192,7 @@ func metricsSchema() []string {
 		"engine.aborts", "engine.commits", "engine.escalations",
 		"engine.snapshot_unix_ns", "engine.sys_txns", "engine.uptime_ns",
 		"escrow.fold_aborts", "escrow.fold_batch_max", "escrow.fold_batches",
-		"escrow.fold_rows", "escrow.pending_rows", "escrow.pending_txns_high_water",
-		"escrow.shards",
+		"escrow.fold_rows", "escrow.pending_rows",
 		"flightrec.capacity", "flightrec.dumps", "flightrec.enabled",
 		"flightrec.recorded",
 		"freshness.slo_ns", "freshness.views",
