@@ -29,8 +29,8 @@ type viewFolds struct {
 }
 
 // foldSet applies a pending set to the view rows, one logical EscrowFold per
-// group under the short structure latch, for t. The set is ordered by (tree,
-// key) and ascending tree ID is topological, so each fold's visible row
+// group under the short structure latch, for t. The walk goes in (tree, key)
+// order and ascending tree ID is topological, so each fold's visible row
 // change — translated into child-view deltas merged into the same set ahead
 // of the walk — reaches the views stacked above within the same walk: they
 // fold level by level, all stamped at t's one commit timestamp, in an order
@@ -46,6 +46,11 @@ func (db *DB) foldSet(t *txn.Txn, p *escrow.Pending) (folded []viewFolds, deferr
 	var children []*catalog.View
 	divert := false
 	for i := 0; i < p.Len(); i++ {
+		if m == nil || m.V.ID != p.At(i).Tree {
+			// Entering the next tree: order what is left, including whatever
+			// the folds so far contributed to the views stacked above.
+			p.Sort(i)
+		}
 		g := p.At(i)
 		tree, key, ds := g.Tree, g.Key, g.Net()
 		if len(ds) == 0 {

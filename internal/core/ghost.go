@@ -80,16 +80,28 @@ func (db *DB) cleanViewGhosts(v *catalog.View) int {
 		}
 	}
 	erased := 0
+	treeRes := lock.TreeResource(v.ID)
 	for _, key := range keys {
+		// A ghost in use is skipped before anything is logged or queued: a
+		// system transaction that only aborts still costs two log records,
+		// and a queued X request stalls the key's next E requester. (The
+		// tree is not asked the same way: its X holders — an applier round,
+		// a refresh — are brief, and giving way to each would starve the
+		// sweep; a tree held for long costs one aborted transaction a pass.)
+		keyRes := lock.KeyResource(v.ID, key)
+		if !db.lm.Free(keyRes, lock.ModeX) {
+			continue
+		}
 		err := db.runSysTxn(func(st *txn.Txn) error {
 			// Hierarchical locking like any other writer: IX on the tree, so a
 			// holder whose key locks were escalated to a tree lock excludes the
 			// cleaner too, then a short X on the key, which keeps user
-			// transactions from acquiring E while we erase.
-			if err := db.lm.Lock(st.ID, lock.TreeResource(v.ID), lock.ModeIX, ghostLockWait); err != nil {
+			// transactions from acquiring E while we erase. The waits only
+			// cover a holder that arrived since the check above.
+			if err := db.lm.Lock(st.ID, treeRes, lock.ModeIX, ghostLockWait); err != nil {
 				return errTreeBusy
 			}
-			if err := db.lm.Lock(st.ID, lock.KeyResource(v.ID, key), lock.ModeX, ghostLockWait); err != nil {
+			if err := db.lm.Lock(st.ID, keyRes, lock.ModeX, ghostLockWait); err != nil {
 				return err
 			}
 			latch := db.structLatch(v.ID, key)

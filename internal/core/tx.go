@@ -176,15 +176,15 @@ func (tx *Tx) commit() error {
 		tx.finish(true, time.Time{})
 		return nil
 	}
-	// One clock read per phase boundary: the end of the fold is the start of
-	// the commit wait, and its end stamps the deferred publish.
+	// One clock read per phase boundary: the fold's end, the commit record's
+	// append (the start of the commit wait) and the wait's end, which also
+	// stamps the deferred publish.
 	start := time.Now()
 	var deferred []applier.GroupDelta
 	var folded []viewFolds
-	foldEnd := start
 	if p := tx.takePending(); p != nil {
 		var err error
-		if deferred, folded, foldEnd, err = db.foldPending(tx.t, p, start); err != nil {
+		if deferred, folded, err = db.foldPending(tx.t, p, start); err != nil {
 			// Fold failure (e.g. a log fault) aborts the transaction; already-
 			// applied folds are compensated by the generic rollback.
 			db.met.Escrow.FoldAborts.Add(1)
@@ -197,6 +197,7 @@ func (tx *Tx) commit() error {
 		tx.rollback()
 		return fmt.Errorf("core: commit failed, transaction rolled back: %w", err)
 	}
+	appended := time.Now()
 	if err := db.log.SyncTxn(lsn, tx.t.ID); err != nil {
 		// The commit record may or may not be durable; treat as failed and
 		// roll back in memory so the surviving state matches recovery's
@@ -205,7 +206,7 @@ func (tx *Tx) commit() error {
 		return fmt.Errorf("core: commit sync failed, transaction rolled back: %w", err)
 	}
 	durable := time.Now()
-	db.met.Txn.CommitWait.Observe(durable.Sub(foldEnd))
+	db.met.Txn.CommitWait.Observe(durable.Sub(appended))
 	// The commit is durable: allocate its timestamp, stamp every pinned
 	// version (before finish wipes the op chain and releases locks — the next
 	// writer of any of these rows must allocate a later timestamp), and only
@@ -366,12 +367,11 @@ func (tx *Tx) finish(committed bool, end time.Time) {
 // are not folded: they come back as per-group deltas for the commit to
 // publish to the background applier (deferred.go), which runs the cascade
 // below a deferred parent itself. The second result lists the immediately
-// maintained views folded, the third the clock at the end of the fold (start
-// itself when nothing folded).
-func (db *DB) foldPending(t *txn.Txn, p *escrow.Pending, start time.Time) ([]applier.GroupDelta, []viewFolds, time.Time, error) {
+// maintained views folded.
+func (db *DB) foldPending(t *txn.Txn, p *escrow.Pending, start time.Time) ([]applier.GroupDelta, []viewFolds, error) {
 	folded, deferred, err := db.foldSet(t, p)
 	if err != nil || len(folded) == 0 {
-		return deferred, nil, start, err
+		return deferred, nil, err
 	}
 	end := time.Now()
 	dur := end.Sub(start)
@@ -381,7 +381,7 @@ func (db *DB) foldPending(t *txn.Txn, p *escrow.Pending, start time.Time) ([]app
 	if db.tracer != nil {
 		db.tracer.TraceEvent(metrics.Event{Type: metrics.EventFold, Txn: t.ID, Dur: dur, Rows: total, WallNs: end.UnixNano()})
 	}
-	return deferred, folded, end, nil
+	return deferred, folded, nil
 }
 
 // foldRow folds one view row under the structure latch, returning the before

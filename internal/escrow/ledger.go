@@ -1,7 +1,6 @@
 package escrow
 
 import (
-	"slices"
 	"sync"
 
 	"repro/internal/id"
@@ -13,9 +12,6 @@ import (
 type Ledger struct {
 	mu   sync.Mutex
 	sets map[id.Txn]*Pending
-	// idle is the last discarded set, emptied, for the next transaction: a
-	// caller cycling through short transactions allocates no set for each.
-	idle *Pending
 }
 
 // NewLedger returns an empty ledger.
@@ -29,29 +25,18 @@ func (l *Ledger) Add(txn id.Txn, cell CellID, d Delta) {
 	l.mu.Lock()
 	p := l.sets[txn]
 	if p == nil {
-		if p, l.idle = l.idle, nil; p == nil {
-			p = NewPending()
-		}
+		p = NewPending()
 		l.sets[txn] = p
 	}
 	l.mu.Unlock()
-	// Look the group up through a key the lookup does not keep, so only a
-	// group's first delta pays for a copy of the key.
-	i, found := p.find(cell.Row.Tree, []byte(cell.Row.Key))
-	if !found {
-		p.groups = slices.Insert(p.groups, i, Group{Tree: cell.Row.Tree, Key: []byte(cell.Row.Key)})
-	}
-	p.groups[i].Add(cell.Col, d)
+	g, _ := p.Group(cell.Row.Tree, []byte(cell.Row.Key))
+	g.Add(cell.Col, d)
 }
 
 // Discard drops every pending delta of txn (commit after fold, or abort).
 func (l *Ledger) Discard(txn id.Txn) {
 	l.mu.Lock()
-	if p := l.sets[txn]; p != nil {
-		delete(l.sets, txn)
-		p.Restore(nil)
-		l.idle = p
-	}
+	delete(l.sets, txn)
 	l.mu.Unlock()
 }
 

@@ -2,6 +2,7 @@ package escrow
 
 import (
 	"bytes"
+	"cmp"
 	"slices"
 
 	"repro/internal/id"
@@ -60,21 +61,43 @@ func (g *Group) Net() []wal.ColDelta {
 }
 
 // Pending is the coalescing set of pending escrow deltas: one Group per
-// (view tree, group key), ordered by tree then key. A write transaction owns
-// one for the deltas its statements produce; its commit folds the groups in
-// order, merging the cascade contributions for stacked views into the same
-// set (a child view's tree ID is always above its source's, so they land
-// ahead of the fold position); the deferred applier builds one per round the
-// same way. However many statements or cascade paths feed a group, it is one
-// entry — the at-most-one-fold-per-(view, group) guarantee of DESIGN.md §10.
+// (view tree, group key). A write transaction owns one for the deltas its
+// statements produce; its commit sorts the groups by tree then key and folds
+// them in that order, merging the cascade contributions for stacked views into
+// the same set (a child view's tree ID is always above its source's, so they
+// sort ahead of the fold position); the deferred applier builds one per round
+// the same way. However many statements or cascade paths feed a group, it is
+// one entry — the at-most-one-fold-per-(view, group) guarantee of DESIGN.md
+// §10.
+//
+// The groups are a sorted run followed by the arrivals since: a group that
+// arrives in order extends the run (an applier round's groups all do), Sort
+// folds the arrivals into it. The run is binary-searched; the arrivals are
+// searched linearly while they are few (a transfer touches two groups) and
+// through an index once they are not (a bulk load under a high-cardinality
+// view opens a group per row), so a group costs the same however many the
+// set already holds.
 //
 // A Pending has a single owner and no synchronization: nothing but the
 // owning goroutine may touch it.
 type Pending struct {
 	groups []Group
+	// sorted is the length of the sorted run at the head of groups.
+	sorted int
+	// index maps an arrival to its position once there are more than
+	// linearMax of them; nil otherwise.
+	index map[groupID]int
 	// inline backs groups until a third group arrives: a transaction
 	// touching one or two groups allocates nothing but the set itself.
 	inline [2]Group
+}
+
+// linearMax is the most arrivals searched linearly.
+const linearMax = 16
+
+type groupID struct {
+	tree id.Tree
+	key  string
 }
 
 // NewPending returns an empty set.
@@ -84,38 +107,88 @@ func NewPending() *Pending {
 	return p
 }
 
-// Group returns the set's entry for (tree, key), inserting an empty one in
-// order when absent (created reports that). A created entry keeps key, so the
-// caller must not modify it afterwards. The pointer is valid until the next
-// Group or Restore call.
-func (p *Pending) Group(tree id.Tree, key []byte) (g *Group, created bool) {
-	i, found := p.find(tree, key)
-	if !found {
-		p.groups = slices.Insert(p.groups, i, Group{Tree: tree, Key: key})
+// compare orders g against (tree, key): by tree, then by key.
+func (g *Group) compare(tree id.Tree, key []byte) int {
+	if g.Tree != tree {
+		return cmp.Compare(g.Tree, tree)
 	}
-	return &p.groups[i], !found
+	return bytes.Compare(g.Key, key)
 }
 
-// find returns the position of (tree, key) in the set, or the position it
-// would be inserted at. It does not keep key.
-func (p *Pending) find(tree id.Tree, key []byte) (int, bool) {
-	lo, hi := 0, len(p.groups)
+// Group returns the set's entry for (tree, key), appending an empty one when
+// absent (created reports that). A created entry keeps key, so the caller
+// must not modify it afterwards. The pointer is valid until the next Group,
+// Sort or Restore call.
+func (p *Pending) Group(tree id.Tree, key []byte) (g *Group, created bool) {
+	i := p.find(tree, key)
+	if created = i < 0; created {
+		i = len(p.groups)
+		switch {
+		case p.sorted == i && (i == 0 || p.groups[i-1].compare(tree, key) < 0):
+			p.sorted++ // arrived in order: the run grows
+		case p.index != nil:
+			p.index[groupID{tree, string(key)}] = i
+		}
+		p.groups = append(p.groups, Group{Tree: tree, Key: key})
+	}
+	return &p.groups[i], created
+}
+
+// find returns the position of (tree, key) in the set, or -1. It does not
+// keep key.
+func (p *Pending) find(tree id.Tree, key []byte) int {
+	lo, hi := 0, p.sorted
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		if m := &p.groups[mid]; m.Tree < tree || (m.Tree == tree && bytes.Compare(m.Key, key) < 0) {
+		if p.groups[mid].compare(tree, key) < 0 {
 			lo = mid + 1
 		} else {
 			hi = mid
 		}
 	}
-	return lo, lo < len(p.groups) && p.groups[lo].Tree == tree && bytes.Equal(p.groups[lo].Key, key)
+	if lo < p.sorted && p.groups[lo].compare(tree, key) == 0 {
+		return lo
+	}
+	if len(p.groups)-p.sorted <= linearMax {
+		for i := p.sorted; i < len(p.groups); i++ {
+			if p.groups[i].compare(tree, key) == 0 {
+				return i
+			}
+		}
+		return -1
+	}
+	if p.index == nil {
+		p.index = make(map[groupID]int, 4*linearMax)
+		for i := p.sorted; i < len(p.groups); i++ {
+			p.index[groupID{p.groups[i].Tree, string(p.groups[i].Key)}] = i
+		}
+	}
+	if i, ok := p.index[groupID{tree, string(key)}]; ok {
+		return i
+	}
+	return -1
+}
+
+// Sort puts the groups from position from on in (tree, key) order — the fold
+// order — which makes the whole set one sorted run. The groups before from
+// must already be in order and below every later one: a fold walk calls Sort
+// before it starts and again as it crosses into each next tree, which slots
+// the cascade contributions that arrived meanwhile (all for higher trees)
+// into the groups still to come. It costs nothing when every group arrived in
+// order.
+func (p *Pending) Sort(from int) {
+	if p.sorted == len(p.groups) {
+		return
+	}
+	slices.SortFunc(p.groups[from:], func(a, b Group) int { return a.compare(b.Tree, b.Key) })
+	p.sorted, p.index = len(p.groups), nil
 }
 
 // Len reports how many groups the set holds.
 func (p *Pending) Len() int { return len(p.groups) }
 
-// At returns the i'th group in (tree, key) order, valid until the next Group
-// or Restore call.
+// At returns the i'th group — in (tree, key) order after Sort — valid until
+// the next Group, Sort or Restore call.
 func (p *Pending) At(i int) *Group { return &p.groups[i] }
 
 // Snapshot returns a copy of the set's contents for a savepoint.
@@ -123,7 +196,10 @@ func (p *Pending) Snapshot() []Group { return cloneGroups(nil, p.groups) }
 
 // Restore replaces the set's contents with a copy of a Snapshot result (nil
 // empties the set), leaving snap reusable for a later Restore.
-func (p *Pending) Restore(snap []Group) { p.groups = cloneGroups(p.groups[:0], snap) }
+func (p *Pending) Restore(snap []Group) {
+	p.groups = cloneGroups(p.groups[:0], snap)
+	p.sorted, p.index = 0, nil
+}
 
 // cloneGroups appends copies of src's groups to dst. Keys are immutable and
 // shared; delta slices are owned by their group and copied.

@@ -111,6 +111,43 @@ func TestXBlocksUntilRelease(t *testing.T) {
 	}
 }
 
+// TestFree: Free answers what a new requester would be told — compatible
+// holders leave the resource free, an incompatible one or a waiter does not —
+// and asks without requesting anything.
+func TestFree(t *testing.T) {
+	m := NewManager()
+	defer m.Close()
+	if !m.Free(res1, ModeX) {
+		t.Fatal("an untouched resource is not free")
+	}
+	if err := m.Lock(1, res1, ModeE, 0); err != nil {
+		t.Fatal(err)
+	}
+	if !m.Free(res1, ModeE) || m.Free(res1, ModeX) {
+		t.Fatalf("under E: free for E = %v (want true), for X = %v (want false)", m.Free(res1, ModeE), m.Free(res1, ModeX))
+	}
+	// A queued X makes later E requesters wait too.
+	queued := make(chan error, 1)
+	go func() { queued <- m.Lock(2, res1, ModeX, time.Second) }()
+	for deadline := time.Now().Add(5 * time.Second); m.Free(res1, ModeE); {
+		if time.Now().After(deadline) {
+			t.Fatal("resource still free for E with an X request queued")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	m.ReleaseAll(1)
+	if err := <-queued; err != nil {
+		t.Fatal(err)
+	}
+	m.ReleaseAll(2)
+	if !m.Free(res1, ModeX) {
+		t.Fatal("not free after every holder released")
+	}
+	if got := m.Snapshot().Requests; got != 2 {
+		t.Fatalf("Free counted as a request: %d requests, want 2", got)
+	}
+}
+
 func TestEscrowConcurrentGrants(t *testing.T) {
 	m := NewManager()
 	for txn := id.Txn(1); txn <= 32; txn++ {

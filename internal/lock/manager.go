@@ -643,6 +643,18 @@ func (m *Manager) HeldMode(txn id.Txn, res Resource) Mode {
 	return ModeNone
 }
 
+// Free reports whether a new requester would be granted res in mode at once:
+// nobody holds it in a conflicting mode and nobody waits for it. The answer is
+// a hint that may be stale on return — callers that would rather skip busy
+// work than queue behind it (the ghost cleaner) ask before they request.
+func (m *Manager) Free(res Resource, mode Mode) bool {
+	s := m.shardOf(res)
+	s.lock()
+	defer s.mu.Unlock()
+	ls := s.table[res]
+	return ls == nil || (len(ls.queue) == 0 && grantable(ls, id.None, mode))
+}
+
 // CountKeyLocks counts the key-granular locks txn holds within tree,
 // aggregated across shards; the engine consults it for lock escalation.
 func (m *Manager) CountKeyLocks(txn id.Txn, tree id.Tree) int {

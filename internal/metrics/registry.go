@@ -64,8 +64,7 @@ type TxnMetrics struct {
 	// Fold times the commit-time escrow fold (only commits with pending
 	// deltas are observed).
 	Fold Histogram
-	// CommitWait times the committer's wait for durability: from the end of
-	// its fold through the commit record's append and group-commit sync.
+	// CommitWait times the group-commit sync the committer waits on.
 	CommitWait Histogram
 }
 

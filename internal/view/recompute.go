@@ -1,7 +1,6 @@
 package view
 
 import (
-	"fmt"
 	"sort"
 
 	"repro/internal/catalog"
@@ -86,12 +85,8 @@ func (a *Aggregator) Add(src record.Row) error {
 	if err != nil || !ok {
 		return err
 	}
-	a.key = a.key[:0]
-	for _, c := range m.V.GroupByCols {
-		if c < 0 || c >= len(src) {
-			return fmt.Errorf("%w: group column %d of %d", ErrSchema, c, len(src))
-		}
-		a.key = record.AppendKey(a.key, src[c])
+	if a.key, err = m.AppendGroupKey(a.key[:0], src); err != nil {
+		return err
 	}
 	g := a.groups[string(a.key)]
 	if g == nil {

@@ -163,14 +163,19 @@ func (m *Maintainer) GroupRow(src record.Row) (record.Row, error) {
 // straight from the source columns (no intermediate group row), pre-sizing
 // for the common fixed-width kinds.
 func (m *Maintainer) GroupKey(src record.Row) ([]byte, error) {
-	key := make([]byte, 0, 9*len(m.V.GroupByCols))
+	return m.AppendGroupKey(make([]byte, 0, 9*len(m.V.GroupByCols)), src)
+}
+
+// AppendGroupKey appends the encoded view key for src's group to dst: the
+// view's one group-key encoding, for callers that reuse a buffer.
+func (m *Maintainer) AppendGroupKey(dst []byte, src record.Row) ([]byte, error) {
 	for _, c := range m.V.GroupByCols {
 		if c < 0 || c >= len(src) {
 			return nil, fmt.Errorf("%w: group column %d of %d", ErrSchema, c, len(src))
 		}
-		key = record.AppendKey(key, src[c])
+		dst = record.AppendKey(dst, src[c])
 	}
-	return key, nil
+	return dst, nil
 }
 
 // Contribution is the effect of one source-row change on one aggregate.
