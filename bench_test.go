@@ -57,9 +57,11 @@ func BenchmarkT1MaintenanceOverhead(b *testing.B) {
 // throughput as writers grow.
 func BenchmarkF2EscrowScaling(b *testing.B) {
 	tb := runExperiment(b, "F2")
-	last := len(tb.Rows) - 1
-	b.ReportMetric(cell(tb, last, 1), "escrow-tx/s@32w")
-	b.ReportMetric(cell(tb, last, 2), "xlock-tx/s@32w")
+	think, last := len(tb.Rows)/2-1, len(tb.Rows)-1
+	b.ReportMetric(cell(tb, think, 2), "escrow-tx/s@32w")
+	b.ReportMetric(cell(tb, think, 3), "xlock-tx/s@32w")
+	b.ReportMetric(cell(tb, last, 2), "escrow-tx/s@32w-nothink")
+	b.ReportMetric(cell(tb, last, 3), "xlock-tx/s@32w-nothink")
 }
 
 // BenchmarkF3Contention regenerates Figure 3: throughput vs group count.

@@ -1,136 +1,34 @@
 // Command viewbench runs the reconstructed evaluation (DESIGN.md §4) and
-// prints each experiment's table/series.
+// prints each experiment's table/series — the figures of EXPERIMENTS.md.
+// Performance tracking across changes is the benchmark's job
+// (go run ./benchmark, see benchmark/README.md), not this command's.
 //
 // Usage:
 //
 //	viewbench -list
 //	viewbench -exp F2            # one experiment, full scale
 //	viewbench -exp all -quick    # every experiment at ~1/8 scale
-//
-// Each experiment reports one headline metric (e.g. peak escrow throughput);
-// viewbench merges them into a machine-readable JSON file (-json, default
-// BENCH_results.json) so the performance trajectory across changes is
-// tracked, not just printed.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
-	"os/signal"
 	"strings"
-	"syscall"
 	"time"
 
 	"repro/internal/bench"
 	"repro/internal/metrics"
 )
 
-// headlineResult is one experiment's tracked metric in the results file.
-// Experiments that instrument their headline run additionally report its
-// allocation cost and lock-manager shard statistics.
-type headlineResult struct {
-	Metric       string  `json:"metric"`
-	Value        float64 `json:"value"`
-	Ran          string  `json:"ran"` // RFC 3339
-	AllocsPerOp  float64 `json:"allocs_per_op,omitempty"`
-	LockShards   int     `json:"lock_shards,omitempty"`
-	LockColls    int64   `json:"lock_collisions,omitempty"`
-	LockMaxQueue int64   `json:"lock_max_queue_depth,omitempty"`
-	// With -hotspots: the headline run's top hot groups (by escrow delta
-	// volume and by lock wait) and per-view maintenance cost table, straight
-	// from the DB.Metrics() hotspots section.
-	HotGroups     []metrics.HotGroupSnapshot `json:"hot_groups,omitempty"`
-	HotWaitGroups []metrics.HotGroupSnapshot `json:"hot_wait_groups,omitempty"`
-	ViewCosts     []metrics.ViewCostSnapshot `json:"view_costs,omitempty"`
-	// With -freshness: the headline run's commit-to-visible latency
-	// distribution (experiments that measure it: F9D, DAG). benchgate gates
-	// the p99 upward like allocs/op.
-	FreshP50Ns int64 `json:"commit_to_visible_p50_ns,omitempty"`
-	FreshP99Ns int64 `json:"commit_to_visible_p99_ns,omitempty"`
-}
-
-// attachHotspots copies the headline run's hot-spot attribution into the
-// results entry.
-func attachHotspots(hr headlineResult, s *metrics.Snapshot) headlineResult {
-	if s == nil {
-		return hr
-	}
-	hr.HotGroups = s.Hotspots.TopDelta
-	hr.HotWaitGroups = s.Hotspots.TopWait
-	hr.ViewCosts = s.Hotspots.Views
-	return hr
-}
-
 func main() {
 	var (
-		expFlag     = flag.String("exp", "all", "experiment ID (T1,F2,...) or comma list or 'all'")
-		quick       = flag.Bool("quick", false, "run at reduced scale")
-		smoke       = flag.Bool("smoke", false, "run at minimal scale (CI bench-smoke gate)")
-		list        = flag.Bool("list", false, "list experiments and exit")
-		jsonPath    = flag.String("json", "BENCH_results.json", "merge headline metrics into this file ('' disables)")
-		metricsPath = flag.String("metrics", "", "write the headline run's DB.Metrics() snapshot to this JSON file")
-		traceSlow   = flag.Duration("trace-slow", 0, "log engine trace events slower than this to stderr (0 disables)")
-		watchdog    = flag.Bool("watchdog", true, "run the engine stall watchdog during experiments")
-		scrub       = flag.Duration("scrub", 0, "run the online consistency scrubber during experiments at this tick (0 disables)")
-		flightSink  = flag.String("flight-sink", "", "write automatic flight-record dumps (deadlock/timeout/stall) here: 'stderr' or a path ('' disables)")
-		pprofLabels = flag.Bool("pprof-labels", false, "tag commit hot paths with runtime/pprof labels (costs allocations)")
-		hotspots    = flag.Bool("hotspots", false, "include the headline run's top hot groups and per-view cost table in the results JSON")
-		freshness   = flag.Bool("freshness", false, "include the headline run's commit-to-visible p50/p99 in the results JSON")
+		expFlag   = flag.String("exp", "all", "experiment ID (T1,F2,...) or comma list or 'all'")
+		quick     = flag.Bool("quick", false, "run at reduced scale")
+		list      = flag.Bool("list", false, "list experiments and exit")
+		traceSlow = flag.Duration("trace-slow", 0, "log engine trace events slower than this to stderr (0 disables)")
 	)
 	flag.Parse()
-
-	if *traceSlow > 0 {
-		bench.Tracer = metrics.NewSlowLogger(os.Stderr, *traceSlow, "viewbench ")
-	}
-	bench.Watchdog = *watchdog
-	bench.ScrubInterval = *scrub
-	bench.ProfileLabels = *pprofLabels
-	switch *flightSink {
-	case "":
-	case "stderr":
-		bench.FlightSink = os.Stderr
-	default:
-		f, err := os.Create(*flightSink)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "opening -flight-sink: %v\n", err)
-			os.Exit(2)
-		}
-		defer f.Close()
-		bench.FlightSink = f
-	}
-	// SIGQUIT dumps the running database's flight record to stderr without
-	// stopping the benchmark.
-	quit := make(chan os.Signal, 1)
-	signal.Notify(quit, syscall.SIGQUIT)
-	go func() {
-		for range quit {
-			if db := bench.CurrentDB(); db != nil {
-				db.DumpFlightRecord(os.Stderr)
-			}
-		}
-	}()
-	var headlineSnap *metrics.Snapshot
-	if *metricsPath != "" || *hotspots {
-		bench.MetricsSink = func(s metrics.Snapshot) {
-			snap := s
-			headlineSnap = &snap
-			if *metricsPath == "" {
-				return
-			}
-			buf, err := json.MarshalIndent(s, "", "  ")
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "encoding metrics snapshot: %v\n", err)
-				return
-			}
-			if err := os.WriteFile(*metricsPath, append(buf, '\n'), 0o644); err != nil {
-				fmt.Fprintf(os.Stderr, "writing %s: %v\n", *metricsPath, err)
-				return
-			}
-			fmt.Printf("headline metrics snapshot written to %s\n", *metricsPath)
-		}
-	}
 
 	if *list {
 		for _, r := range bench.All() {
@@ -138,13 +36,12 @@ func main() {
 		}
 		return
 	}
-
+	if *traceSlow > 0 {
+		bench.Tracer = metrics.NewSlowLogger(os.Stderr, *traceSlow, "viewbench ")
+	}
 	scale := bench.Full
 	if *quick {
 		scale = bench.Quick
-	}
-	if *smoke {
-		scale = bench.Smoke
 	}
 
 	var runners []bench.Runner
@@ -161,62 +58,14 @@ func main() {
 		}
 	}
 
-	results := make(map[string]headlineResult)
 	for _, r := range runners {
 		fmt.Printf("running %s (%s)...\n", r.ID, r.Name)
 		start := time.Now()
-		headlineSnap = nil
 		tb, err := r.Run(scale)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "%s failed: %v\n", r.ID, err)
 			os.Exit(1)
 		}
 		fmt.Printf("%s(took %s)\n\n", tb, time.Since(start).Round(time.Millisecond))
-		if tb.HeadlineName != "" {
-			hr := headlineResult{
-				Metric:       tb.HeadlineName,
-				Value:        tb.Headline,
-				Ran:          time.Now().UTC().Format(time.RFC3339),
-				AllocsPerOp:  tb.HeadlineAllocsPerOp,
-				LockShards:   tb.HeadlineShards,
-				LockColls:    tb.HeadlineCollisions,
-				LockMaxQueue: tb.HeadlineMaxQueue,
-			}
-			if *hotspots {
-				hr = attachHotspots(hr, headlineSnap)
-			}
-			if *freshness {
-				hr.FreshP50Ns = tb.HeadlineFreshP50Ns
-				hr.FreshP99Ns = tb.HeadlineFreshP99Ns
-			}
-			results[tb.ID] = hr
-		}
 	}
-
-	if *jsonPath != "" && len(results) > 0 {
-		if err := mergeResults(*jsonPath, results); err != nil {
-			fmt.Fprintf(os.Stderr, "writing %s: %v\n", *jsonPath, err)
-			os.Exit(1)
-		}
-		fmt.Printf("headline metrics merged into %s\n", *jsonPath)
-	}
-}
-
-// mergeResults folds new headline metrics into the results file, keeping
-// entries for experiments not run this time.
-func mergeResults(path string, fresh map[string]headlineResult) error {
-	all := make(map[string]headlineResult)
-	if raw, err := os.ReadFile(path); err == nil {
-		if err := json.Unmarshal(raw, &all); err != nil {
-			return fmt.Errorf("existing file is not a results map: %w", err)
-		}
-	}
-	for id, r := range fresh {
-		all[id] = r
-	}
-	out, err := json.MarshalIndent(all, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(out, '\n'), 0o644)
 }

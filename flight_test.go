@@ -87,10 +87,11 @@ func induceDeadlock(t *testing.T, db *vtxn.DB) {
 // deadlock automatically dumps a causal timeline to Options.FlightSink, and
 // both the timeline and the JSONL dump carry the causally-linked spans of
 // BOTH deadlocked transactions — begin, lock waits with resource/mode/
-// outcome, and end.
+// outcome, and end. The watchdog runs too: its own dumps share the sink's
+// rate limit and must not swallow the deadlock's.
 func TestFlightRecordDeadlockDump(t *testing.T) {
 	sink := &lockedBuffer{}
-	db, err := vtxn.Open(t.TempDir(), vtxn.Options{FlightSink: sink})
+	db, err := vtxn.Open(t.TempDir(), vtxn.Options{FlightSink: sink, Watchdog: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,6 +14,7 @@ import (
 
 	vtxn "repro"
 	"repro/internal/fault"
+	"repro/internal/metrics"
 )
 
 // createDeferredTotals defines a deferred aggregate view over accounts.
@@ -58,65 +59,17 @@ func TestFlightRecordLinksDeferredMaintenance(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	type rec struct {
-		Span     uint64   `json:"span"`
-		Spans    []uint64 `json:"spans"`
-		Type     string   `json:"type"`
-		Txn      uint64   `json:"txn"`
-		Resource string   `json:"resource"`
-	}
-	var jsonl bytes.Buffer
-	if err := db.WriteFlightRecordJSONL(&jsonl); err != nil {
-		t.Fatal(err)
-	}
-	txnID := uint64(tx.ID())
-	var commitSpan uint64
-	var publish, apply, advance *rec
-	sc := bufio.NewScanner(&jsonl)
-	for sc.Scan() {
-		var r rec
-		if err := json.Unmarshal(sc.Bytes(), &r); err != nil {
-			t.Fatalf("JSONL line does not parse: %v: %s", err, sc.Text())
-		}
-		switch r.Type {
-		case "tx-begin":
-			if r.Txn == txnID {
-				commitSpan = r.Span
-			}
-		case "deferred-publish":
-			if r.Txn == txnID {
-				cp := r
-				publish = &cp
-			}
-		case "deferred-apply", "watermark-advance":
-			if r.Resource != "branch_totals_deferred" {
-				continue
-			}
-			for _, s := range r.Spans {
-				if commitSpan != 0 && s == commitSpan {
-					cp := r
-					if r.Type == "deferred-apply" {
-						apply = &cp
-					} else {
-						advance = &cp
-					}
-				}
-			}
-		}
-	}
-	if commitSpan == 0 {
+	links := traceLinks(t, db, uint64(tx.ID()))
+	if links.commitSpan == 0 {
 		t.Fatal("committing transaction has no tx-begin span in the flight record")
 	}
-	if publish == nil {
-		t.Fatalf("no deferred-publish event for txn %d", txnID)
+	if links.publishSpan != links.commitSpan {
+		t.Fatalf("deferred-publish span %d != commit span %d — the publish is not causally linked", links.publishSpan, links.commitSpan)
 	}
-	if publish.Span != commitSpan {
-		t.Fatalf("deferred-publish span %d != commit span %d — the publish is not causally linked", publish.Span, commitSpan)
-	}
-	if apply == nil {
+	if !links.applied["branch_totals_deferred"] {
 		t.Fatal("no deferred-apply event carries the originating commit's span")
 	}
-	if advance == nil {
+	if !links.advanced["branch_totals_deferred"] {
 		t.Fatal("no watermark-advance event carries the originating commit's span")
 	}
 
@@ -153,6 +106,143 @@ func TestFlightRecordLinksDeferredMaintenance(t *testing.T) {
 	}
 	if !strings.Contains(timeline.String(), "visible in: branch_totals_deferred") {
 		t.Fatalf("span summary does not name the view the commit became visible in:\n%s", timeline.String())
+	}
+}
+
+// spanLinks is what the flight record says about one transaction's causal
+// span: the span its tx-begin opened, the span of its deferred-publish, and
+// the views whose deferred-apply and watermark-advance events list the span
+// among their parents.
+type spanLinks struct {
+	commitSpan, publishSpan uint64
+	applied, advanced       map[string]bool
+}
+
+// traceLinks parses the JSONL flight record for transaction txnID's links.
+func traceLinks(t *testing.T, db *vtxn.DB, txnID uint64) spanLinks {
+	t.Helper()
+	var jsonl bytes.Buffer
+	if err := db.WriteFlightRecordJSONL(&jsonl); err != nil {
+		t.Fatal(err)
+	}
+	type rec struct {
+		Span     uint64   `json:"span"`
+		Spans    []uint64 `json:"spans"`
+		Type     string   `json:"type"`
+		Txn      uint64   `json:"txn"`
+		Resource string   `json:"resource"`
+	}
+	l := spanLinks{applied: map[string]bool{}, advanced: map[string]bool{}}
+	sc := bufio.NewScanner(&jsonl)
+	sc.Buffer(make([]byte, 1<<20), 1<<20)
+	for sc.Scan() {
+		var r rec
+		if err := json.Unmarshal(sc.Bytes(), &r); err != nil {
+			t.Fatalf("JSONL line does not parse: %v: %s", err, sc.Text())
+		}
+		switch r.Type {
+		case "tx-begin":
+			if r.Txn == txnID {
+				l.commitSpan = r.Span
+			}
+		case "deferred-publish":
+			if r.Txn == txnID {
+				l.publishSpan = r.Span
+			}
+		case "deferred-apply", "watermark-advance":
+			for _, s := range r.Spans {
+				if l.commitSpan != 0 && s == l.commitSpan {
+					if r.Type == "deferred-apply" {
+						l.applied[r.Resource] = true
+					} else {
+						l.advanced[r.Resource] = true
+					}
+				}
+			}
+		}
+	}
+	return l
+}
+
+// TestFreshnessAcrossRollupChain traces one marked commit through the 3-level
+// deferred rollup chain after a tilt storm: its span crosses the async
+// boundary into a fold at every level and the watermark advance of the top,
+// and each level's commit-to-visible accounting nests inside the window the
+// client measured, with staleness back at zero once drained.
+func TestFreshnessAcrossRollupChain(t *testing.T) {
+	db, err := vtxn.Open(t.TempDir(), vtxn.Options{Watchdog: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	setupItemChain(t, db, vtxn.StrategyDeferred)
+	startTilts(t, db, "order_items", amountCol, itemLevel, 50).wait()
+	if t.Failed() {
+		t.FailNow()
+	}
+	top := rollupChain[len(rollupChain)-1]
+	drainTo(t, db, top, db.Metrics().MVCC.Watermark)
+	before := db.Metrics()
+
+	// The probe writes a new amount: an update to the current value folds
+	// to a zero delta and publishes nothing.
+	probeStart := time.Now()
+	tx, err := db.Begin(vtxn.ReadCommitted)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Update("order_items", vtxn.Row{vtxn.Int(0)}, map[int]vtxn.Value{amountCol: vtxn.Int(itemLevel + 7)}); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	drainTo(t, db, top, tx.CommitTS())
+	clientWindow := time.Since(probeStart)
+	after := db.Metrics()
+
+	links := traceLinks(t, db, uint64(tx.ID()))
+	if links.commitSpan == 0 || links.publishSpan != links.commitSpan {
+		t.Fatalf("probe span %d, its deferred-publish span %d: want equal and nonzero", links.commitSpan, links.publishSpan)
+	}
+	for _, v := range rollupChain {
+		if !links.applied[v] {
+			t.Errorf("no deferred-apply at level %s carries the probe's span (applied: %v)", v, links.applied)
+		}
+	}
+	if !links.advanced[top] {
+		t.Errorf("no watermark advance of %s carries the probe's span (advanced: %v)", top, links.advanced)
+	}
+
+	freshOf := func(s vtxn.MetricsSnapshot, view string) (metrics.ViewFreshnessSnapshot, bool) {
+		for _, v := range s.Freshness.Views {
+			if v.View == view {
+				return v, true
+			}
+		}
+		return metrics.ViewFreshnessSnapshot{}, false
+	}
+	for _, view := range rollupChain {
+		b, _ := freshOf(before, view)
+		a, ok := freshOf(after, view)
+		if !ok || a.Strategy != "deferred" {
+			t.Fatalf("freshness section lacks deferred view %s: %+v", view, after.Freshness.Views)
+		}
+		n := a.CommitToVisible.Count - b.CommitToVisible.Count
+		if n <= 0 {
+			t.Fatalf("probe left no commit-to-visible sample for %s", view)
+		}
+		// Every new sample's publish-to-advance interval lies inside the
+		// client's begin-to-visible window, so their mean does too.
+		if mean := time.Duration((a.CommitToVisible.SumNs - b.CommitToVisible.SumNs) / n); mean > clientWindow {
+			t.Errorf("%s: mean commit-to-visible %s exceeds the client-measured window %s", view, mean, clientWindow)
+		}
+		if a.StalenessNs != 0 {
+			t.Errorf("%s: staleness %dns once drained, want 0", view, a.StalenessNs)
+		}
+	}
+	if err := db.CheckConsistency(); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -3,7 +3,9 @@ package vtxn_test
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"math/rand"
+	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
@@ -16,11 +18,13 @@ import (
 
 // TestHotGroupAgreement is the acceptance check for hot-spot attribution:
 // under a Zipf(1.1)-skewed escrow workload the true hottest view group must
-// be the top escrow heavy hitter in DB.Metrics(), and a lock convoy's stall
-// report (EventStall detail and the flight-recorder auto-dump) must name the
-// same group that tops the lock-wait listing. The third surface, the
-// vtxnshell top dashboard, renders the same DB.Metrics() snapshot and is
-// checked against its own skewed workload in cmd/vtxnshell's TestShellTop.
+// be the top escrow heavy hitter in DB.Metrics() within the Space-Saving
+// error bound and a labelled series of the Prometheus endpoint, and a lock
+// convoy's stall report (EventStall detail and the flight-recorder auto-dump)
+// must name the same group that tops the lock-wait listing. The third
+// surface, the vtxnshell top dashboard, renders the same DB.Metrics()
+// snapshot and is checked against its own skewed workload in cmd/vtxnshell's
+// TestShellTop.
 func TestHotGroupAgreement(t *testing.T) {
 	db := openDB(t)
 	setupPublic(t, db)
@@ -92,6 +96,45 @@ func TestHotGroupAgreement(t *testing.T) {
 	if top.View != "branch_totals" || top.Key != fmt.Sprintf("%d", hottest) {
 		t.Fatalf("top_delta[0] = %s[%s], want branch_totals[%d] (true count %d)",
 			top.View, top.Key, hottest, hottestN)
+	}
+	// Space-Saving bounds, in the sketch's unit of one escrow cell update:
+	// an insert lands four on its group row (the hidden group counter, the
+	// COUNT(*) cell, and SUM's non-NULL count and running sum). The estimate
+	// never undercounts, and the estimate less its error never overcounts.
+	trueDeltas := hottestN * 4
+	if top.Value < trueDeltas || top.Value-top.Err > trueDeltas {
+		t.Fatalf("Space-Saving bound violated: estimate %d, error %d, true %d", top.Value, top.Err, trueDeltas)
+	}
+	if len(snap.Hotspots.Views) == 0 {
+		t.Fatal("hotspots.views is empty")
+	}
+	if vc := snap.Hotspots.Views[0]; vc.View != "branch_totals" || vc.RowsFolded <= 0 || vc.FoldNs <= 0 || vc.WALBytes <= 0 {
+		t.Fatalf("view cost table lacks fold and WAL accounting: %+v", vc)
+	}
+	if snap.Engine.UptimeNs <= 0 || snap.Engine.SnapshotUnixNs <= 0 {
+		t.Fatalf("snapshot clock missing: uptime %d, ts %d", snap.Engine.UptimeNs, snap.Engine.SnapshotUnixNs)
+	}
+
+	// The Prometheus endpoint names the same group as a labelled series.
+	srv := httptest.NewServer(vtxn.MetricsHandler(db))
+	defer srv.Close()
+	resp, err := srv.Client().Get(srv.URL + "/")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, series := range []string{
+		fmt.Sprintf(`vtxn_hot_group_escrow_deltas_total{view="branch_totals",key="%d"}`, hottest),
+		`vtxn_view_fold_rows_total{view="branch_totals"}`,
+		"vtxn_uptime_seconds",
+	} {
+		if !strings.Contains(string(body), series) {
+			t.Fatalf("Prometheus exposition lacks %s", series)
+		}
 	}
 
 	// Phase 2: a lock convoy on one hot row. A dedicated watchdog (tight

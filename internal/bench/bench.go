@@ -6,10 +6,7 @@ package bench
 
 import (
 	"fmt"
-	"io"
 	"os"
-	"sync/atomic"
-	"time"
 
 	"repro/internal/catalog"
 	"repro/internal/core"
@@ -20,37 +17,6 @@ import (
 // every database the harness opens, so slow lock waits, folds, and group
 // commits stream out of experiment runs.
 var Tracer metrics.Tracer
-
-// MetricsSink, when set (viewbench -metrics), receives the headline (F2
-// escrow, max writers) database's full metrics snapshot just before that
-// database is torn down. CI saves it as the bench-smoke artifact.
-var MetricsSink func(metrics.Snapshot)
-
-// Watchdog, when set (viewbench default), enables the stall watchdog on
-// every database the harness opens.
-var Watchdog bool
-
-// ScrubInterval, when positive (viewbench -scrub), runs the online
-// consistency scrubber on every database the harness opens, at that tick and
-// the default row budget — so the benchmarks measure the engine as deployed
-// with continuous verification on.
-var ScrubInterval time.Duration
-
-// FlightSink, when set (viewbench -flight-sink), receives automatic
-// flight-record dumps from every database the harness opens.
-var FlightSink io.Writer
-
-// ProfileLabels, when set (viewbench -pprof-labels), tags commit hot paths
-// with runtime/pprof labels on every database the harness opens.
-var ProfileLabels bool
-
-// current is the most recently opened harness database, so viewbench's
-// SIGQUIT handler can dump the flight record of whatever is running now.
-var current atomic.Pointer[core.DB]
-
-// CurrentDB returns the database the harness most recently opened (and has
-// not yet torn down), or nil.
-func CurrentDB() *core.DB { return current.Load() }
 
 // Scale shrinks experiments for quick runs (tests, testing.B iterations);
 // Full is the cmd/viewbench default.
@@ -64,10 +30,6 @@ var Full = Scale{Factor: 1}
 
 // Quick runs experiments at roughly 1/8 scale.
 var Quick = Scale{Factor: 8}
-
-// Smoke runs experiments at ~1/64 scale: just enough work to produce a
-// headline metric for the CI bench-smoke gate and the results-schema test.
-var Smoke = Scale{Factor: 64}
 
 func (s Scale) div(n int) int {
 	if s.Factor <= 1 {
@@ -86,18 +48,6 @@ func tempDB(opts core.Options) (*core.DB, func(), error) {
 	if opts.Tracer == nil {
 		opts.Tracer = Tracer
 	}
-	if Watchdog {
-		opts.Watchdog = true
-	}
-	if opts.ScrubInterval == 0 && ScrubInterval > 0 {
-		opts.ScrubInterval = ScrubInterval
-	}
-	if opts.FlightSink == nil {
-		opts.FlightSink = FlightSink
-	}
-	if ProfileLabels {
-		opts.ProfileLabels = true
-	}
 	dir, err := os.MkdirTemp("", "vtxnbench-*")
 	if err != nil {
 		return nil, nil, err
@@ -107,9 +57,7 @@ func tempDB(opts core.Options) (*core.DB, func(), error) {
 		os.RemoveAll(dir)
 		return nil, nil, err
 	}
-	current.Store(db)
 	cleanup := func() {
-		current.CompareAndSwap(db, nil)
 		db.Close()
 		os.RemoveAll(dir)
 	}
@@ -117,27 +65,6 @@ func tempDB(opts core.Options) (*core.DB, func(), error) {
 }
 
 func strategyName(s catalog.Strategy) string { return s.String() }
-
-// viewFreshness finds the named view's freshness snapshot (zero value when
-// the view has no samples yet).
-func viewFreshness(m metrics.Snapshot, view string) metrics.ViewFreshnessSnapshot {
-	for _, v := range m.Freshness.Views {
-		if v.View == view {
-			return v
-		}
-	}
-	return metrics.ViewFreshnessSnapshot{}
-}
-
-// freshCell formats a commit-to-visible summary for a table cell.
-func freshCell(v metrics.ViewFreshnessSnapshot) string {
-	if v.CommitToVisible.Count == 0 {
-		return "-"
-	}
-	return fmt.Sprintf("%s/%s",
-		D(time.Duration(v.CommitToVisible.P50Ns)),
-		D(time.Duration(v.CommitToVisible.P99Ns)))
-}
 
 // Runner is one experiment: an ID (table/figure number) and its run
 // function.
@@ -155,13 +82,10 @@ func All() []Runner {
 		{ID: "F3", Name: "throughput vs number of groups", Run: RunF3Contention},
 		{ID: "F4", Name: "deadlock/abort rate vs writers", Run: RunF4Aborts},
 		{ID: "T5", Name: "reader/writer interaction by isolation", Run: RunT5Readers},
-		{ID: "T5R", Name: "snapshot read scaling (mixed read/write)", Run: RunT5RSnapshotScaling},
 		{ID: "F6", Name: "query speedup from the indexed view", Run: RunF6QuerySpeedup},
 		{ID: "T7", Name: "ghost vs direct structural maintenance", Run: RunT7Ghosts},
 		{ID: "T8", Name: "crash recovery", Run: RunT8Recovery},
 		{ID: "F9", Name: "immediate vs deferred maintenance", Run: RunF9Deferred},
-		{ID: "F9D", Name: "deferred tier: applier throughput and drain", Run: RunF9DDeferredApplier},
-		{ID: "DAG", Name: "view DAG: 3-level rollup chain, escrow vs deferred", Run: RunDAGRollupChain},
 		{ID: "T10", Name: "ablations (MIN/MAX, escalation, group commit)", Run: RunT10Ablations},
 		{ID: "T11", Name: "isolation levels and key-range locking", Run: RunT11Isolation},
 	}

@@ -33,6 +33,15 @@ func TestAllRunnersProduceTables(t *testing.T) {
 			if !strings.Contains(out, r.ID) {
 				t.Fatalf("%s rendering lacks ID:\n%s", r.ID, out)
 			}
+			if r.ID == "F2" {
+				thinks := map[string]int{}
+				for _, row := range tb.Rows {
+					thinks[row[0]]++
+				}
+				if thinks["500.0µs"] == 0 || thinks["0"] != thinks["500.0µs"] {
+					t.Fatalf("F2 wants one sweep with 500µs of think time and one with none:\n%s", out)
+				}
+			}
 		})
 	}
 }

@@ -43,10 +43,6 @@ func RunT11Isolation(s Scale) (*Table, error) {
 		if insertRuns.Ops > 0 {
 			abortsPerK = 1000 * float64(insertRuns.Aborts) / float64(insertRuns.Ops)
 		}
-		if level == txn.Serializable {
-			tb.HeadlineName, tb.Headline = "serializable_scan_p99_ms",
-				float64(scanRuns.Latencies.Percentile(0.99).Microseconds())/1000
-		}
 		tb.AddRow(level.String(),
 			D(scanRuns.Latencies.Percentile(0.5)),
 			D(scanRuns.Latencies.Percentile(0.99)),

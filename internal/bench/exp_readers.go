@@ -49,7 +49,6 @@ func RunF4Aborts(s Scale) (*Table, error) {
 			}
 			deadlocks[i] = st.Lock.Deadlocks
 			if strat == catalog.StrategyXLock && writers == writersSweep[len(writersSweep)-1] {
-				tb.HeadlineName, tb.Headline = "xlock_deadlocks_max_writers", float64(st.Lock.Deadlocks)
 				tb.Notes = append(tb.Notes, fmt.Sprintf(
 					"xlock lock manager at %d writers: %d sweeps, last %v, max %v",
 					writers, st.Lock.Sweeps, st.Lock.LastSweep, st.Lock.MaxSweep))
@@ -94,9 +93,6 @@ func RunT5Readers(s Scale) (*Table, error) {
 			}
 			readRuns, writeRuns := runReadersWriters(db, w, level, writers, readers, perClient)
 			cleanup()
-			if strat == catalog.StrategyEscrow && level == txn.ReadCommitted {
-				tb.HeadlineName, tb.Headline = "escrow_rc_reads_per_sec", readRuns.Throughput()
-			}
 			tb.AddRow(strategyName(strat), level.String(),
 				D(readRuns.Latencies.Percentile(0.5)),
 				D(readRuns.Latencies.Percentile(0.99)),
@@ -216,8 +212,6 @@ func RunF6QuerySpeedup(s Scale) (*Table, error) {
 		speedup := "-"
 		if viewLat > 0 {
 			speedup = F(float64(scanLat)/float64(viewLat)) + "x"
-			// Largest base size wins: the experiment's point is how the gap grows.
-			tb.HeadlineName, tb.Headline = "view_lookup_speedup_largest_base", float64(scanLat)/float64(viewLat)
 		}
 		tb.AddRow(F(float64(n)), D(viewLat), D(scanLat), speedup)
 	}

@@ -90,9 +90,6 @@ func RunT7Ghosts(s Scale) (*Table, error) {
 		if runs.Ops > 0 {
 			abortsPerK = 1000 * float64(runs.Aborts) / float64(runs.Ops)
 		}
-		if strat == catalog.StrategyEscrow {
-			tb.HeadlineName, tb.Headline = "ghost_churn_tx_per_sec", 2*runs.Throughput()
-		}
 		// Each op is two transactions.
 		tb.AddRow(strategyName(strat), F(2*runs.Throughput()), F(abortsPerK),
 			F(float64(st.GhostsCreated)), F(float64(st.GhostsErased)))
@@ -160,10 +157,6 @@ func RunT8Recovery(s Scale) (*Table, error) {
 		}
 		db2.Close()
 		os.RemoveAll(dir)
-		if recTime > 0 {
-			// Largest log size is the last row; replay rate is the trackable metric.
-			tb.HeadlineName, tb.Headline = "recovery_replayed_records_per_sec", float64(sum.Replayed)/recTime.Seconds()
-		}
 		tb.AddRow(F(float64(n)), F(float64(sum.Replayed)),
 			F(float64(sum.Losers)), D(recTime), consistent)
 	}
@@ -176,8 +169,8 @@ func RunT8Recovery(s Scale) (*Table, error) {
 // immediate maintenance keeps queries exact at every instant. Since the
 // background applier now keeps deferred views bounded-stale, the "stale rows
 // before refresh" column reports only whatever the applier has not caught up
-// with at the moment of the refresh (usually ~0); F9D measures the applier
-// tier itself.
+// with at the moment of the refresh (usually ~0); the benchmark's
+// rollup_deferred_write workload measures the applier tier itself.
 func RunF9Deferred(s Scale) (*Table, error) {
 	const clients = 8
 	perClient := s.div(1000)
@@ -221,15 +214,12 @@ func RunF9Deferred(s Scale) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		if strat == catalog.StrategyEscrow {
-			tb.HeadlineName, tb.Headline = "immediate_update_tx_per_sec", runs.Throughput()
-		}
 		tb.AddRow(strategyName(strat), F(runs.Throughput()),
 			F(float64(stale)), D(refreshCost), D(queryLat))
 	}
 	tb.Notes = append(tb.Notes,
 		"the paper argues for immediate maintenance: staleness is 0 by construction",
-		"deferred staleness is bounded by the background applier; see F9D for its drain behavior")
+		"deferred staleness is bounded by the background applier; benchmark/ rollup_deferred_write measures its drain")
 	return tb, nil
 }
 
@@ -285,8 +275,6 @@ func RunT10Ablations(s Scale) (*Table, error) {
 		note := "E locks, commit-time folds"
 		if withMax {
 			note = "MIN/MAX is not commutative: whole row falls back to X"
-		} else {
-			tb.HeadlineName, tb.Headline = "escrow_sum_only_tx_per_sec", runs.Throughput()
 		}
 		tb.AddRow(name, F(runs.Throughput()), note)
 	}

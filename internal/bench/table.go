@@ -15,25 +15,6 @@ type Table struct {
 	Header []string
 	Rows   [][]string
 	Notes  []string
-
-	// HeadlineName and Headline identify the experiment's single scalar
-	// result (e.g. peak escrow throughput) for machine-readable tracking
-	// across runs — cmd/viewbench collects them into BENCH_results.json.
-	HeadlineName string
-	Headline     float64
-	// HeadlineAllocsPerOp and the lock-manager counters below annotate the
-	// headline run with its allocation cost and shard behavior when the
-	// experiment records them (0 = not measured).
-	HeadlineAllocsPerOp float64
-	HeadlineShards      int
-	HeadlineCollisions  int64
-	HeadlineMaxQueue    int64
-	// HeadlineFreshP50Ns/P99Ns annotate the headline run with its
-	// commit-to-visible latency distribution when the experiment records it
-	// (0 = not measured) — viewbench -freshness exports them so benchgate can
-	// gate the freshness trajectory alongside throughput.
-	HeadlineFreshP50Ns int64
-	HeadlineFreshP99Ns int64
 }
 
 // AddRow appends a formatted row.

@@ -287,6 +287,48 @@ func TestEscrowGhostLifecycle(t *testing.T) {
 	}
 }
 
+// TestGhostCreatedCountsFolds: a fold that empties a group is a ghost
+// creation too, so the created counter is the denominator of the erased one
+// under every strategy — including deferred, where no ghost is pre-created
+// at DML time and the applier's fold is the only place a ghost appears.
+func TestGhostCreatedCountsFolds(t *testing.T) {
+	for _, strategy := range []catalog.Strategy{catalog.StrategyEscrow, catalog.StrategyDeferred} {
+		t.Run(strategy.String(), func(t *testing.T) {
+			db := openTestDB(t, Options{})
+			setupBanking(t, db, strategy)
+			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+			defer cancel()
+			drain := func(tx *Tx) {
+				t.Helper()
+				if strategy != catalog.StrategyDeferred {
+					return
+				}
+				if err := db.WaitForViewWatermark(ctx, "branch_totals", tx.CommitTS()); err != nil {
+					t.Fatal(err)
+				}
+			}
+			tx := begin(t, db, txn.ReadCommitted)
+			if err := tx.Insert("accounts", acctRow(1, 7, 100)); err != nil {
+				t.Fatal(err)
+			}
+			mustCommit(t, tx)
+			drain(tx)
+			tx = begin(t, db, txn.ReadCommitted)
+			if err := tx.Delete("accounts", record.Row{record.Int(1)}); err != nil {
+				t.Fatal(err)
+			}
+			mustCommit(t, tx)
+			drain(tx)
+			db.CleanGhosts()
+
+			g := db.Metrics().Ghost
+			if g.Created < 1 || g.Erased < 1 || g.Created < g.Erased {
+				t.Fatalf("ghosts created %d, erased %d: want created >= erased >= 1", g.Created, g.Erased)
+			}
+		})
+	}
+}
+
 func mustView(t *testing.T, db *DB, name string) *catalog.View {
 	t.Helper()
 	v, err := db.Catalog().View(name)

@@ -219,7 +219,7 @@ func describeImage(val []byte, visible bool) string {
 
 // CorruptViewRow deliberately perturbs one stored view row in place,
 // bypassing the WAL, locks, and versioning — the fault-injection hook behind
-// cmd/scrubsmoke's detection direction and nothing else. keyRow is the group
+// the scrubber's detection tests and nothing else. keyRow is the group
 // key (projection views: the source PK columns), exactly as Tx.GetViewRow
 // takes it. The write is invisible to recovery (it is exactly the silent
 // corruption the scrubber exists to catch). The entry's version chain goes

@@ -449,6 +449,9 @@ func (db *DB) foldRow(t *txn.Txn, m *view.Maintainer, key []byte, deltas []wal.C
 		return foldResult{}, err
 	}
 	db.folds.Add(1)
+	if empty && (!ok || !oldGhost) {
+		db.ghostsCreated.Add(1) // a live row, or none, became a ghost
+	}
 	// Per-view maintenance bill: rows folded and WAL volume.
 	if c := db.met.Hot.Views.Get(tid); c != nil {
 		c.FoldRows.Add(1)

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -12,9 +11,10 @@ import (
 	"repro/internal/workload"
 )
 
-// mvccBanking creates the banking schema with an escrow branch_totals view
-// and loads accounts with perAccount balance each, two branches.
-func mvccBanking(t *testing.T, accounts int, perAccount int64) *vtxn.DB {
+// mvccBanking creates the banking schema with a branch_totals view
+// maintained by strategy, loads accounts with perAccount balance each over
+// two branches, and waits until the view has folded the load.
+func mvccBanking(t *testing.T, strategy vtxn.Strategy, accounts int, perAccount int64) *vtxn.DB {
 	t.Helper()
 	db, err := vtxn.Open(t.TempDir(), vtxn.Options{})
 	if err != nil {
@@ -37,7 +37,7 @@ func mvccBanking(t *testing.T, accounts int, perAccount int64) *vtxn.DB {
 			{Func: vtxn.AggCountRows},
 			{Func: vtxn.AggSum, Arg: vtxn.Col(2)},
 		},
-		Strategy: vtxn.StrategyEscrow,
+		Strategy: strategy,
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -55,124 +55,225 @@ func mvccBanking(t *testing.T, accounts int, perAccount int64) *vtxn.DB {
 	if err := tx.Commit(); err != nil {
 		t.Fatal(err)
 	}
+	drainTo(t, db, "branch_totals", tx.CommitTS())
 	return db
 }
 
-// TestSnapshotHammer is the acceptance check for MVCC snapshot reads: four
-// escrow writer goroutines tilt disjoint account pairs in sum-preserving
-// transactions while four read-only snapshot readers repeatedly ScanView.
+// TestSnapshotHammer is the acceptance check for MVCC snapshot reads, over an
+// escrow view and over a deferred one: tilt writers move balance between
+// account pairs while four read-only snapshot readers repeatedly ScanView.
 // Every scan must observe a transaction-consistent world: COUNT equal to the
 // number of accounts and SUM equal to the invariant grand total — a torn
-// half-transfer or a leaked uncommitted escrow delta shows up as a sum that
-// is off by one. Run under -race in CI (make race), eight goroutines total.
+// half-transfer, a leaked uncommitted escrow delta or a half-applied deferred
+// round shows up as a sum that is off by one. Under the readers a deferred
+// view's watermark only moves forward. At quiesce the view equals its
+// recompute, the deferred applier has no lag, the pruner drains every version
+// chain once the last snapshot retires, and the metrics record the traffic.
 func TestSnapshotHammer(t *testing.T) {
-	const writers = 4
+	for _, strategy := range []vtxn.Strategy{vtxn.StrategyEscrow, vtxn.StrategyDeferred} {
+		t.Run(strategy.String(), func(t *testing.T) { snapshotHammer(t, strategy) })
+	}
+}
+
+func snapshotHammer(t *testing.T, strategy vtxn.Strategy) {
 	const readers = 4
-	const accounts = 2 * writers // each writer owns a disjoint pair
 	const perAccount = int64(1000)
-	const total = int64(accounts) * perAccount
+	const total = tiltRows * perAccount
 	scans := 400
 	if testing.Short() {
 		scans = 120
 	}
-	db := mvccBanking(t, accounts, perAccount)
+	deferred := strategy == vtxn.StrategyDeferred
+	db := mvccBanking(t, strategy, tiltRows, perAccount)
 
-	tilt := func(a, b, av, bv int64) error {
-		tx, err := db.Begin(vtxn.ReadCommitted)
-		if err != nil {
-			return err
-		}
-		if err := tx.Update("accounts", vtxn.Row{vtxn.Int(a)}, map[int]vtxn.Value{2: vtxn.Int(av)}); err != nil {
-			tx.Rollback()
-			return err
-		}
-		if err := tx.Update("accounts", vtxn.Row{vtxn.Int(b)}, map[int]vtxn.Value{2: vtxn.Int(bv)}); err != nil {
-			tx.Rollback()
-			return err
-		}
-		return tx.Commit()
-	}
-
-	var stop atomic.Bool
-	var wg sync.WaitGroup
-	errCh := make(chan error, writers+readers)
-	for w := int64(0); w < writers; w++ {
-		wg.Add(1)
-		go func(w int64) {
-			defer wg.Done()
-			a, b := 2*w, 2*w+1
-			for i := int64(0); !stop.Load(); i++ {
-				av, bv := perAccount-1, perAccount+1
-				if i%2 == 1 {
-					av, bv = perAccount, perAccount
-				}
-				if err := tilt(a, b, av, bv); err != nil {
-					errCh <- err
-					return
-				}
-			}
-		}(w)
-	}
+	storm := startTilts(t, db, "accounts", 2, perAccount, 0)
 	var rwg sync.WaitGroup
 	for r := 0; r < readers; r++ {
 		rwg.Add(1)
 		go func() {
 			defer rwg.Done()
+			var lastWM uint64
 			for i := 0; i < scans; i++ {
+				if deferred {
+					wm, err := db.ViewWatermark("branch_totals")
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					if wm < lastWM {
+						t.Errorf("watermark went backwards: %d -> %d", lastWM, wm)
+						return
+					}
+					lastWM = wm
+				}
 				snap, err := db.BeginTx(context.Background(), vtxn.TxOptions{ReadOnly: true})
 				if err != nil {
-					errCh <- err
+					t.Error(err)
 					return
 				}
-				rows, err := snap.ScanView("branch_totals")
+				count, sum, err := viewTotals(snap, "branch_totals", 0, 1)
 				if err != nil {
 					snap.Rollback()
-					errCh <- err
+					t.Error(err)
 					return
-				}
-				var count, sum int64
-				for _, vr := range rows {
-					count += vr.Result[0].AsInt()
-					if !vr.Result[1].IsNull() {
-						sum += vr.Result[1].AsInt()
-					}
 				}
 				if err := snap.Commit(); err != nil {
-					errCh <- err
+					t.Error(err)
 					return
 				}
-				if count != accounts || sum != total {
-					t.Errorf("torn snapshot: count=%d sum=%d, want %d/%d", count, sum, accounts, total)
+				if count != tiltRows || sum != total {
+					t.Errorf("torn snapshot: count=%d sum=%d, want %d/%d", count, sum, tiltRows, total)
 					return
 				}
 			}
 		}()
 	}
 	rwg.Wait()
-	stop.Store(true)
-	wg.Wait()
-	select {
-	case err := <-errCh:
-		t.Fatal(err)
-	default:
+	storm.halt()
+	if t.Failed() {
+		t.FailNow()
 	}
+	// CheckConsistency drains the deferred applier before it verifies.
 	if err := db.CheckConsistency(); err != nil {
 		t.Fatal(err)
 	}
+	// Every snapshot has retired and no writer is in flight: the pruner must
+	// drain every chain back to its B-tree base.
+	deadline := time.Now().Add(5 * time.Second)
+	for db.Metrics().MVCC.Chains > 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("pruner left %d chains after quiesce", db.Metrics().MVCC.Chains)
+		}
+		db.PruneVersions()
+	}
+
 	s := db.Metrics()
-	if s.MVCC.Snapshots < int64(readers*scans) {
-		t.Fatalf("snapshots begun = %d, want >= %d", s.MVCC.Snapshots, readers*scans)
+	if s.MVCC.Snapshots < int64(readers*scans) || s.MVCC.ActiveSnapshots != 0 {
+		t.Fatalf("snapshots begun %d (want >= %d), active %d after quiesce",
+			s.MVCC.Snapshots, readers*scans, s.MVCC.ActiveSnapshots)
 	}
-	if s.MVCC.VersionsStamped == 0 {
-		t.Fatal("no versions stamped under write load")
+	if s.MVCC.VersionsStamped == 0 || s.MVCC.VersionsPruned == 0 ||
+		s.MVCC.Watermark == 0 || s.MVCC.ChainLenHighWater == 0 {
+		t.Fatalf("mvcc metrics missed the traffic: %+v", s.MVCC)
 	}
+	if !deferred {
+		return
+	}
+	d := s.Deferred
+	if d.LagTS != 0 || d.PendingGroups != 0 || d.StalenessNs != 0 {
+		t.Fatalf("applier not drained at quiesce: lag %d, pending %d, staleness %dns",
+			d.LagTS, d.PendingGroups, d.StalenessNs)
+	}
+	if d.PublishedBatches == 0 || d.PublishedGroups == 0 || d.ApplyRounds == 0 ||
+		d.GroupsApplied == 0 || d.DeltasIn == 0 || d.Watermark == 0 {
+		t.Fatalf("deferred metrics missed the traffic: %+v", d)
+	}
+	if len(d.Views) != 1 || d.Views[0].View != "branch_totals" {
+		t.Fatalf("deferred view listing = %+v", d.Views)
+	}
+}
+
+// TestRollupChainSnapshotHammer drives tilt writers through the 3-level
+// rollup chain, escrow-maintained and fully deferred, against snapshot
+// readers that scan all three levels in one transaction. Each tilt moves
+// amount between customers in different regions, so it changes every level;
+// a torn cascade (a level folded but its dependent not, or levels read at
+// different timestamps) breaks cross-level agreement of the grand total or
+// the nesting of row counts. At quiesce every level equals its recompute, a
+// cascading refresh of the root changes nothing, and the cascade metrics show
+// coalesced contributions and folds at the stacked levels.
+func TestRollupChainSnapshotHammer(t *testing.T) {
+	const readers = 4
+	scans := 150
+	if testing.Short() {
+		scans = 50
+	}
+	for _, strategy := range []vtxn.Strategy{vtxn.StrategyEscrow, vtxn.StrategyDeferred} {
+		t.Run(strategy.String(), func(t *testing.T) {
+			db := openDB(t)
+			setupItemChain(t, db, strategy)
+			storm := startTilts(t, db, "order_items", amountCol, itemLevel, 0)
+			var rwg sync.WaitGroup
+			for r := 0; r < readers; r++ {
+				rwg.Add(1)
+				go func() {
+					defer rwg.Done()
+					for i := 0; i < scans; i++ {
+						if err := checkChain(db); err != nil {
+							t.Error(err)
+							return
+						}
+					}
+				}()
+			}
+			rwg.Wait()
+			storm.halt()
+			if t.Failed() {
+				t.FailNow()
+			}
+
+			if err := db.CheckConsistency(); err != nil {
+				t.Fatal(err)
+			}
+			if n, err := db.RefreshView(workload.RollupL0); err != nil || n != 0 {
+				t.Fatalf("cascading refresh of a consistent chain changed %d rows, err %v", n, err)
+			}
+			c := db.Metrics().Cascade
+			if c.Enqueued == 0 || c.Coalesced == 0 {
+				t.Fatalf("cascade flow: enqueued %d, coalesced %d", c.Enqueued, c.Coalesced)
+			}
+			if c.Folds == 0 || len(c.LevelFolds) < 3 || c.LevelFolds[1] == 0 || c.LevelFolds[2] == 0 {
+				t.Fatalf("stacked levels never folded: folds %d, by level %v", c.Folds, c.LevelFolds)
+			}
+		})
+	}
+}
+
+// checkChain reads the three rollup levels in one snapshot and checks they
+// agree: the same grand total at every level, one order per item, one
+// customer per order, and every region present.
+func checkChain(db *vtxn.DB) error {
+	snap, err := db.BeginTx(context.Background(), vtxn.TxOptions{ReadOnly: true})
+	if err != nil {
+		return err
+	}
+	defer snap.Commit()
+	l0, err := snap.ScanView(workload.RollupL0)
+	if err != nil {
+		return err
+	}
+	var sum0 int64
+	for _, r := range l0 {
+		sum0 += r.Result[0].AsInt()
+	}
+	orders, sum1, err := viewTotals(snap, workload.RollupL1, 0, 1)
+	if err != nil {
+		return err
+	}
+	customers, sum2, err := viewTotals(snap, workload.RollupL2, 0, 1)
+	if err != nil {
+		return err
+	}
+	l2, err := snap.ScanView(workload.RollupL2)
+	if err != nil {
+		return err
+	}
+	const grand = tiltRows * itemLevel
+	if sum0 != grand || sum1 != grand || sum2 != grand {
+		return fmt.Errorf("torn cascade: totals L0=%d L1=%d L2=%d, want %d", sum0, sum1, sum2, grand)
+	}
+	if len(l0) != tiltRows || orders != tiltRows || customers != tiltRows || len(l2) != itemRegions {
+		return fmt.Errorf("levels do not nest: |L0|=%d orders=%d customers=%d |L2|=%d, want %d/%d/%d/%d",
+			len(l0), orders, customers, len(l2), tiltRows, tiltRows, tiltRows, itemRegions)
+	}
+	return nil
 }
 
 // TestSnapshotPrunerRetires checks the public-API version of the pruning
 // rule: chains accumulate while the oldest snapshot pins the horizon and
 // drain once it retires.
 func TestSnapshotPrunerRetires(t *testing.T) {
-	db := mvccBanking(t, 2, 1000)
+	db := mvccBanking(t, vtxn.StrategyEscrow, 2, 1000)
 
 	// Pin a snapshot, then churn behind it.
 	pinned, err := db.BeginTx(context.Background(), vtxn.TxOptions{ReadOnly: true})
