@@ -46,7 +46,9 @@ staticcheck:
 # option and the fold queue stay gone, and the pending set stays lock-free.
 # One proof and one benchmark: cmd/ holds the three tools, the retired smoke
 # binaries and bench gate stay gone (benchmark/ is frozen and exempt), and
-# make verify is the tier-1 line.
+# make verify is the tier-1 line. One background runner: internal/core/bg.go
+# holds the only go statement of the engine, its scrubber and its watchdog,
+# and the hand-rolled loops and the test-only knobs stay gone.
 structure:
 	@out="$$(grep -rl --include='*.go' '"repro/internal/mvcc"' . | grep -v -e '^./internal/mvcc/' -e '^./internal/btree/' -e '^./internal/core/')"; \
 	if [ -n "$$out" ]; then echo "internal/mvcc imported outside internal/btree and internal/core:"; echo "$$out"; exit 1; fi
@@ -63,6 +65,12 @@ structure:
 	if [ -n "$$out" ]; then echo "the retired smoke binaries or bench gate are back:"; echo "$$out"; exit 1; fi
 	@test "$$($(MAKE) --no-print-directory -n verify | tr '\n' ';')" = "$(GO) build ./...;$(GO) test ./...;" || \
 		{ echo "make verify must be exactly the tier-1 line: go build ./... && go test ./..."; exit 1; }
+	@out="$$(grep -nE '^\s*go ' $$(ls internal/core/*.go internal/scrub/*.go internal/flightrec/*.go | grep -v '_test\.go$$'))"; \
+		test "$$(echo "$$out" | grep -c .)" = 1 || \
+		{ echo "internal/core, internal/scrub and internal/flightrec start goroutines in the background runner alone:"; echo "$$out"; exit 1; }
+	@out="$$(grep -rnE --include='*.go' --exclude-dir=benchmark \
+		'DeferredApplyInterval|DeadlockSweepInterval|ProfileLabels|WatchdogStallThreshold|LockShards|StartWatchdog|cleanerLoop|prunerLoop|applierLoop|applierDrainOnStop' .)"; \
+		if [ -n "$$out" ]; then echo "a hand-rolled background loop or a retired knob is back:"; echo "$$out"; exit 1; fi
 
 lint: vet fmt staticcheck structure
 

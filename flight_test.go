@@ -208,13 +208,12 @@ func TestWatchdogDetectsWALFlushStall(t *testing.T) {
 	sink := &lockedBuffer{}
 	tracer := &recordingTracer{}
 	db, err := vtxn.Open(t.TempDir(), vtxn.Options{
-		FS:                     delayFS,
-		SyncMode:               vtxn.SyncData,
-		Tracer:                 tracer,
-		FlightSink:             sink,
-		Watchdog:               true,
-		WatchdogInterval:       10 * time.Millisecond,
-		WatchdogStallThreshold: 100 * time.Millisecond,
+		FS:               delayFS,
+		SyncMode:         vtxn.SyncData,
+		Tracer:           tracer,
+		FlightSink:       sink,
+		Watchdog:         true,
+		WatchdogInterval: 10 * time.Millisecond, // stall threshold: 4 intervals
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -252,8 +251,8 @@ func TestWatchdogDetectsWALFlushStall(t *testing.T) {
 	if stall.Phase != "wal-flush" {
 		t.Fatalf("stall signature %q, want wal-flush", stall.Phase)
 	}
-	if stall.Dur < 100*time.Millisecond {
-		t.Fatalf("stall age %s below the configured threshold", stall.Dur)
+	if stall.Dur < 40*time.Millisecond {
+		t.Fatalf("stall age %s below the derived threshold of four intervals", stall.Dur)
 	}
 	m := db.Metrics()
 	if m.Watchdog.Detections == 0 || m.Watchdog.WALStalls == 0 {

@@ -137,10 +137,11 @@ func TestHotGroupAgreement(t *testing.T) {
 		}
 	}
 
-	// Phase 2: a lock convoy on one hot row. A dedicated watchdog (tight
-	// intervals, same DB.Metrics feed as the engine's own) must name the
-	// group that tops the lock-wait listing, in both the EventStall detail
-	// and the flight-recorder auto-dump.
+	// Phase 2: a lock convoy on one hot row. A dedicated watchdog (same
+	// DB.Metrics feed as the engine's own, ticked by this test's poll loop
+	// every 10ms, so its stall threshold is 40ms) must name the group that
+	// tops the lock-wait listing, in both the EventStall detail and the
+	// flight-recorder auto-dump.
 	tx, err := db.Begin(vtxn.ReadCommitted)
 	if err != nil {
 		t.Fatal(err)
@@ -155,15 +156,13 @@ func TestHotGroupAgreement(t *testing.T) {
 	var dump bytes.Buffer
 	rec := flightrec.New(flightrec.Config{Sink: &dump, MinDumpGap: time.Millisecond})
 	tracer := &recordingTracer{}
-	wd := flightrec.StartWatchdog(flightrec.WatchdogConfig{
-		Interval:       25 * time.Millisecond,
-		StallThreshold: 10 * time.Millisecond,
-		Snap:           db.Metrics,
-		Tracer:         tracer,
-		Recorder:       rec,
+	const poll = 10 * time.Millisecond
+	wd := flightrec.NewWatchdog(flightrec.WatchdogConfig{
+		Interval: poll,
+		Snap:     db.Metrics,
+		Tracer:   tracer,
+		Recorder: rec,
 	})
-	stopWd := sync.OnceFunc(wd.Close)
-	defer stopWd()
 
 	before := db.Metrics()
 	holder, err := db.Begin(vtxn.ReadCommitted)
@@ -189,6 +188,7 @@ func TestHotGroupAgreement(t *testing.T) {
 	var stall vtxn.TraceEvent
 	deadline := time.Now().Add(5 * time.Second)
 	for {
+		wd.Tick()
 		found := false
 		for _, e := range tracer.snapshot() {
 			if e.Type == vtxn.TraceStall && e.Phase == "lock-convoy" {
@@ -202,10 +202,8 @@ func TestHotGroupAgreement(t *testing.T) {
 		if time.Now().After(deadline) {
 			t.Fatalf("watchdog never reported a lock convoy; events: %+v", tracer.snapshot())
 		}
-		time.Sleep(10 * time.Millisecond)
+		time.Sleep(poll)
 	}
-	// Stop the watchdog before inspecting the dump buffer it writes to.
-	stopWd()
 
 	// The convoy's group is the one whose wait grew most across the convoy:
 	// compare the listing after it with the one before it, like the watchdog

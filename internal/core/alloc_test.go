@@ -99,6 +99,38 @@ func TestCommitAllocBudget(t *testing.T) {
 	}
 }
 
+// TestCleanGhostsAllocsPerGhost: a cleaner pass over a view of 10 000 live
+// groups and one ghost, held by an open transaction's E lock, allocates for
+// the ghost, not for the groups.
+func TestCleanGhostsAllocsPerGhost(t *testing.T) {
+	db := openTestDB(t, Options{ScrubInterval: -1, MVCCPruneInterval: -1})
+	setupBanking(t, db, catalog.StrategyEscrow)
+	const groups = 10000
+	rows := make([]record.Row, groups)
+	for i := range rows {
+		rows[i] = acctRow(int64(i), int64(i), 10)
+	}
+	insertAccounts(t, db, rows...)
+	tx := beginCleanup(t, db)
+	if err := tx.Insert("accounts", acctRow(groups, groups, 10)); err != nil {
+		t.Fatal(err)
+	}
+	vtree := db.tree(mustView(t, db, "branch_totals").ID)
+	if vtree.Len() != groups || vtree.GhostCount() != 1 {
+		t.Fatalf("view holds %d live rows, %d ghosts; want %d and the held one", vtree.Len(), vtree.GhostCount(), groups)
+	}
+	got := testing.AllocsPerRun(20, func() {
+		if n := db.CleanGhosts(); n != 0 {
+			t.Fatalf("CleanGhosts erased %d ghosts under a held E lock", n)
+		}
+	})
+	t.Logf("CleanGhosts over %d groups and 1 held ghost: %.0f allocs", groups, got)
+	if got > 50 {
+		t.Fatalf("CleanGhosts allocates %.0f times for one ghost among %d groups: it must not allocate per group", got, groups)
+	}
+	mustCommit(t, tx)
+}
+
 // TestScrubWantAllocsPerGroup: the scrubber's expected side streams its
 // source, so a pass over 20 000 rows in 8 groups allocates for the groups,
 // not for the rows.

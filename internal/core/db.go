@@ -5,6 +5,7 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"io"
@@ -13,6 +14,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/applier"
 	"repro/internal/apply"
 	"repro/internal/btree"
 	"repro/internal/catalog"
@@ -45,23 +47,10 @@ type Options struct {
 	// (DESIGN.md §8). 0 selects the default (25ms); negative disables the
 	// background pruner (PruneVersions still works).
 	MVCCPruneInterval time.Duration
-	// DeferredApplyInterval is the deferred-view applier's idle tick: how
-	// often watermarks advance when no commits publish deltas, and the retry
-	// delay after a failed fold round (DESIGN.md §9). 0 selects the default
-	// (5ms). The applier itself always runs — it wakes immediately on every
-	// publish regardless of this interval.
-	DeferredApplyInterval time.Duration
 	// FoldLatchStripes sets the number of stripes for the commit-fold /
 	// ghost-structure latches (default 128). 1 reproduces a single global
 	// fold latch — the T10 ablation showing why striping matters.
 	FoldLatchStripes int
-	// LockShards sets the lock-manager stripe count (rounded up to a power
-	// of two; 0 scales with GOMAXPROCS). 1 reproduces the global-mutex
-	// manager for ablations.
-	LockShards int
-	// DeadlockSweepInterval throttles the background deadlock detector (at
-	// most one sweep per interval while lock waiters exist; default 1ms).
-	DeadlockSweepInterval time.Duration
 	// FS is the filesystem under the WAL, snapshot, and manifest I/O.
 	// nil selects the real filesystem; the crash-torture harness passes a
 	// fault.Injector to exercise torn writes, failed fsyncs, and crashes.
@@ -92,11 +81,9 @@ type Options struct {
 	// cleaner starvation) as EventStall trace events, watchdog_detections
 	// metrics, and flight-record dumps to FlightSink.
 	Watchdog bool
-	// WatchdogInterval is the watchdog poll interval (default 500ms).
+	// WatchdogInterval is the watchdog poll interval (default 500ms). An
+	// in-progress condition older than four intervals counts as a stall.
 	WatchdogInterval time.Duration
-	// WatchdogStallThreshold is the age past which an in-progress condition
-	// counts as a stall (default 2s).
-	WatchdogStallThreshold time.Duration
 	// FreshnessSLO, when positive, is the per-view staleness bound the
 	// watchdog enforces: a view whose commit-to-visible lag exceeds it fires
 	// the freshness-slo stall signature naming the lagging view (and
@@ -104,15 +91,10 @@ type Options struct {
 	// the metrics snapshot's freshness section. Requires Watchdog for
 	// enforcement; without it the SLO is report-only.
 	FreshnessSLO time.Duration
-	// ProfileLabels tags the commit hot path with runtime/pprof labels
-	// (vtxn_phase, vtxn_txn) so CPU profiles attribute time to transactions.
-	// Off by default: the labels allocate per commit.
-	ProfileLabels bool
-	// ScrubInterval runs the online consistency scrubber: a background
-	// goroutine verifying one (view, group-range) slice per tick against a
-	// recompute at an MVCC snapshot timestamp (DESIGN.md §7.4). 0 selects the
-	// default (25ms); negative disables the background loop (ScrubNow still
-	// works).
+	// ScrubInterval runs the online consistency scrubber: a background task
+	// verifying one (view, group-range) slice per tick against a recompute at
+	// an MVCC snapshot timestamp (DESIGN.md §7.4). 0 selects the default
+	// (25ms); negative disables the background task (ScrubNow still works).
 	ScrubInterval time.Duration
 	// ScrubRowBudget paces the scrubber in verified rows per second — source
 	// rows recomputed plus view rows compared. 0 selects the default
@@ -179,28 +161,20 @@ type DB struct {
 	// disabled.
 	met    *metrics.Registry
 	tracer metrics.Tracer
-	// flight is the always-on flight recorder (nil when disabled); watchdog
-	// the optional stall watchdog.
-	flight   *flightrec.Recorder
-	watchdog *flightrec.Watchdog
+	// flight is the always-on flight recorder (nil when disabled).
+	flight *flightrec.Recorder
 
-	closed      atomic.Bool
-	cleanerStop chan struct{}
-	cleanerDone chan struct{}
-	prunerStop  chan struct{}
-	prunerDone  chan struct{}
-	recovered   recovery.Summary
+	closed    atomic.Bool
+	recovered recovery.Summary
+	// bg runs the background tasks (bg.go).
+	bg runner
 
-	// applierQ feeds the deferred-view applier goroutine (deferred.go);
-	// applierDrainOnStop asks it to run one final round before exiting (clean
-	// Close, not Crash). deferredPending/deferredOldestNs are the applier's
-	// backlog gauges for Metrics.
-	applierQ           *deferredQueue
-	applierStop        chan struct{}
-	applierDone        chan struct{}
-	applierDrainOnStop atomic.Bool
-	deferredPending    atomic.Int64
-	deferredOldestNs   atomic.Int64
+	// applierQ feeds the deferred-view applier task (deferred.go).
+	// deferredPending/deferredOldestNs are the applier's backlog gauges for
+	// Metrics.
+	applierQ         *deferredQueue
+	deferredPending  atomic.Int64
+	deferredOldestNs atomic.Int64
 	// deferredStale is the applier-maintained per-view oldest-unapplied-
 	// publish table (wall ns); Metrics merges it with a queue scan into each
 	// view's staleness gauge (deferred.go).
@@ -208,11 +182,8 @@ type DB struct {
 	deferredStale   map[id.Tree]int64
 
 	// scrub is the online consistency scrubber (always constructed, so
-	// ScrubNow works even when the background loop is disabled); scrubStop/
-	// scrubDone bracket the background goroutine when ScrubInterval enables it.
-	scrub     *scrub.Scrubber
-	scrubStop chan struct{}
-	scrubDone chan struct{}
+	// ScrubNow works even when the background task is disabled).
+	scrub *scrub.Scrubber
 }
 
 // defaultFoldStripes is the default number of row-structure latch stripes.
@@ -302,9 +273,7 @@ func Open(path string, opts Options) (*DB, error) {
 		log:     st.Log,
 		gen:     st.Gen,
 		lm: lock.NewManagerOpts(lock.Options{
-			Shards:         opts.LockShards,
 			DefaultTimeout: opts.LockTimeout,
-			SweepInterval:  opts.DeadlockSweepInterval,
 			Metrics:        &met.Lock,
 			Tracer:         tracer,
 		}),
@@ -322,31 +291,19 @@ func Open(path string, opts Options) (*DB, error) {
 		tr.TraceEvent(metrics.Event{Type: metrics.EventRecovery, Phase: "redo", Dur: st.Summary.Redo, Rows: st.Summary.Replayed})
 		tr.TraceEvent(metrics.Event{Type: metrics.EventRecovery, Phase: "undo", Dur: st.Summary.Undo, Rows: st.Summary.UndoneOps})
 	}
-	if opts.GhostCleanInterval > 0 {
-		db.cleanerStop = make(chan struct{})
-		db.cleanerDone = make(chan struct{})
-		go db.cleanerLoop(opts.GhostCleanInterval)
-	}
-	if opts.MVCCPruneInterval >= 0 {
-		interval := opts.MVCCPruneInterval
-		if interval == 0 {
-			interval = defaultMVCCPruneInterval
-		}
-		db.prunerStop = make(chan struct{})
-		db.prunerDone = make(chan struct{})
-		go db.prunerLoop(interval)
-	}
-	// The deferred-view applier always runs: with no deferred views it only
-	// fires an idle tick. Start it before the recovery refresh below so the
-	// refresh barriers have a consumer.
-	applyInterval := opts.DeferredApplyInterval
-	if applyInterval <= 0 {
-		applyInterval = defaultDeferredApplyInterval
-	}
+	// The background task table (DESIGN.md §3), in start order; Close and
+	// Crash stop it in reverse. The deferred-view applier always runs — with
+	// no deferred views it only fires an idle tick — and starts first, before
+	// the recovery refresh below, so the refresh barriers have a consumer.
 	db.applierQ = newDeferredQueue()
-	db.applierStop = make(chan struct{})
-	db.applierDone = make(chan struct{})
-	go db.applierLoop(applyInterval)
+	co := applier.NewCoalescer()
+	db.bg.start(task{
+		name:  "deferred-applier",
+		every: applierIdleTick,
+		wake:  db.applierQ.wake,
+		step:  func() { db.applierStep(co) },
+		drain: func() { db.applierRound(co) },
+	})
 	// Deferred deltas pending in the applier queue at a crash were never
 	// logged, so a recovered deferred view may be stale relative to its
 	// (fully recovered) base tables. Recompute each one in tree-ID (topological)
@@ -367,43 +324,44 @@ func Open(path string, opts Options) (*DB, error) {
 			}
 		}
 	}
+	if opts.MVCCPruneInterval >= 0 {
+		db.bg.start(db.prunerTask(cmp.Or(opts.MVCCPruneInterval, defaultMVCCPruneInterval)))
+	}
+	if opts.GhostCleanInterval > 0 {
+		db.bg.start(task{name: "ghost-cleaner", every: opts.GhostCleanInterval, step: func() { db.CleanGhosts() }})
+	}
 	// The online consistency scrubber (DESIGN.md §7.4). The Scrubber itself
-	// always exists so ScrubNow works; the background loop runs unless
-	// ScrubInterval is negative.
-	scrubInterval := opts.ScrubInterval
-	if scrubInterval == 0 {
-		scrubInterval = defaultScrubInterval
-	}
-	scrubBudget := opts.ScrubRowBudget
-	if scrubBudget == 0 {
-		scrubBudget = defaultScrubRowBudget
-	}
+	// always exists so ScrubNow works; its task runs unless ScrubInterval is
+	// negative.
+	scrubInterval := cmp.Or(opts.ScrubInterval, defaultScrubInterval)
 	db.scrub = scrub.New(scrubEngine{db}, scrub.Config{
 		Interval:  scrubInterval,
-		RowBudget: scrubBudget,
+		RowBudget: cmp.Or(opts.ScrubRowBudget, defaultScrubRowBudget),
 		Metrics:   &met.Scrub,
 	})
 	if opts.ScrubInterval >= 0 {
-		db.scrubStop = make(chan struct{})
-		db.scrubDone = make(chan struct{})
-		go func() {
-			defer close(db.scrubDone)
-			db.scrub.Run(db.scrubStop)
-		}()
+		db.bg.start(task{name: "scrubber", every: scrubInterval, step: db.scrub.Tick})
 	}
 	if opts.Watchdog {
-		db.watchdog = flightrec.StartWatchdog(flightrec.WatchdogConfig{
-			Interval:       opts.WatchdogInterval,
-			StallThreshold: opts.WatchdogStallThreshold,
-			FreshnessSLO:   opts.FreshnessSLO,
-			Snap:           db.Metrics,
-			Tracer:         tracer,
-			Recorder:       flight,
-			Metrics:        &met.Watchdog,
+		every := opts.WatchdogInterval
+		if every <= 0 {
+			every = defaultWatchdogInterval
+		}
+		wd := flightrec.NewWatchdog(flightrec.WatchdogConfig{
+			Interval:     every,
+			FreshnessSLO: opts.FreshnessSLO,
+			Snap:         db.Metrics,
+			Tracer:       tracer,
+			Recorder:     flight,
+			Metrics:      &met.Watchdog,
 		})
+		db.bg.start(task{name: "watchdog", every: every, step: wd.Tick})
 	}
 	return db, nil
 }
+
+// defaultWatchdogInterval is the watchdog's default poll period.
+const defaultWatchdogInterval = 500 * time.Millisecond
 
 // Close flushes the log and shuts the database down. It does not checkpoint;
 // restart recovers from the log.
@@ -411,31 +369,10 @@ func (db *DB) Close() error {
 	if db.closed.Swap(true) {
 		return ErrClosed
 	}
-	db.watchdog.Close()
-	// Stop the scrubber before anything it reads through (and before the
-	// gate is taken exclusively — each scrub slice is a gate reader).
-	if db.scrubStop != nil {
-		close(db.scrubStop)
-		<-db.scrubDone
-	}
-	if db.cleanerStop != nil {
-		close(db.cleanerStop)
-		<-db.cleanerDone
-	}
-	if db.prunerStop != nil {
-		close(db.prunerStop)
-		<-db.prunerDone
-	}
-	// Stop the applier with a final drain round so a cleanly closed database
-	// reopens with converged views. This must happen before the gate is taken
-	// exclusively: the drain round's system transactions need gate admission
-	// to stay possible (they don't take the gate, but folds contend with any
-	// straggling committer's latches).
-	if db.applierStop != nil {
-		db.applierDrainOnStop.Store(true)
-		close(db.applierStop)
-		<-db.applierDone
-	}
+	// Stop the background tasks, the applier's final round included, before
+	// the gate is taken exclusively: scrub slices, cleaner passes and applier
+	// rounds are all gate readers.
+	db.bg.stop(true)
 	// Wait for in-flight transactions to drain.
 	db.gate.Lock()
 	defer db.gate.Unlock()
@@ -451,27 +388,10 @@ func (db *DB) Crash(flush bool) {
 	if db.closed.Swap(true) {
 		return
 	}
-	db.watchdog.Close()
-	// Stop the scrubber before anything it reads through (and before the
-	// gate is taken exclusively — each scrub slice is a gate reader).
-	if db.scrubStop != nil {
-		close(db.scrubStop)
-		<-db.scrubDone
-	}
-	if db.cleanerStop != nil {
-		close(db.cleanerStop)
-		<-db.cleanerDone
-	}
-	if db.prunerStop != nil {
-		close(db.prunerStop)
-		<-db.prunerDone
-	}
-	// A crash loses the applier queue: pending deferred deltas were never
-	// logged, which is exactly the staleness Open's recovery refresh repairs.
-	if db.applierStop != nil {
-		close(db.applierStop)
-		<-db.applierDone
-	}
+	// No final applier round: a crash loses the applier queue. Pending
+	// deferred deltas were never logged, which is exactly the staleness
+	// Open's recovery refresh repairs.
+	db.bg.stop(false)
 	if flush {
 		db.log.Sync(0)
 	}
@@ -588,7 +508,7 @@ func (db *DB) Metrics() metrics.Snapshot {
 	}
 	// Scrub coverage: the registry filled the counters; resolve per-view
 	// names here (sorted by tree ID, bounded by the catalog).
-	s.Scrub.Enabled = db.scrubStop != nil && !db.closed.Load()
+	s.Scrub.Enabled = db.opts.ScrubInterval >= 0 && !db.closed.Load()
 	if views := db.Catalog().Views(); len(views) > 0 {
 		sort.Slice(views, func(i, j int) bool { return views[i].ID < views[j].ID })
 		for _, v := range views {
@@ -785,34 +705,27 @@ func (db *DB) unpinOps(t *txn.Txn) {
 // that an idle engine burns nothing measurable.
 const defaultMVCCPruneInterval = 25 * time.Millisecond
 
-// pruneSlices is how many ticks the background pruner spreads one pass over
+// pruneSlices is how many steps the background pruner spreads one pass over
 // the work list across.
 const pruneSlices = 32
 
-// prunerLoop incrementally folds version chains up to the snapshot horizon:
-// 1/pruneSlices of the work list per tick, a full rotation per interval.
-// Spreading the pass keeps the per-tick pause and allocation burst small — a
+// prunerTask incrementally folds version chains up to the snapshot horizon:
+// 1/pruneSlices of the work list per step, a full rotation per interval.
+// Spreading the pass keeps the per-step pause and allocation burst small — a
 // monolithic pass folds every hot chain and then the write set rebuilds them
 // all at once, a visible throughput sawtooth on small machines.
-func (db *DB) prunerLoop(interval time.Duration) {
-	defer close(db.prunerDone)
-	step := interval / pruneSlices
-	if step <= 0 {
-		step = interval
+func (db *DB) prunerTask(interval time.Duration) task {
+	every := interval / pruneSlices
+	if every <= 0 {
+		every = interval
 	}
-	tick := time.NewTicker(step)
-	defer tick.Stop()
-	for n := 1; ; n++ {
-		select {
-		case <-db.prunerStop:
-			return
-		case <-tick.C:
-			db.pruneChains((db.dirty.Len() + pruneSlices - 1) / pruneSlices)
-			if n%pruneSlices == 0 {
-				db.met.MVCC.PrunePasses.Add(1)
-			}
+	n := 0
+	return task{name: "mvcc-pruner", every: every, step: func() {
+		db.pruneChains((db.dirty.Len() + pruneSlices - 1) / pruneSlices)
+		if n++; n%pruneSlices == 0 {
+			db.met.MVCC.PrunePasses.Add(1)
 		}
-	}
+	}}
 }
 
 // PruneVersions folds every version at or below the snapshot horizon (the

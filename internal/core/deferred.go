@@ -39,13 +39,13 @@ import (
 // watermark: the view equals its source as of wm, not merely "at least wm",
 // which is what lets the scrubber check it against a recompute at wm.
 
-// defaultDeferredApplyInterval is the applier's idle tick: how often
-// watermarks advance with no publish traffic, and the retry delay after a
-// failed fold round.
-const defaultDeferredApplyInterval = 5 * time.Millisecond
+// applierIdleTick is the applier's period: how often watermarks advance with
+// no publish traffic, and the retry delay after a failed fold round. Every
+// publish wakes the applier at once regardless.
+const applierIdleTick = 5 * time.Millisecond
 
 // applierRest is how long the applier, under load, waits for one more publish
-// before starting the next round (see applierLoop).
+// before starting the next round (see applierStep).
 const applierRest = 25 * time.Microsecond
 
 // deferredQueue is the unbounded multi-producer single-consumer applier
@@ -163,49 +163,32 @@ func (db *DB) publishDeferredBarrier(tree id.Tree, ts uint64, drop bool) {
 	db.met.Deferred.ObserveQueueDepth(n)
 }
 
-// applierLoop is the WAL-tailing applier: it drains the publish queue on each
-// wake-up, folds coalesced deltas into the deferred views, and advances
-// watermarks. The idle tick keeps watermarks tracking the oracle's read
-// timestamp when commits publish nothing, and retries failed rounds.
-func (db *DB) applierLoop(interval time.Duration) {
-	defer close(db.applierDone)
-	co := applier.NewCoalescer()
-	tick := time.NewTicker(interval)
-	defer tick.Stop()
-	for {
+// applierStep is the deferred-applier task's step, run on every publish's
+// wake-up and on the idle tick: it drains the publish queue, folds coalesced
+// deltas into the deferred views, and advances watermarks. The idle tick
+// keeps watermarks tracking the oracle's read timestamp when commits publish
+// nothing, and retries failed rounds.
+func (db *DB) applierStep(co *applier.Coalescer) {
+	db.applierRound(co)
+	// When publishes outpace the rounds — one arrived while this round ran —
+	// give the next one applierRest to join it before folding: a round under
+	// load then folds a few commits in one system transaction instead of
+	// chasing each publish with its own, and the per-round costs (begin and
+	// commit records, tree locks, the top levels' folds) amortize. A commit
+	// that finds the applier idle still folds at once.
+	for len(db.applierQ.wake) > 0 && !db.closed.Load() {
+		<-db.applierQ.wake
 		select {
-		case <-db.applierStop:
-			if db.applierDrainOnStop.Load() {
-				// Clean shutdown: one best-effort final round so a closed
-				// database reopens with converged views.
-				db.applierRound(co)
-			}
-			return
 		case <-db.applierQ.wake:
-			db.applierRound(co)
-			// When publishes outpace the rounds — one arrived while this
-			// round ran — give the next one applierRest to join it before
-			// folding: a round under load then folds a few commits in one
-			// system transaction instead of chasing each publish with its own,
-			// and the per-round costs (begin and commit records, tree locks,
-			// the top levels' folds) amortize. A commit that finds the applier
-			// idle still folds at once.
-			for len(db.applierQ.wake) > 0 && !db.closed.Load() {
-				<-db.applierQ.wake
-				select {
-				case <-db.applierQ.wake:
-				case <-time.After(applierRest):
-				}
-				db.applierRound(co)
-			}
-		case <-tick.C:
-			db.applierRound(co)
+		case <-time.After(applierRest):
 		}
+		db.applierRound(co)
 	}
 }
 
-// applierRound is one drain-fold-publish cycle. Only the applier goroutine
-// calls it; co is owned exclusively.
+// applierRound is one drain-fold-publish cycle. Only the applier task calls
+// it (its step, or its drain once the task has stopped); co is owned
+// exclusively.
 func (db *DB) applierRound(co *applier.Coalescer) {
 	// Read the frontier BEFORE draining: every commit <= wm published before
 	// FinishCommit let wm reach it, so the drain below captures its batch.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -10,9 +11,9 @@ import (
 )
 
 // TestDescribeEngine exercises the engine-level report: it must reflect the
-// configured stripe count and the lock/contention counters.
+// lock manager's stripe count and the lock/contention counters.
 func TestDescribeEngine(t *testing.T) {
-	db := openTestDB(t, Options{LockShards: 16})
+	db := openTestDB(t, Options{})
 	setupBanking(t, db, catalog.StrategyEscrow)
 	insertAccounts(t, db, acctRow(1, 1, 100), acctRow(2, 1, 50))
 
@@ -23,9 +24,16 @@ func TestDescribeEngine(t *testing.T) {
 	}
 	mustCommit(t, tx)
 
+	st := db.Stats()
+	if st.Lock.Shards < 8 || st.Lock.Shards&(st.Lock.Shards-1) != 0 {
+		t.Fatalf("want a power of two of at least 8 lock shards in stats, got %d", st.Lock.Shards)
+	}
+	if len(st.Lock.PerShard) != st.Lock.Shards {
+		t.Fatalf("want %d per-shard entries, got %d", st.Lock.Shards, len(st.Lock.PerShard))
+	}
 	out := db.Describe()
 	for _, want := range []string{
-		"16 lock shards",
+		fmt.Sprintf("%d lock shards", st.Lock.Shards),
 		"commits",
 		"lock",
 		"deadlock detector",
@@ -33,13 +41,6 @@ func TestDescribeEngine(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Fatalf("Describe output missing %q:\n%s", want, out)
 		}
-	}
-	st := db.Stats()
-	if st.Lock.Shards != 16 {
-		t.Fatalf("want 16 lock shards in stats, got %d", st.Lock.Shards)
-	}
-	if len(st.Lock.PerShard) != 16 {
-		t.Fatalf("want 16 per-shard entries, got %d", len(st.Lock.PerShard))
 	}
 	if st.Lock.Requests == 0 {
 		t.Fatal("expected nonzero lock requests after a committed update")

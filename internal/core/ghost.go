@@ -1,10 +1,9 @@
 package core
 
 import (
-	"context"
-	"runtime/pprof"
 	"time"
 
+	"repro/internal/btree"
 	"repro/internal/catalog"
 	"repro/internal/fault"
 	"repro/internal/lock"
@@ -13,27 +12,11 @@ import (
 	"repro/internal/wal"
 )
 
-// cleanerLoop runs the background ghost cleaner (DESIGN.md §5): zero-count
-// ghost rows left behind by commit folds are physically erased by system
-// transactions, asynchronously to user work.
-func (db *DB) cleanerLoop(interval time.Duration) {
-	defer close(db.cleanerDone)
-	pprof.SetGoroutineLabels(pprof.WithLabels(context.Background(),
-		pprof.Labels("vtxn", "ghost-cleaner")))
-	tick := time.NewTicker(interval)
-	defer tick.Stop()
-	for {
-		select {
-		case <-db.cleanerStop:
-			return
-		case <-tick.C:
-			db.CleanGhosts()
-		}
-	}
-}
-
 // CleanGhosts erases every erasable ghost row across all aggregate views,
-// returning how many it removed. A ghost is erasable when the cleaner can take
+// returning how many it removed; the ghost-cleaner task runs it every
+// GhostCleanInterval (DESIGN.md §5), so zero-count ghost rows left behind by
+// commit folds are physically erased by system transactions, asynchronously
+// to user work. A ghost is erasable when the cleaner can take
 // its X lock — under IX on the view's tree — without waiting long: a
 // transaction with pending deltas against the row holds its E lock (or, after
 // escalation, the tree's X lock) until it ends, so the lock manager alone
@@ -70,15 +53,17 @@ func (db *DB) CleanGhosts() int {
 const ghostLockWait = 5 * time.Millisecond
 
 // cleanViewGhosts erases the erasable ghosts of one view, each in its own
-// system transaction.
+// system transaction. It copies the keys of the ghosts alone: a pass over a
+// view of many live groups and a few held ghosts allocates for the ghosts.
 func (db *DB) cleanViewGhosts(v *catalog.View) int {
 	tree := db.tree(v.ID)
 	var keys [][]byte
-	for _, it := range tree.Items(nil, nil, true) {
+	tree.Scan(nil, nil, true, func(it btree.Item) bool {
 		if it.Ghost {
-			keys = append(keys, it.Key)
+			keys = append(keys, append([]byte(nil), it.Key...))
 		}
-	}
+		return true
+	})
 	erased := 0
 	treeRes := lock.TreeResource(v.ID)
 	for _, key := range keys {

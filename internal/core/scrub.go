@@ -18,7 +18,7 @@ import (
 // (internal/scrub, DESIGN.md §7.4). Every read the scrubber makes goes
 // through the MVCC snapshot paths — zero lock-manager traffic, so it never
 // blocks or is blocked by writers. Each adapter call is gate-admitted like
-// any other reader; the scrubber goroutine stops before Close takes the gate
+// any other reader; the scrubber task stops before Close takes the gate
 // exclusively.
 
 // defaultScrubInterval is the background scrubber's tick: one (view,

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"runtime/pprof"
 	"time"
 
 	"repro/internal/applier"
@@ -156,19 +155,6 @@ func (tx *Tx) Commit() error {
 	if err := tx.check(); err != nil {
 		return err
 	}
-	if tx.db.opts.ProfileLabels {
-		// Tag the commit (fold + group-commit wait) so CPU profiles attribute
-		// the time to this transaction.
-		var err error
-		pprof.Do(context.Background(),
-			pprof.Labels("vtxn_phase", "commit", "vtxn_txn", tx.t.ID.String()),
-			func(context.Context) { err = tx.commit() })
-		return err
-	}
-	return tx.commit()
-}
-
-func (tx *Tx) commit() error {
 	db := tx.db
 	if tx.ro {
 		// Nothing written, nothing logged: retiring the snapshot is the whole

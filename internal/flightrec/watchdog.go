@@ -1,9 +1,7 @@
 package flightrec
 
 import (
-	"context"
 	"fmt"
-	"runtime/pprof"
 	"time"
 
 	"repro/internal/metrics"
@@ -11,11 +9,10 @@ import (
 
 // WatchdogConfig configures a stall watchdog.
 type WatchdogConfig struct {
-	// Interval between snapshot polls; zero selects 500ms.
+	// Interval is the period the caller calls Tick at; it must be positive.
+	// An in-progress condition older than stallIntervals of it counts as a
+	// stall (WAL flush age, one-stripe wait-time slope).
 	Interval time.Duration
-	// StallThreshold is the age past which an in-progress condition counts as
-	// a stall (WAL flush age, one-stripe wait-time slope); zero selects 2s.
-	StallThreshold time.Duration
 	// Windows is how many consecutive intervals a growth signature (escrow
 	// backlog, ghost starvation) must persist; zero selects 3.
 	Windows int
@@ -35,22 +32,22 @@ type WatchdogConfig struct {
 	Metrics *metrics.WatchdogMetrics
 }
 
-// Watchdog is a background goroutine that diffs engine metrics snapshots and
-// reports stall signatures: a WAL flush not advancing while commits queue, a
-// lock-shard convoy, escrow fold backlog growth, and ghost-cleaner
-// starvation. Detections are edge-triggered — one report per onset, re-armed
-// once the condition clears.
-type Watchdog struct {
-	cfg  WatchdogConfig
-	stop chan struct{}
-	done chan struct{}
+// stallIntervals is the stall threshold in watchdog intervals.
+const stallIntervals = 4
 
-	// prev is the baseline snapshot, captured synchronously at start so no
-	// counter edge predates it; thereafter owned by the loop goroutine.
+// Watchdog diffs engine metrics snapshots, one per Tick, and reports stall
+// signatures: a WAL flush not advancing while commits queue, a lock-shard
+// convoy, escrow fold backlog growth, and ghost-cleaner starvation.
+// Detections are edge-triggered — one report per onset, re-armed once the
+// condition clears. Tick is not safe for concurrent use.
+type Watchdog struct {
+	cfg WatchdogConfig
+
+	// prev is the previous snapshot: at first the baseline, captured by
+	// NewWatchdog so no counter edge predates it.
 	prev metrics.Snapshot
 
-	// evaluation state (owned by the loop goroutine, or the test driving
-	// evaluate directly).
+	// report's firing set and evaluate's growth streaks.
 	active       map[string]bool
 	escrowStreak int
 	ghostStreak  int
@@ -63,61 +60,25 @@ type detection struct {
 	age    time.Duration
 }
 
-// StartWatchdog launches the watchdog goroutine. Close stops it.
-func StartWatchdog(cfg WatchdogConfig) *Watchdog {
-	if cfg.Interval <= 0 {
-		cfg.Interval = 500 * time.Millisecond
-	}
-	if cfg.StallThreshold <= 0 {
-		cfg.StallThreshold = 2 * time.Second
-	}
+// NewWatchdog returns a watchdog holding its baseline snapshot. The baseline
+// is taken here, synchronously, not at the first Tick: counters that move
+// before the first Tick would otherwise be folded into the baseline and
+// their edge lost. For the stall signatures that only shifts a window
+// boundary, but for the scrub-divergence counter the edge IS the signal — a
+// divergence found microseconds after Open must still fire.
+func NewWatchdog(cfg WatchdogConfig) *Watchdog {
 	if cfg.Windows <= 0 {
 		cfg.Windows = 3
 	}
-	w := &Watchdog{
-		cfg:    cfg,
-		stop:   make(chan struct{}),
-		done:   make(chan struct{}),
-		active: make(map[string]bool),
-	}
-	// The baseline snapshot is taken here, synchronously, not on the loop
-	// goroutine: counters that tick before the goroutine's first run would
-	// otherwise be folded into the baseline and their edge lost. For the
-	// stall signatures that only shifts a window boundary, but for the
-	// scrub-divergence counter the edge IS the signal — a divergence found
-	// microseconds after Open must still fire.
-	w.prev = cfg.Snap()
-	go w.loop()
-	return w
+	return &Watchdog{cfg: cfg, prev: cfg.Snap(), active: make(map[string]bool)}
 }
 
-// Close stops the watchdog and waits for its goroutine to exit. Safe to call
-// on a nil receiver and idempotent via the engine (which nils its reference).
-func (w *Watchdog) Close() {
-	if w == nil {
-		return
-	}
-	close(w.stop)
-	<-w.done
-}
-
-func (w *Watchdog) loop() {
-	defer close(w.done)
-	pprof.SetGoroutineLabels(pprof.WithLabels(context.Background(),
-		pprof.Labels("vtxn", "watchdog")))
-	ticker := time.NewTicker(w.cfg.Interval)
-	defer ticker.Stop()
-	prev := w.prev
-	for {
-		select {
-		case <-w.stop:
-			return
-		case <-ticker.C:
-		}
-		cur := w.cfg.Snap()
-		w.report(w.evaluate(prev, cur))
-		prev = cur
-	}
+// Tick takes a snapshot, reports the signatures firing since the previous
+// one, and keeps it as the next baseline.
+func (w *Watchdog) Tick() {
+	cur := w.cfg.Snap()
+	w.report(w.evaluate(w.prev, cur))
+	w.prev = cur
 }
 
 // report emits each detection whose signature was not already active, and
@@ -176,7 +137,7 @@ func (w *Watchdog) count(sig string) {
 // currently firing. It owns the streak counters for the growth signatures.
 func (w *Watchdog) evaluate(prev, cur metrics.Snapshot) []detection {
 	var dets []detection
-	threshold := w.cfg.StallThreshold
+	threshold := stallIntervals * w.cfg.Interval
 
 	// 1. WAL flush stall: a physical flush has been in progress longer than
 	// the threshold — commits queue behind it on the flush mutex.
@@ -190,7 +151,7 @@ func (w *Watchdog) evaluate(prev, cur metrics.Snapshot) []detection {
 	}
 
 	// 2. Lock-shard convoy: one stripe accumulated the dominant share (≥75%)
-	// of new wait time this interval, and at least StallThreshold's worth —
+	// of new wait time this interval, and at least the threshold's worth —
 	// multiple waiters piled on one stripe's resources.
 	if n := len(cur.Lock.PerShard); n > 0 && n == len(prev.Lock.PerShard) {
 		var total, maxDelta int64

@@ -9,19 +9,16 @@ import (
 	"repro/internal/metrics"
 )
 
-// testWatchdog builds a watchdog with evaluation state but no running loop,
-// so tests can drive evaluate/report with synthetic snapshots.
+// testWatchdog builds a watchdog over an empty baseline, so tests can drive
+// evaluate/report with synthetic snapshots.
 func testWatchdog(cfg WatchdogConfig) *Watchdog {
 	if cfg.Interval <= 0 {
 		cfg.Interval = 500 * time.Millisecond
 	}
-	if cfg.StallThreshold <= 0 {
-		cfg.StallThreshold = 2 * time.Second
+	if cfg.Snap == nil {
+		cfg.Snap = func() metrics.Snapshot { return metrics.Snapshot{} }
 	}
-	if cfg.Windows <= 0 {
-		cfg.Windows = 3
-	}
-	return &Watchdog{cfg: cfg, active: make(map[string]bool)}
+	return NewWatchdog(cfg)
 }
 
 func sigs(dets []detection) []string {
@@ -42,7 +39,7 @@ func hasSig(dets []detection, sig string) bool {
 }
 
 func TestWatchdogWALFlushSignature(t *testing.T) {
-	w := testWatchdog(WatchdogConfig{StallThreshold: time.Second})
+	w := testWatchdog(WatchdogConfig{Interval: 250 * time.Millisecond})
 	var prev, cur metrics.Snapshot
 
 	cur.WAL.FlushActiveNs = int64(500 * time.Millisecond)
@@ -62,7 +59,7 @@ func TestWatchdogWALFlushSignature(t *testing.T) {
 }
 
 func TestWatchdogLockConvoySignature(t *testing.T) {
-	w := testWatchdog(WatchdogConfig{StallThreshold: time.Second})
+	w := testWatchdog(WatchdogConfig{Interval: 250 * time.Millisecond})
 	shard := func(ns ...int64) []metrics.LockShardSnapshot {
 		out := make([]metrics.LockShardSnapshot, len(ns))
 		for i, n := range ns {
@@ -105,7 +102,7 @@ func TestWatchdogLockConvoySignature(t *testing.T) {
 // has attribution for the interval, the convoy detail names the actual
 // (view, group key) — not just the stripe index.
 func TestWatchdogLockConvoyNamesHotGroup(t *testing.T) {
-	w := testWatchdog(WatchdogConfig{StallThreshold: time.Second})
+	w := testWatchdog(WatchdogConfig{Interval: 250 * time.Millisecond})
 	shard := func(ns ...int64) []metrics.LockShardSnapshot {
 		out := make([]metrics.LockShardSnapshot, len(ns))
 		for i, n := range ns {
@@ -145,7 +142,7 @@ func TestWatchdogLockConvoyNamesHotGroup(t *testing.T) {
 	// Without hot-group attribution the detail still names the stripe.
 	prev.Hotspots.TopWait = nil
 	cur.Hotspots.TopWait = nil
-	w2 := testWatchdog(WatchdogConfig{StallThreshold: time.Second})
+	w2 := testWatchdog(WatchdogConfig{Interval: 250 * time.Millisecond})
 	dets = w2.evaluate(prev, cur)
 	for _, d := range dets {
 		if d.sig == "lock-convoy" && strings.Contains(d.detail, "hottest group") {
@@ -289,26 +286,63 @@ func TestWatchdogReportEdgeTriggered(t *testing.T) {
 	}
 }
 
-// TestWatchdogLifecycle: the loop starts, polls, and Close stops it; a nil
-// watchdog Close is a no-op (the engine calls it unconditionally).
-func TestWatchdogLifecycle(t *testing.T) {
-	polls := make(chan struct{}, 64)
-	w := StartWatchdog(WatchdogConfig{
-		Interval: time.Millisecond,
+// TestWatchdogTickBaseline: NewWatchdog takes its baseline at once, so a
+// counter edge between construction and the first Tick still fires; each Tick
+// then diffs against the previous one, so a flat counter does not fire again.
+func TestWatchdogTickBaseline(t *testing.T) {
+	var wm metrics.WatchdogMetrics
+	var cur metrics.Snapshot
+	snaps := 0
+	w := NewWatchdog(WatchdogConfig{
+		Interval: time.Second,
+		Metrics:  &wm,
 		Snap: func() metrics.Snapshot {
-			select {
-			case polls <- struct{}{}:
-			default:
-			}
-			return metrics.Snapshot{}
+			snaps++
+			return cur
 		},
 	})
-	select {
-	case <-polls:
-	case <-time.After(2 * time.Second):
-		t.Fatal("watchdog never polled")
+	if snaps != 1 {
+		t.Fatalf("NewWatchdog took %d snapshots, want the baseline alone", snaps)
 	}
-	w.Close()
-	var none *Watchdog
-	none.Close()
+	cur.Scrub.Divergences = 1 // the edge lands before the first Tick
+	w.Tick()
+	if got := wm.ScrubDivergences.Load(); got != 1 {
+		t.Fatalf("edge before the first Tick: scrub_divergences = %d, want 1", got)
+	}
+	w.Tick()
+	w.Tick()
+	if got := wm.Detections.Load(); got != 1 {
+		t.Fatalf("flat counter after the edge: detections = %d, want 1", got)
+	}
+	cur.Scrub.Divergences = 3 // a new edge after the signature cleared
+	w.Tick()
+	if got := wm.ScrubDivergences.Load(); got != 2 {
+		t.Fatalf("second edge: scrub_divergences = %d, want 2", got)
+	}
+	if snaps != 5 {
+		t.Fatalf("%d snapshots, want one per Tick plus the baseline", snaps)
+	}
+}
+
+// TestWatchdogTickStallThreshold: the WAL-flush signature's threshold is four
+// intervals — a flush active for three does not fire, one active for five
+// does.
+func TestWatchdogTickStallThreshold(t *testing.T) {
+	var wm metrics.WatchdogMetrics
+	var cur metrics.Snapshot
+	w := NewWatchdog(WatchdogConfig{
+		Interval: 10 * time.Millisecond,
+		Metrics:  &wm,
+		Snap:     func() metrics.Snapshot { return cur },
+	})
+	cur.WAL.FlushActiveNs = int64(30 * time.Millisecond)
+	w.Tick()
+	if got := wm.WALStalls.Load(); got != 0 {
+		t.Fatalf("flush active 3 intervals fired %d stalls", got)
+	}
+	cur.WAL.FlushActiveNs = int64(50 * time.Millisecond)
+	w.Tick()
+	if got := wm.WALStalls.Load(); got != 1 {
+		t.Fatalf("flush active 5 intervals: wal_stalls = %d, want 1", got)
+	}
 }

@@ -20,8 +20,13 @@ import (
 // A sweep locks all shards in index order, so the graph it sees is globally
 // consistent: a cycle in that snapshot is a genuine deadlock, because no
 // member can make progress while the sweep holds the locks. Sweeps run at
-// most once per SweepInterval and only while waiters exist, so the cost is
+// most once per sweepInterval and only while waiters exist, so the cost is
 // bounded and the uncontended path never pays it.
+
+// sweepInterval throttles the detector: at most one sweep per interval while
+// waiters exist. It bounds how long a deadlocked transaction waits before its
+// victim aborts.
+const sweepInterval = time.Millisecond
 
 // kickDetector nudges the detector after a request blocks. Non-blocking:
 // one pending kick is enough.
@@ -32,7 +37,7 @@ func (m *Manager) kickDetector() {
 	}
 }
 
-// detectorLoop parks until a request blocks, then sweeps every sweepEvery
+// detectorLoop parks until a request blocks, then sweeps every sweepInterval
 // until no waiters remain.
 func (m *Manager) detectorLoop() {
 	defer close(m.done)
@@ -52,7 +57,7 @@ func (m *Manager) detectorLoop() {
 			if m.sweep() == 0 {
 				break // no waiters left; park on the next kick
 			}
-			timer.Reset(m.sweepEvery)
+			timer.Reset(sweepInterval)
 			select {
 			case <-m.stop:
 				timer.Stop()

@@ -146,11 +146,10 @@ type Manager struct {
 	lastSweep atomic.Int64 // ns
 	maxSweep  atomic.Int64 // ns
 
-	sweepEvery time.Duration
-	kick       chan struct{}
-	stop       chan struct{}
-	done       chan struct{}
-	closeOnce  sync.Once
+	kick      chan struct{}
+	stop      chan struct{}
+	done      chan struct{}
+	closeOnce sync.Once
 
 	// met and tracer receive wait-time attribution and lock-wait events; both
 	// may be nil (standalone managers) — observation paths are nil-safe.
@@ -168,10 +167,6 @@ type Options struct {
 	Shards int
 	// DefaultTimeout bounds waits when Lock gets timeout 0 (default 10s).
 	DefaultTimeout time.Duration
-	// SweepInterval throttles the background deadlock detector: at most one
-	// sweep per interval while waiters exist (default 1ms). It bounds how
-	// long a deadlocked transaction waits before its victim aborts.
-	SweepInterval time.Duration
 	// Metrics, when set, receives per-shard wait-time attribution and the
 	// global wait-latency histogram. Only blocked acquisitions observe it.
 	Metrics *metrics.LockMetrics
@@ -193,13 +188,9 @@ func NewManagerOpts(o Options) *Manager {
 	if o.DefaultTimeout <= 0 {
 		o.DefaultTimeout = 10 * time.Second
 	}
-	if o.SweepInterval <= 0 {
-		o.SweepInterval = time.Millisecond
-	}
 	m := &Manager{
 		shards:         make([]*shard, n),
 		mask:           uint32(n - 1),
-		sweepEvery:     o.SweepInterval,
 		kick:           make(chan struct{}, 1),
 		stop:           make(chan struct{}),
 		done:           make(chan struct{}),

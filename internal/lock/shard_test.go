@@ -29,7 +29,7 @@ func pickCrossShard(t *testing.T, m *Manager) (Resource, Resource) {
 // resources in different shards, so no single shard's state contains the
 // whole cycle — only the background detector's merged snapshot can see it.
 func TestCrossShardDeadlock(t *testing.T) {
-	m := NewManagerOpts(Options{Shards: 8, SweepInterval: time.Millisecond})
+	m := NewManagerOpts(Options{Shards: 8})
 	defer m.Close()
 	r1, r2 := pickCrossShard(t, m)
 
@@ -164,7 +164,7 @@ func TestTimeoutVsGrantRace(t *testing.T) {
 // after every round that the incrementally-maintained waits-for edges equal
 // a from-scratch rebuild.
 func TestIncrementalEdgesMatchRebuild(t *testing.T) {
-	m := NewManagerOpts(Options{Shards: 4, SweepInterval: time.Millisecond})
+	m := NewManagerOpts(Options{Shards: 4})
 	defer m.Close()
 	modes := []Mode{ModeS, ModeX, ModeE, ModeU}
 	var wg sync.WaitGroup

@@ -253,7 +253,7 @@ type ViewFreshnessSnapshot struct {
 // registry fills the counters; the engine fills Views (names need the
 // catalog).
 type ScrubSnapshot struct {
-	// Enabled reports whether the background scrubber goroutine is running.
+	// Enabled reports whether the background scrubber task is running.
 	Enabled bool `json:"enabled"`
 	// Cycles counts completed full passes over every view; Slices the
 	// (view, group-range) verification slices processed.

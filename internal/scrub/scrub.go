@@ -94,7 +94,8 @@ type Engine interface {
 
 // Config tunes a Scrubber. The caller resolves defaults before construction.
 type Config struct {
-	// Interval is the background tick: one slice per tick.
+	// Interval is the period the caller calls Tick at: each tick deposits
+	// one interval's worth of RowBudget.
 	Interval time.Duration
 	// RowBudget paces verification in rows per second (source rows recomputed
 	// plus view rows compared); <= 0 removes pacing.
@@ -116,19 +117,21 @@ const maxDiffsPerSlice = 16
 // one slice (pair read racing a fold, watermark passed by the horizon).
 const pinAttempts = 8
 
-// Scrubber drives an Engine: a background Run loop doing one budget-paced
-// slice per tick, plus on-demand unpaced FullPass sweeps. Run owns the
-// background per-view cursors; FullPass uses only local state, so the two may
-// execute concurrently.
+// Scrubber drives an Engine: budget-paced background slices, one per Tick,
+// plus on-demand unpaced FullPass sweeps. Tick owns the background per-view
+// cursors; FullPass uses only local state, so the two may execute
+// concurrently.
 type Scrubber struct {
 	e   Engine
 	cfg Config
 
-	// Background loop state, owned by the Run goroutine.
+	// Background state, owned by the caller of Tick.
 	state   map[id.Tree]*viewState
 	pending map[id.Tree]bool // views not yet fully passed this cycle
 	cycleAt time.Time
 	after   id.Tree // round-robin position: next slice goes to the first tree after this
+	// allowance is the token bucket pacing Tick, in rows.
+	allowance float64
 }
 
 // viewState is one view's in-progress pass.
@@ -151,42 +154,30 @@ func New(e Engine, cfg Config) *Scrubber {
 	if cfg.MaxGroups <= 0 {
 		cfg.MaxGroups = defaultMaxGroups
 	}
-	return &Scrubber{e: e, cfg: cfg, state: make(map[id.Tree]*viewState)}
-}
-
-// Run is the background loop: one slice per tick, cycling views round-robin,
-// until stop closes. Engine errors (e.g. a closing database) skip the tick;
-// the loop only exits on stop.
-func (s *Scrubber) Run(stop <-chan struct{}) {
-	tick := time.NewTicker(s.cfg.Interval)
-	defer tick.Stop()
-	// Token-bucket pacing: each tick deposits one tick's worth of rows,
-	// capped at one second's budget so an idle stretch buys a bounded burst.
-	allowance := float64(s.cfg.RowBudget) * s.cfg.Interval.Seconds()
-	for {
-		select {
-		case <-stop:
-			return
-		case <-tick.C:
-		}
-		if s.cfg.RowBudget > 0 {
-			allowance += float64(s.cfg.RowBudget) * s.cfg.Interval.Seconds()
-			if cap := float64(s.cfg.RowBudget); allowance > cap {
-				allowance = cap
-			}
-			if allowance < 1 {
-				continue // over budget: skip the tick, keep accruing
-			}
-		}
-		allowance -= float64(s.tickOnce())
+	return &Scrubber{
+		e:         e,
+		cfg:       cfg,
+		state:     make(map[id.Tree]*viewState),
+		allowance: float64(cfg.RowBudget) * cfg.Interval.Seconds(),
 	}
 }
 
-// tickOnce runs one background slice and returns the rows charged.
-func (s *Scrubber) tickOnce() int {
+// Tick is one background step: it verifies the next slice, cycling views
+// round-robin, unless the row budget is spent. Token-bucket pacing: each tick
+// deposits one interval's worth of rows, capped at one second's budget so an
+// idle stretch buys a bounded burst, and a slice is charged its rows after it
+// ran — so a slice of N rows is followed by about N/(RowBudget·Interval)
+// skipped ticks. Engine errors (e.g. a closing database) only skip the slice.
+func (s *Scrubber) Tick() {
+	if s.cfg.RowBudget > 0 {
+		s.allowance = min(s.allowance+float64(s.cfg.RowBudget)*s.cfg.Interval.Seconds(), float64(s.cfg.RowBudget))
+		if s.allowance < 1 {
+			return // over budget: skip the tick, keep accruing
+		}
+	}
 	plan := s.e.Plan()
 	if len(plan) == 0 {
-		return 0
+		return
 	}
 	s.syncPlan(plan)
 	v := s.nextView(plan)
@@ -196,6 +187,7 @@ func (s *Scrubber) tickOnce() int {
 		s.state[v.Tree] = st
 	}
 	res := s.slice(v, st, s.cfg.MaxGroups)
+	s.allowance -= float64(res.rows)
 	s.after = v.Tree
 	if res.done {
 		s.finishPass(v, st, time.Now())
@@ -204,7 +196,6 @@ func (s *Scrubber) tickOnce() int {
 			s.finishCycle(time.Now())
 		}
 	}
-	return res.rows
 }
 
 // syncPlan reconciles loop state with the current catalog: drops state for
@@ -271,8 +262,7 @@ func (s *Scrubber) finishCycle(now time.Time) {
 // and the smoke/torture harnesses. Each view is one unbounded slice: a slice
 // recomputes the whole expected view whatever its width, so with no budget to
 // pace there is nothing to gain from paying that once per MaxGroups rows. It
-// uses only local cursors, so it is safe concurrently with the background
-// loop. Returns the total diffs found (each already Reported).
+// uses only local cursors, so it is safe concurrently with Tick. Returns the total diffs found (each already Reported).
 func (s *Scrubber) FullPass(ctx context.Context) (diverged int64, err error) {
 	start := time.Now()
 	plan := s.e.Plan()
@@ -306,7 +296,7 @@ func (s *Scrubber) FullPass(ctx context.Context) (diverged int64, err error) {
 		}
 	}
 	// Record the cycle through metrics only: finishCycle's s.pending/cycleAt
-	// bookkeeping belongs to the Run goroutine, which may be ticking now.
+	// bookkeeping belongs to Tick, which may be running now.
 	now := time.Now()
 	s.cfg.Metrics.Cycles.Add(1)
 	s.cfg.Metrics.LastFullPassUnixNs.Store(now.UnixNano())
@@ -424,8 +414,8 @@ func (s *Scrubber) commit(v View, st *viewState, viewTS, srcTS uint64, out range
 	return sliceResult{rows: out.rows, done: out.next == nil, diverged: len(out.diffs)}
 }
 
-// storeMaxU64 advances an atomic to ts if it is larger (the background loop
-// and a concurrent FullPass both complete passes; coverage only moves up).
+// storeMaxU64 advances an atomic to ts if it is larger (Tick and a concurrent
+// FullPass both complete passes; coverage only moves up).
 func storeMaxU64(a interface {
 	Load() uint64
 	CompareAndSwap(old, new uint64) bool

@@ -3,8 +3,11 @@ package scrub
 import (
 	"bytes"
 	"context"
+	"fmt"
+	"slices"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/id"
 	"repro/internal/metrics"
@@ -144,7 +147,7 @@ func TestSinglePinPass(t *testing.T) {
 		if ticks++; ticks > 10 {
 			t.Fatalf("no cycle after %d ticks", ticks)
 		}
-		s.tickOnce()
+		s.Tick()
 	}
 	if got := m.Slices.Load(); got != 3 {
 		t.Fatalf("slices = %d, want 3 (5 rows / max 2)", got)
@@ -178,7 +181,7 @@ func TestDivergenceReported(t *testing.T) {
 	e.src[tree] = []verify.Entry{entry("a", 1), entry("b", 2)}
 	s, m := newScrubber(e, 0)
 
-	s.tickOnce()
+	s.Tick()
 	if got := m.Divergences.Load(); got != 1 {
 		t.Fatalf("divergences = %d, want 1", got)
 	}
@@ -216,7 +219,7 @@ func TestPairSliceCleanAndLagging(t *testing.T) {
 	e.wm[tree] = 95
 	s, m := newScrubber(e, 0)
 
-	s.tickOnce()
+	s.Tick()
 	if got := m.Divergences.Load(); got != 0 {
 		t.Fatalf("divergences = %d, want 0", got)
 	}
@@ -259,7 +262,7 @@ func TestPairSliceConflictDiscards(t *testing.T) {
 	}
 	s, m := newScrubber(e, 0)
 
-	s.tickOnce()
+	s.Tick()
 	if got := m.Conflicts.Load(); got != 1 {
 		t.Fatalf("conflicts = %d, want 1", got)
 	}
@@ -270,7 +273,7 @@ func TestPairSliceConflictDiscards(t *testing.T) {
 		t.Fatalf("slices = %d, want 0 (discarded)", got)
 	}
 	// The next tick sees the settled pair and verifies clean.
-	s.tickOnce()
+	s.Tick()
 	if got := m.Slices.Load(); got != 1 {
 		t.Fatalf("slices after retry = %d, want 1", got)
 	}
@@ -292,7 +295,7 @@ func TestPairSliceSnapshotRetry(t *testing.T) {
 	e.pinAtDeny = 2
 	s, m := newScrubber(e, 0)
 
-	s.tickOnce()
+	s.Tick()
 	if got := m.SnapshotRetries.Load(); got != 2 {
 		t.Fatalf("snapshot retries = %d, want 2", got)
 	}
@@ -312,7 +315,7 @@ func TestPairSliceBackfill(t *testing.T) {
 	e.plan = []View{{Tree: tree, Name: "d", Pair: true}}
 	s, m := newScrubber(e, 0)
 
-	s.tickOnce()
+	s.Tick()
 	if got := m.Slices.Load(); got != 0 {
 		t.Fatalf("slices = %d, want 0", got)
 	}
@@ -333,8 +336,8 @@ func TestRoundRobinAndSyncPlan(t *testing.T) {
 	e.src[b] = e.view[b]
 	s, m := newScrubber(e, 0)
 
-	s.tickOnce() // a
-	s.tickOnce() // b → cycle 1 done
+	s.Tick() // a
+	s.Tick() // b → cycle 1 done
 	if got := m.Cycles.Load(); got != 1 {
 		t.Fatalf("cycles = %d, want 1", got)
 	}
@@ -342,12 +345,12 @@ func TestRoundRobinAndSyncPlan(t *testing.T) {
 		t.Fatalf("passes a=%d b=%d, want 1/1", m.Views.Get(a).Passes.Load(), m.Views.Get(b).Passes.Load())
 	}
 	// Drop b mid-cycle: a alone completes cycles.
-	s.tickOnce() // a again (cycle 2 pending {a,b}... a done)
+	s.Tick() // a again (cycle 2 pending {a,b}... a done)
 	e.mu.Lock()
 	e.plan = e.plan[:1]
 	e.mu.Unlock()
-	s.tickOnce()
-	s.tickOnce()
+	s.Tick()
+	s.Tick()
 	if got := m.Cycles.Load(); got < 2 {
 		t.Fatalf("cycles = %d, want >= 2 after dropping b", got)
 	}
@@ -357,7 +360,7 @@ func TestRoundRobinAndSyncPlan(t *testing.T) {
 }
 
 // TestFullPass: the unpaced sweep verifies every view, returns the diff count,
-// and records a cycle without touching the background loop's pending set.
+// and records a cycle without touching Tick's pending set.
 func TestFullPass(t *testing.T) {
 	e := newFakeEngine()
 	a, b := id.Tree(1), id.Tree(2)
@@ -401,15 +404,64 @@ func TestFullPassCanceled(t *testing.T) {
 	}
 }
 
-// TestRunStops: the background loop exits promptly on stop.
-func TestRunStops(t *testing.T) {
+// TestTickTokenBucket drives the row budget with Tick calls alone. At 64 rows/s
+// and a 250ms interval each tick deposits 16 rows; a slice over a 40-group
+// view charges 80 (40 recomputed, 40 compared), so after it the scrubber skips
+// ticks until the allowance is back to at least one row — a slice every
+// 80/16 = 5 ticks. An idle stretch fills the bucket to one second's budget
+// and no further.
+func TestTickTokenBucket(t *testing.T) {
 	e := newFakeEngine()
-	s, _ := newScrubber(e, 0)
-	s.cfg.Interval = 1e6 // 1ms
-	s.cfg.RowBudget = 1000
-	stop := make(chan struct{})
-	done := make(chan struct{})
-	go func() { s.Run(stop); close(done) }()
-	close(stop)
-	<-done
+	tree := id.Tree(1)
+	plan := []View{{Tree: tree, Name: "v"}}
+	e.plan = plan
+	for i := 0; i < 40; i++ {
+		e.view[tree] = append(e.view[tree], entry(fmt.Sprintf("k%02d", i), int64(i)))
+	}
+	e.src[tree] = e.view[tree]
+	m := &metrics.ScrubMetrics{}
+	const budget = 64
+	s := New(e, Config{Interval: 250 * time.Millisecond, RowBudget: budget, Metrics: m})
+
+	// The bucket starts with one deposit, so the first gap is a tick short.
+	var sliced []int
+	for tick := 1; tick <= 20; tick++ {
+		before := m.Slices.Load()
+		s.Tick()
+		if m.Slices.Load() != before {
+			sliced = append(sliced, tick)
+		}
+		if s.allowance > budget {
+			t.Fatalf("tick %d: allowance %.0f over one second's budget", tick, s.allowance)
+		}
+	}
+	if want := []int{1, 5, 10, 15, 20}; !slices.Equal(sliced, want) {
+		t.Fatalf("slices ran at ticks %v, want %v", sliced, want)
+	}
+
+	// Idle: no views to verify, nothing charged, the bucket caps.
+	e.mu.Lock()
+	e.plan = nil
+	e.mu.Unlock()
+	for i := 0; i < 100; i++ {
+		s.Tick()
+	}
+	if s.allowance != budget {
+		t.Fatalf("allowance after an idle stretch = %.0f, want the one-second cap %d", s.allowance, budget)
+	}
+	// The burst the cap buys is one slice; the next waits two ticks.
+	e.mu.Lock()
+	e.plan = plan
+	e.mu.Unlock()
+	sliced = sliced[:0]
+	for tick := 1; tick <= 3; tick++ {
+		before := m.Slices.Load()
+		s.Tick()
+		if m.Slices.Load() != before {
+			sliced = append(sliced, tick)
+		}
+	}
+	if want := []int{1, 3}; !slices.Equal(sliced, want) {
+		t.Fatalf("after the idle stretch slices ran at ticks %v, want %v", sliced, want)
+	}
 }

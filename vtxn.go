@@ -186,9 +186,8 @@ var NewSlowLogger = metrics.NewSlowLogger
 //	http.Handle("/metrics", vtxn.MetricsHandler(db))
 //
 // The handler is a mux: the root path serves the metrics text, /debug/pprof/
-// serves the standard net/http/pprof profiles (CPU profiles attribute commit
-// time to transactions when Options.ProfileLabels is on), /debug/flightrec
-// streams the flight record as JSONL, /debug/freshness serves the per-view
+// serves the standard net/http/pprof profiles (each background task's
+// goroutine carries a vtxn=<task> label), /debug/flightrec streams the flight record as JSONL, /debug/freshness serves the per-view
 // freshness section (staleness gauges and commit-to-visible latency
 // summaries) as JSON, and /debug/scrub serves the online scrubber's section
 // (coverage, pace, divergences) as JSON.
