@@ -9,7 +9,7 @@ TORTURE_SEEDS ?= 100
 TORTURE_SMOKE_SEEDS ?= 25
 TORTURE_OPS ?= 150 400
 
-.PHONY: all verify race vet fmt staticcheck structure lint torture torture-smoke bench
+.PHONY: all verify race vet fmt staticcheck structure lint torture torture-smoke bench bench-record
 
 all: verify
 
@@ -48,7 +48,11 @@ staticcheck:
 # binaries and bench gate stay gone (benchmark/ is frozen and exempt), and
 # make verify is the tier-1 line. One background runner: internal/core/bg.go
 # holds the only go statement of the engine, its scrubber and its watchdog,
-# and the hand-rolled loops and the test-only knobs stay gone.
+# and the hand-rolled loops and the test-only knobs stay gone. No deadlock
+# detector: the lock manager starts no goroutine, a blocked request checks
+# for the cycle it closed, and the waits-for graph is read from the lock
+# table, never stored. A committed trajectory: a change to internal/ adds its
+# benchmark pair under BENCH_history/ (make bench, then make bench-record).
 structure:
 	@out="$$(grep -rl --include='*.go' '"repro/internal/mvcc"' . | grep -v -e '^./internal/mvcc/' -e '^./internal/btree/' -e '^./internal/core/')"; \
 	if [ -n "$$out" ]; then echo "internal/mvcc imported outside internal/btree and internal/core:"; echo "$$out"; exit 1; fi
@@ -71,6 +75,16 @@ structure:
 	@out="$$(grep -rnE --include='*.go' --exclude-dir=benchmark \
 		'DeferredApplyInterval|DeadlockSweepInterval|ProfileLabels|WatchdogStallThreshold|LockShards|StartWatchdog|cleanerLoop|prunerLoop|applierLoop|applierDrainOnStop' .)"; \
 		if [ -n "$$out" ]; then echo "a hand-rolled background loop or a retired knob is back:"; echo "$$out"; exit 1; fi
+	@out="$$(grep -nE '^\s*go ' $$(ls internal/lock/*.go | grep -v '_test\.go$$'))"; \
+		if [ -n "$$out" ]; then echo "internal/lock starts no goroutine:"; echo "$$out"; exit 1; fi
+	@out="$$(grep -rnE --include='*.go' --exclude-dir=benchmark \
+		'detectorLoop|kickDetector|sweepInterval|addWaiterEdges|newEdgeSet|freeEdges|edgeFree|checkEdgeConsistency' .)"; \
+		if [ -n "$$out" ]; then echo "the deadlock detector goroutine or the stored waits-for graph is back:"; echo "$$out"; exit 1; fi
+	@if git rev-parse -q --verify '$(BASE)^{commit}' >/dev/null 2>&1; then \
+		if git diff --name-only $(BASE) -- internal | grep -q . && \
+			! git diff --name-only --diff-filter=A $(BASE) -- 'BENCH_history/pr*-change.jsonl' | grep -q .; then \
+			echo "the change touches internal/ since $(BASE) but adds no BENCH_history/pr<NN>-change.jsonl: make bench, then make bench-record NN=<NN>"; exit 1; fi; \
+	else echo "structure: $(BASE) is not a commit here; BENCH_history rule skipped"; fi
 
 lint: vet fmt staticcheck structure
 
@@ -110,3 +124,29 @@ bench:
 		if [ $$((i % 2)) -eq 1 ]; then parent $$seed; change $$seed; else change $$seed; parent $$seed; fi; \
 	done; \
 	$(GO) run ./benchmark -compare "$$out/parent.jsonl" "$$out/change.jsonl"
+
+# Commit one change's benchmark pairs: copy make bench's two result files
+# unchanged to BENCH_history/pr$(NN)-{parent,change}.jsonl, so -compare reads
+# them as they are, and write pr$(NN).env with both commits, the machine, the
+# Go version and the seeds of the runs. BENCH_history/ is append-only: an
+# existing record is never overwritten.
+bench-record:
+	@set -e; test -n "$(NN)" || { echo "usage: make bench-record NN=<pr number> [BASE=<parent commit>]"; exit 1; }; \
+	out=benchmark/out; hist=BENCH_history; mkdir -p "$$hist"; \
+	for side in parent change; do \
+		test -s "$$out/$$side.jsonl" || { echo "$$out/$$side.jsonl is missing or empty: run make bench first"; exit 1; }; \
+		test ! -e "$$hist/pr$(NN)-$$side.jsonl" || { echo "$$hist/pr$(NN)-$$side.jsonl exists; BENCH_history is append-only"; exit 1; }; \
+	done; \
+	cp "$$out/parent.jsonl" "$$hist/pr$(NN)-parent.jsonl"; \
+	cp "$$out/change.jsonl" "$$hist/pr$(NN)-change.jsonl"; \
+	change="$$(git rev-parse HEAD)"; \
+	git diff --quiet HEAD -- . ':!BENCH_history' || change="$$change+worktree"; \
+	{ echo "parent=$$(git rev-parse $(BASE))"; \
+	  echo "change=$$change"; \
+	  echo "cpu=$$(grep -m1 '^model name' /proc/cpuinfo | cut -d: -f2 | sed 's/^ *//')"; \
+	  echo "cores=$$(nproc)"; \
+	  echo "gomaxprocs=$${GOMAXPROCS:-$$(nproc)}"; \
+	  echo "go=$$($(GO) env GOVERSION)"; \
+	  echo "seeds=$$(grep -oh '"seed":[0-9]*' "$$out/parent.jsonl" "$$out/change.jsonl" | cut -d: -f2 | sort -un | tr '\n' ' ' | sed 's/ $$//')"; \
+	} > "$$hist/pr$(NN).env"; \
+	cat "$$hist/pr$(NN).env"

@@ -50,7 +50,7 @@ func RunF4Aborts(s Scale) (*Table, error) {
 			deadlocks[i] = st.Lock.Deadlocks
 			if strat == catalog.StrategyXLock && writers == writersSweep[len(writersSweep)-1] {
 				tb.Notes = append(tb.Notes, fmt.Sprintf(
-					"xlock lock manager at %d writers: %d sweeps, last %v, max %v",
+					"xlock lock manager at %d writers: %d deadlock checks, last %v, max %v",
 					writers, st.Lock.Sweeps, st.Lock.LastSweep, st.Lock.MaxSweep))
 			}
 		}

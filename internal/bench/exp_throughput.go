@@ -122,7 +122,7 @@ func RunF2EscrowScaling(s Scale) (*Table, error) {
 				if think > 0 && strat == catalog.StrategyEscrow && writers == writersSweep[len(writersSweep)-1] {
 					ls := db.Stats().Lock
 					tb.Notes = append(tb.Notes, fmt.Sprintf(
-						"lock manager at %d writers: %d shards, %d collisions, max queue depth %d, %d detector sweeps (max %v)",
+						"lock manager at %d writers: %d shards, %d collisions, max queue depth %d, %d deadlock checks (max %v)",
 						writers, ls.Shards, ls.Collisions, ls.MaxQueueDepth, ls.Sweeps, ls.MaxSweep))
 				}
 				cleanup()
@@ -172,7 +172,7 @@ func RunF3Contention(s Scale) (*Table, error) {
 			if strat == catalog.StrategyEscrow && groups == 1 {
 				ls := db.Stats().Lock
 				tb.Notes = append(tb.Notes, fmt.Sprintf(
-					"lock manager at 1 group: %d collisions, max queue depth %d, %d detector sweeps",
+					"lock manager at 1 group: %d collisions, max queue depth %d, %d deadlock checks",
 					ls.Collisions, ls.MaxQueueDepth, ls.Sweeps))
 			}
 			cleanup()

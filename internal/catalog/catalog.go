@@ -105,8 +105,8 @@ func (s Strategy) String() string {
 //
 // Definitions are written in the named style (Source, GroupBy, Project,
 // expr.NamedCol arguments); AddView resolves every name against the source
-// schema and fills the positional fields, which remain as deprecated shims
-// and as the wire format the WAL/catalog encoding is built on.
+// schema and fills the positional fields (ProjectCols, GroupByCols), which
+// are the resolved form the engine reads and the WAL/catalog encoding stores.
 type View struct {
 	Name string
 	ID   id.Tree
@@ -124,18 +124,15 @@ type View struct {
 	JoinLeftCol   int
 	JoinRightCol  int
 	Where         expr.Expr
-	// ViewProjection: output columns by name (Project) or source-row index.
-	//
-	// Deprecated: ProjectCols is the positional shim; new definitions should
-	// use Project.
-	Project     []string
+	// ViewProjection: the output columns by name.
+	Project []string
+	// ProjectCols holds Project's source-row indexes. AddView fills it from
+	// the names, and the WAL/catalog encoding stores it.
 	ProjectCols []int
-	// ViewAggregate: grouping columns by name (GroupBy) or source-row index,
-	// plus the aggregates.
-	//
-	// Deprecated: GroupByCols is the positional shim; new definitions should
-	// use GroupBy.
-	GroupBy     []string
+	// ViewAggregate: the grouping columns by name, plus the aggregates.
+	GroupBy []string
+	// GroupByCols holds GroupBy's source-row indexes. AddView fills it from
+	// the names, and the WAL/catalog encoding stores it.
 	GroupByCols []int
 	Aggs        []expr.AggSpec
 	// Strategy selects the maintenance protocol.

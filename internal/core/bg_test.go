@@ -48,10 +48,10 @@ func started(running map[string]int, names []string) bool {
 }
 
 // TestRunnerGoroutines: with every background task on, each runs on exactly
-// one goroutine labelled vtxn=<name>, beside the lock manager's detector, and
-// none survives Close or Crash.
+// one goroutine labelled vtxn=<name>, no other labelled goroutine runs (the
+// lock manager starts none), and none survives Close or Crash.
 func TestRunnerGoroutines(t *testing.T) {
-	names := []string{"deferred-applier", "mvcc-pruner", "ghost-cleaner", "scrubber", "watchdog", "lock-detector"}
+	names := []string{"deferred-applier", "mvcc-pruner", "ghost-cleaner", "scrubber", "watchdog"}
 	for _, tc := range []struct {
 		name string
 		stop func(*DB)

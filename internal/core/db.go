@@ -376,7 +376,6 @@ func (db *DB) Close() error {
 	// Wait for in-flight transactions to drain.
 	db.gate.Lock()
 	defer db.gate.Unlock()
-	db.lm.Close()
 	return db.log.Close()
 }
 
@@ -395,7 +394,6 @@ func (db *DB) Crash(flush bool) {
 	if flush {
 		db.log.Sync(0)
 	}
-	db.lm.Close()
 }
 
 // Catalog returns the current catalog.

@@ -81,7 +81,7 @@ func (db *DB) Describe() string {
 		st.Lock.Requests, st.Lock.Waits, st.Lock.Deadlocks, st.Lock.Timeouts, st.Escalations)
 	fmt.Fprintf(&sb, "\n  contention: %d shard collisions, max queue depth %d",
 		st.Lock.Collisions, st.Lock.MaxQueueDepth)
-	fmt.Fprintf(&sb, "\n  deadlock detector: %d sweeps, last %v, max %v",
+	fmt.Fprintf(&sb, "\n  deadlock checks: %d on blocked requests, last %v, max %v",
 		st.Lock.Sweeps, st.Lock.LastSweep, st.Lock.MaxSweep)
 	busiest, resources := -1, 0
 	var busiestCollisions int64

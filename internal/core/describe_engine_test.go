@@ -36,7 +36,7 @@ func TestDescribeEngine(t *testing.T) {
 		fmt.Sprintf("%d lock shards", st.Lock.Shards),
 		"commits",
 		"lock",
-		"deadlock detector",
+		"deadlock checks",
 	} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("Describe output missing %q:\n%s", want, out)

@@ -1,174 +1,148 @@
 package lock
 
 import (
-	"context"
 	"fmt"
-	"runtime/pprof"
 	"time"
 
 	"repro/internal/id"
 )
 
-// Background deadlock detection (ISSUE 1). The old manager ran a waits-for
-// DFS inline, under the global mutex, on every blocked request. With the
-// lock table striped the waits-for graph spans shards, so detection moves
-// off the acquire path entirely: a blocked request just queues and kicks the
-// detector goroutine, which takes a consistent snapshot of every shard's
-// wait edges, finds cycles, and aborts the youngest transaction of each
-// cycle (SQL Server style — the youngest has done the least work).
+// Deadlock detection runs on the request that blocks. After LockCtx queues a
+// request and releases its shard, it latches every shard in index order, so
+// it sees one consistent lock table, and searches the waits-for graph from
+// its own transaction. A cycle found under every latch is a genuine deadlock:
+// no member can make progress while the check holds them. The youngest member
+// (the largest transaction ID: it has done the least work) receives
+// ErrDeadlock and its request is dropped; the victim may be the caller. The
+// check repeats until no cycle is reachable from the caller.
 //
-// A sweep locks all shards in index order, so the graph it sees is globally
-// consistent: a cycle in that snapshot is a genuine deadlock, because no
-// member can make progress while the sweep holds the locks. Sweeps run at
-// most once per sweepInterval and only while waiters exist, so the cost is
-// bounded and the uncontended path never pays it.
+// The graph is not stored. A waiting transaction t waits for the holders of
+// the resource it is queued on whose granted mode is incompatible with its
+// request, and for every transaction queued ahead of it; both are read from
+// the lock table when the check runs.
+//
+// Checking only at block time finds every deadlock, because a cycle can only
+// form when a request blocks:
+//   - Queueing a request adds the requester's out-edges. A conversion that
+//     jumps the queue also adds in-edges to the requester from later waiters.
+//     Both kinds touch the requester, and the requester then runs its check.
+//   - A conversion that is granted adds in-edges to a running transaction. A
+//     running transaction has no out-edges, so no cycle passes through it
+//     until it blocks, and then it runs its own check.
+//   - Granting from the queue, dropping a request and releasing a grant only
+//     keep or remove edges.
+//
+// So every new cycle passes through a request that just blocked, and that
+// request's check runs after the edge exists. Concurrent checks run one at a
+// time because each takes all the shard latches, so the last check of the
+// requests that built a cycle sees the whole cycle.
 
-// sweepInterval throttles the detector: at most one sweep per interval while
-// waiters exist. It bounds how long a deadlocked transaction waits before its
-// victim aborts.
-const sweepInterval = time.Millisecond
-
-// kickDetector nudges the detector after a request blocks. Non-blocking:
-// one pending kick is enough.
-func (m *Manager) kickDetector() {
-	select {
-	case m.kick <- struct{}{}:
-	default:
-	}
-}
-
-// detectorLoop parks until a request blocks, then sweeps every sweepInterval
-// until no waiters remain.
-func (m *Manager) detectorLoop() {
-	defer close(m.done)
-	pprof.SetGoroutineLabels(pprof.WithLabels(context.Background(),
-		pprof.Labels("vtxn", "lock-detector")))
-	timer := time.NewTimer(time.Hour)
-	if !timer.Stop() {
-		<-timer.C
-	}
-	for {
-		select {
-		case <-m.stop:
-			return
-		case <-m.kick:
-		}
-		for {
-			if m.sweep() == 0 {
-				break // no waiters left; park on the next kick
-			}
-			timer.Reset(sweepInterval)
-			select {
-			case <-m.stop:
-				timer.Stop()
-				return
-			case <-timer.C:
-			}
-		}
-	}
-}
-
-// waiterRef locates one blocked request for victim abort.
-type waiterRef struct {
-	s   *shard
-	req *request
-}
-
-// sweep takes a consistent all-shards snapshot, aborts one victim per cycle
-// until the graph is acyclic, and returns the number of remaining waiters.
-func (m *Manager) sweep() int {
+// checkDeadlock runs the block-time check for req, which is queued in s. The
+// caller holds no shard mutex.
+func (m *Manager) checkDeadlock(s *shard, req *request) {
 	start := time.Now()
-	for _, s := range m.shards {
-		s.lock()
+	for _, sh := range m.shards {
+		sh.lock()
 	}
-	for {
-		waiting := make(map[id.Txn]waiterRef)
-		for _, s := range m.shards {
-			for txn, req := range s.wanted {
-				waiting[txn] = waiterRef{s: s, req: req}
-			}
-		}
-		victim, req := m.findVictim(waiting)
+	for s.wanted[req.txn] == req {
+		victim := m.findVictim(req.txn)
 		if victim == id.None {
-			n := len(waiting)
-			for i := len(m.shards) - 1; i >= 0; i-- {
-				m.shards[i].mu.Unlock()
-			}
-			dur := time.Since(start)
-			m.sweeps.Add(1)
-			m.lastSweep.Store(dur.Nanoseconds())
-			for {
-				cur := m.maxSweep.Load()
-				if dur.Nanoseconds() <= cur || m.maxSweep.CompareAndSwap(cur, dur.Nanoseconds()) {
-					break
-				}
-			}
-			return n
+			break
 		}
+		vs, vreq := m.waitingOn(victim)
 		m.deadlocks.Add(1)
-		req.req.granted <- fmt.Errorf("%w: %s requesting %s on %s",
-			ErrDeadlock, victim, req.req.mode, req.req.res)
-		if ls := req.s.table[req.req.res]; ls != nil {
-			req.s.dropRequest(req.req.res, ls, req.req)
+		vreq.granted <- fmt.Errorf("%w: %s requesting %s on %s",
+			ErrDeadlock, victim, vreq.mode, vreq.res)
+		if ls := vs.table[vreq.res]; ls != nil {
+			vs.dropRequest(vreq.res, ls, vreq)
 		}
-		// Dropping the victim rescans and may grant other waiters, changing
-		// the graph — rebuild the snapshot and look again.
+		// Dropping the victim rescans its queue and may grant other waiters,
+		// which changes the graph: look again.
+	}
+	for i := len(m.shards) - 1; i >= 0; i-- {
+		m.shards[i].mu.Unlock()
+	}
+	dur := time.Since(start).Nanoseconds()
+	m.sweeps.Add(1)
+	m.lastSweep.Store(dur)
+	for {
+		cur := m.maxSweep.Load()
+		if dur <= cur || m.maxSweep.CompareAndSwap(cur, dur) {
+			break
+		}
 	}
 }
 
-// findVictim looks for any waits-for cycle among the blocked transactions
-// and returns the youngest member (largest transaction ID — IDs are
-// assigned monotonically, so the largest began last). Returns id.None when
-// the graph is acyclic. Caller holds every shard mutex.
-func (m *Manager) findVictim(waiting map[id.Txn]waiterRef) (id.Txn, waiterRef) {
+// waitingOn returns the request txn is blocked on and its shard, or a nil
+// request when txn is running. Caller holds every shard mutex.
+func (m *Manager) waitingOn(txn id.Txn) (*shard, *request) {
+	for _, s := range m.shards {
+		if req := s.wanted[txn]; req != nil {
+			return s, req
+		}
+	}
+	return nil, nil
+}
+
+// successors returns the transactions txn waits for: the holders of the
+// resource it is queued on whose granted mode conflicts with its request, and
+// the transactions queued ahead of it. Caller holds every shard mutex.
+func (m *Manager) successors(txn id.Txn) []id.Txn {
+	s, req := m.waitingOn(txn)
+	if req == nil {
+		return nil
+	}
+	ls := s.table[req.res]
+	var out []id.Txn
+	for holder, held := range ls.granted {
+		if holder != txn && !Compatible(held, req.mode) {
+			out = append(out, holder)
+		}
+	}
+	for _, w := range ls.queue {
+		if w == req {
+			break
+		}
+		out = append(out, w.txn)
+	}
+	return out
+}
+
+// findVictim searches the waits-for graph depth first from root and returns
+// the youngest member of the first cycle it meets, or id.None when no cycle
+// is reachable. Caller holds every shard mutex.
+func (m *Manager) findVictim(root id.Txn) id.Txn {
 	const (
 		onStack = 1
-		doneV   = 2
+		done    = 2
 	)
-	state := make(map[id.Txn]int8, len(waiting))
+	state := make(map[id.Txn]int8)
 	var stack []id.Txn
-	var cycle []id.Txn
-
+	victim := id.None
 	var dfs func(t id.Txn) bool
 	dfs = func(t id.Txn) bool {
 		state[t] = onStack
 		stack = append(stack, t)
-		ref, isWaiting := waiting[t]
-		if isWaiting {
-			for next := range ref.s.waits[t] {
-				switch state[next] {
-				case onStack:
-					// Cycle: the stack suffix from next back to t.
-					for i := len(stack) - 1; i >= 0; i-- {
-						cycle = append(cycle, stack[i])
-						if stack[i] == next {
-							break
-						}
-					}
-					return true
-				case doneV:
-				default:
-					if dfs(next) {
+		for _, next := range m.successors(t) {
+			switch state[next] {
+			case onStack:
+				// The cycle is the stack suffix from next back to t.
+				for i := len(stack) - 1; ; i-- {
+					victim = max(victim, stack[i])
+					if stack[i] == next {
 						return true
 					}
 				}
+			case 0:
+				if dfs(next) {
+					return true
+				}
 			}
 		}
-		state[t] = doneV
+		state[t] = done
 		stack = stack[:len(stack)-1]
 		return false
 	}
-
-	for t := range waiting {
-		if state[t] == 0 && dfs(t) {
-			victim := cycle[0]
-			for _, c := range cycle[1:] {
-				if c > victim {
-					victim = c
-				}
-			}
-			return victim, waiting[victim]
-		}
-	}
-	return id.None, waiterRef{}
+	dfs(root)
+	return victim
 }

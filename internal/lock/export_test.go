@@ -11,55 +11,3 @@ func (m *Manager) residentState() (resources, holders int) {
 	}
 	return
 }
-
-// checkEdgeConsistency recomputes every shard's waits-for edges from first
-// principles and compares with the incrementally-maintained sets. Returns a
-// description of the first mismatch, or "".
-func (m *Manager) checkEdgeConsistency() string {
-	for _, s := range m.shards {
-		s.mu.Lock()
-		want := make(map[*request]map[string]bool)
-		for res, ls := range s.table {
-			for pos, req := range ls.queue {
-				// req.mode is already the conversion target (Sup applied at
-				// enqueue), so incompatibility is checked against it directly.
-				edges := make(map[string]bool)
-				for holder, hm := range ls.granted {
-					if holder != req.txn && !Compatible(hm, req.mode) {
-						edges[holder.String()] = true
-					}
-				}
-				for _, earlier := range ls.queue[:pos] {
-					edges[earlier.txn.String()] = true
-				}
-				_ = res
-				want[req] = edges
-			}
-		}
-		got := make(map[*request]map[string]bool)
-		for _, ls := range s.table {
-			for _, req := range ls.queue {
-				edges := make(map[string]bool)
-				for to := range s.waits[req.txn] {
-					edges[to.String()] = true
-				}
-				got[req] = edges
-			}
-		}
-		for req, w := range want {
-			g := got[req]
-			if len(g) != len(w) {
-				s.mu.Unlock()
-				return "edge count mismatch for txn " + req.txn.String()
-			}
-			for e := range w {
-				if !g[e] {
-					s.mu.Unlock()
-					return "missing edge " + req.txn.String() + " -> " + e
-				}
-			}
-		}
-		s.mu.Unlock()
-	}
-	return ""
-}

@@ -198,7 +198,7 @@ func TestDeadlockDetection(t *testing.T) {
 
 	done1 := make(chan error, 1)
 	go func() { done1 <- m.Lock(1, resB, ModeX, 2*time.Second) }()
-	settle(30 * time.Millisecond) // let txn 1 block
+	waitBlocked(t, m, 1)
 	err2 := m.Lock(2, resA, ModeX, 2*time.Second)
 	if !errors.Is(err2, ErrDeadlock) {
 		t.Fatalf("txn 2 err = %v, want deadlock", err2)
@@ -226,10 +226,10 @@ func TestThreePartyDeadlockChain(t *testing.T) {
 
 	d1 := make(chan error, 1)
 	go func() { d1 <- m.Lock(1, resB, ModeX, 3*time.Second) }() // 1 waits on 2
-	settle(30 * time.Millisecond)
+	waitBlocked(t, m, 1)
 	d2 := make(chan error, 1)
 	go func() { d2 <- m.Lock(2, resC, ModeX, 3*time.Second) }() // 2 waits on 3
-	settle(30 * time.Millisecond)
+	waitBlocked(t, m, 2)
 	err3 := m.Lock(3, resA, ModeX, 3*time.Second) // closes the cycle
 	if !errors.Is(err3, ErrDeadlock) {
 		t.Fatalf("txn 3 err = %v, want deadlock", err3)
@@ -243,6 +243,42 @@ func TestThreePartyDeadlockChain(t *testing.T) {
 		t.Fatal(err)
 	}
 	m.ReleaseAll(1)
+}
+
+// TestDeadlockVictimIsNotTheCloser: the youngest transaction blocks first and
+// an older one closes the cycle, so the closing request's check must abort a
+// different waiter through that waiter's own grant channel.
+func TestDeadlockVictimIsNotTheCloser(t *testing.T) {
+	m := NewManager()
+	resA := KeyResource(1, []byte("a"))
+	resB := KeyResource(1, []byte("b"))
+	m.Lock(1, resA, ModeX, 0)
+	m.Lock(3, resB, ModeX, 0)
+
+	done3 := make(chan error, 1)
+	go func() { done3 <- m.Lock(3, resA, ModeX, 2*time.Second) }() // 3 waits on 1
+	waitBlocked(t, m, 1)
+	done1 := make(chan error, 1)
+	go func() { done1 <- m.Lock(1, resB, ModeX, 2*time.Second) }() // closes the cycle
+	if err := <-done3; !errors.Is(err, ErrDeadlock) {
+		t.Fatalf("txn 3 err = %v, want deadlock", err)
+	}
+	select {
+	case err := <-done1:
+		t.Fatalf("txn 1 resolved before the victim released: %v", err)
+	default:
+	}
+	m.ReleaseAll(3)
+	if err := <-done1; err != nil {
+		t.Fatalf("txn 1 err = %v", err)
+	}
+	if got := m.HeldMode(1, resB); got != ModeX {
+		t.Fatalf("txn 1 holds %s on b, want X", got)
+	}
+	m.ReleaseAll(1)
+	if st := m.Snapshot(); st.Deadlocks != 1 {
+		t.Fatalf("deadlock count = %d", st.Deadlocks)
+	}
 }
 
 func TestSeparateNamespacesDoNotConflict(t *testing.T) {
@@ -268,7 +304,7 @@ func TestConversionDeadlock(t *testing.T) {
 	m.Lock(2, res1, ModeS, 0)
 	done1 := make(chan error, 1)
 	go func() { done1 <- m.Lock(1, res1, ModeX, 2*time.Second) }()
-	settle(30 * time.Millisecond)
+	waitBlocked(t, m, 1)
 	err2 := m.Lock(2, res1, ModeX, 2*time.Second)
 	if !errors.Is(err2, ErrDeadlock) {
 		t.Fatalf("err = %v, want deadlock", err2)

@@ -59,8 +59,8 @@ type Stats struct {
 	Collisions int64
 	// MaxQueueDepth is the deepest wait queue any single resource reached.
 	MaxQueueDepth int64
-	// Sweeps counts background deadlock-detector passes; LastSweep and
-	// MaxSweep report their duration.
+	// Sweeps counts the deadlock checks run by requests that blocked;
+	// LastSweep and MaxSweep report their duration.
 	Sweeps    int64
 	LastSweep time.Duration
 	MaxSweep  time.Duration
@@ -91,22 +91,20 @@ type lockState struct {
 }
 
 // shard is one stripe of the lock manager: a private mutex, lock table,
-// reverse index, and waits-for edges for the resources that hash to it.
+// reverse index, and the requests blocked on the resources that hash to it.
 // Uncontended acquires on resources in different shards never touch a
 // shared mutex.
 type shard struct {
 	mu     sync.Mutex
 	table  map[Resource]*lockState
 	held   map[id.Txn]map[Resource]Mode // reverse index for ReleaseAll
-	waits  map[id.Txn]map[id.Txn]bool   // waits-for edges of waiters queued here
 	wanted map[id.Txn]*request          // the single request a txn may be blocked on
 
 	// Free lists keep the uncontended acquire/release cycle allocation-free:
-	// emptied lockStates, held maps, and edge sets are recycled instead of
-	// handed to the garbage collector.
+	// emptied lockStates and held maps are recycled instead of handed to the
+	// garbage collector.
 	lsFree   []*lockState
 	heldFree []map[Resource]Mode
-	edgeFree []map[id.Txn]bool
 
 	collisions atomic.Int64
 	maxQueue   int // guarded by mu
@@ -124,15 +122,14 @@ func newShard() *shard {
 	return &shard{
 		table:  make(map[Resource]*lockState),
 		held:   make(map[id.Txn]map[Resource]Mode),
-		waits:  make(map[id.Txn]map[id.Txn]bool),
 		wanted: make(map[id.Txn]*request),
 	}
 }
 
 // Manager is the lock manager. One instance serves a whole database. The
 // lock table is striped: resources hash to one of N shards, so independent
-// resources never contend. Deadlock detection runs in a background detector
-// goroutine (see detector.go), off the acquire path.
+// resources never contend. A request that blocks checks for the deadlock it
+// may have closed (see detector.go); the manager starts no goroutine.
 type Manager struct {
 	shards []*shard
 	mask   uint32
@@ -145,11 +142,6 @@ type Manager struct {
 	sweeps    atomic.Int64
 	lastSweep atomic.Int64 // ns
 	maxSweep  atomic.Int64 // ns
-
-	kick      chan struct{}
-	stop      chan struct{}
-	done      chan struct{}
-	closeOnce sync.Once
 
 	// met and tracer receive wait-time attribution and lock-wait events; both
 	// may be nil (standalone managers) — observation paths are nil-safe.
@@ -191,9 +183,6 @@ func NewManagerOpts(o Options) *Manager {
 	m := &Manager{
 		shards:         make([]*shard, n),
 		mask:           uint32(n - 1),
-		kick:           make(chan struct{}, 1),
-		stop:           make(chan struct{}),
-		done:           make(chan struct{}),
 		met:            o.Metrics,
 		tracer:         o.Tracer,
 		DefaultTimeout: o.DefaultTimeout,
@@ -204,7 +193,6 @@ func NewManagerOpts(o Options) *Manager {
 	for i := range m.shards {
 		m.shards[i] = newShard()
 	}
-	go m.detectorLoop()
 	return m
 }
 
@@ -228,14 +216,9 @@ func nextPow2(n int) int {
 	return p
 }
 
-// Close stops the background deadlock detector. Pending Lock calls are not
-// interrupted; callers should drain transactions first.
-func (m *Manager) Close() {
-	m.closeOnce.Do(func() {
-		close(m.stop)
-		<-m.done
-	})
-}
+// Close does nothing: the manager owns no goroutine or other resource. It
+// stays because the frozen benchmark's lock probe defers it.
+func (m *Manager) Close() {}
 
 // shardOf hashes res to its stripe (FNV-1a over tree id and key bytes).
 func (m *Manager) shardOf(res Resource) *shard {
@@ -288,8 +271,8 @@ func (m *Manager) Snapshot() Stats {
 // Lock acquires res in mode for txn, blocking until granted, deadlock, or
 // timeout (0 means DefaultTimeout). Re-requests in covered modes return
 // immediately; stronger modes convert. Conversions wait ahead of new
-// requests. Deadlock victims are chosen by the background detector (the
-// youngest transaction in a cycle aborts).
+// requests. A request that blocks checks for a deadlock at once; the
+// youngest transaction in a cycle aborts.
 func (m *Manager) Lock(txn id.Txn, res Resource, mode Mode, timeout time.Duration) error {
 	return m.LockCtx(context.Background(), txn, res, mode, timeout)
 }
@@ -319,15 +302,6 @@ func (m *Manager) LockCtx(ctx context.Context, txn id.Txn, res Resource, mode Mo
 	convert := cur != ModeNone
 	if grantable(ls, txn, target) && (convert || len(ls.queue) == 0) {
 		s.grant(ls, txn, res, target)
-		if convert {
-			// The stronger mode may block waiters the old mode admitted;
-			// their waits-for edges must reflect it for the detector.
-			for _, w := range ls.queue {
-				if w.txn != txn && !Compatible(target, w.mode) {
-					s.waits[w.txn][txn] = true
-				}
-			}
-		}
 		s.mu.Unlock()
 		return nil
 	}
@@ -349,12 +323,11 @@ func (m *Manager) LockCtx(ctx context.Context, txn id.Txn, res Resource, mode Mo
 		s.maxQueue = d
 	}
 	s.wanted[txn] = req
-	s.addWaiterEdges(ls, pos)
 	m.waitCount.Add(1)
 	s.mu.Unlock()
-	m.kickDetector()
 
 	start := time.Now()
+	m.checkDeadlock(s, req)
 	timer := time.NewTimer(timeout)
 	defer timer.Stop()
 	var err error
@@ -464,73 +437,25 @@ func (s *shard) grant(ls *lockState, txn id.Txn, res Resource, mode Mode) {
 	h[res] = mode
 }
 
-// addWaiterEdges installs the waits-for edges for the request just queued at
-// pos — incompatible grant holders plus every earlier waiter — and adds one
-// edge from each later waiter to it. O(grants + queue), where the old full
-// rebuild was O(queue²) per enqueue.
-func (s *shard) addWaiterEdges(ls *lockState, pos int) {
-	req := ls.queue[pos]
-	edges := s.newEdgeSet()
-	for holder, held := range ls.granted {
-		if holder != req.txn && !Compatible(held, req.mode) {
-			edges[holder] = true
-		}
-	}
-	for j := 0; j < pos; j++ {
-		if ls.queue[j].txn != req.txn {
-			edges[ls.queue[j].txn] = true
-		}
-	}
-	s.waits[req.txn] = edges
-	for j := pos + 1; j < len(ls.queue); j++ {
-		s.waits[ls.queue[j].txn][req.txn] = true
-	}
-}
-
-// setEdge flips one waits-for edge.
-func setEdge(edges map[id.Txn]bool, to id.Txn, on bool) {
-	if on {
-		edges[to] = true
-	} else {
-		delete(edges, to)
-	}
-}
-
-// dropRequest removes a waiting request (victim or timeout), repairs the
-// remaining waiters' edges, and re-runs the grant scan, since the drop may
-// unblock others.
+// dropRequest removes a waiting request (victim or timeout) and re-runs the
+// grant scan, since the drop may unblock others.
 func (s *shard) dropRequest(res Resource, ls *lockState, req *request) {
-	pos := -1
 	for i, r := range ls.queue {
 		if r == req {
-			pos = i
+			copy(ls.queue[i:], ls.queue[i+1:])
+			ls.queue[len(ls.queue)-1] = nil
+			ls.queue = ls.queue[:len(ls.queue)-1]
 			break
-		}
-	}
-	if pos >= 0 {
-		copy(ls.queue[pos:], ls.queue[pos+1:])
-		ls.queue[len(ls.queue)-1] = nil
-		ls.queue = ls.queue[:len(ls.queue)-1]
-		// Waiters that queued after req no longer wait on it as an earlier
-		// waiter; if it was a conversion the txn still holds the resource,
-		// so the edge stays exactly when that held mode is incompatible.
-		heldMode := ls.granted[req.txn]
-		for i := pos; i < len(ls.queue); i++ {
-			w := ls.queue[i]
-			if w.txn != req.txn {
-				setEdge(s.waits[w.txn], req.txn, heldMode != ModeNone && !Compatible(heldMode, w.mode))
-			}
 		}
 	}
 	if s.wanted[req.txn] == req {
 		delete(s.wanted, req.txn)
-		s.freeEdges(req.txn)
 	}
 	s.scan(res, ls)
 }
 
 // scan grants queued requests in order, stopping at the first that cannot
-// proceed, and keeps survivors' waits-for edges current as grants happen.
+// proceed.
 func (s *shard) scan(res Resource, ls *lockState) {
 	for len(ls.queue) > 0 {
 		req := ls.queue[0]
@@ -543,14 +468,6 @@ func (s *shard) scan(res Resource, ls *lockState) {
 		s.grant(ls, req.txn, res, req.mode)
 		if s.wanted[req.txn] == req {
 			delete(s.wanted, req.txn)
-			s.freeEdges(req.txn)
-		}
-		// The granted txn moved from earlier-waiter to holder: survivors now
-		// wait on it exactly when its granted mode is incompatible.
-		for _, w := range ls.queue {
-			if w.txn != req.txn {
-				setEdge(s.waits[w.txn], req.txn, !Compatible(req.mode, w.mode))
-			}
 		}
 		req.granted <- nil
 	}
@@ -587,13 +504,6 @@ func (s *shard) release(res Resource, ls *lockState, txn id.Txn) {
 		if len(h) == 0 {
 			delete(s.held, txn)
 			s.freeHeldMap(h)
-		}
-	}
-	// A releasing txn is running, so it cannot itself be queued here: every
-	// waiter's edge to it was a holder edge, now gone.
-	for _, w := range ls.queue {
-		if w.txn != txn {
-			delete(s.waits[w.txn], txn)
 		}
 	}
 	s.scan(res, ls)
@@ -715,26 +625,5 @@ func (s *shard) newHeldMap() map[Resource]Mode {
 func (s *shard) freeHeldMap(h map[Resource]Mode) {
 	if len(s.heldFree) < maxFree {
 		s.heldFree = append(s.heldFree, h)
-	}
-}
-
-func (s *shard) newEdgeSet() map[id.Txn]bool {
-	if n := len(s.edgeFree); n > 0 {
-		e := s.edgeFree[n-1]
-		s.edgeFree = s.edgeFree[:n-1]
-		return e
-	}
-	return make(map[id.Txn]bool, 4)
-}
-
-func (s *shard) freeEdges(txn id.Txn) {
-	e, ok := s.waits[txn]
-	if !ok {
-		return
-	}
-	delete(s.waits, txn)
-	if len(s.edgeFree) < maxFree {
-		clear(e)
-		s.edgeFree = append(s.edgeFree, e)
 	}
 }

@@ -3,6 +3,8 @@ package lock
 import (
 	"errors"
 	"fmt"
+	"math/rand"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -27,7 +29,7 @@ func pickCrossShard(t *testing.T, m *Manager) (Resource, Resource) {
 
 // TestCrossShardDeadlock builds the two-txn, two-resource cycle with the
 // resources in different shards, so no single shard's state contains the
-// whole cycle — only the background detector's merged snapshot can see it.
+// whole cycle — only the check's view across every shard can see it.
 func TestCrossShardDeadlock(t *testing.T) {
 	m := NewManagerOpts(Options{Shards: 8})
 	defer m.Close()
@@ -42,7 +44,7 @@ func TestCrossShardDeadlock(t *testing.T) {
 
 	errs := make(chan error, 2)
 	go func() { errs <- m.Lock(1, r2, ModeX, 5*time.Second) }()
-	settle(20 * time.Millisecond) // let txn 1 block first
+	waitBlocked(t, m, 1)
 	go func() { errs <- m.Lock(2, r1, ModeX, 5*time.Second) }()
 
 	first := <-errs
@@ -160,51 +162,55 @@ func TestTimeoutVsGrantRace(t *testing.T) {
 	}
 }
 
-// TestIncrementalEdgesMatchRebuild stresses mixed lock traffic and checks
-// after every round that the incrementally-maintained waits-for edges equal
-// a from-scratch rebuild.
-func TestIncrementalEdgesMatchRebuild(t *testing.T) {
+// TestRandomDeadlocksNeverTimeOut runs random lock traffic — mixed modes, S→X
+// conversions, keys taken in random order — so deadlocks of every shape form,
+// across shards and through conversions. Every one must be found when it
+// closes: a Lock that waits out its timeout is a deadlock the check missed.
+func TestRandomDeadlocksNeverTimeOut(t *testing.T) {
 	m := NewManagerOpts(Options{Shards: 4})
 	defer m.Close()
-	modes := []Mode{ModeS, ModeX, ModeE, ModeU}
+	modes := []Mode{ModeS, ModeU, ModeX, ModeE}
+	var deadlocks atomic.Int64
+	var failed atomic.Bool
 	var wg sync.WaitGroup
-	var stopFlag atomic.Bool
+	start := make(chan struct{})
 	for g := 0; g < 6; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
+			<-start
+			rng := rand.New(rand.NewSource(int64(g)))
 			txn := id.Txn(1 + g*1_000_000)
-			for i := 0; !stopFlag.Load(); i++ {
+			for i := 0; i < 300 && !failed.Load(); i++ {
 				txn++
-				mode := modes[(g+i)%len(modes)]
-				res := KeyResource(id.Tree(i%3), []byte{byte(i % 5)})
-				if m.Lock(txn, res, mode, 5*time.Millisecond) == nil {
-					// Occasionally convert to force conversion-queue edges.
-					if i%7 == 0 {
-						m.Lock(txn, res, ModeX, 5*time.Millisecond)
+				for _, k := range rng.Perm(5)[:2+rng.Intn(2)] {
+					res := KeyResource(id.Tree(k%2), []byte{byte(k)})
+					mode := modes[rng.Intn(len(modes))]
+					err := m.Lock(txn, res, mode, 10*time.Second)
+					if err == nil && mode == ModeS && rng.Intn(3) == 0 {
+						err = m.Lock(txn, res, ModeX, 10*time.Second)
 					}
+					if errors.Is(err, ErrDeadlock) {
+						deadlocks.Add(1)
+						break
+					}
+					if err != nil {
+						failed.Store(true)
+						t.Errorf("txn %d: %v", txn, err)
+						break
+					}
+					runtime.Gosched() // let the others queue behind what is held
 				}
 				m.ReleaseAll(txn)
 			}
 		}(g)
 	}
-	deadline := time.After(500 * time.Millisecond)
-	for {
-		select {
-		case <-deadline:
-			stopFlag.Store(true)
-			wg.Wait()
-			if msg := m.checkEdgeConsistency(); msg != "" {
-				t.Fatal(msg)
-			}
-			return
-		default:
-			if msg := m.checkEdgeConsistency(); msg != "" {
-				stopFlag.Store(true)
-				wg.Wait()
-				t.Fatal(msg)
-			}
-			time.Sleep(5 * time.Millisecond)
-		}
+	close(start)
+	wg.Wait()
+	if resources, holders := m.residentState(); resources != 0 || holders != 0 {
+		t.Fatalf("leaked state: %d resources, %d holders", resources, holders)
+	}
+	if deadlocks.Load() == 0 {
+		t.Fatal("no deadlock formed, so none was tested")
 	}
 }

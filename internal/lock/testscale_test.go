@@ -2,7 +2,9 @@ package lock
 
 import (
 	"os"
+	"runtime"
 	"strconv"
+	"testing"
 	"time"
 )
 
@@ -29,3 +31,16 @@ func settle(d time.Duration) { time.Sleep(d * testScale) }
 
 // scaled stretches a deliberately short timeout for slow environments.
 func scaled(d time.Duration) time.Duration { return d * testScale }
+
+// waitBlocked returns once m has counted n blocked requests: a request is
+// counted while its shard is still held, so it is queued by then.
+func waitBlocked(t *testing.T, m *Manager, n int64) {
+	t.Helper()
+	deadline := time.Now().Add(scaled(5 * time.Second))
+	for m.Snapshot().Waits < n {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d requests blocked", m.Snapshot().Waits, n)
+		}
+		runtime.Gosched()
+	}
+}

@@ -61,7 +61,7 @@ func writeExposition(sb *strings.Builder, s Snapshot) {
 	counter("vtxn_lock_shard_collisions_total", "Shard-mutex acquisitions that found it held.", s.Lock.Collisions)
 	gauge("vtxn_lock_shards", "Lock-manager stripe count.", int64(s.Lock.Shards))
 	gauge("vtxn_lock_max_queue_depth", "Deepest wait queue any resource reached.", s.Lock.MaxQueueDepth)
-	counter("vtxn_lock_detector_sweeps_total", "Background deadlock-detector passes.", s.Lock.Sweeps)
+	counter("vtxn_lock_detector_sweeps_total", "Deadlock checks run by lock requests that blocked.", s.Lock.Sweeps)
 	summary("vtxn_lock_wait_seconds", "Blocked lock-acquisition wait time.", s.Lock.Wait)
 	fmt.Fprintf(sb, "# HELP vtxn_lock_shard_wait_seconds_total Lock wait time attributed to each shard.\n")
 	fmt.Fprintf(sb, "# TYPE vtxn_lock_shard_wait_seconds_total counter\n")
