@@ -51,8 +51,13 @@ staticcheck:
 # and the hand-rolled loops and the test-only knobs stay gone. No deadlock
 # detector: the lock manager starts no goroutine, a blocked request checks
 # for the cycle it closed, and the waits-for graph is read from the lock
-# table, never stored. A committed trajectory: a change to internal/ adds its
-# benchmark pair under BENCH_history/ (make bench, then make bench-record).
+# table, never stored. One home per counter: DB.Metrics is the only counter
+# API; the engine's counters live in the metrics registry, the lock manager's
+# in its shards and a view's in its one record, so DB.Stats, lock.Stats, the
+# per-shard wait table and the per-view map copies stay gone, and
+# internal/metrics holds one copy-on-write map. A committed trajectory: a
+# change to internal/ adds its benchmark pair under BENCH_history/ (make
+# bench, then make bench-record).
 structure:
 	@out="$$(grep -rl --include='*.go' '"repro/internal/mvcc"' . | grep -v -e '^./internal/mvcc/' -e '^./internal/btree/' -e '^./internal/core/')"; \
 	if [ -n "$$out" ]; then echo "internal/mvcc imported outside internal/btree and internal/core:"; echo "$$out"; exit 1; fi
@@ -80,6 +85,11 @@ structure:
 	@out="$$(grep -rnE --include='*.go' --exclude-dir=benchmark \
 		'detectorLoop|kickDetector|sweepInterval|addWaiterEdges|newEdgeSet|freeEdges|edgeFree|checkEdgeConsistency' .)"; \
 		if [ -n "$$out" ]; then echo "the deadlock detector goroutine or the stored waits-for graph is back:"; echo "$$out"; exit 1; fi
+	@out="$$(grep -rnE --include='*.go' --exclude-dir=benchmark \
+		'func \(db \*DB\) Stats\(|core\.Stats|Stats = core|lock\.Stats|ShardStats|ShardWait|InitShards|ViewCosts|ScrubViews|db\.folds' .)"; \
+		if [ -n "$$out" ]; then echo "a second home for a counter is back:"; echo "$$out"; exit 1; fi
+	@test "$$(cat $$(ls internal/metrics/*.go | grep -v '_test\.go$$') | grep -c 'atomic\.Pointer\[map')" = 1 || \
+		{ echo "internal/metrics keeps one copy-on-write per-view map:"; grep -n 'atomic\.Pointer\[map' internal/metrics/*.go; exit 1; }
 	@if git rev-parse -q --verify '$(BASE)^{commit}' >/dev/null 2>&1; then \
 		if git diff --name-only $(BASE) -- internal | grep -q . && \
 			! git diff --name-only --diff-filter=A $(BASE) -- 'BENCH_history/pr*-change.jsonl' | grep -q .; then \

@@ -25,7 +25,8 @@
 //	scrub [frames] [interval]      live online-verification dashboard (Enter quits)
 //	scrub full                     one unpaced full verification pass now
 //	flightrec [json]               flight-record dump (timeline, or JSONL)
-//	checkpoint | stats | ghosts | check | quit
+//	stats                          engine counter report (DB.Describe)
+//	checkpoint | ghosts | check | quit
 //
 // SIGQUIT (ctrl-\) dumps the flight record to stderr without exiting.
 package main
@@ -214,7 +215,7 @@ func (s *shell) exec(line string) error {
 	case "checkpoint":
 		return s.db.Checkpoint()
 	case "stats":
-		fmt.Fprintf(s.out, "%+v\n", s.db.Stats())
+		fmt.Fprintln(s.out, s.db.Describe())
 		return nil
 	case "metrics", ".metrics":
 		buf, err := json.MarshalIndent(s.db.Metrics(), "", "  ")

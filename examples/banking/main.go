@@ -40,10 +40,10 @@ func main() {
 	start := time.Now()
 	runTellers(db)
 	elapsed := time.Since(start)
-	st := db.Stats()
-	fmt.Printf("  %d commits in %v (%.0f tx/s), %d escrow folds, 0 blocked writers by design\n",
-		st.Commits, elapsed.Round(time.Millisecond),
-		float64(st.Commits)/elapsed.Seconds(), st.Folds)
+	m := db.Metrics()
+	fmt.Printf("  %d commits in %v (%.0f tx/s), %d view rows folded at commit, 0 blocked writers by design\n",
+		m.Engine.Commits, elapsed.Round(time.Millisecond),
+		float64(m.Engine.Commits)/elapsed.Seconds(), m.Escrow.FoldRows)
 	printTotals(db)
 
 	// Leave an uncommitted transaction hanging and crash.

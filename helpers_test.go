@@ -2,6 +2,7 @@ package vtxn_test
 
 import (
 	"context"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -10,6 +11,19 @@ import (
 	vtxn "repro"
 	"repro/internal/workload"
 )
+
+// waitLockWaits returns once db has counted n blocked lock requests. A
+// request is counted once it is queued.
+func waitLockWaits(t *testing.T, db *vtxn.DB, n int64) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for db.Metrics().Lock.Waits < n {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d lock requests blocked", db.Metrics().Lock.Waits, n)
+		}
+		runtime.Gosched()
+	}
+}
 
 // The tilt workload the concurrency tests share: writer w owns rows 2w and
 // 2w+1 of a table and moves one unit between them and back, both legs in one

@@ -42,16 +42,16 @@ func RunF4Aborts(s Scale) (*Table, error) {
 				return nil, err
 			}
 			runs := workload.RunConcurrent(db, writers, perWriter, 13, w.TellerOp)
-			st := db.Stats()
+			ls := db.Metrics().Lock
 			cleanup()
 			if runs.Ops > 0 {
 				abortRate[i] = 1000 * float64(runs.Aborts) / float64(runs.Ops)
 			}
-			deadlocks[i] = st.Lock.Deadlocks
+			deadlocks[i] = ls.Deadlocks
 			if strat == catalog.StrategyXLock && writers == writersSweep[len(writersSweep)-1] {
 				tb.Notes = append(tb.Notes, fmt.Sprintf(
 					"xlock lock manager at %d writers: %d deadlock checks, last %v, max %v",
-					writers, st.Lock.Sweeps, st.Lock.LastSweep, st.Lock.MaxSweep))
+					writers, ls.Sweeps, time.Duration(ls.LastSweepNs), time.Duration(ls.MaxSweepNs)))
 			}
 		}
 		row = append(row, F(abortRate[0]), F(abortRate[1]),

@@ -84,7 +84,7 @@ func RunT7Ghosts(s Scale) (*Table, error) {
 			}
 		}
 		runs := workload.RunConcurrentOps(db, perClient, 17, ops)
-		st := db.Stats()
+		gs := db.Metrics().Ghost
 		cleanup()
 		abortsPerK := float64(0)
 		if runs.Ops > 0 {
@@ -92,7 +92,7 @@ func RunT7Ghosts(s Scale) (*Table, error) {
 		}
 		// Each op is two transactions.
 		tb.AddRow(strategyName(strat), F(2*runs.Throughput()), F(abortsPerK),
-			F(float64(st.GhostsCreated)), F(float64(st.GhostsErased)))
+			F(float64(gs.Created)), F(float64(gs.Erased)))
 	}
 	tb.Notes = append(tb.Notes,
 		"xlock performs no ghost operations: groups are inserted/deleted inside user transactions")
@@ -312,14 +312,14 @@ func RunT10Ablations(s Scale) (*Table, error) {
 			return tx.Commit()
 		}
 		runs := workload.RunConcurrent(db, 2, s.div(40), 29, bulk)
-		st := db.Stats()
+		m := db.Metrics()
 		cleanup()
 		name := "escalation off"
 		if threshold > 0 {
 			name = fmt.Sprintf("escalation at %d key locks", threshold)
 		}
 		tb.AddRow(name, F(runs.Throughput()),
-			fmt.Sprintf("%d escalations, %d lock requests", st.Escalations, st.Lock.Requests))
+			fmt.Sprintf("%d escalations, %d lock requests", m.Engine.Escalations, m.Lock.Requests))
 	}
 
 	// (c) Fold-latch striping: one global latch vs 128 stripes. With a

@@ -120,10 +120,10 @@ func RunF2EscrowScaling(s Scale) (*Table, error) {
 				}
 				runs := workload.RunConcurrent(db, writers, perWriter, 7, w.DepositOp)
 				if think > 0 && strat == catalog.StrategyEscrow && writers == writersSweep[len(writersSweep)-1] {
-					ls := db.Stats().Lock
+					ls := db.Metrics().Lock
 					tb.Notes = append(tb.Notes, fmt.Sprintf(
 						"lock manager at %d writers: %d shards, %d collisions, max queue depth %d, %d deadlock checks (max %v)",
-						writers, ls.Shards, ls.Collisions, ls.MaxQueueDepth, ls.Sweeps, ls.MaxSweep))
+						writers, ls.Shards, ls.Collisions, ls.MaxQueueDepth, ls.Sweeps, time.Duration(ls.MaxSweepNs)))
 				}
 				cleanup()
 				tps[i] = runs.Throughput()
@@ -170,7 +170,7 @@ func RunF3Contention(s Scale) (*Table, error) {
 			}
 			runs := runOrderClients(db, w, writers, perWriter)
 			if strat == catalog.StrategyEscrow && groups == 1 {
-				ls := db.Stats().Lock
+				ls := db.Metrics().Lock
 				tb.Notes = append(tb.Notes, fmt.Sprintf(
 					"lock manager at 1 group: %d collisions, max queue depth %d, %d deadlock checks",
 					ls.Collisions, ls.MaxQueueDepth, ls.Sweeps))

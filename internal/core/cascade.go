@@ -102,7 +102,7 @@ func (db *DB) billFolds(folded []viewFolds, dur time.Duration) (total int) {
 		total += f.rows
 	}
 	for _, f := range folded {
-		if c := db.met.Hot.Views.Get(f.v.ID); c != nil {
+		if c := db.met.Views.Get(f.v.ID); c != nil {
 			c.FoldNs.Add(dur.Nanoseconds() * int64(f.rows) / int64(total))
 		}
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -12,6 +13,20 @@ import (
 	"repro/internal/record"
 	"repro/internal/txn"
 )
+
+// waitLockWaits returns once db has counted n blocked lock requests. A
+// request is counted once it is queued, so the caller's next conflicting
+// request queues behind it.
+func waitLockWaits(t *testing.T, db *DB, n int64) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for db.Metrics().Lock.Waits < n {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d lock requests blocked", db.Metrics().Lock.Waits, n)
+		}
+		runtime.Gosched()
+	}
+}
 
 // TestConcurrentEscrowWriters is the headline behavior: many writers
 // updating the same aggregate group commit concurrently and the final SUM is
@@ -251,10 +266,11 @@ func TestDeadlockVictimRecovers(t *testing.T) {
 		t.Fatal(err)
 	}
 	r1 := make(chan error, 1)
+	waits := db.Metrics().Lock.Waits
 	go func() {
 		r1 <- t1.Update("accounts", record.Row{record.Int(2)}, map[int]record.Value{2: record.Int(12)})
 	}()
-	time.Sleep(50 * time.Millisecond)
+	waitLockWaits(t, db, waits+1)
 	err2 := t2.Update("accounts", record.Row{record.Int(1)}, map[int]record.Value{2: record.Int(22)})
 	if err2 == nil {
 		t.Fatal("expected deadlock for t2")
@@ -339,9 +355,9 @@ func TestRandomWorkloadStress(t *testing.T) {
 	}
 	wg.Wait()
 	checkConsistent(t, db)
-	st := db.Stats()
-	if st.Commits == 0 {
+	m := db.Metrics()
+	if m.Engine.Commits == 0 {
 		t.Fatal("no commits happened")
 	}
-	t.Logf("stats: %+v", st)
+	t.Logf("engine: %+v", m.Engine)
 }

@@ -281,9 +281,9 @@ func TestEscrowGhostLifecycle(t *testing.T) {
 	}
 	checkConsistent(t, db)
 
-	stats := db.Stats()
-	if stats.GhostsCreated < 2 || stats.GhostsErased != 1 {
-		t.Fatalf("ghost stats = %+v", stats)
+	gs := db.Metrics().Ghost
+	if gs.Created < 2 || gs.Erased != 1 {
+		t.Fatalf("ghost stats = %+v", gs)
 	}
 }
 
@@ -783,7 +783,7 @@ func TestLockEscalation(t *testing.T) {
 		rows = append(rows, acctRow(i, i%3, 10))
 	}
 	insertAccounts(t, db, rows...)
-	if db.Stats().Escalations == 0 {
+	if db.Metrics().Engine.Escalations == 0 {
 		t.Fatal("no escalation happened")
 	}
 	checkConsistent(t, db)

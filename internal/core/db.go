@@ -102,18 +102,6 @@ type Options struct {
 	ScrubRowBudget int
 }
 
-// Stats are cumulative engine counters.
-type Stats struct {
-	Commits       int64
-	Aborts        int64
-	SysTxns       int64
-	Folds         int64 // escrow folds applied at commit
-	GhostsCreated int64
-	GhostsErased  int64
-	Escalations   int64
-	Lock          lock.Stats
-}
-
 // DB is a database instance.
 type DB struct {
 	path    string
@@ -146,14 +134,6 @@ type DB struct {
 	structMu []sync.Mutex
 	// ddlMu serializes DDL statements.
 	ddlMu sync.Mutex
-
-	commits       atomic.Int64
-	aborts        atomic.Int64
-	sysTxns       atomic.Int64
-	folds         atomic.Int64
-	ghostsCreated atomic.Int64
-	ghostsErased  atomic.Int64
-	escalations   atomic.Int64
 
 	// met is the engine metrics registry (always non-nil); tracer is the
 	// head of the tracer chain: the flight recorder (which forwards to
@@ -286,6 +266,7 @@ func Open(path string, opts Options) (*DB, error) {
 		flight:    flight,
 	}
 	db.log.SetObserver(&met.WAL, tracer)
+	db.syncViewRecords()
 	if tr := tracer; tr != nil && !st.Summary.Fresh {
 		tr.TraceEvent(metrics.Event{Type: metrics.EventRecovery, Phase: "analysis", Dur: st.Summary.Analysis})
 		tr.TraceEvent(metrics.Event{Type: metrics.EventRecovery, Phase: "redo", Dur: st.Summary.Redo, Rows: st.Summary.Replayed})
@@ -402,20 +383,6 @@ func (db *DB) Catalog() *catalog.Catalog { return db.reg.Catalog() }
 // RecoverySummary reports what restart did when this instance opened.
 func (db *DB) RecoverySummary() recovery.Summary { return db.recovered }
 
-// Stats returns a snapshot of the cumulative counters.
-func (db *DB) Stats() Stats {
-	return Stats{
-		Commits:       db.commits.Load(),
-		Aborts:        db.aborts.Load(),
-		SysTxns:       db.sysTxns.Load(),
-		Folds:         db.folds.Load(),
-		GhostsCreated: db.ghostsCreated.Load(),
-		GhostsErased:  db.ghostsErased.Load(),
-		Escalations:   db.escalations.Load(),
-		Lock:          db.lm.Snapshot(),
-	}
-}
-
 // Metrics returns the full structured observability snapshot: engine
 // counters, per-phase transaction timing, lock wait attribution, escrow
 // contention, WAL group-commit behavior, ghost-cleaner backlog, and the
@@ -423,37 +390,14 @@ func (db *DB) Stats() Stats {
 func (db *DB) Metrics() metrics.Snapshot {
 	now := time.Now()
 	s := db.met.Snap()
-	s.Engine = metrics.EngineSnapshot{
-		Commits:        db.commits.Load(),
-		Aborts:         db.aborts.Load(),
-		SysTxns:        db.sysTxns.Load(),
-		Escalations:    db.escalations.Load(),
-		UptimeNs:       now.Sub(db.started).Nanoseconds(),
-		SnapshotUnixNs: now.UnixNano(),
-	}
+	s.Engine.UptimeNs = now.Sub(db.started).Nanoseconds()
+	s.Engine.SnapshotUnixNs = now.UnixNano()
+	s.Lock = db.lm.Snapshot()
 	s.Hotspots = db.hotspots()
 	s.MVCC.Snapshots = db.oracle.SnapshotsBegun()
 	s.MVCC.ActiveSnapshots = db.oracle.ActiveSnapshots()
 	s.MVCC.OldestSnapshotAgeNs = db.oracle.OldestSnapshotAge(now).Nanoseconds()
 	s.MVCC.Watermark = db.oracle.ReadTS()
-	ls := db.lm.Snapshot()
-	s.Lock.Shards = ls.Shards
-	s.Lock.Requests = ls.Requests
-	s.Lock.Waits = ls.Waits
-	s.Lock.Deadlocks = ls.Deadlocks
-	s.Lock.Timeouts = ls.Timeouts
-	s.Lock.Collisions = ls.Collisions
-	s.Lock.MaxQueueDepth = ls.MaxQueueDepth
-	s.Lock.Sweeps = ls.Sweeps
-	s.Lock.LastSweepNs = ls.LastSweep.Nanoseconds()
-	s.Lock.MaxSweepNs = ls.MaxSweep.Nanoseconds()
-	for i := range s.Lock.PerShard {
-		if i < len(ls.PerShard) {
-			s.Lock.PerShard[i].Collisions = ls.PerShard[i].Collisions
-			s.Lock.PerShard[i].MaxQueueDepth = ls.PerShard[i].MaxQueueDepth
-			s.Lock.PerShard[i].Resources = ls.PerShard[i].Resources
-		}
-	}
 	s.Deferred.PendingGroups = db.deferredPending.Load()
 	if views := db.deferredViews(); len(views) > 0 {
 		readTS := db.oracle.ReadTS()
@@ -477,53 +421,29 @@ func (db *DB) Metrics() metrics.Snapshot {
 	if oldest := db.deferredOldestNs.Load(); oldest > 0 && now.UnixNano() > oldest {
 		s.Deferred.StalenessNs = now.UnixNano() - oldest
 	}
-	// Per-view freshness: the commit-to-visible distribution each maintenance
-	// path observed, plus the current staleness gauge. Escrow/immediate views
-	// are never stale (their lag IS the commit path); deferred views age by
-	// their oldest unapplied publish (applier table merged with the undrained
-	// queue).
 	s.Freshness.SLONs = int64(db.opts.FreshnessSLO)
-	if views := db.Catalog().Views(); len(views) > 0 {
-		staleOldest := db.deferredStaleOldest()
-		sort.Slice(views, func(i, j int) bool { return views[i].ID < views[j].ID })
-		for _, v := range views {
-			f := db.met.Freshness.Get(v.ID)
-			var staleNs int64
-			if v.Strategy == catalog.StrategyDeferred {
-				if w, ok := staleOldest[v.ID]; ok && now.UnixNano() > w {
-					staleNs = now.UnixNano() - w
-				}
-			}
-			f.StalenessNs.Store(staleNs)
-			s.Freshness.Views = append(s.Freshness.Views, metrics.ViewFreshnessSnapshot{
-				Tree:            uint32(v.ID),
-				View:            v.Name,
-				Strategy:        v.Strategy.String(),
-				StalenessNs:     staleNs,
-				CommitToVisible: f.CommitToVisible.Snap(),
-			})
-		}
-	}
-	// Scrub coverage: the registry filled the counters; resolve per-view
-	// names here (sorted by tree ID, bounded by the catalog).
 	s.Scrub.Enabled = db.opts.ScrubInterval >= 0 && !db.closed.Load()
-	if views := db.Catalog().Views(); len(views) > 0 {
-		sort.Slice(views, func(i, j int) bool { return views[i].ID < views[j].ID })
-		for _, v := range views {
-			vs := db.met.Scrub.Views.Get(v.ID)
-			s.Scrub.Views = append(s.Scrub.Views, metrics.ViewScrubSnapshot{
-				Tree:           uint32(v.ID),
-				View:           v.Name,
-				Passes:         vs.Passes.Load(),
-				RowsVerified:   vs.RowsVerified.Load(),
-				Divergences:    vs.Divergences.Load(),
-				CoverageTS:     vs.CoverageTS.Load(),
-				LastPassUnixNs: vs.LastPassUnixNs.Load(),
-			})
+	// The per-view listings, in one pass over the views by tree ID. A
+	// deferred view is as stale as its oldest unapplied publish (the
+	// applier's table merged with the undrained queue); the others are
+	// maintained inside the commit and never stale.
+	views := db.Catalog().Views()
+	sort.Slice(views, func(i, j int) bool { return views[i].ID < views[j].ID })
+	staleOldest := db.deferredStaleOldest()
+	for _, v := range views {
+		var staleNs int64
+		if w, ok := staleOldest[v.ID]; ok && v.Strategy == catalog.StrategyDeferred && now.UnixNano() > w {
+			staleNs = now.UnixNano() - w
+		}
+		// A view created or dropped since the catalog read has no record here.
+		if rec := db.met.Views.Get(v.ID); rec != nil {
+			rec.AppendTo(&s, v.ID, v.Name, v.Strategy.String(), staleNs)
 		}
 	}
-	s.Ghost.Created = db.ghostsCreated.Load()
-	s.Ghost.Erased = db.ghostsErased.Load()
+	sort.Slice(s.Hotspots.Views, func(i, j int) bool {
+		a, b := s.Hotspots.Views[i], s.Hotspots.Views[j]
+		return a.RowsFolded > b.RowsFolded || a.RowsFolded == b.RowsFolded && a.Tree < b.Tree
+	})
 	s.Recovery = metrics.RecoverySnapshot{
 		Gen:        db.recovered.Gen,
 		Replayed:   db.recovered.Replayed,
@@ -544,6 +464,18 @@ func (db *DB) Metrics() metrics.Snapshot {
 		}
 	}
 	return s
+}
+
+// syncViewRecords gives every view in the catalog a metrics record and
+// removes the records of views no longer in it. Open calls it after
+// recovery, and every DDL statement once its new catalog is in place.
+func (db *DB) syncViewRecords() {
+	views := db.Catalog().Views()
+	trees := make([]id.Tree, len(views))
+	for i, v := range views {
+		trees[i] = v.ID
+	}
+	db.met.Views.Sync(trees)
 }
 
 // ErrFlightDisabled reports a dump request against a database opened with the
@@ -620,7 +552,9 @@ func (db *DB) logOp(t *txn.Txn, rec *wal.Record) error {
 	if err != nil {
 		return err
 	}
-	db.met.Hot.Views.Get(rec.Tree).WALBytes.Add(int64(walBytes))
+	if v := db.met.Views.Get(rec.Tree); v != nil {
+		v.WALBytes.Add(int64(walBytes))
+	}
 	if versioned(rec) {
 		// Pin the operation's provisional version before the tree changes, so
 		// a chain created here is seeded with the committed pre-image. The
@@ -830,7 +764,7 @@ func (db *DB) runSysTxn(fn func(st *txn.Txn) error) error {
 // tier's correctness hinge (deferred.go).
 func (db *DB) runSysTxnHook(fn func(st *txn.Txn) error, preFinish func(ts uint64)) error {
 	st := db.tm.Begin(true, txn.ReadCommitted)
-	db.sysTxns.Add(1)
+	db.met.Engine.SysTxns.Add(1)
 	if _, err := db.log.Append(&wal.Record{Type: wal.TBegin, Txn: st.ID, Sys: true}); err != nil {
 		db.tm.Abort(st)
 		return err

@@ -44,16 +44,23 @@ func (db *DB) ddl(mutate func(c *catalog.Catalog) error, backfill func(st *txn.T
 	if _, err := apply.NewRegistry(clone); err != nil {
 		return err
 	}
-	return db.runSysTxnHook(func(st *txn.Txn) error {
+	err = db.runSysTxnHook(func(st *txn.Txn) error {
 		rec := &wal.Record{Type: wal.TDDL, OldVal: oldBlob, NewVal: newBlob}
 		if err := db.logOp(st, rec); err != nil {
 			return err
 		}
+		// A created view's record exists before its backfill is logged; a
+		// dropped view's record goes, so its series stop being exported.
+		db.syncViewRecords()
 		if backfill != nil {
 			return backfill(st)
 		}
 		return nil
 	}, preFinish)
+	if err != nil {
+		db.syncViewRecords() // the rollback restored the old catalog
+	}
+	return err
 }
 
 // CreateTable registers a new base table.
@@ -194,10 +201,6 @@ func (db *DB) DropView(name string) error {
 		if wasDeferred {
 			db.publishDeferredBarrier(viewTree, ts, true)
 		}
-		// Stop exporting the dropped view's freshness and scrub series rather
-		// than freezing them at their last values.
-		db.met.Freshness.Drop(viewTree)
-		db.met.Scrub.Views.Drop(viewTree)
 	})
 }
 

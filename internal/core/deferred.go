@@ -318,7 +318,7 @@ func (db *DB) applierRound(co *applier.Coalescer) {
 		nowNs := time.Now().UnixNano()
 		for _, f := range folded {
 			var oldest int64
-			fresh := db.met.Freshness.Get(f.tree)
+			fresh := db.met.Views.Get(f.tree)
 			for _, w := range f.groupWalls {
 				if oldest == 0 || w < oldest {
 					oldest = w

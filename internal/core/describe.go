@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"strings"
+	"time"
 
 	"repro/internal/catalog"
 	"repro/internal/expr"
@@ -73,19 +74,19 @@ func kindName(k catalog.ViewKind) string {
 // (lock-manager stripes) and contention counters. It complements
 // DescribeView, which reports per-view maintenance plans.
 func (db *DB) Describe() string {
-	st := db.Stats()
+	m := db.Metrics()
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "engine: %d lock shards", st.Lock.Shards)
-	fmt.Fprintf(&sb, "\n  txns: %d commits, %d aborts, %d system", st.Commits, st.Aborts, st.SysTxns)
+	fmt.Fprintf(&sb, "engine: %d lock shards", m.Lock.Shards)
+	fmt.Fprintf(&sb, "\n  txns: %d commits, %d aborts, %d system", m.Engine.Commits, m.Engine.Aborts, m.Engine.SysTxns)
 	fmt.Fprintf(&sb, "\n  locks: %d requests, %d waits, %d deadlocks, %d timeouts, %d escalations",
-		st.Lock.Requests, st.Lock.Waits, st.Lock.Deadlocks, st.Lock.Timeouts, st.Escalations)
+		m.Lock.Requests, m.Lock.Waits, m.Lock.Deadlocks, m.Lock.Timeouts, m.Engine.Escalations)
 	fmt.Fprintf(&sb, "\n  contention: %d shard collisions, max queue depth %d",
-		st.Lock.Collisions, st.Lock.MaxQueueDepth)
+		m.Lock.Collisions, m.Lock.MaxQueueDepth)
 	fmt.Fprintf(&sb, "\n  deadlock checks: %d on blocked requests, last %v, max %v",
-		st.Lock.Sweeps, st.Lock.LastSweep, st.Lock.MaxSweep)
+		m.Lock.Sweeps, time.Duration(m.Lock.LastSweepNs), time.Duration(m.Lock.MaxSweepNs))
 	busiest, resources := -1, 0
 	var busiestCollisions int64
-	for i, ss := range st.Lock.PerShard {
+	for i, ss := range m.Lock.PerShard {
 		resources += ss.Resources
 		if busiest < 0 || ss.Collisions > busiestCollisions {
 			busiest, busiestCollisions = i, ss.Collisions
@@ -95,8 +96,8 @@ func (db *DB) Describe() string {
 		fmt.Fprintf(&sb, "\n  lock table: %d resident resources, busiest shard #%d (%d collisions)",
 			resources, busiest, busiestCollisions)
 	}
-	fmt.Fprintf(&sb, "\n  escrow: %d folds; ghosts %d created, %d erased",
-		st.Folds, st.GhostsCreated, st.GhostsErased)
+	fmt.Fprintf(&sb, "\n  escrow: %d rows folded at commit, %d groups folded by the applier; ghosts %d created, %d erased",
+		m.Escrow.FoldRows, m.Deferred.GroupsApplied, m.Ghost.Created, m.Ghost.Erased)
 	return sb.String()
 }
 

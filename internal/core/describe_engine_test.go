@@ -24,16 +24,16 @@ func TestDescribeEngine(t *testing.T) {
 	}
 	mustCommit(t, tx)
 
-	st := db.Stats()
-	if st.Lock.Shards < 8 || st.Lock.Shards&(st.Lock.Shards-1) != 0 {
-		t.Fatalf("want a power of two of at least 8 lock shards in stats, got %d", st.Lock.Shards)
+	m := db.Metrics()
+	if m.Lock.Shards < 8 || m.Lock.Shards&(m.Lock.Shards-1) != 0 {
+		t.Fatalf("want a power of two of at least 8 lock shards in stats, got %d", m.Lock.Shards)
 	}
-	if len(st.Lock.PerShard) != st.Lock.Shards {
-		t.Fatalf("want %d per-shard entries, got %d", st.Lock.Shards, len(st.Lock.PerShard))
+	if len(m.Lock.PerShard) != m.Lock.Shards {
+		t.Fatalf("want %d per-shard entries, got %d", m.Lock.Shards, len(m.Lock.PerShard))
 	}
 	out := db.Describe()
 	for _, want := range []string{
-		fmt.Sprintf("%d lock shards", st.Lock.Shards),
+		fmt.Sprintf("%d lock shards", m.Lock.Shards),
 		"commits",
 		"lock",
 		"deadlock checks",
@@ -42,7 +42,7 @@ func TestDescribeEngine(t *testing.T) {
 			t.Fatalf("Describe output missing %q:\n%s", want, out)
 		}
 	}
-	if st.Lock.Requests == 0 {
+	if m.Lock.Requests == 0 {
 		t.Fatal("expected nonzero lock requests after a committed update")
 	}
 }

@@ -107,7 +107,7 @@ func (db *DB) cleanViewGhosts(v *catalog.View) int {
 		}
 		if err == nil {
 			erased++
-			db.ghostsErased.Add(1)
+			db.met.Ghost.Erased.Add(1)
 		}
 	}
 	return erased

@@ -39,14 +39,14 @@ func TestCleanerBlockedByELock(t *testing.T) {
 	if got := db.met.Escrow.PendingRows.Load(); got != 1 {
 		t.Fatalf("pending rows = %d, want 1", got)
 	}
-	sys, lsn := db.sysTxns.Load(), db.log.NextLSN()
+	sys, lsn := db.met.Engine.SysTxns.Load(), db.log.NextLSN()
 	if n := db.CleanGhosts(); n != 0 {
 		t.Fatalf("CleanGhosts erased %d ghosts under a held E lock", n)
 	}
 	// Skipping a busy ghost is free: no system transaction, nothing logged.
-	if db.sysTxns.Load() != sys || db.log.NextLSN() != lsn {
+	if db.met.Engine.SysTxns.Load() != sys || db.log.NextLSN() != lsn {
 		t.Fatalf("skipping a busy ghost ran %d system transactions, log moved %d -> %d",
-			db.sysTxns.Load()-sys, lsn, db.log.NextLSN())
+			db.met.Engine.SysTxns.Load()-sys, lsn, db.log.NextLSN())
 	}
 	mustCommit(t, tx)
 	if count, sum, ok := branchTotal(t, db, 99); !ok || count != 1 || sum != 5 {
@@ -70,7 +70,7 @@ func TestCleanerBlockedByEscalatedLock(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if db.Stats().Escalations == 0 {
+	if db.Metrics().Engine.Escalations == 0 {
 		t.Fatal("no escalation happened")
 	}
 	if n := db.lm.CountKeyLocks(tx.t.ID, view.ID); n != 0 {
@@ -79,12 +79,12 @@ func TestCleanerBlockedByEscalatedLock(t *testing.T) {
 	if vtree.GhostCount() != 2 {
 		t.Fatalf("ghosts = %d, want 2", vtree.GhostCount())
 	}
-	sys := db.sysTxns.Load()
+	sys := db.met.Engine.SysTxns.Load()
 	if n := db.CleanGhosts(); n != 0 {
 		t.Fatalf("CleanGhosts erased %d ghosts under an escalated tree lock", n)
 	}
 	// A locked tree ends the view's sweep at its first ghost.
-	if got := db.sysTxns.Load() - sys; got != 1 {
+	if got := db.met.Engine.SysTxns.Load() - sys; got != 1 {
 		t.Fatalf("a locked tree cost the cleaner %d system transactions, want 1", got)
 	}
 	mustCommit(t, tx)

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"repro/internal/id"
@@ -14,17 +13,15 @@ import (
 // sketches track more (their full capacity); the snapshot reports the head.
 const hotTopK = 10
 
-// hotspots builds the hot-spot attribution section of a metrics snapshot:
-// sketch entries with tree IDs resolved to catalog names and encoded group
-// keys decoded into their human-readable values, plus the per-view
+// hotspots builds the heavy-hitter listings of a metrics snapshot: sketch
+// entries with tree IDs resolved to catalog names and encoded group keys
+// decoded into their human-readable values. Metrics adds the per-view
 // maintenance cost table.
 func (db *DB) hotspots() metrics.HotspotsSnapshot {
 	cat := db.Catalog()
 	names := make(map[id.Tree]string)
-	views := make(map[id.Tree]bool)
 	for _, v := range cat.Views() {
 		names[v.ID] = v.Name
-		views[v.ID] = true
 	}
 	// Lock waits attribute any key resource, so base-table and index rows
 	// can surface too; name them as well.
@@ -34,32 +31,11 @@ func (db *DB) hotspots() metrics.HotspotsSnapshot {
 	for _, ix := range cat.Indexes() {
 		names[ix.ID] = ix.Name
 	}
-	hs := metrics.HotspotsSnapshot{
+	return metrics.HotspotsSnapshot{
 		SketchCapacity: db.met.Hot.LockWait.Cap(),
 		TopWait:        hotGroups(db.met.Hot.LockWait.Top(hotTopK), names),
 		TopDelta:       hotGroups(db.met.Hot.EscrowDeltas.Top(hotTopK), names),
 	}
-	db.met.Hot.Views.Each(func(tree id.Tree, c *metrics.ViewCost) {
-		if !views[tree] {
-			// logOp attributes WAL bytes for every tree; only views belong
-			// in the maintenance-cost table.
-			return
-		}
-		hs.Views = append(hs.Views, metrics.ViewCostSnapshot{
-			Tree:       uint32(tree),
-			View:       names[tree],
-			RowsFolded: c.FoldRows.Load(),
-			FoldNs:     c.FoldNs.Load(),
-			WALBytes:   c.WALBytes.Load(),
-		})
-	})
-	sort.Slice(hs.Views, func(i, j int) bool {
-		if hs.Views[i].RowsFolded != hs.Views[j].RowsFolded {
-			return hs.Views[i].RowsFolded > hs.Views[j].RowsFolded
-		}
-		return hs.Views[i].Tree < hs.Views[j].Tree
-	})
-	return hs
 }
 
 // hotGroups renders sketch entries for the snapshot.

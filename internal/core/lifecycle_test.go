@@ -232,7 +232,7 @@ func TestGhostCleanerRacesWriters(t *testing.T) {
 	}
 	wg.Wait()
 	checkConsistent(t, db)
-	if db.Stats().GhostsErased == 0 {
+	if db.Metrics().Ghost.Erased == 0 {
 		t.Fatal("cleaner never erased a ghost under churn")
 	}
 }

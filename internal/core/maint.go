@@ -258,7 +258,7 @@ func (db *DB) createGhost(v *catalog.View, m *view.Maintainer, key []byte) error
 		if err := db.logOp(st, rec); err != nil {
 			return err
 		}
-		db.ghostsCreated.Add(1)
+		db.met.Ghost.Created.Add(1)
 		return nil
 	})
 }

@@ -222,8 +222,8 @@ func (tx *Tx) Commit() error {
 	// Immediately maintained views are visible the moment the commit finishes:
 	// their commit-to-visible latency IS the commit path.
 	for _, f := range folded {
-		if fr := db.met.Freshness.Get(f.v.ID); fr != nil {
-			fr.CommitToVisible.Observe(end.Sub(start))
+		if v := db.met.Views.Get(f.v.ID); v != nil {
+			v.CommitToVisible.Observe(end.Sub(start))
 		}
 	}
 	tx.finish(true, end)
@@ -318,10 +318,10 @@ func (tx *Tx) finish(committed bool, end time.Time) {
 	db := tx.db
 	if committed {
 		db.tm.Commit(tx.t)
-		db.commits.Add(1)
+		db.met.Engine.Commits.Add(1)
 	} else {
 		db.tm.Abort(tx.t)
-		db.aborts.Add(1)
+		db.met.Engine.Aborts.Add(1)
 	}
 	if tx.snap != 0 {
 		db.oracle.EndSnapshot(tx.snap)
@@ -434,12 +434,11 @@ func (db *DB) foldRow(t *txn.Txn, m *view.Maintainer, key []byte, deltas []wal.C
 		unpin(rec)
 		return foldResult{}, err
 	}
-	db.folds.Add(1)
 	if empty && (!ok || !oldGhost) {
-		db.ghostsCreated.Add(1) // a live row, or none, became a ghost
+		db.met.Ghost.Created.Add(1) // a live row, or none, became a ghost
 	}
 	// Per-view maintenance bill: rows folded and WAL volume.
-	if c := db.met.Hot.Views.Get(tid); c != nil {
+	if c := db.met.Views.Get(tid); c != nil {
 		c.FoldRows.Add(1)
 		c.WALBytes.Add(int64(walBytes))
 	}
@@ -483,7 +482,7 @@ func (db *DB) lockKeyRes(t *txn.Txn, res lock.Resource, mode lock.Mode) error {
 			return err
 		}
 		db.lm.ReleaseKeyLocks(t.ID, tree)
-		db.escalations.Add(1)
+		db.met.Engine.Escalations.Add(1)
 	}
 	return nil
 }

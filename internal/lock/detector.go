@@ -50,7 +50,7 @@ func (m *Manager) checkDeadlock(s *shard, req *request) {
 			break
 		}
 		vs, vreq := m.waitingOn(victim)
-		m.deadlocks.Add(1)
+		vs.deadlocks++
 		vreq.granted <- fmt.Errorf("%w: %s requesting %s on %s",
 			ErrDeadlock, victim, vreq.mode, vreq.res)
 		if ls := vs.table[vreq.res]; ls != nil {
@@ -59,17 +59,12 @@ func (m *Manager) checkDeadlock(s *shard, req *request) {
 		// Dropping the victim rescans its queue and may grant other waiters,
 		// which changes the graph: look again.
 	}
+	dur := time.Since(start).Nanoseconds()
+	m.checks++
+	m.lastCheckNs = dur
+	m.maxCheckNs = max(m.maxCheckNs, dur)
 	for i := len(m.shards) - 1; i >= 0; i-- {
 		m.shards[i].mu.Unlock()
-	}
-	dur := time.Since(start).Nanoseconds()
-	m.sweeps.Add(1)
-	m.lastSweep.Store(dur)
-	for {
-		cur := m.maxSweep.Load()
-		if dur <= cur || m.maxSweep.CompareAndSwap(cur, dur) {
-			break
-		}
 	}
 }
 

@@ -45,36 +45,6 @@ var (
 	ErrTimeout = errors.New("lock: wait timed out")
 )
 
-// Stats are cumulative lock-manager counters, read with Snapshot.
-type Stats struct {
-	Requests  int64 // total Lock calls
-	Waits     int64 // calls that blocked
-	Deadlocks int64 // requests aborted as deadlock victims
-	Timeouts  int64 // requests aborted by timeout
-
-	// Shards is the stripe count the manager was built with.
-	Shards int
-	// Collisions counts shard-mutex acquisitions that found the mutex
-	// already held (TryLock misses) — the striping-efficiency signal.
-	Collisions int64
-	// MaxQueueDepth is the deepest wait queue any single resource reached.
-	MaxQueueDepth int64
-	// Sweeps counts the deadlock checks run by requests that blocked;
-	// LastSweep and MaxSweep report their duration.
-	Sweeps    int64
-	LastSweep time.Duration
-	MaxSweep  time.Duration
-	// PerShard breaks collisions/queue depth down by stripe.
-	PerShard []ShardStats
-}
-
-// ShardStats are one stripe's counters.
-type ShardStats struct {
-	Collisions    int64
-	MaxQueueDepth int64
-	Resources     int // current lock-table entries
-}
-
 // request is one waiting lock request.
 type request struct {
 	txn     id.Txn
@@ -106,8 +76,23 @@ type shard struct {
 	lsFree   []*lockState
 	heldFree []map[Resource]Mode
 
-	collisions atomic.Int64
-	maxQueue   int // guarded by mu
+	counters
+}
+
+// counters are one shard's share of the lock manager's counters; Snapshot
+// sums them. The plain fields are guarded by the shard mutex. The atomic ones
+// change outside it: a collision is counted before the mutex is held, a
+// resolved wait after the waiter woke.
+type counters struct {
+	requests  int64 // Lock calls on the shard's resources
+	blocked   int64 // calls that queued
+	deadlocks int64 // queued requests aborted as deadlock victims
+	timeouts  int64 // queued requests dropped by timeout or cancel
+	maxQueue  int   // deepest wait queue of any resource
+
+	collisions atomic.Int64 // mutex acquisitions that found it held
+	waits      atomic.Int64 // resolved waits, whatever the outcome
+	waitNs     atomic.Int64 // nanoseconds those waits blocked
 }
 
 // lock acquires the shard mutex, counting contended acquisitions.
@@ -134,14 +119,12 @@ type Manager struct {
 	shards []*shard
 	mask   uint32
 
-	requests  atomic.Int64
-	waitCount atomic.Int64
-	deadlocks atomic.Int64
-	timeouts  atomic.Int64
-
-	sweeps    atomic.Int64
-	lastSweep atomic.Int64 // ns
-	maxSweep  atomic.Int64 // ns
+	// checks counts the deadlock checks run by blocked requests, and
+	// lastCheckNs and maxCheckNs report their duration. A check writes them
+	// holding every shard mutex, so holding any one is enough to read them.
+	checks      int64
+	lastCheckNs int64
+	maxCheckNs  int64
 
 	// met and tracer receive wait-time attribution and lock-wait events; both
 	// may be nil (standalone managers) — observation paths are nil-safe.
@@ -159,8 +142,8 @@ type Options struct {
 	Shards int
 	// DefaultTimeout bounds waits when Lock gets timeout 0 (default 10s).
 	DefaultTimeout time.Duration
-	// Metrics, when set, receives per-shard wait-time attribution and the
-	// global wait-latency histogram. Only blocked acquisitions observe it.
+	// Metrics, when set, receives the wait-latency histogram and the keys
+	// waited on. Only blocked acquisitions observe it.
 	Metrics *metrics.LockMetrics
 	// Tracer, when set, receives an EventLockWait for every blocked
 	// acquisition when it resolves (granted, deadlock, timeout, or cancel).
@@ -186,9 +169,6 @@ func NewManagerOpts(o Options) *Manager {
 		met:            o.Metrics,
 		tracer:         o.Tracer,
 		DefaultTimeout: o.DefaultTimeout,
-	}
-	if m.met != nil {
-		m.met.InitShards(n)
 	}
 	for i := range m.shards {
 		m.shards[i] = newShard()
@@ -238,32 +218,38 @@ func (m *Manager) shardIndex(res Resource) uint32 {
 	return h & m.mask
 }
 
-// Snapshot returns the cumulative counters.
-func (m *Manager) Snapshot() Stats {
-	st := Stats{
-		Requests:  m.requests.Load(),
-		Waits:     m.waitCount.Load(),
-		Deadlocks: m.deadlocks.Load(),
-		Timeouts:  m.timeouts.Load(),
-		Shards:    len(m.shards),
-		Sweeps:    m.sweeps.Load(),
-		LastSweep: time.Duration(m.lastSweep.Load()),
-		MaxSweep:  time.Duration(m.maxSweep.Load()),
-		PerShard:  make([]ShardStats, len(m.shards)),
+// Snapshot returns the manager's counters: totals summed over the shards,
+// each shard's own, and the wait histogram when Metrics is set.
+func (m *Manager) Snapshot() metrics.LockSnapshot {
+	st := metrics.LockSnapshot{
+		Shards:   len(m.shards),
+		PerShard: make([]metrics.LockShardSnapshot, len(m.shards)),
+	}
+	if m.met != nil {
+		st.Wait = m.met.Wait.Snap()
 	}
 	for i, s := range m.shards {
 		s.lock()
-		ss := ShardStats{
+		ps := metrics.LockShardSnapshot{
+			Waits:         s.waits.Load(),
+			WaitNs:        s.waitNs.Load(),
+			Deadlocks:     s.deadlocks,
+			Timeouts:      s.timeouts,
 			Collisions:    s.collisions.Load(),
 			MaxQueueDepth: int64(s.maxQueue),
 			Resources:     len(s.table),
 		}
-		s.mu.Unlock()
-		st.PerShard[i] = ss
-		st.Collisions += ss.Collisions
-		if ss.MaxQueueDepth > st.MaxQueueDepth {
-			st.MaxQueueDepth = ss.MaxQueueDepth
+		st.Requests += s.requests
+		st.Waits += s.blocked
+		if i == 0 {
+			st.Sweeps, st.LastSweepNs, st.MaxSweepNs = m.checks, m.lastCheckNs, m.maxCheckNs
 		}
+		s.mu.Unlock()
+		st.PerShard[i] = ps
+		st.Deadlocks += ps.Deadlocks
+		st.Timeouts += ps.Timeouts
+		st.Collisions += ps.Collisions
+		st.MaxQueueDepth = max(st.MaxQueueDepth, ps.MaxQueueDepth)
 	}
 	return st
 }
@@ -283,11 +269,9 @@ func (m *Manager) LockCtx(ctx context.Context, txn id.Txn, res Resource, mode Mo
 	if timeout <= 0 {
 		timeout = m.DefaultTimeout
 	}
-	m.requests.Add(1)
-
-	idx := m.shardIndex(res)
-	s := m.shards[idx]
+	s := m.shardOf(res)
 	s.lock()
+	s.requests++
 	ls := s.table[res]
 	if ls == nil {
 		ls = s.newLockState()
@@ -323,7 +307,7 @@ func (m *Manager) LockCtx(ctx context.Context, txn id.Txn, res Resource, mode Mo
 		s.maxQueue = d
 	}
 	s.wanted[txn] = req
-	m.waitCount.Add(1)
+	s.blocked++
 	s.mu.Unlock()
 
 	start := time.Now()
@@ -335,16 +319,14 @@ func (m *Manager) LockCtx(ctx context.Context, txn id.Txn, res Resource, mode Mo
 	case err = <-req.granted:
 	case <-timer.C:
 		if err = m.raceDrain(s, res, ls, req); err == errDropped {
-			m.timeouts.Add(1)
 			err = fmt.Errorf("%w: %s requesting %s on %s", ErrTimeout, txn, target, res)
 		}
 	case <-ctx.Done():
 		if err = m.raceDrain(s, res, ls, req); err == errDropped {
-			m.timeouts.Add(1)
 			err = fmt.Errorf("lock: wait canceled: %w (%s requesting %s on %s)", ctx.Err(), txn, target, res)
 		}
 	}
-	m.observeWait(idx, txn, res, target, time.Since(start), err)
+	m.observeWait(s, txn, res, target, time.Since(start), err)
 	return err
 }
 
@@ -354,7 +336,8 @@ var errDropped = errors.New("lock: request dropped")
 
 // raceDrain resolves the race between a timeout/cancel and a grant (or victim
 // abort) already delivered: if req resolved first its error wins; otherwise
-// the request is dropped from the queue and errDropped returned.
+// the request is dropped from the queue, counted as a timeout, and errDropped
+// returned.
 func (m *Manager) raceDrain(s *shard, res Resource, ls *lockState, req *request) error {
 	s.lock()
 	select {
@@ -364,14 +347,15 @@ func (m *Manager) raceDrain(s *shard, res Resource, ls *lockState, req *request)
 	default:
 	}
 	s.dropRequest(res, ls, req)
+	s.timeouts++
 	s.mu.Unlock()
 	return errDropped
 }
 
-// observeWait attributes one resolved blocked acquisition to metrics and the
-// tracer. Outcome is derived from err: nil grant, deadlock victim, or
-// timeout/cancel.
-func (m *Manager) observeWait(idx uint32, txn id.Txn, res Resource, mode Mode, wait time.Duration, err error) {
+// observeWait attributes one resolved blocked acquisition to its shard,
+// metrics and the tracer. Outcome is derived from err: nil grant, deadlock
+// victim, or timeout/cancel.
+func (m *Manager) observeWait(s *shard, txn id.Txn, res Resource, mode Mode, wait time.Duration, err error) {
 	outcome := "granted"
 	switch {
 	case err == nil:
@@ -382,18 +366,10 @@ func (m *Manager) observeWait(idx uint32, txn id.Txn, res Resource, mode Mode, w
 	default:
 		outcome = "canceled"
 	}
+	s.waits.Add(1)
+	s.waitNs.Add(wait.Nanoseconds())
 	if m.met != nil {
 		m.met.Wait.Observe(wait)
-		if sw := m.met.Shard(int(idx)); sw != nil {
-			sw.Waits.Add(1)
-			sw.WaitNs.Add(wait.Nanoseconds())
-			switch outcome {
-			case "deadlock":
-				sw.Deadlocks.Add(1)
-			case "timeout", "canceled":
-				sw.Timeouts.Add(1)
-			}
-		}
 		// Attribute the wait to the actual key resource (tree-level and
 		// intention locks carry no key and stay stripe-attributed only).
 		if res.Key != "" {

@@ -5,6 +5,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/id"
 )
 
 // TestHistogramBasics checks counts, percentile monotonicity, and snapshots.
@@ -63,7 +65,7 @@ func TestHistogramResolution(t *testing.T) {
 // the registry's safety proof.
 func TestRegistryConcurrentHammer(t *testing.T) {
 	r := NewRegistry()
-	r.Lock.InitShards(4)
+	r.Views.Sync([]id.Tree{1, 2, 3})
 	const workers = 8
 	const iters = 2000
 	var wg sync.WaitGroup
@@ -78,11 +80,10 @@ func TestRegistryConcurrentHammer(t *testing.T) {
 				r.Txn.Fold.Observe(d)
 				r.Txn.CommitWait.Observe(d)
 				r.Lock.Wait.Observe(d)
-				if sw := r.Lock.Shard(i % 5); sw != nil { // index 4 is nil-safe out of range
-					sw.Waits.Add(1)
-					sw.WaitNs.Add(d.Nanoseconds())
-					sw.Deadlocks.Add(1)
-					sw.Timeouts.Add(1)
+				r.Engine.Commits.Add(1)
+				if v := r.Views.Get(id.Tree(i % 5)); v != nil { // trees 0 and 4 hold no view
+					v.FoldRows.Add(1)
+					v.CommitToVisible.Observe(d)
 				}
 				r.Escrow.ObserveFold(i % 9)
 				r.Escrow.FoldAborts.Add(1)
@@ -117,25 +118,11 @@ func TestRegistryConcurrentHammer(t *testing.T) {
 	if s.WAL.Flushes != total || s.WAL.BatchMax != 32 {
 		t.Fatalf("wal: %+v", s.WAL)
 	}
-	var waits int64
-	for _, ps := range s.Lock.PerShard {
-		waits += ps.Waits
+	if s.Engine.Commits != total {
+		t.Fatalf("engine commits = %d, want %d", s.Engine.Commits, total)
 	}
-	if waits == 0 || len(s.Lock.PerShard) != 4 {
-		t.Fatalf("per-shard attribution: %+v", s.Lock.PerShard)
-	}
-}
-
-// TestShardNilSafety exercises the unattached-metrics paths subsystems rely
-// on when no registry is wired in.
-func TestShardNilSafety(t *testing.T) {
-	var lm *LockMetrics
-	if lm.Shard(0) != nil {
-		t.Fatal("nil LockMetrics should yield nil shards")
-	}
-	attached := &LockMetrics{}
-	if attached.Shard(0) != nil || attached.ShardCount() != 0 {
-		t.Fatal("uninitialized shard table should be empty")
+	if got := r.Views.Get(1).FoldRows.Load(); got != workers*iters/5 {
+		t.Fatalf("view 1 fold rows = %d, want %d", got, workers*iters/5)
 	}
 }
 

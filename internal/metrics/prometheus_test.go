@@ -1,6 +1,9 @@
 package metrics
 
 import (
+	"flag"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -71,5 +74,97 @@ func TestExpositionEscapesLabels(t *testing.T) {
 		if fields := strings.Fields(line); len(fields) != 2 {
 			t.Errorf("malformed exposition line %q", line)
 		}
+	}
+}
+
+var updateGolden = flag.Bool("update", false, "rewrite testdata/exposition.golden from the current exposition")
+
+// goldenSnapshot is a fully populated snapshot: every section carries
+// distinct non-zero values, every labelled family two entries, and one view
+// name a quote, a backslash and a newline.
+func goldenSnapshot() Snapshot {
+	hist := func(base int64) HistSnapshot {
+		return HistSnapshot{Count: base, SumNs: base * 1000, MeanNs: 1000, P50Ns: 900 + base, P99Ns: 5000 + base, MaxNs: 9000 + base}
+	}
+	hostile := "v\"iew\\one\ntwo"
+	return Snapshot{
+		Engine: EngineSnapshot{Commits: 101, Aborts: 102, SysTxns: 103, Escalations: 104, UptimeNs: 105_000_000_000, SnapshotUnixNs: 106},
+		Txn:    TxnSnapshot{Begin: hist(1), LockWait: hist(2), Apply: hist(3), Fold: hist(4), CommitWait: hist(5)},
+		Lock: LockSnapshot{
+			Shards: 2, Requests: 201, Waits: 202, Deadlocks: 203, Timeouts: 204, Collisions: 205,
+			MaxQueueDepth: 206, Sweeps: 207, LastSweepNs: 208, MaxSweepNs: 209, Wait: hist(6),
+			PerShard: []LockShardSnapshot{
+				{Waits: 211, WaitNs: 212_000, Deadlocks: 213, Timeouts: 214, Collisions: 215, MaxQueueDepth: 216, Resources: 217},
+				{Waits: 221, WaitNs: 222_000, Deadlocks: 223, Timeouts: 224, Collisions: 225, MaxQueueDepth: 226, Resources: 227},
+			},
+		},
+		Escrow:   EscrowSnapshot{FoldBatches: 301, FoldRows: 302, FoldBatchMax: 303, FoldAborts: 304, PendingRows: 305},
+		WAL:      WALSnapshot{Appends: 401, Flushes: 402, CoalescedSyncs: 403, BatchRecords: 404, BatchMax: 405, FlushActiveNs: 406, Flush: hist(7), Fsync: hist(8)},
+		Ghost:    GhostSnapshot{Created: 501, Erased: 502, CleanerPasses: 503, Backlog: 504, BacklogHighWater: 505},
+		Recovery: RecoverySnapshot{Gen: 601, Replayed: 602, Losers: 603, UndoneOps: 604, Torn: true, AnalysisNs: 605_000, RedoNs: 606_000, UndoNs: 607_000},
+		Watchdog: WatchdogSnapshot{Detections: 701, WALStalls: 702, LockConvoys: 703, EscrowStalls: 704, GhostStalls: 705, FreshnessBreaches: 706, ScrubDivergences: 707},
+		Flight:   FlightSnapshot{Enabled: true, Capacity: 801, Recorded: 802, Dumps: 803},
+		Hotspots: HotspotsSnapshot{
+			SketchCapacity: 64,
+			TopWait: []HotGroupSnapshot{
+				{Tree: 1, View: hostile, Key: `k\ey`, Value: 901_000, Count: 902, Err: 903},
+				{Tree: 2, View: "totals", Key: "7", Value: 904_000, Count: 905},
+			},
+			TopDelta: []HotGroupSnapshot{
+				{Tree: 1, View: hostile, Key: "k\"ey\n", Value: 911, Count: 912, Err: 913},
+				{Tree: 2, View: "totals", Key: "8", Value: 914, Count: 915},
+			},
+			Views: []ViewCostSnapshot{
+				{Tree: 2, View: "totals", RowsFolded: 921, FoldNs: 922_000, WALBytes: 923},
+				{Tree: 1, View: hostile, RowsFolded: 924, FoldNs: 925_000, WALBytes: 926},
+			},
+		},
+		MVCC: MVCCSnapshot{Snapshots: 1001, ActiveSnapshots: 1002, OldestSnapshotAgeNs: 1003, Watermark: 1004, Chains: 1005, ChainLenHighWater: 1006, VersionsStamped: 1007, VersionsPruned: 1008, PrunePasses: 1009},
+		Deferred: DeferredSnapshot{
+			PublishedBatches: 1101, PublishedGroups: 1102, ApplyRounds: 1103, RetryRounds: 1104, GroupsApplied: 1105,
+			DeltasIn: 1106, DeltasCoalesced: 1107, QueueHighWater: 1108, PendingGroups: 1109, Watermark: 1110,
+			LagTS: 1111, StalenessNs: 1112, Apply: hist(9),
+			Views: []DeferredViewSnapshot{{Tree: 1, View: hostile, Watermark: 1113}, {Tree: 2, View: "totals", Watermark: 1114}},
+		},
+		Cascade: CascadeSnapshot{Enqueued: 1201, Coalesced: 1202, Folds: 1203, DeferredOut: 1204, LevelFolds: []int64{1205, 1206, 1207, 1208}},
+		Freshness: FreshnessSnapshot{
+			SLONs: 1301,
+			Views: []ViewFreshnessSnapshot{
+				{Tree: 1, View: hostile, Strategy: "deferred", StalenessNs: 1302_000, CommitToVisible: hist(10)},
+				{Tree: 2, View: "totals", Strategy: "escrow", CommitToVisible: hist(11)},
+			},
+		},
+		Scrub: ScrubSnapshot{
+			Enabled: true, Cycles: 1401, Slices: 1402, RowsVerified: 1403, Divergences: 1404, Conflicts: 1405,
+			SnapshotRetries: 1406, LastFullPassUnix: 1407, CycleDur: hist(12),
+			Views: []ViewScrubSnapshot{
+				{Tree: 1, View: hostile, Passes: 1411, RowsVerified: 1412, Divergences: 1413, CoverageTS: 1414, LastPassUnixNs: 1415},
+				{Tree: 2, View: "totals", Passes: 1421, RowsVerified: 1422, Divergences: 1423, CoverageTS: 1424, LastPassUnixNs: 1425},
+			},
+		},
+	}
+}
+
+// TestExpositionGolden renders goldenSnapshot and compares the Prometheus
+// text byte for byte with testdata/exposition.golden (go test -update
+// rewrites the file).
+func TestExpositionGolden(t *testing.T) {
+	var sb strings.Builder
+	writeExposition(&sb, goldenSnapshot())
+	path := filepath.Join("testdata", "exposition.golden")
+	if *updateGolden {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(sb.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := sb.String(); got != string(want) {
+		t.Fatalf("exposition differs from %s:\n%s", path, got)
 	}
 }

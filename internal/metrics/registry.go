@@ -8,6 +8,7 @@ import (
 // Open and handed by sub-struct pointer to each subsystem. All fields are
 // atomic; observation never takes a lock.
 type Registry struct {
+	Engine   EngineMetrics
 	Txn      TxnMetrics
 	Lock     LockMetrics
 	Escrow   EscrowMetrics
@@ -18,12 +19,12 @@ type Registry struct {
 	MVCC     MVCCMetrics
 	Deferred DeferredMetrics
 	Cascade  CascadeMetrics
-	// Freshness is the per-view commit-to-visible accounting (histograms and
-	// staleness gauges), fed by the commit fold path and the deferred applier.
-	Freshness Freshness
 	// Scrub is the online consistency scrubber's accounting: verification
-	// volume, divergences, and per-view coverage watermarks.
+	// volume and divergences.
 	Scrub ScrubMetrics
+	// Views holds one record per indexed view: its maintenance bill, its
+	// commit-to-visible latency and its scrub coverage.
+	Views Views
 }
 
 // NewRegistry returns an empty registry with the hot-spot sketches sized to
@@ -33,14 +34,25 @@ func NewRegistry() *Registry {
 	r.Hot.LockWait = NewSketch(DefaultSketchSlots)
 	r.Hot.EscrowDeltas = NewSketch(DefaultSketchSlots)
 	r.Lock.Hot = r.Hot.LockWait
+	r.Scrub.Views = &r.Views
 	return r
 }
 
+// EngineMetrics are the engine's transaction counters.
+type EngineMetrics struct {
+	// Commits and Aborts count user transactions by outcome; SysTxns the
+	// system transactions (ghost creation and erasure, DDL).
+	Commits atomic.Int64
+	Aborts  atomic.Int64
+	SysTxns atomic.Int64
+	// Escalations counts key-lock sets replaced by one tree lock.
+	Escalations atomic.Int64
+}
+
 // HotMetrics is the hot-spot attribution layer: heavy-hitter sketches over
-// (view, group-key) fed by the lock manager and the escrow maintenance path, plus a
-// per-view maintenance cost table fed by the commit fold and apply paths.
-// All three are bounded-cardinality by construction (sketch capacity /
-// catalog size), so snapshotting them never explodes.
+// (view, group-key) fed by the lock manager and the escrow maintenance path.
+// Both are bounded-cardinality by construction (sketch capacity), so
+// snapshotting them never explodes.
 type HotMetrics struct {
 	// LockWait attributes lock wait: Val is blocked nanoseconds on the key,
 	// Cnt the number of resolved waits (conflicts).
@@ -49,9 +61,6 @@ type HotMetrics struct {
 	// applied against the group's view row, Cnt the number of transactions
 	// that newly piled onto the row.
 	EscrowDeltas *Sketch
-	// Views is the per-view maintenance bill (rows folded, fold latency,
-	// WAL bytes).
-	Views ViewCosts
 }
 
 // TxnMetrics are the per-phase transaction timing histograms: where a
@@ -68,9 +77,9 @@ type TxnMetrics struct {
 	CommitWait Histogram
 }
 
-// LockMetrics attribute lock wait time to the manager's shards. Counts of
-// requests/waits/deadlocks/timeouts live in the manager's own Stats; this
-// adds where the *time* went.
+// LockMetrics attribute lock wait time. The lock manager's counters live in
+// its shards (lock.Manager.Snapshot); this adds the wait-time distribution
+// and the keys the waits were on.
 type LockMetrics struct {
 	// Wait is the global wait-time histogram (same samples as Txn.LockWait).
 	Wait Histogram
@@ -79,32 +88,7 @@ type LockMetrics struct {
 	// key resource waited on (the registry aliases Hot.LockWait here so the
 	// lock manager needs no registry reference). Nil-safe.
 	Hot *Sketch
-
-	shards []ShardWait
 }
-
-// ShardWait is one lock-manager stripe's wait-time attribution.
-type ShardWait struct {
-	Waits     atomic.Int64 // blocked acquisitions resolved on this shard
-	WaitNs    atomic.Int64 // total nanoseconds those waiters were blocked
-	Deadlocks atomic.Int64 // waits resolved by victim abort
-	Timeouts  atomic.Int64 // waits resolved by timeout (or context cancel)
-}
-
-// InitShards sizes the per-shard attribution table. The lock manager calls it
-// once at construction, before any concurrent use.
-func (lm *LockMetrics) InitShards(n int) { lm.shards = make([]ShardWait, n) }
-
-// Shard returns stripe i's attribution cell, or nil when unattached.
-func (lm *LockMetrics) Shard(i int) *ShardWait {
-	if lm == nil || i < 0 || i >= len(lm.shards) {
-		return nil
-	}
-	return &lm.shards[i]
-}
-
-// ShardCount returns how many stripes are attributed.
-func (lm *LockMetrics) ShardCount() int { return len(lm.shards) }
 
 // EscrowMetrics track the escrow deltas transactions hold pending and how
 // commit-time folds batch.
@@ -189,6 +173,11 @@ func (wm *WALMetrics) FlushActiveNs(nowNs int64) int64 {
 
 // GhostMetrics track the background ghost cleaner.
 type GhostMetrics struct {
+	// Created counts view rows that became ghosts (by a ghost-creating system
+	// transaction or a fold that emptied the row); Erased the ghosts the
+	// cleaner removed.
+	Created atomic.Int64
+	Erased  atomic.Int64
 	// CleanerPasses counts CleanGhosts sweeps.
 	CleanerPasses atomic.Int64
 	// Backlog is the ghost rows still present after the last sweep (a gauge);

@@ -1,16 +1,11 @@
 package metrics
 
-import (
-	"sync"
-	"sync/atomic"
-
-	"repro/internal/id"
-)
+import "sync/atomic"
 
 // ScrubMetrics track the online consistency scrubber (DESIGN.md §7.4): the
 // background plane that continuously re-verifies every indexed view against
 // a recompute over its source relation at MVCC snapshot timestamps. Global
-// counters live here; the per-view coverage state is the Views map.
+// counters live here; the per-view coverage state is in each view's record.
 type ScrubMetrics struct {
 	// Cycles counts completed full passes: every view in the catalog verified
 	// end to end since the cycle began.
@@ -40,100 +35,7 @@ type ScrubMetrics struct {
 	// CycleDur times full passes, wall-clock from a cycle's first slice to
 	// its last.
 	CycleDur Histogram
-	// Views is the per-view coverage state.
-	Views ScrubViews
-}
-
-// ViewScrub is one view's scrub coverage state.
-type ViewScrub struct {
-	// Passes counts completed verification passes over the whole view.
-	Passes atomic.Int64
-	// RowsVerified counts rows read to verify this view.
-	RowsVerified atomic.Int64
-	// Divergences counts divergences attributed to this view.
-	Divergences atomic.Int64
-	// CoverageTS is the coverage watermark: every group of the view has been
-	// verified at a snapshot timestamp >= this (the first slice's timestamp
-	// of the last completed pass). Zero until a pass completes.
-	CoverageTS atomic.Uint64
-	// LastPassUnixNs is the wall clock at which the last pass completed.
-	LastPassUnixNs atomic.Int64
-}
-
-// ScrubViews is a copy-on-write map from view tree ID to its scrub state,
-// following the Freshness pattern: bounded by the catalog, lock-free reads,
-// mutex only on first sight of a tree.
-type ScrubViews struct {
-	mu sync.Mutex
-	m  atomic.Pointer[map[id.Tree]*ViewScrub]
-}
-
-// Get returns the state for tree, creating it on first use. Nil-safe: a nil
-// receiver returns nil.
-func (sv *ScrubViews) Get(tree id.Tree) *ViewScrub {
-	if sv == nil {
-		return nil
-	}
-	if mp := sv.m.Load(); mp != nil {
-		if v, ok := (*mp)[tree]; ok {
-			return v
-		}
-	}
-	sv.mu.Lock()
-	defer sv.mu.Unlock()
-	old := sv.m.Load()
-	if old != nil {
-		if v, ok := (*old)[tree]; ok {
-			return v
-		}
-	}
-	next := make(map[id.Tree]*ViewScrub, 8)
-	if old != nil {
-		for k, v := range *old {
-			next[k] = v
-		}
-	}
-	v := &ViewScrub{}
-	next[tree] = v
-	sv.m.Store(&next)
-	return v
-}
-
-// Drop removes a dropped view's state so its series stop being exported.
-// Nil-safe.
-func (sv *ScrubViews) Drop(tree id.Tree) {
-	if sv == nil {
-		return
-	}
-	sv.mu.Lock()
-	defer sv.mu.Unlock()
-	old := sv.m.Load()
-	if old == nil {
-		return
-	}
-	if _, ok := (*old)[tree]; !ok {
-		return
-	}
-	next := make(map[id.Tree]*ViewScrub, len(*old))
-	for k, v := range *old {
-		if k != tree {
-			next[k] = v
-		}
-	}
-	sv.m.Store(&next)
-}
-
-// Each calls fn for every tracked tree. Iteration order is unspecified.
-// Nil-safe.
-func (sv *ScrubViews) Each(fn func(tree id.Tree, v *ViewScrub)) {
-	if sv == nil {
-		return
-	}
-	mp := sv.m.Load()
-	if mp == nil {
-		return
-	}
-	for k, v := range *mp {
-		fn(k, v)
-	}
+	// Views is the registry's per-view records, where the scrubber keeps
+	// each view's coverage. Nil-safe.
+	Views *Views
 }

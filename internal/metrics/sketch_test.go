@@ -185,46 +185,64 @@ func TestSketchConcurrentHammer(t *testing.T) {
 	}
 }
 
-func TestViewCosts(t *testing.T) {
-	var vc ViewCosts
-	c := vc.Get(id.Tree(5))
-	if c == nil {
-		t.Fatal("Get returned nil accumulator")
+// TestViewRecords checks the per-view record lifecycle: Sync adds a record
+// for each view and keeps its counts, Get never creates one, and a view left
+// out of the next Sync loses its record.
+func TestViewRecords(t *testing.T) {
+	var vs Views
+	if vs.Get(5) != nil {
+		t.Fatal("Get created a record before Sync")
+	}
+	vs.Sync([]id.Tree{5, 6})
+	c := vs.Get(5)
+	if c == nil || vs.Get(6) == nil {
+		t.Fatal("Sync did not add a record per view")
 	}
 	c.FoldRows.Add(3)
-	c.FoldNs.Add(1000)
-	if got := vc.Get(id.Tree(5)); got != c {
-		t.Fatal("Get not stable for same tree")
+	if vs.Get(7) != nil {
+		t.Fatal("Get created a record for a tree that holds no view")
 	}
-	vc.Get(id.Tree(6)).WALBytes.Add(42)
-	seen := map[id.Tree]int64{}
-	vc.Each(func(tr id.Tree, c *ViewCost) { seen[tr] = c.FoldRows.Load() })
-	if len(seen) != 2 || seen[5] != 3 {
-		t.Fatalf("Each saw %v, want trees 5 (rows 3) and 6", seen)
+	vs.Sync([]id.Tree{5, 7})
+	if got := vs.Get(5); got != c || got.FoldRows.Load() != 3 {
+		t.Fatal("Sync replaced the record of a view it kept")
 	}
-	var nilVC *ViewCosts
-	if nilVC.Get(1) != nil {
-		t.Fatal("nil ViewCosts Get should return nil")
+	if vs.Get(6) != nil || vs.Get(7) == nil {
+		t.Fatal("Sync did not drop view 6 and add view 7")
 	}
-	nilVC.Each(func(id.Tree, *ViewCost) { t.Fatal("nil Each should not call") })
+	var nilVS *Views
+	if nilVS.Get(1) != nil {
+		t.Fatal("nil Views Get should return nil")
+	}
 }
 
-func TestViewCostsConcurrent(t *testing.T) {
-	var vc ViewCosts
+// TestViewRecordsConcurrent accounts to records while Sync keeps replacing
+// the map; a view that stays in the catalog loses no update.
+func TestViewRecordsConcurrent(t *testing.T) {
+	var vs Views
+	vs.Sync([]id.Tree{1, 2})
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 2000; i++ {
-				vc.Get(id.Tree(i % 16)).FoldRows.Add(1)
+				if v := vs.Get(id.Tree(1 + i%3)); v != nil {
+					v.FoldRows.Add(1)
+				}
 			}
 		}()
 	}
+	for i := 0; i < 100; i++ {
+		vs.Sync([]id.Tree{1, 2, id.Tree(3 + i%2)})
+	}
 	wg.Wait()
-	total := int64(0)
-	vc.Each(func(_ id.Tree, c *ViewCost) { total += c.FoldRows.Load() })
-	if total != 8*2000 {
-		t.Fatalf("lost updates: total = %d, want %d", total, 8*2000)
+	want := int64(0)
+	for i := 0; i < 2000; i++ {
+		if i%3 != 2 {
+			want++
+		}
+	}
+	if got := vs.Get(1).FoldRows.Load() + vs.Get(2).FoldRows.Load(); got != 8*want {
+		t.Fatalf("lost updates: views 1 and 2 hold %d fold rows, want %d", got, 8*want)
 	}
 }

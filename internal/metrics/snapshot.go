@@ -317,12 +317,18 @@ type FlightSnapshot struct {
 	Dumps    int64 `json:"dumps"`
 }
 
-// Snap fills the registry-owned sections of a snapshot (transaction phases,
-// lock wait attribution, escrow, WAL, ghost cleaner). The caller (the engine)
-// fills the sections whose source of truth lives elsewhere: engine counters,
-// lock-manager count stats, and the recovery summary.
+// Snap fills the registry-owned sections of a snapshot. The caller (the
+// engine) fills the sections whose source of truth lives elsewhere: the lock
+// manager's counters, the per-view listings (names need the catalog), the
+// oracle's gauges, the recovery summary and the flight recorder.
 func (r *Registry) Snap() Snapshot {
 	s := Snapshot{
+		Engine: EngineSnapshot{
+			Commits:     r.Engine.Commits.Load(),
+			Aborts:      r.Engine.Aborts.Load(),
+			SysTxns:     r.Engine.SysTxns.Load(),
+			Escalations: r.Engine.Escalations.Load(),
+		},
 		Txn: TxnSnapshot{
 			Begin: r.Txn.Begin.Snap(),
 			// Lock waits are observed once, by the lock manager; the txn-phase
@@ -350,6 +356,8 @@ func (r *Registry) Snap() Snapshot {
 			Fsync:          r.WAL.Fsync.Snap(),
 		},
 		Ghost: GhostSnapshot{
+			Created:          r.Ghost.Created.Load(),
+			Erased:           r.Ghost.Erased.Load(),
 			CleanerPasses:    r.Ghost.CleanerPasses.Load(),
 			Backlog:          r.Ghost.Backlog.Load(),
 			BacklogHighWater: r.Ghost.BacklogHighWater.Load(),
@@ -401,17 +409,6 @@ func (r *Registry) Snap() Snapshot {
 		VersionsStamped:   r.MVCC.VersionsStamped.Load(),
 		VersionsPruned:    r.MVCC.VersionsPruned.Load(),
 		PrunePasses:       r.MVCC.PrunePasses.Load(),
-	}
-	s.Lock.Wait = r.Lock.Wait.Snap()
-	s.Lock.PerShard = make([]LockShardSnapshot, len(r.Lock.shards))
-	for i := range r.Lock.shards {
-		sw := &r.Lock.shards[i]
-		s.Lock.PerShard[i] = LockShardSnapshot{
-			Waits:     sw.Waits.Load(),
-			WaitNs:    sw.WaitNs.Load(),
-			Deadlocks: sw.Deadlocks.Load(),
-			Timeouts:  sw.Timeouts.Load(),
-		}
 	}
 	return s
 }

@@ -102,7 +102,8 @@ type Config struct {
 	RowBudget int
 	// MaxGroups bounds the view entries per slice; 0 selects 128.
 	MaxGroups int
-	// Metrics receives counters and per-view coverage state; must be non-nil.
+	// Metrics receives counters, and per-view coverage state in the records
+	// of Metrics.Views; must be non-nil.
 	Metrics *metrics.ScrubMetrics
 }
 
@@ -240,10 +241,12 @@ func (s *Scrubber) nextView(plan []View) View {
 // has now been checked at a snapshot timestamp >= the pass's first slice's
 // (timestamps only grow, so the first slice's is the floor).
 func (s *Scrubber) finishPass(v View, st *viewState, now time.Time) {
-	vs := s.cfg.Metrics.Views.Get(v.Tree)
-	vs.Passes.Add(1)
-	vs.LastPassUnixNs.Store(now.UnixNano())
-	storeMaxU64(&vs.CoverageTS, st.passTS)
+	// A view dropped since the plan was read has no record.
+	if vs := s.cfg.Metrics.Views.Get(v.Tree); vs != nil {
+		vs.Passes.Add(1)
+		vs.LastPassUnixNs.Store(now.UnixNano())
+		storeMaxU64(&vs.CoverageTS, st.passTS)
+	}
 	st.cursor, st.passTS = nil, 0
 }
 
@@ -401,10 +404,14 @@ func (s *Scrubber) commit(v View, st *viewState, viewTS, srcTS uint64, out range
 	m.Slices.Add(1)
 	m.RowsVerified.Add(int64(out.rows))
 	vs := m.Views.Get(v.Tree)
-	vs.RowsVerified.Add(int64(out.rows))
+	if vs != nil {
+		vs.RowsVerified.Add(int64(out.rows))
+	}
 	if len(out.diffs) > 0 {
 		m.Divergences.Add(int64(len(out.diffs)))
-		vs.Divergences.Add(int64(len(out.diffs)))
+		if vs != nil {
+			vs.Divergences.Add(int64(len(out.diffs)))
+		}
 		s.e.Report(Divergence{View: v, ViewTS: viewTS, SourceTS: srcTS, Diffs: out.diffs})
 	}
 	if st.cursor == nil {

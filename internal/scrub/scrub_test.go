@@ -126,8 +126,15 @@ func (e *fakeEngine) reportCount() int {
 	return len(e.reports)
 }
 
-func newScrubber(e Engine, maxGroups int) (*Scrubber, *metrics.ScrubMetrics) {
-	m := &metrics.ScrubMetrics{}
+// newScrubber builds a Scrubber over e with a record for each view of e's
+// plan, as the engine keeps one for each view in its catalog.
+func newScrubber(e *fakeEngine, maxGroups int) (*Scrubber, *metrics.ScrubMetrics) {
+	m := &metrics.ScrubMetrics{Views: &metrics.Views{}}
+	var trees []id.Tree
+	for _, v := range e.plan {
+		trees = append(trees, v.Tree)
+	}
+	m.Views.Sync(trees)
 	return New(e, Config{MaxGroups: maxGroups, Metrics: m}), m
 }
 

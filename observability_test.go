@@ -157,10 +157,11 @@ func TestBeginTxContextCancelAbortsLockWait(t *testing.T) {
 	}
 	defer waiter.Rollback()
 	done := make(chan error, 1)
+	waits := db.Metrics().Lock.Waits
 	go func() {
 		done <- waiter.Update("accounts", vtxn.Row{vtxn.Int(0)}, map[int]vtxn.Value{2: vtxn.Int(2)})
 	}()
-	time.Sleep(20 * time.Millisecond) // let the wait queue
+	waitLockWaits(t, db, waits+1)
 	cancel()
 	select {
 	case err = <-done:

@@ -65,8 +65,9 @@
 // "sum_balance" unless AggSpec.Name overrides it.) The deprecated positional
 // fields (GroupByCols, ProjectCols, vtxn.Col) still work for flat views.
 //
-// Observability: DB.Metrics() returns a structured snapshot of every engine
-// counter and latency summary, MetricsHandler serves the same data as
+// Observability: DB.Metrics() is the one counter API, a structured snapshot
+// of every engine counter and latency summary. DB.Describe renders its
+// headline counters as text, MetricsHandler serves the same data as
 // Prometheus text (plus net/http/pprof under /debug/pprof/), and
 // Options.Tracer streams structured engine events (lock waits, folds, group
 // commits) to a hook such as NewSlowLogger.
@@ -118,8 +119,6 @@ type (
 	Tx = core.Tx
 	// Options configure Open.
 	Options = core.Options
-	// Stats are cumulative engine counters (DB.Stats).
-	Stats = core.Stats
 	// ViewRow is one scanned view row: key columns plus results.
 	ViewRow = core.ViewRow
 	// Savepoint marks a statement-level rollback point (Tx.Savepoint /

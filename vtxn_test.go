@@ -77,9 +77,9 @@ func TestPublicAPIQuickstartFlow(t *testing.T) {
 	if err := db.CheckConsistency(); err != nil {
 		t.Fatal(err)
 	}
-	st := db.Stats()
-	if st.Commits == 0 || st.Folds == 0 {
-		t.Fatalf("stats = %+v", st)
+	m := db.Metrics()
+	if m.Engine.Commits == 0 || m.Escrow.FoldRows == 0 {
+		t.Fatalf("engine %+v, escrow %+v", m.Engine, m.Escrow)
 	}
 }
 
