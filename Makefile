@@ -55,9 +55,12 @@ staticcheck:
 # API; the engine's counters live in the metrics registry, the lock manager's
 # in its shards and a view's in its one record, so DB.Stats, lock.Stats, the
 # per-shard wait table and the per-view map copies stay gone, and
-# internal/metrics holds one copy-on-write map. A committed trajectory: a
-# change to internal/ adds its benchmark pair under BENCH_history/ (make
-# bench, then make bench-record).
+# internal/metrics holds one copy-on-write map. A published catalog is
+# read-only: a catalog is written only while it is private, the apply
+# registry publishes it with its maintainers by one atomic pointer, and
+# internal/catalog and internal/apply take no sync.Mutex or sync.RWMutex. A
+# committed trajectory: a change to internal/ adds its benchmark pair under
+# BENCH_history/ (make bench, then make bench-record).
 structure:
 	@out="$$(grep -rl --include='*.go' '"repro/internal/mvcc"' . | grep -v -e '^./internal/mvcc/' -e '^./internal/btree/' -e '^./internal/core/')"; \
 	if [ -n "$$out" ]; then echo "internal/mvcc imported outside internal/btree and internal/core:"; echo "$$out"; exit 1; fi
@@ -90,6 +93,8 @@ structure:
 		if [ -n "$$out" ]; then echo "a second home for a counter is back:"; echo "$$out"; exit 1; fi
 	@test "$$(cat $$(ls internal/metrics/*.go | grep -v '_test\.go$$') | grep -c 'atomic\.Pointer\[map')" = 1 || \
 		{ echo "internal/metrics keeps one copy-on-write per-view map:"; grep -n 'atomic\.Pointer\[map' internal/metrics/*.go; exit 1; }
+	@out="$$(grep -nE 'sync\.(RW)?Mutex' $$(ls internal/catalog/*.go internal/apply/*.go | grep -v '_test\.go$$'))"; \
+		if [ -n "$$out" ]; then echo "a published catalog is read-only: internal/catalog and internal/apply take no locks:"; echo "$$out"; exit 1; fi
 	@if git rev-parse -q --verify '$(BASE)^{commit}' >/dev/null 2>&1; then \
 		if git diff --name-only $(BASE) -- internal | grep -q . && \
 			! git diff --name-only --diff-filter=A $(BASE) -- 'BENCH_history/pr*-change.jsonl' | grep -q .; then \

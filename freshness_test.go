@@ -342,6 +342,76 @@ func TestFreshnessSLOWatchdog(t *testing.T) {
 	}
 }
 
+// TestDeferredStalenessWhileApplierHeld holds the applier's rounds and checks
+// the engine-wide deferred staleness against the per-view one: while a round
+// holds a publish it is above 0 and at least the lagging view's, and once the
+// applier has drained it is 0.
+func TestDeferredStalenessWhileApplierHeld(t *testing.T) {
+	hooks := &delayHooks{}
+	db, err := vtxn.Open(t.TempDir(), vtxn.Options{Hooks: hooks})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	setupPublic(t, db)
+	createDeferredTotals(t, db, "lagging_totals")
+	seedAccounts(t, db, 4)
+	lagging := func(s vtxn.MetricsSnapshot) int64 {
+		t.Helper()
+		for _, v := range s.Freshness.Views {
+			if v.View == "lagging_totals" {
+				return v.StalenessNs
+			}
+		}
+		t.Fatalf("no freshness entry for lagging_totals: %+v", s.Freshness.Views)
+		return 0
+	}
+
+	hooks.SetDelay(200 * time.Millisecond)
+	tx, err := db.Begin(vtxn.ReadCommitted)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Update("accounts", vtxn.Row{vtxn.Int(0)}, map[int]vtxn.Value{2: vtxn.Int(7)}); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	held := 0
+	for deadline := time.Now().Add(5 * time.Second); held < 5 && time.Now().Before(deadline); time.Sleep(10 * time.Millisecond) {
+		s := db.Metrics()
+		view := lagging(s)
+		if view == 0 {
+			continue
+		}
+		held++
+		if engine := s.Deferred.StalenessNs; engine <= 0 || engine < view {
+			t.Fatalf("engine-wide deferred staleness %dns while lagging_totals is %dns stale", engine, view)
+		}
+	}
+	if held == 0 {
+		t.Fatal("lagging_totals never read stale while the applier was held")
+	}
+
+	hooks.SetDelay(0)
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		s := db.Metrics()
+		if s.Deferred.PendingGroups == 0 && lagging(s) == 0 {
+			if s.Deferred.StalenessNs != 0 {
+				t.Fatalf("engine-wide deferred staleness %dns once drained, want 0", s.Deferred.StalenessNs)
+			}
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("applier never drained: %+v", s.Deferred)
+		}
+	}
+	if err := db.CheckConsistency(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestDebugFreshnessEndpoint pins the /debug/freshness JSON endpoint: the
 // per-view freshness section, including the configured SLO.
 func TestDebugFreshnessEndpoint(t *testing.T) {

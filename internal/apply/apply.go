@@ -7,7 +7,7 @@ package apply
 import (
 	"errors"
 	"fmt"
-	"sync"
+	"sync/atomic"
 
 	"repro/internal/btree"
 	"repro/internal/catalog"
@@ -17,42 +17,47 @@ import (
 	"repro/internal/wal"
 )
 
-// Errors surfaced while applying records.
-var (
-	// ErrBadRecord reports a record that cannot be applied.
-	ErrBadRecord = errors.New("apply: malformed record")
-	// ErrNoMaintainer reports an escrow fold against a tree with no
-	// compiled aggregate-view maintainer.
-	ErrNoMaintainer = errors.New("apply: no maintainer for tree")
-)
+// ErrBadRecord reports a record that cannot be applied, such as an escrow
+// fold against a tree with no compiled aggregate-view maintainer.
+var ErrBadRecord = errors.New("apply: malformed record")
 
 // TreeSource supplies trees by ID, creating them on demand (recovery may see
 // records for trees created by a DDL record earlier in the log).
 type TreeSource func(id.Tree) *btree.Tree
 
 // Registry resolves aggregate-view maintainers by view tree ID and tracks
-// the current catalog across DDL records.
+// the current catalog across DDL records. It publishes a catalog and the
+// maintainers compiled from it as one immutable pair, so each read is one
+// atomic load.
 type Registry struct {
-	mu          sync.RWMutex
+	cur atomic.Pointer[schema]
+}
+
+// schema is one published catalog with its compiled maintainers. Neither
+// changes once published (see catalog.Catalog); a DDL record publishes a
+// new pair.
+type schema struct {
 	cat         *catalog.Catalog
 	maintainers map[id.Tree]*view.Maintainer
 }
 
-// NewRegistry compiles maintainers for every aggregate view in cat.
+// NewRegistry compiles maintainers for every view in cat and publishes the
+// pair. cat must not be written afterwards.
 func NewRegistry(cat *catalog.Catalog) (*Registry, error) {
 	r := &Registry{}
-	if err := r.Replace(cat); err != nil {
+	if err := r.replace(cat); err != nil {
 		return nil, err
 	}
 	return r, nil
 }
 
-// Replace swaps in a new catalog (after DDL) and recompiles maintainers.
-// A view's source may be another view: SourceTable supplies the parent's
-// output schema as a pseudo-table, so stacked maintainers compile exactly
-// like flat ones.
-func (r *Registry) Replace(cat *catalog.Catalog) error {
-	ms := make(map[id.Tree]*view.Maintainer)
+// replace compiles maintainers for every view in cat and publishes the pair;
+// cat is read-only from here on. Only NewRegistry and a TDDL record, which
+// brings a freshly decoded catalog, publish one. A view's source may be
+// another view: SourceTable supplies the parent's output schema as a
+// pseudo-table, so stacked maintainers compile exactly like flat ones.
+func (r *Registry) replace(cat *catalog.Catalog) error {
+	ms := make(map[id.Tree]*view.Maintainer, len(cat.Views()))
 	for _, v := range cat.Views() {
 		left, err := cat.SourceTable(v.Left)
 		if err != nil {
@@ -70,26 +75,15 @@ func (r *Registry) Replace(cat *catalog.Catalog) error {
 		}
 		ms[v.ID] = m
 	}
-	r.mu.Lock()
-	r.cat = cat
-	r.maintainers = ms
-	r.mu.Unlock()
+	r.cur.Store(&schema{cat: cat, maintainers: ms})
 	return nil
 }
 
-// Catalog returns the current catalog.
-func (r *Registry) Catalog() *catalog.Catalog {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return r.cat
-}
+// Catalog returns the current catalog, which is read-only.
+func (r *Registry) Catalog() *catalog.Catalog { return r.cur.Load().cat }
 
 // Maintainer returns the compiled plan for a view tree, or nil.
-func (r *Registry) Maintainer(t id.Tree) *view.Maintainer {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return r.maintainers[t]
-}
+func (r *Registry) Maintainer(t id.Tree) *view.Maintainer { return r.cur.Load().maintainers[t] }
 
 // Apply performs the record's action against the trees. Begin/Commit/
 // AbortEnd records are no-ops. CLRs perform their compensating action.
@@ -120,7 +114,7 @@ func Apply(reg *Registry, trees TreeSource, rec *wal.Record) error {
 		if err != nil {
 			return fmt.Errorf("%w: DDL catalog: %v", ErrBadRecord, err)
 		}
-		if err := reg.Replace(cat); err != nil {
+		if err := reg.replace(cat); err != nil {
 			return err
 		}
 		// Materialize trees for every object so later records find them.
@@ -136,7 +130,7 @@ func Apply(reg *Registry, trees TreeSource, rec *wal.Record) error {
 func applyFold(reg *Registry, trees TreeSource, rec *wal.Record) error {
 	m := reg.Maintainer(rec.Tree)
 	if m == nil {
-		return fmt.Errorf("%w: %s", ErrNoMaintainer, rec.Tree)
+		return fmt.Errorf("%w: no maintainer for tree %s", ErrBadRecord, rec.Tree)
 	}
 	tree := trees(rec.Tree)
 	cur, _, ok := tree.Get(rec.Key)

@@ -245,13 +245,13 @@ func TestRegistryReplaceRecompiles(t *testing.T) {
 	if reg.Maintainer(viewID) == nil {
 		t.Fatal("maintainer missing")
 	}
-	// Replace with a catalog lacking the view: maintainer disappears.
+	// Publish a catalog lacking the view: the maintainer disappears.
 	bare := catalog.New()
 	bare.AddTable("acc", []catalog.Column{{Name: "id", Kind: record.KindInt64}}, []int{0})
-	if err := reg.Replace(bare); err != nil {
+	if err := reg.replace(bare); err != nil {
 		t.Fatal(err)
 	}
 	if reg.Maintainer(viewID) != nil {
-		t.Fatal("stale maintainer survived Replace")
+		t.Fatal("stale maintainer survived replace")
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 
 	"repro/internal/expr"
 	"repro/internal/id"
@@ -139,34 +138,46 @@ type View struct {
 	Strategy Strategy
 
 	// Filled by the catalog: dependency depth (0 over a base table, parent
-	// level + 1 over a view) and whether Left names another view.
-	level   int
-	srcView bool
+	// level + 1 over a view).
+	level int
 }
 
 // Join reports whether the view's source is a two-table join.
 func (v *View) Join() bool { return v.Right != "" }
 
-// OverView reports whether the view's source is another view.
-func (v *View) OverView() bool { return v.srcView }
-
 // Level is the view's depth in the dependency DAG: 0 for a view over a base
-// table, parent level + 1 for a view over a view. Tree-ID order is always a
+// table, parent level + 1 for a view over a view, so a view's source is
+// another view exactly when its level is above 0. Tree-ID order is always a
 // valid topological order (a view can only reference relations that already
 // exist when it is created, and drops are rejected while dependents remain),
 // so maintenance cascades process trees in ascending ID order; Level exists
 // for attribution and diagnostics.
 func (v *View) Level() int { return v.level }
 
-// Catalog is the mutable, thread-safe schema registry. It also allocates
-// tree IDs.
+// Catalog is the schema registry. It also allocates tree IDs.
+//
+// A catalog is read-only once published. It is written only while it is
+// private: while New, Decode or a DDL statement's clone builds it. Once the
+// apply layer's Registry publishes it, nobody writes it again, so its readers
+// take no lock, and every listing is computed once, by derive, when the last
+// write lands.
 type Catalog struct {
-	mu       sync.RWMutex
 	tables   map[string]*Table
 	indexes  map[string]*Index
 	views    map[string]*View
-	viewsOn  map[string][]*View // lazy per-table cache, reset on view DDL
 	nextTree id.Tree
+
+	// The listings, recomputed by derive after every write; each is shared
+	// and read-only.
+	tableList   []*Table // by name
+	indexList   []*Index // by name
+	viewList    []*View  // by name
+	viewsByTree []*View
+	deferred    []*View // by tree ID
+	viewsOn     map[string][]*View
+	indexesOn   map[string][]*Index
+	treeIDs     []id.Tree
+	names       map[id.Tree]string
 }
 
 // Errors returned by catalog operations.
@@ -204,8 +215,6 @@ func (c *Catalog) nameTaken(name string) bool {
 
 // AddTable validates and registers a table, assigning its tree ID.
 func (c *Catalog) AddTable(name string, cols []Column, pk []int) (*Table, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	if c.nameTaken(name) {
 		return nil, fmt.Errorf("%w: %q", ErrExists, name)
 	}
@@ -237,13 +246,12 @@ func (c *Catalog) AddTable(name string, cols []Column, pk []int) (*Table, error)
 	}
 	c.nextTree++
 	c.tables[name] = t
+	c.derive()
 	return t, nil
 }
 
 // AddIndex validates and registers a secondary index.
 func (c *Catalog) AddIndex(name, table string, cols []int, unique bool) (*Index, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	if c.nameTaken(name) {
 		return nil, fmt.Errorf("%w: %q", ErrExists, name)
 	}
@@ -268,6 +276,7 @@ func (c *Catalog) AddIndex(name, table string, cols []int, unique bool) (*Index,
 	}
 	c.nextTree++
 	c.indexes[name] = ix
+	c.derive()
 	return ix, nil
 }
 
@@ -277,8 +286,6 @@ func (c *Catalog) AddIndex(name, table string, cols []int, unique bool) (*Index,
 // the dependency-DAG rules (aggregate parent, no joins, escrowable
 // aggregates, deferred parents only feed deferred children).
 func (c *Catalog) AddView(v View) (*View, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	// Normalize the Source alias into Left.
 	if v.Source != "" {
 		if v.Left != "" && v.Left != v.Source {
@@ -290,17 +297,16 @@ func (c *Catalog) AddView(v View) (*View, error) {
 	if c.nameTaken(v.Name) {
 		return nil, fmt.Errorf("%w: %q", ErrExists, v.Name)
 	}
-	leftCols, leftView, err := c.sourceSchemaLocked(v.Left)
+	leftCols, leftView, err := c.sourceSchema(v.Left)
 	if err != nil {
 		return nil, err
 	}
-	v.srcView = leftView != nil
 	if leftView != nil {
 		v.level = leftView.level + 1
 	}
 	srcCols := leftCols
 	if v.Right != "" {
-		if v.srcView {
+		if leftView != nil {
 			return nil, fmt.Errorf("%w: view %q: a view over view %q cannot join", ErrInvalid, v.Name, v.Left)
 		}
 		right, ok := c.tables[v.Right]
@@ -402,7 +408,7 @@ func (c *Catalog) AddView(v View) (*View, error) {
 			}
 		}
 	}
-	if v.srcView {
+	if leftView != nil {
 		// A stacked view's deltas arrive as signed contributions from the
 		// parent's fold/update path, so the child must fold commutatively.
 		if leftView.Kind != ViewAggregate {
@@ -427,15 +433,13 @@ func (c *Catalog) AddView(v View) (*View, error) {
 	nv.ID = c.nextTree
 	c.nextTree++
 	c.views[v.Name] = &nv
-	c.viewsOn = nil
+	c.derive()
 	return &nv, nil
 }
 
 // DropView removes a view definition. It fails with ErrInUse while other
 // views are defined over this one.
 func (c *Catalog) DropView(name string) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	if _, ok := c.views[name]; !ok {
 		return fmt.Errorf("%w: view %q", ErrNotFound, name)
 	}
@@ -445,7 +449,7 @@ func (c *Catalog) DropView(name string) error {
 		}
 	}
 	delete(c.views, name)
-	c.viewsOn = nil
+	c.derive()
 	return nil
 }
 
@@ -546,26 +550,26 @@ func synthAggName(a expr.AggSpec, srcCols []Column) string {
 	return sb.String()
 }
 
-// sourceSchemaLocked returns the column schema of a source relation and, when
+// sourceSchema returns the column schema of a source relation and, when
 // the source is a view, its definition (nil for a base table).
-func (c *Catalog) sourceSchemaLocked(name string) ([]Column, *View, error) {
+func (c *Catalog) sourceSchema(name string) ([]Column, *View, error) {
 	if t, ok := c.tables[name]; ok {
 		return t.Cols, nil, nil
 	}
 	if v, ok := c.views[name]; ok {
-		cols, err := c.viewOutputColsLocked(v)
+		cols, err := c.viewOutputCols(v)
 		return cols, v, err
 	}
 	return nil, nil, fmt.Errorf("%w: source relation %q", ErrNotFound, name)
 }
 
-// viewOutputColsLocked derives the output schema of an aggregate view: group
+// viewOutputCols derives the output schema of an aggregate view: group
 // columns (source names and kinds) followed by aggregate outputs.
-func (c *Catalog) viewOutputColsLocked(v *View) ([]Column, error) {
+func (c *Catalog) viewOutputCols(v *View) ([]Column, error) {
 	if v.Kind != ViewAggregate {
 		return nil, fmt.Errorf("%w: view %q has no stackable output schema", ErrInvalid, v.Name)
 	}
-	srcCols, _, err := c.sourceSchemaLocked(v.Left)
+	srcCols, _, err := c.sourceSchema(v.Left)
 	if err != nil {
 		return nil, err
 	}
@@ -640,8 +644,6 @@ func zeroRow(cols []Column) record.Row {
 // compile against this schema uniformly whether they sit on a table or on
 // another view.
 func (c *Catalog) SourceTable(name string) (*Table, error) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
 	if t, ok := c.tables[name]; ok {
 		return t, nil
 	}
@@ -649,7 +651,7 @@ func (c *Catalog) SourceTable(name string) (*Table, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: source relation %q", ErrNotFound, name)
 	}
-	cols, err := c.viewOutputColsLocked(v)
+	cols, err := c.viewOutputCols(v)
 	if err != nil {
 		return nil, err
 	}
@@ -662,8 +664,6 @@ func (c *Catalog) SourceTable(name string) (*Table, error) {
 
 // Table returns the named table.
 func (c *Catalog) Table(name string) (*Table, error) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
 	t, ok := c.tables[name]
 	if !ok {
 		return nil, fmt.Errorf("%w: table %q", ErrNotFound, name)
@@ -673,8 +673,6 @@ func (c *Catalog) Table(name string) (*Table, error) {
 
 // View returns the named view.
 func (c *Catalog) View(name string) (*View, error) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
 	v, ok := c.views[name]
 	if !ok {
 		return nil, fmt.Errorf("%w: view %q", ErrNotFound, name)
@@ -684,8 +682,6 @@ func (c *Catalog) View(name string) (*View, error) {
 
 // Index returns the named index.
 func (c *Catalog) Index(name string) (*Index, error) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
 	ix, ok := c.indexes[name]
 	if !ok {
 		return nil, fmt.Errorf("%w: index %q", ErrNotFound, name)
@@ -693,103 +689,95 @@ func (c *Catalog) Index(name string) (*Index, error) {
 	return ix, nil
 }
 
-// Tables returns every table, sorted by name.
-func (c *Catalog) Tables() []*Table {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	out := make([]*Table, 0, len(c.tables))
-	for _, t := range c.tables {
-		out = append(out, t)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
+// Tables returns every table, sorted by name. The result is shared and
+// read-only.
+func (c *Catalog) Tables() []*Table { return c.tableList }
+
+// Views returns every view, sorted by name. The result is shared and
+// read-only.
+func (c *Catalog) Views() []*View { return c.viewList }
+
+// ViewsByTree returns every view in ascending tree-ID order, which is a
+// topological order of the dependency DAG (see View.Level). The result is
+// shared and read-only.
+func (c *Catalog) ViewsByTree() []*View { return c.viewsByTree }
+
+// DeferredViews returns the deferred views in ascending tree-ID order. The
+// result is shared and read-only.
+func (c *Catalog) DeferredViews() []*View { return c.deferred }
+
+// Indexes returns every secondary index, sorted by name. The result is shared
+// and read-only.
+func (c *Catalog) Indexes() []*Index { return c.indexList }
+
+// ViewsOn returns every view whose source includes the named relation — a
+// base table or, for stacked views, another view — sorted by name. The result
+// is shared and read-only.
+func (c *Catalog) ViewsOn(source string) []*View { return c.viewsOn[source] }
+
+// IndexesOn returns every secondary index on the table, sorted by name. The
+// result is shared and read-only.
+func (c *Catalog) IndexesOn(table string) []*Index { return c.indexesOn[table] }
+
+// AllTreeIDs returns every allocated tree ID (tables, indexes, views) in
+// ascending order. The result is shared and read-only.
+func (c *Catalog) AllTreeIDs() []id.Tree { return c.treeIDs }
+
+// TreeName returns the name of the table, index or view stored in tree t.
+func (c *Catalog) TreeName(t id.Tree) (string, bool) {
+	name, ok := c.names[t]
+	return name, ok
 }
 
-// Views returns every view, sorted by name.
-func (c *Catalog) Views() []*View {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	out := make([]*View, 0, len(c.views))
-	for _, v := range c.views {
-		out = append(out, v)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
-}
-
-// Indexes returns every secondary index, sorted by name.
-func (c *Catalog) Indexes() []*Index {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	out := make([]*Index, 0, len(c.indexes))
-	for _, ix := range c.indexes {
-		out = append(out, ix)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
-}
-
-// ViewsOn returns every view whose source includes the named relation —
-// a base table or, for stacked views, another view — sorted by name. The
-// per-source cache is keyed by relation name and reset (viewsOn = nil) on
-// every view DDL path (AddView, DropView), so stacked-view entries can never
-// go stale.
-func (c *Catalog) ViewsOn(source string) []*View {
-	c.mu.RLock()
-	out, ok := c.viewsOn[source]
-	c.mu.RUnlock()
-	if ok {
-		return out
-	}
-	// Miss: build and cache under the write lock. Callers must not mutate
-	// the returned slice; it is shared until the next view DDL.
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if out, ok := c.viewsOn[source]; ok {
-		return out
-	}
-	out = make([]*View, 0, 2)
-	for _, v := range c.views {
-		if v.Left == source || v.Right == source {
-			out = append(out, v)
+// derive recomputes every listing from the maps. Decode runs it once, and
+// each mutator at its end, so the listings change only with the catalog and
+// a published catalog's never change.
+func (c *Catalog) derive() {
+	c.tableList = byName(c.tables)
+	c.indexList = byName(c.indexes)
+	c.viewList = byName(c.views)
+	c.viewsByTree = append([]*View(nil), c.viewList...)
+	sort.Slice(c.viewsByTree, func(i, j int) bool { return c.viewsByTree[i].ID < c.viewsByTree[j].ID })
+	c.deferred = nil
+	for _, v := range c.viewsByTree {
+		if v.Strategy == StrategyDeferred {
+			c.deferred = append(c.deferred, v)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	if c.viewsOn == nil {
-		c.viewsOn = make(map[string][]*View)
-	}
-	c.viewsOn[source] = out
-	return out
-}
-
-// IndexesOn returns every secondary index on the table, sorted by name.
-func (c *Catalog) IndexesOn(table string) []*Index {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	var out []*Index
-	for _, ix := range c.indexes {
-		if ix.Table == table {
-			out = append(out, ix)
+	c.viewsOn = make(map[string][]*View)
+	c.names = make(map[id.Tree]string, len(c.tables)+len(c.indexes)+len(c.views))
+	for _, v := range c.viewList {
+		c.viewsOn[v.Left] = append(c.viewsOn[v.Left], v)
+		if v.Right != "" && v.Right != v.Left {
+			c.viewsOn[v.Right] = append(c.viewsOn[v.Right], v)
 		}
+		c.names[v.ID] = v.Name
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
+	c.indexesOn = make(map[string][]*Index)
+	for _, ix := range c.indexList {
+		c.indexesOn[ix.Table] = append(c.indexesOn[ix.Table], ix)
+		c.names[ix.ID] = ix.Name
+	}
+	for _, t := range c.tableList {
+		c.names[t.ID] = t.Name
+	}
+	c.treeIDs = make([]id.Tree, 0, len(c.names))
+	for t := range c.names {
+		c.treeIDs = append(c.treeIDs, t)
+	}
+	sort.Slice(c.treeIDs, func(i, j int) bool { return c.treeIDs[i] < c.treeIDs[j] })
 }
 
-// AllTreeIDs returns every allocated tree ID (tables, indexes, views).
-func (c *Catalog) AllTreeIDs() []id.Tree {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	var out []id.Tree
-	for _, t := range c.tables {
-		out = append(out, t.ID)
+// byName lists a map's values in key order.
+func byName[T any](m map[string]T) []T {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
 	}
-	for _, ix := range c.indexes {
-		out = append(out, ix.ID)
+	sort.Strings(keys)
+	out := make([]T, len(keys))
+	for i, k := range keys {
+		out[i] = m[k]
 	}
-	for _, v := range c.views {
-		out = append(out, v.ID)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }

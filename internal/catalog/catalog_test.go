@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/expr"
+	"repro/internal/id"
 	"repro/internal/record"
 )
 
@@ -202,6 +203,35 @@ func TestLookupsAndLists(t *testing.T) {
 	if tb.ColIndex("balance") != 2 || tb.ColIndex("nope") != -1 {
 		t.Fatal("ColIndex wrong")
 	}
+	// A later view whose name sorts first: by-name and by-tree orders differ.
+	dv := aggView()
+	dv.Name, dv.Strategy = "a_deferred", StrategyDeferred
+	d, err := c.AddView(dv)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bt, _ := c.View("branch_totals")
+	if got := c.Views(); len(got) != 2 || got[0] != d || got[1] != bt {
+		t.Fatalf("Views = %v", got)
+	}
+	if got := c.ViewsOn("accounts"); len(got) != 2 || got[0] != d || got[1] != bt {
+		t.Fatalf("ViewsOn(accounts) = %v", got)
+	}
+	if got := c.ViewsByTree(); len(got) != 2 || got[0] != bt || got[1] != d {
+		t.Fatalf("ViewsByTree = %v", got)
+	}
+	if got := c.DeferredViews(); len(got) != 1 || got[0] != d {
+		t.Fatalf("DeferredViews = %v", got)
+	}
+	ix, _ := c.Index("accounts_branch")
+	for tree, want := range map[id.Tree]string{tb.ID: "accounts", ix.ID: "accounts_branch", d.ID: "a_deferred"} {
+		if name, ok := c.TreeName(tree); !ok || name != want {
+			t.Errorf("TreeName(%s) = %q, %v; want %q", tree, name, ok, want)
+		}
+	}
+	if name, ok := c.TreeName(id.Tree(999)); ok {
+		t.Errorf("TreeName of an unallocated tree = %q", name)
+	}
 }
 
 func TestEncodeDecodeRoundTrip(t *testing.T) {
@@ -249,7 +279,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 			av.JoinLeftCol != bv.JoinLeftCol || av.JoinRightCol != bv.JoinRightCol ||
 			!reflect.DeepEqual(av.Project, bv.Project) || !reflect.DeepEqual(av.GroupBy, bv.GroupBy) ||
 			!reflect.DeepEqual(av.ProjectCols, bv.ProjectCols) || !reflect.DeepEqual(av.GroupByCols, bv.GroupByCols) ||
-			av.Level() != bv.Level() || av.OverView() != bv.OverView() {
+			av.Level() != bv.Level() {
 			t.Fatalf("view %d scalar fields differ:\n%+v\n%+v", i, av, bv)
 		}
 		if (av.Where == nil) != (bv.Where == nil) ||
@@ -340,8 +370,8 @@ func TestNamedPositionalEquivalence(t *testing.T) {
 			t.Fatalf("agg %d: %s vs %s", i, nv.Aggs[i].String(), pv.Aggs[i].String())
 		}
 	}
-	if nv.Level() != 0 || nv.OverView() {
-		t.Fatalf("flat view level=%d overView=%v", nv.Level(), nv.OverView())
+	if nv.Level() != 0 {
+		t.Fatalf("flat view level=%d", nv.Level())
 	}
 }
 
@@ -370,8 +400,8 @@ func TestViewDAGRules(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if child.Level() != 1 || !child.OverView() {
-		t.Fatalf("stacked view level=%d overView=%v", child.Level(), child.OverView())
+	if child.Level() != 1 {
+		t.Fatalf("stacked view level=%d", child.Level())
 	}
 	// The per-source cache indexes views over views, and resets on DDL.
 	if vs := c.ViewsOn("branch_totals"); len(vs) != 1 || vs[0].Name != "grand_totals" {

@@ -20,19 +20,12 @@ const encodingVersion = 2
 
 // Encode serializes the whole catalog for the snapshot.
 func (c *Catalog) Encode() []byte {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
 	var b []byte
 	b = append(b, encodingVersion)
 	b = binary.AppendUvarint(b, uint64(c.nextTree))
 
-	tables := make([]*Table, 0, len(c.tables))
-	for _, t := range c.tables {
-		tables = append(tables, t)
-	}
-	sortByName(tables, func(t *Table) string { return t.Name })
-	b = binary.AppendUvarint(b, uint64(len(tables)))
-	for _, t := range tables {
+	b = binary.AppendUvarint(b, uint64(len(c.tableList)))
+	for _, t := range c.tableList {
 		b = putString(b, t.Name)
 		b = binary.AppendUvarint(b, uint64(t.ID))
 		b = binary.AppendUvarint(b, uint64(len(t.Cols)))
@@ -43,13 +36,8 @@ func (c *Catalog) Encode() []byte {
 		b = putInts(b, t.PK)
 	}
 
-	indexes := make([]*Index, 0, len(c.indexes))
-	for _, ix := range c.indexes {
-		indexes = append(indexes, ix)
-	}
-	sortByName(indexes, func(ix *Index) string { return ix.Name })
-	b = binary.AppendUvarint(b, uint64(len(indexes)))
-	for _, ix := range indexes {
+	b = binary.AppendUvarint(b, uint64(len(c.indexList)))
+	for _, ix := range c.indexList {
 		b = putString(b, ix.Name)
 		b = binary.AppendUvarint(b, uint64(ix.ID))
 		b = putString(b, ix.Table)
@@ -57,13 +45,8 @@ func (c *Catalog) Encode() []byte {
 		b = putBool(b, ix.Unique)
 	}
 
-	views := make([]*View, 0, len(c.views))
-	for _, v := range c.views {
-		views = append(views, v)
-	}
-	sortByName(views, func(v *View) string { return v.Name })
-	b = binary.AppendUvarint(b, uint64(len(views)))
-	for _, v := range views {
+	b = binary.AppendUvarint(b, uint64(len(c.viewList)))
+	for _, v := range c.viewList {
 		b = putString(b, v.Name)
 		b = binary.AppendUvarint(b, uint64(v.ID))
 		b = append(b, byte(v.Kind), byte(v.Strategy))
@@ -149,21 +132,20 @@ func Decode(b []byte) (*Catalog, error) {
 	if len(d.buf) != 0 {
 		return nil, fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(d.buf))
 	}
-	if err := c.finishViewsLocked(); err != nil {
+	if err := c.finishViews(); err != nil {
 		return nil, err
 	}
+	c.derive()
 	return c, nil
 }
 
-// finishViewsLocked recomputes the derived DAG fields (Source alias, level,
-// srcView) after decoding, with a defensive cycle check: AddView cannot
-// create a cycle (a view only ever references relations that already exist),
-// but a corrupt blob could, and the schema derivation recurses on the source
-// chain.
-func (c *Catalog) finishViewsLocked() error {
+// finishViews recomputes the derived DAG fields (Source alias, level) after
+// decoding, with a defensive cycle check: AddView cannot create a cycle (a
+// view only ever references relations that already exist), but a corrupt
+// blob could, and the schema derivation recurses on the source chain.
+func (c *Catalog) finishViews() error {
 	for _, v := range c.views {
 		v.Source = v.Left
-		_, v.srcView = c.views[v.Left]
 		lvl := 0
 		for cur := v; ; lvl++ {
 			p, ok := c.views[cur.Left]
@@ -178,14 +160,6 @@ func (c *Catalog) finishViewsLocked() error {
 		v.level = lvl
 	}
 	return nil
-}
-
-func sortByName[T any](s []T, name func(T) string) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && name(s[j]) < name(s[j-1]); j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
 }
 
 func putString(b []byte, s string) []byte {

@@ -166,3 +166,31 @@ func TestScrubWantAllocsPerGroup(t *testing.T) {
 		t.Fatalf("Want allocates %.0f times for %d groups over %d rows: it must not allocate per row", got, groups, rows)
 	}
 }
+
+// TestSchemaReadAllocs: a published catalog is read-only and its listings are
+// computed once, so reading the schema allocates nothing.
+func TestSchemaReadAllocs(t *testing.T) {
+	db := allocDB(t, catalog.StrategyEscrow)
+	if err := db.CreateIndex("by_branch", "accounts", []int{1}, false); err != nil {
+		t.Fatal(err)
+	}
+	cat := db.Catalog()
+	if len(cat.ViewsOn("accounts")) != 1 || len(cat.IndexesOn("accounts")) != 1 ||
+		len(cat.Views()) != 1 || len(cat.Tables()) != 1 {
+		t.Fatalf("catalog not populated: views on accounts %v, indexes %v", cat.ViewsOn("accounts"), cat.IndexesOn("accounts"))
+	}
+	for _, c := range []struct {
+		name string
+		read func()
+	}{
+		{"DB.Catalog", func() { db.Catalog() }},
+		{"ViewsOn", func() { cat.ViewsOn("accounts") }},
+		{"IndexesOn", func() { cat.IndexesOn("accounts") }},
+		{"Views", func() { cat.Views() }},
+		{"Tables", func() { cat.Tables() }},
+	} {
+		if got := testing.AllocsPerRun(100, c.read); got != 0 {
+			t.Errorf("%s allocates %.1f per call, want 0", c.name, got)
+		}
+	}
+}

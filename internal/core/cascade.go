@@ -70,12 +70,12 @@ func (db *DB) foldSet(t *txn.Txn, p *escrow.Pending) (folded []viewFolds, deferr
 			return nil, nil, fmt.Errorf("core: fold against unknown view %s", tree)
 		case divert:
 			deferred = append(deferred, applier.GroupDelta{Tree: tree, Key: string(key), Deltas: ds})
-			if m.V.OverView() {
+			if m.V.Level() > 0 {
 				db.met.Cascade.DeferredOut.Add(1)
 			}
 			continue
 		}
-		fr, err := db.foldRow(t, m, key, ds, m.V.OverView() || t.Sys)
+		fr, err := db.foldRow(t, m, key, ds, m.V.Level() > 0 || t.Sys)
 		if err != nil {
 			return nil, nil, err
 		}

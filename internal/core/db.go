@@ -150,11 +150,9 @@ type DB struct {
 	bg runner
 
 	// applierQ feeds the deferred-view applier task (deferred.go).
-	// deferredPending/deferredOldestNs are the applier's backlog gauges for
-	// Metrics.
-	applierQ         *deferredQueue
-	deferredPending  atomic.Int64
-	deferredOldestNs atomic.Int64
+	// deferredPending is the applier's backlog gauge for Metrics.
+	applierQ        *deferredQueue
+	deferredPending atomic.Int64
 	// deferredStale is the applier-maintained per-view oldest-unapplied-
 	// publish table (wall ns); Metrics merges it with a queue scan into each
 	// view's staleness gauge (deferred.go).
@@ -292,10 +290,8 @@ func Open(path string, opts Options) (*DB, error) {
 	// to the dependent subtree, so a view whose source view is itself deferred
 	// is covered by the source's refresh and skipped here.
 	if !st.Summary.Fresh {
-		views := db.deferredViews()
-		sort.Slice(views, func(i, j int) bool { return views[i].ID < views[j].ID })
 		cat := db.Catalog()
-		for _, v := range views {
+		for _, v := range cat.DeferredViews() {
 			if p, err := cat.View(v.Left); err == nil && p.Strategy == catalog.StrategyDeferred {
 				continue
 			}
@@ -399,7 +395,7 @@ func (db *DB) Metrics() metrics.Snapshot {
 	s.MVCC.OldestSnapshotAgeNs = db.oracle.OldestSnapshotAge(now).Nanoseconds()
 	s.MVCC.Watermark = db.oracle.ReadTS()
 	s.Deferred.PendingGroups = db.deferredPending.Load()
-	if views := db.deferredViews(); len(views) > 0 {
+	if views := db.Catalog().DeferredViews(); len(views) > 0 {
 		readTS := db.oracle.ReadTS()
 		var minWM uint64
 		for i, v := range views {
@@ -418,23 +414,20 @@ func (db *DB) Metrics() metrics.Snapshot {
 			s.Deferred.LagTS = readTS - minWM
 		}
 	}
-	if oldest := db.deferredOldestNs.Load(); oldest > 0 && now.UnixNano() > oldest {
-		s.Deferred.StalenessNs = now.UnixNano() - oldest
-	}
 	s.Freshness.SLONs = int64(db.opts.FreshnessSLO)
 	s.Scrub.Enabled = db.opts.ScrubInterval >= 0 && !db.closed.Load()
 	// The per-view listings, in one pass over the views by tree ID. A
 	// deferred view is as stale as its oldest unapplied publish (the
 	// applier's table merged with the undrained queue); the others are
-	// maintained inside the commit and never stale.
-	views := db.Catalog().Views()
-	sort.Slice(views, func(i, j int) bool { return views[i].ID < views[j].ID })
+	// maintained inside the commit and never stale. The engine is as stale
+	// as its stalest view.
 	staleOldest := db.deferredStaleOldest()
-	for _, v := range views {
+	for _, v := range db.Catalog().ViewsByTree() {
 		var staleNs int64
 		if w, ok := staleOldest[v.ID]; ok && v.Strategy == catalog.StrategyDeferred && now.UnixNano() > w {
 			staleNs = now.UnixNano() - w
 		}
+		s.Deferred.StalenessNs = max(s.Deferred.StalenessNs, staleNs)
 		// A view created or dropped since the catalog read has no record here.
 		if rec := db.met.Views.Get(v.ID); rec != nil {
 			rec.AppendTo(&s, v.ID, v.Name, v.Strategy.String(), staleNs)

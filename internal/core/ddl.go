@@ -15,12 +15,19 @@ import (
 )
 
 // ddl runs mutate against a clone of the current catalog, logs the change as
-// a TDDL record inside a system transaction (which installs the new catalog
+// a TDDL record inside a system transaction (which publishes the new catalog
 // via the apply layer), and then runs backfill (still inside the same system
 // transaction) to populate any new tree. preFinish, when non-nil, runs after
 // the system transaction's versions are stamped but before its timestamp
 // publishes — where deferred-view barriers must be emitted (db.runSysTxnHook).
-func (db *DB) ddl(mutate func(c *catalog.Catalog) error, backfill func(st *txn.Txn) error, preFinish func(ts uint64)) error {
+//
+// lock, when non-nil, runs in the system transaction before the TDDL record:
+// it S-locks the relations whose view or index lists change. A writer reads
+// those lists after it has locked the relation it writes, so writers already
+// holding it finish under the old catalog, and later ones wait for the commit
+// and read the new one: no transaction sees a view or an index come or go
+// between its statements and its commit.
+func (db *DB) ddl(mutate func(c *catalog.Catalog) error, lock, backfill func(st *txn.Txn) error, preFinish func(ts uint64)) error {
 	if db.closed.Load() {
 		return ErrClosed
 	}
@@ -45,6 +52,11 @@ func (db *DB) ddl(mutate func(c *catalog.Catalog) error, backfill func(st *txn.T
 		return err
 	}
 	err = db.runSysTxnHook(func(st *txn.Txn) error {
+		if lock != nil {
+			if err := lock(st); err != nil {
+				return err
+			}
+		}
 		rec := &wal.Record{Type: wal.TDDL, OldVal: oldBlob, NewVal: newBlob}
 		if err := db.logOp(st, rec); err != nil {
 			return err
@@ -68,7 +80,7 @@ func (db *DB) CreateTable(name string, cols []catalog.Column, pk []int) error {
 	return db.ddl(func(c *catalog.Catalog) error {
 		_, err := c.AddTable(name, cols, pk)
 		return err
-	}, nil, nil)
+	}, nil, nil, nil)
 }
 
 // CreateIndex registers a secondary index and backfills it from the table.
@@ -77,6 +89,13 @@ func (db *DB) CreateIndex(name, table string, cols []int, unique bool) error {
 		_, err := c.AddIndex(name, table, cols, unique)
 		return err
 	}, func(st *txn.Txn) error {
+		// Block writers of the base table until the backfill commits.
+		tbl, err := db.Catalog().Table(table)
+		if err != nil {
+			return err
+		}
+		return db.lockTree(st, tbl.ID, lock.ModeS)
+	}, func(st *txn.Txn) error {
 		cat := db.Catalog() // post-DDL catalog
 		ix, err := cat.Index(name)
 		if err != nil {
@@ -84,10 +103,6 @@ func (db *DB) CreateIndex(name, table string, cols []int, unique bool) error {
 		}
 		tbl, err := cat.Table(table)
 		if err != nil {
-			return err
-		}
-		// Block writers of the base table while backfilling.
-		if err := db.lockTree(st, tbl.ID, lock.ModeS); err != nil {
 			return err
 		}
 		seen := map[string]bool{}
@@ -119,32 +134,22 @@ func (db *DB) CreateIndex(name, table string, cols []int, unique bool) error {
 // its watermark at the backfill's commit timestamp (the base-table S locks
 // held through commit order the barrier before any later commit's batch).
 func (db *DB) CreateIndexedView(def catalog.View) error {
-	var deferredTree id.Tree
-	var isDeferred bool
+	var added *catalog.View
 	return db.ddl(func(c *catalog.Catalog) error {
 		v, err := c.AddView(def)
 		if err != nil {
 			return wrapViewErr("create view", def.Name, err)
 		}
-		if v.Strategy == catalog.StrategyDeferred {
-			deferredTree = v.ID
-			isDeferred = true
-		}
+		added = v
 		return nil
 	}, func(st *txn.Txn) error {
-		cat := db.Catalog()
-		v, err := cat.View(def.Name)
-		if err != nil {
-			return err
-		}
-		m := db.reg.Maintainer(v.ID)
+		return db.lockSources(st, db.Catalog(), added)
+	}, func(st *txn.Txn) error {
+		m := db.reg.Maintainer(added.ID)
 		if m == nil {
 			return fmt.Errorf("core: view %q has no compiled maintainer", def.Name)
 		}
-		if err := db.lockSources(st, cat, v); err != nil {
-			return err
-		}
-		leftRows, rightRows, err := db.viewSourceRows(cat, v, latest)
+		leftRows, rightRows, err := db.viewSourceRows(db.Catalog(), added, latest)
 		if err != nil {
 			return err
 		}
@@ -153,22 +158,22 @@ func (db *DB) CreateIndexedView(def catalog.View) error {
 			return err
 		}
 		for _, e := range entries {
-			rec := &wal.Record{Type: wal.TInsert, Tree: v.ID, Key: e.Key, NewVal: record.EncodeRow(e.Val)}
+			rec := &wal.Record{Type: wal.TInsert, Tree: added.ID, Key: e.Key, NewVal: record.EncodeRow(e.Val)}
 			if err := db.logOp(st, rec); err != nil {
 				return err
 			}
 		}
 		return nil
 	}, func(ts uint64) {
-		// mutate sets isDeferred before this hook can run, so reading it here
+		// mutate sets added before this hook can run, so reading it here
 		// (rather than deciding at the ddl call) is what makes this correct.
-		if isDeferred {
+		if added.Strategy == catalog.StrategyDeferred {
 			// The view equals its source as of ts from this moment, so its
 			// watermark says so from this moment: the barrier below reaches
 			// the applier later, and until a view has a watermark nothing
 			// holds the prune horizon to it.
-			db.oracle.AdvanceViewWatermark(deferredTree, ts)
-			db.publishDeferredBarrier(deferredTree, ts, false)
+			db.oracle.AdvanceViewWatermark(added.ID, ts)
+			db.publishDeferredBarrier(added.ID, ts, false)
 		}
 	})
 }
@@ -177,29 +182,29 @@ func (db *DB) CreateIndexedView(def catalog.View) error {
 // view publishes a drop barrier so the applier discards its pending deltas
 // and retires its watermark.
 func (db *DB) DropView(name string) error {
-	var viewTree id.Tree
-	var wasDeferred bool
+	var dropped *catalog.View
 	return db.ddl(func(c *catalog.Catalog) error {
 		v, err := c.View(name)
 		if err != nil {
 			return wrapViewErr("drop view", name, err)
 		}
-		viewTree = v.ID
-		wasDeferred = v.Strategy == catalog.StrategyDeferred
+		dropped = v
 		return wrapViewErr("drop view", name, c.DropView(name))
 	}, func(st *txn.Txn) error {
+		return db.lockSources(st, db.Catalog(), dropped)
+	}, func(st *txn.Txn) error {
 		// Physically clear the view's tree (logged so recovery agrees).
-		items := db.tree(viewTree).Items(nil, nil, true)
+		items := db.tree(dropped.ID).Items(nil, nil, true)
 		for _, it := range items {
-			rec := &wal.Record{Type: wal.TDelete, Tree: viewTree, Key: it.Key, OldVal: it.Val, OldGhost: it.Ghost}
+			rec := &wal.Record{Type: wal.TDelete, Tree: dropped.ID, Key: it.Key, OldVal: it.Val, OldGhost: it.Ghost}
 			if err := db.logOp(st, rec); err != nil {
 				return err
 			}
 		}
 		return nil
 	}, func(ts uint64) {
-		if wasDeferred {
-			db.publishDeferredBarrier(viewTree, ts, true)
+		if dropped.Strategy == catalog.StrategyDeferred {
+			db.publishDeferredBarrier(dropped.ID, ts, true)
 		}
 	})
 }
@@ -223,9 +228,8 @@ func wrapViewErr(op, name string, err error) error {
 // source relation until st ends so a recompute reads it stable. For a
 // view-over-view the pseudo-table's ID is the parent view's tree, so the S
 // lock serializes against in-flight escrow writers' IX locks: their
-// commit-time cascade folds land either wholly before the scan (the recompute
-// sees them) or wholly after (the cascade, which sees this view in the
-// catalog by then, maintains it incrementally).
+// commit-time cascade folds land wholly before the scan (the recompute sees
+// them), and later writers wait for st to end.
 func (db *DB) lockSources(st *txn.Txn, cat *catalog.Catalog, v *catalog.View) error {
 	left, err := cat.SourceTable(v.Left)
 	if err != nil {

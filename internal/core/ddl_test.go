@@ -1,10 +1,13 @@
 package core
 
 import (
+	"context"
 	"errors"
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/catalog"
 	"repro/internal/expr"
@@ -154,4 +157,98 @@ func TestDDLUnderConcurrentWriters(t *testing.T) {
 	if total != inserted.Load() {
 		t.Fatalf("view counts %d rows, %d were committed", total, inserted.Load())
 	}
+}
+
+// TestSchemaReplacedUnderLoad publishes catalogs in a loop (create view,
+// create index, drop view) while writers update, a snapshot reader scans a
+// view and a poller reads Metrics. Under the race detector it is the test
+// that catches a write to a published catalog.
+func TestSchemaReplacedUnderLoad(t *testing.T) {
+	db := openTestDB(t, Options{})
+	setupBanking(t, db, catalog.StrategyEscrow)
+	const accounts = 16
+	rows := make([]record.Row, accounts)
+	for i := range rows {
+		rows[i] = acctRow(int64(i), int64(i%4), 100)
+	}
+	insertAccounts(t, db, rows...)
+
+	var stop atomic.Bool
+	var steps atomic.Int64
+	var wg sync.WaitGroup
+	errs := make(chan error, 4)
+	run := func(step func() error) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for !stop.Load() {
+				if err := step(); err != nil {
+					errs <- err
+					return
+				}
+				steps.Add(1)
+			}
+		}()
+	}
+	for w := 0; w < 2; w++ {
+		i := int64(0)
+		run(func() error { // each writer owns the rows of its parity
+			i++
+			tx, err := db.Begin(txn.ReadCommitted)
+			if err != nil {
+				return err
+			}
+			pk := record.Row{record.Int((2*i + int64(w)) % accounts)}
+			if err := tx.Update("accounts", pk, map[int]record.Value{2: record.Int(i)}); err != nil {
+				tx.Rollback()
+				return err
+			}
+			return tx.Commit()
+		})
+	}
+	run(func() error {
+		tx, err := db.BeginTx(context.Background(), TxOptions{Isolation: txn.Snapshot})
+		if err != nil {
+			return err
+		}
+		if _, err := tx.ScanView("branch_totals"); err != nil {
+			tx.Rollback()
+			return err
+		}
+		return tx.Commit()
+	})
+	run(func() error {
+		db.Metrics()
+		return nil
+	})
+
+	for steps.Load() < 20 {
+		time.Sleep(time.Millisecond)
+	}
+	for i := 0; i < 8; i++ {
+		if err := db.CreateIndexedView(catalog.View{
+			Name: "extra", Kind: catalog.ViewAggregate, Source: "accounts",
+			GroupBy:  []string{"branch"},
+			Aggs:     []expr.AggSpec{{Func: expr.AggSum, Arg: expr.NamedCol("balance")}},
+			Strategy: []catalog.Strategy{catalog.StrategyEscrow, catalog.StrategyDeferred}[i%2],
+		}); err != nil {
+			t.Error(err)
+			break
+		}
+		if err := db.CreateIndex(fmt.Sprintf("by_balance_%d", i), "accounts", []int{2}, false); err != nil {
+			t.Error(err)
+			break
+		}
+		if err := db.DropView("extra"); err != nil {
+			t.Error(err)
+			break
+		}
+	}
+	stop.Store(true)
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	checkConsistent(t, db)
 }

@@ -194,7 +194,6 @@ func (db *DB) applierRound(co *applier.Coalescer) {
 	// FinishCommit let wm reach it, so the drain below captures its batch.
 	wm := db.oracle.ReadTS()
 	msgs := db.applierQ.take()
-	var minWall int64
 	var ahead []applier.Msg
 	for _, m := range msgs {
 		switch {
@@ -204,9 +203,6 @@ func (db *DB) applierRound(co *applier.Coalescer) {
 			in, coalesced := co.Add(m.Batch)
 			db.met.Deferred.DeltasIn.Add(int64(in))
 			db.met.Deferred.DeltasCoalesced.Add(int64(coalesced))
-			if minWall == 0 || m.Batch.WallNs < minWall {
-				minWall = m.Batch.WallNs
-			}
 		case m.Barrier != nil:
 			// Everything pending for the tree precedes the barrier in queue
 			// order, so it is already incorporated in the recompute (or gone
@@ -262,7 +258,7 @@ func (db *DB) applierRound(co *applier.Coalescer) {
 		cat := db.Catalog()
 		rootOf := make(map[id.Tree]id.Tree)
 		members := make(map[id.Tree][]*catalog.View)
-		for _, v := range db.deferredViews() {
+		for _, v := range cat.DeferredViews() {
 			r := deferredComponentRoot(cat, v)
 			rootOf[v.ID] = r
 			members[r] = append(members[r], v)
@@ -281,8 +277,7 @@ func (db *DB) applierRound(co *applier.Coalescer) {
 		}
 		sort.Slice(order, func(i, j int) bool { return order[i] < order[j] })
 		for _, r := range order {
-			ms := members[r]
-			sort.Slice(ms, func(i, j int) bool { return ms[i].ID < ms[j].ID })
+			ms := members[r] // in tree-ID order, as DeferredViews lists them
 			if folds, err := db.applyDeferredComponent(ms, comp[r], wm); err != nil {
 				// The component's system transaction rolled back whole; keep
 				// its groups pending (merging with later publishes) and hold
@@ -343,20 +338,13 @@ func (db *DB) applierRound(co *applier.Coalescer) {
 		}
 	}
 
-	// Staleness gauges: engine-wide age of the oldest publish not yet folded,
-	// and the per-view clocks (now only the retry groups still pending).
-	if co.Len() == 0 {
-		db.deferredOldestNs.Store(0)
-	} else if db.deferredOldestNs.Load() == 0 {
-		if minWall == 0 {
-			minWall = time.Now().UnixNano()
-		}
-		db.deferredOldestNs.Store(minWall)
-	}
+	// Backlog gauges: the groups still pending and the per-view staleness
+	// clocks (now only the retry groups). Metrics derives the engine-wide
+	// staleness from the per-view clocks.
 	db.deferredPending.Store(int64(co.Len()))
 	end := make(map[id.Tree]int64)
 	if co.Len() > 0 {
-		for _, v := range db.deferredViews() {
+		for _, v := range db.Catalog().DeferredViews() {
 			if w := co.OldestPendingWallNs(v.ID); w != 0 {
 				end[v.ID] = w
 			}
@@ -395,11 +383,10 @@ func (db *DB) deferredStaleOldest() map[id.Tree]int64 {
 // advanceDeferredWatermarks publishes wm for every deferred view in the
 // catalog except those whose fold round just failed.
 func (db *DB) advanceDeferredWatermarks(wm uint64, except map[id.Tree]bool) {
-	for _, v := range db.Catalog().Views() {
-		if v.Strategy != catalog.StrategyDeferred || except[v.ID] {
-			continue
+	for _, v := range db.Catalog().DeferredViews() {
+		if !except[v.ID] {
+			db.oracle.AdvanceViewWatermark(v.ID, wm)
 		}
-		db.oracle.AdvanceViewWatermark(v.ID, wm)
 	}
 }
 
@@ -547,17 +534,6 @@ func (db *DB) applyDeferredComponent(members []*catalog.View, groups []applier.G
 	return folds, nil
 }
 
-// deferredViews lists the catalog's deferred views.
-func (db *DB) deferredViews() []*catalog.View {
-	var out []*catalog.View
-	for _, v := range db.Catalog().Views() {
-		if v.Strategy == catalog.StrategyDeferred {
-			out = append(out, v)
-		}
-	}
-	return out
-}
-
 // ViewWatermark reports the highest commit timestamp whose effects are
 // visible in the view: the applier's applied watermark for a deferred view,
 // or the oracle's read timestamp for an immediately maintained one (which is
@@ -598,7 +574,7 @@ func (tx *Tx) ViewWatermark(viewName string) (uint64, error) {
 // the oracle's current read timestamp — i.e. the applier has folded
 // everything committed before the call.
 func (db *DB) waitDeferredCaughtUp(timeout time.Duration) error {
-	views := db.deferredViews()
+	views := db.Catalog().DeferredViews()
 	if len(views) == 0 {
 		return nil
 	}
@@ -618,7 +594,7 @@ func (db *DB) waitDeferredCaughtUp(timeout time.Duration) error {
 // watermark has reached the current read timestamp.
 func (db *DB) deferredCaughtUp() bool {
 	target := db.oracle.ReadTS()
-	for _, v := range db.deferredViews() {
+	for _, v := range db.Catalog().DeferredViews() {
 		if db.oracle.ViewWatermark(v.ID) < target {
 			return false
 		}

@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/id"
+	"repro/internal/catalog"
 	"repro/internal/metrics"
 	"repro/internal/record"
 )
@@ -14,35 +14,24 @@ import (
 const hotTopK = 10
 
 // hotspots builds the heavy-hitter listings of a metrics snapshot: sketch
-// entries with tree IDs resolved to catalog names and encoded group keys
-// decoded into their human-readable values. Metrics adds the per-view
-// maintenance cost table.
+// entries with tree IDs resolved to catalog names (lock waits attribute any
+// key resource, so base-table and index rows can surface too) and encoded
+// group keys decoded into their human-readable values. Metrics adds the
+// per-view maintenance cost table.
 func (db *DB) hotspots() metrics.HotspotsSnapshot {
 	cat := db.Catalog()
-	names := make(map[id.Tree]string)
-	for _, v := range cat.Views() {
-		names[v.ID] = v.Name
-	}
-	// Lock waits attribute any key resource, so base-table and index rows
-	// can surface too; name them as well.
-	for _, t := range cat.Tables() {
-		names[t.ID] = t.Name
-	}
-	for _, ix := range cat.Indexes() {
-		names[ix.ID] = ix.Name
-	}
 	return metrics.HotspotsSnapshot{
 		SketchCapacity: db.met.Hot.LockWait.Cap(),
-		TopWait:        hotGroups(db.met.Hot.LockWait.Top(hotTopK), names),
-		TopDelta:       hotGroups(db.met.Hot.EscrowDeltas.Top(hotTopK), names),
+		TopWait:        hotGroups(db.met.Hot.LockWait.Top(hotTopK), cat),
+		TopDelta:       hotGroups(db.met.Hot.EscrowDeltas.Top(hotTopK), cat),
 	}
 }
 
 // hotGroups renders sketch entries for the snapshot.
-func hotGroups(stats []metrics.HotStat, names map[id.Tree]string) []metrics.HotGroupSnapshot {
+func hotGroups(stats []metrics.HotStat, cat *catalog.Catalog) []metrics.HotGroupSnapshot {
 	out := make([]metrics.HotGroupSnapshot, 0, len(stats))
 	for _, st := range stats {
-		name, ok := names[st.Key.Tree]
+		name, ok := cat.TreeName(st.Key.Tree)
 		if !ok {
 			name = st.Key.Tree.String()
 		}

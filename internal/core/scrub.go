@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"sort"
 
 	"repro/internal/catalog"
 	"repro/internal/fault"
@@ -45,8 +44,7 @@ func (e scrubEngine) Plan() []scrub.View {
 		return nil
 	}
 	cat := db.Catalog()
-	views := cat.Views()
-	sort.Slice(views, func(i, j int) bool { return views[i].ID < views[j].ID })
+	views := cat.ViewsByTree()
 	out := make([]scrub.View, 0, len(views))
 	for _, v := range views {
 		pair := false
@@ -120,11 +118,11 @@ func (e scrubEngine) Want(tree id.Tree, ts uint64) ([]verify.Entry, int, error) 
 	db.gate.RLock()
 	defer db.gate.RUnlock()
 	cat := db.Catalog()
-	v := viewByTree(cat, tree)
 	m := db.reg.Maintainer(tree)
-	if v == nil || m == nil {
+	if m == nil {
 		return nil, 0, fmt.Errorf("core: scrub of unknown view %s", tree)
 	}
+	v := m.V
 	if v.Kind == catalog.ViewAggregate && !v.Join() {
 		// One source, aggregated as it streams past: a pass costs memory in
 		// the view's groups, not in the source's rows.
@@ -177,16 +175,6 @@ func (e scrubEngine) Report(d scrub.Divergence) {
 		db.flight.Trigger(fmt.Sprintf("scrub divergence: view %q group %s: %s (view@%d vs source@%d)",
 			d.View.Name, decodeHotKey(string(first.Key)), first.Detail(), d.ViewTS, d.SourceTS))
 	}
-}
-
-// viewByTree finds a catalog view by its tree ID.
-func viewByTree(cat *catalog.Catalog, tree id.Tree) *catalog.View {
-	for _, v := range cat.Views() {
-		if v.ID == tree {
-			return v
-		}
-	}
-	return nil
 }
 
 // ScrubNow runs one full verification pass over every view on the caller's

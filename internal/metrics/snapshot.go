@@ -210,7 +210,8 @@ type DeferredSnapshot struct {
 	Watermark uint64 `json:"watermark"`
 	LagTS     uint64 `json:"lag_ts"`
 	// StalenessNs is how long the oldest unapplied publish has been waiting
-	// (zero when the applier is caught up) — the bounded-staleness gauge.
+	// (zero when the applier is caught up) — the bounded-staleness gauge,
+	// the largest of the per-view staleness gauges in Freshness.Views.
 	StalenessNs int64        `json:"staleness_ns"`
 	Apply       HistSnapshot `json:"apply"`
 	// Views lists each deferred view's applied watermark.

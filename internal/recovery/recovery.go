@@ -9,6 +9,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"sort"
 	"time"
 
 	"repro/internal/apply"
@@ -150,13 +151,19 @@ func RunFS(fsys fault.FS, dirPath string, mode wal.SyncMode) (*State, error) {
 		return nil, err
 	}
 
-	// Undo pass: roll back losers, newest operations first, skipping
-	// operations already compensated before the crash.
+	// Undo pass: roll back losers, newest transaction and newest operation
+	// first, skipping operations already compensated before the crash. The
+	// fixed order makes restart append the same records for the same log.
 	phaseStart = time.Now()
+	var losers []id.Txn
 	for tid, ti := range txns {
-		if !ti.began || ti.finished {
-			continue
+		if ti.began && !ti.finished {
+			losers = append(losers, tid)
 		}
+	}
+	sort.Slice(losers, func(i, j int) bool { return losers[i] > losers[j] })
+	for _, tid := range losers {
+		ti := txns[tid]
 		sum.Losers++
 		for i := len(ti.ops) - 1; i >= 0; i-- {
 			op := ti.ops[i]

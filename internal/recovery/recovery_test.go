@@ -2,6 +2,8 @@ package recovery
 
 import (
 	"os"
+	"path/filepath"
+	"reflect"
 	"testing"
 
 	"repro/internal/catalog"
@@ -206,4 +208,99 @@ func TestTornTailTruncatedOnRecovery(t *testing.T) {
 	if !found {
 		t.Fatal("committed row lost after torn-tail recovery")
 	}
+}
+
+// TestRestartIsDeterministic recovers copies of one crashed directory with
+// several losers: each restart must write the same bytes, so the losers are
+// undone in a fixed order.
+func TestRestartIsDeterministic(t *testing.T) {
+	crashed := t.TempDir()
+	st, err := Run(crashed, wal.SyncNone)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cat := catalog.New()
+	tbl, err := cat.AddTable("t", []catalog.Column{{Name: "id", Kind: record.KindInt64}}, []int{0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := st.Log
+	append_ := func(rec *wal.Record) {
+		t.Helper()
+		if _, err := w.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	append_(&wal.Record{Type: wal.TBegin, Txn: 1, Sys: true})
+	append_(&wal.Record{Type: wal.TDDL, Txn: 1, Sys: true, OldVal: catalog.New().Encode(), NewVal: cat.Encode()})
+	append_(&wal.Record{Type: wal.TCommit, Txn: 1, Sys: true})
+	// Eight losers, their inserts interleaved, none committed.
+	const losers = 8
+	for txn := id.Txn(2); txn < 2+losers; txn++ {
+		append_(&wal.Record{Type: wal.TBegin, Txn: txn})
+	}
+	for round := int64(0); round < 2; round++ {
+		for txn := id.Txn(2); txn < 2+losers; txn++ {
+			key := record.EncodeKey(record.Row{record.Int(int64(txn)*10 + round)})
+			append_(&wal.Record{Type: wal.TInsert, Txn: txn, Tree: tbl.ID, Key: key, NewVal: []byte("loser")})
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	var first map[string][]byte
+	for i := 0; i < 4; i++ {
+		dir := t.TempDir()
+		copyDir(t, crashed, dir)
+		st, err := Run(dir, wal.SyncNone)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Summary.Losers != losers {
+			t.Fatalf("recovery %d: %d losers, want %d", i, st.Summary.Losers, losers)
+		}
+		if err := st.Log.Close(); err != nil {
+			t.Fatal(err)
+		}
+		got := readDir(t, dir)
+		if first == nil {
+			first = got
+			continue
+		}
+		if !reflect.DeepEqual(got, first) {
+			t.Fatalf("recovery %d wrote different bytes than recovery 0", i)
+		}
+	}
+}
+
+// copyDir copies the regular files of src into dst.
+func copyDir(t *testing.T, src, dst string) {
+	t.Helper()
+	for name, b := range readDir(t, src) {
+		if err := os.WriteFile(filepath.Join(dst, name), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// readDir returns the contents of every regular file in dir by name.
+func readDir(t *testing.T, dir string) map[string][]byte {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make(map[string][]byte, len(entries))
+	for _, e := range entries {
+		if !e.Type().IsRegular() {
+			t.Fatalf("unexpected entry %s in %s", e.Name(), dir)
+		}
+		b, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[e.Name()] = b
+	}
+	return out
 }
