@@ -58,7 +58,12 @@ staticcheck:
 # internal/metrics holds one copy-on-write map. A published catalog is
 # read-only: a catalog is written only while it is private, the apply
 # registry publishes it with its maintainers by one atomic pointer, and
-# internal/catalog and internal/apply take no sync.Mutex or sync.RWMutex. A
+# internal/catalog and internal/apply take no sync.Mutex or sync.RWMutex. One
+# mechanism per job in the observability plane: the flight recorder is one
+# ring indexed by sequence number and a span is a transaction ID, so the
+# span table (spanShard, resolveSpan, SpanOf) stays gone; top and
+# the watchdog diff hot-group listings with metrics.HotGroupGrowth, so
+# metrics.SnapshotRing and its rate types and hottestWaitGroup stay gone. A
 # committed trajectory: a change to internal/ adds its benchmark pair under
 # BENCH_history/ (make bench, then make bench-record).
 structure:
@@ -95,6 +100,9 @@ structure:
 		{ echo "internal/metrics keeps one copy-on-write per-view map:"; grep -n 'atomic\.Pointer\[map' internal/metrics/*.go; exit 1; }
 	@out="$$(grep -nE 'sync\.(RW)?Mutex' $$(ls internal/catalog/*.go internal/apply/*.go | grep -v '_test\.go$$'))"; \
 		if [ -n "$$out" ]; then echo "a published catalog is read-only: internal/catalog and internal/apply take no locks:"; echo "$$out"; exit 1; fi
+	@out="$$(grep -rnE --include='*.go' --exclude-dir=benchmark \
+		'SnapshotRing|TimedSnapshot|GroupRate|ViewRate|spanShard|resolveSpan|SpanOf|hottestWaitGroup' .)"; \
+		if [ -n "$$out" ]; then echo "a second snapshot ring, the span table or a second hot-group diff is back:"; echo "$$out"; exit 1; fi
 	@if git rev-parse -q --verify '$(BASE)^{commit}' >/dev/null 2>&1; then \
 		if git diff --name-only $(BASE) -- internal | grep -q . && \
 			! git diff --name-only --diff-filter=A $(BASE) -- 'BENCH_history/pr*-change.jsonl' | grep -q .; then \

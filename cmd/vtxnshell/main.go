@@ -43,6 +43,7 @@ import (
 	"strconv"
 	"strings"
 	"syscall"
+	"time"
 
 	vtxn "repro"
 )
@@ -55,8 +56,8 @@ func main() {
 		os.Exit(2)
 	}
 	db, err := vtxn.Open(*dir, vtxn.Options{
-		Watchdog:   true,
-		FlightSink: os.Stderr,
+		WatchdogInterval: 500 * time.Millisecond,
+		FlightSink:       os.Stderr,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "open:", err)

@@ -5,10 +5,13 @@ import (
 	"fmt"
 	"os"
 	"reflect"
+	"regexp"
 	"strings"
 	"testing"
+	"time"
 
 	vtxn "repro"
+	"repro/internal/metrics"
 )
 
 func TestTokenize(t *testing.T) {
@@ -172,6 +175,64 @@ func TestShellTop(t *testing.T) {
 		if err := sh.exec(bad); err == nil {
 			t.Errorf("%q should error", bad)
 		}
+	}
+}
+
+// TestRenderTopRates checks one frame's interval arithmetic: counter rates,
+// hot groups ranked by growth (a group new to the listing grows from zero),
+// wait growth in waiter-seconds per second, and the per-view cost diff.
+func TestRenderTopRates(t *testing.T) {
+	var prev, cur metrics.Snapshot
+	prev.Engine.Commits = 100
+	prev.Hotspots.TopDelta = []metrics.HotGroupSnapshot{{Tree: 3, View: "v", Key: "a", Value: 50}}
+	prev.Hotspots.Views = []metrics.ViewCostSnapshot{{Tree: 3, View: "v", RowsFolded: 10, FoldNs: 10000, WALBytes: 100}}
+	cur.Engine.Commits = 300
+	cur.WAL.Appends = 50
+	cur.Hotspots.TopDelta = []metrics.HotGroupSnapshot{
+		{Tree: 3, View: "v", Key: "b", Value: 20}, // new this interval
+		{Tree: 3, View: "v", Key: "a", Value: 150},
+	}
+	cur.Hotspots.TopWait = []metrics.HotGroupSnapshot{{Tree: 3, View: "v", Key: "a", Value: 2e9}}
+	cur.Hotspots.Views = []metrics.ViewCostSnapshot{{Tree: 3, View: "v", RowsFolded: 30, FoldNs: 50000, WALBytes: 300}}
+
+	var buf bytes.Buffer
+	(&shell{out: &buf}).renderTop(prev, cur, 2*time.Second, false)
+	out := buf.String()
+	for _, want := range []string{
+		"vtxn top — interval 2s",
+		"commits/s 100  aborts/s 0  wal appends/s 25  fold rows/s 0",
+		// 2e9 wait-ns over a 2s interval is one waiter-second per second.
+		fmt.Sprintf("%-34s %10.3f %10s %10s", "v[a]", 1.0, "2s", "2s"),
+		fmt.Sprintf("%-34s %10.0f %10d\n%-34s %10.0f %10d", "v[a]", 50.0, 150, "v[b]", 10.0, 20),
+		fmt.Sprintf("%-20s %10.0f %12s %10.0f %12d", "v", 10.0, "2µs", 100.0, 30),
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("top frame missing %q:\n%s", want, out)
+		}
+	}
+}
+
+// TestRenderTopClampsCounterReset pins the restart behavior: a Close+reopen
+// restarts every counter from zero, and top's frame spanning the restart
+// must report zero rates, never negative ones.
+func TestRenderTopClampsCounterReset(t *testing.T) {
+	var before, after metrics.Snapshot
+	before.Engine.Commits, before.Engine.Aborts = 500, 40
+	before.WAL.Appends, before.Escrow.FoldRows = 900, 300
+	before.Hotspots.TopDelta = []metrics.HotGroupSnapshot{{Tree: 1, View: "totals", Key: "7", Value: 50}}
+	before.Hotspots.Views = []metrics.ViewCostSnapshot{{Tree: 1, View: "totals", RowsFolded: 300, WALBytes: 9000}}
+	after.Engine.Commits = 10
+	after.Hotspots.TopDelta = []metrics.HotGroupSnapshot{{Tree: 1, View: "totals", Key: "7", Value: 3}}
+	after.Hotspots.Views = []metrics.ViewCostSnapshot{{Tree: 1, View: "totals", RowsFolded: 3, WALBytes: 90}}
+
+	var buf bytes.Buffer
+	(&shell{out: &buf}).renderTop(before, after, time.Second, false)
+	out := buf.String()
+	if !strings.Contains(out, "commits/s 0  aborts/s 0  wal appends/s 0  fold rows/s 0") {
+		t.Errorf("engine rates across a counter reset are not zero:\n%s", out)
+	}
+	if neg := regexp.MustCompile(`\s-\d`).FindString(out); neg != "" {
+		t.Errorf("negative rate %q across a counter reset:\n%s", neg, out)
 	}
 }
 

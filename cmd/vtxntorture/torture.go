@@ -25,6 +25,10 @@ import (
 // the failure is exactly what the artifacts capture.
 var currentDB atomic.Pointer[core.DB]
 
+// watchdogInterval is the stall watchdog's period in every instance an
+// episode opens.
+const watchdogInterval = 500 * time.Millisecond
+
 // trackDB records db as the episode's current instance.
 func trackDB(db *core.DB) *core.DB {
 	currentDB.Store(db)
@@ -178,11 +182,11 @@ func (e *episode) torture() error {
 	// has open gets closed, flushed or not.
 	defer e.inj.CloseAll()
 	db, err := core.Open(e.dir, core.Options{
-		SyncMode: e.syncMode,
-		FS:       e.inj,
-		Hooks:    e.inj,
-		Tracer:   slowTracer,
-		Watchdog: true,
+		SyncMode:         e.syncMode,
+		FS:               e.inj,
+		Hooks:            e.inj,
+		Tracer:           slowTracer,
+		WatchdogInterval: watchdogInterval,
 		// The online scrubber runs live through every episode: its snapshot
 		// reads race the workload and the injected faults, and any divergence
 		// it confirms on a still-healthy engine fails the seed below.
@@ -475,7 +479,7 @@ func (e *episode) verify() error {
 	if err := e.checkWAL(false); err != nil {
 		return fmt.Errorf("pre-recovery %w", err)
 	}
-	db, err := core.Open(e.dir, core.Options{SyncMode: e.syncMode, Tracer: slowTracer, Watchdog: true, ScrubInterval: time.Millisecond})
+	db, err := core.Open(e.dir, core.Options{SyncMode: e.syncMode, Tracer: slowTracer, WatchdogInterval: watchdogInterval, ScrubInterval: time.Millisecond})
 	if err != nil {
 		return fmt.Errorf("recovery open: %w", err)
 	}
@@ -505,7 +509,7 @@ func (e *episode) verify() error {
 		return fmt.Errorf("post-recovery scrub found %d view-row divergences", n)
 	}
 	db.Crash(true)
-	db2, err := core.Open(e.dir, core.Options{SyncMode: e.syncMode, Tracer: slowTracer, Watchdog: true})
+	db2, err := core.Open(e.dir, core.Options{SyncMode: e.syncMode, Tracer: slowTracer, WatchdogInterval: watchdogInterval})
 	if err != nil {
 		return fmt.Errorf("second recovery open: %w", err)
 	}

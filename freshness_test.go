@@ -59,7 +59,7 @@ func TestFlightRecordLinksDeferredMaintenance(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	links := traceLinks(t, db, uint64(tx.ID()))
+	links := traceLinks(t, db, "branch_totals_deferred", uint64(tx.ID()))
 	if links.commitSpan == 0 {
 		t.Fatal("committing transaction has no tx-begin span in the flight record")
 	}
@@ -118,13 +118,11 @@ type spanLinks struct {
 	applied, advanced       map[string]bool
 }
 
-// traceLinks parses the JSONL flight record for transaction txnID's links.
-func traceLinks(t *testing.T, db *vtxn.DB, txnID uint64) spanLinks {
+// traceLinks parses the JSONL flight record for transaction txnID's links,
+// once the record holds view's watermark advance that made txnID visible.
+func traceLinks(t *testing.T, db *vtxn.DB, view string, txnID uint64) spanLinks {
 	t.Helper()
-	var jsonl bytes.Buffer
-	if err := db.WriteFlightRecordJSONL(&jsonl); err != nil {
-		t.Fatal(err)
-	}
+	jsonl := flightRecordAfter(t, db, view, txnID)
 	type rec struct {
 		Span     uint64   `json:"span"`
 		Spans    []uint64 `json:"spans"`
@@ -133,7 +131,7 @@ func traceLinks(t *testing.T, db *vtxn.DB, txnID uint64) spanLinks {
 		Resource string   `json:"resource"`
 	}
 	l := spanLinks{applied: map[string]bool{}, advanced: map[string]bool{}}
-	sc := bufio.NewScanner(&jsonl)
+	sc := bufio.NewScanner(bytes.NewReader(jsonl))
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	for sc.Scan() {
 		var r rec
@@ -170,7 +168,7 @@ func traceLinks(t *testing.T, db *vtxn.DB, txnID uint64) spanLinks {
 // and each level's commit-to-visible accounting nests inside the window the
 // client measured, with staleness back at zero once drained.
 func TestFreshnessAcrossRollupChain(t *testing.T) {
-	db, err := vtxn.Open(t.TempDir(), vtxn.Options{Watchdog: true})
+	db, err := vtxn.Open(t.TempDir(), vtxn.Options{WatchdogInterval: 500 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,10 +196,16 @@ func TestFreshnessAcrossRollupChain(t *testing.T) {
 		t.Fatal(err)
 	}
 	drainTo(t, db, top, tx.CommitTS())
+	// The applier samples a level's commit-to-visible latency after the
+	// watermark moved and just before it traces the level's advance: the
+	// client's window closes once every level's advance is in the record.
+	for _, v := range rollupChain {
+		flightRecordAfter(t, db, v, uint64(tx.ID()))
+	}
 	clientWindow := time.Since(probeStart)
 	after := db.Metrics()
 
-	links := traceLinks(t, db, uint64(tx.ID()))
+	links := traceLinks(t, db, top, uint64(tx.ID()))
 	if links.commitSpan == 0 || links.publishSpan != links.commitSpan {
 		t.Fatalf("probe span %d, its deferred-publish span %d: want equal and nonzero", links.commitSpan, links.publishSpan)
 	}
@@ -281,7 +285,6 @@ func TestFreshnessSLOWatchdog(t *testing.T) {
 		Hooks:            hooks,
 		Tracer:           tracer,
 		FlightSink:       sink,
-		Watchdog:         true,
 		WatchdogInterval: 10 * time.Millisecond,
 		FreshnessSLO:     50 * time.Millisecond,
 	})

@@ -1,8 +1,12 @@
 package vtxn_test
 
 import (
+	"bufio"
+	"bytes"
 	"context"
+	"encoding/json"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -140,6 +144,39 @@ func drainTo(t *testing.T, db *vtxn.DB, view string, ts uint64) {
 	defer cancel()
 	if err := db.WaitForViewWatermark(ctx, view, ts); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// flightRecordAfter returns the JSONL flight record once it holds view's
+// watermark-advance crediting transaction txn. A watermark wait returns as
+// soon as the applier's fold publishes the new watermark, which is before the
+// applier traces that fold and the advance, so a record read right after the
+// wait may not hold them yet.
+func flightRecordAfter(t *testing.T, db *vtxn.DB, view string, txn uint64) []byte {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); ; runtime.Gosched() {
+		var jsonl bytes.Buffer
+		if err := db.WriteFlightRecordJSONL(&jsonl); err != nil {
+			t.Fatal(err)
+		}
+		sc := bufio.NewScanner(bytes.NewReader(jsonl.Bytes()))
+		sc.Buffer(make([]byte, 1<<20), 1<<20)
+		for sc.Scan() {
+			var r struct {
+				Type     string   `json:"type"`
+				Resource string   `json:"resource"`
+				Spans    []uint64 `json:"spans"`
+			}
+			if err := json.Unmarshal(sc.Bytes(), &r); err != nil {
+				t.Fatalf("JSONL line does not parse: %v: %s", err, sc.Text())
+			}
+			if r.Type == "watermark-advance" && r.Resource == view && slices.Contains(r.Spans, txn) {
+				return jsonl.Bytes()
+			}
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("flight record holds no watermark-advance of %s crediting txn %d", view, txn)
+		}
 	}
 }
 

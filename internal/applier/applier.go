@@ -50,9 +50,10 @@ type Batch struct {
 	TS uint64
 	// WallNs is the publish wall-clock (UnixNano), the staleness clock.
 	WallNs int64
-	// Span is the publishing transaction's causal span ID (zero when the
-	// flight recorder is off), carried across the async boundary so the
-	// applier can stamp downstream events with their originating commits.
+	// Span is the publishing transaction's causal span, its transaction ID
+	// (zero when the flight recorder is off), carried across the async
+	// boundary so the applier can stamp downstream events with their
+	// originating commits.
 	Span uint64
 	// Groups are the commit's per-(view, group) net deltas.
 	Groups []GroupDelta

@@ -61,7 +61,7 @@ func TestRunnerGoroutines(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			before := labelledGoroutines(t)
-			db, err := Open(t.TempDir(), Options{GhostCleanInterval: 10 * time.Millisecond, Watchdog: true})
+			db, err := Open(t.TempDir(), Options{GhostCleanInterval: 10 * time.Millisecond, WatchdogInterval: 500 * time.Millisecond})
 			if err != nil {
 				t.Fatal(err)
 			}

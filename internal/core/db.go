@@ -63,8 +63,8 @@ type Options struct {
 	// begin/end, resolved lock waits, commit folds, group commits, ghost
 	// sweeps, and recovery phases. Implementations must be concurrency-safe
 	// and fast — events fire inline on engine paths. Events arrive already
-	// stamped with sequence/timestamp/span by the flight recorder (unless it
-	// is disabled).
+	// stamped with sequence number and timestamp by the flight recorder
+	// (unless it is disabled).
 	Tracer metrics.Tracer
 	// FlightRecorderSize sets the flight recorder's ring capacity in events.
 	// 0 selects the default (flightrec.DefaultSize); negative disables the
@@ -75,21 +75,19 @@ type Options struct {
 	// deadlock, a lock timeout, or a watchdog stall detection. Dumps are
 	// rate-limited. Explicit dumps via DB.DumpFlightRecord work regardless.
 	FlightSink io.Writer
-	// Watchdog starts the background stall watchdog: it diffs metrics
-	// snapshots every WatchdogInterval and reports stall signatures (WAL
-	// flush not advancing, lock-shard convoy, escrow fold backlog, ghost-
-	// cleaner starvation) as EventStall trace events, watchdog_detections
-	// metrics, and flight-record dumps to FlightSink.
-	Watchdog bool
-	// WatchdogInterval is the watchdog poll interval (default 500ms). An
-	// in-progress condition older than four intervals counts as a stall.
+	// WatchdogInterval runs the background stall watchdog this often: it
+	// diffs metrics snapshots and reports stall signatures (WAL flush not
+	// advancing, lock-shard convoy, escrow fold backlog, ghost-cleaner
+	// starvation) as EventStall trace events, watchdog_detections metrics,
+	// and flight-record dumps to FlightSink. An in-progress condition older
+	// than four intervals counts as a stall. 0 disables the watchdog.
 	WatchdogInterval time.Duration
 	// FreshnessSLO, when positive, is the per-view staleness bound the
 	// watchdog enforces: a view whose commit-to-visible lag exceeds it fires
 	// the freshness-slo stall signature naming the lagging view (and
 	// auto-dumps the linked flight record to FlightSink). It also annotates
-	// the metrics snapshot's freshness section. Requires Watchdog for
-	// enforcement; without it the SLO is report-only.
+	// the metrics snapshot's freshness section. Enforcement needs a positive
+	// WatchdogInterval; without it the SLO is report-only.
 	FreshnessSLO time.Duration
 	// ScrubInterval runs the online consistency scrubber: a background task
 	// verifying one (view, group-range) slice per tick against a recompute at
@@ -319,26 +317,19 @@ func Open(path string, opts Options) (*DB, error) {
 	if opts.ScrubInterval >= 0 {
 		db.bg.start(task{name: "scrubber", every: scrubInterval, step: db.scrub.Tick})
 	}
-	if opts.Watchdog {
-		every := opts.WatchdogInterval
-		if every <= 0 {
-			every = defaultWatchdogInterval
-		}
+	if opts.WatchdogInterval > 0 {
 		wd := flightrec.NewWatchdog(flightrec.WatchdogConfig{
-			Interval:     every,
+			Interval:     opts.WatchdogInterval,
 			FreshnessSLO: opts.FreshnessSLO,
 			Snap:         db.Metrics,
 			Tracer:       tracer,
 			Recorder:     flight,
 			Metrics:      &met.Watchdog,
 		})
-		db.bg.start(task{name: "watchdog", every: every, step: wd.Tick})
+		db.bg.start(task{name: "watchdog", every: opts.WatchdogInterval, step: wd.Tick})
 	}
 	return db, nil
 }
-
-// defaultWatchdogInterval is the watchdog's default poll period.
-const defaultWatchdogInterval = 500 * time.Millisecond
 
 // Close flushes the log and shuts the database down. It does not checkpoint;
 // restart recovers from the log.

@@ -138,8 +138,13 @@ func (q *deferredQueue) oldestPerTree() map[id.Tree]int64 {
 // publishDeferred hands one commit's deferred deltas to the applier. Called
 // between stampOps and FinishCommit — see the ordering invariant above. The
 // publishing transaction rides along (as Batch.Span and the trace event's Txn)
-// so the flight record links the commit to the applier work it caused.
+// so the flight record links the commit to the applier work it caused. Its
+// span is its ID; with the flight recorder off the span stays zero and the
+// applier merges no span lists.
 func (db *DB) publishDeferred(b *applier.Batch, t id.Txn) {
+	if db.flight != nil {
+		b.Span = uint64(t)
+	}
 	n := db.applierQ.push(applier.Msg{Batch: b})
 	db.met.Deferred.ObserveQueueDepth(n)
 	db.met.Deferred.PublishedBatches.Add(1)

@@ -204,13 +204,9 @@ func (tx *Tx) Commit() error {
 		// Publish before FinishCommit: the oracle's read timestamp must not
 		// reach ts until this batch is queued, or an applier round could
 		// advance the view watermark past a commit it never saw (deferred.go).
-		// The batch carries the commit's causal span (resolved while the
-		// transaction is still live in the recorder's span table) so applier
-		// folds and watermark advances can name this commit as their cause.
 		db.publishDeferred(&applier.Batch{
 			TS:     ts,
 			WallNs: durable.UnixNano(),
-			Span:   db.flight.SpanOf(tx.t.ID),
 			Groups: deferred,
 		}, tx.t.ID)
 	}

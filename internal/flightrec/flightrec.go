@@ -1,14 +1,14 @@
-// Package flightrec is the engine's always-on flight recorder: a bounded,
-// sharded ring buffer holding the most recent trace events, rendered on
-// demand (or automatically at the moment of failure) as a causal timeline or
+// Package flightrec is the engine's always-on flight recorder: a bounded ring
+// buffer holding the most recent trace events, rendered on demand (or
+// automatically at the moment of failure) as a causal timeline or
 // machine-readable JSONL.
 //
 // The recorder sits at the head of the tracer chain: every metrics.Event the
-// engine emits is stamped with a process-monotonic sequence number, a wall
-// timestamp, and a causal span ID, written into the ring, and forwarded to
-// the downstream tracer (Options.Tracer). Old entries are simply overwritten
-// — there is no sampling knob because history is bounded by construction,
-// like SQL Server's system_health ring buffer.
+// engine emits is stamped with a process-monotonic sequence number and a wall
+// timestamp, written into the ring, and forwarded to the downstream tracer
+// (Options.Tracer). An event's causal span is its transaction ID. Old entries
+// are simply overwritten — there is no sampling knob because history is
+// bounded by construction, like SQL Server's system_health ring buffer.
 package flightrec
 
 import (
@@ -16,8 +16,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"runtime"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -33,7 +31,7 @@ const DefaultSize = 8192
 
 // Config configures a Recorder.
 type Config struct {
-	// Size is the total ring capacity in events (rounded up per shard);
+	// Size is the ring capacity in events, rounded up to a power of two;
 	// zero selects DefaultSize.
 	Size int
 	// Next is the downstream tracer events are forwarded to after recording
@@ -46,35 +44,21 @@ type Config struct {
 	MinDumpGap time.Duration
 }
 
-// slot is one ring cell. The mutex is uncontended except when a reader is
-// snapshotting the exact cell a writer is overwriting; readers use TryLock
-// and simply skip cells mid-write, so writers never block on dumps.
+// slot is one ring cell. The mutex orders a writer against a writer that
+// lapped the ring onto the same cell and against a dumper; dumpers use
+// TryLock and skip a cell mid-write, so writers never block on dumps.
 type slot struct {
 	mu sync.Mutex
 	ev metrics.Event
 }
 
-// shard is one stripe of the ring with its own claim cursor, so concurrent
-// writers (different transactions) do not all bump a single hot cursor.
-type shard struct {
-	cursor atomic.Uint64
-	_      [7]uint64 // keep cursors on distinct cache lines
-	slots  []slot
-}
-
-// spanShard is one stripe of the txn → span table.
-type spanShard struct {
-	mu sync.Mutex
-	m  map[id.Txn]uint64
-}
-
 // Recorder is the flight recorder. It implements metrics.Tracer.
 type Recorder struct {
-	seq    atomic.Uint64
-	shards []shard
-	mask   uint64 // len(shards) - 1
-
-	spans []spanShard
+	// seq is the last sequence number handed out; event seq lives in
+	// slots[seq&mask].
+	seq   atomic.Uint64
+	slots []slot
+	mask  uint64
 
 	next metrics.Tracer
 
@@ -85,23 +69,16 @@ type Recorder struct {
 	dumps      atomic.Int64
 }
 
-const spanShards = 16
-
 // New returns a recorder with cfg applied.
 func New(cfg Config) *Recorder {
 	size := cfg.Size
 	if size <= 0 {
 		size = DefaultSize
 	}
-	nshards := nextPow2(min(runtime.GOMAXPROCS(0), 16))
-	perShard := nextPow2((size + nshards - 1) / nshards)
-	if perShard < 64 {
-		perShard = 64
-	}
+	n := nextPow2(size)
 	r := &Recorder{
-		shards:     make([]shard, nshards),
-		mask:       uint64(nshards - 1),
-		spans:      make([]spanShard, spanShards),
+		slots:      make([]slot, n),
+		mask:       uint64(n - 1),
 		next:       cfg.Next,
 		sink:       cfg.Sink,
 		minDumpGap: cfg.MinDumpGap,
@@ -109,19 +86,11 @@ func New(cfg Config) *Recorder {
 	if r.minDumpGap <= 0 {
 		r.minDumpGap = 5 * time.Second
 	}
-	for i := range r.shards {
-		r.shards[i].slots = make([]slot, perShard)
-	}
-	for i := range r.spans {
-		r.spans[i].m = make(map[id.Txn]uint64)
-	}
 	return r
 }
 
-// Capacity is the total ring capacity in events.
-func (r *Recorder) Capacity() int {
-	return len(r.shards) * len(r.shards[0].slots)
-}
+// Capacity is the ring capacity in events.
+func (r *Recorder) Capacity() int { return len(r.slots) }
 
 // Recorded is the total events ever recorded (the high-water sequence).
 func (r *Recorder) Recorded() int64 { return int64(r.seq.Load()) }
@@ -138,16 +107,7 @@ func (r *Recorder) TraceEvent(e metrics.Event) {
 	if e.WallNs == 0 {
 		e.WallNs = time.Now().UnixNano()
 	}
-	e.Span = r.resolveSpan(seq, &e)
-
-	// Shard by transaction so one txn's events share a stripe; engine-level
-	// events stripe by sequence.
-	h := uint64(e.Txn)
-	if h == 0 {
-		h = seq
-	}
-	sh := &r.shards[h&r.mask]
-	s := &sh.slots[sh.cursor.Add(1)&uint64(len(sh.slots)-1)]
+	s := &r.slots[seq&r.mask]
 	s.mu.Lock()
 	s.ev = e
 	s.mu.Unlock()
@@ -162,63 +122,26 @@ func (r *Recorder) TraceEvent(e metrics.Event) {
 	}
 }
 
-// SpanOf returns the live causal span of txn (the seq of its tx-begin), or
-// zero when the transaction is unknown or already ended. The commit path uses
-// it to thread the originating span across the async deferred-maintenance
-// boundary before tx-end retires the table entry.
-func (r *Recorder) SpanOf(txn id.Txn) uint64 {
-	if r == nil || txn == 0 {
-		return 0
-	}
-	ss := &r.spans[uint64(txn)%spanShards]
-	ss.mu.Lock()
-	span := ss.m[txn]
-	ss.mu.Unlock()
-	return span
-}
-
-// resolveSpan returns the causal span for e and maintains the span table: a
-// transaction's span is the sequence number of its tx-begin record, attached
-// to every later event carrying its txn ID and retired at tx-end.
-func (r *Recorder) resolveSpan(seq uint64, e *metrics.Event) uint64 {
-	if e.Txn == 0 {
-		return 0
-	}
-	ss := &r.spans[uint64(e.Txn)%spanShards]
-	ss.mu.Lock()
-	defer ss.mu.Unlock()
-	switch e.Type {
-	case metrics.EventTxBegin:
-		ss.m[e.Txn] = seq
-		return seq
-	case metrics.EventTxEnd:
-		span := ss.m[e.Txn]
-		delete(ss.m, e.Txn)
-		return span
-	default:
-		return ss.m[e.Txn]
-	}
-}
-
-// snapshot collects the ring's live records ordered by sequence. Cells being
-// overwritten at this instant are skipped rather than waited on.
+// snapshot collects the newest Capacity events in sequence order, as of the
+// sequence number it reads first. A cell is kept only if it holds the event
+// the walk expects there: a cell still holding an older lap, or not yet
+// written by the writer that claimed it, is dropped, and so is a cell being
+// written at this instant rather than waited on.
 func (r *Recorder) snapshot() []metrics.Event {
-	out := make([]metrics.Event, 0, r.Capacity())
-	for i := range r.shards {
-		sh := &r.shards[i]
-		for j := range sh.slots {
-			s := &sh.slots[j]
-			if !s.mu.TryLock() {
-				continue
-			}
-			ev := s.ev
-			s.mu.Unlock()
-			if ev.Seq != 0 {
-				out = append(out, ev)
-			}
+	hi := r.seq.Load()
+	n := min(hi, uint64(len(r.slots)))
+	out := make([]metrics.Event, 0, n)
+	for seq := hi - n + 1; seq <= hi; seq++ {
+		s := &r.slots[seq&r.mask]
+		if !s.mu.TryLock() {
+			continue
+		}
+		ev := s.ev
+		s.mu.Unlock()
+		if ev.Seq == seq {
+			out = append(out, ev)
 		}
 	}
-	sort.Slice(out, func(a, b int) bool { return out[a].Seq < out[b].Seq })
 	return out
 }
 
@@ -265,8 +188,8 @@ func (r *Recorder) writeTimeline(w io.Writer, reason string) error {
 	for _, e := range recs {
 		span := "-"
 		switch {
-		case e.Span != 0:
-			span = fmt.Sprintf("s%d", e.Span)
+		case e.Txn != 0:
+			span = fmt.Sprintf("s%d", e.Txn)
 		case len(e.Spans) > 0:
 			// Multi-parent event (coalesced deferred fold / watermark advance):
 			// name the first originating span and how many more contributed.
@@ -284,8 +207,6 @@ func (r *Recorder) writeTimeline(w io.Writer, reason string) error {
 
 // spanInfo accumulates one span's story for the summary section.
 type spanInfo struct {
-	span        uint64
-	txn         id.Txn
 	events      int
 	firstNs     int64
 	lastNs      int64
@@ -299,34 +220,32 @@ type spanInfo struct {
 }
 
 func writeSpanSummary(w io.Writer, recs []metrics.Event, base int64) {
-	bydSpan := make(map[uint64]*spanInfo)
-	var order []uint64
-	get := func(span uint64, e metrics.Event) *spanInfo {
-		si := bydSpan[span]
+	bySpan := make(map[id.Txn]*spanInfo)
+	var order []id.Txn
+	get := func(span id.Txn, e metrics.Event) *spanInfo {
+		si := bySpan[span]
 		if si == nil {
-			si = &spanInfo{span: span, txn: e.Txn, firstNs: e.WallNs}
-			bydSpan[span] = si
+			si = &spanInfo{firstNs: e.WallNs}
+			bySpan[span] = si
 			order = append(order, span)
 		}
+		si.events++
+		si.lastNs = e.WallNs
 		return si
 	}
 	for _, e := range recs {
 		// Multi-parent events (deferred folds, watermark advances) credit each
 		// originating span: the commit's story continues past tx-end.
 		for _, span := range e.Spans {
-			si := get(span, e)
-			si.events++
-			si.lastNs = e.WallNs
+			si := get(id.Txn(span), e)
 			if e.Type == metrics.EventWatermarkAdvance {
 				si.visibleIn = append(si.visibleIn, e.Resource)
 			}
 		}
-		if e.Span == 0 {
+		if e.Txn == 0 {
 			continue
 		}
-		si := get(e.Span, e)
-		si.events++
-		si.lastNs = e.WallNs
+		si := get(e.Txn, e)
 		switch e.Type {
 		case metrics.EventLockWait:
 			si.waits++
@@ -344,7 +263,7 @@ func writeSpanSummary(w io.Writer, recs []metrics.Event, base int64) {
 	}
 	fmt.Fprintf(w, "=== spans ===\n")
 	for _, sp := range order {
-		si := bydSpan[sp]
+		si := bySpan[sp]
 		out := si.outcome
 		if out == "" {
 			out = "open"
@@ -361,8 +280,8 @@ func writeSpanSummary(w io.Writer, recs []metrics.Event, base int64) {
 			}
 			visible = ", visible in: " + strings.Join(views, ", ")
 		}
-		fmt.Fprintf(w, "  s%-8d %s: %d events +%.3fms..+%.3fms, %d lock waits (%d failed), %d rows folded, end: %s%s\n",
-			si.span, si.txn, si.events,
+		fmt.Fprintf(w, "  s%-8d %d events +%.3fms..+%.3fms, %d lock waits (%d failed), %d rows folded, end: %s%s\n",
+			uint64(sp), si.events,
 			float64(si.firstNs-base)/1e6, float64(si.lastNs-base)/1e6,
 			si.waits, si.failedWaits, si.foldRows, out, visible)
 	}
@@ -399,7 +318,7 @@ func (r *Recorder) WriteJSONL(w io.Writer) error {
 		rec := Record{
 			Seq:      e.Seq,
 			WallNs:   e.WallNs,
-			Span:     e.Span,
+			Span:     uint64(e.Txn),
 			Spans:    e.Spans,
 			Type:     e.Type.String(),
 			Txn:      uint64(e.Txn),
@@ -424,11 +343,4 @@ func nextPow2(n int) int {
 		p <<= 1
 	}
 	return p
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
+	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -31,6 +33,25 @@ func (c *capture) events() []metrics.Event {
 	return append([]metrics.Event(nil), c.evs...)
 }
 
+// records parses r's JSONL dump.
+func records(t *testing.T, r *Recorder) []Record {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := r.WriteJSONL(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var out []Record
+	dec := json.NewDecoder(&buf)
+	for dec.More() {
+		var rec Record
+		if err := dec.Decode(&rec); err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, rec)
+	}
+	return out
+}
+
 func TestRecorderStampsAndThreadsSpans(t *testing.T) {
 	next := &capture{}
 	r := New(Config{Next: next})
@@ -39,10 +60,12 @@ func TestRecorderStampsAndThreadsSpans(t *testing.T) {
 	r.TraceEvent(metrics.Event{Type: metrics.EventLockWait, Txn: 7, Resource: "row/accounts/0", Mode: "X", Outcome: "granted"})
 	r.TraceEvent(metrics.Event{Type: metrics.EventGroupCommit, Txn: 7, Rows: 1})
 	r.TraceEvent(metrics.Event{Type: metrics.EventTxEnd, Txn: 7, Outcome: "commit"})
+	// Engine-level events (no txn) carry no span.
+	r.TraceEvent(metrics.Event{Type: metrics.EventGhostClean})
 
 	evs := next.events()
-	if len(evs) != 4 {
-		t.Fatalf("forwarded %d events, want 4", len(evs))
+	if len(evs) != 5 {
+		t.Fatalf("forwarded %d events, want 5", len(evs))
 	}
 	for i, e := range evs {
 		if e.Seq != uint64(i+1) {
@@ -51,22 +74,11 @@ func TestRecorderStampsAndThreadsSpans(t *testing.T) {
 		if e.WallNs == 0 {
 			t.Errorf("event %d: wall timestamp not stamped", i)
 		}
-		if e.Span != evs[0].Seq {
-			t.Errorf("event %d: span %d, want the tx-begin seq %d", i, e.Span, evs[0].Seq)
+	}
+	for i, rec := range records(t, r) {
+		if rec.Span != rec.Txn {
+			t.Errorf("record %d (%s): span %d, want its transaction ID %d", i, rec.Type, rec.Span, rec.Txn)
 		}
-	}
-
-	// After tx-end the span is retired: a stray event for the same txn ID (a
-	// reused ID is a new transaction) gets no stale span.
-	r.TraceEvent(metrics.Event{Type: metrics.EventFold, Txn: 7})
-	if got := next.events()[4].Span; got != 0 {
-		t.Errorf("post-end event inherited retired span %d, want 0", got)
-	}
-
-	// Engine-level events (no txn) carry no span.
-	r.TraceEvent(metrics.Event{Type: metrics.EventGhostClean})
-	if got := next.events()[5].Span; got != 0 {
-		t.Errorf("engine event got span %d, want 0", got)
 	}
 }
 
@@ -75,32 +87,65 @@ func TestRecorderInterleavedSpans(t *testing.T) {
 	r.TraceEvent(metrics.Event{Type: metrics.EventTxBegin, Txn: 1})
 	r.TraceEvent(metrics.Event{Type: metrics.EventTxBegin, Txn: 2})
 	r.TraceEvent(metrics.Event{Type: metrics.EventLockWait, Txn: 1, Outcome: "granted"})
+	r.TraceEvent(metrics.Event{Type: metrics.EventGroupCommit, Rows: 2})
 	r.TraceEvent(metrics.Event{Type: metrics.EventLockWait, Txn: 2, Outcome: "granted"})
 	r.TraceEvent(metrics.Event{Type: metrics.EventTxEnd, Txn: 1, Outcome: "commit"})
 	r.TraceEvent(metrics.Event{Type: metrics.EventTxEnd, Txn: 2, Outcome: "abort"})
 
-	spansByTxn := map[id.Txn]map[uint64]bool{}
-	for _, e := range r.snapshot() {
-		if e.Txn == 0 {
-			continue
+	for _, rec := range records(t, r) {
+		if rec.Span != rec.Txn {
+			t.Errorf("%s of txn %d carries span %d", rec.Type, rec.Txn, rec.Span)
 		}
-		if spansByTxn[e.Txn] == nil {
-			spansByTxn[e.Txn] = map[uint64]bool{}
+	}
+	var timeline bytes.Buffer
+	if err := r.WriteTimeline(&timeline); err != nil {
+		t.Fatal(err)
+	}
+	_, summary, _ := strings.Cut(timeline.String(), "=== spans ===\n")
+	for _, want := range []string{
+		"s1        3 events",
+		"0 rows folded, end: commit",
+		"s2        3 events",
+		"0 rows folded, end: abort",
+	} {
+		if !strings.Contains(summary, want) {
+			t.Errorf("span summary missing %q:\n%s", want, summary)
 		}
-		spansByTxn[e.Txn][e.Span] = true
 	}
-	if len(spansByTxn[1]) != 1 || len(spansByTxn[2]) != 1 {
-		t.Fatalf("each txn must have exactly one span, got txn1=%v txn2=%v", spansByTxn[1], spansByTxn[2])
+	if got := strings.Count(summary, "\n"); got != 2 {
+		t.Errorf("span summary has %d lines, want one per transaction:\n%s", got, summary)
 	}
-	for s := range spansByTxn[1] {
-		if spansByTxn[2][s] {
-			t.Fatalf("txn 1 and 2 share span %d", s)
+}
+
+// TestRecorderDumpIsNewestWindow pins what a dump holds once the ring has
+// wrapped: exactly the newest Capacity events, contiguous in Seq, however
+// the events are spread over transactions and however many CPUs trace them.
+func TestRecorderDumpIsNewestWindow(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	r := New(Config{Size: 1024})
+	capacity := r.Capacity()
+	const busy, quiet = 5000, 100
+	for i := 0; i < busy; i++ {
+		r.TraceEvent(metrics.Event{Type: metrics.EventLockWait, Txn: 1, Outcome: "granted"})
+		if i%(busy/quiet) == 0 {
+			r.TraceEvent(metrics.Event{Type: metrics.EventLockWait, Txn: 2, Outcome: "granted"})
+		}
+	}
+	total := uint64(busy + quiet)
+	recs := r.snapshot()
+	if len(recs) != capacity {
+		t.Fatalf("dump holds %d events (seq %d..%d), want the newest %d",
+			len(recs), recs[0].Seq, recs[len(recs)-1].Seq, capacity)
+	}
+	for i, e := range recs {
+		if want := total - uint64(capacity) + 1 + uint64(i); e.Seq != want {
+			t.Fatalf("dump event %d has seq %d, want %d", i, e.Seq, want)
 		}
 	}
 }
 
 func TestRecorderWrapStaysBounded(t *testing.T) {
-	r := New(Config{Size: 64}) // rounds up to the per-shard minimum
+	r := New(Config{Size: 64})
 	capacity := r.Capacity()
 	total := capacity*3 + 17
 	for i := 0; i < total; i++ {
@@ -231,4 +276,23 @@ func TestRecorderConcurrent(t *testing.T) {
 	if got, want := r.Recorded(), int64(writers*perWriter*3); got != want {
 		t.Fatalf("Recorded() = %d, want %d", got, want)
 	}
+}
+
+// BenchmarkRecorderTxn is the recorder's cost for one transaction's events:
+// tx-begin, a commit fold, a group commit and tx-end. Run it with -cpu 1,2;
+// in parallel each goroutine traces its own transactions.
+func BenchmarkRecorderTxn(b *testing.B) {
+	r := New(Config{})
+	var goroutines atomic.Uint64
+	b.ReportAllocs()
+	b.RunParallel(func(pb *testing.PB) {
+		txn := id.Txn(goroutines.Add(1) << 32)
+		for pb.Next() {
+			txn++
+			r.TraceEvent(metrics.Event{Type: metrics.EventTxBegin, Txn: txn})
+			r.TraceEvent(metrics.Event{Type: metrics.EventFold, Txn: txn, Rows: 2, Dur: time.Microsecond})
+			r.TraceEvent(metrics.Event{Type: metrics.EventGroupCommit, Txn: txn, Rows: 3, Dur: time.Microsecond})
+			r.TraceEvent(metrics.Event{Type: metrics.EventTxEnd, Txn: txn, Outcome: "commit", Dur: time.Millisecond})
+		}
+	})
 }

@@ -2,6 +2,7 @@ package flightrec
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/metrics"
@@ -169,17 +170,21 @@ func (w *Watchdog) evaluate(prev, cur metrics.Snapshot) []detection {
 			// Name the culprit: the hot-group sketch says which (view, group
 			// key) gained the most wait this interval, turning "a stripe is
 			// hot" into an actionable key.
-			g, ok := hottestWaitGroup(prev.Hotspots.TopWait, cur.Hotspots.TopWait)
-			if !ok && len(cur.Hotspots.TopWait) > 0 {
-				// A snapshot reads the shard counters and the sketch a moment
-				// apart: a wait resolving in between shows in this interval's
-				// shard delta but in the previous interval's sketch. Name the
-				// group that tops the listing instead of nobody.
-				g, ok = cur.Hotspots.TopWait[0], true
-			}
-			if ok {
-				detail += fmt.Sprintf("; hottest group %s[%s] +%s wait",
-					g.View, g.Key, time.Duration(g.Value).Round(time.Millisecond))
+			if top := cur.Hotspots.TopWait; len(top) > 0 {
+				growth := metrics.HotGroupGrowth(prev.Hotspots.TopWait, top)
+				best := slices.Index(growth, slices.Max(growth))
+				if growth[best] > 0 {
+					detail += fmt.Sprintf("; hottest group %s[%s] +%s wait",
+						top[best].View, top[best].Key, time.Duration(growth[best]).Round(time.Millisecond))
+				} else {
+					// A snapshot reads the shard counters and the sketch a
+					// moment apart: a wait resolving in between shows in this
+					// interval's shard delta but in the previous interval's
+					// sketch. Name the group that tops the listing, with its
+					// total, instead of nobody.
+					detail += fmt.Sprintf("; hottest group %s[%s] (%s total wait)",
+						top[0].View, top[0].Key, time.Duration(top[0].Value).Round(time.Millisecond))
+				}
 			}
 			dets = append(dets, detection{
 				sig:    "lock-convoy",
@@ -267,30 +272,4 @@ func (w *Watchdog) evaluate(prev, cur metrics.Snapshot) []detection {
 	}
 
 	return dets
-}
-
-// hottestWaitGroup returns the hot group that gained the most lock wait
-// between two snapshots' heavy-hitter listings (matched by tree+key; a group
-// new to cur counts from zero). Returned Value is the interval's wait-ns
-// delta, not the cumulative estimate.
-func hottestWaitGroup(prev, cur []metrics.HotGroupSnapshot) (metrics.HotGroupSnapshot, bool) {
-	type gk struct {
-		tree uint32
-		key  string
-	}
-	pv := make(map[gk]int64, len(prev))
-	for _, p := range prev {
-		pv[gk{p.Tree, p.Key}] = p.Value
-	}
-	var best metrics.HotGroupSnapshot
-	var bestDelta int64
-	for _, c := range cur {
-		d := c.Value - pv[gk{c.Tree, c.Key}]
-		if d > bestDelta {
-			bestDelta = d
-			best = c
-			best.Value = d
-		}
-	}
-	return best, bestDelta > 0
 }

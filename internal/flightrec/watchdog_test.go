@@ -139,6 +139,25 @@ func TestWatchdogLockConvoyNamesHotGroup(t *testing.T) {
 		}
 	}
 
+	// No group grew this interval (the sketch lags the shard counters): the
+	// detail names the top of the listing with its total, not as a gain.
+	prev.Hotspots.TopWait = cur.Hotspots.TopWait
+	dets = testWatchdog(WatchdogConfig{Interval: 250 * time.Millisecond}).evaluate(prev, cur)
+	if !hasSig(dets, "lock-convoy") {
+		t.Fatalf("convoy not detected without sketch growth; got %v", sigs(dets))
+	}
+	for _, d := range dets {
+		if d.sig != "lock-convoy" {
+			continue
+		}
+		if !strings.Contains(d.detail, "hottest group branch_totals[17] (4s total wait)") {
+			t.Errorf("convoy detail does not name the listing's top with its total: %q", d.detail)
+		}
+		if strings.Contains(d.detail, "+4s") {
+			t.Errorf("convoy detail reports a total as an interval gain: %q", d.detail)
+		}
+	}
+
 	// Without hot-group attribution the detail still names the stripe.
 	prev.Hotspots.TopWait = nil
 	cur.Hotspots.TopWait = nil

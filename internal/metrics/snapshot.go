@@ -159,6 +159,27 @@ type HotGroupSnapshot struct {
 	Err   int64  `json:"err"`
 }
 
+// HotGroupGrowth diffs two heavy-hitter listings of the same sketch: entry i
+// is how much cur[i]'s estimate grew since prev, matched by (tree, key). A
+// group new to cur grows from zero, which over-reports by at most the
+// sketch's error bound; a group whose estimate fell (evicted and re-admitted
+// in between, or counters restarted by a reopen) grows by zero.
+func HotGroupGrowth(prev, cur []HotGroupSnapshot) []int64 {
+	type groupKey struct {
+		tree uint32
+		key  string
+	}
+	before := make(map[groupKey]int64, len(prev))
+	for _, p := range prev {
+		before[groupKey{p.Tree, p.Key}] = p.Value
+	}
+	out := make([]int64, len(cur))
+	for i, c := range cur {
+		out[i] = max(c.Value-before[groupKey{c.Tree, c.Key}], 0)
+	}
+	return out
+}
+
 // ViewCostSnapshot is one view's accumulated maintenance bill.
 type ViewCostSnapshot struct {
 	Tree       uint32 `json:"tree"`

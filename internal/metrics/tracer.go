@@ -114,10 +114,6 @@ type Event struct {
 	// fills it in, the flight recorder stamps the rest.
 	Seq    uint64
 	WallNs int64
-	// Span is the causal span ID linking every event of one transaction's
-	// lifetime (its value is the Seq of the transaction's tx-begin record).
-	// Zero for engine-level events, stamped by the flight recorder.
-	Span uint64
 	// Spans lists the originating commits' span IDs for events downstream of
 	// the async deferred-maintenance boundary (applier folds, watermark
 	// advances): a coalesced batch has several causal parents. Set by the

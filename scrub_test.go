@@ -27,9 +27,9 @@ func TestScrubBackgroundCleanRun(t *testing.T) {
 		tilts = 50
 	}
 	db, err := vtxn.Open(t.TempDir(), vtxn.Options{
-		ScrubInterval:  time.Millisecond,
-		ScrubRowBudget: -1, // unpaced: the test wants cycles, not realism
-		Watchdog:       true,
+		ScrubInterval:    time.Millisecond,
+		ScrubRowBudget:   -1, // unpaced: the test wants cycles, not realism
+		WatchdogInterval: 500 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -159,7 +159,6 @@ func TestScrubDetectsCorruption(t *testing.T) {
 			hooks := &corruptHooks{}
 			db, err := vtxn.Open(t.TempDir(), vtxn.Options{
 				ScrubInterval:    -1, // on-demand only: the pass must find it, not luck
-				Watchdog:         true,
 				WatchdogInterval: 10 * time.Millisecond,
 				Hooks:            hooks,
 				FlightSink:       sink,

@@ -62,8 +62,10 @@
 //	})
 //
 // (Aggregate output columns are named — Sum("balance") publishes
-// "sum_balance" unless AggSpec.Name overrides it.) The deprecated positional
-// fields (GroupByCols, ProjectCols, vtxn.Col) still work for flat views.
+// "sum_balance" unless AggSpec.Name overrides it.) The positional fields
+// GroupByCols and ProjectCols are the catalog's resolved form: CREATE VIEW
+// fills them from the names and the log stores them, and a flat view may set
+// them directly.
 //
 // Observability: DB.Metrics() is the one counter API, a structured snapshot
 // of every engine counter and latency summary. DB.Describe renders its
@@ -83,15 +85,16 @@
 // share one recompute/compare core.
 //
 // Forensics: an always-on flight recorder keeps the most recent engine
-// events in a bounded ring, each stamped with a sequence number, wall
-// timestamp, and causal span ID tying a transaction's begin, lock waits,
-// folds, group commit, and end together. DB.DumpFlightRecord renders the
-// history as a human-readable timeline, DB.WriteFlightRecordJSONL as JSON
-// Lines; Options.FlightSink receives an automatic dump the moment a
-// deadlock, lock timeout, or watchdog-detected stall occurs. Options.
-// Watchdog starts a background stall detector (WAL flush not advancing,
-// lock-shard convoy, escrow fold backlog, ghost-cleaner starvation) that
-// reports via EventStall trace events and the watchdog metrics section.
+// events in a bounded ring, each stamped with a sequence number and wall
+// timestamp. An event's causal span is its transaction ID, tying a
+// transaction's begin, lock waits, folds, group commit, and end together.
+// DB.DumpFlightRecord renders the history as a human-readable timeline,
+// DB.WriteFlightRecordJSONL as JSON Lines; Options.FlightSink receives an
+// automatic dump the moment a deadlock, lock timeout, or watchdog-detected
+// stall occurs. A positive Options.WatchdogInterval runs a background stall
+// detector (WAL flush not advancing, lock-shard convoy, escrow fold backlog,
+// ghost-cleaner starvation) that reports via EventStall trace events and the
+// watchdog metrics section.
 //
 // See DESIGN.md for the architecture and EXPERIMENTS.md for the reproduced
 // evaluation.
@@ -117,7 +120,9 @@ type (
 	DB = core.DB
 	// Tx is a transaction handle (not safe for concurrent goroutines).
 	Tx = core.Tx
-	// Options configure Open.
+	// Options configure Open. The zero value runs the flight recorder, the
+	// version pruner and the scrubber at their defaults; the ghost cleaner
+	// and the stall watchdog run only with a positive interval.
 	Options = core.Options
 	// ViewRow is one scanned view row: key columns plus results.
 	ViewRow = core.ViewRow
@@ -141,7 +146,9 @@ type (
 	// Tracer receives engine trace events when set as Options.Tracer.
 	// Implementations must be safe for concurrent use and return quickly.
 	Tracer = metrics.Tracer
-	// TraceEvent is one engine trace event delivered to a Tracer.
+	// TraceEvent is one engine trace event delivered to a Tracer. Its causal
+	// span is its Txn; the applier's events list the commits that caused
+	// them in Spans.
 	TraceEvent = metrics.Event
 	// TraceEventType identifies a TraceEvent's kind.
 	TraceEventType = metrics.EventType
