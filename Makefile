@@ -128,9 +128,14 @@ torture-smoke:
 # pairs over all five workloads — each pair with a fresh seed, the side that
 # runs first alternating — append each side's runs to benchmark/out/
 # parent.jsonl and change.jsonl, and judge them with the benchmark's
-# -compare, which fails on REGRESSED and never on UNRESOLVED.
+# -compare, which fails on REGRESSED and never on UNRESOLVED. Before the
+# first pair and after the last it times the machine-speed anchor,
+# BenchmarkCalibration (calib_test.go: fixed CPU-only work no engine change
+# moves), as the median ns/op of CALIB_COUNT runs, and writes the two
+# readings to benchmark/out/calib_ns for make bench-record.
 BASE ?= HEAD~1
 BENCH_PAIRS ?= 10
+CALIB_COUNT ?= 5
 
 bench:
 	@set -e; tmp="$$(mktemp -d)"; out="$(CURDIR)/benchmark/out"; \
@@ -138,20 +143,31 @@ bench:
 	git worktree add --detach --quiet "$$tmp/parent" $(BASE); \
 	(cd "$$tmp/parent" && $(GO) build -o "$$tmp/parent.bin" ./benchmark); \
 	$(GO) build -o "$$tmp/change.bin" ./benchmark; \
+	$(GO) test -c -o "$$tmp/calib.test" .; \
 	mkdir -p "$$out"; \
 	parent() { (cd "$$tmp/parent" && "$$tmp/parent.bin" -seed $$1 -out "$$out/parent.jsonl"); }; \
 	change() { "$$tmp/change.bin" -seed $$1 -out "$$out/change.jsonl"; }; \
+	calib() { "$$tmp/calib.test" -test.run '^$$' -test.bench '^BenchmarkCalibration$$' -test.benchtime 500x \
+		-test.count $(CALIB_COUNT) | awk '/^BenchmarkCalibration/ { print $$3 }' | sort -n | \
+		awk '{ v[NR] = $$1 } END { print v[int((NR + 1) / 2)] }'; }; \
+	before=$$(calib); echo "== calibration before the pairs: $$before ns/op"; \
 	for i in $$(seq 1 $(BENCH_PAIRS)); do \
 		seed=$$(od -An -N4 -tu4 /dev/urandom | tr -d ' '); \
 		echo "== pair $$i/$(BENCH_PAIRS), seed $$seed"; \
 		if [ $$((i % 2)) -eq 1 ]; then parent $$seed; change $$seed; else change $$seed; parent $$seed; fi; \
 	done; \
+	after=$$(calib); echo "== calibration after the pairs: $$after ns/op"; \
+	echo "$$before,$$after" > "$$out/calib_ns"; \
 	$(GO) run ./benchmark -compare "$$out/parent.jsonl" "$$out/change.jsonl"
 
 # Commit one change's benchmark pairs: copy make bench's two result files
 # unchanged to BENCH_history/pr$(NN)-{parent,change}.jsonl, so -compare reads
 # them as they are, and write pr$(NN).env with both commits, the machine, the
-# Go version and the seeds of the runs. BENCH_history/ is append-only: an
+# Go version, the seeds of the runs and calib_ns=<before>,<after>, the
+# machine-speed anchor make bench read before and after the pairs. A number
+# quoted across PRs is quoted as a ratio to that anchor. If its two readings
+# differ by more than 10 %, the box drifted during the pairs: nothing is
+# recorded, and the pairs are re-run. BENCH_history/ is append-only: an
 # existing record is never overwritten.
 bench-record:
 	@set -e; test -n "$(NN)" || { echo "usage: make bench-record NN=<pr number> [BASE=<parent commit>]"; exit 1; }; \
@@ -160,6 +176,10 @@ bench-record:
 		test -s "$$out/$$side.jsonl" || { echo "$$out/$$side.jsonl is missing or empty: run make bench first"; exit 1; }; \
 		test ! -e "$$hist/pr$(NN)-$$side.jsonl" || { echo "$$hist/pr$(NN)-$$side.jsonl exists; BENCH_history is append-only"; exit 1; }; \
 	done; \
+	test -s "$$out/calib_ns" || { echo "$$out/calib_ns is missing: run make bench first"; exit 1; }; \
+	calib="$$(cat "$$out/calib_ns")"; \
+	echo "$$calib" | awk -F, '{ d = $$2 - $$1; if (d < 0) d = -d; exit !($$1 > 0 && d <= 0.10 * $$1) }' || \
+		{ echo "calibration moved from $${calib%,*} to $${calib#*,} ns/op, more than 10 %: the box drifted during the pairs; re-run make bench"; exit 1; }; \
 	cp "$$out/parent.jsonl" "$$hist/pr$(NN)-parent.jsonl"; \
 	cp "$$out/change.jsonl" "$$hist/pr$(NN)-change.jsonl"; \
 	change="$$(git rev-parse HEAD)"; \
@@ -171,5 +191,6 @@ bench-record:
 	  echo "gomaxprocs=$${GOMAXPROCS:-$$(nproc)}"; \
 	  echo "go=$$($(GO) env GOVERSION)"; \
 	  echo "seeds=$$(grep -oh '"seed":[0-9]*' "$$out/parent.jsonl" "$$out/change.jsonl" | cut -d: -f2 | sort -un | tr '\n' ' ' | sed 's/ $$//')"; \
+	  echo "calib_ns=$$calib"; \
 	} > "$$hist/pr$(NN).env"; \
 	cat "$$hist/pr$(NN).env"

@@ -6,6 +6,7 @@
 package recovery
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
@@ -30,7 +31,8 @@ type Summary struct {
 	Torn      bool   // the log had a torn tail that was truncated
 	Fresh     bool   // no prior state existed
 
-	// Phase durations: analysis = snapshot load, redo = log repair + replay,
+	// Phase durations: analysis = snapshot load, redo = one scan of the log
+	// replaying every intact record, then the truncate of a torn tail,
 	// undo = loser rollback (all zero for a fresh database).
 	Analysis time.Duration
 	Redo     time.Duration
@@ -50,13 +52,89 @@ type State struct {
 // Catalog returns the recovered catalog.
 func (s *State) Catalog() *catalog.Catalog { return s.Reg.Catalog() }
 
-// txnInfo tracks one transaction seen in the log.
+// txnInfo is what undo needs of one open transaction: the encoded payloads
+// of its operations, each followed by its 4-byte length so undo walks them
+// newest first, and the LSNs its CLRs already compensated (nil until its
+// first CLR).
 type txnInfo struct {
-	began    bool
-	finished bool
-	sys      bool
-	ops      []*wal.Record
-	undone   map[uint64]bool // LSNs already compensated by CLRs
+	sys    bool
+	ops    []byte
+	undone map[uint64]bool
+}
+
+// analysis is restart's per-record bookkeeping. It holds only the
+// transactions still open at the current point of the log: an entry is
+// created at TBegin and dropped at TCommit or TAbortEnd, so at the end of the
+// log the entries left are the losers.
+type analysis struct {
+	open   map[id.Txn]*txnInfo
+	spare  []*txnInfo // entries of finished transactions, arenas kept for reuse
+	maxTxn id.Txn
+}
+
+// add records rec, which the scan hands over valid only during the call: the
+// operations an open transaction keeps are re-encoded into its own arena.
+func (a *analysis) add(rec *wal.Record) {
+	if rec.Txn > a.maxTxn {
+		a.maxTxn = rec.Txn
+	}
+	ti := a.open[rec.Txn]
+	switch {
+	case rec.Type == wal.TBegin:
+		if ti == nil {
+			ti = &txnInfo{}
+			if n := len(a.spare); n > 0 {
+				ti, a.spare = a.spare[n-1], a.spare[:n-1]
+			}
+			a.open[rec.Txn] = ti
+		}
+		ti.sys = rec.Sys
+	case ti == nil:
+		// Not open: finished already, or never begun in this log.
+	case rec.Type == wal.TCommit || rec.Type == wal.TAbortEnd:
+		delete(a.open, rec.Txn)
+		ti.ops, ti.undone = ti.ops[:0], nil
+		a.spare = append(a.spare, ti)
+	case rec.Type == wal.TCLR:
+		if ti.undone == nil {
+			ti.undone = make(map[uint64]bool)
+		}
+		ti.undone[rec.UndoneLSN] = true
+	default:
+		start := len(ti.ops)
+		ti.ops = rec.Encode(ti.ops)
+		ti.ops = binary.LittleEndian.AppendUint32(ti.ops, uint32(len(ti.ops)-start))
+	}
+}
+
+// losers returns the transactions still open, newest first. The fixed order
+// makes restart append the same records for the same log.
+func (a *analysis) losers() []id.Txn {
+	ids := make([]id.Txn, 0, len(a.open))
+	for tid := range a.open {
+		ids = append(ids, tid)
+	}
+	sort.Slice(ids, func(i, j int) bool { return ids[i] > ids[j] })
+	return ids
+}
+
+// undo calls fn on every operation of ti not yet compensated, newest first.
+func (ti *txnInfo) undo(fn func(op *wal.Record) error) error {
+	for end := len(ti.ops); end > 0; {
+		n := int(binary.LittleEndian.Uint32(ti.ops[end-4:]))
+		op, err := wal.DecodeRecord(ti.ops[end-4-n : end-4])
+		if err != nil {
+			return err
+		}
+		end -= 4 + n
+		if ti.undone[op.LSN] {
+			continue
+		}
+		if err := fn(op); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // Run recovers the database in dirPath, creating it if absent.
@@ -104,45 +182,20 @@ func RunFS(fsys fault.FS, dirPath string, mode wal.SyncMode) (*State, error) {
 		return tr
 	}
 
-	// Redo pass: repair the torn tail, then replay every record in order.
+	// Redo pass: replay every intact record in order, then truncate the
+	// torn tail so the writer appends after the last of them.
 	phaseStart = time.Now()
-	scanRes, err := wal.RepairFS(fsys, dir.LogPath(gen))
-	if err != nil {
-		return nil, err
-	}
-	txns := make(map[id.Txn]*txnInfo)
-	info := func(t id.Txn) *txnInfo {
-		ti := txns[t]
-		if ti == nil {
-			ti = &txnInfo{undone: make(map[uint64]bool)}
-			txns[t] = ti
-		}
-		return ti
-	}
-	sum := Summary{Gen: gen, Torn: scanRes.Torn}
-	maxTxn := id.Txn(0)
-	_, err = wal.ScanFS(fsys, dir.LogPath(gen), func(rec *wal.Record) error {
-		if rec.Txn > maxTxn {
-			maxTxn = rec.Txn
-		}
-		ti := info(rec.Txn)
-		switch rec.Type {
-		case wal.TBegin:
-			ti.began = true
-			ti.sys = rec.Sys
-		case wal.TCommit, wal.TAbortEnd:
-			ti.finished = true
-		case wal.TCLR:
-			ti.undone[rec.UndoneLSN] = true
-		default:
-			ti.ops = append(ti.ops, rec)
-		}
+	an := analysis{open: make(map[id.Txn]*txnInfo)}
+	sum := Summary{Gen: gen}
+	scanRes, err := wal.RepairFS(fsys, dir.LogPath(gen), func(rec *wal.Record) error {
+		an.add(rec)
 		sum.Replayed++
 		return apply.Apply(reg, source, rec)
 	})
 	if err != nil {
 		return nil, err
 	}
+	sum.Torn = scanRes.Torn
 	sum.Redo = time.Since(phaseStart)
 
 	// Open the log for appending undo records and new work.
@@ -152,32 +205,24 @@ func RunFS(fsys fault.FS, dirPath string, mode wal.SyncMode) (*State, error) {
 	}
 
 	// Undo pass: roll back losers, newest transaction and newest operation
-	// first, skipping operations already compensated before the crash. The
-	// fixed order makes restart append the same records for the same log.
+	// first, skipping operations already compensated before the crash.
 	phaseStart = time.Now()
-	var losers []id.Txn
-	for tid, ti := range txns {
-		if ti.began && !ti.finished {
-			losers = append(losers, tid)
-		}
-	}
-	sort.Slice(losers, func(i, j int) bool { return losers[i] > losers[j] })
-	for _, tid := range losers {
-		ti := txns[tid]
+	for _, tid := range an.losers() {
+		ti := an.open[tid]
 		sum.Losers++
-		for i := len(ti.ops) - 1; i >= 0; i-- {
-			op := ti.ops[i]
-			if ti.undone[op.LSN] {
-				continue
-			}
+		err := ti.undo(func(op *wal.Record) error {
 			clr, err := apply.Invert(reg, source, op)
 			if err != nil {
-				return nil, fmt.Errorf("recovery: undo %s: %w", op, err)
+				return fmt.Errorf("recovery: undo %s: %w", op, err)
 			}
 			if _, err := writer.Append(clr); err != nil {
-				return nil, err
+				return err
 			}
 			sum.UndoneOps++
+			return nil
+		})
+		if err != nil {
+			return nil, err
 		}
 		end := &wal.Record{Type: wal.TAbortEnd, Txn: tid, Sys: ti.sys}
 		if _, err := writer.Append(end); err != nil {
@@ -194,8 +239,8 @@ func RunFS(fsys fault.FS, dirPath string, mode wal.SyncMode) (*State, error) {
 	for _, tid := range reg.Catalog().AllTreeIDs() {
 		source(tid)
 	}
-	if maxTxn >= nextTxn {
-		nextTxn = maxTxn + 1
+	if an.maxTxn >= nextTxn {
+		nextTxn = an.maxTxn + 1
 	}
 	return &State{
 		Gen:     gen,

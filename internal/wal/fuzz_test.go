@@ -7,7 +7,9 @@ import (
 )
 
 // FuzzDecodeRecord: arbitrary bytes must never panic the record decoder,
-// and any record that decodes must survive a re-encode/re-decode trip.
+// the scanner's aliasing decode into a reused record must agree with
+// DecodeRecord field for field, and any record that decodes must survive a
+// re-encode/re-decode trip.
 func FuzzDecodeRecord(f *testing.F) {
 	for _, r := range sampleRecords() {
 		r.LSN = 7
@@ -17,8 +19,17 @@ func FuzzDecodeRecord(f *testing.F) {
 	f.Add([]byte{0x01})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		rec, err := DecodeRecord(data)
+		reused := Record{LSN: 99, Type: TUpdate, Sys: true, Key: []byte("stale"),
+			Deltas: make([]ColDelta, 3, 8), UndoneLSN: 5, Pin: 1}
+		if aliasErr := reused.decode(data); (aliasErr == nil) != (err == nil) {
+			t.Fatalf("DecodeRecord error %v, aliasing decode error %v", err, aliasErr)
+		}
 		if err != nil {
 			return
+		}
+		if !recordsEqual(&reused, rec) || (reused.Key == nil) != (rec.Key == nil) ||
+			(reused.OldVal == nil) != (rec.OldVal == nil) || (reused.NewVal == nil) != (rec.NewVal == nil) {
+			t.Fatalf("aliasing decode differs\n%+v\n%+v", &reused, rec)
 		}
 		again, err := DecodeRecord(rec.Encode(nil))
 		if err != nil {

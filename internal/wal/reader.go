@@ -1,12 +1,14 @@
 package wal
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
 	"os"
+	"slices"
 
 	"repro/internal/fault"
 )
@@ -27,9 +29,15 @@ type ScanResult struct {
 	Torn bool
 }
 
+// scanBufSize is the scanner's buffer: a scan reads the log in pieces of
+// this size, one Read each.
+const scanBufSize = 1 << 20
+
 // Scan reads every intact record in the log file in order, invoking fn for
 // each. A torn or corrupt tail ends the scan cleanly (Torn=true); an error
-// from fn aborts the scan and is returned.
+// from fn aborts the scan and is returned. Every call of fn gets the same
+// Record, whose byte fields alias the scan buffer: it is valid only during
+// the call, and a caller that keeps it keeps its Clone.
 func Scan(path string, fn func(*Record) error) (ScanResult, error) {
 	return ScanFS(fault.OS{}, path, fn)
 }
@@ -46,11 +54,12 @@ func ScanFS(fsys fault.FS, path string, fn func(*Record) error) (ScanResult, err
 	}
 	defer f.Close()
 
-	var off int64
-	hdr := make([]byte, 8)
-	var payload []byte
+	br := bufio.NewReaderSize(f, scanBufSize)
+	var hdr [8]byte
+	var rec Record
+	var large []byte // a payload longer than the buffer
 	for {
-		if _, err := io.ReadFull(f, hdr); err != nil {
+		if _, err := io.ReadFull(br, hdr[:]); err != nil {
 			if errors.Is(err, io.EOF) {
 				return res, nil // clean end
 			}
@@ -63,11 +72,18 @@ func ScanFS(fsys fault.FS, path string, fn func(*Record) error) (ScanResult, err
 			res.Torn = true
 			return res, nil
 		}
-		if cap(payload) < int(length) {
-			payload = make([]byte, length)
+		// The payload is read in place: Peek's bytes stay valid past the
+		// Discard until the next read from br, which follows fn.
+		payload, err := br.Peek(int(length))
+		switch {
+		case err == nil:
+			_, _ = br.Discard(len(payload)) // cannot fail: Peek buffered them
+		case errors.Is(err, bufio.ErrBufferFull):
+			large = slices.Grow(large[:0], int(length))[:length]
+			_, err = io.ReadFull(br, large)
+			payload = large
 		}
-		payload = payload[:length]
-		if _, err := io.ReadFull(f, payload); err != nil {
+		if err != nil {
 			res.Torn = true
 			return res, nil
 		}
@@ -75,34 +91,30 @@ func ScanFS(fsys fault.FS, path string, fn func(*Record) error) (ScanResult, err
 			res.Torn = true
 			return res, nil
 		}
-		rec, err := DecodeRecord(payload)
-		if err != nil {
+		if err := rec.decode(payload); err != nil {
 			res.Torn = true
 			return res, nil
 		}
-		off += 8 + int64(length)
 		res.LastLSN = rec.LSN
-		res.GoodBytes = off
-		if err := fn(rec); err != nil {
+		res.GoodBytes += 8 + int64(length)
+		if err := fn(&rec); err != nil {
 			return res, err
 		}
 	}
 }
 
-// Repair truncates the log file just past its last intact record so a Writer
-// can append safely. It returns the scan result describing what survived.
-func Repair(path string) (ScanResult, error) {
-	return RepairFS(fault.OS{}, path)
+// Repair scans the log like Scan, invoking fn for every intact record, then
+// truncates the file just past the last of them so a Writer can append
+// safely. It returns the scan result describing what survived.
+func Repair(path string, fn func(*Record) error) (ScanResult, error) {
+	return RepairFS(fault.OS{}, path, fn)
 }
 
 // RepairFS is Repair on an injectable filesystem.
-func RepairFS(fsys fault.FS, path string) (ScanResult, error) {
-	res, err := ScanFS(fsys, path, func(*Record) error { return nil })
-	if err != nil {
+func RepairFS(fsys fault.FS, path string, fn func(*Record) error) (ScanResult, error) {
+	res, err := ScanFS(fsys, path, fn)
+	if err != nil || !res.Torn {
 		return res, err
-	}
-	if !res.Torn {
-		return res, nil
 	}
 	if err := fsys.Truncate(path, res.GoodBytes); err != nil {
 		return res, fmt.Errorf("wal: repair truncate: %w", err)

@@ -9,10 +9,12 @@
 package wal
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/id"
 )
@@ -158,17 +160,39 @@ func (r *Record) Encode(dst []byte) []byte {
 	return dst
 }
 
-// DecodeRecord parses a record payload produced by Encode.
+// DecodeRecord parses a record payload produced by Encode. The record does
+// not alias buf.
 func DecodeRecord(buf []byte) (*Record, error) {
-	r := &Record{}
+	var r Record
+	if err := r.decode(buf); err != nil {
+		return nil, err
+	}
+	return r.Clone(), nil
+}
+
+// Clone returns a copy of r that shares no memory with it. A record handed
+// to a Scan callback aliases the scan buffer; a caller that keeps one keeps
+// its clone.
+func (r *Record) Clone() *Record {
+	c := *r
+	c.Key, c.OldVal, c.NewVal = bytes.Clone(r.Key), bytes.Clone(r.OldVal), bytes.Clone(r.NewVal)
+	c.Deltas = slices.Clone(r.Deltas)
+	return &c
+}
+
+// decode overwrites r with the record encoded in buf. Key, OldVal and NewVal
+// alias buf, and Deltas reuses r's backing array, so a scan decodes every
+// record into one Record without allocating.
+func (r *Record) decode(buf []byte) error {
+	*r = Record{Deltas: r.Deltas[:0]}
 	lsn, n := binary.Uvarint(buf)
 	if n <= 0 {
-		return nil, ErrCorruptRecord
+		return ErrCorruptRecord
 	}
 	buf = buf[n:]
 	r.LSN = lsn
 	if len(buf) < 3 {
-		return nil, ErrCorruptRecord
+		return ErrCorruptRecord
 	}
 	r.Type = Type(buf[0])
 	r.Action = Type(buf[1])
@@ -179,38 +203,38 @@ func DecodeRecord(buf []byte) (*Record, error) {
 	buf = buf[3:]
 	txn, n := binary.Uvarint(buf)
 	if n <= 0 {
-		return nil, ErrCorruptRecord
+		return ErrCorruptRecord
 	}
 	buf = buf[n:]
 	r.Txn = id.Txn(txn)
 	tree, n := binary.Uvarint(buf)
 	if n <= 0 || tree > math.MaxUint32 {
-		return nil, ErrCorruptRecord
+		return ErrCorruptRecord
 	}
 	buf = buf[n:]
 	r.Tree = id.Tree(tree)
 	var err error
 	if r.Key, buf, err = takeFramed(buf); err != nil {
-		return nil, err
+		return err
 	}
 	if r.OldVal, buf, err = takeFramed(buf); err != nil {
-		return nil, err
+		return err
 	}
 	if r.NewVal, buf, err = takeFramed(buf); err != nil {
-		return nil, err
+		return err
 	}
 	nd, n := binary.Uvarint(buf)
 	if n <= 0 || nd > uint64(len(buf)) {
-		return nil, ErrCorruptRecord
+		return ErrCorruptRecord
 	}
 	buf = buf[n:]
-	if nd > 0 {
-		r.Deltas = make([]ColDelta, nd)
+	if nd > uint64(cap(r.Deltas)) {
+		r.Deltas = make([]ColDelta, 0, nd)
 	}
 	for i := uint64(0); i < nd; i++ {
 		col, n := binary.Uvarint(buf)
 		if n <= 0 || col > math.MaxUint32 || len(buf) <= n {
-			return nil, ErrCorruptRecord
+			return ErrCorruptRecord
 		}
 		buf = buf[n:]
 		d := ColDelta{Col: uint32(col)}
@@ -218,7 +242,7 @@ func DecodeRecord(buf []byte) (*Record, error) {
 		buf = buf[1:]
 		if isFloat == 1 {
 			if len(buf) < 8 {
-				return nil, ErrCorruptRecord
+				return ErrCorruptRecord
 			}
 			d.IsFloat = true
 			d.Float = math.Float64frombits(binary.LittleEndian.Uint64(buf))
@@ -226,23 +250,23 @@ func DecodeRecord(buf []byte) (*Record, error) {
 		} else {
 			v, n := binary.Varint(buf)
 			if n <= 0 {
-				return nil, ErrCorruptRecord
+				return ErrCorruptRecord
 			}
 			d.Int = v
 			buf = buf[n:]
 		}
-		r.Deltas[i] = d
+		r.Deltas = append(r.Deltas, d)
 	}
 	undone, n := binary.Uvarint(buf)
 	if n <= 0 {
-		return nil, ErrCorruptRecord
+		return ErrCorruptRecord
 	}
 	buf = buf[n:]
 	r.UndoneLSN = undone
 	if len(buf) != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrCorruptRecord, len(buf))
+		return fmt.Errorf("%w: %d trailing bytes", ErrCorruptRecord, len(buf))
 	}
-	return r, nil
+	return nil
 }
 
 func appendFramed(dst, b []byte) []byte {
@@ -266,9 +290,7 @@ func takeFramed(buf []byte) ([]byte, []byte, error) {
 	if n > uint64(len(buf)) {
 		return nil, nil, ErrCorruptRecord
 	}
-	out := make([]byte, n)
-	copy(out, buf[:n])
-	return out, buf[n:], nil
+	return buf[:n:n], buf[n:], nil
 }
 
 // String renders the record for debugging.

@@ -1,6 +1,8 @@
 package wal
 
 import (
+	"bytes"
+	"fmt"
 	"math"
 	"math/rand"
 	"os"
@@ -150,7 +152,7 @@ func TestWriteScanRoundTrip(t *testing.T) {
 	}
 	var got []*Record
 	res, err := Scan(path, func(r *Record) error {
-		got = append(got, r)
+		got = append(got, r.Clone())
 		return nil
 	})
 	if err != nil {
@@ -172,6 +174,88 @@ func TestWriteScanRoundTrip(t *testing.T) {
 		if !recordsEqual(recs[i], got[i]) {
 			t.Fatalf("record %d mismatch:\n%+v\n%+v", i, recs[i], got[i])
 		}
+	}
+}
+
+// TestScanCloneSurvivesBufferReuse: the record a Scan callback gets aliases
+// the scan buffer, which later reads overwrite; its Clone does not.
+func TestScanCloneSurvivesBufferReuse(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "log")
+	w, err := Create(path, 1, SyncNone)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := sampleRecords()[4] // an escrow fold: key and deltas
+	first.NewVal = bytes.Repeat([]byte("first"), 20)
+	if _, err := w.Append(first); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3*scanBufSize/100; i++ {
+		w.Append(&Record{Type: TEscrowFold, Txn: id.Txn(i), Tree: 9, Key: []byte(fmt.Sprint("g", i)),
+			NewVal: bytes.Repeat([]byte{byte(i)}, 64), Deltas: []ColDelta{{Col: uint32(i), Int: int64(i)}}})
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var kept, shared *Record
+	var sharedVal []byte
+	if _, err := Scan(path, func(r *Record) error {
+		if r.LSN == 1 {
+			kept, shared, sharedVal = r.Clone(), r, r.NewVal
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if shared.LSN == 1 || bytes.Equal(sharedVal, first.NewVal) {
+		t.Fatal("the scan never overwrote the first record or its buffer")
+	}
+	if !recordsEqual(kept, first) {
+		t.Fatalf("clone changed with the scan buffer:\n%+v\n%+v", kept, first)
+	}
+}
+
+// TestScanRecordLargerThanBuffer: a record longer than the scan buffer is
+// read whole, and a tear inside it ends the log there.
+func TestScanRecordLargerThanBuffer(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "log")
+	w, err := Create(path, 1, SyncNone)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs := []*Record{
+		{Type: TBegin, Txn: 1},
+		{Type: TDDL, Txn: 1, NewVal: bytes.Repeat([]byte("catalog"), scanBufSize/4)},
+		{Type: TCommit, Txn: 1},
+	}
+	for _, r := range recs {
+		if _, err := w.Append(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var got []*Record
+	res, err := Scan(path, func(r *Record) error { got = append(got, r.Clone()); return nil })
+	if err != nil || res.Torn || len(got) != len(recs) {
+		t.Fatalf("scan: %+v, %d records, %v", res, len(got), err)
+	}
+	for i := range recs {
+		if !recordsEqual(recs[i], got[i]) {
+			t.Fatalf("record %d changed", i)
+		}
+	}
+	info, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(path, info.Size()-scanBufSize); err != nil {
+		t.Fatal(err)
+	}
+	res, err = Scan(path, func(*Record) error { return nil })
+	if err != nil || !res.Torn || res.LastLSN != 1 {
+		t.Fatalf("scan of a tear inside the large record: %+v, %v", res, err)
 	}
 }
 
@@ -248,7 +332,7 @@ func TestRepairThenAppend(t *testing.T) {
 	info, _ := os.Stat(path)
 	os.Truncate(path, info.Size()-3)
 
-	res, err := Repair(path)
+	res, err := Repair(path, func(*Record) error { return nil })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,7 +375,7 @@ func TestInjectedFaultTearsTail(t *testing.T) {
 		t.Fatal("append after failure should error")
 	}
 	w.f.Close()
-	res, err := Repair(path)
+	res, err := Repair(path, func(*Record) error { return nil })
 	if err != nil {
 		t.Fatal(err)
 	}
