@@ -131,11 +131,10 @@ torture-smoke:
 # -compare, which fails on REGRESSED and never on UNRESOLVED. Before the
 # first pair and after the last it times the machine-speed anchor,
 # BenchmarkCalibration (calib_test.go: fixed CPU-only work no engine change
-# moves), as the median ns/op of CALIB_COUNT runs, and writes the two
+# moves), as the median ns/op of 5 runs, and writes the two
 # readings to benchmark/out/calib_ns for make bench-record.
 BASE ?= HEAD~1
 BENCH_PAIRS ?= 10
-CALIB_COUNT ?= 5
 
 bench:
 	@set -e; tmp="$$(mktemp -d)"; out="$(CURDIR)/benchmark/out"; \
@@ -148,7 +147,7 @@ bench:
 	parent() { (cd "$$tmp/parent" && "$$tmp/parent.bin" -seed $$1 -out "$$out/parent.jsonl"); }; \
 	change() { "$$tmp/change.bin" -seed $$1 -out "$$out/change.jsonl"; }; \
 	calib() { "$$tmp/calib.test" -test.run '^$$' -test.bench '^BenchmarkCalibration$$' -test.benchtime 500x \
-		-test.count $(CALIB_COUNT) | awk '/^BenchmarkCalibration/ { print $$3 }' | sort -n | \
+		-test.count 5 | awk '/^BenchmarkCalibration/ { print $$3 }' | sort -n | \
 		awk '{ v[NR] = $$1 } END { print v[int((NR + 1) / 2)] }'; }; \
 	before=$$(calib); echo "== calibration before the pairs: $$before ns/op"; \
 	for i in $$(seq 1 $(BENCH_PAIRS)); do \

@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/apply"
 	"repro/internal/btree"
 	"repro/internal/catalog"
 	"repro/internal/expr"
@@ -16,19 +17,14 @@ import (
 	"repro/internal/wal"
 )
 
-// scanBufSize mirrors the scanner's read buffer (wal's scanBufSize): a scan
-// of N bytes may issue ceil(N/scanBufSize) Reads, plus the one that sees EOF
-// and one for a partly filled buffer.
-const scanBufSize = 1 << 20
-
 // countingFS counts, for one path, the opens for reading and the Read calls on
-// those files, and keeps every buffer a Read was handed.
+// those files, and keeps the length of the largest buffer a Read was handed.
 type countingFS struct {
 	fault.FS
-	path  string
-	opens int
-	reads int
-	bufs  [][]byte
+	path    string
+	opens   int
+	reads   int
+	maxRead int
 }
 
 func (c *countingFS) OpenFile(name string, flag int, perm os.FileMode) (fault.File, error) {
@@ -47,7 +43,7 @@ type countingFile struct {
 
 func (f *countingFile) Read(p []byte) (int, error) {
 	f.fs.reads++
-	f.fs.bufs = append(f.fs.bufs, p)
+	f.fs.maxRead = max(f.fs.maxRead, len(p))
 	return f.File.Read(p)
 }
 
@@ -88,7 +84,10 @@ func logPath(t *testing.T, dir string) string {
 }
 
 // TestRestartReadsLogOnce: restart opens the log for reading once and reads
-// it through one buffer, about one Read per buffer of log.
+// it through one buffer, about one Read per buffer of log. The buffer's size
+// is the largest a Read was handed: a scan of N bytes may issue
+// ceil(N/size) Reads, plus the one that sees EOF and one for a partly filled
+// buffer.
 func TestRestartReadsLogOnce(t *testing.T) {
 	dir := t.TempDir()
 	w, append_ := logWriter(t, dir)
@@ -116,9 +115,6 @@ func TestRestartReadsLogOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	n := info.Size()
-	if n <= 2*scanBufSize {
-		t.Fatalf("log of %d bytes spans too few scan buffers", n)
-	}
 
 	fsys := &countingFS{FS: fault.OS{}, path: path}
 	st, err := RunFS(fsys, dir, wal.SyncNone)
@@ -132,8 +128,13 @@ func TestRestartReadsLogOnce(t *testing.T) {
 	if fsys.opens != 1 {
 		t.Fatalf("log opened for reading %d times, want 1", fsys.opens)
 	}
-	if limit := int((n+scanBufSize-1)/scanBufSize) + 2; fsys.reads > limit {
-		t.Fatalf("%d Read calls for %d bytes of log, want at most %d", fsys.reads, n, limit)
+	size := int64(fsys.maxRead)
+	if n <= 2*size {
+		t.Fatalf("log of %d bytes spans too few scan buffers of %d bytes", n, size)
+	}
+	if limit := int((n+size-1)/size) + 2; fsys.reads > limit {
+		t.Fatalf("%d Read calls for %d bytes of log through a %d-byte buffer, want at most %d",
+			fsys.reads, n, size, limit)
 	}
 }
 
@@ -343,8 +344,10 @@ func TestAnalysisRetainsOpenTransactionsOnly(t *testing.T) {
 }
 
 // TestRedoKeepsNothingOfTheScanBuffer replays a TDDL record, an insert and
-// escrow folds (one committed, one a loser's), then scribbles over every buffer the scan
-// read the log into: the recovered catalog and trees must not change.
+// escrow folds (one committed, one a loser's) as restart's redo pass does,
+// scribbling over each record's bytes once its callback returns, as the
+// scanner's next read may: the catalog and trees must come out as restart
+// builds them from the same log.
 func TestRedoKeepsNothingOfTheScanBuffer(t *testing.T) {
 	dir := t.TempDir()
 	w, append_ := logWriter(t, dir)
@@ -382,27 +385,59 @@ func TestRedoKeepsNothingOfTheScanBuffer(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	fsys := &countingFS{FS: fault.OS{}, path: logPath(t, dir)}
-	st, err := RunFS(fsys, dir, wal.SyncNone)
+	reg, err := apply.NewRegistry(catalog.New())
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer st.Log.Close()
-	if st.Summary.Losers != 1 || st.Summary.UndoneOps != 1 {
-		t.Fatalf("summary = %+v", st.Summary)
-	}
-	state := func() (string, map[id.Tree][]btree.Item) {
-		items := make(map[id.Tree][]btree.Item)
-		for tid, tr := range st.Trees {
-			items[tid] = tr.Items(nil, nil, true)
+	trees := make(map[id.Tree]*btree.Tree)
+	source := func(tid id.Tree) *btree.Tree {
+		if trees[tid] == nil {
+			trees[tid] = btree.New()
 		}
-		return string(st.Catalog().Encode()), items
+		return trees[tid]
 	}
-	catBefore, treesBefore := state()
-	if catBefore != string(cat.Encode()) {
-		t.Fatal("recovered catalog differs from the logged one")
+	an := analysis{open: make(map[id.Txn]*txnInfo)}
+	_, err = wal.Scan(logPath(t, dir), func(rec *wal.Record) error {
+		an.add(rec)
+		if err := apply.Apply(reg, source, rec); err != nil {
+			return err
+		}
+		for _, b := range [][]byte{rec.Key, rec.OldVal, rec.NewVal} {
+			for i := range b {
+				b[i] = 0xA5
+			}
+		}
+		for i := range rec.Deltas {
+			rec.Deltas[i] = wal.ColDelta{Col: 0xA5, Int: -0xA5}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	row, err := record.DecodeRow(treesBefore[v.ID][0].Val)
+	for _, tid := range an.losers() {
+		err := an.open[tid].undo(func(op *wal.Record) error {
+			_, err := apply.Invert(reg, source, op)
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if string(reg.Catalog().Encode()) != string(cat.Encode()) {
+		t.Fatal("replayed catalog changed with the scan buffer")
+	}
+	items := func(trees map[id.Tree]*btree.Tree) map[id.Tree][]btree.Item {
+		out := make(map[id.Tree][]btree.Item)
+		for tid, tr := range trees {
+			if got := tr.Items(nil, nil, true); len(got) > 0 {
+				out[tid] = got
+			}
+		}
+		return out
+	}
+	replayed := items(trees)
+	row, err := record.DecodeRow(replayed[v.ID][0].Val)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -410,22 +445,18 @@ func TestRedoKeepsNothingOfTheScanBuffer(t *testing.T) {
 		t.Fatalf("folded row = %v, want the committed fold only", row)
 	}
 
-	if len(fsys.bufs) == 0 {
-		t.Fatal("no scan buffer seen")
-	}
-	for _, b := range fsys.bufs {
-		for i := range b {
-			b[i] = 0xA5
-		}
-	}
-	catAfter, treesAfter := state()
-	if catAfter != catBefore {
-		t.Fatal("catalog changed with the scan buffer")
-	}
-	if !reflect.DeepEqual(treesAfter, treesBefore) {
-		t.Fatal("trees changed with the scan buffer")
-	}
-	if _, err := catalog.Decode([]byte(catAfter)); err != nil {
+	st, err := Run(dir, wal.SyncNone)
+	if err != nil {
 		t.Fatal(err)
+	}
+	defer st.Log.Close()
+	if st.Summary.Losers != 1 || st.Summary.UndoneOps != 1 {
+		t.Fatalf("summary = %+v", st.Summary)
+	}
+	if string(st.Catalog().Encode()) != string(cat.Encode()) {
+		t.Fatal("recovered catalog differs from the logged one")
+	}
+	if !reflect.DeepEqual(replayed, items(st.Trees)) {
+		t.Fatal("trees changed with the scan buffer")
 	}
 }

@@ -68,7 +68,6 @@ type txnInfo struct {
 // log the entries left are the losers.
 type analysis struct {
 	open   map[id.Txn]*txnInfo
-	spare  []*txnInfo // entries of finished transactions, arenas kept for reuse
 	maxTxn id.Txn
 }
 
@@ -83,9 +82,6 @@ func (a *analysis) add(rec *wal.Record) {
 	case rec.Type == wal.TBegin:
 		if ti == nil {
 			ti = &txnInfo{}
-			if n := len(a.spare); n > 0 {
-				ti, a.spare = a.spare[n-1], a.spare[:n-1]
-			}
 			a.open[rec.Txn] = ti
 		}
 		ti.sys = rec.Sys
@@ -93,8 +89,6 @@ func (a *analysis) add(rec *wal.Record) {
 		// Not open: finished already, or never begun in this log.
 	case rec.Type == wal.TCommit || rec.Type == wal.TAbortEnd:
 		delete(a.open, rec.Txn)
-		ti.ops, ti.undone = ti.ops[:0], nil
-		a.spare = append(a.spare, ti)
 	case rec.Type == wal.TCLR:
 		if ti.undone == nil {
 			ti.undone = make(map[uint64]bool)

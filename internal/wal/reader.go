@@ -8,7 +8,6 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
-	"slices"
 
 	"repro/internal/fault"
 )
@@ -36,8 +35,8 @@ const scanBufSize = 1 << 20
 // Scan reads every intact record in the log file in order, invoking fn for
 // each. A torn or corrupt tail ends the scan cleanly (Torn=true); an error
 // from fn aborts the scan and is returned. Every call of fn gets the same
-// Record, whose byte fields alias the scan buffer: it is valid only during
-// the call, and a caller that keeps it keeps its Clone.
+// Record, whose byte fields alias the scan's payload buffer: it is valid
+// only during the call, and a caller that keeps it keeps its Clone.
 func Scan(path string, fn func(*Record) error) (ScanResult, error) {
 	return ScanFS(fault.OS{}, path, fn)
 }
@@ -56,8 +55,8 @@ func ScanFS(fsys fault.FS, path string, fn func(*Record) error) (ScanResult, err
 
 	br := bufio.NewReaderSize(f, scanBufSize)
 	var hdr [8]byte
+	var payload []byte
 	var rec Record
-	var large []byte // a payload longer than the buffer
 	for {
 		if _, err := io.ReadFull(br, hdr[:]); err != nil {
 			if errors.Is(err, io.EOF) {
@@ -72,18 +71,11 @@ func ScanFS(fsys fault.FS, path string, fn func(*Record) error) (ScanResult, err
 			res.Torn = true
 			return res, nil
 		}
-		// The payload is read in place: Peek's bytes stay valid past the
-		// Discard until the next read from br, which follows fn.
-		payload, err := br.Peek(int(length))
-		switch {
-		case err == nil:
-			_, _ = br.Discard(len(payload)) // cannot fail: Peek buffered them
-		case errors.Is(err, bufio.ErrBufferFull):
-			large = slices.Grow(large[:0], int(length))[:length]
-			_, err = io.ReadFull(br, large)
-			payload = large
+		if cap(payload) < int(length) {
+			payload = make([]byte, length)
 		}
-		if err != nil {
+		payload = payload[:length]
+		if _, err := io.ReadFull(br, payload); err != nil {
 			res.Torn = true
 			return res, nil
 		}

@@ -215,50 +215,6 @@ func TestScanCloneSurvivesBufferReuse(t *testing.T) {
 	}
 }
 
-// TestScanRecordLargerThanBuffer: a record longer than the scan buffer is
-// read whole, and a tear inside it ends the log there.
-func TestScanRecordLargerThanBuffer(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "log")
-	w, err := Create(path, 1, SyncNone)
-	if err != nil {
-		t.Fatal(err)
-	}
-	recs := []*Record{
-		{Type: TBegin, Txn: 1},
-		{Type: TDDL, Txn: 1, NewVal: bytes.Repeat([]byte("catalog"), scanBufSize/4)},
-		{Type: TCommit, Txn: 1},
-	}
-	for _, r := range recs {
-		if _, err := w.Append(r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	var got []*Record
-	res, err := Scan(path, func(r *Record) error { got = append(got, r.Clone()); return nil })
-	if err != nil || res.Torn || len(got) != len(recs) {
-		t.Fatalf("scan: %+v, %d records, %v", res, len(got), err)
-	}
-	for i := range recs {
-		if !recordsEqual(recs[i], got[i]) {
-			t.Fatalf("record %d changed", i)
-		}
-	}
-	info, err := os.Stat(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Truncate(path, info.Size()-scanBufSize); err != nil {
-		t.Fatal(err)
-	}
-	res, err = Scan(path, func(*Record) error { return nil })
-	if err != nil || !res.Torn || res.LastLSN != 1 {
-		t.Fatalf("scan of a tear inside the large record: %+v, %v", res, err)
-	}
-}
-
 func TestScanMissingFile(t *testing.T) {
 	res, err := Scan(filepath.Join(t.TempDir(), "nope"), func(*Record) error { return nil })
 	if err != nil || res.LastLSN != 0 || res.Torn {
