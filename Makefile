@@ -63,7 +63,11 @@ staticcheck:
 # ring indexed by sequence number and a span is a transaction ID, so the
 # span table (spanShard, resolveSpan, SpanOf) stays gone; top and
 # the watchdog diff hot-group listings with metrics.HotGroupGrowth, so
-# metrics.SnapshotRing and its rate types and hottestWaitGroup stay gone. A
+# metrics.SnapshotRing and its rate types and hottestWaitGroup stay gone. One
+# recompute, one compare: db.recompute is the only caller of
+# view.Maintainer.Recompute outside internal/view, the row-materializing
+# viewSourceRows and relationRows stay gone, and CheckConsistency reads a
+# view's stored rows through the scrubber's viewEntries, never Tree.Items. A
 # committed trajectory: a change to internal/ adds its benchmark pair under
 # BENCH_history/ (make bench, then make bench-record).
 structure:
@@ -103,6 +107,13 @@ structure:
 	@out="$$(grep -rnE --include='*.go' --exclude-dir=benchmark \
 		'SnapshotRing|TimedSnapshot|GroupRate|ViewRate|spanShard|resolveSpan|SpanOf|hottestWaitGroup' .)"; \
 		if [ -n "$$out" ]; then echo "a second snapshot ring, the span table or a second hot-group diff is back:"; echo "$$out"; exit 1; fi
+	@out="$$(grep -rnE --include='*.go' 'viewSourceRows|relationRows' .)"; \
+		if [ -n "$$out" ]; then echo "one recompute: the row-materializing source readers are back:"; echo "$$out"; exit 1; fi
+	@out="$$(grep -n '\.Items(' internal/core/check.go)"; \
+		if [ -n "$$out" ]; then echo "one compare: CheckConsistency reads stored rows through viewEntries, not Tree.Items:"; echo "$$out"; exit 1; fi
+	@out="$$(grep -rn --include='*.go' '\.Recompute(' . | grep -v -e '_test\.go:' -e '^./internal/view/' -e '^./benchmark/')"; \
+		test "$$(echo "$$out" | grep -c .)" = 1 || \
+		{ echo "one recompute: db.recompute is the only caller of Recompute outside internal/view and benchmark/:"; echo "$$out"; exit 1; }
 	@if git rev-parse -q --verify '$(BASE)^{commit}' >/dev/null 2>&1; then \
 		if git diff --name-only $(BASE) -- internal | grep -q . && \
 			! git diff --name-only --diff-filter=A $(BASE) -- 'BENCH_history/pr*-change.jsonl' | grep -q .; then \

@@ -5,8 +5,11 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/catalog"
+	"repro/internal/id"
 	"repro/internal/record"
 	"repro/internal/verify"
+	"repro/internal/view"
 )
 
 // CheckProgress is one per-view progress report from CheckConsistencyCtx:
@@ -30,9 +33,11 @@ func (db *DB) CheckConsistency() error {
 
 // CheckConsistencyCtx is CheckConsistency with a context bounding the
 // quiescence wait and an optional per-view progress callback (invoked after
-// each view verifies clean, under the exclusive gate — keep it fast). It
-// shares its recompute/compare core (internal/verify) with the online
-// scrubber, so the two checkers accept exactly the same states.
+// each view verifies clean, under the exclusive gate — keep it fast). Per
+// view it runs the online scrubber's core — recompute, viewEntries and
+// verify.Compare — at latest, without taking the gate again, so the two
+// checkers accept exactly the same states and report a divergence as the
+// same verify.Diff.
 func (db *DB) CheckConsistencyCtx(ctx context.Context, progress func(CheckProgress)) error {
 	if db.closed.Load() {
 		return ErrClosed
@@ -85,25 +90,13 @@ func (db *DB) CheckConsistencyCtx(ctx context.Context, progress func(CheckProgre
 		if m == nil {
 			return fmt.Errorf("core: view %q has no maintainer", v.Name)
 		}
-		// For a view-over-view the recompute reads the parent view's live rows
-		// (in output form), so a stacked chain is checked against the same
-		// rows its maintenance folded from.
-		leftRows, rightRows, err := db.viewSourceRows(cat, v, latest)
+		want, _, err := db.recompute(cat, m, latest)
 		if err != nil {
 			return err
 		}
-		want, err := m.Recompute(leftRows, rightRows)
+		have, _, err := db.viewEntries(v.ID, nil, latest, 0)
 		if err != nil {
 			return err
-		}
-		stored := db.tree(v.ID).Items(nil, nil, false) // live rows only
-		have := make([]verify.Entry, 0, len(stored))
-		for _, it := range stored {
-			row, err := record.DecodeRow(it.Val)
-			if err != nil {
-				return err
-			}
-			have = append(have, verify.Entry{Key: it.Key, Val: row})
 		}
 		if diffs := verify.Compare(want, have, 1); len(diffs) > 0 {
 			return diffs[0].Error(v.Name)
@@ -113,4 +106,68 @@ func (db *DB) CheckConsistencyCtx(ctx context.Context, progress func(CheckProgre
 		}
 	}
 	return nil
+}
+
+// recompute computes a view's expected contents from its source relation as
+// of ts, and counts the source rows read: the one routine behind both
+// checkers, the view backfill, RefreshView and the MIN/MAX repair. A
+// single-source aggregate streams its source through the view's Aggregator,
+// in memory for the view's groups, not the source's rows; a projection or
+// join collects its sources and recomputes. A stacked view's source is its
+// parent's live rows in output form, the rows its maintenance folded from.
+// The caller holds the gate, and at latest keeps the sources stable (source
+// locks or the exclusive gate).
+func (db *DB) recompute(cat *catalog.Catalog, m *view.Maintainer, ts uint64) (want []verify.Entry, srcRows int, err error) {
+	v := m.V
+	if v.Kind == catalog.ViewAggregate && !v.Join() {
+		agg := m.NewAggregator()
+		err := db.eachRelationRow(cat, v.Left, ts, func(row record.Row) error {
+			srcRows++
+			return agg.Add(row)
+		})
+		if err != nil {
+			return nil, 0, err
+		}
+		return agg.Entries(), srcRows, nil
+	}
+	var left, right []record.Row
+	err = db.eachRelationRow(cat, v.Left, ts, func(row record.Row) error {
+		left = append(left, row.Clone())
+		return nil
+	})
+	if err == nil && v.Join() {
+		err = db.eachRelationRow(cat, v.Right, ts, func(row record.Row) error {
+			right = append(right, row.Clone())
+			return nil
+		})
+	}
+	if err != nil {
+		return nil, 0, err
+	}
+	want, err = m.Recompute(left, right)
+	return want, len(left) + len(right), err
+}
+
+// viewEntries scans a view's stored rows from lo as of ts, skipping ghosts as
+// the recompute omits empty groups, and returns at most max entries (max <= 0:
+// all) and the key to resume from. The caller holds the gate.
+func (db *DB) viewEntries(tree id.Tree, lo []byte, ts uint64, max int) ([]verify.Entry, []byte, error) {
+	var entries []verify.Entry
+	var next []byte
+	err := db.scanRows(tree, lo, nil, ts, id.None, func(key, val []byte) (bool, error) {
+		if max > 0 && len(entries) == max {
+			next = append([]byte(nil), key...)
+			return false, nil
+		}
+		row, err := record.DecodeRow(val)
+		if err != nil {
+			return false, err
+		}
+		entries = append(entries, verify.Entry{Key: append([]byte(nil), key...), Val: row})
+		return true, nil
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	return entries, next, nil
 }

@@ -106,25 +106,16 @@ func (db *DB) CreateIndex(name, table string, cols []int, unique bool) error {
 			return err
 		}
 		seen := map[string]bool{}
-		rows, err := db.relationRows(cat, table, latest)
-		if err != nil {
-			return err
-		}
-		for _, row := range rows {
-			ixKey := indexKey(ix, tbl, row)
+		return db.eachRelationRow(cat, table, latest, func(row record.Row) error {
 			if ix.Unique {
-				prefix := indexPrefix(ix, row)
-				if seen[string(prefix)] {
+				prefix := string(indexPrefix(ix, row))
+				if seen[prefix] {
 					return fmt.Errorf("%w: unique index %q over duplicate values", ErrDuplicateKey, name)
 				}
-				seen[string(prefix)] = true
+				seen[prefix] = true
 			}
-			rec := &wal.Record{Type: wal.TInsert, Tree: ix.ID, Key: ixKey}
-			if err := db.logOp(st, rec); err != nil {
-				return err
-			}
-		}
-		return nil
+			return db.logOp(st, &wal.Record{Type: wal.TInsert, Tree: ix.ID, Key: indexKey(ix, tbl, row)})
+		})
 	}, nil)
 }
 
@@ -149,11 +140,7 @@ func (db *DB) CreateIndexedView(def catalog.View) error {
 		if m == nil {
 			return fmt.Errorf("core: view %q has no compiled maintainer", def.Name)
 		}
-		leftRows, rightRows, err := db.viewSourceRows(db.Catalog(), added, latest)
-		if err != nil {
-			return err
-		}
-		entries, err := m.Recompute(leftRows, rightRows)
+		entries, _, err := db.recompute(db.Catalog(), m, latest)
 		if err != nil {
 			return err
 		}
@@ -243,27 +230,6 @@ func (db *DB) lockSources(st *txn.Txn, cat *catalog.Catalog, v *catalog.View) er
 		return err
 	}
 	return db.lockTree(st, right.ID, lock.ModeS)
-}
-
-// viewSourceRows reads a view's recompute inputs as of ts: every row of its
-// source relation and, for a join view, of the joined table. At latest the
-// caller holds locks on the sources (lockSources, or the exclusive gate).
-func (db *DB) viewSourceRows(cat *catalog.Catalog, v *catalog.View, ts uint64) (left, right []record.Row, err error) {
-	if left, err = db.relationRows(cat, v.Left, ts); err != nil || !v.Join() {
-		return left, nil, err
-	}
-	right, err = db.relationRows(cat, v.Right, ts)
-	return left, right, err
-}
-
-// relationRows materializes eachRelationRow.
-func (db *DB) relationRows(cat *catalog.Catalog, name string, ts uint64) ([]record.Row, error) {
-	var rows []record.Row
-	err := db.eachRelationRow(cat, name, ts, func(row record.Row) error {
-		rows = append(rows, row.Clone())
-		return nil
-	})
-	return rows, err
 }
 
 // eachRelationRow streams every live row of a relation as of ts to fn, in

@@ -331,7 +331,7 @@ func (db *DB) maintainXLock(tx *Tx, v *catalog.View, m *view.Maintainer, src rec
 		// Removing a row: if it carried the current extremum, recompute the
 		// group from the base tables.
 		if !curV.IsNull() && record.Compare(c.Value, curV) == 0 {
-			recomputed, err := db.recomputeExtremum(tx, v, m, src, i)
+			recomputed, err := db.recomputeExtremum(m, src, i)
 			if err != nil {
 				return err
 			}
@@ -426,19 +426,14 @@ func better(f expr.AggFunc, candidate, current record.Value) bool {
 // (excluding src itself, which is being removed) and recomputes aggregate
 // aggIdx. The caller holds an X lock on the view row; base rows are read
 // under the removed row's already-held locks plus the tree latch.
-func (db *DB) recomputeExtremum(tx *Tx, v *catalog.View, m *view.Maintainer, src record.Row, aggIdx int) (record.Value, error) {
+func (db *DB) recomputeExtremum(m *view.Maintainer, src record.Row, aggIdx int) (record.Value, error) {
 	group, err := m.GroupRow(src)
 	if err != nil {
 		return record.Value{}, err
 	}
-	leftRows, rightRows, err := db.viewSourceRows(db.Catalog(), v, latest)
-	if err != nil {
-		return record.Value{}, err
-	}
-	// The base change was applied before maintenance ran, so the scan above
-	// already reflects the removal: recomputing the group yields the new
-	// extremum directly.
-	entries, err := m.Recompute(leftRows, rightRows)
+	// The base change was applied before maintenance ran, so the recompute
+	// already reflects the removal and yields the group's new extremum.
+	entries, _, err := db.recompute(db.Catalog(), m, latest)
 	if err != nil {
 		return record.Value{}, err
 	}

@@ -276,17 +276,18 @@ func (tx *Tx) AggregateNoView(table string, where expr.Expr, groupBy []int, aggs
 	if err != nil {
 		return nil, err
 	}
-	var rows []record.Row
+	agg := m.NewAggregator()
+	var addErr error
 	if err := tx.ScanTable(table, nil, nil, func(r record.Row) bool {
-		rows = append(rows, r)
-		return true
+		addErr = agg.Add(r)
+		return addErr == nil
 	}); err != nil {
 		return nil, err
 	}
-	entries, err := m.Recompute(rows, nil)
-	if err != nil {
-		return nil, err
+	if addErr != nil {
+		return nil, addErr
 	}
+	entries := agg.Entries()
 	out := make([]ViewRow, 0, len(entries))
 	for _, e := range entries {
 		keyRow, err := record.DecodeKey(e.Key)
@@ -379,15 +380,11 @@ func (db *DB) refreshOne(st *txn.Txn, cat *catalog.Catalog, v *catalog.View) (in
 	if err := db.lockSources(st, cat, v); err != nil {
 		return 0, err
 	}
-	leftRows, rightRows, err := db.viewSourceRows(cat, v, latest)
+	want, _, err := db.recompute(cat, m, latest)
 	if err != nil {
 		return 0, err
 	}
 	if err := db.lockTree(st, v.ID, lock.ModeX); err != nil {
-		return 0, err
-	}
-	want, err := m.Recompute(leftRows, rightRows)
-	if err != nil {
 		return 0, err
 	}
 	have := db.tree(v.ID).Items(nil, nil, true)

@@ -78,9 +78,7 @@ func (e scrubEngine) Applied(tree id.Tree) (uint64, uint64) {
 	return e.db.oracle.ViewApplied(tree)
 }
 
-// Have implements scrub.Engine: scan the view's stored rows from lo at ts
-// (ghosts skipped, exactly like the recompute omits empty groups), returning
-// at most max entries and the resume key.
+// Have implements scrub.Engine: the gate-admitted viewEntries.
 func (e scrubEngine) Have(tree id.Tree, lo []byte, ts uint64, max int) ([]verify.Entry, []byte, error) {
 	db := e.db
 	if db.closed.Load() {
@@ -88,28 +86,11 @@ func (e scrubEngine) Have(tree id.Tree, lo []byte, ts uint64, max int) ([]verify
 	}
 	db.gate.RLock()
 	defer db.gate.RUnlock()
-	var entries []verify.Entry
-	var next []byte
-	err := db.scanRows(tree, lo, nil, ts, id.None, func(key, val []byte) (bool, error) {
-		if max > 0 && len(entries) == max {
-			next = append([]byte(nil), key...)
-			return false, nil
-		}
-		row, err := record.DecodeRow(val)
-		if err != nil {
-			return false, err
-		}
-		entries = append(entries, verify.Entry{Key: append([]byte(nil), key...), Val: row})
-		return true, nil
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	return entries, next, nil
+	return db.viewEntries(tree, lo, ts, max)
 }
 
-// Want implements scrub.Engine: recompute the view's full expected contents
-// from its source relation as of ts.
+// Want implements scrub.Engine: the gate-admitted recompute of the view's
+// full expected contents as of ts.
 func (e scrubEngine) Want(tree id.Tree, ts uint64) ([]verify.Entry, int, error) {
 	db := e.db
 	if db.closed.Load() {
@@ -117,34 +98,11 @@ func (e scrubEngine) Want(tree id.Tree, ts uint64) ([]verify.Entry, int, error) 
 	}
 	db.gate.RLock()
 	defer db.gate.RUnlock()
-	cat := db.Catalog()
 	m := db.reg.Maintainer(tree)
 	if m == nil {
 		return nil, 0, fmt.Errorf("core: scrub of unknown view %s", tree)
 	}
-	v := m.V
-	if v.Kind == catalog.ViewAggregate && !v.Join() {
-		// One source, aggregated as it streams past: a pass costs memory in
-		// the view's groups, not in the source's rows.
-		agg, rows := m.NewAggregator(), 0
-		err := db.eachRelationRow(cat, v.Left, ts, func(row record.Row) error {
-			rows++
-			return agg.Add(row)
-		})
-		if err != nil {
-			return nil, 0, err
-		}
-		return agg.Entries(), rows, nil
-	}
-	leftRows, rightRows, err := db.viewSourceRows(cat, v, ts)
-	if err != nil {
-		return nil, 0, err
-	}
-	want, err := m.Recompute(leftRows, rightRows)
-	if err != nil {
-		return nil, 0, err
-	}
-	return want, len(leftRows) + len(rightRows), nil
+	return db.recompute(db.Catalog(), m, ts)
 }
 
 // Report implements scrub.Engine: a confirmed divergence becomes

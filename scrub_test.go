@@ -2,6 +2,9 @@ package vtxn_test
 
 import (
 	"context"
+	"encoding/hex"
+	"fmt"
+	"regexp"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -9,6 +12,7 @@ import (
 
 	vtxn "repro"
 	"repro/internal/fault"
+	"repro/internal/record"
 	"repro/internal/workload"
 )
 
@@ -180,6 +184,13 @@ func TestScrubDetectsCorruption(t *testing.T) {
 				t.Fatalf("corruption fault point hit %d times, want 1", n)
 			}
 
+			// The offline checker must catch the same row; its report is
+			// matched against the scrubber's event below.
+			checkErr := db.CheckConsistency()
+			if checkErr == nil {
+				t.Fatal("CheckConsistency passed a corrupted view row")
+			}
+
 			n, err := db.ScrubNow(context.Background())
 			if err != nil {
 				t.Fatal(err)
@@ -214,6 +225,25 @@ func TestScrubDetectsCorruption(t *testing.T) {
 			} else if !strings.Contains(ev.Outcome, "expected") || !strings.Contains(ev.Outcome, "actual") ||
 				!strings.Contains(ev.Outcome, "lock path") {
 				t.Fatalf("divergence event missing expected/actual/lock-path detail: %+v", ev)
+			}
+			// Both checkers render one verify.Diff: the same view, the same
+			// group key and the same expected and actual values.
+			ev, msg := evs[0], checkErr.Error()
+			if !strings.Contains(msg, fmt.Sprintf("view %q", ev.Resource)) {
+				t.Fatalf("CheckConsistency names another view than the scrubber's %q: %s", ev.Resource, msg)
+			}
+			if m := regexp.MustCompile(`key ([0-9a-f]+):`).FindStringSubmatch(msg); m == nil {
+				t.Fatalf("CheckConsistency error names no key: %s", msg)
+			} else if raw, err := hex.DecodeString(m[1]); err != nil {
+				t.Fatal(err)
+			} else if key, err := record.DecodeKey(raw); err != nil || len(key) != 1 || key[0].String() != ev.Phase ||
+				record.CompareRows(key, tc.key) != 0 {
+				t.Fatalf("CheckConsistency key %s (%v, err %v), scrubber group %s, corrupted %v", m[1], key, err, ev.Phase, tc.key)
+			}
+			stored := regexp.MustCompile(`stored (\([^)]*\)), recompute (\([^)]*\))$`).FindStringSubmatch(msg)
+			traced := regexp.MustCompile(`^expected (\([^)]*\)), actual (\([^)]*\)),`).FindStringSubmatch(ev.Outcome)
+			if stored == nil || traced == nil || stored[1] != traced[2] || stored[2] != traced[1] {
+				t.Fatalf("the checkers disagree on the values:\n check: %s\n scrub: %s", msg, ev.Outcome)
 			}
 			dump := sink.String()
 			if !strings.Contains(dump, "scrub divergence") || !strings.Contains(dump, tc.view) || !strings.Contains(dump, tc.group) {
