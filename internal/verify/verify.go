@@ -1,10 +1,10 @@
-// Package verify is the shared recompute/compare core behind both
-// consistency checks of the engine: the offline, quiescent
-// core.CheckConsistency and the online, snapshot-paced background scrubber
-// (internal/scrub). Both express "the view equals a recompute over its
-// source relation" as a walk over two key-sorted entry lists — keeping the
-// two checkers on one comparator means they cannot drift apart in what they
-// accept.
+// Package verify is the one comparator behind both consistency checks of
+// the engine: the offline, quiescent core.CheckConsistency and the online,
+// snapshot-paced background scrubber (internal/scrub). One kernel routine
+// computes a view's expected contents and one scan reads what it stores;
+// Compare judges the two as a walk over two key-sorted entry lists, so the
+// two checkers cannot drift apart in what they accept or in how they report
+// a divergence.
 package verify
 
 import (

@@ -14,9 +14,11 @@ type Entry struct {
 	Val record.Row
 }
 
-// Recompute builds the view's exact contents from base-table rows: the
-// oracle for deferred maintenance, the no-view query baseline, and the
-// consistency checker. rightRows is ignored for single-table views.
+// Recompute builds the view's exact contents from materialized source rows.
+// Its one caller in the engine is the kernel's recompute routine, which
+// computes every view's expected contents: it streams a single-source
+// aggregate through NewAggregator and calls Recompute for projection and
+// join views. rightRows is ignored for single-table views.
 func (m *Maintainer) Recompute(leftRows, rightRows []record.Row) ([]Entry, error) {
 	if m.V.Kind == catalog.ViewAggregate {
 		agg := m.NewAggregator()
@@ -48,7 +50,8 @@ func (m *Maintainer) Recompute(leftRows, rightRows []record.Row) ([]Entry, error
 // Aggregator accumulates source rows into an aggregate view's stored rows,
 // one running state per group: the recompute side of every checker, whether
 // the rows come from a materialized slice (Recompute) or stream past one at
-// a time (the scrubber). It allocates per group, never per row.
+// a time (the kernel's recompute of a single-source aggregate, and the
+// no-view aggregate query). It allocates per group, never per row.
 type Aggregator struct {
 	m      *Maintainer
 	groups map[string]*groupAcc

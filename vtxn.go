@@ -81,8 +81,9 @@
 // naming (view, group, expected, actual), auto-dumps the flight record, and
 // trips the watchdog's scrub-divergence signature; DB.ScrubNow forces an
 // unpaced full pass on demand. DB.CheckConsistency remains the offline,
-// quiescent twin (CheckConsistencyCtx adds per-view progress callbacks); both
-// share one recompute/compare core.
+// quiescent twin (CheckConsistencyCtx adds per-view progress callbacks). Both
+// compute a view's expected contents with one routine and judge them against
+// the stored rows with one comparator, so they report a divergence alike.
 //
 // Forensics: an always-on flight recorder keeps the most recent engine
 // events in a bounded ring, each stamped with a sequence number and wall
