@@ -67,8 +67,11 @@ staticcheck:
 # recompute, one compare: db.recompute is the only caller of
 # view.Maintainer.Recompute outside internal/view, the row-materializing
 # viewSourceRows and relationRows stay gone, and CheckConsistency reads a
-# view's stored rows through the scrubber's viewEntries, never Tree.Items. A
-# committed trajectory: a change to internal/ adds its benchmark pair under
+# view's stored rows through the scrubber's verifyView, never Tree.Items. One
+# whole view per scrub slice, against one snapshot pair: the group-range
+# cursor (viewEntries, verify.Clip, MaxGroups) and the pair re-read with its
+# discard (pinAttempts) stay gone from every .go file outside benchmark/, and
+# non-test internal/scrub never sleeps. A committed trajectory: a change to internal/ adds its benchmark pair under
 # BENCH_history/ (make bench, then make bench-record).
 structure:
 	@out="$$(grep -rl --include='*.go' '"repro/internal/mvcc"' . | grep -v -e '^./internal/mvcc/' -e '^./internal/btree/' -e '^./internal/core/')"; \
@@ -110,10 +113,14 @@ structure:
 	@out="$$(grep -rnE --include='*.go' 'viewSourceRows|relationRows' .)"; \
 		if [ -n "$$out" ]; then echo "one recompute: the row-materializing source readers are back:"; echo "$$out"; exit 1; fi
 	@out="$$(grep -n '\.Items(' internal/core/check.go)"; \
-		if [ -n "$$out" ]; then echo "one compare: CheckConsistency reads stored rows through viewEntries, not Tree.Items:"; echo "$$out"; exit 1; fi
+		if [ -n "$$out" ]; then echo "one compare: CheckConsistency reads stored rows through verifyView, not Tree.Items:"; echo "$$out"; exit 1; fi
 	@out="$$(grep -rn --include='*.go' '\.Recompute(' . | grep -v -e '_test\.go:' -e '^./internal/view/' -e '^./benchmark/')"; \
 		test "$$(echo "$$out" | grep -c .)" = 1 || \
 		{ echo "one recompute: db.recompute is the only caller of Recompute outside internal/view and benchmark/:"; echo "$$out"; exit 1; }
+	@out="$$(grep -rnE --include='*.go' --exclude-dir=benchmark 'viewEntries|verify\.Clip|MaxGroups|pinAttempts' .)"; \
+		if [ -n "$$out" ]; then echo "one view per scrub slice: the group-range cursor or the pair discard is back:"; echo "$$out"; exit 1; fi
+	@out="$$(grep -n 'time\.Sleep' $$(ls internal/scrub/*.go | grep -v '_test\.go$$'))"; \
+		if [ -n "$$out" ]; then echo "internal/scrub never sleeps: a slice yields and re-pins, it does not back off:"; echo "$$out"; exit 1; fi
 	@if git rev-parse -q --verify '$(BASE)^{commit}' >/dev/null 2>&1; then \
 		if git diff --name-only $(BASE) -- internal | grep -q . && \
 			! git diff --name-only --diff-filter=A $(BASE) -- 'BENCH_history/pr*-change.jsonl' | grep -q .; then \

@@ -47,8 +47,8 @@ func (s *shell) renderScrub(interactive bool) {
 	}
 	fmt.Fprintf(s.out, "vtxn scrub — background %s — cycles %d — last full pass %s%s\n",
 		state, sc.Cycles, last, quitHint(interactive))
-	fmt.Fprintf(s.out, "slices %d  rows verified %d  conflicts %d  snapshot retries %d  cycle p50 %s p99 %s\n",
-		sc.Slices, sc.RowsVerified, sc.Conflicts, sc.SnapshotRetries,
+	fmt.Fprintf(s.out, "slices %d  rows verified %d  snapshot retries %d  cycle p50 %s p99 %s\n",
+		sc.Slices, sc.RowsVerified, sc.SnapshotRetries,
 		time.Duration(sc.CycleDur.P50Ns).Round(time.Millisecond),
 		time.Duration(sc.CycleDur.P99Ns).Round(time.Millisecond))
 	if sc.Divergences > 0 {

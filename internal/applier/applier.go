@@ -60,18 +60,17 @@ type Batch struct {
 }
 
 // Barrier is a catalog-ordered control message: a view refresh (or create
-// backfill, or drop) recomputed the view from its base tables as of commit
-// timestamp TS, so every delta pending for the view is already incorporated
-// and must be discarded, and the view's watermark jumps to TS. Publication
-// order against Batch messages is the correctness argument: the refresh holds
-// the base tables' S locks through its commit, so any commit whose deltas are
-// NOT in the recompute allocates a later timestamp and publishes after the
-// barrier.
+// backfill, or drop) recomputed the view from its base tables, so every delta
+// pending for the view is already incorporated and must be discarded. (The
+// refresh or create itself published the view's watermark, at its commit
+// timestamp.) Publication order against Batch messages is the correctness
+// argument: the refresh holds the base tables' S locks through its commit, so
+// any commit whose deltas are NOT in the recompute allocates a later
+// timestamp and publishes after the barrier.
 type Barrier struct {
 	Tree id.Tree
-	TS   uint64
 	// Drop marks a dropped view: pending deltas are discarded and the
-	// watermark entry is removed rather than advanced.
+	// watermark entry is removed.
 	Drop bool
 }
 

@@ -133,9 +133,9 @@ func TestCleanGhostsAllocsPerGhost(t *testing.T) {
 }
 
 // TestScrubWantAllocsPerGroup: every view recompute streams a single-source
-// aggregate's source, so the scrubber's expected side, a consistency check
-// and a refresh over 20 000 rows in 8 groups allocate for the groups, not for
-// the rows.
+// aggregate's source, and every compare streams the stored rows, so the
+// scrubber's slice, a consistency check and a refresh over 20 000 rows in 8
+// groups allocate for the groups, not for the rows.
 func TestScrubWantAllocsPerGroup(t *testing.T) {
 	db := openTestDB(t, Options{ScrubInterval: -1, MVCCPruneInterval: -1})
 	setupBanking(t, db, catalog.StrategyEscrow)
@@ -150,19 +150,24 @@ func TestScrubWantAllocsPerGroup(t *testing.T) {
 	db.PruneVersions()
 	tree := mustView(t, db, "branch_totals").ID
 	ts := db.oracle.ReadTS()
-	eng := scrubEngine{db}
-	want, n, err := eng.Want(tree, ts)
+	want, n, err := db.recompute(db.Catalog(), db.reg.Maintainer(tree), ts)
 	if err != nil || n != rows || len(want) != groups {
-		t.Fatalf("Want = %d entries over %d rows, err %v", len(want), n, err)
+		t.Fatalf("recompute = %d entries over %d rows, err %v", len(want), n, err)
 	}
 	if want[0].Val[0].AsInt() != rows/groups || want[0].Val[3].AsInt() != 10*rows/groups {
 		t.Fatalf("group 0 = %v", want[0].Val)
 	}
+	eng := scrubEngine{db}
 	for _, c := range []struct {
 		name string
 		call func() error
 	}{
-		{"scrubEngine.Want", func() error { _, _, err := eng.Want(tree, ts); return err }},
+		{"scrubEngine.Verify", func() error {
+			if n, diffs, err := eng.Verify(tree, ts, ts, 16); err != nil || n != rows+groups || len(diffs) != 0 {
+				return fmt.Errorf("Verify read %d rows, %d diffs, err %v", n, len(diffs), err)
+			}
+			return nil
+		}},
 		{"CheckConsistency", db.CheckConsistency},
 		{"RefreshView", func() error {
 			if n, err := db.RefreshView("branch_totals"); err != nil || n != 0 {

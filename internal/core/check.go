@@ -13,7 +13,8 @@ import (
 )
 
 // CheckProgress is one per-view progress report from CheckConsistencyCtx:
-// view Index (0-based) of Total just finished verifying Rows live rows.
+// view Index (0-based) of Total just verified clean, reading Rows rows
+// (source rows recomputed plus view rows compared).
 type CheckProgress struct {
 	View  string
 	Index int
@@ -34,10 +35,9 @@ func (db *DB) CheckConsistency() error {
 // CheckConsistencyCtx is CheckConsistency with a context bounding the
 // quiescence wait and an optional per-view progress callback (invoked after
 // each view verifies clean, under the exclusive gate — keep it fast). Per
-// view it runs the online scrubber's core — recompute, viewEntries and
-// verify.Compare — at latest, without taking the gate again, so the two
-// checkers accept exactly the same states and report a divergence as the
-// same verify.Diff.
+// view it runs the online scrubber's core, verifyView, at latest, without
+// taking the gate again, so the two checkers accept exactly the same states
+// and report a divergence as the same verify.Diff.
 func (db *DB) CheckConsistencyCtx(ctx context.Context, progress func(CheckProgress)) error {
 	if db.closed.Load() {
 		return ErrClosed
@@ -90,27 +90,23 @@ func (db *DB) CheckConsistencyCtx(ctx context.Context, progress func(CheckProgre
 		if m == nil {
 			return fmt.Errorf("core: view %q has no maintainer", v.Name)
 		}
-		want, _, err := db.recompute(cat, m, latest)
+		rows, diffs, err := db.verifyView(cat, m, latest, latest, 1)
 		if err != nil {
 			return err
 		}
-		have, _, err := db.viewEntries(v.ID, nil, latest, 0)
-		if err != nil {
-			return err
-		}
-		if diffs := verify.Compare(want, have, 1); len(diffs) > 0 {
+		if len(diffs) > 0 {
 			return diffs[0].Error(v.Name)
 		}
 		if progress != nil {
-			progress(CheckProgress{View: v.Name, Index: i, Total: len(views), Rows: len(have)})
+			progress(CheckProgress{View: v.Name, Index: i, Total: len(views), Rows: rows})
 		}
 	}
 	return nil
 }
 
 // recompute computes a view's expected contents from its source relation as
-// of ts, and counts the source rows read: the one routine behind both
-// checkers, the view backfill, RefreshView and the MIN/MAX repair. A
+// of ts, and counts the source rows read: the one routine behind verifyView,
+// the view backfill, RefreshView and the MIN/MAX repair. A
 // single-source aggregate streams its source through the view's Aggregator,
 // in memory for the view's groups, not the source's rows; a projection or
 // join collects its sources and recomputes. A stacked view's source is its
@@ -148,26 +144,30 @@ func (db *DB) recompute(cat *catalog.Catalog, m *view.Maintainer, ts uint64) (wa
 	return want, len(left) + len(right), err
 }
 
-// viewEntries scans a view's stored rows from lo as of ts, skipping ghosts as
-// the recompute omits empty groups, and returns at most max entries (max <= 0:
-// all) and the key to resume from. The caller holds the gate.
-func (db *DB) viewEntries(tree id.Tree, lo []byte, ts uint64, max int) ([]verify.Entry, []byte, error) {
-	var entries []verify.Entry
-	var next []byte
-	err := db.scanRows(tree, lo, nil, ts, id.None, func(key, val []byte) (bool, error) {
-		if max > 0 && len(entries) == max {
-			next = append([]byte(nil), key...)
-			return false, nil
-		}
-		row, err := record.DecodeRow(val)
-		if err != nil {
+// verifyView judges one view, the routine behind both checkers: it
+// recomputes the view's expected contents from its source as of srcTS and
+// streams the stored rows as of viewTS through one verify.Walk, decoding each
+// into one reused row, so only a diff copies a key or a row. Ghosts are not
+// stored rows, as the recompute omits empty groups. It returns the rows read
+// (source rows recomputed plus view rows compared) and at most max diffs
+// (max <= 0: all). The caller holds the gate.
+func (db *DB) verifyView(cat *catalog.Catalog, m *view.Maintainer, viewTS, srcTS uint64, max int) (rows int, diffs []verify.Diff, err error) {
+	want, rows, err := db.recompute(cat, m, srcTS)
+	if err != nil {
+		return 0, nil, err
+	}
+	w := verify.Walk{Want: want, Max: max}
+	var row record.Row
+	err = db.scanRows(m.V.ID, nil, nil, viewTS, id.None, func(key, val []byte) (bool, error) {
+		var err error
+		if row, err = record.DecodeRowInto(row, val); err != nil {
 			return false, err
 		}
-		entries = append(entries, verify.Entry{Key: append([]byte(nil), key...), Val: row})
-		return true, nil
+		rows++
+		return w.Stored(key, row), nil
 	})
 	if err != nil {
-		return nil, nil, err
+		return 0, nil, err
 	}
-	return entries, next, nil
+	return rows, w.Done(), nil
 }

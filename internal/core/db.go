@@ -90,14 +90,11 @@ type Options struct {
 	// WatchdogInterval; without it the SLO is report-only.
 	FreshnessSLO time.Duration
 	// ScrubInterval runs the online consistency scrubber: a background task
-	// verifying one (view, group-range) slice per tick against a recompute at
-	// an MVCC snapshot timestamp (DESIGN.md §7.4). 0 selects the default
-	// (25ms); negative disables the background task (ScrubNow still works).
+	// verifying one view per tick against a recompute at MVCC snapshot
+	// timestamps (DESIGN.md §7.4), paced at 200k verified rows per second.
+	// 0 selects the default (25ms); negative disables the background task
+	// (ScrubNow still works).
 	ScrubInterval time.Duration
-	// ScrubRowBudget paces the scrubber in verified rows per second — source
-	// rows recomputed plus view rows compared. 0 selects the default
-	// (200k rows/s); negative removes the pacing entirely.
-	ScrubRowBudget int
 }
 
 // DB is a database instance.
@@ -286,7 +283,9 @@ func Open(path string, opts Options) (*DB, error) {
 	// (fully recovered) base tables. Recompute each one in tree-ID (topological)
 	// order so parents converge before their dependents; RefreshView cascades
 	// to the dependent subtree, so a view whose source view is itself deferred
-	// is covered by the source's refresh and skipped here.
+	// is covered by the source's refresh and skipped here. Each refresh
+	// publishes its views' apply pairs itself, so a recovered deferred view
+	// has its watermark when Open returns.
 	if !st.Summary.Fresh {
 		cat := db.Catalog()
 		for _, v := range cat.DeferredViews() {
@@ -311,7 +310,7 @@ func Open(path string, opts Options) (*DB, error) {
 	scrubInterval := cmp.Or(opts.ScrubInterval, defaultScrubInterval)
 	db.scrub = scrub.New(scrubEngine{db}, scrub.Config{
 		Interval:  scrubInterval,
-		RowBudget: cmp.Or(opts.ScrubRowBudget, defaultScrubRowBudget),
+		RowBudget: defaultScrubRowBudget,
 		Metrics:   &met.Scrub,
 	})
 	if opts.ScrubInterval >= 0 {

@@ -121,9 +121,10 @@ func (db *DB) CreateIndex(name, table string, cols []int, unique bool) error {
 
 // CreateIndexedView registers an indexed view and backfills it from its base
 // tables. The def's ID and Name validation happen in the catalog. A deferred
-// view's backfill also publishes a create barrier so the applier initializes
-// its watermark at the backfill's commit timestamp (the base-table S locks
-// held through commit order the barrier before any later commit's batch).
+// view's backfill also publishes its apply pair at the backfill's commit
+// timestamp, and a create barrier so the applier drops the deltas the
+// backfill already holds (the base-table S locks held through commit order
+// the barrier before any later commit's batch).
 func (db *DB) CreateIndexedView(def catalog.View) error {
 	var added *catalog.View
 	return db.ddl(func(c *catalog.Catalog) error {
@@ -156,11 +157,11 @@ func (db *DB) CreateIndexedView(def catalog.View) error {
 		// (rather than deciding at the ddl call) is what makes this correct.
 		if added.Strategy == catalog.StrategyDeferred {
 			// The view equals its source as of ts from this moment, so its
-			// watermark says so from this moment: the barrier below reaches
+			// apply pair says so from this moment: the barrier below reaches
 			// the applier later, and until a view has a watermark nothing
 			// holds the prune horizon to it.
-			db.oracle.AdvanceViewWatermark(added.ID, ts)
-			db.publishDeferredBarrier(added.ID, ts, false)
+			db.oracle.AdvanceViewApplied(added.ID, ts, ts)
+			db.publishDeferredBarrier(added.ID, false)
 		}
 	})
 }
@@ -191,7 +192,7 @@ func (db *DB) DropView(name string) error {
 		return nil
 	}, func(ts uint64) {
 		if dropped.Strategy == catalog.StrategyDeferred {
-			db.publishDeferredBarrier(dropped.ID, ts, true)
+			db.publishDeferredBarrier(dropped.ID, true)
 		}
 	})
 }

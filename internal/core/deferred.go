@@ -159,12 +159,12 @@ func (db *DB) publishDeferred(b *applier.Batch, t id.Txn) {
 }
 
 // publishDeferredBarrier tells the applier a view was recomputed from its
-// base tables as of commit timestamp ts (refresh / create backfill), or
-// dropped. Called from a system transaction's pre-FinishCommit hook, while
-// the transaction still holds the base tables' S locks — which is what orders
-// the barrier before any batch whose deltas the recompute missed.
-func (db *DB) publishDeferredBarrier(tree id.Tree, ts uint64, drop bool) {
-	n := db.applierQ.push(applier.Msg{Barrier: &applier.Barrier{Tree: tree, TS: ts, Drop: drop}})
+// base tables (refresh / create backfill), or dropped. Called from a system
+// transaction's pre-FinishCommit hook, while the transaction still holds the
+// base tables' S locks — which is what orders the barrier before any batch
+// whose deltas the recompute missed.
+func (db *DB) publishDeferredBarrier(tree id.Tree, drop bool) {
+	n := db.applierQ.push(applier.Msg{Barrier: &applier.Barrier{Tree: tree, Drop: drop}})
 	db.met.Deferred.ObserveQueueDepth(n)
 }
 
@@ -211,7 +211,8 @@ func (db *DB) applierRound(co *applier.Coalescer) {
 		case m.Barrier != nil:
 			// Everything pending for the tree precedes the barrier in queue
 			// order, so it is already incorporated in the recompute (or gone
-			// with the dropped view) — held-back batches included.
+			// with the dropped view) — held-back batches included. The refresh
+			// or create published the view's apply pair itself.
 			co.DropTree(m.Barrier.Tree)
 			for _, a := range ahead {
 				a.Batch.Groups = slices.DeleteFunc(a.Batch.Groups, func(g applier.GroupDelta) bool {
@@ -220,8 +221,6 @@ func (db *DB) applierRound(co *applier.Coalescer) {
 			}
 			if m.Barrier.Drop {
 				db.oracle.DropViewWatermark(m.Barrier.Tree)
-			} else {
-				db.oracle.AdvanceViewWatermark(m.Barrier.Tree, m.Barrier.TS)
 			}
 		}
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -60,6 +61,38 @@ func TestDeferredViewWatermarkSetAtCreation(t *testing.T) {
 	}
 	if wm, created := db.oracle.ViewWatermark(mustView(t, db, "late_totals").ID), db.oracle.ReadTS(); wm != created {
 		t.Fatalf("late_totals watermark = %d right after its create at %d", wm, created)
+	}
+	free()
+	checkConsistent(t, db)
+}
+
+// TestRefreshPublishesApplyPair: a refresh makes a deferred view equal its
+// source as of the refresh's commit timestamp, so it must say so through the
+// view's (applyTS, watermark) pair before that timestamp is visible — not
+// leave the pair to the applier's handling of its barrier. With the applier
+// parked mid-round the barrier waits in the queue; had the refresh left the
+// pair at the create's watermark, the scrubber would compare the refreshed
+// rows with the source as of the create and report a healthy view as
+// diverged.
+func TestRefreshPublishesApplyPair(t *testing.T) {
+	hooks := &turnstileHooks{arrived: make(chan struct{}), pass: make(chan struct{})}
+	db := openTestDB(t, Options{Hooks: hooks, ScrubInterval: -1, MVCCPruneInterval: -1})
+	var once sync.Once
+	free := func() { once.Do(func() { close(hooks.pass) }) }
+	t.Cleanup(free) // registered after openTestDB's Close, so it runs first
+	setupBanking(t, db, catalog.StrategyDeferred)
+
+	insertAccounts(t, db, acctRow(1, 7, 100))
+	<-hooks.arrived
+	if _, err := db.RefreshView("branch_totals"); err != nil {
+		t.Fatal(err)
+	}
+	applyTS, wm := db.oracle.ViewApplied(mustView(t, db, "branch_totals").ID)
+	if refreshed := db.oracle.ReadTS(); applyTS != refreshed || wm != refreshed {
+		t.Fatalf("apply pair = (%d, %d) right after a refresh at %d", applyTS, wm, refreshed)
+	}
+	if n, err := db.scrub.FullPass(context.Background()); err != nil || n != 0 {
+		t.Fatalf("FullPass after the refresh: %d divergences, err %v", n, err)
 	}
 	free()
 	checkConsistent(t, db)

@@ -308,13 +308,15 @@ func (tx *Tx) AggregateNoView(table string, where expr.Expr, groupBy []int, aggs
 // transitive dependent recomputes from its freshly refreshed source, in
 // ascending tree-ID (= topological) order inside the same system transaction.
 // It reports how many view rows changed across the whole subtree. For each
-// deferred view in the subtree it also publishes a barrier to the applier at
-// the one commit timestamp: pending deltas the recompute already incorporated
-// are dropped, and the views' watermarks jump together — a reader comparing
-// levels never sees a torn cross-level refresh. The barriers are ordered
-// correctly because the refresh holds the source trees' S locks through
-// commit — any commit not included in the recompute serializes after it and
-// publishes its batch later.
+// deferred view in the subtree it publishes the apply pair (ts, ts) at the
+// one commit timestamp, before that timestamp becomes visible: the view now
+// equals a recompute of its source as of ts, and the views' watermarks jump
+// together — a reader comparing levels never sees a torn cross-level refresh.
+// It also publishes a barrier to the applier, which drops the pending deltas
+// the recompute already incorporated. The barriers are ordered correctly
+// because the refresh holds the source trees' S locks through commit — any
+// commit not included in the recompute serializes after it and publishes its
+// batch later.
 func (db *DB) RefreshView(viewName string) (int, error) {
 	if db.closed.Load() {
 		return 0, ErrClosed
@@ -337,7 +339,8 @@ func (db *DB) RefreshView(viewName string) (int, error) {
 	if len(deferredTrees) > 0 {
 		preFinish = func(ts uint64) {
 			for _, tid := range deferredTrees {
-				db.publishDeferredBarrier(tid, ts, false)
+				db.oracle.AdvanceViewApplied(tid, ts, ts)
+				db.publishDeferredBarrier(tid, false)
 			}
 		}
 	}

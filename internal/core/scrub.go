@@ -20,11 +20,11 @@ import (
 // any other reader; the scrubber task stops before Close takes the gate
 // exclusively.
 
-// defaultScrubInterval is the background scrubber's tick: one (view,
-// group-range) slice per tick.
+// defaultScrubInterval is the background scrubber's tick: one view per
+// tick, unless the row budget is spent.
 const defaultScrubInterval = defaultMVCCPruneInterval
 
-// defaultScrubRowBudget is the default verification pace in rows per second
+// defaultScrubRowBudget is the verification pace in rows per second
 // — low enough to stay in the noise of a saturated engine (tens of
 // microseconds of snapshot reads per tick), high enough to cycle small
 // catalogs every few seconds.
@@ -78,31 +78,19 @@ func (e scrubEngine) Applied(tree id.Tree) (uint64, uint64) {
 	return e.db.oracle.ViewApplied(tree)
 }
 
-// Have implements scrub.Engine: the gate-admitted viewEntries.
-func (e scrubEngine) Have(tree id.Tree, lo []byte, ts uint64, max int) ([]verify.Entry, []byte, error) {
+// Verify implements scrub.Engine: the gate-admitted verifyView.
+func (e scrubEngine) Verify(tree id.Tree, viewTS, srcTS uint64, max int) (int, []verify.Diff, error) {
 	db := e.db
 	if db.closed.Load() {
-		return nil, nil, ErrClosed
-	}
-	db.gate.RLock()
-	defer db.gate.RUnlock()
-	return db.viewEntries(tree, lo, ts, max)
-}
-
-// Want implements scrub.Engine: the gate-admitted recompute of the view's
-// full expected contents as of ts.
-func (e scrubEngine) Want(tree id.Tree, ts uint64) ([]verify.Entry, int, error) {
-	db := e.db
-	if db.closed.Load() {
-		return nil, 0, ErrClosed
+		return 0, nil, ErrClosed
 	}
 	db.gate.RLock()
 	defer db.gate.RUnlock()
 	m := db.reg.Maintainer(tree)
 	if m == nil {
-		return nil, 0, fmt.Errorf("core: scrub of unknown view %s", tree)
+		return 0, nil, fmt.Errorf("core: scrub of unknown view %s", tree)
 	}
-	return db.recompute(db.Catalog(), m, ts)
+	return db.verifyView(db.Catalog(), m, viewTS, srcTS, max)
 }
 
 // Report implements scrub.Engine: a confirmed divergence becomes

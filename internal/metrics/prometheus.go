@@ -203,10 +203,9 @@ func writeExposition(sb *strings.Builder, s Snapshot) {
 	}
 	gauge("vtxn_scrub_enabled", "Whether the online scrubber is running (1) or disabled (0).", enabled)
 	counter("vtxn_scrub_cycles_total", "Completed full scrub passes over every view in the catalog.", s.Scrub.Cycles)
-	counter("vtxn_scrub_slices_total", "Verified (view, group-range) slices.", s.Scrub.Slices)
+	counter("vtxn_scrub_slices_total", "Verified scrub slices, one whole view each.", s.Scrub.Slices)
 	counter("vtxn_scrub_rows_verified_total", "Rows read to verify slices (source recompute plus view compare).", s.Scrub.RowsVerified)
 	counter("vtxn_scrub_divergences_total", "View rows found disagreeing with their recompute.", s.Scrub.Divergences)
-	counter("vtxn_scrub_conflicts_total", "Deferred-view slices discarded because the applier folded mid-verification.", s.Scrub.Conflicts)
 	counter("vtxn_scrub_snapshot_retries_total", "Watermark pins refused by the prune horizon and retried.", s.Scrub.SnapshotRetries)
 	gauge("vtxn_scrub_last_full_pass_unix", "Unix time the most recent full pass completed (0 before the first).", s.Scrub.LastFullPassUnix)
 	summary("vtxn_scrub_cycle_seconds", "Full scrub pass duration.", s.Scrub.CycleDur)

@@ -135,7 +135,7 @@ func goldenSnapshot() Snapshot {
 			},
 		},
 		Scrub: ScrubSnapshot{
-			Enabled: true, Cycles: 1401, Slices: 1402, RowsVerified: 1403, Divergences: 1404, Conflicts: 1405,
+			Enabled: true, Cycles: 1401, Slices: 1402, RowsVerified: 1403, Divergences: 1404,
 			SnapshotRetries: 1406, LastFullPassUnix: 1407, CycleDur: hist(12),
 			Views: []ViewScrubSnapshot{
 				{Tree: 1, View: hostile, Passes: 1411, RowsVerified: 1412, Divergences: 1413, CoverageTS: 1414, LastPassUnixNs: 1415},

@@ -10,8 +10,8 @@ type ScrubMetrics struct {
 	// Cycles counts completed full passes: every view in the catalog verified
 	// end to end since the cycle began.
 	Cycles atomic.Int64
-	// Slices counts verified (view, group-range) slices — the scrubber's unit
-	// of work, one per tick.
+	// Slices counts verified slices — the scrubber's unit of work, one whole
+	// view checked against one snapshot pair, at most one per tick.
 	Slices atomic.Int64
 	// RowsVerified counts rows the scrubber read to verify slices: source
 	// rows recomputed plus view rows compared. This is the quantity the row
@@ -21,11 +21,6 @@ type ScrubMetrics struct {
 	// recompute — each one is a broken invariant, never expected in a healthy
 	// engine.
 	Divergences atomic.Int64
-	// Conflicts counts deferred-view slices discarded because the applier
-	// folded into the view mid-verification (the optimistic apply-pair check
-	// failed); the slice is retried at a fresher timestamp, so conflicts cost
-	// progress but never correctness.
-	Conflicts atomic.Int64
 	// SnapshotRetries counts watermark pins refused because the prune horizon
 	// had already passed the timestamp (retried with a fresher watermark).
 	SnapshotRetries atomic.Int64

@@ -278,7 +278,7 @@ type ScrubSnapshot struct {
 	// Enabled reports whether the background scrubber task is running.
 	Enabled bool `json:"enabled"`
 	// Cycles counts completed full passes over every view; Slices the
-	// (view, group-range) verification slices processed.
+	// verification slices processed, one whole view each.
 	Cycles int64 `json:"cycles"`
 	Slices int64 `json:"slices"`
 	// RowsVerified counts source rows recomputed plus view rows compared —
@@ -286,10 +286,8 @@ type ScrubSnapshot struct {
 	RowsVerified int64 `json:"rows_verified"`
 	// Divergences counts stored view rows that disagreed with the recompute.
 	Divergences int64 `json:"divergences"`
-	// Conflicts counts deferred slices discarded because a fold landed
-	// mid-verification; SnapshotRetries counts watermark pins refused by the
-	// prune horizon. Both are retried, costing progress, never correctness.
-	Conflicts       int64 `json:"conflicts"`
+	// SnapshotRetries counts watermark pins refused by the prune horizon,
+	// each retried at once with a fresher watermark.
 	SnapshotRetries int64 `json:"snapshot_retries"`
 	// LastFullPassUnix is the wall clock (Unix seconds) of the most recent
 	// completed full pass, zero until the first.
@@ -399,7 +397,6 @@ func (r *Registry) Snap() Snapshot {
 		Slices:           r.Scrub.Slices.Load(),
 		RowsVerified:     r.Scrub.RowsVerified.Load(),
 		Divergences:      r.Scrub.Divergences.Load(),
-		Conflicts:        r.Scrub.Conflicts.Load(),
 		SnapshotRetries:  r.Scrub.SnapshotRetries.Load(),
 		LastFullPassUnix: r.Scrub.LastFullPassUnixNs.Load() / int64(time.Second),
 		CycleDur:         r.Scrub.CycleDur.Snap(),

@@ -1,7 +1,6 @@
 package scrub
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"slices"
@@ -17,7 +16,7 @@ import (
 
 // fakeEngine is an in-memory Engine: each view's stored contents and its
 // recompute result are plain entry lists, timestamps are a counter, and the
-// hooks let tests interleave "folds" mid-slice.
+// hooks let tests interleave "folds" with a slice.
 type fakeEngine struct {
 	mu      sync.Mutex
 	plan    []View
@@ -29,9 +28,13 @@ type fakeEngine struct {
 	src     map[id.Tree][]verify.Entry // recompute result
 	// pinAtDeny makes the next n PinAt calls fail (horizon passed).
 	pinAtDeny int
-	// onHave runs (locked out) after Have's scan — the mid-slice fold hook.
-	onHave  func()
-	reports []Divergence
+	// onApplied runs (locked out) after Applied read the pair; onVerify after
+	// Verify compared — the hooks a test lands a fold with.
+	onApplied func()
+	onVerify  func()
+	// verified records each Verify call's (viewTS, srcTS).
+	verified [][2]uint64
+	reports  []Divergence
 }
 
 func entry(key string, v int64) verify.Entry {
@@ -82,36 +85,33 @@ func (e *fakeEngine) PinAt(ts uint64) (func(), bool) {
 
 func (e *fakeEngine) Applied(tree id.Tree) (uint64, uint64) {
 	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.applyTS[tree], e.wm[tree]
-}
-
-func (e *fakeEngine) Have(tree id.Tree, lo []byte, ts uint64, max int) ([]verify.Entry, []byte, error) {
-	e.mu.Lock()
-	var out []verify.Entry
-	var next []byte
-	for _, en := range e.view[tree] {
-		if lo != nil && bytes.Compare(en.Key, lo) < 0 {
-			continue
-		}
-		if max > 0 && len(out) == max {
-			next = append([]byte(nil), en.Key...)
-			break
-		}
-		out = append(out, en)
-	}
-	hook := e.onHave
+	applyTS, wm, hook := e.applyTS[tree], e.wm[tree], e.onApplied
 	e.mu.Unlock()
 	if hook != nil {
 		hook()
 	}
-	return out, next, nil
+	return applyTS, wm
 }
 
-func (e *fakeEngine) Want(tree id.Tree, ts uint64) ([]verify.Entry, int, error) {
+// Verify streams the stored list through a verify.Walk over the recompute
+// list, as the kernel streams a scan.
+func (e *fakeEngine) Verify(tree id.Tree, viewTS, srcTS uint64, max int) (int, []verify.Diff, error) {
 	e.mu.Lock()
-	defer e.mu.Unlock()
-	return append([]verify.Entry(nil), e.src[tree]...), len(e.src[tree]), nil
+	e.verified = append(e.verified, [2]uint64{viewTS, srcTS})
+	w := verify.Walk{Want: e.src[tree], Max: max}
+	rows := len(e.src[tree])
+	for _, en := range e.view[tree] {
+		rows++
+		if !w.Stored(en.Key, en.Val) {
+			break
+		}
+	}
+	hook := e.onVerify
+	e.mu.Unlock()
+	if hook != nil {
+		hook()
+	}
+	return rows, w.Done(), nil
 }
 
 func (e *fakeEngine) Report(d Divergence) {
@@ -126,20 +126,20 @@ func (e *fakeEngine) reportCount() int {
 	return len(e.reports)
 }
 
-// newScrubber builds a Scrubber over e with a record for each view of e's
-// plan, as the engine keeps one for each view in its catalog.
-func newScrubber(e *fakeEngine, maxGroups int) (*Scrubber, *metrics.ScrubMetrics) {
+// newScrubber builds an unpaced Scrubber over e with a record for each view
+// of e's plan, as the engine keeps one for each view in its catalog.
+func newScrubber(e *fakeEngine) (*Scrubber, *metrics.ScrubMetrics) {
 	m := &metrics.ScrubMetrics{Views: &metrics.Views{}}
 	var trees []id.Tree
 	for _, v := range e.plan {
 		trees = append(trees, v.Tree)
 	}
 	m.Views.Sync(trees)
-	return New(e, Config{MaxGroups: maxGroups, Metrics: m}), m
+	return New(e, Config{Metrics: m}), m
 }
 
-// TestSinglePinPass: a clean immediate view verifies across multiple slices,
-// completes a pass and a cycle, and records coverage at the pass's first ts.
+// TestSinglePinPass: a clean immediate view verifies in one slice, completes
+// a pass and a cycle, and records coverage at the slice's timestamp.
 func TestSinglePinPass(t *testing.T) {
 	e := newFakeEngine()
 	tree := id.Tree(7)
@@ -147,21 +147,18 @@ func TestSinglePinPass(t *testing.T) {
 	rows := []verify.Entry{entry("a", 1), entry("b", 2), entry("c", 3), entry("d", 4), entry("e", 5)}
 	e.view[tree] = rows
 	e.src[tree] = rows
-	s, m := newScrubber(e, 2)
+	s, m := newScrubber(e)
 
-	ticks := 0
-	for m.Cycles.Load() == 0 {
-		if ticks++; ticks > 10 {
-			t.Fatalf("no cycle after %d ticks", ticks)
-		}
-		s.Tick()
+	s.Tick()
+	if got := m.Cycles.Load(); got != 1 {
+		t.Fatalf("cycles = %d after one tick, want 1", got)
 	}
-	if got := m.Slices.Load(); got != 3 {
-		t.Fatalf("slices = %d, want 3 (5 rows / max 2)", got)
+	if got := m.Slices.Load(); got != 1 {
+		t.Fatalf("slices = %d, want 1 (one slice per view pass)", got)
 	}
-	// Each slice charges srcRows (5) + scanned view rows (2/2/1).
-	if got := m.RowsVerified.Load(); got != 3*5+5 {
-		t.Fatalf("rows verified = %d, want 20", got)
+	// The slice charges srcRows (5) + stored view rows (5).
+	if got := m.RowsVerified.Load(); got != 10 {
+		t.Fatalf("rows verified = %d, want 10", got)
 	}
 	if got := m.Divergences.Load(); got != 0 {
 		t.Fatalf("divergences = %d, want 0", got)
@@ -186,7 +183,7 @@ func TestDivergenceReported(t *testing.T) {
 	e.plan = []View{{Tree: tree, Name: "bad"}}
 	e.view[tree] = []verify.Entry{entry("a", 1), entry("b", 99)}
 	e.src[tree] = []verify.Entry{entry("a", 1), entry("b", 2)}
-	s, m := newScrubber(e, 0)
+	s, m := newScrubber(e)
 
 	s.Tick()
 	if got := m.Divergences.Load(); got != 1 {
@@ -224,7 +221,7 @@ func TestPairSliceCleanAndLagging(t *testing.T) {
 	e.src[tree] = []verify.Entry{entry("a", 1), entry("b", 2)}
 	e.applyTS[tree] = 90
 	e.wm[tree] = 95
-	s, m := newScrubber(e, 0)
+	s, m := newScrubber(e)
 
 	s.Tick()
 	if got := m.Divergences.Load(); got != 0 {
@@ -241,10 +238,11 @@ func TestPairSliceCleanAndLagging(t *testing.T) {
 	}
 }
 
-// TestPairSliceConflictDiscards: a fold landing mid-slice flips the pair's
-// applyTS; the slice must discard — conflict counted, cursor not advanced, no
-// divergence reported even though the comparison saw mixed state.
-func TestPairSliceConflictDiscards(t *testing.T) {
+// TestPairSliceFoldAfterPairRead: a fold landing after the slice read the
+// pair moves the pair and the view, but not the snapshots the slice compares
+// (view@tsV, source@wm), so the slice counts: one verified slice, no
+// divergence, and the view's pass recorded at tsV.
+func TestPairSliceFoldAfterPairRead(t *testing.T) {
 	e := newFakeEngine()
 	tree := id.Tree(5)
 	e.plan = []View{{Tree: tree, Name: "d", Pair: true}}
@@ -252,40 +250,71 @@ func TestPairSliceConflictDiscards(t *testing.T) {
 	e.src[tree] = []verify.Entry{entry("a", 1)}
 	e.applyTS[tree] = 90
 	e.wm[tree] = 95
-	// Mid-slice, a fold commits: view gains a row the wm-recompute lacks and
-	// the pair advances.
-	folded := false
-	e.onHave = func() {
+	e.onVerify = func() {
 		e.mu.Lock()
 		defer e.mu.Unlock()
-		if !folded {
-			folded = true
-			e.view[tree] = []verify.Entry{entry("a", 1), entry("z", 9)}
-			e.src[tree] = e.view[tree] // recompute at the new wm sees the fold
-			e.applyTS[tree] = 101
-			e.wm[tree] = 101
-			e.ts = 102
-		}
+		// The compare is done; a fold now commits at 101 covering wm 101.
+		e.view[tree] = []verify.Entry{entry("a", 1), entry("z", 9)}
+		e.src[tree] = e.view[tree]
+		e.applyTS[tree], e.wm[tree], e.ts = 101, 101, 102
 	}
-	s, m := newScrubber(e, 0)
+	s, m := newScrubber(e)
 
 	s.Tick()
-	if got := m.Conflicts.Load(); got != 1 {
-		t.Fatalf("conflicts = %d, want 1", got)
-	}
-	if got := m.Divergences.Load(); got != 0 {
-		t.Fatalf("divergences = %d, want 0 (conflicted slice must not report)", got)
-	}
-	if got := m.Slices.Load(); got != 0 {
-		t.Fatalf("slices = %d, want 0 (discarded)", got)
-	}
-	// The next tick sees the settled pair and verifies clean.
-	s.Tick()
 	if got := m.Slices.Load(); got != 1 {
-		t.Fatalf("slices after retry = %d, want 1", got)
+		t.Fatalf("slices = %d, want 1", got)
 	}
 	if got := m.Divergences.Load(); got != 0 {
-		t.Fatalf("divergences after retry = %d, want 0", got)
+		t.Fatalf("divergences = %d, want 0", got)
+	}
+	if want := [][2]uint64{{100, 95}}; !slices.Equal(e.verified, want) {
+		t.Fatalf("verified (viewTS, srcTS) = %v, want %v", e.verified, want)
+	}
+	vs := m.Views.Get(tree)
+	if vs.Passes.Load() != 1 || vs.CoverageTS.Load() != 100 {
+		t.Fatalf("passes %d at coverage ts %d, want 1 at 100", vs.Passes.Load(), vs.CoverageTS.Load())
+	}
+	if got := m.Cycles.Load(); got != 1 {
+		t.Fatalf("cycles = %d, want 1", got)
+	}
+	if e.pins != 0 {
+		t.Fatalf("%d pins leaked", e.pins)
+	}
+}
+
+// TestPairSliceRepinsPastUnfinishedFold: a pair whose applyTS is above the
+// pinned read timestamp belongs to a fold not yet visible there; the slice
+// re-pins until the fold's timestamp is readable and then compares at it.
+func TestPairSliceRepinsPastUnfinishedFold(t *testing.T) {
+	e := newFakeEngine()
+	tree := id.Tree(5)
+	e.plan = []View{{Tree: tree, Name: "d", Pair: true}}
+	e.view[tree] = []verify.Entry{entry("a", 1)}
+	e.src[tree] = e.view[tree]
+	e.applyTS[tree] = 101 // the fold published its pair; ts is still 100
+	e.wm[tree] = 99
+	reads := 0
+	e.onApplied = func() {
+		e.mu.Lock()
+		defer e.mu.Unlock()
+		if reads++; reads == 1 {
+			e.ts = 101 // the fold's FinishCommit
+		}
+	}
+	s, m := newScrubber(e)
+
+	s.Tick()
+	if reads != 2 {
+		t.Fatalf("pair read %d times, want 2 (one re-pin)", reads)
+	}
+	if got := m.Slices.Load(); got != 1 {
+		t.Fatalf("slices = %d, want 1", got)
+	}
+	if want := [][2]uint64{{101, 99}}; !slices.Equal(e.verified, want) {
+		t.Fatalf("verified (viewTS, srcTS) = %v, want %v", e.verified, want)
+	}
+	if e.pins != 0 {
+		t.Fatalf("%d pins leaked", e.pins)
 	}
 }
 
@@ -300,7 +329,7 @@ func TestPairSliceSnapshotRetry(t *testing.T) {
 	e.applyTS[tree] = 90
 	e.wm[tree] = 95
 	e.pinAtDeny = 2
-	s, m := newScrubber(e, 0)
+	s, m := newScrubber(e)
 
 	s.Tick()
 	if got := m.SnapshotRetries.Load(); got != 2 {
@@ -320,7 +349,7 @@ func TestPairSliceBackfill(t *testing.T) {
 	e := newFakeEngine()
 	tree := id.Tree(2)
 	e.plan = []View{{Tree: tree, Name: "d", Pair: true}}
-	s, m := newScrubber(e, 0)
+	s, m := newScrubber(e)
 
 	s.Tick()
 	if got := m.Slices.Load(); got != 0 {
@@ -332,7 +361,7 @@ func TestPairSliceBackfill(t *testing.T) {
 }
 
 // TestRoundRobinAndSyncPlan: ticks rotate across views, and a view vanishing
-// from the plan drops its state without wedging the cycle.
+// from the plan leaves the cycle without wedging it.
 func TestRoundRobinAndSyncPlan(t *testing.T) {
 	e := newFakeEngine()
 	a, b := id.Tree(1), id.Tree(2)
@@ -341,7 +370,7 @@ func TestRoundRobinAndSyncPlan(t *testing.T) {
 	e.src[a] = e.view[a]
 	e.view[b] = []verify.Entry{entry("k", 2)}
 	e.src[b] = e.view[b]
-	s, m := newScrubber(e, 0)
+	s, m := newScrubber(e)
 
 	s.Tick() // a
 	s.Tick() // b → cycle 1 done
@@ -361,9 +390,6 @@ func TestRoundRobinAndSyncPlan(t *testing.T) {
 	if got := m.Cycles.Load(); got < 2 {
 		t.Fatalf("cycles = %d, want >= 2 after dropping b", got)
 	}
-	if _, ok := s.state[b]; ok {
-		t.Fatalf("state for dropped view survived syncPlan")
-	}
 }
 
 // TestFullPass: the unpaced sweep verifies every view, returns the diff count,
@@ -376,7 +402,7 @@ func TestFullPass(t *testing.T) {
 	e.src[a] = e.view[a]
 	e.view[b] = []verify.Entry{entry("k", 5)}
 	e.src[b] = []verify.Entry{entry("k", 6)}
-	s, m := newScrubber(e, 2)
+	s, m := newScrubber(e)
 
 	n, err := s.FullPass(context.Background())
 	if err != nil {
@@ -403,7 +429,7 @@ func TestFullPass(t *testing.T) {
 func TestFullPassCanceled(t *testing.T) {
 	e := newFakeEngine()
 	e.plan = []View{{Tree: id.Tree(1), Name: "v"}}
-	s, _ := newScrubber(e, 0)
+	s, _ := newScrubber(e)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if _, err := s.FullPass(ctx); err != context.Canceled {

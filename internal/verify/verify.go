@@ -81,53 +81,51 @@ func (d Diff) Detail() string {
 	}
 }
 
-// Compare walks two key-sorted entry lists — want from a recompute, have
-// from the view's stored rows — and returns every divergence, up to max
-// (max <= 0 means unlimited). Both lists must be sorted by key ascending;
-// recompute output and B-tree / snapshot scans already are.
-func Compare(want, have []Entry, max int) []Diff {
-	var diffs []Diff
-	full := func() bool { return max > 0 && len(diffs) >= max }
-	i, j := 0, 0
-	for i < len(want) && j < len(have) {
-		if full() {
-			return diffs
-		}
-		switch c := record.CompareKeys(want[i].Key, have[j].Key); {
-		case c < 0:
-			diffs = append(diffs, Diff{Kind: DiffMissing, Key: want[i].Key, Want: want[i].Val})
-			i++
-		case c > 0:
-			diffs = append(diffs, Diff{Kind: DiffExtra, Key: have[j].Key, Have: have[j].Val})
-			j++
-		default:
-			if record.CompareRows(have[j].Val, want[i].Val) != 0 {
-				diffs = append(diffs, Diff{Kind: DiffMismatch, Key: want[i].Key, Want: want[i].Val, Have: have[j].Val})
-			}
-			i++
-			j++
-		}
-	}
-	for ; i < len(want) && !full(); i++ {
-		diffs = append(diffs, Diff{Kind: DiffMissing, Key: want[i].Key, Want: want[i].Val})
-	}
-	for ; j < len(have) && !full(); j++ {
-		diffs = append(diffs, Diff{Kind: DiffExtra, Key: have[j].Key, Have: have[j].Val})
-	}
-	return diffs
+// Walk judges a view's stored rows, streamed in key order, against Want, the
+// view's expected contents from a recompute (key-sorted, as recompute output
+// is). Feed every stored row to Stored in ascending key order — a B-tree or
+// snapshot scan already yields that order — then call Done. It records at most
+// Max divergences (Max <= 0: unlimited).
+type Walk struct {
+	Want []Entry
+	Max  int
+
+	i     int // next unmatched Want entry
+	diffs []Diff
 }
 
-// Clip returns the entries of es whose key lies in [lo, hi) — nil bounds
-// mean open ends. es must be key-sorted; the scrubber uses this to cut a
-// full recompute down to the slice it is verifying this tick.
-func Clip(es []Entry, lo, hi []byte) []Entry {
-	start := 0
-	for start < len(es) && lo != nil && record.CompareKeys(es[start].Key, lo) < 0 {
-		start++
+// Stored judges one stored row. key and row are not retained: the caller may
+// reuse both once Stored returns, and only a diff copies them. It reports
+// whether the walk wants more rows — false once Max diffs are recorded.
+func (w *Walk) Stored(key []byte, row record.Row) bool {
+	for ; w.i < len(w.Want) && !w.full() && record.CompareKeys(w.Want[w.i].Key, key) < 0; w.i++ {
+		w.missing()
 	}
-	end := start
-	for end < len(es) && (hi == nil || record.CompareKeys(es[end].Key, hi) < 0) {
-		end++
+	switch {
+	case w.full():
+	case w.i < len(w.Want) && record.CompareKeys(w.Want[w.i].Key, key) == 0:
+		if want := w.Want[w.i]; record.CompareRows(row, want.Val) != 0 {
+			w.diffs = append(w.diffs, Diff{Kind: DiffMismatch, Key: want.Key, Want: want.Val, Have: row.Clone()})
+		}
+		w.i++
+	default:
+		w.diffs = append(w.diffs, Diff{Kind: DiffExtra, Key: append([]byte(nil), key...), Have: row.Clone()})
 	}
-	return es[start:end]
+	return !w.full()
+}
+
+// Done ends the walk: every expected entry past the last stored row is
+// missing. It returns the divergences found, in key order.
+func (w *Walk) Done() []Diff {
+	for ; w.i < len(w.Want) && !w.full(); w.i++ {
+		w.missing()
+	}
+	return w.diffs
+}
+
+func (w *Walk) full() bool { return w.Max > 0 && len(w.diffs) >= w.Max }
+
+func (w *Walk) missing() {
+	want := w.Want[w.i]
+	w.diffs = append(w.diffs, Diff{Kind: DiffMissing, Key: want.Key, Want: want.Val})
 }

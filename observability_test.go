@@ -218,7 +218,7 @@ func metricsSchema() []string {
 		"recovery.analysis_ns", "recovery.fresh", "recovery.gen", "recovery.losers",
 		"recovery.redo_ns", "recovery.replayed", "recovery.torn",
 		"recovery.undo_ns", "recovery.undone_ops",
-		"scrub.conflicts", "scrub.cycle_dur", "scrub.cycles", "scrub.divergences",
+		"scrub.cycle_dur", "scrub.cycles", "scrub.divergences",
 		"scrub.enabled", "scrub.last_full_pass_unix", "scrub.rows_verified",
 		"scrub.slices", "scrub.snapshot_retries", "scrub.views",
 		"scrub.views.coverage_ts", "scrub.views.divergences",

@@ -17,7 +17,7 @@ import (
 )
 
 // TestScrubBackgroundCleanRun runs a tilt storm under the background
-// scrubber on a tight, unpaced interval, over a catalog with all three of its
+// scrubber on a tight interval at its default pace, over a catalog with all three of its
 // snapshot-selection classes: an immediate escrow view (single pin), the
 // deferred root of the rollup chain (watermark pair), and the stacked deferred
 // levels (co-atomic with their source). The scrubber must stay silent while
@@ -32,7 +32,6 @@ func TestScrubBackgroundCleanRun(t *testing.T) {
 	}
 	db, err := vtxn.Open(t.TempDir(), vtxn.Options{
 		ScrubInterval:    time.Millisecond,
-		ScrubRowBudget:   -1, // unpaced: the test wants cycles, not realism
 		WatchdogInterval: 500 * time.Millisecond,
 	})
 	if err != nil {
@@ -114,6 +113,133 @@ func TestScrubBackgroundCleanRun(t *testing.T) {
 	}
 	if int(checked.Load()) != len(views) {
 		t.Fatalf("CheckConsistencyCtx checked %d views, want %d", checked.Load(), len(views))
+	}
+}
+
+// TestScrubCoversDeferredRootUnderLoad: the deferred root of the rollup
+// chain is verified while writers keep its applier folding. Two writers churn
+// 3-item orders through order_items — each transaction deletes a writer's
+// oldest open order and inserts a new one — over 2 000 open orders (6 000
+// items), so a fold lands every few milliseconds, during most scrub slices.
+// The scrubber must complete passes over order_totals regardless, at its
+// default pace, and find nothing wrong.
+func TestScrubCoversDeferredRootUnderLoad(t *testing.T) {
+	const writers, orders, wantPasses = 2, 2000, 3
+	db, err := vtxn.Open(t.TempDir(), vtxn.Options{ScrubInterval: time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	w := workload.Rollup{Regions: 4, Strategy: vtxn.StrategyDeferred}
+	if err := w.Setup(db); err != nil {
+		t.Fatal(err)
+	}
+	// putOrder inserts (or, with del, deletes) order o's three items; the
+	// customer is the order modulo 50.
+	putOrder := func(tx *vtxn.Tx, o int64, del bool) error {
+		for item := 3 * o; item < 3*o+3; item++ {
+			var err error
+			if del {
+				err = tx.Delete("order_items", vtxn.Row{vtxn.Int(item)})
+			} else {
+				err = tx.Insert("order_items", w.ItemRow(item, o%50, 10+item%7))
+			}
+			if err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	tx, err := db.Begin(vtxn.ReadCommitted)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for o := int64(0); o < orders; o++ {
+		if err := putOrder(tx, o, false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	drainTo(t, db, workload.RollupL2, tx.CommitTS())
+
+	// Writer k owns the orders congruent to k modulo writers: its open
+	// orders are oldest, oldest+writers, ... below next.
+	var stop atomic.Bool
+	var commits atomic.Int64
+	done := make(chan struct{})
+	var running atomic.Int32
+	running.Store(writers)
+	for k := int64(0); k < writers; k++ {
+		go func() {
+			defer func() {
+				if running.Add(-1) == 0 {
+					close(done)
+				}
+			}()
+			for oldest, next := k, orders+k; !stop.Load(); oldest, next = oldest+writers, next+writers {
+				tx, err := db.Begin(vtxn.ReadCommitted)
+				if err != nil {
+					t.Errorf("writer %d: %v", k, err)
+					return
+				}
+				if err := putOrder(tx, oldest, true); err == nil {
+					err = putOrder(tx, next, false)
+				}
+				if err == nil {
+					err = tx.Commit()
+				} else {
+					tx.Rollback()
+				}
+				if err != nil {
+					t.Errorf("writer %d: %v", k, err)
+					return
+				}
+				commits.Add(1)
+			}
+		}()
+	}
+	passes := func(m vtxn.MetricsSnapshot) (n int64) {
+		for _, v := range m.Scrub.Views {
+			if v.View == workload.RollupL0 {
+				n = v.Passes
+			}
+		}
+		return n
+	}
+	// Count only the passes made under load: from once the writers have
+	// committed a few transactions, until they stop.
+	base, rounds := int64(-1), int64(0)
+	deadline := time.Now().Add(20 * time.Second)
+	for {
+		m := db.Metrics()
+		if m.Scrub.Divergences != 0 {
+			stop.Store(true)
+			<-done
+			t.Fatalf("scrubber reported %d divergences under load on a healthy engine", m.Scrub.Divergences)
+		}
+		if base < 0 && commits.Load() >= 20 {
+			base, rounds = passes(m), m.Deferred.ApplyRounds
+		}
+		if base >= 0 && passes(m)-base >= wantPasses {
+			break
+		}
+		if time.Now().After(deadline) || t.Failed() {
+			stop.Store(true)
+			<-done
+			t.Fatalf("%s: %d passes under 20s of load (%d commits), want %d; scrub %+v",
+				workload.RollupL0, passes(m)-max(base, 0), commits.Load(), wantPasses, m.Scrub)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	stop.Store(true)
+	<-done
+	m := db.Metrics()
+	t.Logf("%s: %d passes under load, over %d fold rounds; %d commits, %d scrub slices, %d snapshot retries",
+		workload.RollupL0, passes(m)-base, m.Deferred.ApplyRounds-rounds, commits.Load(), m.Scrub.Slices, m.Scrub.SnapshotRetries)
+	if err := db.CheckConsistency(); err != nil {
+		t.Fatal(err)
 	}
 }
 

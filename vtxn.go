@@ -76,8 +76,7 @@
 //
 // Online verification: a background scrubber continuously re-checks every
 // view against a recompute over its source at MVCC snapshot timestamps —
-// lock-free, paced by Options.ScrubRowBudget, one group-range slice per
-// Options.ScrubInterval. A confirmed divergence emits TraceScrubDivergence
+// lock-free, paced by a row budget, one whole view per Options.ScrubInterval. A confirmed divergence emits TraceScrubDivergence
 // naming (view, group, expected, actual), auto-dumps the flight record, and
 // trips the watchdog's scrub-divergence signature; DB.ScrubNow forces an
 // unpaced full pass on demand. DB.CheckConsistency remains the offline,
