@@ -71,7 +71,11 @@ staticcheck:
 # whole view per scrub slice, against one snapshot pair: the group-range
 # cursor (viewEntries, verify.Clip, MaxGroups) and the pair re-read with its
 # discard (pinAttempts) stay gone from every .go file outside benchmark/, and
-# non-test internal/scrub never sleeps. A committed trajectory: a change to internal/ adds its benchmark pair under
+# non-test internal/scrub never sleeps. One ordering rule for deferred views:
+# the applier folds a delta only above its view's watermark, so the barrier
+# messages (applier.Barrier, applier.Msg, DropTree, hasBarrier,
+# errRefreshedUnderneath, publishDeferredBarrier) stay gone from every .go file
+# outside benchmark/, and non-test internal/core never sleeps. A committed trajectory: a change to internal/ adds its benchmark pair under
 # BENCH_history/ (make bench, then make bench-record).
 structure:
 	@out="$$(grep -rl --include='*.go' '"repro/internal/mvcc"' . | grep -v -e '^./internal/mvcc/' -e '^./internal/btree/' -e '^./internal/core/')"; \
@@ -121,6 +125,10 @@ structure:
 		if [ -n "$$out" ]; then echo "one view per scrub slice: the group-range cursor or the pair discard is back:"; echo "$$out"; exit 1; fi
 	@out="$$(grep -n 'time\.Sleep' $$(ls internal/scrub/*.go | grep -v '_test\.go$$'))"; \
 		if [ -n "$$out" ]; then echo "internal/scrub never sleeps: a slice yields and re-pins, it does not back off:"; echo "$$out"; exit 1; fi
+	@out="$$(grep -rnE --include='*.go' --exclude-dir=benchmark \
+		'applier\.Barrier|applier\.Msg|DropTree|hasBarrier|errRefreshedUnderneath|publishDeferredBarrier' .; \
+		grep -n 'time\.Sleep' $$(ls internal/core/*.go | grep -v '_test\.go$$'))"; \
+		if [ -n "$$out" ]; then echo "one ordering rule for deferred views: a barrier message or a core sleep-poll is back:"; echo "$$out"; exit 1; fi
 	@if git rev-parse -q --verify '$(BASE)^{commit}' >/dev/null 2>&1; then \
 		if git diff --name-only $(BASE) -- internal | grep -q . && \
 			! git diff --name-only --diff-filter=A $(BASE) -- 'BENCH_history/pr*-change.jsonl' | grep -q .; then \

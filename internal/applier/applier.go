@@ -11,6 +11,9 @@
 // apply round no matter how many commits piled deltas onto it — the
 // shared-delta batching win that makes the deferred tier cheaper than the sum
 // of its transactions.
+//
+// The queue carries commit batches only: what a view already holds is
+// answered by its watermark (DropApplied).
 package applier
 
 import (
@@ -38,6 +41,9 @@ type GroupDelta struct {
 	// OldestWallNs is the earliest contributing publish's wall clock — the
 	// group's commit-to-visible clock starts here.
 	OldestWallNs int64
+	// TS is the newest contributing commit's timestamp: the group is already
+	// in a view whose watermark is at or above it.
+	TS uint64
 }
 
 // Batch is one committed transaction's deferred-view deltas, published to the
@@ -57,27 +63,6 @@ type Batch struct {
 	Span uint64
 	// Groups are the commit's per-(view, group) net deltas.
 	Groups []GroupDelta
-}
-
-// Barrier is a catalog-ordered control message: a view refresh (or create
-// backfill, or drop) recomputed the view from its base tables, so every delta
-// pending for the view is already incorporated and must be discarded. (The
-// refresh or create itself published the view's watermark, at its commit
-// timestamp.) Publication order against Batch messages is the correctness
-// argument: the refresh holds the base tables' S locks through its commit, so
-// any commit whose deltas are NOT in the recompute allocates a later
-// timestamp and publishes after the barrier.
-type Barrier struct {
-	Tree id.Tree
-	// Drop marks a dropped view: pending deltas are discarded and the
-	// watermark entry is removed.
-	Drop bool
-}
-
-// Msg is one applier-queue entry: exactly one of Batch or Barrier is set.
-type Msg struct {
-	Batch   *Batch
-	Barrier *Barrier
 }
 
 // groupID keys the coalescer's pending table.
@@ -101,6 +86,7 @@ type pendingGroup struct {
 	// MaxGroupSpans); oldestWallNs the earliest contributing publish.
 	spans        []uint64
 	oldestWallNs int64
+	ts           uint64 // newest contributing commit
 }
 
 // Coalescer merges published batches per (view, group) with exactly-one-fold
@@ -116,14 +102,18 @@ func NewCoalescer() *Coalescer {
 }
 
 // Add merges a batch's groups into the pending table, threading the batch's
-// causal span and publish clock into each group it feeds. It returns how many
-// cell deltas arrived and how many of them coalesced into an already-pending
-// accumulator (the folds saved versus immediate maintenance).
+// commit timestamp, causal span and publish clock into each group it feeds.
+// It returns how many cell deltas arrived and how many of them coalesced into
+// an already-pending accumulator (the folds saved versus immediate
+// maintenance).
 func (c *Coalescer) Add(b *Batch) (in, coalesced int) {
 	for i := range b.Groups {
 		g := b.Groups[i]
 		if g.OldestWallNs == 0 {
 			g.OldestWallNs = b.WallNs
+		}
+		if g.TS == 0 {
+			g.TS = b.TS
 		}
 		if b.Span != 0 && len(g.Spans) == 0 {
 			g.Spans = []uint64{b.Span}
@@ -135,7 +125,8 @@ func (c *Coalescer) Add(b *Batch) (in, coalesced int) {
 }
 
 // AddGroups re-queues previously taken groups (a failed apply round); their
-// spans and publish clocks ride along so causality survives the retry.
+// timestamps, spans and publish clocks ride along so the retry knows what
+// they hold and causality survives it.
 func (c *Coalescer) AddGroups(groups []GroupDelta) {
 	for _, g := range groups {
 		c.addGroup(g)
@@ -154,6 +145,7 @@ func (c *Coalescer) addGroup(g GroupDelta) (coalesced int) {
 	if g.OldestWallNs != 0 && (pg.oldestWallNs == 0 || g.OldestWallNs < pg.oldestWallNs) {
 		pg.oldestWallNs = g.OldestWallNs
 	}
+	pg.ts = max(pg.ts, g.TS)
 	pg.spans = MergeSpans(pg.spans, g.Spans)
 	for _, d := range g.Deltas {
 		ck := cellKey{col: d.Col, isFloat: d.IsFloat}
@@ -171,18 +163,15 @@ func (c *Coalescer) addGroup(g GroupDelta) (coalesced int) {
 	return coalesced
 }
 
-// DropTree discards every pending group of one view (a Barrier: the deltas
-// are already incorporated in a recompute, or the view is gone). It returns
-// how many groups were dropped.
-func (c *Coalescer) DropTree(tree id.Tree) int {
-	dropped := 0
-	for gid := range c.pending {
-		if gid.tree == tree {
+// DropApplied discards every pending group whose newest contributing commit
+// is at or below its view's watermark wm(tree): a refresh or create that
+// recomputed the view at that timestamp already holds it.
+func (c *Coalescer) DropApplied(wm func(id.Tree) uint64) {
+	for gid, pg := range c.pending {
+		if pg.ts <= wm(gid.tree) {
 			delete(c.pending, gid)
-			dropped++
 		}
 	}
-	return dropped
 }
 
 // MergeSpans appends add's spans to have, deduplicating and respecting the
@@ -240,7 +229,7 @@ func (c *Coalescer) Take() []GroupDelta {
 	for gid, pg := range c.pending {
 		out = append(out, GroupDelta{
 			Tree: gid.tree, Key: gid.key, Deltas: pg.cols,
-			Spans: pg.spans, OldestWallNs: pg.oldestWallNs,
+			Spans: pg.spans, OldestWallNs: pg.oldestWallNs, TS: pg.ts,
 		})
 	}
 	c.pending = make(map[groupID]*pendingGroup)

@@ -29,7 +29,7 @@ func TestCoalescerMergesPerGroup(t *testing.T) {
 	got := c.Take()
 	want := []GroupDelta{{Tree: 7, Key: "a", Deltas: []wal.ColDelta{
 		{Col: 0, Int: 2}, {Col: 1, Int: 6},
-	}}}
+	}, TS: 2}}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("Take = %+v, want %+v", got, want)
 	}
@@ -51,7 +51,7 @@ func TestCoalescerKeepsIntAndFloatCellsExact(t *testing.T) {
 	want := []GroupDelta{{Tree: 3, Key: "k", Deltas: []wal.ColDelta{
 		{Col: 2, Int: 5},
 		{Col: 2, IsFloat: true, Float: 0.75},
-	}}}
+	}, TS: 2}}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("Take = %+v, want %+v", got, want)
 	}
@@ -79,19 +79,30 @@ func TestCoalescerTakeSortsAcrossTreesAndKeys(t *testing.T) {
 	}
 }
 
-func TestCoalescerDropTree(t *testing.T) {
+// TestCoalescerDropApplied: a group is already in its view when its newest
+// contributing commit is at or below the view's watermark — the boundary
+// commit included — and still owed when any contributor is above it.
+func TestCoalescerDropApplied(t *testing.T) {
 	c := NewCoalescer()
-	c.Add(batch(1,
-		GroupDelta{Tree: 4, Key: "a", Deltas: []wal.ColDelta{{Col: 0, Int: 1}}},
-		GroupDelta{Tree: 4, Key: "b", Deltas: []wal.ColDelta{{Col: 0, Int: 1}}},
-		GroupDelta{Tree: 5, Key: "a", Deltas: []wal.ColDelta{{Col: 0, Int: 1}}},
+	one := []wal.ColDelta{{Col: 0, Int: 1}}
+	c.Add(batch(4,
+		GroupDelta{Tree: 4, Key: "a", Deltas: one},
+		GroupDelta{Tree: 4, Key: "b", Deltas: one},
+		GroupDelta{Tree: 5, Key: "a", Deltas: one},
 	))
-	if n := c.DropTree(4); n != 2 {
-		t.Fatalf("DropTree = %d, want 2", n)
-	}
+	c.Add(batch(5, GroupDelta{Tree: 4, Key: "b", Deltas: one}))
+	wm := map[id.Tree]uint64{4: 4, 5: 3}
+	c.DropApplied(func(tree id.Tree) uint64 { return wm[tree] })
 	got := c.Take()
-	if len(got) != 1 || got[0].Tree != 5 {
-		t.Fatalf("after drop, Take = %+v, want tree 5 only", got)
+	if len(got) != 2 || got[0].Tree != 4 || got[0].Key != "b" || got[0].TS != 5 || got[1].Tree != 5 || got[1].TS != 4 {
+		t.Fatalf("after DropApplied, Take = %+v, want (4,b)@5 and (5,a)@4", got)
+	}
+	// A requeued group keeps its timestamp: the retry is judged the same way.
+	c.AddGroups(got)
+	wm[5] = 4
+	c.DropApplied(func(tree id.Tree) uint64 { return wm[tree] })
+	if got := c.Take(); len(got) != 1 || got[0].Tree != 4 {
+		t.Fatalf("after the second DropApplied, Take = %+v, want (4,b) only", got)
 	}
 }
 

@@ -608,8 +608,8 @@ func TestDeferredViewApplierConvergence(t *testing.T) {
 	setupBanking(t, db, catalog.StrategyDeferred)
 
 	// The commit returns before the view is maintained; waiting for the
-	// commit's timestamp to reach the view watermark is the read-your-writes
-	// barrier.
+	// view watermark to reach the commit's timestamp is how a reader sees its
+	// own writes.
 	tx := begin(t, db, txn.ReadCommitted)
 	if err := tx.Insert("accounts", acctRow(1, 7, 100)); err != nil {
 		t.Fatal(err)

@@ -252,6 +252,7 @@ func Open(path string, opts Options) (*DB, error) {
 		}),
 		tm:        txn.NewManager(st.NextTxn),
 		oracle:    txn.NewOracle(),
+		applierQ:  newDeferredQueue(),
 		structMu:  make([]sync.Mutex, opts.FoldLatchStripes),
 		recovered: st.Summary,
 		met:       met,
@@ -265,19 +266,6 @@ func Open(path string, opts Options) (*DB, error) {
 		tr.TraceEvent(metrics.Event{Type: metrics.EventRecovery, Phase: "redo", Dur: st.Summary.Redo, Rows: st.Summary.Replayed})
 		tr.TraceEvent(metrics.Event{Type: metrics.EventRecovery, Phase: "undo", Dur: st.Summary.Undo, Rows: st.Summary.UndoneOps})
 	}
-	// The background task table (DESIGN.md §3), in start order; Close and
-	// Crash stop it in reverse. The deferred-view applier always runs — with
-	// no deferred views it only fires an idle tick — and starts first, before
-	// the recovery refresh below, so the refresh barriers have a consumer.
-	db.applierQ = newDeferredQueue()
-	co := applier.NewCoalescer()
-	db.bg.start(task{
-		name:  "deferred-applier",
-		every: applierIdleTick,
-		wake:  db.applierQ.wake,
-		step:  func() { db.applierStep(co) },
-		drain: func() { db.applierRound(co) },
-	})
 	// Deferred deltas pending in the applier queue at a crash were never
 	// logged, so a recovered deferred view may be stale relative to its
 	// (fully recovered) base tables. Recompute each one in tree-ID (topological)
@@ -298,6 +286,17 @@ func Open(path string, opts Options) (*DB, error) {
 			}
 		}
 	}
+	// The background task table (DESIGN.md §3), in start order; Close and
+	// Crash stop it in reverse. The deferred-view applier always runs — with
+	// no deferred views it only fires an idle tick.
+	co := applier.NewCoalescer()
+	db.bg.start(task{
+		name:  "deferred-applier",
+		every: applierIdleTick,
+		wake:  db.applierQ.wake,
+		step:  func() { db.applierStep(co) },
+		drain: func() { db.applierRound(co) },
+	})
 	if opts.MVCCPruneInterval >= 0 {
 		db.bg.start(db.prunerTask(cmp.Or(opts.MVCCPruneInterval, defaultMVCCPruneInterval)))
 	}
@@ -742,9 +741,10 @@ func (db *DB) runSysTxn(fn func(st *txn.Txn) error) error {
 
 // runSysTxnHook is runSysTxn with a pre-finish hook: preFinish (when non-nil)
 // runs after the commit timestamp is allocated and every version stamped, but
-// before FinishCommit publishes it and the locks release. A refresh barrier
-// published here is ordered before any later commit's batch — the deferred
-// tier's correctness hinge (deferred.go).
+// before FinishCommit publishes it and the locks release. A deferred view's
+// watermark set here is in place before any reader sees ts and before any
+// commit the system transaction's locks held back allocates a later one —
+// the deferred tier's ordering rule (deferred.go).
 func (db *DB) runSysTxnHook(fn func(st *txn.Txn) error, preFinish func(ts uint64)) error {
 	st := db.tm.Begin(true, txn.ReadCommitted)
 	db.met.Engine.SysTxns.Add(1)

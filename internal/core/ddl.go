@@ -19,7 +19,8 @@ import (
 // via the apply layer), and then runs backfill (still inside the same system
 // transaction) to populate any new tree. preFinish, when non-nil, runs after
 // the system transaction's versions are stamped but before its timestamp
-// publishes — where deferred-view barriers must be emitted (db.runSysTxnHook).
+// publishes — where a deferred view's watermark is set or retired
+// (db.runSysTxnHook).
 //
 // lock, when non-nil, runs in the system transaction before the TDDL record:
 // it S-locks the relations whose view or index lists change. A writer reads
@@ -121,10 +122,10 @@ func (db *DB) CreateIndex(name, table string, cols []int, unique bool) error {
 
 // CreateIndexedView registers an indexed view and backfills it from its base
 // tables. The def's ID and Name validation happen in the catalog. A deferred
-// view's backfill also publishes its apply pair at the backfill's commit
-// timestamp, and a create barrier so the applier drops the deltas the
-// backfill already holds (the base-table S locks held through commit order
-// the barrier before any later commit's batch).
+// view's backfill also publishes its apply pair (ts, ts) at the backfill's
+// commit timestamp: the base-table S locks held through commit make every
+// commit the backfill missed allocate a later timestamp, so the applier folds
+// exactly the deltas above the watermark.
 func (db *DB) CreateIndexedView(def catalog.View) error {
 	var added *catalog.View
 	return db.ddl(func(c *catalog.Catalog) error {
@@ -157,18 +158,17 @@ func (db *DB) CreateIndexedView(def catalog.View) error {
 		// (rather than deciding at the ddl call) is what makes this correct.
 		if added.Strategy == catalog.StrategyDeferred {
 			// The view equals its source as of ts from this moment, so its
-			// apply pair says so from this moment: the barrier below reaches
-			// the applier later, and until a view has a watermark nothing
-			// holds the prune horizon to it.
+			// apply pair says so from this moment: until a view has a
+			// watermark nothing holds the prune horizon to it.
 			db.oracle.AdvanceViewApplied(added.ID, ts, ts)
-			db.publishDeferredBarrier(added.ID, false)
 		}
 	})
 }
 
 // DropView removes an indexed view and its tree contents. Dropping a deferred
-// view publishes a drop barrier so the applier discards its pending deltas
-// and retires its watermark.
+// view retires its watermark, which wakes its waiters with
+// ErrViewWatermarkDropped; the applier discards its pending deltas once the
+// view is gone from the catalog.
 func (db *DB) DropView(name string) error {
 	var dropped *catalog.View
 	return db.ddl(func(c *catalog.Catalog) error {
@@ -192,7 +192,7 @@ func (db *DB) DropView(name string) error {
 		return nil
 	}, func(ts uint64) {
 		if dropped.Strategy == catalog.StrategyDeferred {
-			db.publishDeferredBarrier(dropped.ID, true)
+			db.oracle.DropViewWatermark(dropped.ID)
 		}
 	})
 }

@@ -38,6 +38,12 @@ import (
 // front for the next round — and may then publish wm as each deferred view's
 // watermark: the view equals its source as of wm, not merely "at least wm",
 // which is what lets the scrubber check it against a recompute at wm.
+//
+// One rule orders the applier against DDL: a delta is folded into a view only
+// if its commit timestamp is above the view's watermark. A refresh or create
+// publishes the watermark at its own commit timestamp while it holds its
+// sources' S locks, so every commit its recompute missed allocates a later
+// one. A dropped view's deltas are discarded once it is gone from the catalog.
 
 // applierIdleTick is the applier's period: how often watermarks advance with
 // no publish traffic, and the retry delay after a failed fold round. Every
@@ -50,25 +56,24 @@ const applierRest = 25 * time.Microsecond
 
 // deferredQueue is the unbounded multi-producer single-consumer applier
 // queue. Publishers must never block — a committer publishes while still
-// holding its locks, and a refresh barrier publishes while holding the view's
-// tree lock the applier itself may be waiting on, so any bounded/blocking
+// holding the locks a fold round may be waiting on, so any bounded/blocking
 // design here deadlocks.
 type deferredQueue struct {
-	mu   sync.Mutex
-	msgs []applier.Msg
-	wake chan struct{} // cap 1: coalesced wake-up signal
+	mu      sync.Mutex
+	batches []*applier.Batch
+	wake    chan struct{} // cap 1: coalesced wake-up signal
 }
 
 func newDeferredQueue() *deferredQueue {
 	return &deferredQueue{wake: make(chan struct{}, 1)}
 }
 
-// push enqueues one message and wakes the applier; it returns the queue depth
+// push enqueues one batch and wakes the applier; it returns the queue depth
 // after the append (for the high-water gauge).
-func (q *deferredQueue) push(m applier.Msg) int {
+func (q *deferredQueue) push(b *applier.Batch) int {
 	q.mu.Lock()
-	q.msgs = append(q.msgs, m)
-	n := len(q.msgs)
+	q.batches = append(q.batches, b)
+	n := len(q.batches)
 	q.mu.Unlock()
 	select {
 	case q.wake <- struct{}{}:
@@ -77,39 +82,23 @@ func (q *deferredQueue) push(m applier.Msg) int {
 	return n
 }
 
-// requeue puts messages a round held back at the front of the queue, ahead
+// requeue puts batches a round held back at the front of the queue, ahead
 // of everything published since it drained. It does not wake the applier:
 // the next publish or idle tick finds them.
-func (q *deferredQueue) requeue(msgs []applier.Msg) {
+func (q *deferredQueue) requeue(batches []*applier.Batch) {
 	q.mu.Lock()
-	q.msgs = append(msgs, q.msgs...)
+	q.batches = append(batches, q.batches...)
 	q.mu.Unlock()
 }
 
-// take removes and returns every queued message in publish order.
-func (q *deferredQueue) take() []applier.Msg {
+// take removes and returns every queued batch in publish order.
+func (q *deferredQueue) take() []*applier.Batch {
 	q.mu.Lock()
-	msgs := q.msgs
-	q.msgs = nil
+	batches := q.batches
+	q.batches = nil
 	q.mu.Unlock()
-	return msgs
+	return batches
 }
-
-// hasBarrier reports whether a refresh/drop barrier for tree is queued.
-func (q *deferredQueue) hasBarrier(tree id.Tree) bool {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	for _, m := range q.msgs {
-		if m.Barrier != nil && m.Barrier.Tree == tree {
-			return true
-		}
-	}
-	return false
-}
-
-// errRefreshedUnderneath fails a component fold whose groups a concurrent
-// refresh already incorporated.
-var errRefreshedUnderneath = errSentinel("view refreshed while its deltas were being folded")
 
 // oldestPerTree scans the queued (not yet drained) batches and returns the
 // earliest publish wall clock per view tree. It is the staleness clock's view
@@ -119,16 +108,16 @@ func (q *deferredQueue) oldestPerTree() map[id.Tree]int64 {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	var out map[id.Tree]int64
-	for _, m := range q.msgs {
-		if m.Batch == nil || m.Batch.WallNs == 0 {
+	for _, b := range q.batches {
+		if b.WallNs == 0 {
 			continue
 		}
-		for _, g := range m.Batch.Groups {
+		for _, g := range b.Groups {
 			if out == nil {
 				out = make(map[id.Tree]int64)
 			}
-			if cur, ok := out[g.Tree]; !ok || m.Batch.WallNs < cur {
-				out[g.Tree] = m.Batch.WallNs
+			if cur, ok := out[g.Tree]; !ok || b.WallNs < cur {
+				out[g.Tree] = b.WallNs
 			}
 		}
 	}
@@ -145,7 +134,7 @@ func (db *DB) publishDeferred(b *applier.Batch, t id.Txn) {
 	if db.flight != nil {
 		b.Span = uint64(t)
 	}
-	n := db.applierQ.push(applier.Msg{Batch: b})
+	n := db.applierQ.push(b)
 	db.met.Deferred.ObserveQueueDepth(n)
 	db.met.Deferred.PublishedBatches.Add(1)
 	db.met.Deferred.PublishedGroups.Add(int64(len(b.Groups)))
@@ -156,16 +145,6 @@ func (db *DB) publishDeferred(b *applier.Batch, t id.Txn) {
 			Rows: len(b.Groups),
 		})
 	}
-}
-
-// publishDeferredBarrier tells the applier a view was recomputed from its
-// base tables (refresh / create backfill), or dropped. Called from a system
-// transaction's pre-FinishCommit hook, while the transaction still holds the
-// base tables' S locks — which is what orders the barrier before any batch
-// whose deltas the recompute missed.
-func (db *DB) publishDeferredBarrier(tree id.Tree, drop bool) {
-	n := db.applierQ.push(applier.Msg{Barrier: &applier.Barrier{Tree: tree, Drop: drop}})
-	db.met.Deferred.ObserveQueueDepth(n)
 }
 
 // applierStep is the deferred-applier task's step, run on every publish's
@@ -198,31 +177,23 @@ func (db *DB) applierRound(co *applier.Coalescer) {
 	// Read the frontier BEFORE draining: every commit <= wm published before
 	// FinishCommit let wm reach it, so the drain below captures its batch.
 	wm := db.oracle.ReadTS()
-	msgs := db.applierQ.take()
-	var ahead []applier.Msg
-	for _, m := range msgs {
-		switch {
-		case m.Batch != nil && m.Batch.TS > wm:
-			ahead = append(ahead, m)
-		case m.Batch != nil:
-			in, coalesced := co.Add(m.Batch)
-			db.met.Deferred.DeltasIn.Add(int64(in))
-			db.met.Deferred.DeltasCoalesced.Add(int64(coalesced))
-		case m.Barrier != nil:
-			// Everything pending for the tree precedes the barrier in queue
-			// order, so it is already incorporated in the recompute (or gone
-			// with the dropped view) — held-back batches included. The refresh
-			// or create published the view's apply pair itself.
-			co.DropTree(m.Barrier.Tree)
-			for _, a := range ahead {
-				a.Batch.Groups = slices.DeleteFunc(a.Batch.Groups, func(g applier.GroupDelta) bool {
-					return g.Tree == m.Barrier.Tree
-				})
-			}
-			if m.Barrier.Drop {
-				db.oracle.DropViewWatermark(m.Barrier.Tree)
-			}
+	// A refresh or create that finished at or below wm published its
+	// watermark before wm could reach it: drop what it already holds, first
+	// from the groups a failed round left pending, then from each drained
+	// batch before it merges.
+	co.DropApplied(db.oracle.ViewWatermark)
+	var ahead []*applier.Batch
+	for _, b := range db.applierQ.take() {
+		if b.TS > wm {
+			ahead = append(ahead, b)
+			continue
 		}
+		b.Groups = slices.DeleteFunc(b.Groups, func(g applier.GroupDelta) bool {
+			return b.TS <= db.oracle.ViewWatermark(g.Tree)
+		})
+		in, coalesced := co.Add(b)
+		db.met.Deferred.DeltasIn.Add(int64(in))
+		db.met.Deferred.DeltasCoalesced.Add(int64(coalesced))
 	}
 
 	if len(ahead) > 0 {
@@ -477,20 +448,17 @@ func (db *DB) applyDeferredComponent(members []*catalog.View, groups []applier.G
 			if err := db.lockTree(st, v.ID, lock.ModeX); err != nil {
 				return err
 			}
-			// A refresh that held this lock while the round's groups sat
-			// drained has already recomputed them into the view; its barrier
-			// (published before it released the lock) is in the queue. Folding
-			// now would apply them twice: fail the round instead, so the groups
-			// return to the coalescer and the barrier drops them next round.
-			if db.applierQ.hasBarrier(v.ID) {
-				return errRefreshedUnderneath
-			}
 		}
 		// The round's coalescing set: the type a committing transaction folds
-		// from, fed here from the coalescer's groups.
+		// from, fed here from the coalescer's groups. A refresh that committed
+		// after the drain, before these locks were granted, has a watermark
+		// above wm and so above every group: its view already holds them.
 		foldStart := time.Now()
 		p := escrow.NewPending()
 		for _, g := range groups {
+			if g.TS <= db.oracle.ViewWatermark(g.Tree) {
+				continue
+			}
 			pg, _ := p.Group(g.Tree, []byte(g.Key))
 			for _, d := range g.Deltas {
 				pg.Add(d.Col, escrow.Delta{Int: d.Int, Float: d.Float})

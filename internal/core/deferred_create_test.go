@@ -4,6 +4,7 @@ import (
 	"context"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/catalog"
 	"repro/internal/expr"
@@ -32,12 +33,12 @@ func (h *turnstileHooks) Hit(p fault.Point) error {
 // TestDeferredViewWatermarkSetAtCreation: a deferred view's watermark — the
 // timestamp the scrubber reads its source at, and a term of the prune horizon
 // — must stand from the moment the view exists, not from whenever the applier
-// gets round to the create barrier. While it was unset the pruner was free to
-// drop the version chains of rows written after the create; when the barrier
-// then put the watermark at the create timestamp, a source read there saw the
-// chainless rows as if they had always been, and the scrubber reported the
-// view as missing groups it was not yet meant to have (seen once in fifty runs
-// of the root package's TestFreshnessSLOWatchdog under the race detector).
+// next runs a round. While it was unset the pruner was free to drop the
+// version chains of rows written after the create; when the watermark then
+// went to the create timestamp, a source read there saw the chainless rows as
+// if they had always been, and the scrubber reported the view as missing
+// groups it was not yet meant to have (seen once in fifty runs of the root
+// package's TestFreshnessSLOWatchdog under the race detector).
 func TestDeferredViewWatermarkSetAtCreation(t *testing.T) {
 	hooks := &turnstileHooks{arrived: make(chan struct{}), pass: make(chan struct{})}
 	db := openTestDB(t, Options{Hooks: hooks, ScrubInterval: -1, MVCCPruneInterval: -1})
@@ -47,8 +48,8 @@ func TestDeferredViewWatermarkSetAtCreation(t *testing.T) {
 	setupBanking(t, db, catalog.StrategyDeferred)
 
 	// Park the applier: a commit against the first deferred view sends it into
-	// a fold round, where the turnstile holds it — the second view's create
-	// barrier will wait in the queue.
+	// a fold round, where the turnstile holds it — the second view is created
+	// while no applier round can run.
 	insertAccounts(t, db, acctRow(1, 7, 100))
 	<-hooks.arrived
 	if err := db.CreateIndexedView(catalog.View{
@@ -69,11 +70,10 @@ func TestDeferredViewWatermarkSetAtCreation(t *testing.T) {
 // TestRefreshPublishesApplyPair: a refresh makes a deferred view equal its
 // source as of the refresh's commit timestamp, so it must say so through the
 // view's (applyTS, watermark) pair before that timestamp is visible — not
-// leave the pair to the applier's handling of its barrier. With the applier
-// parked mid-round the barrier waits in the queue; had the refresh left the
-// pair at the create's watermark, the scrubber would compare the refreshed
-// rows with the source as of the create and report a healthy view as
-// diverged.
+// leave the pair to a later applier round. With the applier parked mid-round
+// no round runs; had the refresh left the pair at the create's watermark, the
+// scrubber would compare the refreshed rows with the source as of the create
+// and report a healthy view as diverged.
 func TestRefreshPublishesApplyPair(t *testing.T) {
 	hooks := &turnstileHooks{arrived: make(chan struct{}), pass: make(chan struct{})}
 	db := openTestDB(t, Options{Hooks: hooks, ScrubInterval: -1, MVCCPruneInterval: -1})
@@ -96,4 +96,37 @@ func TestRefreshPublishesApplyPair(t *testing.T) {
 	}
 	free()
 	checkConsistent(t, db)
+}
+
+// TestRefreshUnderParkedRoundFoldsOnce: a refresh that lands while an applier
+// round holds drained deltas for the view, with commits on both sides of it,
+// leaves the view folding each commit exactly once — the ones at or below the
+// refresh's watermark are in the recompute and skipped, the one above it is
+// folded — and costs the round no retry.
+func TestRefreshUnderParkedRoundFoldsOnce(t *testing.T) {
+	hooks := &turnstileHooks{arrived: make(chan struct{}), pass: make(chan struct{})}
+	db := openTestDB(t, Options{Hooks: hooks, ScrubInterval: -1})
+	var once sync.Once
+	free := func() { once.Do(func() { close(hooks.pass) }) }
+	t.Cleanup(free) // registered after openTestDB's Close, so it runs first
+	setupBanking(t, db, catalog.StrategyDeferred)
+
+	insertAccounts(t, db, acctRow(1, 7, 100)) // drained by the parked round
+	<-hooks.arrived
+	insertAccounts(t, db, acctRow(2, 7, 50)) // queued, below the refresh
+	if _, err := db.RefreshView("branch_totals"); err != nil {
+		t.Fatal(err)
+	}
+	insertAccounts(t, db, acctRow(3, 7, 25)) // above the refresh
+	free()
+	if err := db.waitDeferredCaughtUp(10 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if count, sum, ok := branchTotal(t, db, 7); !ok || count != 3 || sum != 175 {
+		t.Fatalf("branch 7 = (%d, %d, %v), want (3, 175): a commit folded twice or not at all", count, sum, ok)
+	}
+	checkConsistent(t, db)
+	if n := db.Metrics().Deferred.RetryRounds; n != 0 {
+		t.Fatalf("retry_rounds = %d, want 0: the refresh failed the parked round", n)
+	}
 }

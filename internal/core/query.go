@@ -312,11 +312,9 @@ func (tx *Tx) AggregateNoView(table string, where expr.Expr, groupBy []int, aggs
 // one commit timestamp, before that timestamp becomes visible: the view now
 // equals a recompute of its source as of ts, and the views' watermarks jump
 // together — a reader comparing levels never sees a torn cross-level refresh.
-// It also publishes a barrier to the applier, which drops the pending deltas
-// the recompute already incorporated. The barriers are ordered correctly
-// because the refresh holds the source trees' S locks through commit — any
-// commit not included in the recompute serializes after it and publishes its
-// batch later.
+// That watermark is all the applier needs: it folds only deltas committed
+// above it. The refresh holds the source trees' S locks through commit, so
+// any commit not included in the recompute allocates its timestamp after ts.
 func (db *DB) RefreshView(viewName string) (int, error) {
 	if db.closed.Load() {
 		return 0, ErrClosed
@@ -329,21 +327,6 @@ func (db *DB) RefreshView(viewName string) (int, error) {
 		return 0, wrapViewErr("refresh view", viewName, err)
 	}
 	subtree := viewSubtree(cat, v)
-	var deferredTrees []id.Tree
-	for _, sv := range subtree {
-		if sv.Strategy == catalog.StrategyDeferred {
-			deferredTrees = append(deferredTrees, sv.ID)
-		}
-	}
-	var preFinish func(ts uint64)
-	if len(deferredTrees) > 0 {
-		preFinish = func(ts uint64) {
-			for _, tid := range deferredTrees {
-				db.oracle.AdvanceViewApplied(tid, ts, ts)
-				db.publishDeferredBarrier(tid, false)
-			}
-		}
-	}
 	changed := 0
 	err = db.runSysTxnHook(func(st *txn.Txn) error {
 		for _, sv := range subtree {
@@ -354,7 +337,13 @@ func (db *DB) RefreshView(viewName string) (int, error) {
 			changed += n
 		}
 		return nil
-	}, preFinish)
+	}, func(ts uint64) {
+		for _, sv := range subtree {
+			if sv.Strategy == catalog.StrategyDeferred {
+				db.oracle.AdvanceViewApplied(sv.ID, ts, ts)
+			}
+		}
+	})
 	return changed, err
 }
 

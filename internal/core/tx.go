@@ -507,8 +507,9 @@ func (db *DB) momentaryS(t *txn.Txn, tree id.Tree, key []byte) error {
 }
 
 // waitQuiesced is a test helper: it blocks until no transactions are active.
+// Every transaction holds the gate's read lock from begin to finish, so
+// taking the gate exclusively waits for exactly those.
 func (db *DB) waitQuiesced() {
-	for db.tm.ActiveCount() > 0 {
-		time.Sleep(time.Millisecond)
-	}
+	db.gate.Lock()
+	db.gate.Unlock()
 }

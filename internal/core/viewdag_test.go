@@ -379,7 +379,8 @@ func TestRefreshViewCascades(t *testing.T) {
 	if _, err := db.RefreshView("order_totals"); err != nil {
 		t.Fatal(err)
 	}
-	// Post-refresh (and post-barrier), every level is exact immediately.
+	// Post-refresh, every level is exact immediately: the refresh set every
+	// level's watermark at its own commit timestamp.
 	got := scanRegionTotals(t, db)
 	if got["east"] != [2]int64{5, 435} { // sum 0..29 = 435, 5 customers
 		t.Fatalf("after refresh: %v", got)

@@ -226,16 +226,9 @@ func (o *Oracle) pruneHorizonLocked() uint64 {
 }
 
 // AdvanceViewWatermark publishes that every commit with timestamp <= ts has
-// been applied to the deferred view, waking any WaitForViewWatermark callers.
-// Watermarks are monotonic: a lower ts is a no-op.
+// been applied to the deferred view: AdvanceViewApplied without a fold.
 func (o *Oracle) AdvanceViewWatermark(tree id.Tree, ts uint64) {
-	o.viewMu.Lock()
-	if ts > o.viewWM[tree] {
-		o.viewWM[tree] = ts
-		close(o.viewWake)
-		o.viewWake = make(chan struct{})
-	}
-	o.viewMu.Unlock()
+	o.AdvanceViewApplied(tree, 0, ts)
 }
 
 // AdvanceViewApplied publishes one applier fold round's outcome for a
@@ -244,9 +237,16 @@ func (o *Oracle) AdvanceViewWatermark(tree id.Tree, ts uint64) {
 // wm the source frontier it applied — every source commit <= wm is now
 // folded in. Between this fold and the next one, the view's stored rows at
 // any snapshot timestamp >= applyTS equal a recompute over the source at wm.
-// Both components are monotonic; a stale pair is a no-op.
+// Both components are monotonic: a stale pair is a no-op. An advance of the
+// watermark wakes any WaitForViewWatermark callers. Any pair for a dropped
+// view is a no-op too — an applier round that read the catalog before the
+// drop must not bring the watermark back and hold the prune horizon there.
 func (o *Oracle) AdvanceViewApplied(tree id.Tree, applyTS, wm uint64) {
 	o.viewMu.Lock()
+	defer o.viewMu.Unlock()
+	if _, dropped := o.viewDropped[tree]; dropped {
+		return
+	}
 	if applyTS > o.viewApply[tree] {
 		o.viewApply[tree] = applyTS
 	}
@@ -255,7 +255,6 @@ func (o *Oracle) AdvanceViewApplied(tree id.Tree, applyTS, wm uint64) {
 		close(o.viewWake)
 		o.viewWake = make(chan struct{})
 	}
-	o.viewMu.Unlock()
 }
 
 // ViewApplied returns the deferred view's apply pair — the last fold's

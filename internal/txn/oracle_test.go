@@ -157,6 +157,34 @@ func TestOracleWaitForViewWatermarkCtxCancelRacingDrop(t *testing.T) {
 	}
 }
 
+// TestOracleDroppedViewStaysDropped: an advance that arrives after the drop —
+// an applier round that read the catalog before it — brings neither the
+// watermark nor the apply pair back, so the dropped view does not hold the
+// prune horizon and a waiter still learns the view is gone.
+func TestOracleDroppedViewStaysDropped(t *testing.T) {
+	o := NewOracle()
+	for i := 0; i < 5; i++ {
+		o.FinishCommit(o.AllocateCommitTS())
+	}
+	tree := id.Tree(4)
+	o.AdvanceViewApplied(tree, 2, 2)
+	o.DropViewWatermark(tree)
+	o.AdvanceViewWatermark(tree, 3)
+	o.AdvanceViewApplied(tree, 4, 3)
+	if wms := o.ViewWatermarks(); len(wms) != 0 {
+		t.Fatalf("ViewWatermarks after drop and late advances = %v, want none", wms)
+	}
+	if applyTS, wm := o.ViewApplied(tree); applyTS != 0 || wm != 0 {
+		t.Fatalf("ViewApplied after drop = (%d, %d), want (0, 0)", applyTS, wm)
+	}
+	if got := o.PruneHorizon(); got != 5 {
+		t.Fatalf("horizon = %d, want the commit watermark 5: the dropped view holds it", got)
+	}
+	if err := o.WaitForViewWatermark(context.Background(), tree, 3); !errors.Is(err, ErrViewWatermarkDropped) {
+		t.Fatalf("wait after late advances returned %v, want ErrViewWatermarkDropped", err)
+	}
+}
+
 // TestOracleViewWatermarkHoldsHorizon pins the scrubber's retention contract:
 // a deferred view's applied watermark participates in the prune horizon, so a
 // timestamp read from ViewApplied can always be pinned with BeginSnapshotAt.
