@@ -44,39 +44,41 @@ staticcheck:
 # and the kernel may know internal/mvcc, and the sidecar store's API stays
 # gone. One owner for a transaction's escrow deltas: the shared ledger, its
 # option and the fold queue stay gone, and the pending set stays lock-free.
-# One proof and one benchmark: cmd/ holds the three tools, the retired smoke
-# binaries and bench gate stay gone (benchmark/ is frozen and exempt), and
-# make verify is the tier-1 line. One background runner: internal/core/bg.go
-# holds the only go statement of the engine, its scrubber and its watchdog,
-# and the hand-rolled loops and the test-only knobs stay gone. No deadlock
-# detector: the lock manager starts no goroutine, a blocked request checks
-# for the cycle it closed, and the waits-for graph is read from the lock
-# table, never stored. One home per counter: DB.Metrics is the only counter
-# API; the engine's counters live in the metrics registry, the lock manager's
-# in its shards and a view's in its one record, so DB.Stats, lock.Stats, the
-# per-shard wait table and the per-view map copies stay gone, and
-# internal/metrics holds one copy-on-write map. A published catalog is
-# read-only: a catalog is written only while it is private, the apply
-# registry publishes it with its maintainers by one atomic pointer, and
+# One proof and one benchmark: cmd/ holds the shell and the torture tool, the
+# retired smoke binaries and bench gate stay gone, and the paper's claims are
+# test assertions, so the print-only evaluation harness (its package, its CLI,
+# the workload drivers and their think time) stays gone (benchmark/ is frozen
+# and exempt); make verify is the tier-1 line. One background runner:
+# internal/core/bg.go holds the only go statement of the engine, its scrubber
+# and its watchdog, and the hand-rolled loops and the test-only knobs stay
+# gone. No deadlock detector: the lock manager starts no goroutine, a blocked
+# request checks for the cycle it closed, and the waits-for graph is read from
+# the lock table, never stored. One home per counter: DB.Metrics is the only
+# counter API; the engine's counters live in the metrics registry, the lock
+# manager's in its shards and a view's in its one record, so DB.Stats,
+# lock.Stats, the per-shard wait table and the per-view map copies stay gone,
+# and internal/metrics holds one copy-on-write map. A published catalog is
+# read-only: a catalog is written only while it is private, the apply registry
+# publishes it with its maintainers by one atomic pointer, and
 # internal/catalog and internal/apply take no sync.Mutex or sync.RWMutex. One
 # mechanism per job in the observability plane: the flight recorder is one
-# ring indexed by sequence number and a span is a transaction ID, so the
-# span table (spanShard, resolveSpan, SpanOf) stays gone; top and
-# the watchdog diff hot-group listings with metrics.HotGroupGrowth, so
-# metrics.SnapshotRing and its rate types and hottestWaitGroup stay gone. One
-# recompute, one compare: db.recompute is the only caller of
-# view.Maintainer.Recompute outside internal/view, the row-materializing
-# viewSourceRows and relationRows stay gone, and CheckConsistency reads a
-# view's stored rows through the scrubber's verifyView, never Tree.Items. One
-# whole view per scrub slice, against one snapshot pair: the group-range
-# cursor (viewEntries, verify.Clip, MaxGroups) and the pair re-read with its
-# discard (pinAttempts) stay gone from every .go file outside benchmark/, and
-# non-test internal/scrub never sleeps. One ordering rule for deferred views:
-# the applier folds a delta only above its view's watermark, so the barrier
-# messages (applier.Barrier, applier.Msg, DropTree, hasBarrier,
-# errRefreshedUnderneath, publishDeferredBarrier) stay gone from every .go file
-# outside benchmark/, and non-test internal/core never sleeps. A committed trajectory: a change to internal/ adds its benchmark pair under
-# BENCH_history/ (make bench, then make bench-record).
+# ring indexed by sequence number and a span is a transaction ID, so the span
+# table (spanShard, resolveSpan, SpanOf) stays gone; top and the watchdog diff
+# hot-group listings with metrics.HotGroupGrowth, so metrics.SnapshotRing and
+# its rate types and hottestWaitGroup stay gone. One recompute, one compare:
+# db.recompute is the only caller of view.Maintainer.Recompute outside
+# internal/view, the row-materializing viewSourceRows and relationRows stay
+# gone, and CheckConsistency reads a view's stored rows through the scrubber's
+# verifyView, never Tree.Items. One whole view per scrub slice, against one
+# snapshot pair: the group-range cursor (viewEntries, verify.Clip, MaxGroups)
+# and the pair re-read with its discard (pinAttempts) stay gone from every .go
+# file outside benchmark/, and non-test internal/scrub never sleeps. One
+# ordering rule for deferred views: the applier folds a delta only above its
+# view's watermark, so the barrier messages (applier.Barrier, applier.Msg,
+# DropTree, hasBarrier, errRefreshedUnderneath, publishDeferredBarrier) stay
+# gone from every .go file outside benchmark/, and non-test internal/core
+# never sleeps. A committed trajectory: a change to internal/ adds its
+# benchmark pair under BENCH_history/ (make bench, then make bench-record).
 structure:
 	@out="$$(grep -rl --include='*.go' '"repro/internal/mvcc"' . | grep -v -e '^./internal/mvcc/' -e '^./internal/btree/' -e '^./internal/core/')"; \
 	if [ -n "$$out" ]; then echo "internal/mvcc imported outside internal/btree and internal/core:"; echo "$$out"; exit 1; fi
@@ -86,11 +88,14 @@ structure:
 	if [ -n "$$out" ]; then echo "the shared escrow ledger or the fold queue is back:"; echo "$$out"; exit 1; fi
 	@out="$$(grep -n 'sync\.' internal/escrow/pending.go)"; \
 	if [ -n "$$out" ]; then echo "internal/escrow/pending.go: the pending set has one owner and takes no locks:"; echo "$$out"; exit 1; fi
-	@test "$$(ls cmd | tr '\n' ' ')" = "viewbench vtxnshell vtxntorture " || \
-		{ echo "cmd/ holds viewbench, vtxnshell and vtxntorture only:"; ls cmd; exit 1; }
+	@test "$$(ls cmd | tr '\n' ' ')" = "vtxnshell vtxntorture " || \
+		{ echo "cmd/ holds vtxnshell and vtxntorture only:"; ls cmd; exit 1; }
 	@out="$$(grep -rlE --exclude-dir=.git --exclude-dir=benchmark --exclude='[A-Z]*.md' \
 		'bench[g]ate|BENCH_(baseline|fresh)|bench-[s]moke|(flightrec|hotspots?|mvcc|deferred|viewdag|freshness|scrub)-?[s]moke' .)"; \
 	if [ -n "$$out" ]; then echo "the retired smoke binaries or bench gate are back:"; echo "$$out"; exit 1; fi
+	@out="$$(grep -rlE --exclude-dir=.git --exclude-dir=benchmark --exclude='[A-Z]*.md' \
+		'repro/internal/[b]ench|view[b]ench|Run[C]oncurrent|Think[T]ime' .)"; \
+	if [ -n "$$out" ]; then echo "the print-only evaluation harness is back:"; echo "$$out"; exit 1; fi
 	@test "$$($(MAKE) --no-print-directory -n verify | tr '\n' ';')" = "$(GO) build ./...;$(GO) test ./...;" || \
 		{ echo "make verify must be exactly the tier-1 line: go build ./... && go test ./..."; exit 1; }
 	@out="$$(grep -nE '^\s*go ' $$(ls internal/core/*.go internal/scrub/*.go internal/flightrec/*.go | grep -v '_test\.go$$'))"; \

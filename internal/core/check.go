@@ -42,11 +42,13 @@ func (db *DB) CheckConsistencyCtx(ctx context.Context, progress func(CheckProgre
 	if db.closed.Load() {
 		return ErrClosed
 	}
-	// Deferred views converge only after the applier catches up, and the
-	// applier's folds need the world unlocked — so wait BEFORE taking the
-	// gate, then confirm nothing slipped in between the wait and the lock
-	// (the applier never takes the gate, but new user commits could). A
-	// bounded retry turns a wedged applier into an error, not a hang.
+	// Deferred views converge only after the applier catches up, and every
+	// applier fold round is a gate reader — waiting under the exclusive gate
+	// would stall the rounds it waits for. So wait BEFORE taking the gate,
+	// then confirm under it that no user commit published a delta between
+	// the wait and the lock; if one did, let the applier fold it and wait
+	// again. A bounded retry turns a wedged applier into an error, not a
+	// hang.
 	for attempt := 0; ; attempt++ {
 		if err := ctx.Err(); err != nil {
 			return err

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"math/rand"
 	"runtime"
 	"sync"
@@ -26,6 +27,29 @@ func waitLockWaits(t *testing.T, db *DB, n int64) {
 		}
 		runtime.Gosched()
 	}
+}
+
+// waitSettled returns once each of n concurrent requests has either finished,
+// by a send on done, or blocked, by a count in Lock.Waits above waits, and
+// returns the results of those that finished. A blocked request stays
+// blocked until the caller releases what it waits for, so none counts twice.
+func waitSettled(t *testing.T, db *DB, done <-chan error, n int, waits int64) []error {
+	t.Helper()
+	var finished []error
+	deadline := time.Now().Add(5 * time.Second)
+	for int64(len(finished))+db.Metrics().Lock.Waits-waits < int64(n) {
+		select {
+		case err := <-done:
+			finished = append(finished, err)
+			continue
+		default:
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("of %d requests %d finished and %d blocked", n, len(finished), db.Metrics().Lock.Waits-waits)
+		}
+		runtime.Gosched()
+	}
+	return finished
 }
 
 // TestConcurrentEscrowWriters is the headline behavior: many writers
@@ -149,6 +173,7 @@ func TestReadCommittedReaderDoesNotBlockOnEscrow(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	waits := db.Metrics().Lock.Waits
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
@@ -161,6 +186,9 @@ func TestReadCommittedReaderDoesNotBlockOnEscrow(t *testing.T) {
 	case <-done:
 	case <-time.After(2 * time.Second):
 		t.Fatal("RC reader blocked on escrow writer")
+	}
+	if got := db.Metrics().Lock.Waits - waits; got != 0 {
+		t.Fatalf("RC reader of an escrow view waited on %d lock requests", got)
 	}
 	mustCommit(t, writer)
 	count, sum, _ := branchTotal(t, db, 7)
@@ -181,6 +209,7 @@ func TestSerializableReaderBlocksOnEscrow(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	waits := db.Metrics().Lock.Waits
 	got := make(chan int64, 1)
 	go func() {
 		reader := begin(t, db, txn.Serializable)
@@ -193,10 +222,11 @@ func TestSerializableReaderBlocksOnEscrow(t *testing.T) {
 		}
 		got <- res[1].AsInt()
 	}()
+	waitLockWaits(t, db, waits+1)
 	select {
 	case v := <-got:
 		t.Fatalf("serializable reader did not block (saw %d)", v)
-	case <-time.After(50 * time.Millisecond):
+	default:
 	}
 	mustCommit(t, writer)
 	select {
@@ -220,6 +250,7 @@ func TestXLockWritersSerialize(t *testing.T) {
 	if err := t1.Insert("accounts", acctRow(2, 7, 10)); err != nil {
 		t.Fatal(err)
 	}
+	waits := db.Metrics().Lock.Waits
 	done := make(chan error, 1)
 	go func() {
 		t2, err := db.Begin(txn.ReadCommitted)
@@ -234,10 +265,11 @@ func TestXLockWritersSerialize(t *testing.T) {
 		}
 		done <- t2.Commit()
 	}()
+	waitLockWaits(t, db, waits+1)
 	select {
 	case err := <-done:
 		t.Fatalf("second xlock writer did not block: %v", err)
-	case <-time.After(50 * time.Millisecond):
+	default:
 	}
 	mustCommit(t, t1)
 	if err := <-done; err != nil {
@@ -248,6 +280,166 @@ func TestXLockWritersSerialize(t *testing.T) {
 		t.Fatalf("final = %d/%d", count, sum)
 	}
 	checkConsistent(t, db)
+}
+
+// TestHotGroupWriters is the paper's headline claim as a count (F2, F3):
+// writers that each hold a transaction open on one aggregate group never
+// wait for one another under E locks, while X locks queue every writer
+// behind the first. On distinct groups X-lock writers do not wait either:
+// the contention follows the sharing, not the strategy.
+func TestHotGroupWriters(t *testing.T) {
+	const writers = 8
+	for _, c := range []struct {
+		name     string
+		strategy catalog.Strategy
+		groups   int64 // writer w writes group w % groups
+		waits    int64 // blocked lock requests once every writer has written
+	}{
+		{"escrow/one-group", catalog.StrategyEscrow, 1, 0},
+		{"xlock/one-group", catalog.StrategyXLock, 1, writers - 1},
+		{"xlock/distinct-groups", catalog.StrategyXLock, writers, 0},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			db := openTestDB(t, Options{})
+			setupBanking(t, db, c.strategy)
+			// Writer w updates its own account w, in group w % groups: the
+			// only resources the writers share are the groups' view rows.
+			var rows []record.Row
+			for w := int64(0); w < writers; w++ {
+				rows = append(rows, acctRow(w, w%c.groups, 100))
+			}
+			insertAccounts(t, db, rows...)
+
+			lk := db.Metrics().Lock
+			written := make(chan error, writers)
+			committed := make(chan error, writers)
+			release := make(chan struct{})
+			var once sync.Once
+			releaseAll := func() { once.Do(func() { close(release) }) }
+			defer releaseAll() // a failed assertion must not strand the writers
+			for w := int64(0); w < writers; w++ {
+				go func() {
+					tx, err := db.Begin(txn.ReadCommitted)
+					if err != nil {
+						written <- err
+						committed <- err
+						return
+					}
+					err = tx.Update("accounts", record.Row{record.Int(w)}, map[int]record.Value{2: record.Int(110)})
+					written <- err
+					if err != nil {
+						tx.Rollback()
+						committed <- err
+						return
+					}
+					<-release
+					committed <- tx.Commit()
+				}()
+			}
+			for _, err := range waitSettled(t, db, written, writers, lk.Waits) {
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			if got := db.Metrics().Lock.Waits - lk.Waits; got != c.waits {
+				t.Fatalf("%d writers on %d groups blocked %d lock requests, want %d", writers, c.groups, got, c.waits)
+			}
+			releaseAll()
+			for range writers {
+				if err := <-committed; err != nil {
+					t.Fatal(err)
+				}
+			}
+			if got := db.Metrics().Lock.Deadlocks - lk.Deadlocks; got != 0 {
+				t.Fatalf("%d deadlocks", got)
+			}
+			per := writers / c.groups
+			for g := int64(0); g < c.groups; g++ {
+				if count, sum, _ := branchTotal(t, db, g); count != per || sum != 110*per {
+					t.Fatalf("group %d = %d/%d, want %d/%d", g, count, sum, per, 110*per)
+				}
+			}
+			checkConsistent(t, db)
+		})
+	}
+}
+
+// TestOppositeOrderTransfers is F4: two transfers touch two branches' view
+// rows in opposite orders. E locks never conflict with one another, so both
+// commit without a wait or a deadlock; under X locks the second crossing
+// request closes a cycle and the younger transaction is its victim.
+func TestOppositeOrderTransfers(t *testing.T) {
+	for _, c := range []struct {
+		strategy  catalog.Strategy
+		deadlocks int64
+	}{
+		{catalog.StrategyEscrow, 0},
+		{catalog.StrategyXLock, 1},
+	} {
+		t.Run(c.strategy.String(), func(t *testing.T) {
+			db := openTestDB(t, Options{})
+			setupBanking(t, db, c.strategy)
+			// Accounts 1 and 4 sit in branch 1, accounts 2 and 3 in branch 2.
+			// The transfers touch distinct accounts, so only view rows can
+			// conflict.
+			insertAccounts(t, db, acctRow(1, 1, 100), acctRow(2, 2, 100), acctRow(3, 2, 100), acctRow(4, 1, 100))
+			set := func(tx *Tx, id, balance int64) error {
+				return tx.Update("accounts", record.Row{record.Int(id)}, map[int]record.Value{2: record.Int(balance)})
+			}
+			lk := db.Metrics().Lock
+			// t1 moves 10 from account 1 to account 2 (branch 1, then 2); t2
+			// moves 10 from account 3 to account 4 (branch 2, then 1).
+			t1 := beginCleanup(t, db)
+			t2 := beginCleanup(t, db)
+			if err := set(t1, 1, 90); err != nil {
+				t.Fatal(err)
+			}
+			if err := set(t2, 3, 90); err != nil {
+				t.Fatal(err)
+			}
+			r1 := make(chan error, 1)
+			go func() { r1 <- set(t1, 2, 110) }()
+			finished := waitSettled(t, db, r1, 1, lk.Waits)
+			err2 := set(t2, 4, 110)
+			t2Commits := err2 == nil
+			switch {
+			case t2Commits:
+				mustCommit(t, t2)
+			case errors.Is(err2, ErrDeadlock):
+				if err := t2.Rollback(); err != nil {
+					t.Fatal(err)
+				}
+			default:
+				t.Fatal(err2)
+			}
+			if len(finished) == 0 {
+				finished = append(finished, <-r1)
+			}
+			if finished[0] != nil {
+				t.Fatal(finished[0])
+			}
+			mustCommit(t, t1)
+
+			m := db.Metrics().Lock
+			if got := m.Deadlocks - lk.Deadlocks; got != c.deadlocks {
+				t.Fatalf("%d deadlocks, want %d", got, c.deadlocks)
+			}
+			if c.deadlocks == 0 && (m.Waits != lk.Waits || !t2Commits) {
+				t.Fatalf("E-locked transfers blocked %d requests; second transfer: %v", m.Waits-lk.Waits, err2)
+			}
+			want1, want2 := int64(190), int64(210) // t1 alone moved 10
+			if t2Commits {
+				want1, want2 = 200, 200
+			}
+			if _, sum, _ := branchTotal(t, db, 1); sum != want1 {
+				t.Fatalf("branch 1 = %d, want %d", sum, want1)
+			}
+			if _, sum, _ := branchTotal(t, db, 2); sum != want2 {
+				t.Fatalf("branch 2 = %d, want %d", sum, want2)
+			}
+			checkConsistent(t, db)
+		})
+	}
 }
 
 // TestDeadlockVictimRecovers drives two transactions into a deadlock and

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/catalog"
+	"repro/internal/lock"
 	"repro/internal/record"
 	"repro/internal/txn"
 )
@@ -21,20 +22,31 @@ func beginCleanup(t *testing.T, db *DB) *Tx {
 	return tx
 }
 
-// TestCleanerBlockedByELock: a transaction with a pending delta on a ghost
-// group holds the row's E lock, so the cleaner (IX on the tree, X on the key)
-// erases nothing; the commit fold then finds its row.
+// TestCleanerBlockedByELock: a user transaction that creates a group leaves
+// the row's existence to one system transaction, which inserts it as a
+// ghost, and holds only an E lock on it, never an X lock. With a pending
+// delta on the ghost group, that E lock keeps the cleaner (IX on the tree, X
+// on the key) from erasing anything; the commit fold then finds its row.
 func TestCleanerBlockedByELock(t *testing.T) {
 	db := openTestDB(t, Options{})
 	setupBanking(t, db, catalog.StrategyEscrow)
-	vtree := db.tree(mustView(t, db, "branch_totals").ID)
+	view := mustView(t, db, "branch_totals")
+	vtree := db.tree(view.ID)
 
 	tx := beginCleanup(t, db)
+	sys := db.met.Engine.SysTxns.Load()
 	if err := tx.Insert("accounts", acctRow(1, 99, 5)); err != nil {
 		t.Fatal(err)
 	}
 	if vtree.GhostCount() != 1 {
 		t.Fatalf("ghosts = %d, want the new group's", vtree.GhostCount())
+	}
+	if got := db.met.Engine.SysTxns.Load() - sys; got != 1 {
+		t.Fatalf("creating a group ran %d system transactions, want 1", got)
+	}
+	group := lock.KeyResource(view.ID, record.EncodeKey(record.Row{record.Int(99)}))
+	if held := db.lm.HeldMode(tx.t.ID, group); held != lock.ModeE {
+		t.Fatalf("the user transaction holds %v on the new group's row, want E", held)
 	}
 	if got := db.met.Escrow.PendingRows.Load(); got != 1 {
 		t.Fatalf("pending rows = %d, want 1", got)

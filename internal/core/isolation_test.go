@@ -21,6 +21,7 @@ func TestRepeatableReadViewReadBlocksEscrow(t *testing.T) {
 	if err := writer.Insert("accounts", acctRow(2, 7, 900)); err != nil {
 		t.Fatal(err)
 	}
+	waits := db.Metrics().Lock.Waits
 	got := make(chan int64, 1)
 	go func() {
 		reader := begin(t, db, txn.RepeatableRead)
@@ -32,10 +33,11 @@ func TestRepeatableReadViewReadBlocksEscrow(t *testing.T) {
 		}
 		got <- res[1].AsInt()
 	}()
+	waitLockWaits(t, db, waits+1)
 	select {
 	case v := <-got:
 		t.Fatalf("RR view reader did not block (saw %d)", v)
-	case <-time.After(50 * time.Millisecond):
+	default:
 	}
 	mustCommit(t, writer)
 	select {

@@ -10,8 +10,8 @@ import (
 	"repro/internal/txn"
 )
 
-// Micro-benchmarks of the engine's hot paths; the experiment-level benches
-// live in the repository root's bench_test.go.
+// Micro-benchmarks of the engine's hot paths; the end-to-end figures come
+// from the benchmark in benchmark/.
 
 func benchDB(b *testing.B, strategy catalog.Strategy) *DB {
 	b.Helper()

@@ -46,38 +46,66 @@ func TestScanTableRange(t *testing.T) {
 	}
 }
 
+// TestAggregateNoViewMatchesView: the aggregate answered from the view
+// equals the one computed by scanning the base table, at 1 000 and at 10 000
+// base rows. The view answers a group with one lookup, so GetViewRow's
+// allocations stay flat as the base grows tenfold; AggregateNoView visits
+// every base row, so its allocations grow with the table.
 func TestAggregateNoViewMatchesView(t *testing.T) {
-	db := openTestDB(t, Options{})
+	db := openTestDB(t, Options{ScrubInterval: -1, MVCCPruneInterval: -1})
 	setupBanking(t, db, catalog.StrategyEscrow)
-	rng := rand.New(rand.NewSource(21))
-	var rows []record.Row
-	for i := int64(0); i < 300; i++ {
-		rows = append(rows, acctRow(i, int64(rng.Intn(7)), int64(rng.Intn(1000))))
-	}
-	insertAccounts(t, db, rows...)
-
-	tx := begin(t, db, txn.ReadCommitted)
-	viaView, err := tx.ScanView("branch_totals")
-	if err != nil {
-		t.Fatal(err)
-	}
-	viaScan, err := tx.AggregateNoView("accounts", nil, []int{1}, []expr.AggSpec{
+	aggs := []expr.AggSpec{
 		{Func: expr.AggCountRows},
 		{Func: expr.AggSum, Arg: expr.Col(2)},
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
-	mustCommit(t, tx)
-	if len(viaView) != len(viaScan) {
-		t.Fatalf("view %d groups, scan %d", len(viaView), len(viaScan))
-	}
-	for i := range viaView {
-		if record.CompareRows(viaView[i].Key, viaScan[i].Key) != 0 ||
-			record.CompareRows(viaView[i].Result, viaScan[i].Result) != 0 {
-			t.Fatalf("group %d: view %v/%v scan %v/%v", i,
-				viaView[i].Key, viaView[i].Result, viaScan[i].Key, viaScan[i].Result)
+	rng := rand.New(rand.NewSource(21))
+	var lookupAllocs, scanAllocs []float64
+	loaded := int64(0)
+	for _, size := range []int64{1000, 10000} {
+		var rows []record.Row
+		for ; loaded < size; loaded++ {
+			rows = append(rows, acctRow(loaded, int64(rng.Intn(7)), int64(rng.Intn(1000))))
 		}
+		insertAccounts(t, db, rows...)
+
+		tx := beginCleanup(t, db)
+		viaView, err := tx.ScanView("branch_totals")
+		if err != nil {
+			t.Fatal(err)
+		}
+		viaScan, err := tx.AggregateNoView("accounts", nil, []int{1}, aggs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(viaView) != len(viaScan) {
+			t.Fatalf("%d rows: view %d groups, scan %d", size, len(viaView), len(viaScan))
+		}
+		for i := range viaView {
+			if record.CompareRows(viaView[i].Key, viaScan[i].Key) != 0 ||
+				record.CompareRows(viaView[i].Result, viaScan[i].Result) != 0 {
+				t.Fatalf("%d rows, group %d: view %v/%v scan %v/%v", size, i,
+					viaView[i].Key, viaView[i].Result, viaScan[i].Key, viaScan[i].Result)
+			}
+		}
+		lookupAllocs = append(lookupAllocs, testing.AllocsPerRun(100, func() {
+			if _, ok, err := tx.GetViewRow("branch_totals", record.Row{record.Int(3)}); err != nil || !ok {
+				t.Fatalf("view lookup: %v %v", ok, err)
+			}
+		}))
+		scanAllocs = append(scanAllocs, testing.AllocsPerRun(3, func() {
+			if _, err := tx.AggregateNoView("accounts", nil, []int{1}, aggs); err != nil {
+				t.Fatal(err)
+			}
+		}))
+		mustCommit(t, tx)
+	}
+	t.Logf("allocs per query at 1 000 and 10 000 rows: view lookup %.0f, %.0f; base scan %.0f, %.0f",
+		lookupAllocs[0], lookupAllocs[1], scanAllocs[0], scanAllocs[1])
+	if lookupAllocs[1] > 1.5*lookupAllocs[0] {
+		t.Fatalf("a view lookup allocates %.0f at 10 000 rows against %.0f at 1 000: not flat", lookupAllocs[1], lookupAllocs[0])
+	}
+	if scanAllocs[1] < 5*scanAllocs[0] {
+		t.Fatalf("a base scan allocates %.0f at 10 000 rows against %.0f at 1 000: want at least 5x", scanAllocs[1], scanAllocs[0])
 	}
 }
 

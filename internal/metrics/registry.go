@@ -173,9 +173,11 @@ func (wm *WALMetrics) FlushActiveNs(nowNs int64) int64 {
 
 // GhostMetrics track the background ghost cleaner.
 type GhostMetrics struct {
-	// Created counts view rows that became ghosts (by a ghost-creating system
-	// transaction or a fold that emptied the row); Erased the ghosts the
-	// cleaner removed.
+	// Created counts transitions into the ghost state, not ghost lifetimes:
+	// a ghost-creating system transaction counts one, and so does every fold
+	// that empties a live row (or finds none). A group created as a ghost,
+	// filled, emptied and then erased counts two creations and one erase.
+	// Erased counts the ghosts the cleaner removed.
 	Created atomic.Int64
 	Erased  atomic.Int64
 	// CleanerPasses counts CleanGhosts sweeps.

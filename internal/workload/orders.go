@@ -2,7 +2,6 @@ package workload
 
 import (
 	"math/rand"
-	"time"
 
 	"repro/internal/catalog"
 	"repro/internal/core"
@@ -26,9 +25,6 @@ type Orders struct {
 	// WithJoinView additionally creates a projection join view
 	// (order × product), exercising join maintenance.
 	WithJoinView bool
-	// ThinkTime simulates a multi-statement transaction: the order stays
-	// open this long after the insert before committing (see Banking).
-	ThinkTime time.Duration
 }
 
 // SalesView is the orders workload's aggregate view name.
@@ -105,33 +101,6 @@ func (w Orders) Setup(db *core.DB) error {
 func productName(p int) string {
 	const letters = "abcdefghijklmnopqrstuvwxyz"
 	return "product-" + string(letters[p%26]) + string(letters[(p/26)%26])
-}
-
-// OrderEntry returns an Op inserting one order for a Zipf-popular product.
-// idBase partitions the order-ID space per client so inserts never collide.
-func (w Orders) OrderEntry(idBase int64) Op {
-	var next = idBase
-	return func(db *core.DB, rng *rand.Rand) error {
-		pick := Zipf(rng, w.Skew, w.Products)
-		tx, err := db.Begin(txn.ReadCommitted)
-		if err != nil {
-			return err
-		}
-		next++
-		row := record.Row{
-			record.Int(next),
-			record.Int(int64(pick())),
-			record.Int(int64(rng.Intn(5) + 1)),
-		}
-		if err := tx.Insert("orders", row); err != nil {
-			tx.Rollback()
-			return err
-		}
-		if w.ThinkTime > 0 {
-			time.Sleep(w.ThinkTime)
-		}
-		return tx.Commit()
-	}
 }
 
 // LoadOrders bulk-inserts n orders with the workload's popularity skew.

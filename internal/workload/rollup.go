@@ -99,26 +99,6 @@ func (w Rollup) ItemRow(item, customer, amount int64) record.Row {
 	}
 }
 
-// ItemEntry returns an Op inserting one item for a Zipf-popular customer.
-// idBase partitions the item-ID space per client so inserts never collide.
-func (w Rollup) ItemEntry(idBase int64) Op {
-	next := idBase
-	return func(db *core.DB, rng *rand.Rand) error {
-		pick := Zipf(rng, w.Skew, w.Customers)
-		tx, err := db.Begin(txn.ReadCommitted)
-		if err != nil {
-			return err
-		}
-		next++
-		if err := tx.Insert("order_items",
-			w.ItemRow(next, int64(pick()), int64(rng.Intn(90)+10))); err != nil {
-			tx.Rollback()
-			return err
-		}
-		return tx.Commit()
-	}
-}
-
 // LoadItems bulk-inserts n items with the workload's popularity skew.
 func (w Rollup) LoadItems(db *core.DB, n int, seed int64) error {
 	rng := rand.New(rand.NewSource(seed))

@@ -3,7 +3,6 @@ package workload
 import (
 	"math/rand"
 	"testing"
-	"time"
 
 	"repro/internal/catalog"
 	"repro/internal/core"
@@ -38,15 +37,26 @@ func TestBankingSetupAndOps(t *testing.T) {
 	}
 	tx.Commit()
 
-	rng := rand.New(rand.NewSource(1))
-	for i := 0; i < 50; i++ {
-		if err := w.TellerOp(db, rng); err != nil {
+	// A transfer between neighbouring accounts (two branches) conserves
+	// money; a deposit adds exactly 1.
+	for i := int64(0); i < 50; i++ {
+		tx, err := db.Begin(txn.ReadCommitted)
+		if err != nil {
 			t.Fatal(err)
 		}
-		if err := w.DepositOp(db, rng); err != nil {
-			t.Fatal(err)
+		for _, u := range []struct{ id, delta int64 }{{i, -7}, {i + 1, 7}, {i + 100, 1}} {
+			row, ok, err := tx.Get("accounts", record.Row{record.Int(u.id)})
+			if err != nil || !ok {
+				tx.Rollback()
+				t.Fatalf("account %d: %v %v", u.id, ok, err)
+			}
+			if err := tx.Update("accounts", record.Row{record.Int(u.id)},
+				map[int]record.Value{2: record.Int(row[2].AsInt() + u.delta)}); err != nil {
+				tx.Rollback()
+				t.Fatal(err)
+			}
 		}
-		if err := w.ReadBranchOp(db, rng, txn.ReadCommitted); err != nil {
+		if err := tx.Commit(); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -69,54 +79,14 @@ func TestBankingSetupAndOps(t *testing.T) {
 	}
 }
 
-func TestBankingSetupBase(t *testing.T) {
-	db := openDB(t)
-	w := Banking{Accounts: 50, Branches: 5, InitialBalance: 10}
-	if err := w.SetupBase(db); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := db.Catalog().View(ViewName); err == nil {
-		t.Fatal("base setup should not create the view")
-	}
-	rng := rand.New(rand.NewSource(1))
-	if err := w.TellerOp(db, rng); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestRunConcurrent(t *testing.T) {
-	db := openDB(t)
-	w := Banking{Accounts: 100, Branches: 4, Strategy: catalog.StrategyEscrow, InitialBalance: 100}
-	if err := w.Setup(db); err != nil {
-		t.Fatal(err)
-	}
-	runs := RunConcurrent(db, 8, 25, 42, w.DepositOp)
-	if runs.Ops != 200 {
-		t.Fatalf("ops = %d", runs.Ops)
-	}
-	if runs.Aborts != 0 {
-		t.Fatalf("aborts = %d", runs.Aborts)
-	}
-	if runs.Latencies.Count() != 200 || runs.Throughput() <= 0 {
-		t.Fatal("latency/throughput accounting wrong")
-	}
-	if err := db.CheckConsistency(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestOrdersSetupAndEntry(t *testing.T) {
 	db := openDB(t)
 	w := Orders{Products: 20, Skew: 1.2, Strategy: catalog.StrategyEscrow, WithJoinView: true}
 	if err := w.Setup(db); err != nil {
 		t.Fatal(err)
 	}
-	op := w.OrderEntry(1_000_000)
-	rng := rand.New(rand.NewSource(7))
-	for i := 0; i < 100; i++ {
-		if err := op(db, rng); err != nil {
-			t.Fatal(err)
-		}
+	if err := w.LoadOrders(db, 100, 7); err != nil {
+		t.Fatal(err)
 	}
 	tx, _ := db.Begin(txn.ReadCommitted)
 	rows, err := tx.ScanView(SalesView)
@@ -183,15 +153,5 @@ func TestZipfSkew(t *testing.T) {
 	}
 	if counts[0] > counts[50]*3 {
 		t.Fatalf("uniform fallback skewed: %d vs %d", counts[0], counts[50])
-	}
-}
-
-func TestRunsThroughput(t *testing.T) {
-	r := Runs{Ops: 500, Elapsed: 2 * time.Second}
-	if got := r.Throughput(); got != 250 {
-		t.Fatalf("throughput = %v", got)
-	}
-	if (Runs{}).Throughput() != 0 {
-		t.Fatal("zero elapsed should be 0")
 	}
 }
