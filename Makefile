@@ -47,8 +47,9 @@ staticcheck:
 # One proof and one benchmark: cmd/ holds the shell and the torture tool, the
 # retired smoke binaries and bench gate stay gone, and the paper's claims are
 # test assertions, so the print-only evaluation harness (its package, its CLI,
-# the workload drivers and their think time) stays gone (benchmark/ is frozen
-# and exempt); make verify is the tier-1 line. One background runner:
+# the workload drivers, their think time and the fold-latch stripe option)
+# stays gone (benchmark/ is frozen and exempt); make verify is the tier-1
+# line. One background runner:
 # internal/core/bg.go holds the only go statement of the engine, its scrubber
 # and its watchdog, and the hand-rolled loops and the test-only knobs stay
 # gone. No deadlock detector: the lock manager starts no goroutine, a blocked
@@ -94,7 +95,7 @@ structure:
 		'bench[g]ate|BENCH_(baseline|fresh)|bench-[s]moke|(flightrec|hotspots?|mvcc|deferred|viewdag|freshness|scrub)-?[s]moke' .)"; \
 	if [ -n "$$out" ]; then echo "the retired smoke binaries or bench gate are back:"; echo "$$out"; exit 1; fi
 	@out="$$(grep -rlE --exclude-dir=.git --exclude-dir=benchmark --exclude='[A-Z]*.md' \
-		'repro/internal/[b]ench|view[b]ench|Run[C]oncurrent|Think[T]ime' .)"; \
+		'repro/internal/[b]ench|view[b]ench|Run[C]oncurrent|Think[T]ime|FoldLatch[S]tripes' .)"; \
 	if [ -n "$$out" ]; then echo "the print-only evaluation harness is back:"; echo "$$out"; exit 1; fi
 	@test "$$($(MAKE) --no-print-directory -n verify | tr '\n' ';')" = "$(GO) build ./...;$(GO) test ./...;" || \
 		{ echo "make verify must be exactly the tier-1 line: go build ./... && go test ./..."; exit 1; }

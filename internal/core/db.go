@@ -47,10 +47,6 @@ type Options struct {
 	// (DESIGN.md §8). 0 selects the default (25ms); negative disables the
 	// background pruner (PruneVersions still works).
 	MVCCPruneInterval time.Duration
-	// FoldLatchStripes sets the number of stripes for the commit-fold /
-	// ghost-structure latches (default 128). 1 reproduces a single global
-	// fold latch — the T10 ablation showing why striping matters.
-	FoldLatchStripes int
 	// FS is the filesystem under the WAL, snapshot, and manifest I/O.
 	// nil selects the real filesystem; the crash-torture harness passes a
 	// fault.Injector to exercise torn writes, failed fsyncs, and crashes.
@@ -159,8 +155,8 @@ type DB struct {
 	scrub *scrub.Scrubber
 }
 
-// defaultFoldStripes is the default number of row-structure latch stripes.
-const defaultFoldStripes = 128
+// foldStripes is the number of row-structure latch stripes.
+const foldStripes = 128
 
 // structLatch returns the structure latch stripe for one view row.
 func (db *DB) structLatch(tree id.Tree, key []byte) *sync.Mutex {
@@ -214,9 +210,6 @@ func Open(path string, opts Options) (*DB, error) {
 	if opts.LockTimeout <= 0 {
 		opts.LockTimeout = 10 * time.Second
 	}
-	if opts.FoldLatchStripes <= 0 {
-		opts.FoldLatchStripes = defaultFoldStripes
-	}
 	if opts.FS == nil {
 		opts.FS = fault.OS{}
 	}
@@ -253,7 +246,7 @@ func Open(path string, opts Options) (*DB, error) {
 		tm:        txn.NewManager(st.NextTxn),
 		oracle:    txn.NewOracle(),
 		applierQ:  newDeferredQueue(),
-		structMu:  make([]sync.Mutex, opts.FoldLatchStripes),
+		structMu:  make([]sync.Mutex, foldStripes),
 		recovered: st.Summary,
 		met:       met,
 		tracer:    tracer,

@@ -60,7 +60,6 @@ func TestBankingSetupAndOps(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Transfers conserve money; deposits add exactly 1 each.
 	tx, _ = db.Begin(txn.ReadCommitted)
 	rows, err := tx.ScanView(ViewName)
 	if err != nil {
