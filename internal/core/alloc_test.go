@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"repro/internal/catalog"
@@ -98,6 +99,64 @@ func TestCommitAllocBudget(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestSnapshotViewReadAllocsFlatInChainLength: a snapshot read of an escrow
+// group resolves its chain into one summed delta per column and folds it into
+// the decoded row it hands to the result, so reading a group behind 200
+// stamped deltas allocates as often, and about as much, as reading one behind
+// a single delta. An older snapshot stays open so no commit compacts either
+// chain.
+func TestSnapshotViewReadAllocsFlatInChainLength(t *testing.T) {
+	db := allocDB(t, catalog.StrategyEscrow)
+	db.PruneVersions()
+	held := beginSnapshot(t, db)
+	deposit := func(id int64, n int) {
+		for i := 1; i <= n; i++ {
+			tx := begin(t, db, txn.ReadCommitted)
+			if err := tx.Update("accounts", record.Row{record.Int(id)}, map[int]record.Value{2: record.Int(1000 + int64(i))}); err != nil {
+				t.Fatal(err)
+			}
+			mustCommit(t, tx)
+		}
+	}
+	// Accounts 1 and 2 sit in branches 1 and 2.
+	deposit(1, 1)
+	deposit(2, 200)
+	if high := db.Metrics().MVCC.ChainLenHighWater; high <= 200 {
+		t.Fatalf("chain length high water %d: the held snapshot did not keep 200 versions", high)
+	}
+	reader := beginSnapshot(t, db)
+	read := func(branch, sum int64) func() {
+		return func() {
+			res, ok, err := reader.GetViewRow("branch_totals", record.Row{record.Int(branch)})
+			if err != nil || !ok || res[1].AsInt() != sum {
+				t.Fatalf("branch %d reads %v ok=%v err=%v, want sum %d", branch, res, ok, err, sum)
+			}
+		}
+	}
+	const runs = 1000
+	bytesPer := func(f func()) float64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			f()
+		}
+		runtime.ReadMemStats(&after)
+		return float64(after.TotalAlloc-before.TotalAlloc) / runs
+	}
+	readShort, readLong := read(1, 8*1000+1), read(2, 8*1000+200)
+	short, long := testing.AllocsPerRun(runs, readShort), testing.AllocsPerRun(runs, readLong)
+	shortB, longB := bytesPer(readShort), bytesPer(readLong)
+	t.Logf("GetViewRow behind 1 delta: %.1f allocs, %.0f B; behind 200: %.1f allocs, %.0f B", short, shortB, long, longB)
+	if long > short+1 {
+		t.Errorf("a read behind 200 deltas allocates %.1f times, behind 1 delta %.1f: want the same, within 1", long, short)
+	}
+	if longB > 2*shortB {
+		t.Errorf("a read behind 200 deltas allocates %.0f B, behind 1 delta %.0f B: want it flat in the chain length", longB, shortB)
+	}
+	mustCommit(t, reader)
+	mustCommit(t, held)
 }
 
 // TestCleanGhostsAllocsPerGhost: a cleaner pass over a view of 10 000 live

@@ -160,9 +160,9 @@ func (db *DB) verifyView(cat *catalog.Catalog, m *view.Maintainer, viewTS, srcTS
 	}
 	w := verify.Walk{Want: want, Max: max}
 	var row record.Row
-	err = db.scanRows(m.V.ID, nil, nil, viewTS, id.None, func(key, val []byte) (bool, error) {
+	err = db.scanRows(m.V.ID, nil, nil, viewTS, id.None, func(key []byte, im image) (bool, error) {
 		var err error
-		if row, err = record.DecodeRowInto(row, val); err != nil {
+		if row, err = im.decode(row); err != nil {
 			return false, err
 		}
 		rows++

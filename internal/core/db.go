@@ -514,13 +514,24 @@ func (db *DB) hit(p fault.Point) error {
 	return db.opts.Hooks.Hit(p)
 }
 
+// applySampleEvery is how many logged operations share one Txn.Apply
+// sample: logOp reads the clock for one operation in this many (by its
+// transaction ID plus its index in the transaction, so one-operation
+// transactions take turns), as the benchmark samples one transaction's
+// latency in 8.
+const applySampleEvery = 8
+
 // logOp logs a record for t and applies it to the trees (write-ahead
 // discipline: the record reaches the log buffer before the trees change).
 func (db *DB) logOp(t *txn.Txn, rec *wal.Record) error {
 	if err := db.hit(fault.PointWALAppend); err != nil {
 		return err
 	}
-	start := time.Now()
+	var start time.Time
+	timed := (uint64(t.ID)+uint64(t.Savepoint()))%applySampleEvery == 0
+	if timed {
+		start = time.Now()
+	}
 	rec.Txn = t.ID
 	rec.Sys = t.Sys
 	_, walBytes, err := db.log.AppendSized(rec)
@@ -545,7 +556,9 @@ func (db *DB) logOp(t *txn.Txn, rec *wal.Record) error {
 		unpin(rec)
 		return err
 	}
-	db.met.Txn.Apply.Observe(time.Since(start))
+	if timed {
+		db.met.Txn.Apply.Observe(time.Since(start))
+	}
 	return nil
 }
 
@@ -586,17 +599,42 @@ func unpin(rec *wal.Record) {
 	}
 }
 
-// stampOps promotes every pinned operation of t to a committed version at ts.
-// It must run before the transaction manager wipes t's undo chain.
+// maxChainLen is the chain length (base, versions and pending entries) past
+// which a commit compacts a chain it stamps: it folds the chain's versions at
+// or below the prune horizon into the base on the spot, as the pruner would.
+// A hot escrow group gains a version per fold; without this its chain grew
+// to hundreds of versions between two pruner rotations, and every snapshot
+// read of the group resolved all of them.
+const maxChainLen = 32
+
+// stampOps promotes every pinned operation of t to a committed version at ts
+// and compacts each chain the stamp leaves longer than maxChainLen. It must
+// run before the transaction manager wipes t's undo chain. Compacting here is
+// safe: the horizon never passes the watermark, which is below ts until
+// FinishCommit, so only versions of commits that have finished stamping fold.
 func (db *DB) stampOps(t *txn.Txn, ts uint64) {
-	stamped := 0
+	stamped, pruned := 0, 0
+	var horizon uint64
+	compacting := false
 	for _, op := range t.Ops() {
-		if ch, ok := op.Pin.(*mvcc.Chain); ok {
-			db.met.MVCC.ObserveChainLen(ch.Stamp(op, ts))
-			stamped++
+		ch, ok := op.Pin.(*mvcc.Chain)
+		if !ok {
+			continue
+		}
+		n := ch.Stamp(op, ts)
+		db.met.MVCC.ObserveChainLen(n)
+		stamped++
+		if n > maxChainLen {
+			if !compacting {
+				horizon, compacting = db.oracle.PruneHorizon(), true
+			}
+			pruned += mvcc.Dirty{Tree: op.Tree, Key: op.Key, Chain: ch}.Prune(horizon, db.foldVersionDeltas)
 		}
 	}
 	db.met.MVCC.VersionsStamped.Add(int64(stamped))
+	if pruned > 0 {
+		db.met.MVCC.VersionsPruned.Add(int64(pruned))
+	}
 }
 
 // unpinOps discards every pinned operation of t (abort without rollback —
@@ -673,12 +711,12 @@ func (db *DB) pruneChains(n int) int {
 	return pruned
 }
 
-// foldVersionDeltas is the version-chain delta folder (mvcc.FoldFunc): it
-// applies committed escrow deltas to an encoded view row using the view's
-// compiled maintainer. A nil val is an absent row — the deltas fold over an
-// empty group, the one rule that makes a group re-created after its erase
+// foldDeltas applies committed escrow deltas to an encoded view row using the
+// view's compiled maintainer, returning the decoded result and its
+// group-empty (ghost) bit. A nil val is an absent row — the deltas fold over
+// an empty group, the one rule that makes a group re-created after its erase
 // visible.
-func (db *DB) foldVersionDeltas(tree id.Tree, val []byte, deltas []wal.ColDelta) ([]byte, bool, error) {
+func (db *DB) foldDeltas(tree id.Tree, val []byte, deltas []wal.ColDelta) (record.Row, bool, error) {
 	m := db.reg.Maintainer(tree)
 	if m == nil {
 		return nil, false, fmt.Errorf("core: version fold against unknown view %s", tree)
@@ -700,7 +738,17 @@ func (db *DB) foldVersionDeltas(tree id.Tree, val []byte, deltas []wal.ColDelta)
 	if err != nil {
 		return nil, false, err
 	}
-	return record.EncodeRow(next), empty, nil
+	return next, empty, nil
+}
+
+// foldVersionDeltas is the version-chain delta folder (mvcc.FoldFunc):
+// foldDeltas, encoded for the chain's base.
+func (db *DB) foldVersionDeltas(tree id.Tree, val []byte, deltas []wal.ColDelta) ([]byte, bool, error) {
+	row, empty, err := db.foldDeltas(tree, val, deltas)
+	if err != nil {
+		return nil, false, err
+	}
+	return record.EncodeRow(row), empty, nil
 }
 
 // Checkpoint quiesces the database, writes a snapshot generation, and

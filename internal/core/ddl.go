@@ -251,9 +251,9 @@ func (db *DB) eachRelationRow(cat *catalog.Catalog, name string, ts uint64, fn f
 		return err
 	}
 	var row record.Row
-	return db.scanRows(tree, nil, nil, ts, id.None, func(key, val []byte) (bool, error) {
+	return db.scanRows(tree, nil, nil, ts, id.None, func(key []byte, im image) (bool, error) {
 		var err error
-		if row, err = record.DecodeRowInto(row, val); err != nil {
+		if row, err = im.decode(row); err != nil {
 			return false, err
 		}
 		out := row

@@ -55,7 +55,7 @@ func (tx *Tx) LookupByIndex(indexName string, vals record.Row) ([]record.Row, er
 	// timestamp) and no locks are taken; the lock-based levels read the index
 	// latch-only, then lock and re-validate each row.
 	var pks [][]byte
-	err = db.scanRows(ix.ID, prefix, record.KeySuccessor(prefix), ts, self, func(key, _ []byte) (bool, error) {
+	err = db.scanRows(ix.ID, prefix, record.KeySuccessor(prefix), ts, self, func(key []byte, _ image) (bool, error) {
 		rest := key[len(prefix):]
 		// Skip over any remaining indexed columns to reach the PK suffix.
 		for skip := len(ix.Cols) - len(vals); skip > 0; skip-- {
@@ -78,14 +78,14 @@ func (tx *Tx) LookupByIndex(indexName string, vals record.Row) ([]record.Row, er
 				return nil, err
 			}
 		}
-		val, ghost, ok, err := db.readRow(tbl.ID, pk, ts, self)
+		im, ghost, ok, err := db.readRow(tbl.ID, pk, ts, self)
 		if err != nil {
 			return nil, err
 		}
 		if !ok || ghost {
 			continue // row vanished between the index read and the lock
 		}
-		row, err := record.DecodeRow(val)
+		row, err := im.decode(nil)
 		if err != nil {
 			return nil, err
 		}

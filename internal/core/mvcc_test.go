@@ -1,17 +1,22 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/catalog"
+	"repro/internal/expr"
+	"repro/internal/id"
 	"repro/internal/record"
 	"repro/internal/txn"
+	"repro/internal/wal"
 )
 
 // beginSnapshot starts a read-only snapshot transaction.
@@ -346,4 +351,207 @@ func TestSnapshotScanViewConsistentUnderEscrowCommits(t *testing.T) {
 	}
 	db.waitQuiesced()
 	checkConsistent(t, db)
+}
+
+// TestStampCompactsHotChain: with the background pruner off, a commit that
+// stamps a chain past maxChainLen folds it down to the prune horizon, so
+// 10 000 escrow commits to one group keep the chain bounded. A snapshot held
+// open holds the horizon back: the versions above it survive (a snapshot
+// begun halfway reads them), the held one still reads its original value,
+// and once both retire a prune pass leaves the read paths agreeing.
+func TestStampCompactsHotChain(t *testing.T) {
+	const commits = 10000
+	for _, c := range []struct {
+		name string
+		hold bool
+	}{{"no-snapshot", false}, {"held-snapshot", true}} {
+		hold := c.hold
+		t.Run(c.name, func(t *testing.T) {
+			db := openTestDB(t, Options{MVCCPruneInterval: -1, ScrubInterval: -1})
+			setupBanking(t, db, catalog.StrategyEscrow)
+			insertAccounts(t, db, acctRow(1, 7, 0))
+			db.PruneVersions()
+			var held, mid *Tx
+			if hold {
+				held = beginSnapshot(t, db)
+			}
+			for i := 1; i <= commits; i++ {
+				w := begin(t, db, txn.ReadCommitted)
+				if err := w.Update("accounts", record.Row{record.Int(1)}, map[int]record.Value{2: record.Int(int64(i))}); err != nil {
+					t.Fatal(err)
+				}
+				mustCommit(t, w)
+				if hold && i == commits/2 {
+					mid = beginSnapshot(t, db)
+				}
+			}
+			high := db.Metrics().MVCC.ChainLenHighWater
+			if !hold {
+				if high > 2*maxChainLen {
+					t.Fatalf("chain length reached %d over %d commits, want <= %d", high, commits, 2*maxChainLen)
+				}
+			} else {
+				_, heldSum, heldOK := viewSum(t, held, 7)
+				_, midSum, midOK := viewSum(t, mid, 7)
+				// Retire the snapshots before failing: Close waits for them.
+				mustCommit(t, held)
+				mustCommit(t, mid)
+				if high <= commits {
+					t.Fatalf("chain length reached %d, want every one of %d versions above the held snapshot kept", high, commits)
+				}
+				if !heldOK || heldSum != 0 {
+					t.Fatalf("held snapshot reads sum %d (ok %v), want its original 0", heldSum, heldOK)
+				}
+				if !midOK || midSum != commits/2 {
+					t.Fatalf("halfway snapshot reads sum %d (ok %v), want %d", midSum, midOK, commits/2)
+				}
+			}
+			fresh := beginSnapshot(t, db)
+			if _, sum, ok := viewSum(t, fresh, 7); !ok || sum != commits {
+				t.Fatalf("fresh snapshot reads sum %d (ok %v), want %d", sum, ok, commits)
+			}
+			mustCommit(t, fresh)
+			db.PruneVersions()
+			if err := db.CheckReadPaths(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			checkConsistent(t, db)
+		})
+	}
+}
+
+// TestSnapshotFoldIsByteExact: an escrow view with an int SUM and a float
+// SUM of non-dyadic amounts, folded by two writers whose commits alternate,
+// with int sums that wrap around int64. Every snapshot resolve — int deltas
+// summed per column, float deltas in chain order — encodes byte for byte as
+// a fold of the same commits one delta at a time in commit order, and after
+// the chains compact and prune the read paths still agree.
+func TestSnapshotFoldIsByteExact(t *testing.T) {
+	db := openTestDB(t, Options{MVCCPruneInterval: -1, ScrubInterval: -1})
+	err := db.CreateTable("ledger", []catalog.Column{
+		{Name: "id", Kind: record.KindInt64},
+		{Name: "grp", Kind: record.KindInt64},
+		{Name: "qty", Kind: record.KindInt64},
+		{Name: "amt", Kind: record.KindFloat64},
+	}, []int{0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = db.CreateIndexedView(catalog.View{
+		Name: "totals", Kind: catalog.ViewAggregate, Left: "ledger", GroupByCols: []int{1},
+		Aggs: []expr.AggSpec{
+			{Func: expr.AggCountRows},
+			{Func: expr.AggSum, Arg: expr.Col(2)},
+			{Func: expr.AggSum, Arg: expr.Col(3)},
+		},
+		Strategy: catalog.StrategyEscrow,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	v := mustView(t, db, "totals")
+	m := db.reg.Maintainer(v.ID)
+	key := record.EncodeKey(record.Row{record.Int(1)})
+
+	// The reference: the group row folded one commit's deltas at a time.
+	want := m.NewGroupRow()
+	foldRef := func(row record.Row) {
+		t.Helper()
+		hidden, contribs, err := m.Contributions(row, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		deltas := []wal.ColDelta{colDelta(hidden)}
+		for _, c := range contribs {
+			for _, cd := range c.Cells {
+				deltas = append(deltas, colDelta(cd))
+			}
+		}
+		for _, d := range deltas {
+			if want, err = m.ApplyFold(want, []wal.ColDelta{d}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	// Each qty is near math.MaxInt64, so every fold of the int SUM wraps.
+	next := int64(0)
+	row := func() record.Row {
+		next++
+		return record.Row{record.Int(next), record.Int(1), record.Int(math.MaxInt64 - next), record.Float(0.1 * float64(next%7+1))}
+	}
+	// A seed row gives the chain a base whose float sum is not zero, so a
+	// regrouped float sum would round differently from the one-at-a-time
+	// fold.
+	seed := row()
+	seed[3] = record.Float(1000.3)
+	w := begin(t, db, txn.ReadCommitted)
+	if err := w.Insert("ledger", seed); err != nil {
+		t.Fatal(err)
+	}
+	mustCommit(t, w)
+	foldRef(seed)
+	db.PruneVersions()
+	// The first snapshot holds every later version on the chain.
+	type point struct {
+		snap *Tx
+		want []byte
+	}
+	points := []point{{beginSnapshot(t, db), nil}}
+	const rounds = 40
+	for r := 0; r < rounds; r++ {
+		a, b := begin(t, db, txn.ReadCommitted), begin(t, db, txn.ReadCommitted)
+		ra, rb := row(), row()
+		if err := a.Insert("ledger", ra); err != nil {
+			t.Fatal(err)
+		}
+		if err := b.Insert("ledger", rb); err != nil {
+			t.Fatal(err)
+		}
+		// The writers commit in alternating order.
+		if r%2 == 1 {
+			a, b, ra, rb = b, a, rb, ra
+		}
+		mustCommit(t, a)
+		foldRef(ra)
+		mustCommit(t, b)
+		foldRef(rb)
+		points = append(points, point{beginSnapshot(t, db), record.EncodeRow(want)})
+	}
+	var bad error
+	for i, p := range points[1:] {
+		im, ghost, ok, err := db.readRow(v.ID, key, p.snap.readTS, id.None)
+		switch {
+		case bad != nil:
+		case err != nil || !ok || ghost:
+			bad = fmt.Errorf("commit pair %d: resolve ok=%v ghost=%v err=%v", i+1, ok, ghost, err)
+		case !bytes.Equal(im.encoded(), p.want):
+			bad = fmt.Errorf("commit pair %d: snapshot resolve encodes %x, one-at-a-time fold %x", i+1, im.encoded(), p.want)
+		}
+	}
+	// Retire the snapshots before failing: Close waits for open transactions.
+	for _, p := range points {
+		mustCommit(t, p.snap)
+	}
+	if bad != nil {
+		t.Fatal(bad)
+	}
+	// Past the horizon, commits compact the chain at stamp; a prune pass
+	// folds the rest. The inline image is the same fold.
+	for r := 0; r < 2*maxChainLen; r++ {
+		w := begin(t, db, txn.ReadCommitted)
+		rw := row()
+		if err := w.Insert("ledger", rw); err != nil {
+			t.Fatal(err)
+		}
+		mustCommit(t, w)
+		foldRef(rw)
+	}
+	db.waitQuiesced()
+	db.PruneVersions()
+	if err := db.CheckReadPaths(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if val, _, _ := db.tree(v.ID).Get(key); !bytes.Equal(val, record.EncodeRow(want)) {
+		t.Fatalf("stored group %x, one-at-a-time fold %x", val, record.EncodeRow(want))
+	}
 }

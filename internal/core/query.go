@@ -40,11 +40,11 @@ func (tx *Tx) Get(table string, pk record.Row) (record.Row, bool, error) {
 			return nil, false, err
 		}
 	}
-	val, ghost, ok, err := db.readRow(tbl.ID, key, ts, self)
+	im, ghost, ok, err := db.readRow(tbl.ID, key, ts, self)
 	if err != nil || !ok || ghost {
 		return nil, false, err
 	}
-	row, err := record.DecodeRow(val)
+	row, err := im.decode(nil)
 	if err != nil {
 		return nil, false, err
 	}
@@ -88,8 +88,8 @@ func (tx *Tx) ScanTable(table string, loPK, hiPK record.Row, fn func(record.Row)
 			return err
 		}
 	}
-	return db.scanForLevel(tx, tbl.ID, lo, hi, func(_, val []byte) (bool, error) {
-		row, err := record.DecodeRow(val)
+	return db.scanForLevel(tx, tbl.ID, lo, hi, func(_ []byte, im image) (bool, error) {
+		row, err := im.decode(nil)
 		if err != nil {
 			return false, err
 		}
@@ -135,11 +135,11 @@ func (tx *Tx) GetViewRow(viewName string, keyRow record.Row) (record.Row, bool, 
 			}
 		}
 	}
-	val, ghost, ok, err := db.readRow(v.ID, key, ts, self)
+	im, ghost, ok, err := db.readRow(v.ID, key, ts, self)
 	if err != nil || !ok || ghost {
 		return nil, false, err
 	}
-	res, err := db.viewResult(v, val)
+	res, err := db.viewResult(v, im)
 	return res, err == nil, err
 }
 
@@ -154,10 +154,11 @@ func committedByConstruction(v *catalog.View) bool {
 		(v.Strategy == catalog.StrategyEscrow && v.Kind == catalog.ViewAggregate)
 }
 
-// viewResult decodes a stored view row into its user-visible result: the
-// stored row itself for a projection view, the aggregate results otherwise.
-func (db *DB) viewResult(v *catalog.View, val []byte) (record.Row, error) {
-	stored, err := record.DecodeRow(val)
+// viewResult maps a resolved view row to its user-visible result: the stored
+// row itself for a projection view, the aggregate results otherwise. A
+// snapshot read's folded group arrives decoded and is not decoded again.
+func (db *DB) viewResult(v *catalog.View, im image) (record.Row, error) {
+	stored, err := im.decode(nil)
 	if err != nil || v.Kind == catalog.ViewProjection {
 		return stored, err
 	}
@@ -209,7 +210,7 @@ func (tx *Tx) ScanViewRange(viewName string, loKey, hiKey record.Row) ([]ViewRow
 		}
 	}
 	var out []ViewRow
-	err = db.scanRows(v.ID, lo, hi, ts, self, func(key, val []byte) (bool, error) {
+	err = db.scanRows(v.ID, lo, hi, ts, self, func(key []byte, im image) (bool, error) {
 		if rowLock {
 			if err := db.momentaryS(tx.t, v.ID, key); err != nil {
 				return false, err
@@ -218,13 +219,13 @@ func (tx *Tx) ScanViewRange(viewName string, loKey, hiKey record.Row) ([]ViewRow
 			if err != nil || !ok || ghost {
 				return true, err
 			}
-			val = fresh
+			im = fresh
 		}
 		keyRow, err := record.DecodeKey(key)
 		if err != nil {
 			return false, err
 		}
-		res, err := db.viewResult(v, val)
+		res, err := db.viewResult(v, im)
 		if err != nil {
 			return false, err
 		}

@@ -67,7 +67,7 @@ func (db *DB) ceilingGap(tree id.Tree, hi []byte) lock.Resource {
 //   - Serializable: RepeatableRead plus held S locks on each returned row's
 //     gap and on the range's end-anchor gap (phantom protection), acquired
 //     to a fixpoint so inserts racing the lock acquisition are caught.
-func (db *DB) scanForLevel(tx *Tx, tree id.Tree, lo, hi []byte, fn func(key, val []byte) (bool, error)) error {
+func (db *DB) scanForLevel(tx *Tx, tree id.Tree, lo, hi []byte, fn func(key []byte, im image) (bool, error)) error {
 	ts, self := tx.readAt()
 	if ts != latest {
 		return db.scanRows(tree, lo, hi, ts, self, fn)
@@ -82,15 +82,15 @@ func (db *DB) scanForLevel(tx *Tx, tree id.Tree, lo, hi []byte, fn func(key, val
 	}
 	// Stream the candidate keys latch-only, locking and re-reading each
 	// outside the tree latch (locking under it could deadlock with commits).
-	return db.scanRows(tree, lo, hi, latest, id.None, func(key, _ []byte) (bool, error) {
+	return db.scanRows(tree, lo, hi, latest, id.None, func(key []byte, _ image) (bool, error) {
 		if err := db.readLock(tx, tree, key); err != nil {
 			return false, err
 		}
-		val, ghost, ok, err := db.readRow(tree, key, latest, id.None)
+		im, ghost, ok, err := db.readRow(tree, key, latest, id.None)
 		if err != nil || !ok || ghost {
 			return true, err // vanished between the scan and the lock
 		}
-		return fn(key, val)
+		return fn(key, im)
 	})
 }
 
@@ -107,7 +107,7 @@ func (db *DB) lockRange(tx *Tx, tree id.Tree, lo, hi []byte) error {
 			return lock.ErrTimeout // the range would not stabilize
 		}
 		fresh := 0
-		err := db.scanRows(tree, lo, hi, latest, id.None, func(key, _ []byte) (bool, error) {
+		err := db.scanRows(tree, lo, hi, latest, id.None, func(key []byte, _ image) (bool, error) {
 			if locked[string(key)] {
 				return true, nil
 			}

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/btree"
 	"repro/internal/id"
+	"repro/internal/record"
 	"repro/internal/txn"
 )
 
@@ -30,34 +31,59 @@ func (tx *Tx) readAt() (ts uint64, self id.Txn) {
 	return latest, id.None
 }
 
+// image is a resolved row: its encoding, or — when a snapshot read folded an
+// escrow group's committed deltas into it — the decoded row, which is handed
+// on as it is rather than encoded for the reader to decode again.
+type image struct {
+	val []byte
+	row record.Row
+}
+
+// decode returns the image as a row, decoding val into buf's array when it
+// must decode.
+func (im image) decode(buf record.Row) (record.Row, error) {
+	if im.row != nil {
+		return im.row, nil
+	}
+	return record.DecodeRowInto(buf, im.val)
+}
+
+// encoded returns the image's encoding.
+func (im image) encoded() []byte {
+	if im.row != nil {
+		return record.EncodeRow(im.row)
+	}
+	return im.val
+}
+
 // resolve returns the row image of a physical entry at ts. A chainless entry
 // is committed at or below every live read timestamp, so its inline image
 // stands at any ts; a chain resolves by timestamp comparison, with deltas
 // newer than the image it picks folded in. self overlays that transaction's
 // own pending operations.
-func (db *DB) resolve(tree id.Tree, it btree.Item, ts uint64, self id.Txn) (val []byte, ghost, ok bool, err error) {
+func (db *DB) resolve(tree id.Tree, it btree.Item, ts uint64, self id.Txn) (im image, ghost, ok bool, err error) {
 	if it.Chain == nil || ts == latest {
-		return it.Val, it.Ghost, !it.Dead, nil
+		return image{val: it.Val}, it.Ghost, !it.Dead, nil
 	}
 	res := it.Chain.Resolve(ts, self)
 	if len(res.Deltas) == 0 {
-		return res.Val, res.Ghost, res.Present, nil
+		return image{val: res.Val}, res.Ghost, res.Present, nil
 	}
 	// An absent image has a nil Val: deltas newer than it fold over an empty
 	// group.
-	val, ghost, err = db.foldVersionDeltas(tree, res.Val, res.Deltas)
-	return val, ghost, err == nil, err
+	im.row, ghost, err = db.foldDeltas(tree, res.Val, res.Deltas)
+	return im, ghost, err == nil, err
 }
 
 // readRow resolves one row of tree at ts, with zero lock-manager traffic.
-func (db *DB) readRow(tree id.Tree, key []byte, ts uint64, self id.Txn) ([]byte, bool, bool, error) {
+func (db *DB) readRow(tree id.Tree, key []byte, ts uint64, self id.Txn) (image, bool, bool, error) {
 	if ts == latest {
 		val, ghost, ok := db.tree(tree).Get(key)
-		return val, ghost, ok, nil
+		return image{val: val}, ghost, ok, nil
 	}
 	it, ok := db.tree(tree).Entry(key)
 	if !ok {
-		return nil, false, false, nil
+		return image{}, false, false, nil
 	}
 	return db.resolve(tree, it, ts, self)
 }
@@ -70,9 +96,9 @@ const scanBatch = 64
 // order; fn returning false stops the scan. Entries leave the tree a batch at
 // a time, so fn runs outside the tree latch (it may take locks or re-read the
 // tree) and a scan that stops early has touched only the entries up to there,
-// not the rest of the range. key and val are valid only until fn returns:
-// inline images are copied into a buffer the next batch reuses.
-func (db *DB) scanRows(tree id.Tree, lo, hi []byte, ts uint64, self id.Txn, fn func(key, val []byte) (bool, error)) error {
+// not the rest of the range. key and the image are valid only until fn
+// returns: inline images are copied into a buffer the next batch reuses.
+func (db *DB) scanRows(tree id.Tree, lo, hi []byte, ts uint64, self id.Txn, fn func(key []byte, im image) (bool, error)) error {
 	t := db.tree(tree)
 	var batch []btree.Item
 	var buf, next []byte
@@ -92,14 +118,14 @@ func (db *DB) scanRows(tree id.Tree, lo, hi []byte, ts uint64, self id.Txn, fn f
 			return len(batch) < scanBatch
 		})
 		for _, it := range batch {
-			val, ghost, ok, err := db.resolve(tree, it, ts, self)
+			im, ghost, ok, err := db.resolve(tree, it, ts, self)
 			if err != nil {
 				return err
 			}
 			if !ok || ghost {
 				continue
 			}
-			if more, err := fn(it.Key, val); err != nil || !more {
+			if more, err := fn(it.Key, im); err != nil || !more {
 				return err
 			}
 		}
@@ -139,7 +165,8 @@ func (db *DB) CheckReadPaths(ctx context.Context) error {
 			if it.Chain == nil || !it.Chain.Settled(ts) {
 				return true
 			}
-			val, ghost, ok, err := db.resolve(tid, it, ts, id.None)
+			im, ghost, ok, err := db.resolve(tid, it, ts, id.None)
+			val := im.encoded()
 			snapVisible, lockVisible := ok && !ghost, !it.Dead && !it.Ghost
 			switch {
 			case err != nil:

@@ -35,7 +35,7 @@ func TestScanRowsStreams(t *testing.T) {
 	}
 	for _, ts := range []uint64{db.oracle.ReadTS(), latest} {
 		scan := func(limit int) (seen int) {
-			err := db.scanRows(tbl.ID, nil, nil, ts, id.None, func(_, _ []byte) (bool, error) {
+			err := db.scanRows(tbl.ID, nil, nil, ts, id.None, func([]byte, image) (bool, error) {
 				seen++
 				return seen < limit, nil
 			})

@@ -106,12 +106,12 @@ func (e scrubEngine) Report(d scrub.Divergence) {
 			break // a wholly corrupt view logs a bounded sample
 		}
 		if db.tracer != nil {
-			val, ghost, ok, _ := db.readRow(d.View.Tree, diff.Key, latest, id.None)
+			im, ghost, ok, _ := db.readRow(d.View.Tree, diff.Key, latest, id.None)
 			db.tracer.TraceEvent(metrics.Event{
 				Type:     metrics.EventScrubDivergence,
 				Resource: d.View.Name,
 				Phase:    decodeHotKey(string(diff.Key)),
-				Outcome:  diff.Detail() + ", lock path " + describeImage(val, ok && !ghost),
+				Outcome:  diff.Detail() + ", lock path " + describeImage(im.val, ok && !ghost),
 				Rows:     len(d.Diffs),
 			})
 		}

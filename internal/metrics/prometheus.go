@@ -49,7 +49,7 @@ func writeExposition(sb *strings.Builder, s Snapshot) {
 
 	// Per-phase transaction timing.
 	summary("vtxn_txn_begin_seconds", "BeginTx latency.", s.Txn.Begin)
-	summary("vtxn_txn_apply_seconds", "Per-operation WAL append + tree apply latency.", s.Txn.Apply)
+	summary("vtxn_txn_apply_seconds", "Per-operation WAL append + tree apply latency, sampled one operation in 8.", s.Txn.Apply)
 	summary("vtxn_txn_fold_seconds", "Commit-time escrow fold latency.", s.Txn.Fold)
 	summary("vtxn_txn_commit_wait_seconds", "Group-commit wait at transaction commit.", s.Txn.CommitWait)
 

@@ -68,7 +68,9 @@ type HotMetrics struct {
 type TxnMetrics struct {
 	// Begin times BeginTx itself (admission gate + begin record).
 	Begin Histogram
-	// Apply times each logged operation (WAL append + tree apply).
+	// Apply times logged operations (WAL append + tree apply), sampled: one
+	// operation in 8 is timed, so its count is about an eighth of the
+	// operations logged.
 	Apply Histogram
 	// Fold times the commit-time escrow fold (only commits with pending
 	// deltas are observed).
@@ -202,7 +204,8 @@ func (gm *GhostMetrics) ObservePass(backlog int) {
 type MVCCMetrics struct {
 	// VersionsStamped counts committed versions appended to chains.
 	VersionsStamped atomic.Int64
-	// VersionsPruned counts versions folded into chain bases by the pruner.
+	// VersionsPruned counts versions folded into chain bases, by the pruner
+	// or by a commit compacting a long chain it stamped.
 	VersionsPruned atomic.Int64
 	// PrunePasses counts pruner sweeps.
 	PrunePasses atomic.Int64

@@ -8,14 +8,17 @@
 // operation and stamp it at commit.
 //
 // An entry with no chain is fully committed at or below every live reader's
-// timestamp, so its inline value stands. The pruner walks the work list of
-// live chains, folds versions at or below the snapshot horizon into each
-// chain's base, and has the tree drop chains that become quiescent.
+// timestamp, so its inline value stands. Versions at or below the snapshot
+// horizon fold into the chain's base in two places: a commit that stamps a
+// chain grown past a fixed length compacts it on the spot, and the pruner
+// walks the work list of live chains, folds each, and has the tree drop
+// chains that become quiescent.
 package mvcc
 
 import (
+	"cmp"
 	"errors"
-	"sort"
+	"slices"
 	"sync"
 
 	"repro/internal/id"
@@ -52,6 +55,7 @@ type Chain struct {
 	mu       sync.Mutex
 	base     Version // committed image when the chain was created (TS 0)
 	versions []Version
+	oldest   uint64 // smallest TS in versions, when it is non-empty
 	pend     []pending
 }
 
@@ -106,6 +110,9 @@ func (c *Chain) Stamp(rec *wal.Record, ts uint64) int {
 	defer c.mu.Unlock()
 	if v, ok := c.take(rec); ok {
 		v.TS = ts
+		if len(c.versions) == 0 || ts < c.oldest {
+			c.oldest = ts
+		}
 		c.versions = append(c.versions, v)
 	}
 	return 1 + len(c.versions) + len(c.pend)
@@ -132,12 +139,40 @@ type Resolved struct {
 	// it.
 	Val []byte
 	// Deltas are the escrow deltas committed after the full image and at or
-	// below the timestamp; the caller folds them into Val's decoded form.
+	// below the timestamp, compacted for one fold: each column's int deltas
+	// summed into one, ahead of the float deltas, which stay one per
+	// committed delta in chain order. Summing ints is exact (int64 addition
+	// wraps alike in any grouping); summing floats is not, so they fold as
+	// they would one at a time. A cell's deltas are all int or all float (a
+	// SUM cell takes its argument's static kind; an X-lock fold of a zero
+	// float logs an int zero, which moves no float), so putting the int sums
+	// first changes no cell either. The length is the row's int columns plus
+	// its float deltas, not the number of versions.
 	Deltas []wal.ColDelta
+	ints   int // Deltas[:ints] are the int sums
 }
 
 func resolved(v *Version) Resolved {
 	return Resolved{Present: !v.Absent, Ghost: v.Ghost, Val: v.Val}
+}
+
+// add merges ds into the compacted delta overlay.
+func (r *Resolved) add(ds []wal.ColDelta) {
+next:
+	for _, d := range ds {
+		if d.IsFloat {
+			r.Deltas = append(r.Deltas, d)
+			continue
+		}
+		for i := range r.Deltas[:r.ints] {
+			if r.Deltas[i].Col == d.Col {
+				r.Deltas[i].Int += d.Int
+				continue next
+			}
+		}
+		r.Deltas = slices.Insert(r.Deltas, r.ints, d)
+		r.ints++
+	}
 }
 
 // Resolve returns the row's state at ts. self, when nonzero, overlays that
@@ -155,19 +190,28 @@ func (c *Chain) Resolve(ts uint64, self id.Txn) Resolved {
 			fullTS = v.TS
 		}
 	}
-	// A hot group's chain carries tens of delta versions per prune interval:
-	// size the overlay once instead of growing it version by version.
-	n := 0
+	// A hot group's chain carries tens of delta versions: size the overlay
+	// once, from the widest version's int deltas (every fold of a group hits
+	// the same columns) and the float deltas.
+	ints, floats := 0, 0
 	for i := range c.versions {
 		if v := &c.versions[i]; !v.Full && v.TS <= ts && v.TS > fullTS {
-			n += len(v.Deltas)
+			n := 0
+			for _, d := range v.Deltas {
+				if d.IsFloat {
+					floats++
+				} else {
+					n++
+				}
+			}
+			ints = max(ints, n)
 		}
 	}
-	if n > 0 {
-		res.Deltas = make([]wal.ColDelta, 0, n)
+	if ints+floats > 0 {
+		res.Deltas = make([]wal.ColDelta, 0, ints+floats)
 		for i := range c.versions {
 			if v := &c.versions[i]; !v.Full && v.TS <= ts && v.TS > fullTS {
-				res.Deltas = append(res.Deltas, v.Deltas...)
+				res.add(v.Deltas)
 			}
 		}
 	}
@@ -180,7 +224,7 @@ func (c *Chain) Resolve(ts uint64, self id.Txn) Resolved {
 			if p.ver.Full {
 				res = resolved(&p.ver)
 			} else {
-				res.Deltas = append(res.Deltas, p.ver.Deltas...)
+				res.add(p.ver.Deltas)
 			}
 		}
 	}
@@ -231,37 +275,33 @@ type Dirty struct {
 }
 
 // Prune folds every version at or below horizon into the chain's base,
-// oldest first, returning how many versions it folded away. Safe concurrently
-// with Pin/Stamp/Resolve.
+// oldest first, returning how many versions it folded away. It compacts the
+// chain in place and returns at once when no version is that old. Safe
+// concurrently with Pin/Stamp/Resolve.
 func (d Dirty) Prune(horizon uint64, fold FoldFunc) int {
 	ch := d.Chain
 	ch.mu.Lock()
 	defer ch.mu.Unlock()
-	candidates := 0
-	for _, v := range ch.versions {
-		if v.TS <= horizon {
-			candidates++
-		}
-	}
-	if candidates == 0 {
+	if len(ch.versions) == 0 || ch.oldest > horizon {
 		return 0
 	}
-	old := make([]Version, 0, candidates)
-	keep := make([]Version, 0, len(ch.versions)-candidates)
-	for _, v := range ch.versions {
-		if v.TS <= horizon {
-			old = append(old, v)
-		} else {
-			keep = append(keep, v)
-		}
+	// Order the chain by timestamp, so the prunable versions are a prefix.
+	// Stamps arrive almost in timestamp order, so this rarely moves anything;
+	// the sort is stable, so one transaction's ops keep their log order.
+	byTS := func(a, b Version) int { return cmp.Compare(a.TS, b.TS) }
+	if !slices.IsSortedFunc(ch.versions, byTS) {
+		slices.SortStableFunc(ch.versions, byTS)
 	}
-	sort.SliceStable(old, func(i, j int) bool { return old[i].TS < old[j].TS })
+	old := 0
+	for old < len(ch.versions) && ch.versions[old].TS <= horizon {
+		old++
+	}
 	// The newest full image at or below the horizon supersedes everything
 	// before it: resolution only overlays deltas newer than the full version
 	// it starts from, so older versions — full or delta — prune for free.
 	base := ch.base
 	start := 0
-	for i, v := range old {
+	for i, v := range ch.versions[:old] {
 		if v.Full {
 			base = Version{Full: true, Val: v.Val, Ghost: v.Ghost, Absent: v.Absent}
 			start = i + 1
@@ -271,12 +311,16 @@ func (d Dirty) Prune(horizon uint64, fold FoldFunc) int {
 	// commute and FoldFunc takes a slice, so the whole surviving run folds in
 	// one call — hot view-row chains carry hundreds of deltas per pass, and
 	// folding them one at a time made prune passes dominate allocs/op.
-	var deltas []wal.ColDelta
-	for _, v := range old[start:] {
-		deltas = append(deltas, v.Deltas...)
+	n := 0
+	for _, v := range ch.versions[start:old] {
+		n += len(v.Deltas)
 	}
-	folded := len(old)
-	if len(deltas) > 0 {
+	folded := old
+	if n > 0 {
+		deltas := make([]wal.ColDelta, 0, n)
+		for _, v := range ch.versions[start:old] {
+			deltas = append(deltas, v.Deltas...)
+		}
 		var (
 			nv    []byte
 			ghost bool
@@ -288,14 +332,22 @@ func (d Dirty) Prune(horizon uint64, fold FoldFunc) int {
 		if err != nil {
 			// Folding failed; keep the delta run unpruned, so the base never
 			// skips over a delta.
-			keep = append(keep, old[start:]...)
 			folded = start
 		} else {
 			base = Version{Full: true, Val: nv, Ghost: ghost}
 		}
 	}
 	ch.base = base
-	ch.versions = keep
+	rest := copy(ch.versions, ch.versions[folded:])
+	clear(ch.versions[rest:])
+	ch.versions = ch.versions[:rest]
+	if c := cap(ch.versions); c > 256 && rest < c/4 {
+		// The chain grew long behind an old snapshot: let go of its array.
+		ch.versions = append([]Version(nil), ch.versions...)
+	}
+	if rest > 0 {
+		ch.oldest = ch.versions[0].TS
+	}
 	return folded
 }
 

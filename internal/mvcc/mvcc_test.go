@@ -1,6 +1,7 @@
 package mvcc
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/id"
@@ -74,6 +75,7 @@ func TestInsertDeleteVisibility(t *testing.T) {
 }
 
 func TestEscrowDeltasLayerOverFullImage(t *testing.T) {
+	const base = 100
 	c := NewChain([]byte("base"), false, true)
 	d1 := &wal.Record{Type: wal.TEscrowFold, Tree: 2, Key: tkey("g"),
 		Deltas: []wal.ColDelta{{Col: 1, Int: 10}}}
@@ -85,12 +87,66 @@ func TestEscrowDeltasLayerOverFullImage(t *testing.T) {
 	c.Stamp(d2, 4)
 	c.Stamp(d1, 3)
 
-	res := c.Resolve(3, id.None)
-	if string(res.Val) != "base" || len(res.Deltas) != 1 || res.Deltas[0].Int != 10 {
-		t.Fatalf("ts 3: got val=%q deltas=%v, want base + [10]", res.Val, res.Deltas)
+	// folded applies a resolution's deltas to column 1 of a row whose
+	// encoding "base" stands for the value base.
+	folded := func(res Resolved) int64 {
+		t.Helper()
+		if string(res.Val) != "base" {
+			t.Fatalf("resolved over %q, want the base image", res.Val)
+		}
+		v := int64(base)
+		for _, d := range res.Deltas {
+			if d.Col != 1 || d.IsFloat {
+				t.Fatalf("delta %+v, want int deltas on column 1", d)
+			}
+			v += d.Int
+		}
+		return v
 	}
-	if res = c.Resolve(4, id.None); len(res.Deltas) != 2 {
-		t.Fatalf("ts 4: got deltas=%v, want both", res.Deltas)
+	for _, tc := range []struct {
+		ts   uint64
+		want int64
+	}{{2, base}, {3, base + 10}, {4, base + 15}} {
+		if got := folded(c.Resolve(tc.ts, id.None)); got != tc.want {
+			t.Fatalf("ts %d: folds to %d, want %d", tc.ts, got, tc.want)
+		}
+	}
+}
+
+// TestResolveSumsIntDeltasPerColumn: a resolution carries one summed delta
+// per int column however many versions hit it, ahead of the float deltas,
+// which keep one entry each in chain order; the reader's own pending fold
+// merges the same way.
+func TestResolveSumsIntDeltasPerColumn(t *testing.T) {
+	c := NewChain([]byte("base"), false, true)
+	fold := func(ts uint64, txn id.Txn, ds ...wal.ColDelta) {
+		rec := &wal.Record{Type: wal.TEscrowFold, Tree: 2, Key: tkey("g"), Deltas: ds}
+		c.Pin(rec, txn)
+		if ts > 0 {
+			c.Stamp(rec, ts)
+		}
+	}
+	for ts := uint64(1); ts <= 100; ts++ {
+		fold(ts, id.Txn(ts), wal.ColDelta{Col: 0, Int: 1}, wal.ColDelta{Col: 1, Int: math.MaxInt64},
+			wal.ColDelta{Col: 2, IsFloat: true, Float: float64(ts) / 10})
+	}
+	fold(0, 500, wal.ColDelta{Col: 0, Int: 1}, wal.ColDelta{Col: 3, Int: 7})
+
+	res := c.Resolve(100, 500)
+	// 100 × MaxInt64 wraps around int64 to -100, as 100 one-at-a-time adds do.
+	want := []wal.ColDelta{{Col: 0, Int: 101}, {Col: 1, Int: -100}, {Col: 3, Int: 7}}
+	if len(res.Deltas) != len(want)+100 {
+		t.Fatalf("resolved %d deltas, want %d int sums and 100 floats", len(res.Deltas), len(want))
+	}
+	for i, w := range want {
+		if res.Deltas[i] != w {
+			t.Fatalf("int delta %d = %+v, want %+v", i, res.Deltas[i], w)
+		}
+	}
+	for i, d := range res.Deltas[len(want):] {
+		if w := (wal.ColDelta{Col: 2, IsFloat: true, Float: float64(i+1) / 10}); d != w {
+			t.Fatalf("float delta %d = %+v, want %+v", i, d, w)
+		}
 	}
 }
 
