@@ -16,6 +16,19 @@ import (
 	"repro/internal/workload"
 )
 
+// closeAtCleanup closes db when the test ends. Close waits for every open
+// transaction, and a test that fails part-way may leave one open, so a failed
+// test crashes the instance instead of hanging until the package timeout.
+func closeAtCleanup(t *testing.T, db *vtxn.DB) {
+	t.Cleanup(func() {
+		if t.Failed() {
+			db.Crash(false)
+			return
+		}
+		db.Close()
+	})
+}
+
 // waitLockWaits returns once db has counted n blocked lock requests. A
 // request is counted once it is queued.
 func waitLockWaits(t *testing.T, db *vtxn.DB, n int64) {

@@ -200,3 +200,55 @@ func TestScanAllStopsEarly(t *testing.T) {
 		}
 	}
 }
+
+// TestPinnedMutations: PutPinned and DeletePinned pin the operation on the
+// row's chain in the mutation's own descent — a new chain is seeded with the
+// committed image the mutation replaces, an absent key's chain with absence —
+// and a pinned delete leaves a tombstone carrying the chain.
+func TestPinnedMutations(t *testing.T) {
+	tr := New()
+	tr.Put(key(1), []byte("a"), false)
+
+	up := &wal.Record{Type: wal.TUpdate, Key: key(1), NewVal: []byte("b")}
+	ch, created := tr.PutPinned(key(1), []byte("b"), false, up, 7)
+	if !created || ch == nil || !ch.Pinned() {
+		t.Fatalf("PutPinned over a chainless entry: chain %v created %v", ch, created)
+	}
+	if v, _, _ := tr.Get(key(1)); string(v) != "b" {
+		t.Fatalf("inline image %q, want b", v)
+	}
+	if r := ch.Resolve(0, 0); !r.Present || string(r.Val) != "a" {
+		t.Fatalf("the chain's base is %+v, want the replaced image a", r)
+	}
+
+	ins := &wal.Record{Type: wal.TInsert, Key: key(2), NewVal: []byte("x")}
+	ch2, created := tr.PutPinned(key(2), []byte("x"), false, ins, 7)
+	if !created || tr.Len() != 2 {
+		t.Fatalf("PutPinned of a new key: created %v, Len %d", created, tr.Len())
+	}
+	if r := ch2.Resolve(0, 0); r.Present {
+		t.Fatalf("a new key's chain base is %+v, want absent", r)
+	}
+
+	del := &wal.Record{Type: wal.TDelete, Key: key(1)}
+	if again, created := tr.DeletePinned(key(1), del, 7); created || again != ch {
+		t.Fatal("DeletePinned did not reuse the entry's chain")
+	}
+	if _, _, ok := tr.Get(key(1)); ok || tr.Len() != 1 {
+		t.Fatalf("deleted key still visible: Len %d", tr.Len())
+	}
+	if it, ok := tr.Entry(key(1)); !ok || !it.Dead || it.Chain != ch {
+		t.Fatalf("Entry = %+v %v, want a tombstone with its chain", it, ok)
+	}
+
+	gone := &wal.Record{Type: wal.TDelete, Key: key(9)}
+	if ch9, created := tr.DeletePinned(key(9), gone, 7); !created || ch9 == nil {
+		t.Fatal("DeletePinned of an absent key pinned no chain")
+	}
+	if it, ok := tr.Entry(key(9)); !ok || !it.Dead {
+		t.Fatalf("absent key: Entry = %+v %v, want a tombstone", it, ok)
+	}
+	if err := tr.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}

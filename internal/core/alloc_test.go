@@ -39,13 +39,16 @@ func allocDB(t *testing.T, strategy catalog.Strategy) *DB {
 // TestCommitAllocBudget is ROADMAP item 2's trajectory as a hermetic upper
 // bound: allocations per committed transaction, counted by the runtime and
 // independent of the machine. The bounds are ceilings to ratchet down as the
-// commit path sheds allocations (the roadmap's direction for the escrow
-// insert is 30), never to raise.
+// commit path sheds allocations, never to raise.
 //
-// Measured by this test when the bounds were set, parent commit → this one:
-// insert+commit with no view 16 → 16; insert+commit under the escrow view
-// 38 → 30 (BenchmarkInsertCommitEscrowView, background loops on: 50 → 37); a
-// two-update transfer between two branches under the escrow view 67 → 57.
+// Measured by this test when the bounds were last set, parent commit → this
+// one: insert+commit with no view 16 → 13; insert+commit under the escrow
+// view 30 → 25; a two-update transfer between two branches under the escrow
+// view 57 → 48; a read-committed Get and Update of each of two rows with no
+// view (the benchmark's transfer) 31 → 26. The lock list inside the
+// transaction, lock resources that no longer copy their key, the
+// non-copying op list and the fold's pre-image kept only for a cascade took
+// them off.
 func TestCommitAllocBudget(t *testing.T) {
 	insertCommit := func(db *DB) func() {
 		next := int64(1 << 20)
@@ -80,15 +83,40 @@ func TestCommitAllocBudget(t *testing.T) {
 			mustCommit(t, tx)
 		}
 	}
+	// getUpdate is the benchmark's transfer with no view: a read-committed
+	// Get then an Update, on each of two rows.
+	getUpdate := func(db *DB) func() {
+		n := int64(0)
+		return func() {
+			tx, err := db.Begin(txn.ReadCommitted)
+			if err != nil {
+				t.Fatal(err)
+			}
+			n++
+			for id := int64(1); id <= 2; id++ {
+				pk := record.Row{record.Int(id)}
+				row, ok, err := tx.Get("accounts", pk)
+				if err != nil || !ok {
+					t.Fatalf("Get %d: %v %v", id, ok, err)
+				}
+				bal := row[2].AsInt() + (2*id-3)*n%7
+				if err := tx.Update("accounts", pk, map[int]record.Value{2: record.Int(bal)}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			mustCommit(t, tx)
+		}
+	}
 	for _, c := range []struct {
 		name     string
 		strategy catalog.Strategy
 		op       func(*DB) func()
 		budget   float64
 	}{
-		{"insert/noview", 0, insertCommit, 17},
-		{"insert/escrow", catalog.StrategyEscrow, insertCommit, 32},
-		{"transfer/escrow", catalog.StrategyEscrow, transfer, 67 - 8},
+		{"insert/noview", 0, insertCommit, 13},
+		{"insert/escrow", catalog.StrategyEscrow, insertCommit, 25},
+		{"transfer/escrow", catalog.StrategyEscrow, transfer, 48},
+		{"transfer/noview", 0, getUpdate, 26},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			db := allocDB(t, c.strategy)

@@ -75,7 +75,7 @@ func (db *DB) foldSet(t *txn.Txn, p *escrow.Pending) (folded []viewFolds, deferr
 			}
 			continue
 		}
-		fr, err := db.foldRow(t, m, key, ds, m.V.Level() > 0 || t.Sys)
+		fr, err := db.foldRow(t, m, key, ds, m.V.Level() > 0 || t.Sys, len(children) > 0)
 		if err != nil {
 			return nil, nil, err
 		}

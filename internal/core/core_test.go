@@ -20,8 +20,21 @@ func openTestDB(t *testing.T, opts Options) *DB {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { db.Close() })
+	closeAtCleanup(t, db)
 	return db
+}
+
+// closeAtCleanup closes db when the test ends. Close waits for every open
+// transaction, and a test that fails part-way may leave one open, so a failed
+// test crashes the instance instead of hanging until the package timeout.
+func closeAtCleanup(t *testing.T, db *DB) {
+	t.Cleanup(func() {
+		if t.Failed() {
+			db.Crash(false)
+			return
+		}
+		db.Close()
+	})
 }
 
 // setupBanking creates accounts(id, branch, balance) with an escrow-

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"time"
 
 	"repro/internal/btree"
@@ -83,10 +84,10 @@ func (db *DB) cleanViewGhosts(v *catalog.View) int {
 			// cleaner too, then a short X on the key, which keeps user
 			// transactions from acquiring E while we erase. The waits only
 			// cover a holder that arrived since the check above.
-			if err := db.lm.Lock(st.ID, treeRes, lock.ModeIX, ghostLockWait); err != nil {
+			if _, err := db.lm.Acquire(context.Background(), &st.Locks, treeRes, lock.ModeIX, ghostLockWait); err != nil {
 				return errTreeBusy
 			}
-			if err := db.lm.Lock(st.ID, keyRes, lock.ModeX, ghostLockWait); err != nil {
+			if _, err := db.lm.Acquire(context.Background(), &st.Locks, keyRes, lock.ModeX, ghostLockWait); err != nil {
 				return err
 			}
 			latch := db.structLatch(v.ID, key)

@@ -78,7 +78,7 @@ func (tx *Tx) LookupByIndex(indexName string, vals record.Row) ([]record.Row, er
 				return nil, err
 			}
 		}
-		im, ghost, ok, err := db.readRow(tbl.ID, pk, ts, self)
+		im, ghost, ok, err := db.readRow(tbl.ID, pk, ts, self, nil)
 		if err != nil {
 			return nil, err
 		}

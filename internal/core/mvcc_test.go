@@ -519,7 +519,7 @@ func TestSnapshotFoldIsByteExact(t *testing.T) {
 	}
 	var bad error
 	for i, p := range points[1:] {
-		im, ghost, ok, err := db.readRow(v.ID, key, p.snap.readTS, id.None)
+		im, ghost, ok, err := db.readRow(v.ID, key, p.snap.readTS, id.None, nil)
 		switch {
 		case bad != nil:
 		case err != nil || !ok || ghost:

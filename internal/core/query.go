@@ -40,7 +40,7 @@ func (tx *Tx) Get(table string, pk record.Row) (record.Row, bool, error) {
 			return nil, false, err
 		}
 	}
-	im, ghost, ok, err := db.readRow(tbl.ID, key, ts, self)
+	im, ghost, ok, err := db.readRow(tbl.ID, key, ts, self, nil)
 	if err != nil || !ok || ghost {
 		return nil, false, err
 	}
@@ -135,7 +135,10 @@ func (tx *Tx) GetViewRow(viewName string, keyRow record.Row) (record.Row, bool, 
 			}
 		}
 	}
-	im, ghost, ok, err := db.readRow(v.ID, key, ts, self)
+	// A folded group is decoded into a buffer on the stack: viewResult copies
+	// out what it reports.
+	var buf [16]record.Value
+	im, ghost, ok, err := db.readRow(v.ID, key, ts, self, buf[:0])
 	if err != nil || !ok || ghost {
 		return nil, false, err
 	}
@@ -158,9 +161,17 @@ func committedByConstruction(v *catalog.View) bool {
 // row itself for a projection view, the aggregate results otherwise. A
 // snapshot read's folded group arrives decoded and is not decoded again.
 func (db *DB) viewResult(v *catalog.View, im image) (record.Row, error) {
-	stored, err := im.decode(nil)
-	if err != nil || v.Kind == catalog.ViewProjection {
-		return stored, err
+	if v.Kind == catalog.ViewProjection {
+		// A projection's rows carry no deltas, so its image is encoded; the
+		// result never shares the image's row.
+		return record.DecodeRow(im.encoded())
+	}
+	// Result copies the cells it reports, so the stored row it reads from
+	// can live on the stack.
+	var buf [16]record.Value
+	stored, err := im.decode(buf[:0])
+	if err != nil {
+		return nil, err
 	}
 	return db.reg.Maintainer(v.ID).Result(stored)
 }
@@ -215,7 +226,7 @@ func (tx *Tx) ScanViewRange(viewName string, loKey, hiKey record.Row) ([]ViewRow
 			if err := db.momentaryS(tx.t, v.ID, key); err != nil {
 				return false, err
 			}
-			fresh, ghost, ok, err := db.readRow(v.ID, key, latest, id.None)
+			fresh, ghost, ok, err := db.readRow(v.ID, key, latest, id.None, nil)
 			if err != nil || !ok || ghost {
 				return true, err
 			}

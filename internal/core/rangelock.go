@@ -86,7 +86,7 @@ func (db *DB) scanForLevel(tx *Tx, tree id.Tree, lo, hi []byte, fn func(key []by
 		if err := db.readLock(tx, tree, key); err != nil {
 			return false, err
 		}
-		im, ghost, ok, err := db.readRow(tree, key, latest, id.None)
+		im, ghost, ok, err := db.readRow(tree, key, latest, id.None, nil)
 		if err != nil || !ok || ghost {
 			return true, err // vanished between the scan and the lock
 		}

@@ -60,8 +60,8 @@ func (im image) encoded() []byte {
 // is committed at or below every live read timestamp, so its inline image
 // stands at any ts; a chain resolves by timestamp comparison, with deltas
 // newer than the image it picks folded in. self overlays that transaction's
-// own pending operations.
-func (db *DB) resolve(tree id.Tree, it btree.Item, ts uint64, self id.Txn) (im image, ghost, ok bool, err error) {
+// own pending operations. A group folded with deltas is decoded into buf.
+func (db *DB) resolve(tree id.Tree, it btree.Item, ts uint64, self id.Txn, buf record.Row) (im image, ghost, ok bool, err error) {
 	if it.Chain == nil || ts == latest {
 		return image{val: it.Val}, it.Ghost, !it.Dead, nil
 	}
@@ -71,12 +71,13 @@ func (db *DB) resolve(tree id.Tree, it btree.Item, ts uint64, self id.Txn) (im i
 	}
 	// An absent image has a nil Val: deltas newer than it fold over an empty
 	// group.
-	im.row, ghost, err = db.foldDeltas(tree, res.Val, res.Deltas)
+	im.row, ghost, err = db.foldDeltas(tree, res.Val, res.Deltas, buf)
 	return im, ghost, err == nil, err
 }
 
-// readRow resolves one row of tree at ts, with zero lock-manager traffic.
-func (db *DB) readRow(tree id.Tree, key []byte, ts uint64, self id.Txn) (image, bool, bool, error) {
+// readRow resolves one row of tree at ts, with zero lock-manager traffic,
+// decoding a folded group into buf.
+func (db *DB) readRow(tree id.Tree, key []byte, ts uint64, self id.Txn, buf record.Row) (image, bool, bool, error) {
 	if ts == latest {
 		val, ghost, ok := db.tree(tree).Get(key)
 		return image{val: val}, ghost, ok, nil
@@ -85,7 +86,7 @@ func (db *DB) readRow(tree id.Tree, key []byte, ts uint64, self id.Txn) (image, 
 	if !ok {
 		return image{}, false, false, nil
 	}
-	return db.resolve(tree, it, ts, self)
+	return db.resolve(tree, it, ts, self, buf)
 }
 
 // scanBatch is how many entries scanRows copies out per latch hold: about
@@ -118,7 +119,7 @@ func (db *DB) scanRows(tree id.Tree, lo, hi []byte, ts uint64, self id.Txn, fn f
 			return len(batch) < scanBatch
 		})
 		for _, it := range batch {
-			im, ghost, ok, err := db.resolve(tree, it, ts, self)
+			im, ghost, ok, err := db.resolve(tree, it, ts, self, nil)
 			if err != nil {
 				return err
 			}
@@ -165,7 +166,7 @@ func (db *DB) CheckReadPaths(ctx context.Context) error {
 			if it.Chain == nil || !it.Chain.Settled(ts) {
 				return true
 			}
-			im, ghost, ok, err := db.resolve(tid, it, ts, id.None)
+			im, ghost, ok, err := db.resolve(tid, it, ts, id.None, nil)
 			val := im.encoded()
 			snapVisible, lockVisible := ok && !ghost, !it.Dead && !it.Ghost
 			switch {

@@ -76,7 +76,9 @@ func TestCheckReadPathsCatchesDisagreement(t *testing.T) {
 	}
 	key := record.EncodeKey(record.Row{record.Int(1)})
 	rec := &wal.Record{Type: wal.TUpdate, Tree: tbl.ID, Key: key, NewVal: record.EncodeRow(acctRow(1, 7, 999))}
-	ch, _ := db.tree(tbl.ID).Pin(key, rec, 1)
+	// The put leaves the inline image as it was while its pinned version says
+	// otherwise.
+	ch, _ := db.tree(tbl.ID).PutPinned(key, record.EncodeRow(acctRow(1, 7, 100)), false, rec, 1)
 	// In flight: the entry is skipped, not misreported.
 	if err := db.CheckReadPaths(context.Background()); err != nil {
 		t.Fatalf("entry with an operation in flight: %v", err)

@@ -106,7 +106,7 @@ func (e scrubEngine) Report(d scrub.Divergence) {
 			break // a wholly corrupt view logs a bounded sample
 		}
 		if db.tracer != nil {
-			im, ghost, ok, _ := db.readRow(d.View.Tree, diff.Key, latest, id.None)
+			im, ghost, ok, _ := db.readRow(d.View.Tree, diff.Key, latest, id.None, nil)
 			db.tracer.TraceEvent(metrics.Event{
 				Type:     metrics.EventScrubDivergence,
 				Resource: d.View.Name,

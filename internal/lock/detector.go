@@ -3,8 +3,6 @@ package lock
 import (
 	"fmt"
 	"time"
-
-	"repro/internal/id"
 )
 
 // Deadlock detection runs on the request that blocks. After LockCtx queues a
@@ -37,25 +35,23 @@ import (
 // time because each takes all the shard latches, so the last check of the
 // requests that built a cycle sees the whole cycle.
 
-// checkDeadlock runs the block-time check for req, which is queued in s. The
+// checkDeadlock runs the block-time check for req, which is queued. The
 // caller holds no shard mutex.
-func (m *Manager) checkDeadlock(s *shard, req *request) {
+func (m *Manager) checkDeadlock(req *request) {
 	start := time.Now()
 	for _, sh := range m.shards {
 		sh.lock()
 	}
-	for s.wanted[req.txn] == req {
-		victim := m.findVictim(req.txn)
-		if victim == id.None {
+	for req.owner.wanted == req {
+		victim := findVictim(req.owner)
+		if victim == nil {
 			break
 		}
-		vs, vreq := m.waitingOn(victim)
-		vs.deadlocks++
+		vreq := victim.wanted
+		vreq.s.deadlocks++
 		vreq.granted <- fmt.Errorf("%w: %s requesting %s on %s",
-			ErrDeadlock, victim, vreq.mode, vreq.res)
-		if ls := vs.table[vreq.res]; ls != nil {
-			vs.dropRequest(vreq.res, ls, vreq)
-		}
+			ErrDeadlock, victim.Txn, vreq.mode, vreq.ls.resource())
+		vreq.s.dropRequest(vreq)
 		// Dropping the victim rescans its queue and may grant other waiters,
 		// which changes the graph: look again.
 	}
@@ -68,62 +64,52 @@ func (m *Manager) checkDeadlock(s *shard, req *request) {
 	}
 }
 
-// waitingOn returns the request txn is blocked on and its shard, or a nil
-// request when txn is running. Caller holds every shard mutex.
-func (m *Manager) waitingOn(txn id.Txn) (*shard, *request) {
-	for _, s := range m.shards {
-		if req := s.wanted[txn]; req != nil {
-			return s, req
-		}
-	}
-	return nil, nil
-}
-
-// successors returns the transactions txn waits for: the holders of the
+// successors returns the transactions o waits for: the holders of the
 // resource it is queued on whose granted mode conflicts with its request, and
 // the transactions queued ahead of it. Caller holds every shard mutex.
-func (m *Manager) successors(txn id.Txn) []id.Txn {
-	s, req := m.waitingOn(txn)
+func successors(o *Owner) []*Owner {
+	req := o.wanted
 	if req == nil {
 		return nil
 	}
-	ls := s.table[req.res]
-	var out []id.Txn
-	for holder, held := range ls.granted {
-		if holder != txn && !Compatible(held, req.mode) {
-			out = append(out, holder)
+	var out []*Owner
+	for g := req.ls.holders; g != nil; g = g.nextHolder {
+		if g.owner != o && !Compatible(g.mode, req.mode) {
+			out = append(out, g.owner)
 		}
 	}
-	for _, w := range ls.queue {
+	for _, w := range req.ls.queue {
 		if w == req {
 			break
 		}
-		out = append(out, w.txn)
+		out = append(out, w.owner)
 	}
 	return out
 }
 
 // findVictim searches the waits-for graph depth first from root and returns
-// the youngest member of the first cycle it meets, or id.None when no cycle
-// is reachable. Caller holds every shard mutex.
-func (m *Manager) findVictim(root id.Txn) id.Txn {
+// the youngest member (the largest transaction ID) of the first cycle it
+// meets, or nil when no cycle is reachable. Caller holds every shard mutex.
+func findVictim(root *Owner) *Owner {
 	const (
 		onStack = 1
 		done    = 2
 	)
-	state := make(map[id.Txn]int8)
-	var stack []id.Txn
-	victim := id.None
-	var dfs func(t id.Txn) bool
-	dfs = func(t id.Txn) bool {
-		state[t] = onStack
-		stack = append(stack, t)
-		for _, next := range m.successors(t) {
+	state := make(map[*Owner]int8)
+	var stack []*Owner
+	var victim *Owner
+	var dfs func(o *Owner) bool
+	dfs = func(o *Owner) bool {
+		state[o] = onStack
+		stack = append(stack, o)
+		for _, next := range successors(o) {
 			switch state[next] {
 			case onStack:
-				// The cycle is the stack suffix from next back to t.
+				// The cycle is the stack suffix from next back to o.
 				for i := len(stack) - 1; ; i-- {
-					victim = max(victim, stack[i])
+					if victim == nil || stack[i].Txn > victim.Txn {
+						victim = stack[i]
+					}
 					if stack[i] == next {
 						return true
 					}
@@ -134,7 +120,7 @@ func (m *Manager) findVictim(root id.Txn) id.Txn {
 				}
 			}
 		}
-		state[t] = done
+		state[o] = done
 		stack = stack[:len(stack)-1]
 		return false
 	}

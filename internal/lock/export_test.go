@@ -1,12 +1,18 @@
 package lock
 
-// residentState reports the total lock-table entries and holder-index
-// entries across all shards, for leak checks in tests.
+// residentState reports the total lock-table states and grants across all
+// shards, for leak checks in tests.
 func (m *Manager) residentState() (resources, holders int) {
 	for _, s := range m.shards {
 		s.mu.Lock()
-		resources += len(s.table)
-		holders += len(s.held)
+		for _, ls := range s.table {
+			for ; ls != nil; ls = ls.next {
+				resources++
+				for g := ls.holders; g != nil; g = g.nextHolder {
+					holders++
+				}
+			}
+		}
 		s.mu.Unlock()
 	}
 	return

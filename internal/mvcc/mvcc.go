@@ -354,39 +354,73 @@ func (d Dirty) Prune(horizon uint64, fold FoldFunc) int {
 // WorkList is the pruner's queue of live chains: every chain enters it when
 // the tree creates it and leaves when the tree drops it, so its length is the
 // number of live chains. FIFO, so successive partial passes rotate through
-// every chain.
+// every chain. The queue is a ring and a rotation reuses one batch buffer, so
+// the steady state — chains taken off the front and put back at the tail —
+// allocates nothing.
 type WorkList struct {
-	mu sync.Mutex
-	q  []Dirty
+	mu   sync.Mutex
+	ring []Dirty // len(ring) is the capacity; n entries from head, wrapping
+	head int
+	n    int
+
+	rot   sync.Mutex // serializes Rotate, which owns batch
+	batch []Dirty
 }
 
 // Add appends chains to the back of the queue.
 func (w *WorkList) Add(ds ...Dirty) {
 	w.mu.Lock()
-	w.q = append(w.q, ds...)
+	for _, d := range ds {
+		w.push(d)
+	}
 	w.mu.Unlock()
 }
 
-// Take removes and returns up to n chains from the front (n <= 0: all). The
-// caller owns the returned slice and re-Adds the chains still alive.
-func (w *WorkList) Take(n int) []Dirty {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if n <= 0 || n >= len(w.q) {
-		out := w.q
-		w.q = nil
-		return out
+// push appends d, doubling the ring when it is full. Caller holds w.mu.
+func (w *WorkList) push(d Dirty) {
+	if w.n == len(w.ring) {
+		grown := make([]Dirty, max(2*len(w.ring), 16))
+		for i := 0; i < w.n; i++ {
+			grown[i] = w.ring[(w.head+i)%len(w.ring)]
+		}
+		w.ring, w.head = grown, 0
 	}
-	// Hand out the front of the array itself, capped so the caller cannot
-	// grow into the queue; the next reallocation of q lets go of it.
-	out := w.q[:n:n]
-	w.q = w.q[n:]
-	return out
+	w.ring[(w.head+w.n)%len(w.ring)] = d
+	w.n++
+}
+
+// Rotate takes up to n chains off the front (n <= 0: all), calls keep on
+// each outside the queue's mutex, and puts the ones keep returns true for
+// back at the tail. Chains added meanwhile queue behind the taken ones.
+func (w *WorkList) Rotate(n int, keep func(Dirty) bool) {
+	w.rot.Lock()
+	defer w.rot.Unlock()
+	w.mu.Lock()
+	if n <= 0 || n > w.n {
+		n = w.n
+	}
+	batch := w.batch[:0]
+	for ; n > 0; n-- {
+		batch = append(batch, w.ring[w.head])
+		w.ring[w.head] = Dirty{}
+		w.head = (w.head + 1) % len(w.ring)
+		w.n--
+	}
+	w.mu.Unlock()
+	kept := batch[:0]
+	for _, d := range batch {
+		if keep(d) {
+			kept = append(kept, d)
+		}
+	}
+	w.Add(kept...)
+	clear(batch)
+	w.batch = batch[:0]
 }
 
 // Len returns the number of queued chains.
 func (w *WorkList) Len() int {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	return len(w.q)
+	return w.n
 }

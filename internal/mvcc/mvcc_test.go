@@ -2,6 +2,7 @@ package mvcc
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/id"
@@ -292,26 +293,51 @@ func TestPruneBatchesDeltasAndDropsDeadOnes(t *testing.T) {
 	}
 }
 
-// TestWorkListRotates: partial takes walk the queue front to back, and chains
-// re-added behind them come around again — the pruner's rotation.
+// TestWorkListRotates: partial rotations walk the queue front to back, and
+// chains kept come around again behind the rest — the pruner's rotation —
+// while the ring grows past its first capacity and wraps.
 func TestWorkListRotates(t *testing.T) {
 	var w WorkList
 	for _, k := range []string{"a", "b", "c"} {
 		w.Add(Dirty{Tree: 1, Key: tkey(k), Chain: NewChain(nil, false, false)})
 	}
-	first := w.Take(2)
-	if len(first) != 2 || string(first[0].Key) != "a" || string(first[1].Key) != "b" {
-		t.Fatalf("Take(2) = %v, want [a b]", first)
+	seen := func(n int, keep string) string {
+		var out []byte
+		w.Rotate(n, func(d Dirty) bool {
+			out = append(out, d.Key...)
+			return strings.Contains(keep, string(d.Key))
+		})
+		return string(out)
 	}
-	w.Add(first[1]) // b still alive
+	if got := seen(2, "b"); got != "ab" {
+		t.Fatalf("Rotate(2) saw %q, want ab", got)
+	}
 	if w.Len() != 2 {
 		t.Fatalf("Len = %d, want 2", w.Len())
 	}
-	rest := w.Take(0)
-	if len(rest) != 2 || string(rest[0].Key) != "c" || string(rest[1].Key) != "b" {
-		t.Fatalf("Take(all) = %v, want [c b]", rest)
+	if got := seen(0, ""); got != "cb" {
+		t.Fatalf("Rotate(all) saw %q, want cb", got)
 	}
-	if w.Len() != 0 || len(w.Take(5)) != 0 {
+	if w.Len() != 0 || seen(5, "") != "" {
 		t.Fatal("drained work list not empty")
+	}
+	// Forty chains through a ring of sixteen, kept across rotations: the
+	// order survives growth and wrapping.
+	var want []byte
+	for i := 0; i < 40; i++ {
+		k := byte('A' + i)
+		want = append(want, k)
+		w.Add(Dirty{Tree: 1, Key: []byte{k}, Chain: NewChain(nil, false, false)})
+		if i%7 == 6 {
+			seen(3, string(want[:3]))
+			want = append(want[3:], want[:3]...)
+		}
+	}
+	if got := seen(0, string(want)); got != string(want) {
+		t.Fatalf("after growth and wrap saw %q, want %q", got, want)
+	}
+	keepAll := func(Dirty) bool { return true }
+	if a := testing.AllocsPerRun(100, func() { w.Rotate(10, keepAll) }); a != 0 {
+		t.Fatalf("a steady-state rotation allocates %.0f times", a)
 	}
 }

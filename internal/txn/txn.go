@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"repro/internal/id"
+	"repro/internal/lock"
 	"repro/internal/wal"
 )
 
@@ -101,6 +102,10 @@ type Txn struct {
 	// Started is when the transaction began, for tx-lifetime tracing.
 	Started time.Time
 
+	// Locks is the transaction's lock list: the lock manager links every
+	// grant into it and releases by walking it.
+	Locks lock.Owner
+
 	mu     sync.Mutex
 	state  State
 	ops    []*wal.Record  // logged operations, in LSN order, for rollback
@@ -131,12 +136,10 @@ func (t *Txn) RecordOp(rec *wal.Record) error {
 	return nil
 }
 
-// Ops returns the undo chain in LSN order. The slice is a snapshot.
-func (t *Txn) Ops() []*wal.Record {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return append([]*wal.Record(nil), t.ops...)
-}
+// Ops returns the undo chain in LSN order without copying it. Only the
+// goroutine running t may call it — the one that records t's operations —
+// and the slice is valid until its next RecordOp or the end of t.
+func (t *Txn) Ops() []*wal.Record { return t.ops }
 
 // Savepoint marks a rollback point: the current length of the undo chain.
 type Savepoint int
@@ -203,6 +206,7 @@ func (m *Manager) Begin(sys bool, level Level) *Txn {
 		Isolation: level,
 		state:     StateActive,
 	}
+	t.Locks.Txn = t.ID
 	m.mu.Lock()
 	m.active[t.ID] = t
 	m.mu.Unlock()

@@ -16,7 +16,15 @@ func openDB(t *testing.T) *core.DB {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { db.Close() })
+	// Close waits for every open transaction, which a failed test may have
+	// left behind: crash the instance then rather than hang.
+	t.Cleanup(func() {
+		if t.Failed() {
+			db.Crash(false)
+			return
+		}
+		db.Close()
+	})
 	return db
 }
 

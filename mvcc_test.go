@@ -20,7 +20,7 @@ func mvccBanking(t *testing.T, strategy vtxn.Strategy, accounts int, perAccount 
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { db.Close() })
+	closeAtCleanup(t, db)
 	if err := db.CreateTable("accounts", []vtxn.Column{
 		{Name: "id", Kind: vtxn.KindInt64},
 		{Name: "branch", Kind: vtxn.KindInt64},

@@ -14,7 +14,7 @@ func openDB(t *testing.T) *vtxn.DB {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { db.Close() })
+	closeAtCleanup(t, db)
 	return db
 }
 
