@@ -255,3 +255,38 @@ func TestRegistryReplaceRecompiles(t *testing.T) {
 		t.Fatal("stale maintainer survived replace")
 	}
 }
+
+// TestApplyPinned: a record that changes what a reader may see pins its
+// version in the mutation and keeps the chain in rec.Pin; creating an empty
+// ghost and erasing one pin nothing. Apply, the rollback and recovery path,
+// never pins.
+func TestApplyPinned(t *testing.T) {
+	reg, tblID, _ := fixtureRegistry(t)
+	src, trees := treeSource()
+	key := []byte("k1")
+
+	ins := &wal.Record{Type: wal.TInsert, Tree: tblID, Key: key, NewVal: []byte("v1")}
+	created, err := ApplyPinned(reg, src, ins, 7)
+	if err != nil || !created || ins.Pin == nil {
+		t.Fatalf("pinned insert: created %v, Pin %v, err %v", created, ins.Pin, err)
+	}
+	up := &wal.Record{Type: wal.TUpdate, Tree: tblID, Key: key, OldVal: []byte("v1"), NewVal: []byte("v2")}
+	if created, err := ApplyPinned(reg, src, up, 7); err != nil || created || up.Pin != ins.Pin {
+		t.Fatalf("pinned update: created %v, same chain %v, err %v", created, up.Pin == ins.Pin, err)
+	}
+	if v, _, _ := trees[tblID].Get(key); string(v) != "v2" {
+		t.Fatalf("after the pinned update the row reads %q", v)
+	}
+
+	ghost := &wal.Record{Type: wal.TInsert, Tree: tblID, Key: []byte("g"), NewVal: []byte("0"), NewGhost: true}
+	if created, err := ApplyPinned(reg, src, ghost, 7); err != nil || created || ghost.Pin != nil {
+		t.Fatalf("ghost creation pinned: created %v, Pin %v, err %v", created, ghost.Pin, err)
+	}
+	plain := &wal.Record{Type: wal.TInsert, Tree: tblID, Key: []byte("p"), NewVal: []byte("x")}
+	if err := Apply(reg, src, plain); err != nil || plain.Pin != nil {
+		t.Fatalf("Apply pinned: Pin %v, err %v", plain.Pin, err)
+	}
+	if it, _ := trees[tblID].Entry([]byte("p")); it.Chain != nil {
+		t.Fatal("Apply hung a version chain on the entry")
+	}
+}

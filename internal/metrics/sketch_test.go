@@ -11,7 +11,7 @@ import (
 
 func TestSketchNilAndZeroValue(t *testing.T) {
 	var nilSketch *Sketch
-	nilSketch.Add(HotKey{Tree: 1, Key: "k"}, 1, 1)
+	nilSketch.Add(1, []byte("k"), 1, 1)
 	if got := nilSketch.Top(5); got != nil {
 		t.Fatalf("nil sketch Top = %v, want nil", got)
 	}
@@ -19,7 +19,7 @@ func TestSketchNilAndZeroValue(t *testing.T) {
 		t.Fatalf("nil sketch Len/Cap = %d/%d, want 0/0", nilSketch.Len(), nilSketch.Cap())
 	}
 	var zero Sketch
-	zero.Add(HotKey{Tree: 1, Key: "k"}, 1, 1)
+	zero.Add(1, []byte("k"), 1, 1)
 	if got := zero.Top(5); got != nil {
 		t.Fatalf("zero sketch Top = %v, want nil", got)
 	}
@@ -30,9 +30,9 @@ func TestSketchBasicCounts(t *testing.T) {
 	a := HotKey{Tree: 7, Key: "alpha"}
 	b := HotKey{Tree: 7, Key: "beta"}
 	for i := 0; i < 10; i++ {
-		s.Add(a, 5, 1)
+		s.Add(a.Tree, []byte(a.Key), 5, 1)
 	}
-	s.Add(b, 3, 2)
+	s.Add(b.Tree, []byte(b.Key), 3, 2)
 	top := s.Top(10)
 	if len(top) != 2 {
 		t.Fatalf("Top len = %d, want 2", len(top))
@@ -52,13 +52,13 @@ func TestSketchEviction(t *testing.T) {
 	s := NewSketch(sketchWays) // one bucket: every key collides
 	for i := 0; i < sketchWays; i++ {
 		k := HotKey{Tree: 1, Key: fmt.Sprintf("g%d", i)}
-		s.Add(k, int64(10*(i+1)), 1) // values 10..80, min is g0 at 10
+		s.Add(k.Tree, []byte(k.Key), int64(10*(i+1)), 1) // values 10..80, min is g0 at 10
 	}
 	if s.Len() != sketchWays {
 		t.Fatalf("Len = %d, want %d", s.Len(), sketchWays)
 	}
 	newcomer := HotKey{Tree: 1, Key: "fresh"}
-	s.Add(newcomer, 4, 1)
+	s.Add(newcomer.Tree, []byte(newcomer.Key), 4, 1)
 	if s.Len() != sketchWays {
 		t.Fatalf("Len after evict = %d, want %d", s.Len(), sketchWays)
 	}
@@ -101,7 +101,7 @@ func TestSketchZipfAccuracy(t *testing.T) {
 	for i := 0; i < draws; i++ {
 		k := HotKey{Tree: 3, Key: fmt.Sprintf("grp-%d", zipf.Uint64())}
 		truth[k]++
-		s.Add(k, 1, 1)
+		s.Add(k.Tree, []byte(k.Key), 1, 1)
 	}
 	var hottest HotKey
 	var hottestN int64
@@ -148,10 +148,10 @@ func TestSketchConcurrentHammer(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			for i := 0; i < perG; i++ {
 				if rng.Intn(2) == 0 {
-					s.Add(hot, 3, 1)
+					s.Add(hot.Tree, []byte(hot.Key), 3, 1)
 				} else {
 					k := HotKey{Tree: 9, Key: fmt.Sprintf("cold-%d", rng.Intn(500))}
-					s.Add(k, 1, 1)
+					s.Add(k.Tree, []byte(k.Key), 1, 1)
 				}
 				if i%4096 == 0 {
 					s.Top(4) // concurrent reads race against evicts
