@@ -78,8 +78,11 @@ staticcheck:
 # view's watermark, so the barrier messages (applier.Barrier, applier.Msg,
 # DropTree, hasBarrier, errRefreshedUnderneath, publishDeferredBarrier) stay
 # gone from every .go file outside benchmark/, and non-test internal/core
-# never sleeps. A committed trajectory: a change to internal/ adds its
-# benchmark pair under BENCH_history/ (make bench, then make bench-record).
+# never sleeps. A transaction is its owner's: txn.Manager keeps no registry of
+# the active transactions, so ActiveIDs, ActiveCount and the manager's active
+# map stay gone from every .go file outside benchmark/. A committed trajectory:
+# a change to internal/ adds its benchmark pair under BENCH_history/ (make
+# bench, then make bench-record).
 structure:
 	@out="$$(grep -rl --include='*.go' '"repro/internal/mvcc"' . | grep -v -e '^./internal/mvcc/' -e '^./internal/btree/' -e '^./internal/core/')"; \
 	if [ -n "$$out" ]; then echo "internal/mvcc imported outside internal/btree and internal/core:"; echo "$$out"; exit 1; fi
@@ -135,6 +138,9 @@ structure:
 		'applier\.Barrier|applier\.Msg|DropTree|hasBarrier|errRefreshedUnderneath|publishDeferredBarrier' .; \
 		grep -n 'time\.Sleep' $$(ls internal/core/*.go | grep -v '_test\.go$$'))"; \
 		if [ -n "$$out" ]; then echo "one ordering rule for deferred views: a barrier message or a core sleep-poll is back:"; echo "$$out"; exit 1; fi
+	@out="$$(grep -rnE --include='*.go' --exclude-dir=benchmark 'ActiveIDs|ActiveCount' .; \
+		grep -nE '\bactive[[:space:]]+map\[|active:[[:space:]]*make\(map' internal/txn/*.go)"; \
+		if [ -n "$$out" ]; then echo "a transaction is its owner's: txn.Manager's registry of active transactions is back:"; echo "$$out"; exit 1; fi
 	@if git rev-parse -q --verify '$(BASE)^{commit}' >/dev/null 2>&1; then \
 		if git diff --name-only $(BASE) -- internal | grep -q . && \
 			! git diff --name-only --diff-filter=A $(BASE) -- 'BENCH_history/pr*-change.jsonl' | grep -q .; then \

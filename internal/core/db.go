@@ -95,9 +95,12 @@ type Options struct {
 
 // DB is a database instance.
 type DB struct {
-	path    string
-	opts    Options
-	started time.Time
+	path string
+	opts Options
+	// clock is the DB's one timebase (metrics.Clock), read at every phase
+	// boundary; the registry owns it and the oracle, the WAL writer and the
+	// flight recorder share it.
+	clock *metrics.Clock
 
 	reg     *apply.Registry
 	treesMu sync.RWMutex
@@ -224,27 +227,28 @@ func Open(path string, opts Options) (*DB, error) {
 	tracer := opts.Tracer
 	if opts.FlightRecorderSize >= 0 {
 		flight = flightrec.New(flightrec.Config{
-			Size: opts.FlightRecorderSize,
-			Next: opts.Tracer,
-			Sink: opts.FlightSink,
+			Size:  opts.FlightRecorderSize,
+			Next:  opts.Tracer,
+			Sink:  opts.FlightSink,
+			Clock: met.Clock,
 		})
 		tracer = flight
 	}
 	db := &DB{
-		path:    path,
-		opts:    opts,
-		started: time.Now(),
-		reg:     st.Reg,
-		trees:   st.Trees,
-		log:     st.Log,
-		gen:     st.Gen,
+		path:  path,
+		opts:  opts,
+		clock: met.Clock,
+		reg:   st.Reg,
+		trees: st.Trees,
+		log:   st.Log,
+		gen:   st.Gen,
 		lm: lock.NewManagerOpts(lock.Options{
 			DefaultTimeout: opts.LockTimeout,
 			Metrics:        &met.Lock,
 			Tracer:         tracer,
 		}),
 		tm:        txn.NewManager(st.NextTxn),
-		oracle:    txn.NewOracle(),
+		oracle:    txn.NewOracleClock(met.Clock),
 		applierQ:  newDeferredQueue(),
 		structMu:  make([]sync.Mutex, foldStripes),
 		recovered: st.Summary,
@@ -252,7 +256,7 @@ func Open(path string, opts Options) (*DB, error) {
 		tracer:    tracer,
 		flight:    flight,
 	}
-	db.log.SetObserver(&met.WAL, tracer)
+	db.log.SetObserver(&met.WAL, tracer, met.Clock)
 	db.syncViewRecords()
 	if tr := tracer; tr != nil && !st.Summary.Fresh {
 		tr.TraceEvent(metrics.Event{Type: metrics.EventRecovery, Phase: "analysis", Dur: st.Summary.Analysis})
@@ -366,10 +370,11 @@ func (db *DB) RecoverySummary() recovery.Summary { return db.recovered }
 // contention, WAL group-commit behavior, ghost-cleaner backlog, and the
 // restart's recovery phases. Its JSON encoding is a stable schema.
 func (db *DB) Metrics() metrics.Snapshot {
-	now := time.Now()
+	now := db.clock.Now()
+	nowNs := db.clock.WallNs(now)
 	s := db.met.Snap()
-	s.Engine.UptimeNs = now.Sub(db.started).Nanoseconds()
-	s.Engine.SnapshotUnixNs = now.UnixNano()
+	s.Engine.UptimeNs = now
+	s.Engine.SnapshotUnixNs = nowNs
 	s.Lock = db.lm.Snapshot()
 	s.Hotspots = db.hotspots()
 	s.MVCC.Snapshots = db.oracle.SnapshotsBegun()
@@ -406,8 +411,8 @@ func (db *DB) Metrics() metrics.Snapshot {
 	staleOldest := db.deferredStaleOldest()
 	for _, v := range db.Catalog().ViewsByTree() {
 		var staleNs int64
-		if w, ok := staleOldest[v.ID]; ok && v.Strategy == catalog.StrategyDeferred && now.UnixNano() > w {
-			staleNs = now.UnixNano() - w
+		if w, ok := staleOldest[v.ID]; ok && v.Strategy == catalog.StrategyDeferred && nowNs > w {
+			staleNs = nowNs - w
 		}
 		s.Deferred.StalenessNs = max(s.Deferred.StalenessNs, staleNs)
 		// A view created or dropped since the catalog read has no record here.
@@ -738,7 +743,7 @@ func (db *DB) Checkpoint() error {
 	if err != nil {
 		return err
 	}
-	writer.SetObserver(&db.met.WAL, db.tracer)
+	writer.SetObserver(&db.met.WAL, db.tracer, db.clock)
 	db.log = writer
 	db.gen = gen
 	return nil

@@ -285,7 +285,7 @@ func (db *DB) applierRound(co *applier.Coalescer) {
 	// the originating spans so the flight record links commit → publish →
 	// fold → visible.
 	if len(folded) > 0 {
-		nowNs := time.Now().UnixNano()
+		nowNs := db.clock.WallNs(db.clock.Now())
 		for _, f := range folded {
 			var oldest int64
 			fresh := db.met.Views.Get(f.tree)
@@ -308,6 +308,7 @@ func (db *DB) applierRound(co *applier.Coalescer) {
 					Rows:     int(wm),
 					Dur:      age,
 					Spans:    f.spans,
+					WallNs:   nowNs,
 				})
 			}
 		}

@@ -26,10 +26,10 @@ func (tx *Tx) Insert(table string, row record.Row) error {
 		return err
 	}
 	key := primaryKey(tbl, row)
-	if err := db.lockTree(tx.t, tbl.ID, lock.ModeIX); err != nil {
+	if err := db.lockTree(&tx.t, tbl.ID, lock.ModeIX); err != nil {
 		return err
 	}
-	if err := db.lockKey(tx.t, tbl.ID, key, lock.ModeX); err != nil {
+	if err := db.lockKey(&tx.t, tbl.ID, key, lock.ModeX); err != nil {
 		return err
 	}
 	if ghost, ok := db.tree(tbl.ID).Has(key); ok && !ghost {
@@ -42,7 +42,7 @@ func (tx *Tx) Insert(table string, row record.Row) error {
 			continue
 		}
 		prefix := indexPrefix(ix, row)
-		if err := db.lockKey(tx.t, ix.ID, prefix, lock.ModeX); err != nil {
+		if err := db.lockKey(&tx.t, ix.ID, prefix, lock.ModeX); err != nil {
 			return err
 		}
 		if dupe := indexPrefixExists(db.tree(ix.ID), prefix); dupe {
@@ -64,7 +64,7 @@ func (tx *Tx) Insert(table string, row record.Row) error {
 	// miss the new key — and then released; the grant reports the mode held
 	// before, so no separate probe decides whether to release.
 	succ := db.successorGap(tbl.ID, key)
-	prior, err := db.acquire(tx.t, succ, lock.ModeX)
+	prior, err := db.acquire(&tx.t, succ, lock.ModeX)
 	if err != nil {
 		return err
 	}
@@ -77,12 +77,12 @@ func (tx *Tx) Insert(table string, row record.Row) error {
 		// range (its instant-duration probe of the new key's gap would find no
 		// holder). Take a held X on the new gap before the insert becomes
 		// visible, so the range stays covered until commit.
-		if err := db.lockRes(tx.t, gapResource(tbl.ID, key), lock.ModeX); err != nil {
+		if err := db.lockRes(&tx.t, gapResource(tbl.ID, key), lock.ModeX); err != nil {
 			return err
 		}
 	}
 	rec := &wal.Record{Type: wal.TInsert, Tree: tbl.ID, Key: key, NewVal: record.EncodeRow(row)}
-	err = db.logOp(tx.t, rec)
+	err = db.logOp(&tx.t, rec)
 	if prior == lock.ModeNone {
 		// The lock was taken solely as the instant-duration insert lock;
 		// a lock already held (from earlier work in this transaction)
@@ -94,7 +94,7 @@ func (tx *Tx) Insert(table string, row record.Row) error {
 	}
 	for _, ix := range indexes {
 		rec := &wal.Record{Type: wal.TInsert, Tree: ix.ID, Key: indexKey(ix, tbl, row)}
-		if err := db.logOp(tx.t, rec); err != nil {
+		if err := db.logOp(&tx.t, rec); err != nil {
 			return err
 		}
 	}
@@ -115,10 +115,10 @@ func (tx *Tx) Delete(table string, pk record.Row) error {
 	if err != nil {
 		return err
 	}
-	if err := db.lockTree(tx.t, tbl.ID, lock.ModeIX); err != nil {
+	if err := db.lockTree(&tx.t, tbl.ID, lock.ModeIX); err != nil {
 		return err
 	}
-	if err := db.lockKey(tx.t, tbl.ID, key, lock.ModeX); err != nil {
+	if err := db.lockKey(&tx.t, tbl.ID, key, lock.ModeX); err != nil {
 		return err
 	}
 	val, ghost, ok := db.tree(tbl.ID).Get(key)
@@ -134,12 +134,12 @@ func (tx *Tx) Delete(table string, pk record.Row) error {
 		return err
 	}
 	rec := &wal.Record{Type: wal.TDelete, Tree: tbl.ID, Key: key, OldVal: val}
-	if err := db.logOp(tx.t, rec); err != nil {
+	if err := db.logOp(&tx.t, rec); err != nil {
 		return err
 	}
 	for _, ix := range db.Catalog().IndexesOn(table) {
 		rec := &wal.Record{Type: wal.TDelete, Tree: ix.ID, Key: indexKey(ix, tbl, old)}
-		if err := db.logOp(tx.t, rec); err != nil {
+		if err := db.logOp(&tx.t, rec); err != nil {
 			return err
 		}
 	}
@@ -171,10 +171,10 @@ func (tx *Tx) Update(table string, pk record.Row, set map[int]record.Value) erro
 			}
 		}
 	}
-	if err := db.lockTree(tx.t, tbl.ID, lock.ModeIX); err != nil {
+	if err := db.lockTree(&tx.t, tbl.ID, lock.ModeIX); err != nil {
 		return err
 	}
-	if err := db.lockKey(tx.t, tbl.ID, key, lock.ModeX); err != nil {
+	if err := db.lockKey(&tx.t, tbl.ID, key, lock.ModeX); err != nil {
 		return err
 	}
 	val, ghost, ok := db.tree(tbl.ID).Get(key)
@@ -197,7 +197,7 @@ func (tx *Tx) Update(table string, pk record.Row, set map[int]record.Value) erro
 		return err
 	}
 	rec := &wal.Record{Type: wal.TUpdate, Tree: tbl.ID, Key: key, OldVal: val, NewVal: record.EncodeRow(next)}
-	if err := db.logOp(tx.t, rec); err != nil {
+	if err := db.logOp(&tx.t, rec); err != nil {
 		return err
 	}
 	// Secondary indexes whose key columns changed get delete+insert.
@@ -209,7 +209,7 @@ func (tx *Tx) Update(table string, pk record.Row, set map[int]record.Value) erro
 		}
 		if ix.Unique {
 			prefix := indexPrefix(ix, next)
-			if err := db.lockKey(tx.t, ix.ID, prefix, lock.ModeX); err != nil {
+			if err := db.lockKey(&tx.t, ix.ID, prefix, lock.ModeX); err != nil {
 				return err
 			}
 			if indexPrefixExists(db.tree(ix.ID), prefix) {
@@ -217,11 +217,11 @@ func (tx *Tx) Update(table string, pk record.Row, set map[int]record.Value) erro
 			}
 		}
 		del := &wal.Record{Type: wal.TDelete, Tree: ix.ID, Key: oldKey}
-		if err := db.logOp(tx.t, del); err != nil {
+		if err := db.logOp(&tx.t, del); err != nil {
 			return err
 		}
 		ins := &wal.Record{Type: wal.TInsert, Tree: ix.ID, Key: newKey}
-		if err := db.logOp(tx.t, ins); err != nil {
+		if err := db.logOp(&tx.t, ins); err != nil {
 			return err
 		}
 	}

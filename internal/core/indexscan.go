@@ -41,10 +41,10 @@ func (tx *Tx) LookupByIndex(indexName string, vals record.Row) ([]record.Row, er
 	prefix := record.EncodeKey(vals)
 	ts, self := tx.readAt()
 	if ts == latest {
-		if err := db.lockTree(tx.t, ix.ID, lock.ModeIS); err != nil {
+		if err := db.lockTree(&tx.t, ix.ID, lock.ModeIS); err != nil {
 			return nil, err
 		}
-		if err := db.lockTree(tx.t, tbl.ID, lock.ModeIS); err != nil {
+		if err := db.lockTree(&tx.t, tbl.ID, lock.ModeIS); err != nil {
 			return nil, err
 		}
 	}

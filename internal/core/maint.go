@@ -116,7 +116,7 @@ func (db *DB) lookupRowsByCol(tx *Tx, tbl *catalog.Table, col int, val record.Va
 	}
 	var out []record.Row
 	for _, key := range keys {
-		if err := db.lockKey(tx.t, tbl.ID, key, lock.ModeS); err != nil {
+		if err := db.lockKey(&tx.t, tbl.ID, key, lock.ModeS); err != nil {
 			return nil, err
 		}
 		v, ghost, ok := tree.Get(key)
@@ -197,11 +197,11 @@ func (db *DB) maintainEscrow(tx *Tx, v *catalog.View, m *view.Maintainer, src re
 	if err != nil {
 		return err
 	}
-	if err := db.lockTree(tx.t, v.ID, lock.ModeIX); err != nil {
+	if err := db.lockTree(&tx.t, v.ID, lock.ModeIX); err != nil {
 		return err
 	}
 	res := lock.KeyResource(v.ID, key)
-	if err := db.lockKeyRes(tx.t, res, lock.ModeE); err != nil {
+	if err := db.lockKeyRes(&tx.t, res, lock.ModeE); err != nil {
 		return err
 	}
 	// Ensure the view row exists, creating a ghost via a system transaction
@@ -272,10 +272,10 @@ func (db *DB) maintainXLock(tx *Tx, v *catalog.View, m *view.Maintainer, src rec
 	if err != nil {
 		return err
 	}
-	if err := db.lockTree(tx.t, v.ID, lock.ModeIX); err != nil {
+	if err := db.lockTree(&tx.t, v.ID, lock.ModeIX); err != nil {
 		return err
 	}
-	if err := db.lockKey(tx.t, v.ID, key, lock.ModeX); err != nil {
+	if err := db.lockKey(&tx.t, v.ID, key, lock.ModeX); err != nil {
 		return err
 	}
 	hidden, contribs, err := m.Contributions(src, sign)
@@ -346,19 +346,19 @@ func (db *DB) maintainXLock(tx *Tx, v *catalog.View, m *view.Maintainer, src rec
 	switch {
 	case !ok:
 		rec := &wal.Record{Type: wal.TInsert, Tree: v.ID, Key: key, NewVal: record.EncodeRow(next)}
-		if err := db.logOp(tx.t, rec); err != nil {
+		if err := db.logOp(&tx.t, rec); err != nil {
 			return err
 		}
 		return db.cascadeXLock(tx, v, m, key, nil, next, children)
 	case empty:
 		rec := &wal.Record{Type: wal.TDelete, Tree: v.ID, Key: key, OldVal: cur}
-		if err := db.logOp(tx.t, rec); err != nil {
+		if err := db.logOp(&tx.t, rec); err != nil {
 			return err
 		}
 		return db.cascadeXLock(tx, v, m, key, oldStored, nil, children)
 	default:
 		rec := &wal.Record{Type: wal.TUpdate, Tree: v.ID, Key: key, OldVal: cur, NewVal: record.EncodeRow(next)}
-		if err := db.logOp(tx.t, rec); err != nil {
+		if err := db.logOp(&tx.t, rec); err != nil {
 			return err
 		}
 		return db.cascadeXLock(tx, v, m, key, oldStored, next, children)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"sync/atomic"
 	"testing"
 
@@ -152,6 +153,47 @@ func BenchmarkParallelInsertCommitEscrowView(b *testing.B) {
 			tx, _ := db.Begin(txn.ReadCommitted)
 			if err := tx.Insert("accounts", acctRowB(g*1_000_000_000+i, g, 10)); err != nil {
 				b.Error(err)
+				return
+			}
+			if err := tx.Commit(); err != nil {
+				b.Error(err)
+				return
+			}
+		}
+	})
+}
+
+// BenchmarkReadOnlyGet is the snapshot reader's transaction: a read-only
+// BeginTx, one primary-key Get and Commit, on a database with the flight
+// recorder on (the default). Run it with -cpu 1,2; in parallel each goroutine
+// reads its own transactions against the one snapshot registry.
+func BenchmarkReadOnlyGet(b *testing.B) {
+	db := benchDB(b, 0)
+	const rows = 64
+	tx, _ := db.Begin(txn.ReadCommitted)
+	for i := int64(0); i < rows; i++ {
+		if err := tx.Insert("accounts", acctRowB(i, i%8, 10)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if err := tx.Commit(); err != nil {
+		b.Fatal(err)
+	}
+	ctx := context.Background()
+	var nextG atomic.Int64
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		i := nextG.Add(1)
+		for pb.Next() {
+			i++
+			tx, err := db.BeginTx(ctx, TxOptions{ReadOnly: true})
+			if err != nil {
+				b.Error(err)
+				return
+			}
+			if _, ok, err := tx.Get("accounts", record.Row{record.Int(i % rows)}); err != nil || !ok {
+				b.Errorf("Get %d: ok=%v err=%v", i%rows, ok, err)
 				return
 			}
 			if err := tx.Commit(); err != nil {

@@ -14,6 +14,7 @@ import (
 	"repro/internal/catalog"
 	"repro/internal/expr"
 	"repro/internal/id"
+	"repro/internal/metrics"
 	"repro/internal/record"
 	"repro/internal/txn"
 	"repro/internal/wal"
@@ -142,6 +143,71 @@ func TestSnapshotReadOnlyRejectsWrites(t *testing.T) {
 	// Reads still work after the rejected writes.
 	if _, ok, err := snap.Get("accounts", record.Row{record.Int(1)}); !ok || err != nil {
 		t.Fatalf("get after rejected write: %v %v", ok, err)
+	}
+}
+
+// eventLog is a tracer that keeps every event it is handed.
+type eventLog struct {
+	mu     sync.Mutex
+	events []metrics.Event
+}
+
+func (l *eventLog) TraceEvent(e metrics.Event) {
+	l.mu.Lock()
+	l.events = append(l.events, e)
+	l.mu.Unlock()
+}
+
+func (l *eventLog) last() metrics.Event {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.events[len(l.events)-1]
+}
+
+// TestReadOnlyTxOneEvent: a read-only snapshot transaction's bookkeeping is
+// one flight-recorder write. Begin, a Get and Commit record a single tx-end
+// event, which carries the lifetime in Dur and the read timestamp in Rows;
+// the transaction still counts in the Begin histogram and holds back the
+// oldest-snapshot age while it is open.
+func TestReadOnlyTxOneEvent(t *testing.T) {
+	events := &eventLog{}
+	db := openTestDB(t, Options{ScrubInterval: -1, MVCCPruneInterval: -1, Tracer: events})
+	setupBanking(t, db, catalog.StrategyEscrow)
+	insertAccounts(t, db, acctRow(1, 7, 100))
+	readTS := db.oracle.ReadTS()
+	if readTS == 0 {
+		t.Fatal("no commit is visible: the read timestamp would not show in Rows")
+	}
+	begins := db.met.Txn.Begin.Count()
+	recorded := db.flight.Recorded()
+
+	tx := beginSnapshot(t, db)
+	if n := db.Metrics().MVCC.ActiveSnapshots; n != 1 {
+		t.Fatalf("%d active snapshots while the reader is open, want 1", n)
+	}
+	if age := db.oracle.OldestSnapshotAge(db.clock.Now() + int64(time.Second)); age < time.Second {
+		t.Fatalf("oldest snapshot age a second from now = %v, want >= 1s", age)
+	}
+	if _, ok, err := tx.Get("accounts", record.Row{record.Int(1)}); !ok || err != nil {
+		t.Fatalf("Get: ok=%v err=%v", ok, err)
+	}
+	mustCommit(t, tx)
+
+	if got := db.flight.Recorded() - recorded; got != 1 {
+		t.Fatalf("a read-only transaction recorded %d events, want 1", got)
+	}
+	e := events.last()
+	if e.Type != metrics.EventTxEnd || e.Txn != tx.ID() || e.Outcome != "commit" {
+		t.Fatalf("the event is %s of %s (%q), want the reader's tx-end", e.Type, e.Txn, e.Outcome)
+	}
+	if e.Rows != int(readTS) || e.Dur <= 0 || e.WallNs == 0 {
+		t.Fatalf("tx-end Rows %d, Dur %v, WallNs %d: want the read timestamp %d, the lifetime and a stamp", e.Rows, e.Dur, e.WallNs, readTS)
+	}
+	if got := db.met.Txn.Begin.Count() - begins; got != 1 {
+		t.Fatalf("the Begin histogram counted %d begins, want 1", got)
+	}
+	if age := db.oracle.OldestSnapshotAge(db.clock.Now()); age != 0 {
+		t.Fatalf("oldest snapshot age after commit = %v, want 0", age)
 	}
 }
 

@@ -33,7 +33,7 @@ func (tx *Tx) Get(table string, pk record.Row) (record.Row, bool, error) {
 	}
 	ts, self := tx.readAt()
 	if ts == latest {
-		if err := db.lockTree(tx.t, tbl.ID, lock.ModeIS); err != nil {
+		if err := db.lockTree(&tx.t, tbl.ID, lock.ModeIS); err != nil {
 			return nil, false, err
 		}
 		if err := db.readLock(tx, tbl.ID, key); err != nil {
@@ -55,9 +55,9 @@ func (tx *Tx) Get(table string, pk record.Row) (record.Row, bool, error) {
 func (db *DB) readLock(tx *Tx, tree id.Tree, key []byte) error {
 	switch tx.t.Isolation {
 	case txn.ReadCommitted:
-		return db.momentaryS(tx.t, tree, key)
+		return db.momentaryS(&tx.t, tree, key)
 	default:
-		return db.lockKey(tx.t, tree, key, lock.ModeS)
+		return db.lockKey(&tx.t, tree, key, lock.ModeS)
 	}
 }
 
@@ -84,7 +84,7 @@ func (tx *Tx) ScanTable(table string, loPK, hiPK record.Row, fn func(record.Row)
 		hi = record.EncodeKey(hiPK)
 	}
 	if tx.t.Isolation != txn.Snapshot {
-		if err := db.lockTree(tx.t, tbl.ID, lock.ModeIS); err != nil {
+		if err := db.lockTree(&tx.t, tbl.ID, lock.ModeIS); err != nil {
 			return err
 		}
 	}
@@ -120,17 +120,17 @@ func (tx *Tx) GetViewRow(viewName string, keyRow record.Row) (record.Row, bool, 
 	// writers. Everyone else locks first, then reads the inline value.
 	ts, self := tx.readAt()
 	if ts == latest {
-		if err := db.lockTree(tx.t, v.ID, lock.ModeIS); err != nil {
+		if err := db.lockTree(&tx.t, v.ID, lock.ModeIS); err != nil {
 			return nil, false, err
 		}
 		switch {
 		case tx.t.Isolation != txn.ReadCommitted:
-			if err := db.lockKey(tx.t, v.ID, key, lock.ModeS); err != nil {
+			if err := db.lockKey(&tx.t, v.ID, key, lock.ModeS); err != nil {
 				return nil, false, err
 			}
 		case committedByConstruction(v):
 		default:
-			if err := db.momentaryS(tx.t, v.ID, key); err != nil {
+			if err := db.momentaryS(&tx.t, v.ID, key); err != nil {
 				return nil, false, err
 			}
 		}
@@ -216,14 +216,14 @@ func (tx *Tx) ScanViewRange(viewName string, loKey, hiKey record.Row) ([]ViewRow
 			treeMode = lock.ModeIS
 			rowLock = !committedByConstruction(v)
 		}
-		if err := db.lockTree(tx.t, v.ID, treeMode); err != nil {
+		if err := db.lockTree(&tx.t, v.ID, treeMode); err != nil {
 			return nil, err
 		}
 	}
 	var out []ViewRow
 	err = db.scanRows(v.ID, lo, hi, ts, self, func(key []byte, im image) (bool, error) {
 		if rowLock {
-			if err := db.momentaryS(tx.t, v.ID, key); err != nil {
+			if err := db.momentaryS(&tx.t, v.ID, key); err != nil {
 				return false, err
 			}
 			fresh, ghost, ok, err := db.readRow(v.ID, key, latest, id.None, nil)

@@ -112,10 +112,10 @@ func (db *DB) lockRange(tx *Tx, tree id.Tree, lo, hi []byte) error {
 				return true, nil
 			}
 			fresh++
-			if err := db.lockKey(tx.t, tree, key, lock.ModeS); err != nil {
+			if err := db.lockKey(&tx.t, tree, key, lock.ModeS); err != nil {
 				return false, err
 			}
-			if err := db.lockRes(tx.t, gapResource(tree, key), lock.ModeS); err != nil {
+			if err := db.lockRes(&tx.t, gapResource(tree, key), lock.ModeS); err != nil {
 				return false, err
 			}
 			locked[string(key)] = true
@@ -127,7 +127,7 @@ func (db *DB) lockRange(tx *Tx, tree id.Tree, lo, hi []byte) error {
 		// (Re-)acquire the end anchor; it may have moved closer after an
 		// insert landed ahead of it, and holding the superseded anchor's
 		// gap is merely extra coverage.
-		if err := db.lockRes(tx.t, db.ceilingGap(tree, hi), lock.ModeS); err != nil {
+		if err := db.lockRes(&tx.t, db.ceilingGap(tree, hi), lock.ModeS); err != nil {
 			return err
 		}
 		if pass > 0 && fresh == 0 {

@@ -242,7 +242,7 @@ func TestMomentaryReadKeepsHeldRangeLock(t *testing.T) {
 	}
 	// A momentary read path touches the anchor row inside the serializable
 	// transaction.
-	if err := db.momentaryS(reader.t, tbl.ID, key30); err != nil {
+	if err := db.momentaryS(&reader.t, tbl.ID, key30); err != nil {
 		t.Fatal(err)
 	}
 	if held := db.lm.HeldMode(reader.t.ID, res); held != lock.ModeS {

@@ -21,8 +21,9 @@ import (
 // Tx is a user transaction handle. It is not safe for concurrent use by
 // multiple goroutines (like database/sql's Tx).
 type Tx struct {
-	db   *DB
-	t    *txn.Txn
+	db *DB
+	// t is held by value, so a transaction is one allocation.
+	t    txn.Txn
 	done bool
 
 	// readTS and snap are set for Snapshot-isolation transactions: the pinned
@@ -72,7 +73,7 @@ func (db *DB) BeginTx(ctx context.Context, opts TxOptions) (*Tx, error) {
 	if db.closed.Load() {
 		return nil, ErrClosed
 	}
-	start := time.Now()
+	start := db.clock.Now()
 	level := opts.Isolation
 	if level == 0 {
 		if opts.ReadOnly {
@@ -89,30 +90,38 @@ func (db *DB) BeginTx(ctx context.Context, opts TxOptions) (*Tx, error) {
 		db.gate.RUnlock()
 		return nil, ErrClosed
 	}
-	t := db.tm.Begin(false, level)
+	tx := &Tx{db: db, ro: opts.ReadOnly}
+	t := &tx.t
+	db.tm.Start(t, false, level)
 	t.Ctx = ctx
 	t.LockTimeout = opts.LockTimeout
 	t.Started = start
-	tx := &Tx{db: db, t: t, ro: opts.ReadOnly}
-	if !tx.ro {
+	if tx.ro {
+		// The read fast path's begin is one clock reading, shared by the
+		// lifetime, the snapshot's age and the Begin histogram (a zero
+		// sample: nothing is appended), and no trace event: the tx-end event
+		// finish records carries the lifetime and the read timestamp.
 		// Read-only snapshot transactions never log: they write nothing, so
 		// recovery has nothing to learn from them — skipping the begin/commit
 		// records keeps the read fast path off the WAL entirely.
-		if _, err := db.log.Append(&wal.Record{Type: wal.TBegin, Txn: t.ID}); err != nil {
-			db.tm.Abort(t)
-			db.gate.RUnlock()
-			return nil, err
-		}
+		db.met.Txn.Begin.Observe(0)
+		tx.readTS, tx.snap = db.oracle.BeginSnapshotFrom(start)
+		return tx, nil
 	}
-	began := time.Now()
-	db.met.Txn.Begin.Observe(began.Sub(start))
+	if _, err := db.log.Append(&wal.Record{Type: wal.TBegin, Txn: t.ID}); err != nil {
+		db.tm.Abort(t)
+		db.gate.RUnlock()
+		return nil, err
+	}
+	began := db.clock.Now()
+	db.met.Txn.Begin.Observe(time.Duration(began - start))
 	if db.tracer != nil {
-		db.tracer.TraceEvent(metrics.Event{Type: metrics.EventTxBegin, Txn: t.ID, WallNs: began.UnixNano()})
+		db.tracer.TraceEvent(metrics.Event{Type: metrics.EventTxBegin, Txn: t.ID, WallNs: db.clock.WallNs(began)})
 	}
 	if level == txn.Snapshot {
-		tx.readTS, tx.snap = db.oracle.BeginSnapshot()
+		tx.readTS, tx.snap = db.oracle.BeginSnapshotFrom(began)
 		if db.tracer != nil {
-			db.tracer.TraceEvent(metrics.Event{Type: metrics.EventSnapshotBegin, Txn: t.ID, Rows: int(tx.readTS)})
+			db.tracer.TraceEvent(metrics.Event{Type: metrics.EventSnapshotBegin, Txn: t.ID, Rows: int(tx.readTS), WallNs: db.clock.WallNs(began)})
 		}
 	}
 	return tx, nil
@@ -159,18 +168,18 @@ func (tx *Tx) Commit() error {
 	if tx.ro {
 		// Nothing written, nothing logged: retiring the snapshot is the whole
 		// commit.
-		tx.finish(true, time.Time{})
+		tx.finish(true, 0)
 		return nil
 	}
 	// One clock read per phase boundary: the fold's end, the commit record's
 	// append (the start of the commit wait) and the wait's end, which also
 	// stamps the deferred publish.
-	start := time.Now()
+	start := db.clock.Now()
 	var deferred []applier.GroupDelta
 	var folded []viewFolds
 	if p := tx.takePending(); p != nil {
 		var err error
-		if deferred, folded, err = db.foldPending(tx.t, p, start); err != nil {
+		if deferred, folded, err = db.foldPending(&tx.t, p, start); err != nil {
 			// Fold failure (e.g. a log fault) aborts the transaction; already-
 			// applied folds are compensated by the generic rollback.
 			db.met.Escrow.FoldAborts.Add(1)
@@ -183,7 +192,7 @@ func (tx *Tx) Commit() error {
 		tx.rollback()
 		return fmt.Errorf("core: commit failed, transaction rolled back: %w", err)
 	}
-	appended := time.Now()
+	appended := db.clock.Now()
 	if err := db.log.SyncTxn(lsn, tx.t.ID); err != nil {
 		// The commit record may or may not be durable; treat as failed and
 		// roll back in memory so the surviving state matches recovery's
@@ -191,14 +200,14 @@ func (tx *Tx) Commit() error {
 		tx.rollback()
 		return fmt.Errorf("core: commit sync failed, transaction rolled back: %w", err)
 	}
-	durable := time.Now()
-	db.met.Txn.CommitWait.Observe(durable.Sub(appended))
+	durable := db.clock.Now()
+	db.met.Txn.CommitWait.Observe(time.Duration(durable - appended))
 	// The commit is durable: allocate its timestamp, stamp every pinned
 	// version (before finish wipes the op chain and releases locks — the next
 	// writer of any of these rows must allocate a later timestamp), and only
 	// then let the watermark advance over it.
 	ts := db.oracle.AllocateCommitTS()
-	db.stampOps(tx.t, ts)
+	db.stampOps(&tx.t, ts)
 	tx.commitTS = ts
 	if len(deferred) > 0 {
 		// Publish before FinishCommit: the oracle's read timestamp must not
@@ -206,20 +215,20 @@ func (tx *Tx) Commit() error {
 		// advance the view watermark past a commit it never saw (deferred.go).
 		db.publishDeferred(&applier.Batch{
 			TS:     ts,
-			WallNs: durable.UnixNano(),
+			WallNs: db.clock.WallNs(durable),
 			Groups: deferred,
 		}, tx.t.ID)
 	}
 	db.oracle.FinishCommit(ts)
-	var end time.Time
+	var end int64
 	if len(folded) > 0 || db.tracer != nil {
-		end = time.Now()
+		end = db.clock.Now()
 	}
 	// Immediately maintained views are visible the moment the commit finishes:
 	// their commit-to-visible latency IS the commit path.
 	for _, f := range folded {
 		if v := db.met.Views.Get(f.v.ID); v != nil {
-			v.CommitToVisible.Observe(end.Sub(start))
+			v.CommitToVisible.Observe(time.Duration(end - start))
 		}
 	}
 	tx.finish(true, end)
@@ -288,12 +297,12 @@ func (tx *Tx) Rollback() error {
 func (tx *Tx) rollback() {
 	db := tx.db
 	if tx.ro {
-		tx.finish(false, time.Time{})
+		tx.finish(false, 0)
 		return
 	}
-	db.rollbackOps(tx.t)
+	db.rollbackOps(&tx.t)
 	db.log.Append(&wal.Record{Type: wal.TAbortEnd, Txn: tx.t.ID})
-	tx.finish(false, time.Time{})
+	tx.finish(false, 0)
 }
 
 // takePending detaches the transaction's pending set, taking its groups off
@@ -309,14 +318,16 @@ func (tx *Tx) takePending() *escrow.Pending {
 
 // finish ends the transaction. end is the caller's last clock reading, when
 // it has a current one (zero: finish reads the clock itself if a tracer wants
-// the transaction's lifetime).
-func (tx *Tx) finish(committed bool, end time.Time) {
+// the transaction's lifetime). A read-only snapshot transaction's tx-end is
+// the only event it records: its Rows carry the read timestamp, and its
+// begin is WallNs − Dur.
+func (tx *Tx) finish(committed bool, end int64) {
 	db := tx.db
 	if committed {
-		db.tm.Commit(tx.t)
+		db.tm.Commit(&tx.t)
 		db.met.Engine.Commits.Add(1)
 	} else {
-		db.tm.Abort(tx.t)
+		db.tm.Abort(&tx.t)
 		db.met.Engine.Aborts.Add(1)
 	}
 	if tx.snap != 0 {
@@ -330,14 +341,14 @@ func (tx *Tx) finish(committed bool, end time.Time) {
 		if !committed {
 			outcome = "abort"
 		}
-		if end.IsZero() {
-			end = time.Now()
+		if end == 0 {
+			end = db.clock.Now()
 		}
-		var life time.Duration
-		if !tx.t.Started.IsZero() {
-			life = end.Sub(tx.t.Started)
+		e := metrics.Event{Type: metrics.EventTxEnd, Txn: tx.t.ID, Dur: time.Duration(end - tx.t.Started), Outcome: outcome, WallNs: db.clock.WallNs(end)}
+		if tx.ro {
+			e.Rows = int(tx.readTS)
 		}
-		db.tracer.TraceEvent(metrics.Event{Type: metrics.EventTxEnd, Txn: tx.t.ID, Dur: life, Outcome: outcome, WallNs: end.UnixNano()})
+		db.tracer.TraceEvent(e)
 	}
 	if !tx.ro {
 		tx.takePending()
@@ -352,18 +363,18 @@ func (tx *Tx) finish(committed bool, end time.Time) {
 // publish to the background applier (deferred.go), which runs the cascade
 // below a deferred parent itself. The second result lists the immediately
 // maintained views folded.
-func (db *DB) foldPending(t *txn.Txn, p *escrow.Pending, start time.Time) ([]applier.GroupDelta, []viewFolds, error) {
+func (db *DB) foldPending(t *txn.Txn, p *escrow.Pending, start int64) ([]applier.GroupDelta, []viewFolds, error) {
 	folded, deferred, err := db.foldSet(t, p)
 	if err != nil || len(folded) == 0 {
 		return deferred, nil, err
 	}
-	end := time.Now()
-	dur := end.Sub(start)
+	end := db.clock.Now()
+	dur := time.Duration(end - start)
 	total := db.billFolds(folded, dur)
 	db.met.Txn.Fold.Observe(dur)
 	db.met.Escrow.ObserveFold(total)
 	if db.tracer != nil {
-		db.tracer.TraceEvent(metrics.Event{Type: metrics.EventFold, Txn: t.ID, Dur: dur, Rows: total, WallNs: end.UnixNano()})
+		db.tracer.TraceEvent(metrics.Event{Type: metrics.EventFold, Txn: t.ID, Dur: dur, Rows: total, WallNs: db.clock.WallNs(end)})
 	}
 	return deferred, folded, nil
 }

@@ -8,6 +8,9 @@ import (
 // Open and handed by sub-struct pointer to each subsystem. All fields are
 // atomic; observation never takes a lock.
 type Registry struct {
+	// Clock is the DB's one timebase (clock.go): the flush-age gauge, and
+	// every emitter of the DB that shares the registry, read it.
+	Clock    *Clock
 	Engine   EngineMetrics
 	Txn      TxnMetrics
 	Lock     LockMetrics
@@ -30,7 +33,7 @@ type Registry struct {
 // NewRegistry returns an empty registry with the hot-spot sketches sized to
 // their defaults.
 func NewRegistry() *Registry {
-	r := &Registry{}
+	r := &Registry{Clock: NewClock()}
 	r.Hot.LockWait = NewSketch(DefaultSketchSlots)
 	r.Hot.EscrowDeltas = NewSketch(DefaultSketchSlots)
 	r.Lock.Hot = r.Hot.LockWait
@@ -66,7 +69,10 @@ type HotMetrics struct {
 // TxnMetrics are the per-phase transaction timing histograms: where a
 // transaction's wall-clock goes between Begin and the durable commit.
 type TxnMetrics struct {
-	// Begin times BeginTx itself (admission gate + begin record).
+	// Begin times BeginTx itself (admission gate + begin record). A
+	// read-only snapshot begin reads the clock once and observes zero: it
+	// appends no record, and its whole cost is the gate and the snapshot
+	// registration.
 	Begin Histogram
 	// Apply times logged operations (WAL append + tree apply), sampled: one
 	// operation in 8 is timed, so its count is about an eighth of the
@@ -133,10 +139,10 @@ type WALMetrics struct {
 	// the fsync alone.
 	Flush Histogram
 	Fsync Histogram
-	// flushStartNs is the UnixNano at which the in-progress physical flush
-	// began, or zero when no flush is active — the watchdog's WAL-stall
+	// flushStart is the Clock reading at which the in-progress physical
+	// flush began, or zero when no flush is active — the watchdog's WAL-stall
 	// signal. Set by the flusher after winning the flush mutex.
-	flushStartNs atomic.Int64
+	flushStart atomic.Int64
 }
 
 // ObserveBatch records one physical flush of n records.
@@ -146,13 +152,13 @@ func (wm *WALMetrics) ObserveBatch(n int64) {
 	maxInt64(&wm.BatchMax, n)
 }
 
-// BeginFlush marks a physical flush as in progress since startNs;
-// EndFlush clears the mark. Only the single flusher calls either.
-func (wm *WALMetrics) BeginFlush(startNs int64) {
+// BeginFlush marks a physical flush as in progress since the Clock reading
+// start; EndFlush clears the mark. Only the single flusher calls either.
+func (wm *WALMetrics) BeginFlush(start int64) {
 	if wm == nil {
 		return
 	}
-	wm.flushStartNs.Store(startNs)
+	wm.flushStart.Store(start)
 }
 
 // EndFlush marks the in-progress flush as finished.
@@ -160,17 +166,17 @@ func (wm *WALMetrics) EndFlush() {
 	if wm == nil {
 		return
 	}
-	wm.flushStartNs.Store(0)
+	wm.flushStart.Store(0)
 }
 
 // FlushActiveNs reports how long the in-progress flush has been running as of
-// nowNs, or zero when no flush is active.
-func (wm *WALMetrics) FlushActiveNs(nowNs int64) int64 {
-	start := wm.flushStartNs.Load()
-	if start == 0 || nowNs <= start {
+// the Clock reading now, or zero when no flush is active.
+func (wm *WALMetrics) FlushActiveNs(now int64) int64 {
+	start := wm.flushStart.Load()
+	if start == 0 || now <= start {
 		return 0
 	}
-	return nowNs - start
+	return now - start
 }
 
 // GhostMetrics track the background ghost cleaner.

@@ -371,7 +371,7 @@ func (r *Registry) Snap() Snapshot {
 			CoalescedSyncs: r.WAL.CoalescedSyncs.Load(),
 			BatchRecords:   r.WAL.BatchRecords.Load(),
 			BatchMax:       r.WAL.BatchMax.Load(),
-			FlushActiveNs:  r.WAL.FlushActiveNs(time.Now().UnixNano()),
+			FlushActiveNs:  r.WAL.FlushActiveNs(r.Clock.Now()),
 			Flush:          r.WAL.Flush.Snap(),
 			Fsync:          r.WAL.Fsync.Snap(),
 		},

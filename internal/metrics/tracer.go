@@ -13,10 +13,13 @@ import (
 type EventType uint8
 
 const (
-	// EventTxBegin fires when a user transaction starts.
+	// EventTxBegin fires when a user transaction starts, except a read-only
+	// snapshot one.
 	EventTxBegin EventType = iota + 1
 	// EventTxEnd fires when a user transaction commits or rolls back; Dur is
-	// its total lifetime and Outcome "commit" or "abort".
+	// its total lifetime and Outcome "commit" or "abort". It is a read-only
+	// snapshot transaction's only event, and there Rows carries the read
+	// timestamp.
 	EventTxEnd
 	// EventLockWait fires when a blocked lock acquisition resolves; Dur is
 	// the time blocked and Outcome "granted", "deadlock", "timeout", or
@@ -39,8 +42,9 @@ const (
 	// "ghost-starvation"), Resource a human-readable detail, and Dur how long
 	// the condition has persisted.
 	EventStall
-	// EventSnapshotBegin fires when a snapshot transaction pins its read
-	// timestamp; Rows carries the pinned timestamp (truncated to int).
+	// EventSnapshotBegin fires when a snapshot transaction that may write
+	// pins its read timestamp; Rows carries the pinned timestamp (truncated
+	// to int).
 	EventSnapshotBegin
 	// EventMVCCPrune fires after a version-chain pruner sweep that folded
 	// versions; Rows is the versions pruned.
@@ -110,8 +114,8 @@ type Event struct {
 	Type EventType
 	// Seq is a process-monotonic sequence number stamped by the flight
 	// recorder (zero for events that never pass through it). WallNs is the
-	// wall-clock timestamp (UnixNano): an emitter that has just read the clock
-	// fills it in, the flight recorder stamps the rest.
+	// wall-clock timestamp (UnixNano) on the DB's Clock: an emitter that has
+	// just read the clock fills it in, the flight recorder stamps the rest.
 	Seq    uint64
 	WallNs int64
 	// Spans lists the originating commits' span IDs for events downstream of
@@ -143,6 +147,9 @@ func (e Event) String() string {
 	case EventLockWait:
 		return fmt.Sprintf("%s %s %s on %s: %s after %s", e.Type, e.Txn, e.Mode, e.Resource, e.Outcome, e.Dur)
 	case EventTxEnd:
+		if e.Rows != 0 { // a read-only snapshot transaction's read timestamp
+			return fmt.Sprintf("%s %s: %s after %s, read-ts %d", e.Type, e.Txn, e.Outcome, e.Dur, e.Rows)
+		}
 		return fmt.Sprintf("%s %s: %s after %s", e.Type, e.Txn, e.Outcome, e.Dur)
 	case EventFold:
 		return fmt.Sprintf("%s %s: %d rows in %s", e.Type, e.Txn, e.Rows, e.Dur)

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/id"
+	"repro/internal/metrics"
 )
 
 // ErrViewWatermarkDropped reports that the deferred view a waiter was blocked
@@ -40,6 +41,9 @@ type Oracle struct {
 	// watermark is published atomically so ReadTS never takes mu.
 	watermark atomic.Uint64
 
+	// clock times how long snapshots stay pinned (OldestSnapshotAge).
+	clock *metrics.Clock
+
 	snapMu    sync.Mutex
 	snaps     map[uint64]snapEntry
 	nextSnap  uint64
@@ -69,12 +73,18 @@ type Oracle struct {
 
 type snapEntry struct {
 	ts      uint64
-	started time.Time
+	started int64 // clock reading
 }
 
-// NewOracle returns an oracle whose first commit timestamp is 1.
-func NewOracle() *Oracle {
+// NewOracle returns an oracle whose first commit timestamp is 1, timing its
+// snapshots on a clock of its own.
+func NewOracle() *Oracle { return NewOracleClock(metrics.NewClock()) }
+
+// NewOracleClock is NewOracle timing its snapshots on clock: the engine
+// passes its DB's clock, whose readings its transactions already hold.
+func NewOracleClock(clock *metrics.Clock) *Oracle {
 	return &Oracle{
+		clock:       clock,
 		inflight:    make(map[uint64]struct{}),
 		snaps:       make(map[uint64]snapEntry),
 		viewWM:      make(map[id.Tree]uint64),
@@ -119,15 +129,22 @@ func (o *Oracle) FinishCommit(ts uint64) {
 func (o *Oracle) ReadTS() uint64 { return o.watermark.Load() }
 
 // BeginSnapshot pins the current watermark as a read timestamp and registers
-// it as active, returning the timestamp and a handle for EndSnapshot. The
+// it as active, returning the timestamp and a handle for EndSnapshot. It is
+// BeginSnapshotFrom with a clock reading of its own.
+func (o *Oracle) BeginSnapshot() (ts, handle uint64) {
+	return o.BeginSnapshotFrom(o.clock.Now())
+}
+
+// BeginSnapshotFrom is BeginSnapshot for a caller that has just read the
+// oracle's clock: now, that reading, is when the snapshot started. The
 // watermark is read under the registry lock so a concurrently computed prune
 // horizon can never pass a snapshot that is still registering.
-func (o *Oracle) BeginSnapshot() (ts, handle uint64) {
+func (o *Oracle) BeginSnapshotFrom(now int64) (ts, handle uint64) {
 	o.snapMu.Lock()
 	ts = o.watermark.Load()
 	o.nextSnap++
 	handle = o.nextSnap
-	o.snaps[handle] = snapEntry{ts: ts, started: time.Now()}
+	o.snaps[handle] = snapEntry{ts: ts, started: now}
 	o.snapMu.Unlock()
 	o.snapCount.Add(1)
 	o.began.Add(1)
@@ -150,7 +167,7 @@ func (o *Oracle) BeginSnapshotAt(ts uint64) (handle uint64, ok bool) {
 	}
 	o.nextSnap++
 	handle = o.nextSnap
-	o.snaps[handle] = snapEntry{ts: ts, started: time.Now()}
+	o.snaps[handle] = snapEntry{ts: ts, started: o.clock.Now()}
 	o.snapMu.Unlock()
 	o.snapCount.Add(1)
 	o.began.Add(1)
@@ -174,20 +191,19 @@ func (o *Oracle) ActiveSnapshots() int64 { return o.snapCount.Load() }
 func (o *Oracle) SnapshotsBegun() int64 { return o.began.Load() }
 
 // OldestSnapshotAge returns how long the oldest active snapshot has been
-// pinned, or zero when none is active.
-func (o *Oracle) OldestSnapshotAge(now time.Time) time.Duration {
+// pinned as of now, a reading of the oracle's clock, or zero when none is
+// active.
+func (o *Oracle) OldestSnapshotAge(now int64) time.Duration {
 	o.snapMu.Lock()
 	defer o.snapMu.Unlock()
-	var oldest time.Time
-	for _, e := range o.snaps {
-		if oldest.IsZero() || e.started.Before(oldest) {
-			oldest = e.started
-		}
-	}
-	if oldest.IsZero() {
+	if len(o.snaps) == 0 {
 		return 0
 	}
-	return now.Sub(oldest)
+	oldest := now
+	for _, e := range o.snaps {
+		oldest = min(oldest, e.started)
+	}
+	return time.Duration(now - oldest)
 }
 
 // PruneHorizon returns the version-chain pruning horizon: the minimum of the

@@ -50,7 +50,7 @@ func TestOracleSnapshotPinsHorizon(t *testing.T) {
 	if got := o.PruneHorizon(); got != 1 {
 		t.Fatalf("horizon with pinned snapshot = %d, want 1", got)
 	}
-	if age := o.OldestSnapshotAge(time.Now().Add(time.Second)); age < time.Second {
+	if age := o.OldestSnapshotAge(o.clock.Now() + int64(time.Second)); age < time.Second {
 		t.Fatalf("oldest snapshot age = %v, want >= 1s", age)
 	}
 	o.EndSnapshot(h)

@@ -10,7 +10,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -99,8 +98,9 @@ type Txn struct {
 	Ctx         context.Context
 	LockTimeout time.Duration
 
-	// Started is when the transaction began, for tx-lifetime tracing.
-	Started time.Time
+	// Started is the engine clock's reading (metrics.Clock) when the
+	// transaction began, for tx-lifetime tracing.
+	Started int64
 
 	// Locks is the transaction's lock list: the lock manager links every
 	// grant into it and releases by walking it.
@@ -181,16 +181,16 @@ func (t *Txn) markFinished(s State) error {
 	return nil
 }
 
-// Manager allocates transaction IDs and tracks active transactions.
+// Manager allocates transaction IDs. It keeps no registry of the active
+// transactions: a transaction is its owner's, and beginning one is an atomic
+// ID plus field initialisation.
 type Manager struct {
 	nextID atomic.Uint64
-	mu     sync.Mutex
-	active map[id.Txn]*Txn
 }
 
 // NewManager returns a manager whose first transaction gets ID firstID.
 func NewManager(firstID id.Txn) *Manager {
-	m := &Manager{active: make(map[id.Txn]*Txn)}
+	m := &Manager{}
 	if firstID == 0 {
 		firstID = 1
 	}
@@ -198,55 +198,29 @@ func NewManager(firstID id.Txn) *Manager {
 	return m
 }
 
-// Begin starts a transaction.
+// Begin starts a transaction in a Txn of its own.
 func (m *Manager) Begin(sys bool, level Level) *Txn {
-	t := &Txn{
-		ID:        id.Txn(m.nextID.Add(1)),
-		Sys:       sys,
-		Isolation: level,
-		state:     StateActive,
-	}
-	t.Locks.Txn = t.ID
-	m.mu.Lock()
-	m.active[t.ID] = t
-	m.mu.Unlock()
+	t := new(Txn)
+	m.Start(t, sys, level)
 	return t
 }
 
-// Commit marks t committed and unregisters it.
-func (m *Manager) Commit(t *Txn) error { return m.finish(t, StateCommitted) }
-
-// Abort marks t aborted and unregisters it.
-func (m *Manager) Abort(t *Txn) error { return m.finish(t, StateAborted) }
-
-func (m *Manager) finish(t *Txn, s State) error {
-	if err := t.markFinished(s); err != nil {
-		return err
-	}
-	m.mu.Lock()
-	delete(m.active, t.ID)
-	m.mu.Unlock()
-	return nil
+// Start begins a transaction in t, memory the caller owns (the engine embeds
+// the Txn in its transaction handle, so a transaction is one allocation). t
+// must be a zero Txn.
+func (m *Manager) Start(t *Txn, sys bool, level Level) {
+	t.ID = id.Txn(m.nextID.Add(1))
+	t.Sys = sys
+	t.Isolation = level
+	t.state = StateActive
+	t.Locks.Txn = t.ID
 }
 
-// ActiveIDs returns the IDs of in-flight transactions, sorted.
-func (m *Manager) ActiveIDs() []id.Txn {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make([]id.Txn, 0, len(m.active))
-	for tid := range m.active {
-		out = append(out, tid)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
+// Commit marks t committed.
+func (m *Manager) Commit(t *Txn) error { return t.markFinished(StateCommitted) }
 
-// ActiveCount returns the number of in-flight transactions.
-func (m *Manager) ActiveCount() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return len(m.active)
-}
+// Abort marks t aborted.
+func (m *Manager) Abort(t *Txn) error { return t.markFinished(StateAborted) }
 
 // NextID returns the ID the next transaction would receive; checkpoints
 // persist it so recovered databases keep allocating above it.

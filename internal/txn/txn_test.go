@@ -19,8 +19,10 @@ func TestBeginCommitAbort(t *testing.T) {
 	if !t2.Sys || t1.Sys {
 		t.Fatal("Sys flags wrong")
 	}
-	if got := m.ActiveIDs(); len(got) != 2 || got[0] != 1 || got[1] != 2 {
-		t.Fatalf("ActiveIDs = %v", got)
+	var t3 Txn
+	m.Start(&t3, false, Snapshot)
+	if t3.ID != 3 || t3.Locks.Txn != 3 || !t3.Active() || t3.Isolation != Snapshot {
+		t.Fatalf("Start: ID %d, lock list of %d, state %s, level %s", t3.ID, t3.Locks.Txn, t3.State(), t3.Isolation)
 	}
 	if err := m.Commit(t1); err != nil {
 		t.Fatal(err)
@@ -33,9 +35,6 @@ func TestBeginCommitAbort(t *testing.T) {
 	}
 	if t2.State() != StateAborted {
 		t.Fatal("t2 state wrong")
-	}
-	if m.ActiveCount() != 0 {
-		t.Fatal("active set not empty")
 	}
 	// Double finish fails.
 	if err := m.Commit(t1); !errors.Is(err, ErrNotActive) {
@@ -136,8 +135,8 @@ func TestConcurrentBegin(t *testing.T) {
 		}
 		seen[tid] = true
 	}
-	if len(seen) != goroutines*per || m.ActiveCount() != 0 {
-		t.Fatalf("ids=%d active=%d", len(seen), m.ActiveCount())
+	if len(seen) != goroutines*per {
+		t.Fatalf("ids=%d, want %d", len(seen), goroutines*per)
 	}
 }
 

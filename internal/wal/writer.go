@@ -53,17 +53,25 @@ type Writer struct {
 	durMu   sync.Mutex // guards durable reads outside flushMu
 
 	// met and tracer observe appends, group-commit batching, and flush/fsync
-	// latency; both may be nil. Set via SetObserver before concurrent use.
+	// latency; both may be nil. clock times the flushes they observe. Set via
+	// SetObserver before concurrent use.
 	met    *metrics.WALMetrics
 	tracer metrics.Tracer
+	clock  *metrics.Clock
 }
 
-// SetObserver attaches metrics and a tracer to the writer. The engine calls
-// it right after creating a writer (Open, recovery hand-off, and the fresh
-// generation a Checkpoint swaps in), before the writer sees concurrent use.
-func (w *Writer) SetObserver(m *metrics.WALMetrics, tracer metrics.Tracer) {
+// SetObserver attaches metrics and a tracer to the writer, and the clock that
+// times its flushes (nil: a clock of its own). The engine calls it right
+// after creating a writer (Open, recovery hand-off, and the fresh generation
+// a Checkpoint swaps in), before the writer sees concurrent use, with the
+// DB's clock, so a flush's mark and its events share the DB's timebase.
+func (w *Writer) SetObserver(m *metrics.WALMetrics, tracer metrics.Tracer, clock *metrics.Clock) {
+	if clock == nil {
+		clock = metrics.NewClock()
+	}
 	w.met = m
 	w.tracer = tracer
+	w.clock = clock
 }
 
 // Create creates (truncating) the log file at path. firstLSN is the LSN the
@@ -162,13 +170,17 @@ func (w *Writer) sync(upTo uint64, by id.Txn) error {
 		}
 		return nil
 	}
-	var start time.Time
-	if w.met != nil || w.tracer != nil {
-		start = time.Now()
+	// Two clock readings per flush, start and end, shared by the stall
+	// watchdog's mark, the flush histogram and the group-commit event (plus
+	// the fsync's own start under SyncData).
+	observed := w.met != nil || w.tracer != nil
+	var start int64
+	if observed {
+		start = w.clock.Now()
 	}
 	// Mark the flush in progress for the stall watchdog: a long-lived mark
 	// means commits are queueing behind a flush that is not advancing.
-	w.met.BeginFlush(time.Now().UnixNano())
+	w.met.BeginFlush(start)
 	defer w.met.EndFlush()
 	// Steal the buffer; appenders continue into the spare one (double
 	// buffering keeps the steady state allocation-free).
@@ -186,32 +198,37 @@ func (w *Writer) sync(upTo uint64, by id.Txn) error {
 	w.mu.Lock()
 	w.spare = buf[:0]
 	w.mu.Unlock()
+	var fsyncStart int64
 	if w.mode == SyncData {
-		fsyncStart := start
 		if w.met != nil {
-			fsyncStart = time.Now()
+			fsyncStart = w.clock.Now()
 		}
 		if err := w.f.Sync(); err != nil {
 			return fmt.Errorf("wal: fsync: %w", err)
 		}
-		if w.met != nil {
-			w.met.Fsync.Observe(time.Since(fsyncStart))
-		}
+	}
+	var end int64
+	if observed {
+		end = w.clock.Now()
 	}
 	w.durMu.Lock()
 	w.durable = target
 	w.durMu.Unlock()
 	batch := int64(target - prevDurable)
 	if w.met != nil {
+		if w.mode == SyncData {
+			w.met.Fsync.Observe(time.Duration(end - fsyncStart))
+		}
 		w.met.ObserveBatch(batch)
-		w.met.Flush.Observe(time.Since(start))
+		w.met.Flush.Observe(time.Duration(end - start))
 	}
 	if w.tracer != nil {
 		w.tracer.TraceEvent(metrics.Event{
-			Type: metrics.EventGroupCommit,
-			Txn:  by,
-			Dur:  time.Since(start),
-			Rows: int(batch),
+			Type:   metrics.EventGroupCommit,
+			Txn:    by,
+			Dur:    time.Duration(end - start),
+			Rows:   int(batch),
+			WallNs: w.clock.WallNs(end),
 		})
 	}
 	return nil

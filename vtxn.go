@@ -156,7 +156,13 @@ type (
 
 // Trace event types.
 const (
-	TraceTxBegin     = metrics.EventTxBegin
+	// TraceTxBegin marks a transaction's begin. A read-only snapshot
+	// transaction (TxOptions.ReadOnly) emits none.
+	TraceTxBegin = metrics.EventTxBegin
+	// TraceTxEnd marks a transaction's commit or abort (Outcome); Dur is its
+	// whole lifetime, so it began at WallNs − Dur. It is the only event a
+	// read-only snapshot transaction emits, and there Rows is the read
+	// timestamp it pinned.
 	TraceTxEnd       = metrics.EventTxEnd
 	TraceLockWait    = metrics.EventLockWait
 	TraceFold        = metrics.EventFold
@@ -165,7 +171,8 @@ const (
 	TraceGhostClean  = metrics.EventGhostClean
 	TraceStall       = metrics.EventStall
 	// TraceSnapshotBegin marks a snapshot transaction pinning its read
-	// timestamp; TraceMVCCPrune marks a version-chain prune pass.
+	// timestamp (Rows); a read-only one emits none, its TraceTxEnd carries
+	// the timestamp. TraceMVCCPrune marks a version-chain prune pass.
 	TraceSnapshotBegin = metrics.EventSnapshotBegin
 	TraceMVCCPrune     = metrics.EventMVCCPrune
 	// TraceDeferredApply marks the deferred-view applier folding one round of
