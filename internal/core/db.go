@@ -532,10 +532,10 @@ func (db *DB) logOp(t *txn.Txn, rec *wal.Record) error {
 	if err := db.hit(fault.PointWALAppend); err != nil {
 		return err
 	}
-	var start time.Time
+	var start int64
 	timed := (uint64(t.ID)+uint64(len(t.Ops())))%applySampleEvery == 0
 	if timed {
-		start = time.Now()
+		start = db.clock.Now()
 	}
 	rec.Txn = t.ID
 	rec.Sys = t.Sys
@@ -558,7 +558,7 @@ func (db *DB) logOp(t *txn.Txn, rec *wal.Record) error {
 		return err
 	}
 	if timed {
-		db.met.Txn.Apply.Observe(time.Since(start))
+		db.met.Txn.Apply.Observe(time.Duration(db.clock.Now() - start))
 	}
 	return nil
 }
@@ -666,7 +666,7 @@ func (db *DB) PruneVersions() int {
 // quiescent chain leaves the tree — and takes its entry along if that is a
 // tombstone.
 func (db *DB) pruneChains(n int) int {
-	start := time.Now()
+	start := db.clock.Now()
 	horizon := db.oracle.PruneHorizon()
 	pruned := 0
 	db.dirty.Rotate(n, func(d mvcc.Dirty) bool {
@@ -680,7 +680,8 @@ func (db *DB) pruneChains(n int) int {
 	if pruned > 0 {
 		db.met.MVCC.VersionsPruned.Add(int64(pruned))
 		if db.tracer != nil {
-			db.tracer.TraceEvent(metrics.Event{Type: metrics.EventMVCCPrune, Rows: pruned, Dur: time.Since(start)})
+			end := db.clock.Now()
+			db.tracer.TraceEvent(metrics.Event{Type: metrics.EventMVCCPrune, Rows: pruned, Dur: time.Duration(end - start), WallNs: db.clock.WallNs(end)})
 		}
 	}
 	return pruned

@@ -223,7 +223,7 @@ func (db *DB) applierRound(co *applier.Coalescer) {
 		// applier while holding the gate — CheckConsistency waits first and
 		// only polls after locking.)
 		db.gate.RLock()
-		start := time.Now()
+		start := db.clock.Now()
 		applied := 0
 		var retry []applier.GroupDelta
 		// Partition the round's groups into deferred cascade components: a
@@ -273,7 +273,7 @@ func (db *DB) applierRound(co *applier.Coalescer) {
 		if applied > 0 {
 			db.met.Deferred.ApplyRounds.Add(1)
 			db.met.Deferred.GroupsApplied.Add(int64(applied))
-			db.met.Deferred.Apply.Observe(time.Since(start))
+			db.met.Deferred.Apply.Observe(time.Duration(db.clock.Now() - start))
 		}
 		db.gate.RUnlock()
 	}
@@ -441,7 +441,7 @@ func (db *DB) applyDeferredComponent(members []*catalog.View, groups []applier.G
 			}
 		}
 	}
-	start := time.Now()
+	start := db.clock.Now()
 	var folds []deferredFold
 	err := db.runSysTxnHook(func(st *txn.Txn) error {
 		folds = folds[:0] // a retried closure starts the tally over
@@ -454,7 +454,7 @@ func (db *DB) applyDeferredComponent(members []*catalog.View, groups []applier.G
 		// from, fed here from the coalescer's groups. A refresh that committed
 		// after the drain, before these locks were granted, has a watermark
 		// above wm and so above every group: its view already holds them.
-		foldStart := time.Now()
+		foldStart := db.clock.Now()
 		p := escrow.NewPending()
 		for _, g := range groups {
 			if g.TS <= db.oracle.ViewWatermark(g.Tree) {
@@ -469,7 +469,7 @@ func (db *DB) applyDeferredComponent(members []*catalog.View, groups []applier.G
 		if err != nil {
 			return err
 		}
-		db.billFolds(folded, time.Since(foldStart))
+		db.billFolds(folded, time.Duration(db.clock.Now()-foldStart))
 		for _, f := range folded {
 			level := deferredFold{tree: f.v.ID, name: f.v.Name, rows: f.rows}
 			if level.spans = inSpans[level.tree]; len(level.spans) == 0 {
@@ -493,14 +493,15 @@ func (db *DB) applyDeferredComponent(members []*catalog.View, groups []applier.G
 		return nil, err
 	}
 	if db.tracer != nil {
-		dur := time.Since(start)
+		end := db.clock.Now()
 		for _, f := range folds {
 			db.tracer.TraceEvent(metrics.Event{
 				Type:     metrics.EventDeferredApply,
 				Resource: f.name,
 				Rows:     f.rows,
-				Dur:      dur,
+				Dur:      time.Duration(end - start),
 				Spans:    f.spans,
+				WallNs:   db.clock.WallNs(end),
 			})
 		}
 	}

@@ -28,7 +28,7 @@ func (db *DB) CleanGhosts() int {
 	}
 	db.gate.RLock()
 	defer db.gate.RUnlock()
-	start := time.Now()
+	start := db.clock.Now()
 	erased, backlog := 0, 0
 	for _, v := range db.Catalog().Views() {
 		if v.Kind != catalog.ViewAggregate {
@@ -44,7 +44,8 @@ func (db *DB) CleanGhosts() int {
 	}
 	db.met.Ghost.ObservePass(backlog)
 	if db.tracer != nil {
-		db.tracer.TraceEvent(metrics.Event{Type: metrics.EventGhostClean, Dur: time.Since(start), Rows: erased})
+		end := db.clock.Now()
+		db.tracer.TraceEvent(metrics.Event{Type: metrics.EventGhostClean, Dur: time.Duration(end - start), Rows: erased, WallNs: db.clock.WallNs(end)})
 	}
 	return erased
 }

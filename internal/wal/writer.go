@@ -61,14 +61,11 @@ type Writer struct {
 }
 
 // SetObserver attaches metrics and a tracer to the writer, and the clock that
-// times its flushes (nil: a clock of its own). The engine calls it right
-// after creating a writer (Open, recovery hand-off, and the fresh generation
-// a Checkpoint swaps in), before the writer sees concurrent use, with the
-// DB's clock, so a flush's mark and its events share the DB's timebase.
+// times its flushes. The engine calls it right after creating a writer (Open,
+// recovery hand-off, and the fresh generation a Checkpoint swaps in), before
+// the writer sees concurrent use, with the DB's clock, so a flush's mark and
+// its events share the DB's timebase.
 func (w *Writer) SetObserver(m *metrics.WALMetrics, tracer metrics.Tracer, clock *metrics.Clock) {
-	if clock == nil {
-		clock = metrics.NewClock()
-	}
 	w.met = m
 	w.tracer = tracer
 	w.clock = clock
